@@ -11,8 +11,8 @@
 // to run, 3 when it runs but shape deviations are found. CI gates on this.
 //
 // -extras appends the reproduction-only experiments (multicore, filesys,
-// cluster, redisprod) to the suite, gating their shape checks with the
-// same exit codes.
+// cluster, redisprod, tenants) to the suite, gating their shape checks
+// with the same exit codes.
 //
 // Usage:
 //
@@ -38,7 +38,7 @@ var validationIDs = []string{"table2", "fig5-6-small", "fig5-6-big", "fig7-small
 func main() {
 	scaleFlag := flag.String("scale", "quick", "workload scale: quick or full")
 	parallel := flag.Int("parallel", 0, "experiments in flight (0 = GOMAXPROCS, 1 = sequential)")
-	extras := flag.Bool("extras", false, "also gate the reproduction-only extras (multicore, filesys, cluster, redisprod)")
+	extras := flag.Bool("extras", false, "also gate the reproduction-only extras (multicore, filesys, cluster, redisprod, tenants)")
 	engineFlag := flag.String("engine", "auto", "simulation driver: seq, par (epoch-barriered host-parallel) or auto (seq)")
 	epochFlag := flag.Int64("epoch", 0, "parallel driver epoch length in simulated cycles (0 = default)")
 	flag.Parse()

@@ -19,6 +19,7 @@ import (
 	"repro/internal/net"
 	"repro/internal/redisapp"
 	"repro/internal/sim"
+	"repro/internal/vfs"
 )
 
 // withEngine runs fn with the package-level engine knobs overridden and
@@ -302,4 +303,31 @@ func TestEngineTracedRunsFallBack(t *testing.T) {
 	if parBuf.Len() != seqBuf.Len() {
 		t.Errorf("trace lengths diverged: seq %d, par %d", seqBuf.Len(), parBuf.Len())
 	}
+}
+
+// TestRedisprodEngineStatsPinned pins the sequential driver's segment
+// accounting for one quick-scale redisprod cell to the numbers the
+// two-channel engine produced (captured with `stramash-bench -only
+// redisprod -scale quick -engine seq -engine-stats` on the commit before
+// the coroutine hand-off). How the engine moves the host CPU between
+// threads is free to change; what it counts as a segment is not.
+func TestRedisprodEngineStatsPinned(t *testing.T) {
+	prev := StatGate(GateEngine)
+	SetStatGate(GateEngine, true)
+	defer SetStatGate(GateEngine, prev)
+	withEngine(machine.EngineSeq, 0, 1, func() {
+		row, err := redisprodRun(redisapp.KSSharded, vfs.RegimeFused, 2, redisprodParams(Quick))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, want := range map[string]int64{
+			"serial_segments": 261733,
+			"serial_cycles":   49253862,
+			"handoffs":        261733,
+		} {
+			if got := row.Engine[k]; got != want {
+				t.Errorf("sharded/fused/2c %s = %d, want %d", k, got, want)
+			}
+		}
+	})
 }

@@ -159,8 +159,7 @@ func (e *Engine) grantSerial(t *Thread) {
 	if !t.parked {
 		t.segKey = t.now
 	}
-	t.resume <- struct{}{}
-	<-t.yield
+	t.resume()
 }
 
 // domainRun is one domain's accounting for one domain phase.
@@ -249,8 +248,7 @@ func (e *Engine) runDomain(d int, epochEnd Cycles) (r domainRun) {
 		best.local = true
 		best.segKey = best.now
 		c0 := best.now
-		best.resume <- struct{}{}
-		<-best.yield
+		best.resume()
 		best.local = false
 		r.segs++
 		r.cycles += best.now - c0

@@ -8,10 +8,18 @@
 // local clock always runs next, so the interleaving of cross-thread
 // interactions (atomics, IPIs, futex wake-ups) is a deterministic function of
 // the simulated timeline, never of host goroutine scheduling.
+//
+// On the host a thread is a coroutine of its driver, not a goroutine the Go
+// scheduler places: granting a segment is one direct switch into the thread
+// and one back (Thread.resume / Thread.suspend), and under the sequential
+// driver a yielding thread that is still the minimum keeps running with no
+// switch at all. Both are invisible in simulated time; DESIGN.md §6 has the
+// measured costs.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"repro/internal/trace"
@@ -86,10 +94,13 @@ func (s threadState) String() string {
 	return fmt.Sprintf("threadState(%d)", int(s))
 }
 
-// Thread is a simulated thread of execution. The body function runs on its
-// own goroutine but only while the engine has granted it the (single)
-// execution token, so at most one simulated thread executes at a time and
-// the simulation stays deterministic.
+// Thread is a simulated thread of execution. The body function runs as a
+// runtime coroutine (iter.Pull) of whichever driver goroutine grants it the
+// execution token: resume switches the host CPU straight into the body,
+// suspend switches it straight back, and neither goes through the Go
+// scheduler. A coroutine only ever runs while its resumer waits, so at most
+// one simulated thread executes per token and the simulation stays
+// deterministic.
 type Thread struct {
 	ID   ThreadID
 	Name string
@@ -102,8 +113,10 @@ type Thread struct {
 	// threads with smaller clocks can catch up.
 	sinceYield Cycles
 
-	resume chan struct{} // engine -> thread: you may run
-	yield  chan struct{} // thread -> engine: I stopped running
+	// next and yield are the two halves of the thread's coroutine (see
+	// resume and suspend). yield is set when the body first runs.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// atomicDepth suppresses scheduler yields while > 0 (BeginAtomic).
 	atomicDepth int
@@ -148,11 +161,23 @@ type Thread struct {
 	// cross-domain state.
 	serialDepth int
 	// segKey is the thread's clock at the moment its current run segment was
-	// granted. The sequential engine orders segments by (clock at grant, ID);
-	// the parallel driver serializes parked cross-domain continuations in
-	// exactly that key order, which is what makes the two drivers agree.
+	// granted (or, for a segment the thread continued into without a switch,
+	// began). The sequential engine orders segments by (clock at grant, ID)
+	// and charges each one the cycles since its key; the parallel driver
+	// serializes parked cross-domain continuations in exactly that key
+	// order, which is what makes the two drivers agree.
 	segKey Cycles
 }
+
+// resume grants the thread the execution token: the calling driver switches
+// into the thread's coroutine and gets the host CPU back when the thread
+// next suspends or its body returns.
+func (t *Thread) resume() { t.next() }
+
+// suspend hands the execution token back to the driver that resumed the
+// thread and returns when a driver next resumes it. Every thread-side park
+// (yield, block, cross-domain park) goes through here.
+func (t *Thread) suspend() { t.yield(struct{}{}) }
 
 // Now returns the thread's local simulated time.
 func (t *Thread) Now() Cycles { return t.now }
@@ -188,8 +213,7 @@ func (t *Thread) CrossDomain() {
 	}
 	t.local = false
 	t.parked = true
-	t.yield <- struct{}{}
-	<-t.resume
+	t.suspend()
 	t.parked = false
 }
 
@@ -257,19 +281,34 @@ func (t *Thread) AdvanceTo(when Cycles) {
 	}
 }
 
-// YieldPoint is an explicit scheduling point: the thread offers the engine a
-// chance to run another thread whose clock is behind. Simulated code must
-// call this (directly or via Advance) around synchronization operations so
-// that cross-thread orderings follow simulated time. Inside an atomic
-// section it is a no-op.
+// YieldPoint is an explicit scheduling point: the thread's segment ends and
+// the runnable thread with the smallest (clock, ID) runs next. Simulated
+// code must call this (directly or via Advance) around synchronization
+// operations so that cross-thread orderings follow simulated time. Inside
+// an atomic section it is a no-op.
+//
+// Under the sequential driver the thread applies the rule itself: when it is
+// still the minimum it closes the segment in place — exactly what Run does
+// after a resume returns — and runs on, with no host switch at all. Nothing
+// observable distinguishes that from suspending and being picked again: Run
+// emits a switch event only when the picked thread differs from the last.
 func (t *Thread) YieldPoint() {
 	if t.atomicDepth > 0 {
 		return
 	}
 	t.sinceYield = 0
 	t.state = stateRunnable
-	t.yield <- struct{}{}
-	<-t.resume
+	e := t.eng
+	if !e.sequential {
+		t.suspend()
+	} else if next := e.pickNext(); next == t {
+		e.closeSegment(t)
+		e.Stats.SelfContinues++
+		t.segKey = t.now
+	} else {
+		e.picked = next // nothing runs between here and Run's next pick
+		t.suspend()
+	}
 	t.state = stateRunning
 	if t.preempt != nil && !t.inPreempt && t.preemptOff == 0 {
 		t.inPreempt = true
@@ -296,7 +335,7 @@ func (t *Thread) EnablePreempt() {
 
 // SetPreempt installs (or, with nil, removes) the thread's preemption
 // hook. The hook runs at every yield point outside atomic sections, on the
-// thread's own goroutine while it holds the execution token, so it may
+// thread's own coroutine while it holds the execution token, so it may
 // consult simulated state and call Block to give up the CPU. Installing a
 // hook that never blocks and charges no cycles leaves the simulated
 // timeline untouched.
@@ -318,8 +357,7 @@ func (t *Thread) Block(reason string) {
 	t.blockReason = reason
 	t.sinceYield = 0
 	t.state = stateBlocked
-	t.yield <- struct{}{}
-	<-t.resume
+	t.suspend()
 	t.state = stateRunning
 	t.blockReason = ""
 }
@@ -344,6 +382,13 @@ type Engine struct {
 	threads []*Thread
 	lastRun ThreadID
 	running bool
+	// sequential is true for the duration of Run: yielding threads may keep
+	// the token themselves (see YieldPoint). The parallel driver's phases
+	// always go through the driver.
+	sequential bool
+	// picked is the thread a yielding thread found ahead of itself; Run
+	// grants it next instead of scanning again.
+	picked *Thread
 
 	// phaseDomains is the parallel driver's reusable phase scratch.
 	phaseDomains []int
@@ -365,16 +410,18 @@ func (e *Engine) Spawn(name string, start Cycles, body func(t *Thread)) *Thread 
 		state:  stateRunnable,
 		now:    start,
 		domain: GlobalDomain,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
 	}
 	e.threads = append(e.threads, t)
 	if tr := e.Tracer; tr != nil {
 		tr.Emit(trace.Event{Cycle: int64(start), Kind: trace.KindThreadSpawn,
 			Tid: int32(t.ID), Node: -1, Name: name})
 	}
-	go func() {
-		<-t.resume
+	// Returning from the iterator is the thread's final suspend. The stop
+	// function is dropped on purpose: a thread that never finishes (deadlock,
+	// or a run that ended at another thread's error) stays parked inside its
+	// body, which is never unwound.
+	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
 		t.state = stateRunning
 		defer func() {
 			if r := recover(); r != nil {
@@ -385,10 +432,9 @@ func (e *Engine) Spawn(name string, start Cycles, body func(t *Thread)) *Thread 
 				tr.Emit(trace.Event{Cycle: int64(t.now), Kind: trace.KindThreadDone,
 					Tid: int32(t.ID), Node: -1, Name: t.Name})
 			}
-			t.yield <- struct{}{}
 		}()
 		body(t)
-	}()
+	})
 	return t
 }
 
@@ -419,11 +465,15 @@ func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: engine already running")
 	}
-	e.running = true
-	defer func() { e.running = false }()
+	e.running, e.sequential = true, true
+	defer func() { e.running, e.sequential = false, false }()
 
 	for {
-		next := e.pickNext()
+		next := e.picked
+		e.picked = nil
+		if next == nil {
+			next = e.pickNext()
+		}
 		if next == nil {
 			if e.allDone() {
 				return e.firstErr()
@@ -435,15 +485,20 @@ func (e *Engine) Run() error {
 				Tid: int32(next.ID), Node: -1, Name: next.Name})
 		}
 		e.lastRun = next.ID
-		c0 := next.now
-		next.resume <- struct{}{}
-		<-next.yield
-		e.Stats.SerialSegments++
-		e.Stats.SerialCycles += next.now - c0
+		next.segKey = next.now
+		next.resume()
+		e.closeSegment(next)
 		if next.err != nil {
 			return next.err
 		}
 	}
+}
+
+// closeSegment accounts the sequential-driver segment t has just ended: the
+// one that began at t.segKey.
+func (e *Engine) closeSegment(t *Thread) {
+	e.Stats.SerialSegments++
+	e.Stats.SerialCycles += t.now - t.segKey
 }
 
 // pickNext returns the runnable thread with the smallest local clock,

@@ -31,6 +31,11 @@ type EngineStats struct {
 	PhaseDomains int64
 	// MaxPhaseWidth is the most domains ever run concurrently in one phase.
 	MaxPhaseWidth int64
+	// SelfContinues counts the serial segments the sequential driver never
+	// switched for: the yielding thread was still the minimum (clock, ID)
+	// runnable thread and kept the token. Handoffs() − SelfContinues is the
+	// number of coroutine switches actually paid.
+	SelfContinues int64
 	// SerialCycles, SoloCycles and DomainCycles attribute simulated cycles
 	// advanced to the grant kind they were advanced under. DomainCycles is
 	// the work that ran (or could have run) concurrently on host cores.
@@ -39,8 +44,9 @@ type EngineStats struct {
 	DomainCycles Cycles
 }
 
-// Handoffs returns the total engine→thread grants (each costs one resume /
-// yield channel round trip on the host).
+// Handoffs returns the total segments granted, by any driver. Each costs one
+// coroutine switch into the thread and one back, except the SelfContinues,
+// which cost neither.
 func (s EngineStats) Handoffs() int64 {
 	return s.SerialSegments + s.SoloSegments + s.DomainSegments
 }
@@ -51,6 +57,7 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.SerialSegments += o.SerialSegments
 	s.SoloSegments += o.SoloSegments
 	s.DomainSegments += o.DomainSegments
+	s.SelfContinues += o.SelfContinues
 	s.Parks += o.Parks
 	s.Phases += o.Phases
 	s.PhaseDomains += o.PhaseDomains
@@ -69,6 +76,7 @@ func (s EngineStats) Map() map[string]int64 {
 		"serial_segments": s.SerialSegments,
 		"solo_segments":   s.SoloSegments,
 		"domain_segments": s.DomainSegments,
+		"self_continues":  s.SelfContinues,
 		"parks":           s.Parks,
 		"phases":          s.Phases,
 		"phase_domains":   s.PhaseDomains,
