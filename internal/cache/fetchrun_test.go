@@ -1,0 +1,272 @@
+package cache
+
+// Differential test for the instruction-fetch hit run: IfetchHits must leave
+// the hierarchy — every way's tag, valid/dirty bits and LRU stamp, every
+// level's tick, every counter — exactly where the same fetches pushed one by
+// one through Access(Ifetch) leave it, whatever else happens between runs.
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/sim"
+)
+
+// fetchRunConfig is a deliberately tiny two-core geometry: an 8-set 2-way
+// L1I that a 16-line window exactly fills, and a 64-set L3 that a handful
+// of 4 KiB-strided reads thrash, so window lines are evicted, back-
+// invalidated and refilled constantly.
+func fetchRunConfig(model mem.Model, l3 int) Config {
+	node := func(lat Latencies) NodeConfig {
+		return NodeConfig{
+			Cores: 2,
+			L1I:   LevelConfig{Size: 1 << 10, Ways: 2},
+			L1D:   LevelConfig{Size: 1 << 10, Ways: 2},
+			L2:    LevelConfig{Size: 4 << 10, Ways: 4},
+			L3:    LevelConfig{Size: l3, Ways: 4},
+			Lat:   lat,
+		}
+	}
+	cfg := DefaultConfig(model)
+	cfg.Nodes = [2]NodeConfig{node(XeonGoldLatencies()), node(ThunderX2Latencies())}
+	return cfg
+}
+
+// l3Stride aliases every level of fetchRunConfig: 4 KiB is a multiple of
+// the L1 (8), L2 (16) and L3 (64) set counts in lines.
+const l3Stride = 4 << 10
+
+// fetchStream is a code window being fetched: its position, and the memo
+// the hit-run side carries for it.
+type fetchStream struct {
+	base  mem.PhysAddr
+	lines int
+	pos   int
+	memo  FetchMemo
+}
+
+func newFetchStream(base mem.PhysAddr, lines int) *fetchStream {
+	return &fetchStream{base: base, lines: lines, memo: NewFetchMemo(base, lines)}
+}
+
+func (s *fetchStream) step(k int) { s.pos = (s.pos + k) % s.lines }
+
+func (s *fetchStream) addr() mem.PhysAddr { return s.base + mem.PhysAddr(s.pos)*mem.LineSize }
+
+// fetchEach pushes k fetches through Access, the reference.
+func (s *fetchStream) fetchEach(h *Hierarchy, node mem.NodeID, core, k int) sim.Cycles {
+	var total sim.Cycles
+	for ; k > 0; k-- {
+		total += h.Access(node, core, Ifetch, s.addr(), mem.LineSize)
+		s.step(1)
+	}
+	return total
+}
+
+// fetchRuns charges the same k fetches as hit runs, with Access for each
+// fetch a run stops at.
+func (s *fetchStream) fetchRuns(h *Hierarchy, node mem.NodeID, core, k int) sim.Cycles {
+	l1 := h.Config().Nodes[node].Lat.L1
+	var total sim.Cycles
+	for k > 0 {
+		if n := h.IfetchHits(node, core, &s.memo, s.pos, int64(k)); n > 0 {
+			total += sim.Cycles(n) * l1
+			s.step(n)
+			k -= n
+			continue
+		}
+		total += h.Access(node, core, Ifetch, s.addr(), mem.LineSize)
+		s.step(1)
+		k--
+	}
+	return total
+}
+
+// fetchRunSide is one of the two hierarchies under comparison.
+type fetchRunSide struct {
+	h       *Hierarchy
+	streams []*fetchStream
+	fetch   func(s *fetchStream, h *Hierarchy, node mem.NodeID, core, k int) sim.Cycles
+}
+
+func newFetchRunSide(cfg Config, model mem.Model, runs bool) *fetchRunSide {
+	layout := mem.DefaultLayout(model)
+	side := &fetchRunSide{
+		h: NewHierarchy(cfg, &layout),
+		streams: []*fetchStream{
+			newFetchStream(0x1000, 16),
+			newFetchStream(0x1000, 16),     // a second task in the same code
+			newFetchStream(0x1000+1024, 5), // aliases the first window's L1I sets
+			newFetchStream(0, 3),           // line 0 is what an invalidated way's zeroed tag names
+		},
+		fetch: (*fetchStream).fetchEach,
+	}
+	if runs {
+		side.fetch = (*fetchStream).fetchRuns
+	}
+	return side
+}
+
+// fetchRunOp is one scripted step; apply returns the cycles it charged.
+type fetchRunOp struct {
+	kind   int // 0 fetch, 1 data access, 2 thrash, 3 flush
+	stream int
+	node   mem.NodeID
+	core   int
+	k      int
+	write  bool
+	addr   mem.PhysAddr
+}
+
+func (s *fetchRunSide) apply(op fetchRunOp) sim.Cycles {
+	switch op.kind {
+	case 0:
+		return s.fetch(s.streams[op.stream], s.h, op.node, op.core, op.k)
+	case 1:
+		kind := Read
+		if op.write {
+			kind = Write
+		}
+		return s.h.Access(op.node, op.core, kind, op.addr, 8)
+	case 2:
+		var total sim.Cycles
+		for j := 1; j <= op.k; j++ {
+			total += s.h.Access(op.node, op.core, Read, op.addr+mem.PhysAddr(j)*l3Stride, 8)
+		}
+		return total
+	default:
+		s.h.Flush()
+		return 0
+	}
+}
+
+// fetchRunScript draws the seeded script: fetch bursts on four streams
+// that mostly stay on their (node, core) but sometimes move — carrying
+// their memo to another core's or node's L1I — interleaved with data
+// traffic and stores into the window lines from either node, L3-thrashing
+// strides over the window's sets, and the occasional Flush.
+func fetchRunScript(rng *rand.Rand, steps int) []fetchRunOp {
+	type place struct {
+		node mem.NodeID
+		core int
+	}
+	home := []place{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
+	windowLine := func() mem.PhysAddr { return 0x1000 + mem.PhysAddr(rng.Intn(21))*mem.LineSize }
+	ops := make([]fetchRunOp, 0, steps)
+	for len(ops) < steps {
+		op := fetchRunOp{node: mem.NodeID(rng.Intn(2)), core: rng.Intn(2)}
+		switch r := rng.Intn(100); {
+		case r < 45:
+			op.stream = rng.Intn(len(home))
+			if rng.Intn(5) == 0 {
+				home[op.stream] = place{op.node, op.core}
+			}
+			op.node, op.core = home[op.stream].node, home[op.stream].core
+			op.k = 1 + rng.Intn(40)
+		case r < 75:
+			op.kind, op.write, op.addr = 1, rng.Intn(2) == 0, windowLine()
+			if rng.Intn(3) == 0 {
+				op.addr += mem.PhysAddr(1+rng.Intn(3)) * l3Stride
+			}
+		case r < 99:
+			op.kind, op.addr, op.k = 2, windowLine(), 3+rng.Intn(6)
+		default:
+			op.kind = 3
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// levels lists every cache level of the machine in a fixed order.
+func (h *Hierarchy) levels() []*level {
+	var out []*level
+	for _, nc := range h.nodes {
+		for c := range nc.l2 {
+			out = append(out, nc.l1i[c], nc.l1d[c], nc.l2[c])
+		}
+		out = append(out, nc.l3)
+	}
+	return append(out, h.sharedL3)
+}
+
+func TestIfetchHitsMatchesAccess(t *testing.T) {
+	shapes := []struct {
+		name  string
+		model mem.Model
+		l3    int
+	}{
+		{"privateL3", mem.Separated, 16 << 10},
+		{"cxlPool", mem.Shared, 16 << 10},
+		{"sharedL3", mem.FullyShared, 16 << 10},
+		{"noL3", mem.Separated, 0},
+	}
+	for _, sh := range shapes {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", sh.name, seed), func(t *testing.T) {
+				cfg := fetchRunConfig(sh.model, sh.l3)
+				ref := newFetchRunSide(cfg, sh.model, false)
+				run := newFetchRunSide(cfg, sh.model, true)
+				for i, op := range fetchRunScript(rand.New(rand.NewSource(seed)), 4000) {
+					if want, got := ref.apply(op), run.apply(op); got != want {
+						t.Fatalf("step %d %+v: hit-run side charged %d cycles, per-fetch %d", i, op, got, want)
+					}
+					for n := mem.NodeID(0); n < 2; n++ {
+						if want, got := ref.h.Stats(n), run.h.Stats(n); got != want {
+							t.Fatalf("step %d %+v: node %d stats\n got %+v\nwant %+v", i, op, n, got, want)
+						}
+						for c := 0; c < 2; c++ {
+							if want, got := ref.h.CoreStats(n, c), run.h.CoreStats(n, c); got != want {
+								t.Fatalf("step %d %+v: node %d core %d stats\n got %+v\nwant %+v", i, op, n, c, got, want)
+							}
+						}
+					}
+					if err := run.h.CheckMESI(); err != nil {
+						t.Fatalf("step %d: %v", i, err)
+					}
+				}
+				refLevels, runLevels := ref.h.levels(), run.h.levels()
+				for li, want := range refLevels {
+					got := runLevels[li]
+					if want == nil {
+						continue
+					}
+					if got.tick != want.tick {
+						t.Errorf("level %d: tick %d, want %d", li, got.tick, want.tick)
+					}
+					for wi := range want.ways {
+						if got.ways[wi] != want.ways[wi] {
+							t.Fatalf("level %d way %d: %+v, want %+v", li, wi, got.ways[wi], want.ways[wi])
+						}
+					}
+				}
+				// The script must actually exercise runs: most fetches hit.
+				st0, st1 := run.h.Stats(0), run.h.Stats(1)
+				if hits, all := st0.L1IHits+st1.L1IHits, st0.L1IAccesses+st1.L1IAccesses; hits*2 < all {
+					t.Errorf("only %d of %d fetches hit: the script no longer exercises hit runs", hits, all)
+				}
+			})
+		}
+	}
+}
+
+// TestIfetchHitsBypassedUnderTap: a Tap must see every access, so the run
+// charges nothing while one is installed.
+func TestIfetchHitsBypassedUnderTap(t *testing.T) {
+	h := newTestHierarchy(mem.Separated)
+	h.Access(mem.NodeX86, 0, Ifetch, 0x1000, mem.LineSize)
+	memo := NewFetchMemo(0x1000, 4)
+	if n := h.IfetchHits(mem.NodeX86, 0, &memo, 0, 4); n != 1 {
+		t.Fatalf("resident line: run of %d, want 1 (stops at the first miss)", n)
+	}
+	h.Tap = func(mem.NodeID, int, Kind, mem.PhysAddr, int) {}
+	before := h.Stats(mem.NodeX86)
+	if n := h.IfetchHits(mem.NodeX86, 0, &memo, 0, 4); n != 0 {
+		t.Errorf("run of %d under a Tap, want 0", n)
+	}
+	if after := h.Stats(mem.NodeX86); after != before {
+		t.Errorf("stats moved under a Tap: %+v -> %+v", before, after)
+	}
+}

@@ -79,7 +79,6 @@ func (l *level) lookup(a lineAddr) *way {
 	return nil
 }
 
-
 // insert fills a into the level, evicting the LRU way if needed. It returns
 // the way now holding a (so callers can mark it dirty without a second set
 // scan) plus the evicted line and whether an eviction of a valid (possibly
@@ -524,7 +523,7 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		st.L2Hits++
 		cost += lat.L2
 		st.CacheHitLatency += lat.L2
-		h.fillLevel(node, core, l1, ln, isWrite)
+		h.fillLevel(l1, ln, isWrite)
 		st.TotalLatency += cost
 		return cost
 	}
@@ -548,8 +547,8 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 			st.L3Hits++
 			cost += lat.L3
 			st.CacheHitLatency += lat.L3
-			h.fillLevel(node, core, l2, ln, isWrite)
-			h.fillLevel(node, core, l1, ln, isWrite)
+			h.fillLevel(l2, ln, isWrite)
+			h.fillLevel(l1, ln, isWrite)
 			st.TotalLatency += cost
 			return cost
 		}
@@ -585,15 +584,89 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 
 	// Fill the whole hierarchy (inclusive).
 	h.fillL3(node, core, l3, ln, isWrite, loc)
-	h.fillLevel(node, core, l2, ln, isWrite)
-	h.fillLevel(node, core, l1, ln, isWrite)
+	h.fillLevel(l2, ln, isWrite)
+	h.fillLevel(l1, ln, isWrite)
 	st.TotalLatency += cost
 	return cost
 }
 
+// FetchMemo is the hit run's hint for one code window: for each line of the
+// window, the L1I way that held it when IfetchHits last looked. Like
+// level.mru it is never trusted: every entry belongs to l1 (the memo is
+// cleared in place when the window is fetched through another core's or
+// node's L1I) and is used only while the way is still valid and still holds
+// that line; otherwise the set is searched and the entry refreshed.
+type FetchMemo struct {
+	l1    *level
+	first lineAddr
+	ways  []*way
+}
+
+// NewFetchMemo returns the memo for a window of lines whole cache lines
+// starting at the line containing base.
+func NewFetchMemo(base mem.PhysAddr, lines int) FetchMemo {
+	return FetchMemo{first: lineOf(base), ways: make([]*way, lines)}
+}
+
+// IfetchHits charges up to limit consecutive instruction fetches by (node,
+// core) of the window's lines from, from+1, … and returns how many it
+// charged. Each one is exactly Access(node, core, Ifetch, line, LineSize)
+// taking the L1I-hit path — the way is stamped with the level's next LRU
+// tick, the node's and core's L1I access and hit counters and the hit
+// latencies grow by one fetch — but the counters are added once for the
+// whole run and no clock is advanced: the caller owes n·Lat.L1 cycles.
+//
+// The run stops before the first line that is not resident in the L1I (that
+// fetch needs the full Access path: fill, directory, events), at the end of
+// the window (it never wraps), and charges nothing while a Tap is
+// installed, since a Tap must observe every access.
+func (h *Hierarchy) IfetchHits(node mem.NodeID, core int, m *FetchMemo, from int, limit int64) int {
+	if h.Tap != nil {
+		return 0
+	}
+	nc := h.nodes[node]
+	l1 := nc.l1i[core]
+	if l1 == nil {
+		return 0
+	}
+	if m.l1 != l1 {
+		m.l1 = l1
+		clear(m.ways)
+	}
+	ways := m.ways[from:]
+	if limit < int64(len(ways)) {
+		ways = ways[:max(limit, 0)]
+	}
+	first := m.first + lineAddr(from)
+	n, tick := 0, l1.tick
+	for ; n < len(ways); n++ {
+		ln := first + lineAddr(n)
+		w := ways[n]
+		if w == nil || !w.valid || w.line != ln {
+			if w = l1.lookup(ln); w == nil {
+				break
+			}
+			ways[n] = w
+		}
+		tick++
+		w.used = tick // l1.stamp(w), with the tick held in a register
+	}
+	l1.tick = tick
+	hits := int64(n)
+	cycles := sim.Cycles(n) * h.cfg.Nodes[node].Lat.L1
+	st, cs := &nc.stats, &nc.coreStats[core]
+	st.L1IAccesses += hits
+	cs.L1IAccesses += hits
+	st.L1IHits += hits
+	cs.L1IHits += hits
+	st.CacheHitLatency += cycles
+	st.TotalLatency += cycles
+	return n
+}
+
 // fillLevel inserts a line into an inner level, discarding clean evictions
 // (the line stays in the outer levels by inclusion).
-func (h *Hierarchy) fillLevel(node, core int, l *level, ln lineAddr, dirty bool) {
+func (h *Hierarchy) fillLevel(l *level, ln lineAddr, dirty bool) {
 	if l == nil {
 		return
 	}
@@ -601,8 +674,6 @@ func (h *Hierarchy) fillLevel(node, core int, l *level, ln lineAddr, dirty bool)
 	if dirty {
 		w.dirty = true
 	}
-	_ = node
-	_ = core
 }
 
 // fillL3 inserts into the last level, maintaining inclusion: an evicted

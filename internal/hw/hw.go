@@ -331,9 +331,20 @@ func (pt *Port) ZeroPage(a mem.PhysAddr) {
 }
 
 // Compute charges n non-memory instructions at the node's configured CPI
-// (1.0 in simulator mode, §7.3) plus instruction fetches through L1I.
-// The fetch stream walks the current code window so the L1I behaves
+// (1.0 in simulator mode, §7.3) plus instruction fetches through L1I: one
+// fetch of the code window's next line per line's worth of instructions
+// (the last batch may be partial), each followed by the batch's non-memory
+// cycles. The fetch stream walks the window so the L1I behaves
 // realistically for loopy code.
+//
+// Fetches that hit are charged as a hit run: as many consecutive resident
+// lines as are left in full batches, before the window's end and before the
+// thread's next quantum yield go through cache.Hierarchy.IfetchHits in one
+// pass, and the clock advances once by their sum. That is the same
+// simulated history as fetching them one by one (DESIGN.md §6); the fetch
+// that misses, the one whose cycles cross the quantum and the partial tail
+// batch are always charged individually, as is every fetch while a cache
+// Tap is installed or the thread is in a domain-parallel phase.
 func (pt *Port) Compute(n int64, pc *CodeWindow) {
 	if n <= 0 {
 		return
@@ -341,19 +352,34 @@ func (pt *Port) Compute(n int64, pc *CodeWindow) {
 	cpi := pt.Plat.Cfg.CPI[pt.Node]
 	// One ifetch per line's worth of instructions (4-byte instructions).
 	const instPerLine = mem.LineSize / 4
-	for i := int64(0); i < n; i += instPerLine {
-		batch := n - i
-		if batch > instPerLine {
-			batch = instPerLine
+	perHit := pt.Plat.Cfg.Cache.Nodes[pt.Node].Lat.L1 + batchCycles(instPerLine, cpi)
+	for i := int64(0); i < n; {
+		if k := (n - i) / instPerLine; k > 0 && perHit > 0 && !pt.T.InLocal() {
+			// k·perHit must stay below the yield headroom, so that no
+			// Advance of the run would have yielded.
+			k = min(k, int64((pt.T.YieldHeadroom()-1)/perHit))
+			if hits := pt.Plat.Caches.IfetchHits(pt.Node, pt.Core, &pc.memo, pc.line, k); hits > 0 {
+				pc.advance(hits)
+				pt.T.Advance(sim.Cycles(hits) * perHit)
+				i += int64(hits) * instPerLine
+				continue
+			}
 		}
-		addr := pc.next()
-		pt.charge(cache.Ifetch, addr, mem.LineSize)
-		extra := sim.Cycles(float64(batch)*cpi + 0.5)
-		if extra > 0 {
-			extra-- // the ifetch itself retires one instruction's worth
-		}
-		pt.T.Advance(extra)
+		pt.charge(cache.Ifetch, pc.next(), mem.LineSize)
+		pt.T.Advance(batchCycles(min(n-i, instPerLine), cpi))
+		i += instPerLine
 	}
+}
+
+// batchCycles is what a batch of instructions costs beyond its fetch: the
+// batch at the node's CPI, less the one instruction's worth the ifetch
+// itself retires.
+func batchCycles(batch int64, cpi float64) sim.Cycles {
+	extra := sim.Cycles(float64(batch)*cpi + 0.5)
+	if extra > 0 {
+		extra--
+	}
+	return extra
 }
 
 // String identifies the port for diagnostics.
@@ -362,28 +388,44 @@ func (pt *Port) String() string {
 }
 
 // CodeWindow models the instruction footprint of the currently executing
-// code: the PC walks [Base, Base+Size) and wraps, approximating a loop nest
-// whose working set is Size bytes.
+// code: the PC walks the whole cache lines of [Base, Base+Size) one line per
+// fetch and wraps, approximating a loop nest whose working set is Size
+// bytes. Construct it with NewCodeWindow. The window also carries the hit
+// run's way memo (cache.FetchMemo), which is a host-side hint only.
 type CodeWindow struct {
 	Base mem.PhysAddr
 	Size uint64
-	off  uint64
+	// line is the next line to fetch, counted from Base; lines is Size in
+	// whole lines.
+	line, lines int
+	memo        cache.FetchMemo
 }
 
-// NewCodeWindow returns a window at base covering size bytes (rounded up to
-// a line).
+// NewCodeWindow returns the window of whole lines covering size bytes at
+// base: Base is aligned down to a line and Size rounded up to a line
+// multiple (at least one line).
 func NewCodeWindow(base mem.PhysAddr, size uint64) *CodeWindow {
-	if size < mem.LineSize {
-		size = mem.LineSize
-	}
-	return &CodeWindow{Base: base, Size: size}
+	const mask = mem.LineSize - 1
+	end := (uint64(base) + max(size, 1) + mask) &^ mask
+	base &^= mask
+	lines := int((end - uint64(base)) / mem.LineSize)
+	return &CodeWindow{Base: base, Size: end - uint64(base), lines: lines,
+		memo: cache.NewFetchMemo(base, lines)}
 }
 
+// next returns the address of the next line to fetch and steps past it.
 func (w *CodeWindow) next() mem.PhysAddr {
-	a := w.Base + mem.PhysAddr(w.off)
-	w.off += mem.LineSize
-	if w.off >= w.Size {
-		w.off = 0
-	}
+	a := w.Base + mem.PhysAddr(w.line)*mem.LineSize
+	w.advance(1)
 	return a
+}
+
+// advance steps the walk past k fetched lines, wrapping at the window's
+// end. k never reaches past the end: next steps one line, and a hit run
+// stops at the last line.
+func (w *CodeWindow) advance(k int) {
+	w.line += k
+	if w.line >= w.lines {
+		w.line -= w.lines
+	}
 }

@@ -174,12 +174,46 @@ func TestComputeAdvancesOneCyclePerInstruction(t *testing.T) {
 }
 
 func TestCodeWindowWraps(t *testing.T) {
-	w := NewCodeWindow(0x1000, 128) // 2 lines
-	a := w.next()
-	b := w.next()
-	c := w.next()
-	if a != 0x1000 || b != 0x1040 || c != 0x1000 {
-		t.Errorf("window walk = %#x %#x %#x", a, b, c)
+	for _, tc := range []struct {
+		name     string
+		base     mem.PhysAddr
+		size     uint64
+		wantBase mem.PhysAddr
+		wantSize uint64
+	}{
+		{"aligned", 0x1000, 128, 0x1000, 128},
+		{"sub-line", 0x1000, 1, 0x1000, 64},
+		{"empty", 0x1000, 0, 0x1000, 64},
+		{"100-byte", 0x1000, 100, 0x1000, 128},
+		{"unaligned base", 0x1030, 64, 0x1000, 128},
+		{"unaligned base, one line", 0x1030, 16, 0x1000, 64},
+		{"8 KiB + 1", 0x1000, 8<<10 + 1, 0x1000, 8<<10 + 64},
+		{"task window", 0x1000, 8 << 10, 0x1000, 8 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewCodeWindow(tc.base, tc.size)
+			if w.Base != tc.wantBase || w.Size != tc.wantSize {
+				t.Fatalf("window = [%#x, +%d), want [%#x, +%d)", w.Base, w.Size, tc.wantBase, tc.wantSize)
+			}
+			lines := int(tc.wantSize / mem.LineSize)
+			// Two laps: every fetch is a whole line of the window, in
+			// order, and the walk wraps to Base after the last line.
+			for i := 0; i < 2*lines; i++ {
+				want := tc.wantBase + mem.PhysAddr(i%lines)*mem.LineSize
+				if got := w.next(); got != want {
+					t.Fatalf("fetch %d at %#x, want %#x", i, got, want)
+				}
+			}
+			// advance is the hit run's step: k lines at once land where
+			// k calls of next do, including exactly onto the wrap.
+			w.advance(lines - 1)
+			if got := w.next(); got != tc.wantBase+mem.PhysAddr(lines-1)*mem.LineSize {
+				t.Errorf("after advance(%d): fetch at %#x", lines-1, got)
+			}
+			if got := w.next(); got != tc.wantBase {
+				t.Errorf("after the last line: fetch at %#x, want Base", got)
+			}
+		})
 	}
 }
 

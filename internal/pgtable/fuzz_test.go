@@ -25,11 +25,11 @@ const commonPFNBits = 36
 // original encoding bit-for-bit.
 func FuzzPTEConvert(f *testing.F) {
 	f.Add(uint64(0), byte(0))
-	f.Add(uint64(1), byte(1))                  // minimal present page
-	f.Add(uint64(0x1234), byte(0x3F))          // everything set
-	f.Add(uint64(0xFFFFFFFFF), byte(0x03))     // max common PFN, writable
-	f.Add(uint64(0xABCDE), byte(0x09))         // present + noexec
-	f.Add(uint64(0xDEAD), byte(0x36))          // non-present with attr bits
+	f.Add(uint64(1), byte(1))              // minimal present page
+	f.Add(uint64(0x1234), byte(0x3F))      // everything set
+	f.Add(uint64(0xFFFFFFFFF), byte(0x03)) // max common PFN, writable
+	f.Add(uint64(0xABCDE), byte(0x09))     // present + noexec
+	f.Add(uint64(0xDEAD), byte(0x36))      // non-present with attr bits
 	f.Fuzz(func(t *testing.T, pfn uint64, bits byte) {
 		pfn &= (1 << commonPFNBits) - 1
 		p := permsFromBits(bits)

@@ -198,10 +198,10 @@ func TestDecodeRequestRejectsCorruptHeaders(t *testing.T) {
 		t.Fatalf("good request rejected: ok=%v err=%v", ok, err)
 	}
 	corrupt := [][]byte{
-		{0, 1, 0, 0, 0, 0, 0, 0, 0, 'k'},    // cmd 0
-		{99, 1, 0, 0, 0, 0, 0, 0, 0, 'k'},   // cmd out of range
-		{1, 0, 0, 0, 0, 0, 0, 0, 0},         // klen 0
-		{1, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, // klen huge
+		{0, 1, 0, 0, 0, 0, 0, 0, 0, 'k'},             // cmd 0
+		{99, 1, 0, 0, 0, 0, 0, 0, 0, 'k'},            // cmd out of range
+		{1, 0, 0, 0, 0, 0, 0, 0, 0},                  // klen 0
+		{1, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0},      // klen huge
 		{2, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F, 'k'}, // vlen huge
 	}
 	for i, b := range corrupt {

@@ -20,6 +20,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 	"sort"
 
 	"repro/internal/trace"
@@ -251,6 +252,18 @@ func (t *Thread) Advance(d Cycles) {
 	if t.sinceYield >= t.eng.Quantum && t.atomicDepth == 0 {
 		t.YieldPoint()
 	}
+}
+
+// YieldHeadroom returns the cycle budget the thread has before its next
+// quantum yield: any sequence of Advance calls whose durations sum to
+// strictly less than it yields nowhere, so one Advance of the sum is the
+// same simulated history. Inside an atomic section nothing yields and the
+// budget is unbounded. Read-only.
+func (t *Thread) YieldHeadroom() Cycles {
+	if t.atomicDepth > 0 {
+		return math.MaxInt64
+	}
+	return t.eng.Quantum - t.sinceYield
 }
 
 // BeginAtomic enters a section during which the thread will not yield to
