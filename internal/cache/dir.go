@@ -1,165 +1,113 @@
 package cache
 
-// The coherence directory is the hottest data structure in the simulator:
-// every simulated load, store and ifetch consults it at least once. It used
-// to be a Go map[lineAddr]*dirEntry, which costs a hash, bucket probing and
-// a pointer chase per access plus one heap allocation per tracked line.
-// dirTable replaces it with an open-addressed linear-probing table of
-// *inline* dirEntry values: one multiplicative hash, a short probe over a
-// contiguous slot array, and no per-line allocation (slots live in one
-// backing array that grows geometrically and only ever when load exceeds
-// 3/4). Deletion uses the classic backward-shift algorithm (Knuth 6.4,
-// Algorithm R), so there are no tombstones and probe chains stay short.
+// The coherence directory maps a line to its MESI state. Every access that
+// is not a read L1 hit consults it, and the OS paths of Figs. 11–13 (zero,
+// copy or install a page) walk it line after consecutive line, so it is
+// indexed by address rather than hashed: a two-level radix table whose
+// leaves hold dirLeafSize consecutive lines' entries inline (16 KiB of
+// entries covering 256 KiB of memory) — a page's 64 lines are 64 adjacent
+// 4-byte cells. Each shard's root is based at the lowest line of the
+// regions the shard holds, so a shard whose memory starts high (the CXL
+// pool at 4 GiB) pays nothing for the space below it. Lines below the base
+// or beyond dirRootLimit leaves spill into a map, like mem.Physical.
 //
-// The table is a pure host-side change: it stores exactly the same entries
-// the map stored and is never iterated on a simulated path, so simulated
-// cycle counts are bit-identical (see DESIGN.md "Host performance
-// architecture"; TestDirTableMatchesMapDirectory enforces equivalence
-// against a map-backed reference over randomized operation sequences).
+// An absent line and an uncached one ({no holders, owner -1, !modified})
+// are the same thing: leaves are created uncached, so dropping a line is a
+// store and a cell never moves once created — the per-core dirHint holds a
+// pointer to it. TestDirTableMatchesMapDirectory holds the table to a map
+// with create-on-ensure/delete-on-remove semantics.
+const (
+	dirLeafBits = 12
+	dirLeafSize = 1 << dirLeafBits
+	// dirRootLimit caps a root at 64 Ki leaves (512 KiB of pointers),
+	// spanning 16 GiB above the shard's base: twice the 8 GB machine.
+	dirRootLimit = 1 << 16
+)
 
-// dirSlot is one open-addressing slot: the line key, a presence flag and
-// the inline entry value.
-type dirSlot struct {
-	key  lineAddr
-	used bool
-	e    dirEntry
-}
+// uncached is the state of every line no node caches, including every line
+// the table has never seen.
+var uncached = dirEntry{owner: -1}
 
-// dirTable is the open-addressed directory.
+type dirLeaf [dirLeafSize]dirEntry
+
+// dirTable is one directory shard. The zero value is an empty table based at
+// line 0.
 type dirTable struct {
-	slots []dirSlot
-	mask  uint64
-	count int
+	base  lineAddr               // the first line of root[0]
+	root  []*dirLeaf             // grown geometrically on demand
+	spill map[lineAddr]*dirEntry // lines below base or beyond the root span
 }
 
-// dirMinSlots is the initial (and post-Flush) capacity; must be a power of
-// two.
-const dirMinSlots = 1024
-
-func newDirTable() dirTable {
-	return dirTable{slots: make([]dirSlot, dirMinSlots), mask: dirMinSlots - 1}
-}
-
-// dirHash spreads line addresses over the table (Fibonacci hashing; the
-// low bits of a line address are strongly patterned by set-strided access).
-func dirHash(k lineAddr) uint64 {
-	return uint64(k) * 0x9E3779B97F4A7C15
-}
-
-// get returns the entry for k, or nil. The pointer is valid only until the
-// next ensure/remove (the backing array may move or shift).
+// get returns line k's entry, or nil if the table has never created it
+// (read it as uncached). It mutates nothing, so ParallelSafe may probe a
+// shard another domain is not writing.
 func (t *dirTable) get(k lineAddr) *dirEntry {
-	mask := t.mask
-	for i := (dirHash(k) >> 32) & mask; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if !s.used {
-			return nil
-		}
-		if s.key == k {
-			return &s.e
-		}
+	i := uint64(k - t.base) // wraps beyond the root span for k < base
+	if r := i >> dirLeafBits; r < uint64(len(t.root)) && t.root[r] != nil {
+		return &t.root[r][i&(dirLeafSize-1)]
 	}
+	return t.spill[k]
 }
 
-// ensure returns the slot index and entry for k, inserting an uncached
-// entry (owner -1) if absent. The pointer and index are valid only until
-// the next ensure/remove.
-func (t *dirTable) ensure(k lineAddr) (int, *dirEntry) {
-	if t.count >= len(t.slots)-len(t.slots)/4 {
-		t.grow()
+// cell returns line k's entry, creating it uncached if needed. The pointer
+// stays valid until reset.
+func (t *dirTable) cell(k lineAddr) *dirEntry {
+	if e := t.get(k); e != nil {
+		return e
 	}
-	mask := t.mask
-	for i := (dirHash(k) >> 32) & mask; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if !s.used {
-			s.used = true
-			s.key = k
-			s.e = dirEntry{owner: -1}
-			t.count++
-			return int(i), &s.e
-		}
-		if s.key == k {
-			return int(i), &s.e
-		}
-	}
+	return t.create(k)
 }
 
-// grow doubles the table and rehashes every live slot.
-func (t *dirTable) grow() {
-	old := t.slots
-	t.slots = make([]dirSlot, len(old)*2)
-	t.mask = uint64(len(t.slots) - 1)
-	mask := t.mask
-	for i := range old {
-		if !old[i].used {
+// create is cell's slow path: a new leaf (every line uncached), after
+// growing the root if it is too short, or a new spill entry.
+func (t *dirTable) create(k lineAddr) *dirEntry {
+	i := uint64(k - t.base)
+	r := i >> dirLeafBits
+	if r >= dirRootLimit {
+		if t.spill == nil {
+			t.spill = make(map[lineAddr]*dirEntry)
+		}
+		e := new(dirEntry)
+		*e = uncached
+		t.spill[k] = e
+		return e
+	}
+	if r >= uint64(len(t.root)) {
+		grown := make([]*dirLeaf, min(max(r+1, 2*uint64(len(t.root))), dirRootLimit))
+		copy(grown, t.root)
+		t.root = grown
+	}
+	leaf := new(dirLeaf)
+	for j := range leaf {
+		leaf[j] = uncached
+	}
+	t.root[r] = leaf
+	return &leaf[i&(dirLeafSize-1)]
+}
+
+// forEach visits every cached line: radix lines in address order, then the
+// spill map in map order. Only CheckMESI and tests iterate, so the order
+// cannot influence timing.
+func (t *dirTable) forEach(f func(lineAddr, *dirEntry)) {
+	for r, leaf := range t.root {
+		if leaf == nil {
 			continue
 		}
-		j := (dirHash(old[i].key) >> 32) & mask
-		for t.slots[j].used {
-			j = (j + 1) & mask
-		}
-		t.slots[j] = old[i]
-	}
-}
-
-// remove deletes k if present, using backward-shift deletion so the table
-// never accumulates tombstones.
-func (t *dirTable) remove(k lineAddr) {
-	mask := t.mask
-	i := (dirHash(k) >> 32) & mask
-	for {
-		s := &t.slots[i]
-		if !s.used {
-			return
-		}
-		if s.key == k {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	t.count--
-	// Shift later cluster members back over the hole. A slot at n may move
-	// into the hole at j only if its home position is cyclically at or
-	// before j — otherwise a lookup starting at its home would stop at the
-	// empty slot n and miss it.
-	j := i
-	for {
-		t.slots[j] = dirSlot{}
-		n := j
-		for {
-			n = (n + 1) & mask
-			if !t.slots[n].used {
-				return
-			}
-			home := (dirHash(t.slots[n].key) >> 32) & mask
-			if cyclicBetween(home, j, n) {
-				t.slots[j] = t.slots[n]
-				j = n
-				break
+		for j := range leaf {
+			if leaf[j] != uncached {
+				f(t.base+lineAddr(r<<dirLeafBits+j), &leaf[j])
 			}
 		}
 	}
-}
-
-// cyclicBetween reports home <= j < n in cyclic (mod table size) order.
-func cyclicBetween(home, j, n uint64) bool {
-	if home <= n {
-		return home <= j && j < n
-	}
-	return home <= j || j < n
-}
-
-// forEach visits every live entry (test and Flush support; never called on
-// a simulated path, so visit order cannot influence timing).
-func (t *dirTable) forEach(f func(lineAddr, *dirEntry)) {
-	for i := range t.slots {
-		if t.slots[i].used {
-			f(t.slots[i].key, &t.slots[i].e)
+	for k, e := range t.spill {
+		if *e != uncached {
+			f(k, e)
 		}
 	}
 }
 
-// reset empties the table back to its minimum capacity.
+// reset forgets every line. Outstanding cell pointers (the dirHints) must
+// be dropped with it.
 func (t *dirTable) reset() {
-	*t = newDirTable()
+	t.root, t.spill = nil, nil
 }

@@ -1,14 +1,13 @@
 package cache
 
-// Differential property test for the flat open-addressed coherence
-// directory (dir.go): a map-backed reference implementation with the exact
-// semantics of the pre-optimization directory is driven through randomized
-// operation sequences in lockstep with dirTable, and the two must agree on
-// every observation. This is the "flat directory vs. map directory"
-// equivalence guard of DESIGN.md's host performance architecture: the
-// directory's contents are timing-relevant (holders/owner state decides
-// snoop charges), so the flat table must be provably indistinguishable
-// from the map it replaced.
+// Differential property test for the radix coherence directory (dir.go): a
+// map-backed reference with the semantics of the original map directory is
+// driven through randomized operation sequences in lockstep with dirTable,
+// and the two must agree on every observation. The directory's contents are
+// timing-relevant (holders/owner state decides snoop charges), so the radix
+// table must be indistinguishable from the map it stands for — where "not
+// in the map" reads as uncached, because that is how the hierarchy reads an
+// absent entry.
 
 import (
 	"fmt"
@@ -17,8 +16,8 @@ import (
 	"repro/internal/sim"
 )
 
-// mapDir is the reference directory: the pre-optimization implementation,
-// verbatim semantics (create-as-uncached on ensure, delete on remove).
+// mapDir is the reference directory: create-as-uncached on ensure, delete on
+// remove.
 type mapDir struct {
 	m map[lineAddr]*dirEntry
 }
@@ -34,60 +33,74 @@ func (d *mapDir) ensure(k lineAddr) *dirEntry {
 	return e
 }
 
-func (d *mapDir) get(k lineAddr) *dirEntry { return d.m[k] }
-
 func (d *mapDir) remove(k lineAddr) { delete(d.m, k) }
 
+// read is the observable state of k: its entry, or uncached when absent.
+func (d *mapDir) read(k lineAddr) dirEntry {
+	if e := d.m[k]; e != nil {
+		return *e
+	}
+	return uncached
+}
+
+func (t *dirTable) read(k lineAddr) dirEntry {
+	if e := t.get(k); e != nil {
+		return *e
+	}
+	return uncached
+}
+
 // TestDirTableMatchesMapDirectory drives dirTable and the map reference
-// through identical randomized operation sequences — ensure with random
-// MESI mutations, removes, lookups — over key distributions chosen to
-// force probe clusters, backward-shift deletions and table growth, and
-// checks full state equality throughout.
+// through identical randomized operation sequences — cell/ensure with
+// random MESI mutations, removes (a store of uncached on the radix side),
+// lookups — over keys that cross leaf boundaries, fall below the table's
+// base, and land beyond the root span in the spill map, and checks that
+// every observation agrees, that forEach visits exactly the cached lines,
+// and that no cell ever moves.
 func TestDirTableMatchesMapDirectory(t *testing.T) {
 	const (
 		seeds = 8
 		steps = 20000
+		base  = lineAddr(0x40000)
 	)
 	for seed := uint64(1); seed <= seeds; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := sim.NewRNG(seed * 0x1234567)
-			flat := newDirTable()
+			flat := dirTable{base: base}
 			ref := newMapDir()
 
-			// Key pool: three strided runs (cache-set-like patterns whose
-			// low bits collide) plus a dense run, large enough to push the
-			// table through several growths.
 			var keys []lineAddr
-			for i := 0; i < 700; i++ {
-				keys = append(keys, lineAddr(i))
-				keys = append(keys, lineAddr(0x40000+i*4096))
-				keys = append(keys, lineAddr(0x9000000+i*64))
+			for i := 0; i < 400; i++ {
+				keys = append(keys,
+					base+dirLeafSize-200+lineAddr(i),            // across a leaf boundary
+					base+lineAddr(i)*977,                        // strided over many leaves
+					base-1-lineAddr(i),                          // below the base: spill
+					base+dirRootLimit*dirLeafSize+lineAddr(i)*3, // beyond the root span: spill
+				)
 			}
+			cells := make(map[lineAddr]*dirEntry)
 
 			for step := 0; step < steps; step++ {
 				k := keys[rng.Intn(len(keys))]
 				switch rng.Intn(10) {
 				case 0, 1, 2:
-					// Lookup: same presence and value.
-					fe, re := flat.get(k), ref.get(k)
-					if (fe == nil) != (re == nil) {
-						t.Fatalf("step %d: get(%#x) presence: flat=%v ref=%v", step, k, fe != nil, re != nil)
-					}
-					if fe != nil && *fe != *re {
-						t.Fatalf("step %d: get(%#x): flat=%+v ref=%+v", step, k, *fe, *re)
+					if got, want := flat.read(k), ref.read(k); got != want {
+						t.Fatalf("step %d: read(%#x): flat=%+v ref=%+v", step, k, got, want)
 					}
 				case 3, 4:
-					// Remove (possibly absent — must be a no-op then).
-					flat.remove(k)
+					if e := flat.get(k); e != nil {
+						*e = uncached
+					}
 					ref.remove(k)
 				default:
-					// Ensure and apply one random MESI mutation to both.
-					_, fe := flat.ensure(k)
-					re := ref.ensure(k)
+					fe, re := flat.cell(k), ref.ensure(k)
 					if *fe != *re {
-						t.Fatalf("step %d: ensure(%#x) returned flat=%+v ref=%+v", step, k, *fe, *re)
+						t.Fatalf("step %d: cell(%#x) = %+v, ref ensure = %+v", step, k, *fe, *re)
 					}
+					if prev := cells[k]; prev != nil && prev != fe {
+						t.Fatalf("step %d: cell(%#x) moved", step, k)
+					}
+					cells[k] = fe
 					mut := dirEntry{
 						holders:  [2]bool{rng.Intn(2) == 0, rng.Intn(2) == 0},
 						owner:    int8(rng.Intn(3) - 1),
@@ -96,54 +109,32 @@ func TestDirTableMatchesMapDirectory(t *testing.T) {
 					*fe = mut
 					*re = mut
 				}
-				if flat.count != len(ref.m) {
-					t.Fatalf("step %d: flat count %d, ref count %d", step, flat.count, len(ref.m))
-				}
 			}
 
-			// Final full-state equality, both directions.
+			for k, e := range cells {
+				if flat.get(k) != e {
+					t.Fatalf("cell %#x moved", k)
+				}
+			}
 			seen := 0
 			flat.forEach(func(k lineAddr, e *dirEntry) {
 				seen++
-				re := ref.get(k)
-				if re == nil {
-					t.Fatalf("flat has %#x (%+v), ref does not", k, *e)
-				}
-				if *re != *e {
-					t.Fatalf("key %#x: flat=%+v ref=%+v", k, *e, *re)
+				if want := ref.read(k); *e != want || want == uncached {
+					t.Fatalf("forEach visited %#x = %+v, ref has %+v", k, *e, want)
 				}
 			})
-			if seen != len(ref.m) {
-				t.Fatalf("flat visited %d entries, ref holds %d", seen, len(ref.m))
+			cached := 0
+			for _, e := range ref.m {
+				if *e != uncached {
+					cached++
+				}
+			}
+			if seen != cached {
+				t.Fatalf("forEach visited %d lines, ref caches %d", seen, cached)
+			}
+			if len(flat.spill) == 0 || len(flat.root) < 2 {
+				t.Fatalf("keys reached %d leaves and %d spill lines: the pool no longer covers both", len(flat.root), len(flat.spill))
 			}
 		})
-	}
-}
-
-// TestDirTableProbeInvariant checks, after heavy churn, that every live
-// entry is still reachable by probing from its home slot with no
-// intervening empty slot (the structural invariant backward-shift deletion
-// must maintain).
-func TestDirTableProbeInvariant(t *testing.T) {
-	rng := sim.NewRNG(99)
-	flat := newDirTable()
-	live := make(map[lineAddr]bool)
-	for step := 0; step < 50000; step++ {
-		k := lineAddr(rng.Intn(4096) * 997)
-		if rng.Intn(3) == 0 {
-			flat.remove(k)
-			delete(live, k)
-		} else {
-			flat.ensure(k)
-			live[k] = true
-		}
-	}
-	for k := range live {
-		if flat.get(k) == nil {
-			t.Fatalf("live key %#x unreachable after churn", k)
-		}
-	}
-	if flat.count != len(live) {
-		t.Fatalf("count %d, want %d", flat.count, len(live))
 	}
 }

@@ -146,7 +146,7 @@ func (l *level) flushAll() {
 }
 
 // dirEntry tracks the MESI state of one line across the two nodes. It is
-// stored by value inside the directory's flat slot array (dir.go), so it is
+// stored by value inside the directory's radix leaves (dir.go), so it is
 // kept small: 4 bytes instead of a heap object per line.
 type dirEntry struct {
 	holders [2]bool
@@ -156,15 +156,13 @@ type dirEntry struct {
 	modified bool
 }
 
-// dirHint is a per-core one-entry cache of the directory slot holding the
-// core's most recently accessed line, so repeat hits skip probing. It is
-// validated by re-checking the slot's key, which stays correct across
-// backward-shift deletions and table growth (a slot holding the right key
-// IS the entry — keys are unique).
+// dirHint is a per-core one-entry cache of the directory cell of the core's
+// most recently accessed line, so a repeat access skips the shard and radix
+// walk. Cells never move, so the pointer needs no revalidation; Flush drops
+// the hints with the cells.
 type dirHint struct {
-	ln  lineAddr
-	idx int32
-	ok  bool
+	ln lineAddr
+	e  *dirEntry
 }
 
 // nodeCaches is one node's private hierarchy plus its counters.
@@ -210,7 +208,7 @@ type Hierarchy struct {
 	// a line's entry is always in exactly one shard, found by shardOf.
 	dirs   [3]dirTable
 	bounds []shardBound
-	// hints are the per-node, per-core last-line directory slot caches.
+	// hints are the per-node, per-core last-line directory cell caches.
 	hints [2][]dirHint
 
 	// Tap, when set, observes every access before it is simulated. The
@@ -234,11 +232,11 @@ type Hierarchy struct {
 // NewHierarchy builds the cache model for the given configuration and
 // physical layout.
 func NewHierarchy(cfg Config, layout *mem.Layout) *Hierarchy {
-	h := &Hierarchy{cfg: cfg, layout: layout}
-	for i := range h.dirs {
-		h.dirs[i] = newDirTable()
+	h := &Hierarchy{cfg: cfg, layout: layout, bounds: buildShardBounds(layout)}
+	// Base each shard's radix root at the lowest line it holds.
+	for i := len(h.bounds) - 1; i >= 0; i-- {
+		h.dirs[h.bounds[i].shard].base = h.bounds[i].start
 	}
-	h.bounds = buildShardBounds(layout)
 	for n := 0; n < 2; n++ {
 		nc := &nodeCaches{coreStats: make([]CoreStats, cfg.Nodes[n].Cores)}
 		h.hints[n] = make([]dirHint, cfg.Nodes[n].Cores)
@@ -288,25 +286,30 @@ func (h *Hierarchy) ResetStats() {
 func (h *Hierarchy) CheckMESI() error {
 	var err error
 	h.forEachEntry(func(ln lineAddr, e *dirEntry) {
-		if err != nil {
-			return
-		}
-		switch {
-		case e.modified && e.owner == -1:
-			err = fmt.Errorf("cache: line %#x is Modified with no owner", ln)
-		case e.owner != -1 && e.owner != 0 && e.owner != 1:
-			err = fmt.Errorf("cache: line %#x has invalid owner %d", ln, e.owner)
-		case e.owner != -1 && !e.holders[e.owner]:
-			err = fmt.Errorf("cache: line %#x owned M/E by node %d which is not a holder", ln, e.owner)
-		case e.owner != -1 && e.holders[1-e.owner]:
-			err = fmt.Errorf("cache: line %#x held M/E by node %d while node %d also holds it (S coexists with M/E)",
-				ln, e.owner, 1-e.owner)
-		case e.holders[0] && e.holders[1] && (e.owner != -1 || e.modified):
-			err = fmt.Errorf("cache: line %#x shared by both nodes but owner=%d modified=%v",
-				ln, e.owner, e.modified)
+		if err == nil {
+			err = e.checkMESI(ln)
 		}
 	})
 	return err
+}
+
+// checkMESI returns line ln's violation of the MESI invariant, or nil.
+func (e *dirEntry) checkMESI(ln lineAddr) error {
+	switch {
+	case e.modified && e.owner == -1:
+		return fmt.Errorf("cache: line %#x is Modified with no owner", ln)
+	case e.owner != -1 && e.owner != 0 && e.owner != 1:
+		return fmt.Errorf("cache: line %#x has invalid owner %d", ln, e.owner)
+	case e.owner != -1 && !e.holders[e.owner]:
+		return fmt.Errorf("cache: line %#x owned M/E by node %d which is not a holder", ln, e.owner)
+	case e.owner != -1 && e.holders[1-e.owner]:
+		return fmt.Errorf("cache: line %#x held M/E by node %d while node %d also holds it (S coexists with M/E)",
+			ln, e.owner, 1-e.owner)
+	case e.holders[0] && e.holders[1] && (e.owner != -1 || e.modified):
+		return fmt.Errorf("cache: line %#x shared by both nodes but owner=%d modified=%v",
+			ln, e.owner, e.modified)
+	}
+	return nil
 }
 
 // TraceContext records the accessing thread's current cycle and id so
@@ -345,28 +348,18 @@ func (h *Hierarchy) shardOf(a lineAddr) *dirTable {
 	return &h.dirs[h.shardIndexOf(a)]
 }
 
-// entry returns the directory entry for a line, creating it as uncached.
-// The pointer is valid only until the next directory mutation.
+// entry returns the directory cell of a line.
 func (h *Hierarchy) entry(a lineAddr) *dirEntry {
-	_, e := h.shardOf(a).ensure(a)
-	return e
+	return h.shardOf(a).cell(a)
 }
 
-// entryFor is entry with the accessing core's last-line hint: a repeat
-// access to the same line by the same core skips hashing and probing. The
-// hint needs no shard field: a line's shard is a pure function of its
-// address, so re-deriving it and checking the slot key is enough.
+// entryFor is entry with the accessing core's last-line hint.
 func (h *Hierarchy) entryFor(node, core int, a lineAddr) *dirEntry {
-	d := h.shardOf(a)
 	ht := &h.hints[node][core]
-	if ht.ok && ht.ln == a && int(ht.idx) < len(d.slots) {
-		if s := &d.slots[ht.idx]; s.used && s.key == a {
-			return &s.e
-		}
+	if ht.e == nil || ht.ln != a {
+		*ht = dirHint{ln: a, e: h.entry(a)}
 	}
-	idx, e := d.ensure(a)
-	*ht = dirHint{ln: a, idx: int32(idx), ok: true}
-	return e
+	return ht.e
 }
 
 // Access simulates one memory access of size bytes at addr by (node, core)
@@ -444,8 +437,12 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	var cost sim.Cycles
 
 	// Coherence actions against the other node (and other cores via
-	// inclusion-maintained invalidation).
+	// inclusion-maintained invalidation). held is read before this access
+	// marks the node a holder: when it is false no private level of the
+	// node holds the line (DESIGN §6, "Directory-first misses"), so the
+	// lookups below that are guaranteed to miss are skipped.
 	e := h.entryFor(node, core, ln)
+	held := e.holders[node]
 	if isWrite {
 		if e.holders[other] {
 			// CXL Snoop Invalidate: the other node must drop its copy.
@@ -487,8 +484,13 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		}
 	}
 
-	// Level lookups. Reads already probed (and missed) L1 above.
-	if isWrite {
+	// Level lookups. Reads already probed (and missed) L1 above. A lookup
+	// changes nothing on a miss, so skipping one that must miss is exact.
+	l3 := nc.l3
+	if h.cfg.SharedL3 {
+		l3 = h.sharedL3
+	}
+	if isWrite && held {
 		w := l1.mru
 		if w == nil || !w.valid || w.line != ln {
 			w = l1.lookup(ln)
@@ -509,7 +511,10 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	st.L2Accesses++
 	l2 := nc.l2[core]
 	var w2 *way
-	if l2 != nil {
+	// Without an L3 the L2 is the last level, and its double fill (fillL3
+	// and fillLevel both insert) can leave a copy the directory no longer
+	// lists; that L2 is always searched.
+	if l2 != nil && (held || l3 == nil) {
 		w2 = l2.mru
 		if w2 == nil || !w2.valid || w2.line != ln {
 			w2 = l2.lookup(ln)
@@ -529,15 +534,15 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	}
 	cost += lat.L2
 
-	l3 := nc.l3
-	if h.cfg.SharedL3 {
-		l3 = h.sharedL3
-	}
 	if l3 != nil {
 		st.L3Accesses++
-		w3 := l3.mru
-		if w3 == nil || !w3.valid || w3.line != ln {
-			w3 = l3.lookup(ln)
+		// The shared L3 holds lines the other node filled.
+		var w3 *way
+		if held || h.cfg.SharedL3 {
+			w3 = l3.mru
+			if w3 == nil || !w3.valid || w3.line != ln {
+				w3 = l3.lookup(ln)
+			}
 		}
 		if w := w3; w != nil {
 			l3.stamp(w)
@@ -555,35 +560,35 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		cost += lat.L3
 	}
 
-	// Memory access.
+	// Memory access. One region lookup gives the locality (as
+	// Layout.Classify: FullyShared is all local, unmapped is remote) and
+	// whether a remote hit lands in the shared pool.
 	pa := mem.PhysAddr(ln) * mem.LineSize
-	loc := h.layout.Classify(mem.NodeID(node), pa)
+	r := h.layout.RegionAt(pa)
 	var memLat sim.Cycles
-	if loc == mem.Local {
+	remote := int64(0)
+	if h.layout.Model == mem.FullyShared || r != nil && r.Owner == mem.NodeID(node) {
 		st.LocalMemHits++
 		memLat = lat.Mem
 		st.LocalMemLatency += lat.Mem
 	} else {
+		remote = 1
 		st.RemoteMemHits++
 		memLat = lat.RemoteMem
 		st.RemoteMemLatency += lat.RemoteMem
-		if r := h.layout.RegionAt(pa); r != nil && r.Owner == mem.NodeNone {
+		if r != nil && r.Owner == mem.NodeNone {
 			st.RemoteSharedHits++
 		}
 	}
 	cost += memLat
 	if tr := h.Tracer; tr != nil {
-		remote := int64(0)
-		if loc != mem.Local {
-			remote = 1
-		}
 		tr.Emit(trace.Event{Cycle: h.ctxCycle, Kind: trace.KindMemAccess,
 			Node: int8(node), Core: int16(core), Tid: h.ctxTid,
 			PA: uint64(pa), Arg: remote, Cost: int64(memLat)})
 	}
 
 	// Fill the whole hierarchy (inclusive).
-	h.fillL3(node, core, l3, ln, isWrite, loc)
+	h.fillL3(node, core, l3, ln, isWrite)
 	h.fillLevel(l2, ln, isWrite)
 	h.fillLevel(l1, ln, isWrite)
 	st.TotalLatency += cost
@@ -679,7 +684,7 @@ func (h *Hierarchy) fillLevel(l *level, ln lineAddr, dirty bool) {
 // fillL3 inserts into the last level, maintaining inclusion: an evicted
 // valid line is back-invalidated out of the inner levels and, since the node
 // then holds no copy, cleared from the coherence directory.
-func (h *Hierarchy) fillL3(node, core int, l3 *level, ln lineAddr, dirty bool, loc mem.Locality) {
+func (h *Hierarchy) fillL3(node, core int, l3 *level, ln lineAddr, dirty bool) {
 	st := &h.nodes[node].stats
 	if l3 == nil {
 		// Small configs without an L3 enforce inclusion at L2 instead.
@@ -738,7 +743,7 @@ func (h *Hierarchy) onLastLevelEvict(node int, ln lineAddr, dirty bool) {
 		}
 	}
 	if !e.holders[0] && !e.holders[1] {
-		h.shardOf(ln).remove(ln)
+		*e = uncached // absent and uncached are one state (dir.go)
 	}
 }
 
@@ -802,8 +807,6 @@ func (h *Hierarchy) Flush() {
 		h.dirs[i].reset()
 	}
 	for n := range h.hints {
-		for c := range h.hints[n] {
-			h.hints[n][c] = dirHint{}
-		}
+		clear(h.hints[n])
 	}
 }

@@ -4,7 +4,8 @@ package cache
 // pipeline. The simulator's throughput is bounded by accessLine, so these
 // pin its cost and its zero-allocation contract on the paths that dominate
 // real runs: the warm L1 hit, the cache-miss path (with directory churn
-// from inclusive-LLC evictions), and the cross-node snoop path.
+// from inclusive-LLC evictions), a cold stream over more directory than the
+// host caches hold, and the cross-node snoop path.
 
 import (
 	"testing"
@@ -45,6 +46,47 @@ func BenchmarkAccessLineMiss(b *testing.B) {
 		sink += h.Access(mem.NodeX86, 0, Read, mem.PhysAddr(i%32)*missStride, 8)
 	}
 	_ = sink
+}
+
+// coldLines is the cold stream's working set: 1 Mi lines (64 MiB, 16× the
+// L3), so every write misses every level and evicts from the L3, over
+// 4 MiB of directory cells — the shape of ZeroPage on fresh frames.
+// BenchmarkAccessLineMiss thrashes one set, so its directory stays in the
+// host's L1 and does not show directory cost.
+const coldLines = 1 << 20
+
+func coldStream(h *Hierarchy, i int) sim.Cycles {
+	return h.Access(mem.NodeX86, 0, Write, mem.PhysAddr(i%coldLines)*mem.LineSize, 8)
+}
+
+// BenchmarkAccessLineColdStream measures one write of the cold stream, once
+// the directory has seen every line.
+func BenchmarkAccessLineColdStream(b *testing.B) {
+	h := newTestHierarchy(mem.Separated)
+	for i := 0; i < coldLines; i++ {
+		coldStream(h, i)
+	}
+	var sink sim.Cycles
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += coldStream(h, i)
+	}
+	_ = sink
+}
+
+// TestColdStreamZeroAllocs: once the directory's leaves for the stream
+// exist, a full pass allocates nothing.
+func TestColdStreamZeroAllocs(t *testing.T) {
+	h := newTestHierarchy(mem.Separated)
+	pass := func() {
+		for i := 0; i < coldLines; i++ {
+			coldStream(h, i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
+		t.Errorf("steady-state cold stream allocates %.0f objects per %d-line pass, want 0", allocs, coldLines)
+	}
 }
 
 // BenchmarkAccessLineCrossNodeSnoop measures the coherence slow path:
