@@ -38,17 +38,15 @@ func fetchRunConfig(model mem.Model, l3 int) Config {
 // the L1 (8), L2 (16) and L3 (64) set counts in lines.
 const l3Stride = 4 << 10
 
-// fetchStream is a code window being fetched: its position, and the memo
-// the hit-run side carries for it.
+// fetchStream is a code window being fetched, and its position.
 type fetchStream struct {
 	base  mem.PhysAddr
 	lines int
 	pos   int
-	memo  FetchMemo
 }
 
 func newFetchStream(base mem.PhysAddr, lines int) *fetchStream {
-	return &fetchStream{base: base, lines: lines, memo: NewFetchMemo(base, lines)}
+	return &fetchStream{base: base, lines: lines}
 }
 
 func (s *fetchStream) step(k int) { s.pos = (s.pos + k) % s.lines }
@@ -65,13 +63,14 @@ func (s *fetchStream) fetchEach(h *Hierarchy, node mem.NodeID, core, k int) sim.
 	return total
 }
 
-// fetchRuns charges the same k fetches as hit runs, with Access for each
-// fetch a run stops at.
+// fetchRuns charges the same k fetches as hit runs, each bounded by the
+// window's end as Compute bounds them, with Access for each fetch a run
+// stops at.
 func (s *fetchStream) fetchRuns(h *Hierarchy, node mem.NodeID, core, k int) sim.Cycles {
 	l1 := h.Config().Nodes[node].Lat.L1
 	var total sim.Cycles
 	for k > 0 {
-		if n := h.IfetchHits(node, core, &s.memo, s.pos, int64(k)); n > 0 {
+		if n := h.IfetchHits(node, core, s.addr(), int64(min(k, s.lines-s.pos))); n > 0 {
 			total += sim.Cycles(n) * l1
 			s.step(n)
 			k -= n
@@ -143,10 +142,10 @@ func (s *fetchRunSide) apply(op fetchRunOp) sim.Cycles {
 }
 
 // fetchRunScript draws the seeded script: fetch bursts on four streams
-// that mostly stay on their (node, core) but sometimes move — carrying
-// their memo to another core's or node's L1I — interleaved with data
-// traffic and stores into the window lines from either node, L3-thrashing
-// strides over the window's sets, and the occasional Flush.
+// that mostly stay on their (node, core) but sometimes move to another
+// core's or node's L1I, interleaved with data traffic and stores into the
+// window lines from either node, L3-thrashing strides over the window's
+// sets, and the occasional Flush.
 func fetchRunScript(rng *rand.Rand, steps int) []fetchRunOp {
 	type place struct {
 		node mem.NodeID
@@ -192,6 +191,27 @@ func (h *Hierarchy) levels() []*level {
 	return append(out, h.sharedL3)
 }
 
+// checkSameLevels fails t unless every level of got has ref's tick and
+// every way's tag, valid/dirty bits and LRU stamp.
+func checkSameLevels(t *testing.T, ref, got *Hierarchy) {
+	t.Helper()
+	gotLevels := got.levels()
+	for li, want := range ref.levels() {
+		have := gotLevels[li]
+		if want == nil {
+			continue
+		}
+		if have.tick != want.tick {
+			t.Errorf("level %d: tick %d, want %d", li, have.tick, want.tick)
+		}
+		for wi := range want.ways {
+			if have.ways[wi] != want.ways[wi] {
+				t.Fatalf("level %d way %d: %+v, want %+v", li, wi, have.ways[wi], want.ways[wi])
+			}
+		}
+	}
+}
+
 func TestIfetchHitsMatchesAccess(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -227,21 +247,7 @@ func TestIfetchHitsMatchesAccess(t *testing.T) {
 						t.Fatalf("step %d: %v", i, err)
 					}
 				}
-				refLevels, runLevels := ref.h.levels(), run.h.levels()
-				for li, want := range refLevels {
-					got := runLevels[li]
-					if want == nil {
-						continue
-					}
-					if got.tick != want.tick {
-						t.Errorf("level %d: tick %d, want %d", li, got.tick, want.tick)
-					}
-					for wi := range want.ways {
-						if got.ways[wi] != want.ways[wi] {
-							t.Fatalf("level %d way %d: %+v, want %+v", li, wi, got.ways[wi], want.ways[wi])
-						}
-					}
-				}
+				checkSameLevels(t, ref.h, run.h)
 				// The script must actually exercise runs: most fetches hit.
 				st0, st1 := run.h.Stats(0), run.h.Stats(1)
 				if hits, all := st0.L1IHits+st1.L1IHits, st0.L1IAccesses+st1.L1IAccesses; hits*2 < all {
@@ -257,13 +263,12 @@ func TestIfetchHitsMatchesAccess(t *testing.T) {
 func TestIfetchHitsBypassedUnderTap(t *testing.T) {
 	h := newTestHierarchy(mem.Separated)
 	h.Access(mem.NodeX86, 0, Ifetch, 0x1000, mem.LineSize)
-	memo := NewFetchMemo(0x1000, 4)
-	if n := h.IfetchHits(mem.NodeX86, 0, &memo, 0, 4); n != 1 {
+	if n := h.IfetchHits(mem.NodeX86, 0, 0x1000, 4); n != 1 {
 		t.Fatalf("resident line: run of %d, want 1 (stops at the first miss)", n)
 	}
 	h.Tap = func(mem.NodeID, int, Kind, mem.PhysAddr, int) {}
 	before := h.Stats(mem.NodeX86)
-	if n := h.IfetchHits(mem.NodeX86, 0, &memo, 0, 4); n != 0 {
+	if n := h.IfetchHits(mem.NodeX86, 0, 0x1000, 4); n != 0 {
 		t.Errorf("run of %d under a Tap, want 0", n)
 	}
 	if after := h.Stats(mem.NodeX86); after != before {

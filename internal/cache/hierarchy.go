@@ -27,14 +27,18 @@ type way struct {
 // ways[s*assoc : (s+1)*assoc]), so a lookup is a shift, a mask and a short
 // scan of adjacent memory — no per-set slice headers, no division.
 //
-// mru caches the way returned by the last successful lookup. Accesses
-// repeat lines heavily (eight consecutive words share a line), so the
-// common case degenerates to one pointer check. The pointer never dangles:
-// ways is never reallocated, and a reused or invalidated way fails the
-// valid/line check.
+// memo is a direct-mapped way hint: slot a&(memoSize-1) names the way the
+// last set scan that found a line with those low bits returned, so a hit on
+// any recently found line — not only the last one — is one load and one
+// compare. A slot is a hint, never trusted: it points into ways, which is
+// never reallocated; it is used only if the way is valid and holds the line,
+// the scan's own test; and only a scan hit writes a way into it, while
+// insert clears the filled line's slot, so a slot that passes the test names
+// the way the scan would return even in an L2 that holds a line twice
+// (DESIGN §6, "Way memo").
 type level struct {
 	ways  []way
-	mru   *way
+	memo  [memoSize]*way
 	assoc int
 	mask  uint64
 	// tick is the level's private LRU clock, bumped once per stamp. Keeping
@@ -62,17 +66,36 @@ func (l *level) setOf(a lineAddr) []way {
 	return l.ways[s : s+uint64(l.assoc)]
 }
 
-// lookup returns the way holding a, or nil, remembering a hit in l.mru.
-// The mru check itself lives in hit(), not here, so this function stays
-// within the compiler's inlining budget for the miss-path callers.
+// memoSize is the number of way-memo slots per level.
+const memoSize = 1024
+
+// lookup returns the way holding a, or nil. The hot callers inline its two
+// halves themselves: lookup with both is over the inlining budget.
 func (l *level) lookup(a lineAddr) *way {
-	if l == nil {
-		return nil
+	if w := l.hit(a); w != nil {
+		return w
 	}
+	return l.scan(a)
+}
+
+// hit returns the way a's memo slot names if it holds a, else nil.
+func (l *level) hit(a lineAddr) *way {
+	if w := l.memo[a&(memoSize-1)]; w.holds(a) {
+		return w
+	}
+	return nil
+}
+
+// holds reports whether w is a valid way holding a: the set scan's test,
+// which a memo slot must pass before it is used.
+func (w *way) holds(a lineAddr) bool { return w != nil && w.valid && w.line == a }
+
+// scan searches a's set, remembering a hit in a's memo slot.
+func (l *level) scan(a lineAddr) *way {
 	set := l.setOf(a)
 	for i := range set {
 		if set[i].valid && set[i].line == a {
-			l.mru = &set[i]
+			l.memo[a&(memoSize-1)] = &set[i]
 			return &set[i]
 		}
 	}
@@ -93,6 +116,10 @@ func (l *level) insert(a lineAddr) (filled *way, evicted lineAddr, wasValid, was
 	evicted, wasValid, wasDirty = w.line, w.valid, w.dirty
 	l.tick++
 	*w = way{line: a, valid: true, used: l.tick}
+	// A slot last written for another line may name w, which now passes
+	// for a; when a already has a lower-index copy (the no-L3 double fill)
+	// that is not the way the scan returns.
+	l.memo[a&(memoSize-1)] = nil
 	return w, evicted, wasValid, wasDirty
 }
 
@@ -413,11 +440,9 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		// change state. Skipping the directory probe entirely is therefore
 		// invisible to the timing model; the inclusion invariant
 		// guarantees the entry exists and records this node as a holder.
-		// The mru check is hoisted out of lookup (here and below) so both
-		// halves stay within the inlining budget.
-		w := l1.mru
-		if w == nil || !w.valid || w.line != ln {
-			w = l1.lookup(ln)
+		w := l1.hit(ln)
+		if w == nil {
+			w = l1.scan(ln)
 		}
 		if w != nil {
 			l1.stamp(w)
@@ -491,9 +516,9 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		l3 = h.sharedL3
 	}
 	if isWrite && held {
-		w := l1.mru
-		if w == nil || !w.valid || w.line != ln {
-			w = l1.lookup(ln)
+		w := l1.hit(ln)
+		if w == nil {
+			w = l1.scan(ln)
 		}
 		if w != nil {
 			l1.stamp(w)
@@ -515,9 +540,8 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	// and fillLevel both insert) can leave a copy the directory no longer
 	// lists; that L2 is always searched.
 	if l2 != nil && (held || l3 == nil) {
-		w2 = l2.mru
-		if w2 == nil || !w2.valid || w2.line != ln {
-			w2 = l2.lookup(ln)
+		if w2 = l2.hit(ln); w2 == nil {
+			w2 = l2.scan(ln)
 		}
 	}
 	if w := w2; w != nil {
@@ -539,9 +563,8 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		// The shared L3 holds lines the other node filled.
 		var w3 *way
 		if held || h.cfg.SharedL3 {
-			w3 = l3.mru
-			if w3 == nil || !w3.valid || w3.line != ln {
-				w3 = l3.lookup(ln)
+			if w3 = l3.hit(ln); w3 == nil {
+				w3 = l3.scan(ln)
 			}
 		}
 		if w := w3; w != nil {
@@ -595,26 +618,8 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	return cost
 }
 
-// FetchMemo is the hit run's hint for one code window: for each line of the
-// window, the L1I way that held it when IfetchHits last looked. Like
-// level.mru it is never trusted: every entry belongs to l1 (the memo is
-// cleared in place when the window is fetched through another core's or
-// node's L1I) and is used only while the way is still valid and still holds
-// that line; otherwise the set is searched and the entry refreshed.
-type FetchMemo struct {
-	l1    *level
-	first lineAddr
-	ways  []*way
-}
-
-// NewFetchMemo returns the memo for a window of lines whole cache lines
-// starting at the line containing base.
-func NewFetchMemo(base mem.PhysAddr, lines int) FetchMemo {
-	return FetchMemo{first: lineOf(base), ways: make([]*way, lines)}
-}
-
 // IfetchHits charges up to limit consecutive instruction fetches by (node,
-// core) of the window's lines from, from+1, … and returns how many it
+// core) of the lines at addr, addr+LineSize, … and returns how many it
 // charged. Each one is exactly Access(node, core, Ifetch, line, LineSize)
 // taking the L1I-hit path — the way is stamped with the level's next LRU
 // tick, the node's and core's L1I access and hit counters and the hit
@@ -622,10 +627,11 @@ func NewFetchMemo(base mem.PhysAddr, lines int) FetchMemo {
 // whole run and no clock is advanced: the caller owes n·Lat.L1 cycles.
 //
 // The run stops before the first line that is not resident in the L1I (that
-// fetch needs the full Access path: fill, directory, events), at the end of
-// the window (it never wraps), and charges nothing while a Tap is
-// installed, since a Tap must observe every access.
-func (h *Hierarchy) IfetchHits(node mem.NodeID, core int, m *FetchMemo, from int, limit int64) int {
+// fetch needs the full Access path: fill, directory, events) and charges
+// nothing while a Tap is installed, since a Tap must observe every access.
+// It never wraps: a caller walking a window bounds limit by the lines left
+// before the window's end.
+func (h *Hierarchy) IfetchHits(node mem.NodeID, core int, addr mem.PhysAddr, limit int64) int {
 	if h.Tap != nil {
 		return 0
 	}
@@ -634,31 +640,21 @@ func (h *Hierarchy) IfetchHits(node mem.NodeID, core int, m *FetchMemo, from int
 	if l1 == nil {
 		return 0
 	}
-	if m.l1 != l1 {
-		m.l1 = l1
-		clear(m.ways)
-	}
-	ways := m.ways[from:]
-	if limit < int64(len(ways)) {
-		ways = ways[:max(limit, 0)]
-	}
-	first := m.first + lineAddr(from)
-	n, tick := 0, l1.tick
-	for ; n < len(ways); n++ {
-		ln := first + lineAddr(n)
-		w := ways[n]
-		if w == nil || !w.valid || w.line != ln {
-			if w = l1.lookup(ln); w == nil {
+	first := lineOf(addr)
+	hits, tick := int64(0), l1.tick
+	for ; hits < limit; hits++ {
+		ln := first + lineAddr(hits)
+		w := l1.memo[ln&(memoSize-1)]
+		if !w.holds(ln) { // hit(ln), without its nil result to test again
+			if w = l1.scan(ln); w == nil {
 				break
 			}
-			ways[n] = w
 		}
 		tick++
 		w.used = tick // l1.stamp(w), with the tick held in a register
 	}
 	l1.tick = tick
-	hits := int64(n)
-	cycles := sim.Cycles(n) * h.cfg.Nodes[node].Lat.L1
+	cycles := sim.Cycles(hits) * h.cfg.Nodes[node].Lat.L1
 	st, cs := &nc.stats, &nc.coreStats[core]
 	st.L1IAccesses += hits
 	cs.L1IAccesses += hits
@@ -666,7 +662,7 @@ func (h *Hierarchy) IfetchHits(node mem.NodeID, core int, m *FetchMemo, from int
 	cs.L1IHits += hits
 	st.CacheHitLatency += cycles
 	st.TotalLatency += cycles
-	return n
+	return int(hits)
 }
 
 // fillLevel inserts a line into an inner level, discarding clean evictions

@@ -3,11 +3,13 @@ package cache
 // Hot-path microbenchmarks and allocation guards for the flat-table memory
 // pipeline. The simulator's throughput is bounded by accessLine, so these
 // pin its cost and its zero-allocation contract on the paths that dominate
-// real runs: the warm L1 hit, the cache-miss path (with directory churn
+// real runs: the warm L1 hit, L1 hits scattered over a resident working
+// set, the cache-miss path (with directory churn
 // from inclusive-LLC evictions), a cold stream over more directory than the
 // host caches hold, and the cross-node snoop path.
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/mem"
@@ -31,6 +33,59 @@ func BenchmarkAccessLineL1Hit(b *testing.B) {
 		sink += h.Access(mem.NodeX86, 0, Read, 0x1000, 8)
 	}
 	_ = sink
+}
+
+// scatterLines is the scatter working set: 256 adjacent lines, half the
+// default 512-line L1D, so every one stays resident.
+const scatterLines = 256
+
+// scatterHierarchy returns a hierarchy whose L1D holds the scatter working
+// set, and 64 Ki reads of it in a fixed pseudo-random order — too long for
+// the host's branch predictor to learn where in its set each line sits.
+func scatterHierarchy() (*Hierarchy, []mem.PhysAddr) {
+	h := newTestHierarchy(mem.Separated)
+	for i := 0; i < scatterLines; i++ {
+		h.Access(mem.NodeX86, 0, Read, 0x10000+mem.PhysAddr(i)*mem.LineSize, 8)
+	}
+	rng := rand.New(rand.NewSource(1))
+	order := make([]mem.PhysAddr, 1<<16)
+	for i := range order {
+		order[i] = 0x10000 + mem.PhysAddr(rng.Intn(scatterLines))*mem.LineSize
+	}
+	return h, order
+}
+
+// BenchmarkAccessLineL1Scatter measures an L1 hit on a line other than the
+// last one hit, the common case in real runs: the level's way memo answers
+// it where a one-entry hint would rescan the set.
+func BenchmarkAccessLineL1Scatter(b *testing.B) {
+	h, order := scatterHierarchy()
+	var sink sim.Cycles
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += h.Access(mem.NodeX86, 0, Read, order[i&(len(order)-1)], 8)
+	}
+	_ = sink
+}
+
+// TestL1ScatterZeroAllocs: a pass over the scatter order hits L1 every time
+// and allocates nothing.
+func TestL1ScatterZeroAllocs(t *testing.T) {
+	h, order := scatterHierarchy()
+	before := h.Stats(mem.NodeX86)
+	pass := func() {
+		for _, a := range order {
+			h.Access(mem.NodeX86, 0, Read, a, 8)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
+		t.Errorf("scattered L1 hits allocate %.0f objects per %d-read pass, want 0", allocs, len(order))
+	}
+	after := h.Stats(mem.NodeX86)
+	if hits, reads := after.L1DHits-before.L1DHits, after.L1DAccesses-before.L1DAccesses; hits != reads {
+		t.Errorf("%d of %d scattered reads hit L1: the working set is no longer resident", hits, reads)
+	}
 }
 
 // BenchmarkAccessLineMiss measures the full miss path: 32 lines aliased

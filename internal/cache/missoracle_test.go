@@ -1,10 +1,11 @@
 package cache
 
-// Differential test for the directory-first miss path: accessLine (which
-// skips the level lookups the directory says must miss, resolves the region
-// once, and keeps its directory in the radix table) must leave the machine
-// exactly where the parent commit's accessLine — kept verbatim below, with
-// every lookup, two region scans and a map directory — leaves it.
+// Differential test for the directory-first miss path and the way memo:
+// accessLine (which skips the level lookups the directory says must miss,
+// resolves the region once, keeps its directory in the radix table and
+// answers hits from the way memo) must leave the machine exactly where the
+// accessLine from before either change — kept verbatim below, with every
+// lookup a plain set scan, two region scans and a map directory — leaves it.
 
 import (
 	"fmt"
@@ -41,8 +42,22 @@ func (o *missOracle) Flush() {
 	clear(o.dir.m)
 }
 
+// scanFor is the set scan alone, with no way memo. The oracle searches
+// through it rather than lookup, so the memo under test can neither answer
+// for it nor be written by it.
+func scanFor(l *level, ln lineAddr) *way {
+	set := l.setOf(ln)
+	for i := range set {
+		if set[i].valid && set[i].line == ln {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
 // accessLine is the parent commit's, verbatim but for the directory calls
-// (h.entryFor → o.dir.ensure) and the helpers that touch the directory.
+// (h.entryFor → o.dir.ensure), the helpers that touch the directory, and
+// the way searches (its one-entry hint and lookup → scanFor).
 func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycles {
 	h := o.Hierarchy
 	nc := h.nodes[node]
@@ -64,10 +79,7 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 	}
 
 	if !isWrite {
-		w := l1.mru
-		if w == nil || !w.valid || w.line != ln {
-			w = l1.lookup(ln)
-		}
+		w := scanFor(l1, ln)
 		if w != nil {
 			l1.stamp(w)
 			if kind == Ifetch {
@@ -126,10 +138,7 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 	}
 
 	if isWrite {
-		w := l1.mru
-		if w == nil || !w.valid || w.line != ln {
-			w = l1.lookup(ln)
-		}
+		w := scanFor(l1, ln)
 		if w != nil {
 			l1.stamp(w)
 			w.dirty = true
@@ -147,10 +156,7 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 	l2 := nc.l2[core]
 	var w2 *way
 	if l2 != nil {
-		w2 = l2.mru
-		if w2 == nil || !w2.valid || w2.line != ln {
-			w2 = l2.lookup(ln)
-		}
+		w2 = scanFor(l2, ln)
 	}
 	if w := w2; w != nil {
 		l2.stamp(w)
@@ -172,10 +178,7 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 	}
 	if l3 != nil {
 		st.L3Accesses++
-		w3 := l3.mru
-		if w3 == nil || !w3.valid || w3.line != ln {
-			w3 = l3.lookup(ln)
-		}
+		w3 := scanFor(l3, ln)
 		if w := w3; w != nil {
 			l3.stamp(w)
 			if isWrite {
@@ -413,21 +416,7 @@ func TestAccessLineMatchesMissOracle(t *testing.T) {
 						}
 					}
 				}
-				refLevels, gotLevels := ref.levels(), got.levels()
-				for li, want := range refLevels {
-					have := gotLevels[li]
-					if want == nil {
-						continue
-					}
-					if have.tick != want.tick {
-						t.Errorf("level %d: tick %d, want %d", li, have.tick, want.tick)
-					}
-					for wi := range want.ways {
-						if have.ways[wi] != want.ways[wi] {
-							t.Fatalf("level %d way %d: %+v, want %+v", li, wi, have.ways[wi], want.ways[wi])
-						}
-					}
-				}
+				checkSameLevels(t, ref.Hierarchy, got)
 				seen := 0
 				got.forEachEntry(func(ln lineAddr, e *dirEntry) {
 					seen++
@@ -472,5 +461,40 @@ func TestAccessLineMatchesMissOracle(t *testing.T) {
 		if c := h.Access(mem.NodeX86, 0, Write, pa, 8); c != miss {
 			t.Errorf("write of a line the directory does not list charged %d, want a full miss %d", c, miss)
 		}
+	})
+
+	// The no-L3 double fill puts a line in two ways of one L2 set. A memo
+	// slot last written for another line with the same slot index can
+	// name the higher copy; the L2 hit must still stamp the lower one, the
+	// way the scan returns. x and ln share a memo slot, and every line here
+	// shares one set of node 0's L1D and L2.
+	t.Run("noL3-double-fill", func(t *testing.T) {
+		cfg := fetchRunConfig(mem.Separated, 0)
+		layout := mem.DefaultLayout(mem.Separated)
+		ref, got := newMissOracle(cfg, &layout), NewHierarchy(cfg, &layout)
+		const (
+			p, x = 0x1000, 0x1400
+			ln   = x + memoSize*mem.LineSize
+		)
+		step := func(node mem.NodeID, kind Kind, addr mem.PhysAddr) {
+			op := missOp{node: node, access: kind, addr: addr, size: 8}
+			if want, have := applyMissOp(ref, op), applyMissOp(got, op); have != want {
+				t.Fatalf("%+v: charged %d cycles, oracle %d", op, have, want)
+			}
+		}
+		step(0, Read, p) // L2 ways 0, 1
+		step(0, Read, x) // L2 ways 2, 3
+		step(1, Write, x)
+		step(0, Read, x) // the snoop left way 3: the scan writes x's slot
+		step(1, Write, x)
+		step(0, Read, ln) // the double fill: ways 2 and 3
+		set := got.nodes[0].l2[0].setOf(lineOf(ln))
+		if set[2].line != lineOf(ln) || set[3].line != lineOf(ln) || !set[2].valid || !set[3].valid {
+			t.Fatalf("L2 set %+v: the script no longer double-fills ways 2 and 3", set)
+		}
+		step(0, Read, 0x1200) // two lines of another L2 set evict ln from L1
+		step(0, Read, 0x1600)
+		step(0, Read, ln) // an L2 hit
+		checkSameLevels(t, ref.Hierarchy, got)
 	})
 }

@@ -11,7 +11,7 @@ import "repro/internal/mem"
 // global token.
 //
 // The probe is pure with respect to simulated results: it reads cache and
-// directory state (updating only host-side MRU/hint caches, which never
+// directory state (updating only host-side way-memo/hint caches, which never
 // influence timing) and charges no cycles. It is deliberately conservative;
 // returning false is always correct, and tightening it further is the
 // escape hatch if a workload ever diverges under the parallel engine.
@@ -74,7 +74,7 @@ func (h *Hierarchy) lineParallelSafe(node, core int, kind Kind, ln lineAddr) boo
 	if isWrite && w1 != nil {
 		return true
 	}
-	if nc.l2[core].lookup(ln) != nil {
+	if l2 := nc.l2[core]; l2 != nil && l2.lookup(ln) != nil {
 		return true
 	}
 	lastLevel := nc.l3

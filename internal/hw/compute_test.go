@@ -76,12 +76,16 @@ type computeOutcome struct {
 
 // runComputeCase runs two threads computing in the same 2 KiB of code on
 // the two cores of node 0 while a thread on node 1 keeps storing into that
-// code (snoop-invalidating lines out from under both), under a tracer.
+// code (snoop-invalidating lines out from under both), under a tracer. Each
+// round also runs a short routine laid out right after the window, so the
+// lines past the window's end are resident when a hit run reaches it.
 func runComputeCase(t *testing.T, tc computeCase, oracle bool) computeOutcome {
 	t.Helper()
 	const (
-		winBase  = mem.PhysAddr(0x1000)
-		winLines = 32
+		winBase   = mem.PhysAddr(0x1000)
+		winLines  = 32
+		tailBase  = winBase + winLines*mem.LineSize
+		tailLines = 4
 	)
 	cfg := DefaultConfig(mem.Shared)
 	cfg.Cache.Nodes[0].Cores, cfg.Cache.Nodes[1].Cores = 2, 2
@@ -100,14 +104,18 @@ func runComputeCase(t *testing.T, tc computeCase, oracle bool) computeOutcome {
 			pt := plat.NewPort(mem.NodeX86, core, th)
 			win := NewCodeWindow(winBase, winLines*mem.LineSize)
 			owin := &oracleWindow{Base: winBase, Size: winLines * mem.LineSize}
+			tail := NewCodeWindow(tailBase, tailLines*mem.LineSize)
+			otail := &oracleWindow{Base: tailBase, Size: tailLines * mem.LineSize}
 			for r := 0; r < rounds; r++ {
 				if tc.atomic {
 					th.BeginAtomic()
 				}
 				if oracle {
 					computeOracle(pt, tc.n, owin)
+					computeOracle(pt, tailLines*16, otail)
 				} else {
 					pt.Compute(tc.n, win)
+					pt.Compute(tailLines*16, tail)
 				}
 				if tc.atomic {
 					th.EndAtomic()

@@ -206,11 +206,18 @@ func (pt *Port) charge(kind cache.Kind, addr mem.PhysAddr, size int) {
 
 // Read loads n bytes at addr.
 func (pt *Port) Read(addr mem.PhysAddr, n int) []byte {
-	pt.T.BeginSerial()
-	pt.charge(cache.Read, addr, n)
-	out := pt.Plat.Phys.Read(addr, n)
-	pt.T.EndSerial()
+	out := make([]byte, n)
+	pt.ReadInto(addr, out)
 	return out
+}
+
+// ReadInto fills dst with the len(dst) bytes at addr without allocating.
+// It is charged exactly like Read of len(dst) bytes.
+func (pt *Port) ReadInto(addr mem.PhysAddr, dst []byte) {
+	pt.T.BeginSerial()
+	pt.charge(cache.Read, addr, len(dst))
+	pt.Plat.Phys.ReadInto(addr, dst)
+	pt.T.EndSerial()
 }
 
 // Write stores data at addr.
@@ -356,9 +363,11 @@ func (pt *Port) Compute(n int64, pc *CodeWindow) {
 	for i := int64(0); i < n; {
 		if k := (n - i) / instPerLine; k > 0 && perHit > 0 && !pt.T.InLocal() {
 			// k·perHit must stay below the yield headroom, so that no
-			// Advance of the run would have yielded.
-			k = min(k, int64((pt.T.YieldHeadroom()-1)/perHit))
-			if hits := pt.Plat.Caches.IfetchHits(pt.Node, pt.Core, &pc.memo, pc.line, k); hits > 0 {
+			// Advance of the run would have yielded, and the run must stop
+			// at the window's end, where the walk wraps.
+			k = min(k, int64((pt.T.YieldHeadroom()-1)/perHit), int64(pc.lines-pc.line))
+			at := pc.Base + mem.PhysAddr(pc.line)*mem.LineSize
+			if hits := pt.Plat.Caches.IfetchHits(pt.Node, pt.Core, at, k); hits > 0 {
 				pc.advance(hits)
 				pt.T.Advance(sim.Cycles(hits) * perHit)
 				i += int64(hits) * instPerLine
@@ -390,15 +399,13 @@ func (pt *Port) String() string {
 // CodeWindow models the instruction footprint of the currently executing
 // code: the PC walks the whole cache lines of [Base, Base+Size) one line per
 // fetch and wraps, approximating a loop nest whose working set is Size
-// bytes. Construct it with NewCodeWindow. The window also carries the hit
-// run's way memo (cache.FetchMemo), which is a host-side hint only.
+// bytes. Construct it with NewCodeWindow.
 type CodeWindow struct {
 	Base mem.PhysAddr
 	Size uint64
 	// line is the next line to fetch, counted from Base; lines is Size in
 	// whole lines.
 	line, lines int
-	memo        cache.FetchMemo
 }
 
 // NewCodeWindow returns the window of whole lines covering size bytes at
@@ -409,8 +416,7 @@ func NewCodeWindow(base mem.PhysAddr, size uint64) *CodeWindow {
 	end := (uint64(base) + max(size, 1) + mask) &^ mask
 	base &^= mask
 	lines := int((end - uint64(base)) / mem.LineSize)
-	return &CodeWindow{Base: base, Size: end - uint64(base), lines: lines,
-		memo: cache.NewFetchMemo(base, lines)}
+	return &CodeWindow{Base: base, Size: end - uint64(base), lines: lines}
 }
 
 // next returns the address of the next line to fetch and steps past it.
@@ -421,8 +427,8 @@ func (w *CodeWindow) next() mem.PhysAddr {
 }
 
 // advance steps the walk past k fetched lines, wrapping at the window's
-// end. k never reaches past the end: next steps one line, and a hit run
-// stops at the last line.
+// end. k never reaches past the end: next steps one line, and Compute
+// bounds a hit run by the lines left before the end.
 func (w *CodeWindow) advance(k int) {
 	w.line += k
 	if w.line >= w.lines {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -74,6 +75,56 @@ func TestCopyPageMovesDataAndCharges(t *testing.T) {
 	if end < 5000 {
 		t.Errorf("page copy suspiciously cheap: %d cycles", end)
 	}
+}
+
+// TestReadIntoMatchesRead: ReadInto is Read without the allocation — the
+// same cycles, the same cache counters on both nodes and the same bytes —
+// for a page-sized read that straddles two frames and lines the other node
+// wrote.
+func TestReadIntoMatchesRead(t *testing.T) {
+	const src = mem.PhysAddr(0x4000 + 100)
+	type outcome struct {
+		end   sim.Cycles
+		stats [2]cache.Stats
+		data  []byte
+	}
+	run := func(into bool) outcome {
+		plat := NewPlatform(DefaultConfig(mem.Shared))
+		payload := make([]byte, 2*mem.PageSize)
+		for i := range payload {
+			payload[i] = byte(i % 251)
+		}
+		runOn(t, plat, mem.NodeArm, func(pt *Port) { pt.Write(0x4000, payload) })
+		var out outcome
+		out.end = runOn(t, plat, mem.NodeX86, func(pt *Port) {
+			if into {
+				out.data = make([]byte, mem.PageSize)
+				pt.ReadInto(src, out.data)
+			} else {
+				out.data = pt.Read(src, mem.PageSize)
+			}
+		})
+		out.stats = [2]cache.Stats{plat.Caches.Stats(0), plat.Caches.Stats(1)}
+		return out
+	}
+	want, got := run(false), run(true)
+	if got.end != want.end {
+		t.Errorf("ReadInto ended at cycle %d, Read at %d", got.end, want.end)
+	}
+	if got.stats != want.stats {
+		t.Errorf("cache stats\n ReadInto %+v\n     Read %+v", got.stats, want.stats)
+	}
+	if !bytes.Equal(got.data, want.data) {
+		t.Error("ReadInto and Read returned different bytes")
+	}
+
+	plat := NewPlatform(DefaultConfig(mem.Shared))
+	runOn(t, plat, mem.NodeX86, func(pt *Port) {
+		dst := make([]byte, mem.PageSize)
+		if avg := testing.AllocsPerRun(100, func() { pt.ReadInto(src, dst) }); avg != 0 {
+			t.Errorf("ReadInto allocates %.1f times per call, want 0", avg)
+		}
+	})
 }
 
 func TestCASAtomicity(t *testing.T) {

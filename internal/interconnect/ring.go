@@ -112,7 +112,7 @@ func (r *Ring) Recv(pt *hw.Port) ([]byte, bool) {
 		return nil, false
 	}
 	slot := r.slotAddr(tail)
-	n := binary.LittleEndian.Uint32(pt.Read(slot, slotHeader))
+	n := uint32(pt.ReadUint(slot, slotHeader))
 	if int(n) > r.MaxPayload() {
 		panic(fmt.Sprintf("interconnect: corrupt slot length %d", n))
 	}

@@ -320,7 +320,7 @@ func (o *OS) faultAtRemote(t *kernel.Task, va pgtable.VirtAddr, write bool) erro
 		resp := make([]byte, respSize)
 		if needsContent {
 			// Origin reads the page out of its memory into the message.
-			copy(resp[64:], originPt.Read(meta.Frames[origin], mem.PageSize))
+			originPt.ReadInto(meta.Frames[origin], resp[64:])
 		}
 		if write {
 			// Writer takes exclusive ownership: origin drops its mapping.
@@ -376,7 +376,7 @@ func (o *OS) fetchPage(t *kernel.Task, va pgtable.VirtAddr, node mem.NodeID) err
 	t.Stats.NodeInstructions[other] += kinstrPageServe
 	o.Msgr.RPC(t.Port, func(remotePt *hw.Port, r []byte) []byte {
 		resp := make([]byte, 64+mem.PageSize)
-		copy(resp[64:], remotePt.Read(meta.Frames[other], mem.PageSize))
+		remotePt.ReadInto(meta.Frames[other], resp[64:])
 		return resp
 	}, req(opPageRead, proc.PID, va, 0))
 	if !meta.Valid[node] || meta.Frames[node] == 0 {

@@ -216,7 +216,7 @@ func (c *PopcornCache) fetch(pt *hw.Port, ten *cap.Tenant, ino *Inode, idx int64
 	}
 	c.rpc(pt, func(remote *hw.Port, req []byte) []byte {
 		resp := make([]byte, 64+mem.PageSize)
-		copy(resp[64:], remote.Read(pg.frames[p], mem.PageSize))
+		remote.ReadInto(pg.frames[p], resp[64:])
 		if steal {
 			if c.hook != nil {
 				c.hook(remote, ino.Ino, idx, p, false)
