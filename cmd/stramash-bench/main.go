@@ -22,9 +22,9 @@
 // simulated cycle counts and counters (deterministic across runs), the
 // host wall time, and any shape deviations or errors. Exit codes: 0 all
 // shape claims reproduced, 1 an experiment failed, 3 shape deviations.
-// -engine-stats adds the simulation driver's own counters (segment kinds,
-// phase widths, parks) to the JSON for experiments that export them; these
-// are deterministic per driver but differ between -engine=seq and par.
+// -engine-stats adds the simulation driver's own counters (segments,
+// self-continues, hand-offs, cycles) to the JSON for experiments that
+// export them.
 //
 // Experiment ids: table2, fig5-6-small, fig5-6-big, fig7-small, fig7-big,
 // fig8, table3, table4, fig9, fig10, fig11, fig12, fig13, fig14,
@@ -42,8 +42,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -56,25 +54,12 @@ func main() {
 	jsonOut := flag.String("json", "", "write a machine-readable JSON report to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
-	engineFlag := flag.String("engine", "auto", "simulation driver: seq, par (epoch-barriered host-parallel) or auto (seq)")
-	epochFlag := flag.Int64("epoch", 0, "parallel driver epoch length in simulated cycles (0 = default)")
 	hostprocs := flag.Int("hostprocs", 0, "concurrent machine runs within pooled experiments (0 = leave at 1)")
-	engineStats := flag.Bool("engine-stats", false, "capture per-run engine driver counters into the -json report (driver-dependent; experiments that support it)")
+	engineStats := flag.Bool("engine-stats", false, "capture per-run engine driver counters into the -json report (experiments that support it)")
 	workerStats := flag.Bool("worker-stats", false, "include per-worker counters (worker ops, futex waits, fsync batches) in the metrics of experiments that run the production redis server")
 	tenantStats := flag.Bool("tenant-stats", false, "include per-tenant capability counters (caps checked, denials, revocations, frames and cache frames charged, quota hits) in the metrics of multi-tenant experiments")
 	flag.Parse()
 
-	eng, err := machine.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if eng != machine.EngineAuto {
-		machine.DefaultEngine = eng
-	}
-	if *epochFlag > 0 {
-		machine.DefaultEpoch = sim.Cycles(*epochFlag)
-	}
 	if *hostprocs > 0 {
 		experiments.HostProcs = *hostprocs
 	}

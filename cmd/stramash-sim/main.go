@@ -49,7 +49,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/npb"
 	"repro/internal/perf"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -72,21 +71,7 @@ func main() {
 	prodReqs := flag.Int("prod-requests", 200, "requests for the -prod benchmark")
 	tenants := flag.Int("tenants", 0, "boot one multi-tenant machine with N tenants under the capability layer and gate on the isolation claims")
 	tenantsRegime := flag.String("tenants-regime", "fused", "page-cache regime for the -tenants machine: fused or popcorn")
-	engineFlag := flag.String("engine", "auto", "simulation driver: seq, par (epoch-barriered host-parallel) or auto (seq)")
-	epochFlag := flag.Int64("epoch", 0, "parallel driver epoch length in simulated cycles (0 = default)")
 	flag.Parse()
-
-	eng, err := machine.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if eng != machine.EngineAuto {
-		machine.DefaultEngine = eng
-	}
-	if *epochFlag > 0 {
-		machine.DefaultEpoch = sim.Cycles(*epochFlag)
-	}
 
 	if *fileIO {
 		fatal(runFileIO())

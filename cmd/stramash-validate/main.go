@@ -28,8 +28,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 // validationIDs is the §9.1 suite, in report order.
@@ -39,21 +37,7 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "workload scale: quick or full")
 	parallel := flag.Int("parallel", 0, "experiments in flight (0 = GOMAXPROCS, 1 = sequential)")
 	extras := flag.Bool("extras", false, "also gate the reproduction-only extras (multicore, filesys, cluster, redisprod, tenants)")
-	engineFlag := flag.String("engine", "auto", "simulation driver: seq, par (epoch-barriered host-parallel) or auto (seq)")
-	epochFlag := flag.Int64("epoch", 0, "parallel driver epoch length in simulated cycles (0 = default)")
 	flag.Parse()
-
-	eng, err := machine.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if eng != machine.EngineAuto {
-		machine.DefaultEngine = eng
-	}
-	if *epochFlag > 0 {
-		machine.DefaultEpoch = sim.Cycles(*epochFlag)
-	}
 
 	scale := experiments.Quick
 	if *scaleFlag == "full" {

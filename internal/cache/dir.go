@@ -39,8 +39,7 @@ type dirTable struct {
 }
 
 // get returns line k's entry, or nil if the table has never created it
-// (read it as uncached). It mutates nothing, so ParallelSafe may probe a
-// shard another domain is not writing.
+// (read it as uncached). It mutates nothing.
 func (t *dirTable) get(k lineAddr) *dirEntry {
 	i := uint64(k - t.base) // wraps beyond the root span for k < base
 	if r := i >> dirLeafBits; r < uint64(len(t.root)) && t.root[r] != nil {
@@ -110,4 +109,15 @@ func (t *dirTable) forEach(f func(lineAddr, *dirEntry)) {
 // be dropped with it.
 func (t *dirTable) reset() {
 	t.root, t.spill = nil, nil
+}
+
+// shardIndexOf returns the index of the table holding line a (shardOf
+// returns the table itself).
+func (h *Hierarchy) shardIndexOf(a lineAddr) dirShard {
+	b := h.bounds
+	i := len(b) - 1
+	for b[i].start > a {
+		i--
+	}
+	return b[i].shard
 }

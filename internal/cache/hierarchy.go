@@ -41,12 +41,10 @@ type level struct {
 	memo  [memoSize]*way
 	assoc int
 	mask  uint64
-	// tick is the level's private LRU clock, bumped once per stamp. Keeping
-	// it per level (rather than hierarchy-global) lets the two nodes' private
-	// levels be stamped concurrently by the parallel engine; victim selection
-	// compares timestamps only within one level, where the stamp order — and
-	// therefore every eviction decision — is identical to the sequential
-	// engine's.
+	// tick is the level's private LRU clock, bumped once per stamp. Victim
+	// selection compares timestamps only within one level, so a per-level
+	// clock decides every eviction exactly as one hierarchy-wide clock would,
+	// and the hit-run fast path can hold it in a register.
 	tick int64
 }
 
@@ -124,8 +122,7 @@ func (l *level) insert(a lineAddr) (filled *way, evicted lineAddr, wasValid, was
 }
 
 // victimIn returns the index insert would evict from the given set: the
-// first invalid way, else the least recently used. Factored out so the
-// ParallelSafe probe can predict an eviction without performing it.
+// first invalid way, else the least recently used.
 func (l *level) victimIn(set []way) int {
 	victim := 0
 	for i := range set {
@@ -202,13 +199,14 @@ type nodeCaches struct {
 	coreStats []CoreStats
 }
 
-// dirShard indexes the directory shard a line belongs to, derived from the
-// owner of the memory region containing it: shard 0 and 1 hold lines of
-// node-owned regions, shard 2 holds lines of shared-pool regions and of
-// addresses outside every region. Sharding by region owner means a node
-// running inside the parallel engine's domain phase — which ParallelSafe
-// restricts to its own regions' lines — mutates only its own shard, so the
-// two nodes' directory traffic never races.
+// dirShard indexes the directory table a line belongs to, derived from the
+// owner of the memory region containing it: tables 0 and 1 hold lines of
+// node-owned regions, table 2 holds lines of shared-pool regions and of
+// addresses outside every region. The split is a radix base per region
+// group: each table's root starts at the lowest line of its regions, so
+// the sparse space between node memory and a high shared pool costs no
+// root slots (one table based at line 0 measured +0.5 % host allocation on
+// the cluster workload; DESIGN §6).
 type dirShard int8
 
 const (
@@ -230,9 +228,9 @@ type Hierarchy struct {
 	layout   *mem.Layout
 	nodes    [2]*nodeCaches
 	sharedL3 *level
-	// dirs is the coherence directory, sharded by the owner of the region a
+	// dirs is the coherence directory, split by the owner of the region a
 	// line lives in (see dirShard). The split changes no simulated result:
-	// a line's entry is always in exactly one shard, found by shardOf.
+	// a line's entry is always in exactly one table, found by shardOf.
 	dirs   [3]dirTable
 	bounds []shardBound
 	// hints are the per-node, per-core last-line directory cell caches.

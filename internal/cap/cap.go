@@ -7,8 +7,7 @@
 //
 // The package is pure bookkeeping: it holds no locks, spends no simulated
 // cycles and knows nothing about tasks or scheduling. The kernel decides
-// where checks happen and brackets every table mutation with the engine's
-// serial token (DESIGN.md invariants 12-14); this keeps the table
+// where checks happen (DESIGN.md invariant 13); this keeps the table
 // fuzzable against a plain map oracle.
 //
 // The root tenant is the nil *Tenant: every charge and check method on a
@@ -172,7 +171,7 @@ func (tb *Table) Find(ten *Tenant, k Kind, scope string) (CapID, bool) {
 // children in creation order). Revoking an unknown or already-revoked
 // capability returns nil. The caller (the kernel) is responsible for
 // cancelling waiters blocked on the returned IDs before the revoking
-// syscall retires — invariant 14.
+// syscall retires — invariant 13.
 func (tb *Table) Revoke(id CapID) []CapID {
 	e := tb.Get(id)
 	if e == nil || e.Revoked {

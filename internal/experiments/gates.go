@@ -7,9 +7,8 @@ package experiments
 // counters appear only in the machine-readable JSON, never in the
 // rendered report, which must stay small and engine-independent.
 const (
-	// GateEngine captures per-run simulation-driver counters (serial vs.
-	// domain segments, phase widths, parks). Deterministic for a fixed
-	// driver but legitimately different between -engine=seq and par.
+	// GateEngine captures per-run simulation-driver counters (segments,
+	// self-continues, hand-offs, segment cycles).
 	GateEngine = "engine"
 	// GateWorker emits per-worker counters from the production redis
 	// server (ops, futex waits, fsync batches). Off by default so the

@@ -8,9 +8,7 @@ import "sync"
 // -hostprocs. Each row builds and drives a fully isolated machine and
 // stores its result by row index, so the rendered report is byte-identical
 // at any setting — like PoolOptions.Parallelism one level up, this knob
-// only trades host cores for wall time. It composes with the parallel
-// simulation engine (machine.EnginePar), which parallelizes within a
-// single machine.
+// only trades host cores for wall time.
 var HostProcs = 1
 
 // forEachRow runs n independent row builders with at most HostProcs in

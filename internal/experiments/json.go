@@ -16,12 +16,11 @@ type CycleMetrics interface {
 }
 
 // EngineStatsSource is optionally implemented by experiment results that
-// can export the simulation driver's own counters (serial vs. domain
-// segments, phase widths, parks). Unlike Metrics these describe the
-// driver, not the simulation: they are deterministic for a fixed driver
-// but legitimately differ between -engine=seq and -engine=par, so they
-// are captured only when StatGate(GateEngine) is set and are kept out of
-// Metrics and the rendered report, which must be engine-independent.
+// can export the simulation driver's own counters (segments,
+// self-continues, hand-offs). Unlike Metrics these describe the driver,
+// not the simulation: they are captured only when StatGate(GateEngine) is
+// set and are kept out of Metrics and the rendered report, so a change to
+// how the engine moves the host CPU never changes a pinned output.
 type EngineStatsSource interface {
 	EngineStats() map[string]int64
 }

@@ -3,9 +3,8 @@ package experiments
 // Golden tests extending the tracing contract to the network subsystem:
 // tracing a cluster run must not perturb simulated time, the traced stream
 // must carry the NIC/socket event kinds, and the stream must be
-// byte-identical whether the run executes sequentially, inside the
-// parallel experiment pool, or with the parallel engine selected (traced
-// machines fall back to the sequential driver by design).
+// byte-identical whether the run executes alone or inside the parallel
+// experiment pool.
 
 import (
 	"context"
@@ -52,7 +51,7 @@ func tracedClusterRun(traced bool) (sim.Cycles, *trace.Buffer, error) {
 
 // TestTraceGoldenNetEvents is the network analogue of the VFS golden test:
 // observer-effect freedom, required event kinds, and byte-identity between
-// the sequential reference, pool runs, and the parallel-engine fallback.
+// the sequential reference and pool runs.
 func TestTraceGoldenNetEvents(t *testing.T) {
 	plainCycles, _, err := tracedClusterRun(false)
 	if err != nil {
@@ -101,19 +100,4 @@ func TestTraceGoldenNetEvents(t *testing.T) {
 				i, len(texts[i]), len(refText))
 		}
 	}
-
-	// A traced cluster under the parallel engine falls back to the
-	// sequential driver, so the stream must still be byte-identical.
-	withEngine(machine.EnginePar, 0, 1, func() {
-		c, buf, err := tracedClusterRun(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c != refCycles {
-			t.Errorf("par-engine traced run: %d cycles, reference %d", c, refCycles)
-		}
-		if buf.Text() != refText {
-			t.Error("par-engine traced cluster recorded a different event stream")
-		}
-	})
 }

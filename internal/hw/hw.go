@@ -39,11 +39,6 @@ type Config struct {
 	// every member machine so the whole fabric lives on a single
 	// deterministic timeline.
 	Engine *sim.Engine
-	// DomainBase offsets the clock domains of this platform's threads. A
-	// standalone machine uses 0 (domains = node IDs); machine i of a
-	// cluster uses 2i so the parallel driver keeps every machine's two
-	// nodes in distinct domains.
-	DomainBase int
 }
 
 // DefaultConfig returns the §9.2 evaluation platform for a memory model.
@@ -71,9 +66,6 @@ type Platform struct {
 	// Tracer mirrors Cfg.Tracer for cheap access from the software layers
 	// (kernel, popcorn, stramash, interconnect).
 	Tracer trace.Tracer
-	// DomainBase mirrors Cfg.DomainBase: the clock-domain offset every task
-	// thread of this platform adds to its node ID.
-	DomainBase int
 
 	ipiHandlers map[ipiKey]func(when sim.Cycles)
 	ipiCount    [2]int64
@@ -108,7 +100,6 @@ func NewPlatform(cfg Config) *Platform {
 		Phys:        phys,
 		Caches:      cache.NewHierarchy(cfg.Cache, phys.Layout()),
 		Tracer:      cfg.Tracer,
-		DomainBase:  cfg.DomainBase,
 		ipiHandlers: make(map[ipiKey]func(when sim.Cycles)),
 	}
 	if cfg.Tracer != nil {
@@ -141,10 +132,6 @@ func (p *Platform) RegisterIPIHandler(node mem.NodeID, core int, h func(when sim
 // handler observes the configured delivery latency (§7.2: AArch64 SGI and
 // x86 APIC extended with routing logic to the peer ISA).
 func (p *Platform) SendIPI(t *sim.Thread, to mem.NodeID, core int) {
-	// The doorbell pokes another core's handler (typically waking its
-	// thread), which may live in another clock domain.
-	t.BeginSerial()
-	defer t.EndSerial()
 	const sendCost = 100 // APIC/SGI register write + routing logic
 	t.Advance(sendCost)
 	p.ipiCount[to]++
@@ -181,28 +168,13 @@ func (p *Platform) NewPort(node mem.NodeID, core int, t *sim.Thread) *Port {
 }
 
 // charge pushes one access through the cache model and advances the clock.
-// In the parallel engine's domain phase a charge may proceed locally only
-// when the cache model proves it confined to this node (ParallelSafe);
-// otherwise the thread parks and the charge runs under the global token.
-// Charge-only callers (Fetch, Compute's ifetch stream) get their domain
-// fast path from this one check.
 func (pt *Port) charge(kind cache.Kind, addr mem.PhysAddr, size int) {
-	if pt.T.InLocal() && !pt.Plat.Caches.ParallelSafe(pt.Node, pt.Core, kind, addr, size) {
-		pt.T.CrossDomain()
-	}
 	if pt.Plat.Tracer != nil {
 		pt.Plat.Caches.TraceContext(int64(pt.T.Now()), int32(pt.T.ID))
 	}
 	lat := pt.Plat.Caches.Access(pt.Node, pt.Core, kind, addr, size)
 	pt.T.Advance(lat)
 }
-
-// Data-moving Port methods always run under the global token: the byte
-// side goes through Physical's shared last-frame cache, which domains must
-// not race on, and Port-level traffic is kernel-structure traffic (rings,
-// futex blocks, page tables) whose ordering the serial phase preserves.
-// CrossDomain is a no-op outside the parallel engine's domain phase; the
-// per-task Load/Store fast paths (kernel.Task) bypass Port entirely.
 
 // Read loads n bytes at addr.
 func (pt *Port) Read(addr mem.PhysAddr, n int) []byte {
@@ -214,55 +186,41 @@ func (pt *Port) Read(addr mem.PhysAddr, n int) []byte {
 // ReadInto fills dst with the len(dst) bytes at addr without allocating.
 // It is charged exactly like Read of len(dst) bytes.
 func (pt *Port) ReadInto(addr mem.PhysAddr, dst []byte) {
-	pt.T.BeginSerial()
 	pt.charge(cache.Read, addr, len(dst))
 	pt.Plat.Phys.ReadInto(addr, dst)
-	pt.T.EndSerial()
 }
 
 // Write stores data at addr.
 func (pt *Port) Write(addr mem.PhysAddr, data []byte) {
-	pt.T.BeginSerial()
 	pt.charge(cache.Write, addr, len(data))
 	pt.Plat.Phys.Write(addr, data)
-	pt.T.EndSerial()
 }
 
 // ReadUint loads up to 8 bytes at addr, little-endian, without allocating.
 // The cache model is charged for the full n bytes, exactly like Read; only
 // the data-movement side differs (a register value instead of a slice).
 func (pt *Port) ReadUint(addr mem.PhysAddr, n int) uint64 {
-	pt.T.BeginSerial()
 	pt.charge(cache.Read, addr, n)
-	out := pt.Plat.Phys.ReadUint(addr, n)
-	pt.T.EndSerial()
-	return out
+	return pt.Plat.Phys.ReadUint(addr, n)
 }
 
 // WriteUint stores n bytes of v at addr, little-endian, without allocating
 // (bytes past the eighth are written as zero). Charged exactly like Write.
 func (pt *Port) WriteUint(addr mem.PhysAddr, n int, v uint64) {
-	pt.T.BeginSerial()
 	pt.charge(cache.Write, addr, n)
 	pt.Plat.Phys.WriteUint(addr, n, v)
-	pt.T.EndSerial()
 }
 
 // Read64 loads a 64-bit little-endian word.
 func (pt *Port) Read64(addr mem.PhysAddr) uint64 {
-	pt.T.BeginSerial()
 	pt.charge(cache.Read, addr, 8)
-	out := pt.Plat.Phys.Read64(addr)
-	pt.T.EndSerial()
-	return out
+	return pt.Plat.Phys.Read64(addr)
 }
 
 // Write64 stores a 64-bit little-endian word.
 func (pt *Port) Write64(addr mem.PhysAddr, v uint64) {
-	pt.T.BeginSerial()
 	pt.charge(cache.Write, addr, 8)
 	pt.Plat.Phys.Write64(addr, v)
-	pt.T.EndSerial()
 }
 
 // CompareAndSwap64 is the cross-ISA atomic primitive (§6.5): x86 LOCK
@@ -270,8 +228,6 @@ func (pt *Port) Write64(addr mem.PhysAddr, v uint64) {
 // coherence protocol must gain exclusive ownership either way) plus a small
 // fixed atomic-op penalty.
 func (pt *Port) CompareAndSwap64(addr mem.PhysAddr, old, new uint64) (uint64, bool) {
-	pt.T.BeginSerial()
-	defer pt.T.EndSerial()
 	const atomicPenalty = 12
 	pt.charge(cache.Write, addr, 8)
 	pt.T.Advance(atomicPenalty)
@@ -284,8 +240,6 @@ func (pt *Port) CompareAndSwap64(addr mem.PhysAddr, old, new uint64) (uint64, bo
 // AtomicAdd64 atomically adds delta to the word at addr, returning the new
 // value (x86 LOCK XADD / Arm LDADD).
 func (pt *Port) AtomicAdd64(addr mem.PhysAddr, delta uint64) uint64 {
-	pt.T.BeginSerial()
-	defer pt.T.EndSerial()
 	const atomicPenalty = 12
 	pt.charge(cache.Write, addr, 8)
 	pt.T.Advance(atomicPenalty)
@@ -305,8 +259,6 @@ func (pt *Port) Fetch(addr mem.PhysAddr, n int) {
 // and writes of the destination (this is what makes DSM page replication
 // expensive, §9.2.3).
 func (pt *Port) CopyPage(dst, src mem.PhysAddr) {
-	pt.T.BeginSerial()
-	defer pt.T.EndSerial()
 	for off := 0; off < mem.PageSize; off += mem.LineSize {
 		pt.charge(cache.Read, src+mem.PhysAddr(off), mem.LineSize)
 		pt.charge(cache.Write, dst+mem.PhysAddr(off), mem.LineSize)
@@ -319,8 +271,6 @@ func (pt *Port) CopyPage(dst, src mem.PhysAddr) {
 // charged channel (e.g. a message carrying a DSM page payload), so charging
 // a remote read of src again would double-count the transfer.
 func (pt *Port) InstallPage(dst, src mem.PhysAddr) {
-	pt.T.BeginSerial()
-	defer pt.T.EndSerial()
 	for off := 0; off < mem.PageSize; off += mem.LineSize {
 		pt.charge(cache.Write, dst+mem.PhysAddr(off), mem.LineSize)
 	}
@@ -329,8 +279,6 @@ func (pt *Port) InstallPage(dst, src mem.PhysAddr) {
 
 // ZeroPage clears a page, charging line-granular writes.
 func (pt *Port) ZeroPage(a mem.PhysAddr) {
-	pt.T.BeginSerial()
-	defer pt.T.EndSerial()
 	for off := 0; off < mem.PageSize; off += mem.LineSize {
 		pt.charge(cache.Write, a+mem.PhysAddr(off), mem.LineSize)
 	}
@@ -351,7 +299,7 @@ func (pt *Port) ZeroPage(a mem.PhysAddr) {
 // simulated history as fetching them one by one (DESIGN.md §6); the fetch
 // that misses, the one whose cycles cross the quantum and the partial tail
 // batch are always charged individually, as is every fetch while a cache
-// Tap is installed or the thread is in a domain-parallel phase.
+// Tap is installed.
 func (pt *Port) Compute(n int64, pc *CodeWindow) {
 	if n <= 0 {
 		return
@@ -361,7 +309,7 @@ func (pt *Port) Compute(n int64, pc *CodeWindow) {
 	const instPerLine = mem.LineSize / 4
 	perHit := pt.Plat.Cfg.Cache.Nodes[pt.Node].Lat.L1 + batchCycles(instPerLine, cpi)
 	for i := int64(0); i < n; {
-		if k := (n - i) / instPerLine; k > 0 && perHit > 0 && !pt.T.InLocal() {
+		if k := (n - i) / instPerLine; k > 0 && perHit > 0 {
 			// k·perHit must stay below the yield headroom, so that no
 			// Advance of the run would have yielded, and the run must stop
 			// at the window's end, where the walk wraps.

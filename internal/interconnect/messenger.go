@@ -84,10 +84,9 @@ type Messenger struct {
 	busy bool
 }
 
-// acquire spins (in simulated time) until the channel pair is free. Every
-// caller runs inside a serial section (the messenger is inherently
-// cross-node state), so the busy flag is only ever read or written under
-// the global token.
+// acquire spins (in simulated time) until the channel pair is free. The
+// engine runs one simulated thread at a time, so the busy flag needs no
+// host synchronization.
 func (m *Messenger) acquire(pt *hw.Port) {
 	for m.busy {
 		pt.T.Advance(150)
@@ -133,8 +132,6 @@ func (m *Messenger) ResetStats() { m.stats = Stats{} }
 // buffer memory traffic (fragmenting page-plus-header payloads) plus an
 // IPI; for TCP it is the stack cost plus half the round-trip.
 func (m *Messenger) Send(pt *hw.Port, payload []byte) {
-	pt.T.BeginSerial()
-	defer pt.T.EndSerial()
 	src := pt.Node
 	dst := mem.NodeID(1 - int(src))
 	m.stats.MessagesSent[src]++
@@ -186,8 +183,6 @@ func (m *Messenger) Send(pt *hw.Port, payload []byte) {
 // copies) are charged to the receiver. SHM fragments are not reassembled
 // here — Recv returns one ring slot per call; RPC-level framing reassembles.
 func (m *Messenger) Recv(pt *hw.Port) ([]byte, bool) {
-	pt.T.BeginSerial()
-	defer pt.T.EndSerial()
 	dst := pt.Node
 	switch m.cfg.Mode {
 	case SHM:
@@ -211,8 +206,6 @@ func (m *Messenger) Recv(pt *hw.Port) ([]byte, bool) {
 // fragmented: it keeps receiving (spinning on an empty ring) until total
 // bytes have arrived. Callers know message sizes from their protocol.
 func (m *Messenger) RecvAll(pt *hw.Port, total int) []byte {
-	pt.T.BeginSerial()
-	defer pt.T.EndSerial()
 	out := make([]byte, 0, total)
 	for len(out) < total {
 		frag, ok := m.Recv(pt)
@@ -233,10 +226,6 @@ func (m *Messenger) RecvAll(pt *hw.Port, total int) []byte {
 // for exactly that long), and the response travels back. The caller's
 // simulated clock absorbs the full round trip. Counts as two messages.
 func (m *Messenger) RPC(pt *hw.Port, handler func(remote *hw.Port, req []byte) []byte, req []byte) []byte {
-	// The whole round trip — rings, stats, the remote service routine —
-	// is cross-node work; hold the global token for all of it.
-	pt.T.BeginSerial()
-	defer pt.T.EndSerial()
 	m.acquire(pt)
 	defer m.release()
 	rpcStart := pt.T.Now()
@@ -280,8 +269,6 @@ func (m *Messenger) RPC(pt *hw.Port, handler func(remote *hw.Port, req []byte) [
 // timeline against the destination's caches, like the RPC service path).
 // Unlike a bare Send, the message cannot rot in the ring.
 func (m *Messenger) Notify(pt *hw.Port, payload []byte) {
-	pt.T.BeginSerial()
-	defer pt.T.EndSerial()
 	m.acquire(pt)
 	defer m.release()
 	notifyStart := pt.T.Now()

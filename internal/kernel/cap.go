@@ -37,18 +37,11 @@ func (t *Task) emitCapEvent(kind trace.Kind, id cap.CapID) {
 // capability of kind k covering scope owned by the task's tenant. Root
 // tasks pass for free (id 0, nil error). Tenant tasks pay capCheckCost
 // and either get the covering capability's ID or a Denied *CapError.
-// Callers bracket it with the serial token when the result feeds table
-// or waiter-registry mutations.
 func (t *Task) capAuthorize(k cap.Kind, scope, op string) (cap.CapID, error) {
 	ten := t.Proc.Ten
 	if ten == nil {
 		return 0, nil
 	}
-	// The table and the tenant counters are machine-wide state; reads must
-	// order against concurrent revokes (invariant 14). Nested brackets are
-	// free, so callers already holding the token lose nothing.
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	t.Th.Advance(capCheckCost)
 	ten.Stats.CapsChecked++
 	if t.Ctx.Caps != nil {
@@ -71,8 +64,6 @@ func (t *Task) capCheckHandle(id cap.CapID, k cap.Kind, op string) error {
 	if ten == nil {
 		return nil
 	}
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	t.Th.Advance(capCheckCost)
 	ten.Stats.CapsChecked++
 	if t.Ctx.Caps == nil {
@@ -97,8 +88,6 @@ func (t *Task) deriveCap(parent cap.CapID, k cap.Kind, scope string) (cap.CapID,
 	if ten == nil {
 		return 0, nil
 	}
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	t.Th.Advance(capCheckCost)
 	id, err := t.Ctx.Caps.Table.Derive(parent, k, scope)
 	if err != nil {
@@ -128,20 +117,15 @@ func (t *Task) FutexWait(uaddr pgtable.VirtAddr, expected uint64) error {
 	if ten == nil {
 		return t.OS.FutexWait(t, uaddr, expected)
 	}
-	t.Th.BeginSerial()
 	id, err := t.capAuthorize(cap.Futex, "", "futex-wait")
 	if err != nil {
-		t.Th.EndSerial()
 		return err
 	}
 	t.Ctx.capBlock(id, t)
-	t.Th.EndSerial()
 	werr := t.OS.FutexWait(t, uaddr, expected)
-	t.Th.BeginSerial()
 	t.Ctx.capUnblock(id, t)
 	cancelled := t.capCancel
 	t.capCancel = false
-	t.Th.EndSerial()
 	if cancelled {
 		return &cap.CapError{Op: "futex-wait", Tenant: ten.Name, ID: id, Reason: cap.Revoked}
 	}
@@ -155,9 +139,7 @@ func (t *Task) FutexWake(uaddr pgtable.VirtAddr, n int) (int, error) {
 	if ten == nil {
 		return t.OS.FutexWake(t, uaddr, n)
 	}
-	t.Th.BeginSerial()
 	_, err := t.capAuthorize(cap.Futex, "", "futex-wake")
-	t.Th.EndSerial()
 	if err != nil {
 		return 0, err
 	}
@@ -169,16 +151,13 @@ func (t *Task) FutexWake(uaddr pgtable.VirtAddr, n int) (int, error) {
 // futex waiter is dequeued under the control lock and awakened with the
 // cancel flag set (mirroring the personality's wake protocol, so the
 // wake-up costs an IPI); a socket sleeper is awakened out of sockWait.
-// The cancelled task's syscall returns a Revoked *CapError. The whole
-// revoke runs under the serial token, so no honored access can interleave
-// after the table flips — invariant 14. Returns the number of
-// capabilities revoked.
+// The cancelled task's syscall returns a Revoked *CapError. Every gate
+// reads the table when it runs, so no access is honored after the table
+// flips — invariant 13. Returns the number of capabilities revoked.
 func (t *Task) RevokeCap(id cap.CapID) (int, error) {
 	if t.Ctx.Caps == nil {
 		return 0, fmt.Errorf("kernel: revoke without a capability namespace")
 	}
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	revoked := t.Ctx.Caps.Table.Revoke(id)
 	for _, rid := range revoked {
 		if e := t.Ctx.Caps.Table.Get(rid); e != nil && e.Owner != nil {

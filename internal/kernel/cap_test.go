@@ -223,22 +223,15 @@ func TestCapFrameBudget(t *testing.T) {
 	}
 }
 
-// capRevokeFutexScenario blocks a tenant waiter on a futex, then has a
-// root task revoke the futex grant out from under it: the waiter must
-// return a typed Revoked error rather than sleep forever, under either
-// engine driver.
-func capRevokeFutexScenario(t *testing.T, parallel bool) {
+// TestCapRevokeWhileBlockedFutex blocks a tenant waiter on a futex, then
+// has a root task revoke the futex grant out from under it: the waiter
+// must return a typed Revoked error rather than sleep forever.
+func TestCapRevokeWhileBlockedFutex(t *testing.T) {
 	ctx, ten := capContext(t, cap.Budget{}, map[cap.Kind]string{
 		cap.VMA: "", cap.Futex: "",
 	})
 	s := NewScheduler(ctx, SchedShared, 0)
 	v := NewVanilla(ctx)
-	run := func() error {
-		if parallel {
-			return ctx.Plat.Engine.RunParallel(sim.DefaultEpoch)
-		}
-		return ctx.Plat.Engine.Run()
-	}
 
 	var tenProc, rootProc *Process
 	var setupErr error
@@ -253,7 +246,7 @@ func capRevokeFutexScenario(t *testing.T, parallel bool) {
 		tenProc = p
 		rootProc, setupErr = v.CreateProcess(pt, mem.NodeX86)
 	})
-	if err := run(); err != nil {
+	if err := ctx.Plat.Engine.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if setupErr != nil {
@@ -288,7 +281,7 @@ func capRevokeFutexScenario(t *testing.T, parallel bool) {
 		defer s.Detach(task)
 		revoked, revokeErr = task.RevokeCap(grant)
 	})
-	if err := run(); err != nil {
+	if err := ctx.Plat.Engine.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if revokeErr != nil {
@@ -305,9 +298,6 @@ func capRevokeFutexScenario(t *testing.T, parallel bool) {
 		t.Errorf("tenant revocations = %d, want 1", ten.Stats.Revocations)
 	}
 }
-
-func TestCapRevokeWhileBlockedFutex(t *testing.T)    { capRevokeFutexScenario(t, false) }
-func TestCapRevokeWhileBlockedFutexPar(t *testing.T) { capRevokeFutexScenario(t, true) }
 
 // TestCapRootZeroCost proves the observer-effect-free root path: the same
 // workload costs cycle-for-cycle the same on a machine with a capability

@@ -36,10 +36,6 @@ type ClonedTask struct {
 // to the process's main task; the child just returns from body and the
 // parent reaps it with Join.
 func (t *Task) Clone(name string, core int, body func(child *Task) error) (*ClonedTask, error) {
-	// Spawning registers a thread with the engine; strictly serial for the
-	// whole operation (the CloneCost charge below may yield mid-way).
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	if _, err := t.capAuthorize(cap.Spawn, "", "clone"); err != nil {
 		return nil, err
 	}
@@ -64,9 +60,6 @@ func (t *Task) Clone(name string, core int, body func(child *Task) error) (*Clon
 			t.Sched.Attach(child)
 		}
 		err := body(child)
-		// Completion publishes to the joiner, who may be anywhere.
-		th.BeginSerial()
-		defer th.EndSerial()
 		c.err = err
 		c.done = true
 		if t.Sched != nil {
@@ -76,10 +69,6 @@ func (t *Task) Clone(name string, core int, body func(child *Task) error) (*Clon
 			c.joiner.Awaken(th.Now())
 		}
 	})
-	// The child inherits the parent's clock domain (it starts on the
-	// parent's node); set before the child's first grant, while the parent
-	// holds the global token.
-	th.SetDomain(t.Th.Domain())
 	child = NewTaskOn(name, t.Proc, t.OS, t.Ctx, th, core)
 	c.Task = child
 	if tr := t.Ctx.Plat.Tracer; tr != nil {
@@ -93,10 +82,6 @@ func (t *Task) Clone(name string, core int, body func(child *Task) error) (*Clon
 // Join blocks parent until the cloned child has finished and returns the
 // child's error. A child supports exactly one joiner.
 func (c *ClonedTask) Join(parent *Task) error {
-	// The child may finish on the other node; the done/joiner handshake is
-	// cross-domain state for the whole wait loop.
-	parent.Th.BeginSerial()
-	defer parent.Th.EndSerial()
 	for !c.done {
 		c.joiner = parent
 		parent.Sleep("join")

@@ -222,8 +222,6 @@ func (v *Vanilla) MigrateTask(t *Task, to mem.NodeID) error {
 
 // FutexWait implements OS.
 func (v *Vanilla) FutexWait(t *Task, uaddr pgtable.VirtAddr, expected uint64) error {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	f := v.Futexes.Get(t.Proc.PID, uaddr)
 	f.Lock(t.Port)
 	if t.CapCancelPending() {
@@ -256,8 +254,6 @@ func (v *Vanilla) FutexWait(t *Task, uaddr pgtable.VirtAddr, expected uint64) er
 
 // FutexWake implements OS.
 func (v *Vanilla) FutexWake(t *Task, uaddr pgtable.VirtAddr, n int) (int, error) {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	f := v.Futexes.Get(t.Proc.PID, uaddr)
 	f.Lock(t.Port)
 	woken := f.Dequeue(t.Port, n)

@@ -28,10 +28,7 @@ func (t *Task) mount() (*vfs.Mount, error) {
 	return t.Ctx.VFS, nil
 }
 
-// enterFS charges one file-syscall entry and resolves the mount. The
-// fused VFS is shared-memory state reachable from both kernels, so every
-// file syscall body runs inside a BeginSerial section opened by its
-// exported entry point.
+// enterFS charges one file-syscall entry and resolves the mount.
 func (t *Task) enterFS() (*vfs.Mount, error) {
 	m, err := t.mount()
 	if err != nil {
@@ -73,8 +70,6 @@ func (t *Task) fdFile(fd int) (*vfs.File, error) {
 // OpenFile opens path; with vfs.OCreate it creates a missing file, and
 // with vfs.OTrunc|vfs.OWrite it drops existing contents.
 func (t *Task) OpenFile(path string, flags vfs.OpenFlags) (int, error) {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	m, err := t.enterFS()
 	if err != nil {
 		return -1, err
@@ -120,8 +115,6 @@ func (t *Task) CloseFile(fd int) error {
 	if f, err := t.FDs().Get(fd); err == nil && f.Sock != nil {
 		return t.CloseSock(fd)
 	}
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	if _, err := t.enterFS(); err != nil {
 		return err
 	}
@@ -130,8 +123,6 @@ func (t *Task) CloseFile(fd int) error {
 
 // Mkdir creates a directory at path.
 func (t *Task) Mkdir(path string) error {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	m, err := t.enterFS()
 	if err != nil {
 		return err
@@ -145,8 +136,6 @@ func (t *Task) Mkdir(path string) error {
 
 // UnlinkFile removes path, invalidating every cached copy of its pages.
 func (t *Task) UnlinkFile(path string) error {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	m, err := t.enterFS()
 	if err != nil {
 		return err
@@ -159,8 +148,6 @@ func (t *Task) UnlinkFile(path string) error {
 
 // ReadFileAt reads up to len(p) bytes at offset off (pread).
 func (t *Task) ReadFileAt(fd int, p []byte, off int64) (int, error) {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	m, err := t.enterFS()
 	if err != nil {
 		return 0, err
@@ -179,8 +166,6 @@ func (t *Task) ReadFileAt(fd int, p []byte, off int64) (int, error) {
 
 // WriteFileAt writes p at offset off (pwrite).
 func (t *Task) WriteFileAt(fd int, p []byte, off int64) (int, error) {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	m, err := t.enterFS()
 	if err != nil {
 		return 0, err
@@ -200,8 +185,6 @@ func (t *Task) WriteFileAt(fd int, p []byte, off int64) (int, error) {
 // ReadFile reads up to n bytes from the descriptor's current offset,
 // advancing it (read).
 func (t *Task) ReadFile(fd int, n int) ([]byte, error) {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	p := make([]byte, n)
 	f, err := t.fdFile(fd)
 	if err != nil {
@@ -215,8 +198,6 @@ func (t *Task) ReadFile(fd int, n int) ([]byte, error) {
 // WriteFile writes p at the descriptor's current offset (or at EOF with
 // vfs.OAppend), advancing it (write).
 func (t *Task) WriteFile(fd int, p []byte) (int, error) {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	f, err := t.fdFile(fd)
 	if err != nil {
 		return 0, err
@@ -234,8 +215,6 @@ func (t *Task) WriteFile(fd int, p []byte) (int, error) {
 
 // SeekFile sets the descriptor's offset (SEEK_SET).
 func (t *Task) SeekFile(fd int, off int64) error {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	f, err := t.fdFile(fd)
 	if err != nil {
 		return err
@@ -249,8 +228,6 @@ func (t *Task) SeekFile(fd int, off int64) error {
 
 // FileSize returns the file's current size (fstat).
 func (t *Task) FileSize(fd int) (int64, error) {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	if _, err := t.enterFS(); err != nil {
 		return 0, err
 	}
@@ -265,8 +242,6 @@ func (t *Task) FileSize(fd int) (int64, error) {
 // this pushes dirty pages back to the inode's home kernel by message; the
 // fused page cache has nothing to flush.
 func (t *Task) SyncFile(fd int) error {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	m, err := t.enterFS()
 	if err != nil {
 		return err
@@ -283,8 +258,6 @@ func (t *Task) SyncFile(fd int) error {
 // regime both nodes map the same frames; under popcorn each node maps its
 // replica and coherence runs the DSM protocol on access.
 func (t *Task) MmapFile(fd int, length uint64, flags VMAFlags, fileOff int64) (pgtable.VirtAddr, error) {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	if _, err := t.enterFS(); err != nil {
 		return 0, err
 	}

@@ -143,13 +143,12 @@ type Context struct {
 
 	// capBlocked registers tasks blocked inside a gated syscall, keyed by
 	// the capability that authorized the block. RevokeCap walks it to
-	// cancel mid-blocking waiters; all mutation happens under the serial
-	// token (invariant 14). Slices keep registration order deterministic.
+	// cancel mid-blocking waiters (invariant 13). Slices keep registration
+	// order deterministic.
 	capBlocked map[cap.CapID][]*Task
 }
 
-// capBlock registers t as blocked under capability id. Caller holds the
-// serial token.
+// capBlock registers t as blocked under capability id.
 func (c *Context) capBlock(id cap.CapID, t *Task) {
 	if c.capBlocked == nil {
 		c.capBlocked = make(map[cap.CapID][]*Task)
@@ -157,8 +156,7 @@ func (c *Context) capBlock(id cap.CapID, t *Task) {
 	c.capBlocked[id] = append(c.capBlocked[id], t)
 }
 
-// capUnblock removes t's registration under id. Caller holds the serial
-// token.
+// capUnblock removes t's registration under id.
 func (c *Context) capUnblock(id cap.CapID, t *Task) {
 	ts := c.capBlocked[id]
 	for i, bt := range ts {

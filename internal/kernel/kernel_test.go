@@ -10,7 +10,7 @@ import (
 )
 
 // testContext boots a two-kernel context over a platform.
-func testContext(t *testing.T, model mem.Model) *Context {
+func testContext(t testing.TB, model mem.Model) *Context {
 	t.Helper()
 	plat := hw.NewPlatform(hw.DefaultConfig(model))
 	x86k, err := Boot(plat, mem.NodeX86, pgtable.X86Format{}, BootConfig{ReserveLow: 64 << 20})
@@ -25,7 +25,7 @@ func testContext(t *testing.T, model mem.Model) *Context {
 }
 
 // runVanilla runs body as a single vanilla task at origin.
-func runVanilla(t *testing.T, ctx *Context, origin mem.NodeID, body func(v *Vanilla, task *Task) error) {
+func runVanilla(t testing.TB, ctx *Context, origin mem.NodeID, body func(v *Vanilla, task *Task) error) {
 	t.Helper()
 	v := NewVanilla(ctx)
 	var bodyErr error

@@ -80,16 +80,6 @@ type Process struct {
 	// Tasks are the live tasks of the process (for TLB shootdown).
 	Tasks []*Task
 
-	// RevocableMappings is set permanently once a mechanism exists that can
-	// unmap or write-protect this process's pages from a thread outside the
-	// task's own clock domain: a DSM personality replicating the address
-	// space across kernels (set on first cross-kernel migration), or a
-	// shared file mapping subject to page-cache invalidation. The parallel
-	// engine's domain-local TLB fast path consults it: a TLB hit on a page
-	// whose mapping a remote actor may concurrently revoke must not be
-	// simulated ahead of that revocation's place in simulated time.
-	RevocableMappings bool
-
 	// Counters for the evaluation (Table 3).
 	FaultsHandled    [2]int64
 	RemoteAllocs     int64
@@ -143,9 +133,6 @@ func (p *Process) MmapFile(length uint64, flags VMAFlags, ino *vfs.Inode, fileOf
 	if err := p.VMAs.Insert(v); err != nil {
 		return 0, err
 	}
-	// Page-cache invalidations (unlink, DSM downgrade) may revoke this
-	// mapping from either node at any time.
-	p.RevocableMappings = true
 	p.mmapCursor = v.End + mem.PageSize
 	return base, nil
 }

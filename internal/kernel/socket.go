@@ -34,33 +34,22 @@ func (t *Task) netStack() (*net.Stack, error) {
 	return t.Ctx.Net, nil
 }
 
-// enterSock charges one socket-syscall entry, resolves the stack, and takes
-// the stack lock for the syscall body; the caller defers the returned end
-// function. For an unclaimed (shared) stack the lock is a serial section —
-// the whole body runs under the global token, exactly the pre-claim regime.
-// For a stack the calling thread has claimed, the lock is free and the body
-// runs in the domain phase; the serial carve-outs inside it (NIC rings, the
-// waiters list, the scheduler, the FD table) open their own narrow sections.
-func (t *Task) enterSock() (*net.Stack, func(), error) {
+// enterSock charges one socket-syscall entry and resolves the stack.
+func (t *Task) enterSock() (*net.Stack, error) {
 	s, err := t.netStack()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	end := s.Lock(t.Th)
 	t.Th.Advance(sockSyscallCost)
 	t.Stats.NodeInstructions[t.Node] += kinstrSockSyscall
-	return s, end, nil
+	return s, nil
 }
 
 // fdSock resolves fd to a socket description, rejecting regular files and
 // checking the descriptor's bound capability (the per-handle gate). The
-// descriptor table is process-wide state shared by sibling tasks on any
-// node, so table lookups take the global token even when the stack itself
-// is claimed. The returned CapID is the handle capability (0 for root),
-// which blocking syscalls register their waits under.
+// returned CapID is the handle capability (0 for root), which blocking
+// syscalls register their waits under.
 func (t *Task) fdSock(fd int) (*sockFD, cap.CapID, error) {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	f, err := t.FDs().Get(fd)
 	if err != nil {
 		return nil, 0, err
@@ -75,12 +64,8 @@ func (t *Task) fdSock(fd int) (*sockFD, cap.CapID, error) {
 	return sk, f.Cap, nil
 }
 
-// installSock installs a socket descriptor bound to its handle capability
-// under the global token (the FD table is shared process state; Install
-// may grow the backing slice).
+// installSock installs a socket descriptor bound to its handle capability.
 func (t *Task) installSock(sk *sockFD, id cap.CapID) int {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	return t.FDs().Install(&vfs.File{Sock: sk, Cap: id})
 }
 
@@ -104,20 +89,16 @@ func (t *Task) sockBlockBegin(id cap.CapID) {
 	if t.Proc.Ten == nil {
 		return
 	}
-	t.Th.BeginSerial()
 	t.Ctx.capBlock(id, t)
-	t.Th.EndSerial()
 }
 
 func (t *Task) sockBlockEnd(id cap.CapID, op string) error {
 	if t.Proc.Ten == nil {
 		return nil
 	}
-	t.Th.BeginSerial()
 	t.Ctx.capUnblock(id, t)
 	cancelled := t.capCancel
 	t.capCancel = false
-	t.Th.EndSerial()
 	if cancelled {
 		return &cap.CapError{Op: op, Tenant: t.Proc.Ten.Name, ID: id, Reason: cap.Revoked}
 	}
@@ -129,14 +110,6 @@ func (t *Task) sockBlockEnd(id cap.CapID, op string) error {
 // (doorbell IPI handlers, other tasks' PollRx) mutate transport state
 // before Awaken, so the re-check after every wake-up absorbs both spurious
 // and consumed wakes.
-//
-// cond reads connection state, which the caller's stack lock covers; the
-// waiters list and the scheduler are cross-machine state (remote doorbell
-// handlers walk the list, Awaken crosses machines), so each registration
-// and the sleep take the global token explicitly. Sleep and the trailing
-// RemoveWaiter share one bracket: the woken thread then still holds
-// serialDepth > 0 when it resumes, so the deregistration is granted
-// serially before any domain runs past it.
 func (t *Task) sockWait(s *net.Stack, cond func() bool) {
 	for {
 		if t.capCancel {
@@ -148,30 +121,23 @@ func (t *Task) sockWait(s *net.Stack, cond func() bool) {
 		if cond() {
 			return
 		}
-		t.Th.BeginSerial()
 		s.AddWaiter(t)
-		t.Th.EndSerial()
 		s.PollRx(t.Port)
 		if cond() {
-			t.Th.BeginSerial()
 			s.RemoveWaiter(t)
-			t.Th.EndSerial()
 			return
 		}
-		t.Th.BeginSerial()
 		if t.capCancel {
-			// Revoked between the registration and the sleep: back out
-			// without sleeping (the serial token orders this against the
-			// revoker, so the cancel wake cannot be lost).
+			// Revoked between the registration and the sleep: the revoker
+			// found the task not yet asleep and sent no wake, so back out
+			// without sleeping.
 			s.RemoveWaiter(t)
-			t.Th.EndSerial()
 			return
 		}
 		t.sockSleeping = true
 		t.Sleep("sock-wait")
 		t.sockSleeping = false
 		s.RemoveWaiter(t)
-		t.Th.EndSerial()
 	}
 }
 
@@ -179,11 +145,10 @@ func (t *Task) sockWait(s *net.Stack, cond func() bool) {
 // descriptor (socket+bind+listen collapsed: the simulated transport has no
 // unbound socket state worth modelling).
 func (t *Task) SocketListen(port uint16) (int, error) {
-	s, end, err := t.enterSock()
+	s, err := t.enterSock()
 	if err != nil {
 		return -1, err
 	}
-	defer end()
 	grant, err := t.capAuthorize(cap.Sock, "", "listen")
 	if err != nil {
 		return -1, err
@@ -202,11 +167,10 @@ func (t *Task) SocketListen(port uint16) (int, error) {
 // TrySocketAccept dequeues a handshake-complete connection from the
 // listener, returning (-1, nil) when none is pending.
 func (t *Task) TrySocketAccept(lfd int) (int, error) {
-	s, end, err := t.enterSock()
+	s, err := t.enterSock()
 	if err != nil {
 		return -1, err
 	}
-	defer end()
 	sk, lcap, err := t.fdSock(lfd)
 	if err != nil {
 		return -1, err
@@ -229,11 +193,10 @@ func (t *Task) TrySocketAccept(lfd int) (int, error) {
 // SocketAccept blocks until a connection completes its handshake on the
 // listener and returns the new connection's descriptor.
 func (t *Task) SocketAccept(lfd int) (int, error) {
-	s, end, err := t.enterSock()
+	s, err := t.enterSock()
 	if err != nil {
 		return -1, err
 	}
-	defer end()
 	sk, lcap, err := t.fdSock(lfd)
 	if err != nil {
 		return -1, err
@@ -260,11 +223,10 @@ func (t *Task) SocketAccept(lfd int) (int, error) {
 // SocketConnect actively opens a connection to a remote machine's port,
 // blocking until the handshake completes.
 func (t *Task) SocketConnect(to net.Addr) (int, error) {
-	s, end, err := t.enterSock()
+	s, err := t.enterSock()
 	if err != nil {
 		return -1, err
 	}
-	defer end()
 	grant, err := t.capAuthorize(cap.Sock, "", "connect")
 	if err != nil {
 		return -1, err
@@ -292,11 +254,10 @@ func (t *Task) SocketConnect(to net.Addr) (int, error) {
 // task that only ever sends — the rule that keeps two mutually-flooding
 // endpoints from deadlocking on each other's closed windows.
 func (t *Task) SendSock(fd int, p []byte) (int, error) {
-	s, end, err := t.enterSock()
+	s, err := t.enterSock()
 	if err != nil {
 		return 0, err
 	}
-	defer end()
 	c, id, err := t.sockConn(fd)
 	if err != nil {
 		return 0, err
@@ -337,11 +298,10 @@ func (t *Task) SendSock(fd int, p []byte) (int, error) {
 // arrives. io.EOF is returned once the peer has closed and every byte it
 // sent has been consumed.
 func (t *Task) RecvSock(fd int, max int) ([]byte, error) {
-	s, end, err := t.enterSock()
+	s, err := t.enterSock()
 	if err != nil {
 		return nil, err
 	}
-	defer end()
 	c, id, err := t.sockConn(fd)
 	if err != nil {
 		return nil, err
@@ -370,11 +330,10 @@ func (t *Task) RecvSock(fd int, max int) ([]byte, error) {
 // TryRecvSock is the non-blocking read: it polls the NIC and returns
 // whatever is buffered (nil when nothing is), or io.EOF at end-of-stream.
 func (t *Task) TryRecvSock(fd int, max int) ([]byte, error) {
-	s, end, err := t.enterSock()
+	s, err := t.enterSock()
 	if err != nil {
 		return nil, err
 	}
-	defer end()
 	c, _, err := t.sockConn(fd)
 	if err != nil {
 		return nil, err
@@ -401,11 +360,10 @@ func (t *Task) TryRecvSock(fd int, max int) ([]byte, error) {
 // connections send FIN. CloseFile routes socket descriptors here, so
 // close(2) stays uniform across the table.
 func (t *Task) CloseSock(fd int) error {
-	s, end, err := t.enterSock()
+	s, err := t.enterSock()
 	if err != nil {
 		return err
 	}
-	defer end()
 	sk, _, err := t.fdSock(fd)
 	if err != nil {
 		return err
@@ -419,8 +377,6 @@ func (t *Task) CloseSock(fd int) error {
 		// consuming it here lets a symmetric close tear down promptly.
 		s.PollRx(t.Port)
 	}
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	return t.FDs().Close(fd)
 }
 
@@ -433,31 +389,13 @@ func (t *Task) SockState(fd int) (net.ConnState, error) {
 	return c.State(), nil
 }
 
-// ClaimNet declares this task's thread the machine stack's sole user: its
-// socket syscalls then keep connection, buffer and window state in the
-// domain phase, parking only at the serial carve-outs (rings, waiters,
-// scheduler, FD table). The claim is a checked contract — another thread
-// touching the stack panics deterministically — and a single-threaded
-// server or load generator is exactly the shape it fits. Release before
-// handing the stack to another task.
+// ClaimNet is the gate a socket-serving task (a server loop, a load
+// generator) passes before it starts: the machine must have a stack, and a
+// tenant must hold a Net capability, paying capCheckCost for the check.
 func (t *Task) ClaimNet() error {
-	s, err := t.netStack()
-	if err != nil {
+	if _, err := t.netStack(); err != nil {
 		return err
 	}
-	if _, err := t.capAuthorize(cap.Net, "", "claim-net"); err != nil {
-		return err
-	}
-	s.Claim(t.Th)
-	return nil
-}
-
-// ReleaseNet drops this task's exclusive stack claim.
-func (t *Task) ReleaseNet() error {
-	s, err := t.netStack()
-	if err != nil {
-		return err
-	}
-	s.Release(t.Th)
-	return nil
+	_, err := t.capAuthorize(cap.Net, "", "claim-net")
+	return err
 }

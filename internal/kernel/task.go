@@ -83,19 +83,13 @@ type Task struct {
 	fds *vfs.FDTable
 
 	// futexOn points at the futex this task is currently enqueued on, and
-	// sockSleeping marks it asleep inside sockWait. Both are maintained
-	// while the serial token is held; RevokeCap consults them to cancel a
-	// mid-blocking waiter of a revoked capability. capCancel is the
-	// cancellation flag RevokeCap sets; the blocking syscall converts it
-	// into a Revoked *CapError when it resumes (invariant 14).
+	// sockSleeping marks it asleep inside sockWait. RevokeCap consults them
+	// to cancel a mid-blocking waiter of a revoked capability. capCancel is
+	// the cancellation flag RevokeCap sets; the blocking syscall converts
+	// it into a Revoked *CapError when it resumes (invariant 13).
 	futexOn      *Futex
 	sockSleeping bool
 	capCancel    bool
-
-	// fcache is the task-private frame cache for the parallel engine's
-	// domain-local access path, which must not touch Physical's shared
-	// last-frame cache.
-	fcache mem.FrameCache
 
 	Stats  TaskStats
 	exited bool
@@ -162,7 +156,6 @@ func NewTaskOn(name string, proc *Process, os OS, ctx *Context, th *sim.Thread, 
 	}
 	t.Port = ctx.Plat.NewPort(t.Node, t.Core, th)
 	t.CodeWin = hw.NewCodeWindow(0x1000, 8<<10)
-	t.fcache = mem.NewFrameCache()
 	t.bindStart = th.Now()
 	proc.Tasks = append(proc.Tasks, t)
 	return t
@@ -238,9 +231,6 @@ func (t *Task) tryTranslate(va pgtable.VirtAddr, write bool) (mem.PhysAddr, bool
 // simulation scheduler, taking OS faults (outside the atomic section) as
 // needed.
 func (t *Task) access(va pgtable.VirtAddr, write bool, fn func(pa mem.PhysAddr)) error {
-	// Generic accesses (byte copies, CAS, explicit translates) always run
-	// under the global token; only Load/Store have a domain-local fast path.
-	t.Th.CrossDomain()
 	t.Th.BeginAtomic()
 	if pa, ok := t.tryTranslate(va, write); ok {
 		fn(pa)
@@ -256,11 +246,6 @@ func (t *Task) access(va pgtable.VirtAddr, write bool, fn func(pa mem.PhysAddr))
 // walk), so the sequence of walks and faults — try, fault, try, fault … up
 // to four of each — is exactly the one the pre-split loop performed.
 func (t *Task) accessAfterMiss(va pgtable.VirtAddr, write bool, fn func(pa mem.PhysAddr)) error {
-	// Fault handling reaches deep into kernel state (page tables, DSM
-	// protocol, remote shootdowns): strictly a global-token affair for the
-	// whole retry loop (HandleFault yields internally).
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	pva := va &^ (mem.PageSize - 1)
 	for attempt := 0; attempt < 4; attempt++ {
 		start := t.Th.Now()
@@ -310,14 +295,6 @@ func (t *Task) translate(va pgtable.VirtAddr, write bool) (mem.PhysAddr, error) 
 // atomic section, with no closure indirection; the fault path falls back
 // to the shared continuation.
 func (t *Task) Load(va pgtable.VirtAddr, size int) (uint64, error) {
-	if t.Th.InLocal() {
-		if v, ok := t.loadLocal(va, size); ok {
-			return v, nil
-		}
-		// Bailed before touching anything: park and re-execute the whole
-		// access under the global token.
-		t.Th.CrossDomain()
-	}
 	t.Stats.Loads++
 	t.Stats.NodeInstructions[t.Node]++
 	start := t.Th.Now()
@@ -339,12 +316,6 @@ func (t *Task) Load(va pgtable.VirtAddr, size int) (uint64, error) {
 
 // Store writes size bytes of v at va (fast path as in Load).
 func (t *Task) Store(va pgtable.VirtAddr, size int, v uint64) error {
-	if t.Th.InLocal() {
-		if t.storeLocal(va, size, v) {
-			return nil
-		}
-		t.Th.CrossDomain()
-	}
 	t.Stats.Stores++
 	t.Stats.NodeInstructions[t.Node]++
 	start := t.Th.Now()
@@ -363,89 +334,18 @@ func (t *Task) Store(va pgtable.VirtAddr, size int, v uint64) error {
 	return err
 }
 
-// loadLocal is Load's domain-parallel fast path. It performs only pure
-// probes — a TLB peek (no miss charged), the cache model's ParallelSafe
-// check, and a non-materializing frame peek — before committing anything;
-// if any probe fails it returns ok=false with the simulation untouched, and
-// the caller re-executes the access from scratch under the global token.
-// The commit phase charges exactly what the sequential TLB-hit path
-// charges, so the two paths are indistinguishable in simulated results.
-func (t *Task) loadLocal(va pgtable.VirtAddr, size int) (uint64, bool) {
-	if t.Proc.RevocableMappings {
-		// A remote actor (DSM protocol, page-cache invalidation) may revoke
-		// this process's mappings; TLB hits must stay ordered against those
-		// revocations in simulated time, so no domain-local fast path.
-		return 0, false
-	}
-	pva := va &^ (mem.PageSize - 1)
-	fr, _, ok := t.tlb[t.Node].lookup(pva)
-	if !ok {
-		return 0, false
-	}
-	pa := fr + mem.PhysAddr(va-pva)
-	plat := t.Ctx.Plat
-	if !plat.Caches.ParallelSafe(t.Node, t.Core, cache.Read, pa, size) {
-		return 0, false
-	}
-	v, ok := plat.Phys.ReadUintLocal(&t.fcache, pa, size)
-	if !ok {
-		return 0, false
-	}
-	t.Stats.Loads++
-	t.Stats.NodeInstructions[t.Node]++
-	start := t.Th.Now()
-	t.Th.BeginAtomic()
-	t.Th.Advance(plat.Caches.Access(t.Node, t.Core, cache.Read, pa, size))
-	t.Th.EndAtomic()
-	t.Stats.MemAccessCycles += t.Th.Now() - start
-	return v, true
-}
-
-// storeLocal is Store's domain-parallel fast path (see loadLocal). The
-// write happens only after every probe — including the presence of all
-// backing frames — has passed, so a bailout leaves memory unmodified.
-func (t *Task) storeLocal(va pgtable.VirtAddr, size int, v uint64) bool {
-	if t.Proc.RevocableMappings {
-		return false
-	}
-	pva := va &^ (mem.PageSize - 1)
-	fr, writable, ok := t.tlb[t.Node].lookup(pva)
-	if !ok || !writable {
-		return false
-	}
-	pa := fr + mem.PhysAddr(va-pva)
-	plat := t.Ctx.Plat
-	if !plat.Caches.ParallelSafe(t.Node, t.Core, cache.Write, pa, size) {
-		return false
-	}
-	if !plat.Phys.WriteUintLocal(&t.fcache, pa, size, v) {
-		return false
-	}
-	t.Stats.Stores++
-	t.Stats.NodeInstructions[t.Node]++
-	start := t.Th.Now()
-	t.Th.BeginAtomic()
-	t.Th.Advance(plat.Caches.Access(t.Node, t.Core, cache.Write, pa, size))
-	t.Th.EndAtomic()
-	t.Stats.MemAccessCycles += t.Th.Now() - start
-	return true
-}
-
 // ReadBytes copies n bytes starting at va (page-crossing allowed).
 func (t *Task) ReadBytes(va pgtable.VirtAddr, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	for n > 0 {
-		chunk := mem.PageSize - int(va&(mem.PageSize-1))
-		if chunk > n {
-			chunk = n
-		}
+	out := make([]byte, n)
+	for dst := out; len(dst) > 0; {
+		chunk := min(mem.PageSize-int(va&(mem.PageSize-1)), len(dst))
 		if err := t.access(va, false, func(pa mem.PhysAddr) {
-			out = append(out, t.Port.Read(pa, chunk)...)
+			t.Port.ReadInto(pa, dst[:chunk])
 		}); err != nil {
 			return nil, err
 		}
 		va += pgtable.VirtAddr(chunk)
-		n -= chunk
+		dst = dst[chunk:]
 	}
 	t.Stats.Loads++
 	return out, nil
@@ -499,9 +399,6 @@ func (t *Task) Migrate(to mem.NodeID) error {
 	if to == t.Node {
 		return nil
 	}
-	// Migration crosses clock domains by definition.
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	start := t.Th.Now()
 	if err := t.OS.MigrateTask(t, to); err != nil {
 		return err
@@ -523,12 +420,6 @@ func (t *Task) Migrate(to mem.NodeID) error {
 func (t *Task) Rebind(node mem.NodeID) {
 	t.accountResidency()
 	t.Node = node
-	// Keep the thread's clock domain tracking its node binding — but only
-	// for threads the machine placed in a node domain; boot/setup threads
-	// stay global (they touch state on both nodes without instrumentation).
-	if t.Th.Domain() != sim.GlobalDomain {
-		t.Th.SetDomain(t.Ctx.Plat.DomainBase + int(node))
-	}
 	if t.Sched != nil {
 		t.Sched.migrated(t)
 	}
@@ -547,9 +438,6 @@ func (t *Task) Exit() error {
 	if t.exited {
 		return nil
 	}
-	// Teardown touches process-wide and kernel-wide state.
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	t.exited = true
 	return t.OS.ExitTask(t)
 }
@@ -619,9 +507,6 @@ func (b *Bus) Migrate(id int) {
 // Touch charges a single cache access of the given kind without data
 // movement; used by OS code modelling structure walks.
 func (t *Task) Touch(kind cache.Kind, pa mem.PhysAddr, size int) {
-	if t.Th.InLocal() && !t.Ctx.Plat.Caches.ParallelSafe(t.Node, t.Core, kind, pa, size) {
-		t.Th.CrossDomain()
-	}
 	if t.Ctx.Plat.Tracer != nil {
 		t.Ctx.Plat.Caches.TraceContext(int64(t.Th.Now()), int32(t.Th.ID))
 	}

@@ -11,8 +11,7 @@ import (
 // Cluster is N machines joined by one switch fabric inside one simulated
 // clock universe: a single engine drives every machine's threads, so
 // cross-machine interactions (frames, doorbell IPIs, switch arbitration)
-// are ordered by simulated time exactly as within-machine ones are, and
-// both engine drivers reproduce the same schedule byte-for-byte.
+// are ordered by simulated time exactly as within-machine ones are.
 type Cluster struct {
 	Machines []*Machine
 	Fab      *net.Fabric
@@ -21,33 +20,17 @@ type Cluster struct {
 
 // NewCluster builds and boots the machines of cfgs, in order, on one
 // shared engine and one fabric. The per-machine cluster fields
-// (SharedEngine, Fabric, MachID, DomainBase) are assigned here — cfgs
-// describe only the machine-local knobs. Machine i's two nodes run in
-// clock domains 2i and 2i+1 so the parallel driver can advance every
-// node of every machine concurrently between epoch barriers.
+// (SharedEngine, Fabric, MachID) are assigned here — cfgs describe only
+// the machine-local knobs.
 func NewCluster(cfgs []Config, fcfg net.FabricConfig) (*Cluster, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("machine: empty cluster")
-	}
-	// One shared engine means one set of engine knobs: runEngine delegates
-	// to machine 0's choice, so a config that disagrees with it would be
-	// silently ignored. Reject the disagreement instead.
-	for i, cfg := range cfgs[1:] {
-		if cfg.Engine != cfgs[0].Engine {
-			return nil, &ConfigError{Field: "Engine", Value: cfg.Engine,
-				Reason: fmt.Sprintf("cluster machine %d disagrees with machine 0 (%v); one shared engine means one driver", i+1, cfgs[0].Engine)}
-		}
-		if cfg.EpochCycles != cfgs[0].EpochCycles {
-			return nil, &ConfigError{Field: "EpochCycles", Value: cfg.EpochCycles,
-				Reason: fmt.Sprintf("cluster machine %d disagrees with machine 0 (%d); one shared engine means one epoch", i+1, cfgs[0].EpochCycles)}
-		}
 	}
 	c := &Cluster{Eng: sim.NewEngine(), Fab: net.NewFabric(fcfg)}
 	for i, cfg := range cfgs {
 		cfg.SharedEngine = c.Eng
 		cfg.Fabric = c.Fab
 		cfg.MachID = i
-		cfg.DomainBase = 2 * i
 		m, err := New(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("machine: booting cluster machine %d: %w", i, err)
@@ -62,11 +45,6 @@ type ClusterTask struct {
 	Mach int
 	TaskSpec
 }
-
-// runEngine drives the shared engine with the cluster's configured driver
-// (machine 0's engine choice governs — NewCluster validated that every
-// machine's config agrees on the engine knobs).
-func (c *Cluster) runEngine() error { return c.Machines[0].runEngine() }
 
 // EngineStats returns the shared engine's accumulated driver counters.
 func (c *Cluster) EngineStats() sim.EngineStats { return c.Eng.Stats }
@@ -100,7 +78,7 @@ func (c *Cluster) RunTasks(specs ...ClusterTask) ([]Result, error) {
 		procFor[mi] = make([]*kernel.Process, len(ms))
 		c.Machines[mi].spawnSetup(ms, procFor[mi], &setupErrs[mi])
 	}
-	if err := c.runEngine(); err != nil {
+	if err := c.Eng.Run(); err != nil {
 		return nil, err
 	}
 	for _, err := range setupErrs {
@@ -116,7 +94,7 @@ func (c *Cluster) RunTasks(specs ...ClusterTask) ([]Result, error) {
 		c.Machines[s.Mach].spawnTask(s.TaskSpec, procFor[s.Mach][cursor[s.Mach]], &results[i])
 		cursor[s.Mach]++
 	}
-	if err := c.runEngine(); err != nil {
+	if err := c.Eng.Run(); err != nil {
 		return results, err
 	}
 	for _, r := range results {

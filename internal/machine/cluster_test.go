@@ -2,7 +2,6 @@ package machine
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/net"
-	"repro/internal/sim"
 )
 
 // clusterEcho boots a two-machine cluster, runs a server task on machine 1
@@ -19,13 +17,10 @@ import (
 // task on machine 0 that sends nbytes and reads them back. It returns the
 // echoed payload and a fingerprint of everything determinism must pin:
 // task completion cycles, payload bytes, and both NICs' counters.
-func clusterEcho(t *testing.T, os OSKind, model mem.Model, engine EngineKind,
-	epoch sim.Cycles, nbytes int) ([]byte, string) {
+func clusterEcho(t *testing.T, os OSKind, model mem.Model, nbytes int) ([]byte, string) {
 	t.Helper()
-	mk := func() Config {
-		return Config{Model: model, OS: os, Engine: engine, EpochCycles: epoch}
-	}
-	cl, err := NewCluster([]Config{mk(), mk()}, net.DefaultFabricConfig())
+	cfg := Config{Model: model, OS: os}
+	cl, err := NewCluster([]Config{cfg, cfg}, net.DefaultFabricConfig())
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -100,7 +95,7 @@ func clusterEcho(t *testing.T, os OSKind, model mem.Model, engine EngineKind,
 // syscalls and back, across two fused-OS machines.
 func TestClusterEchoKernelSockets(t *testing.T) {
 	const n = 6000
-	got, _ := clusterEcho(t, StramashOS, mem.Shared, EngineSeq, 0, n)
+	got, _ := clusterEcho(t, StramashOS, mem.Shared, n)
 	want := make([]byte, n)
 	for i := range want {
 		want[i] = byte(i*7 + 3)
@@ -125,73 +120,29 @@ func firstDiff(a, b []byte) int {
 // remain free to differ in cycle counts.
 func TestClusterFusedPopcornDifferential(t *testing.T) {
 	const n = 3000
-	fused, _ := clusterEcho(t, StramashOS, mem.Shared, EngineSeq, 0, n)
-	pop, _ := clusterEcho(t, PopcornSHM, mem.Separated, EngineSeq, 0, n)
+	fused, _ := clusterEcho(t, StramashOS, mem.Shared, n)
+	pop, _ := clusterEcho(t, PopcornSHM, mem.Separated, n)
 	if !bytes.Equal(fused, pop) {
 		t.Fatalf("fused and popcorn clusters transported different bytes (first diff %d)",
 			firstDiff(fused, pop))
 	}
 }
 
-// TestNewClusterEngineMismatch: one shared engine means one driver and one
-// epoch, so configs that disagree on either knob are a typed *ConfigError
-// at construction, not a silently ignored setting.
-func TestNewClusterEngineMismatch(t *testing.T) {
-	base := Config{Model: mem.Shared, OS: StramashOS}
-	cases := []struct {
-		name  string
-		warp  func(*Config)
-		field string
-	}{
-		{"engine", func(c *Config) { c.Engine = EnginePar }, "Engine"},
-		{"epoch", func(c *Config) { c.EpochCycles = 5000 }, "EpochCycles"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfgs := []Config{base, base, base}
-			tc.warp(&cfgs[2])
-			_, err := NewCluster(cfgs, net.DefaultFabricConfig())
-			var ce *ConfigError
-			if !errors.As(err, &ce) {
-				t.Fatalf("NewCluster with mismatched %s = %v, want *ConfigError", tc.field, err)
-			}
-			if ce.Field != tc.field {
-				t.Errorf("ConfigError.Field = %q, want %q", ce.Field, tc.field)
-			}
-		})
-	}
-	// Agreement on a non-default engine is fine.
-	cfgs := []Config{base, base}
-	for i := range cfgs {
-		cfgs[i].Engine = EnginePar
-		cfgs[i].EpochCycles = 5000
-	}
-	if _, err := NewCluster(cfgs, net.DefaultFabricConfig()); err != nil {
-		t.Fatalf("NewCluster with agreeing engine knobs: %v", err)
-	}
-}
-
-// TestClusterEngineByteIdentity pins the determinism contract: the
-// sequential driver twice, then the epoch-barriered parallel driver at
-// GOMAXPROCS 1, 2 and 8 (and a short epoch), all produce byte-identical
-// results — cycle counts, payload, and NIC counters.
+// TestClusterEngineByteIdentity pins the determinism contract: the same
+// cluster run twice, then again at GOMAXPROCS 1, 2 and 8, produces
+// byte-identical results — cycle counts, payload, and NIC counters.
 func TestClusterEngineByteIdentity(t *testing.T) {
 	const n = 4000
-	_, base := clusterEcho(t, StramashOS, mem.Shared, EngineSeq, 0, n)
-	_, again := clusterEcho(t, StramashOS, mem.Shared, EngineSeq, 0, n)
+	_, base := clusterEcho(t, StramashOS, mem.Shared, n)
+	_, again := clusterEcho(t, StramashOS, mem.Shared, n)
 	if base != again {
-		t.Fatalf("sequential run not reproducible:\n%s\nvs\n%s", base, again)
+		t.Fatalf("cluster run not reproducible:\n%s\nvs\n%s", base, again)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
-		old := runtime.GOMAXPROCS(procs)
-		_, par := clusterEcho(t, StramashOS, mem.Shared, EnginePar, 0, n)
-		_, parShort := clusterEcho(t, StramashOS, mem.Shared, EnginePar, 2000, n)
-		runtime.GOMAXPROCS(old)
-		if par != base {
-			t.Fatalf("par engine (GOMAXPROCS=%d) diverged:\n%s\nvs\n%s", procs, par, base)
-		}
-		if parShort != base {
-			t.Fatalf("par engine short epoch (GOMAXPROCS=%d) diverged:\n%s\nvs\n%s", procs, parShort, base)
+		runtime.GOMAXPROCS(procs)
+		if _, got := clusterEcho(t, StramashOS, mem.Shared, n); got != base {
+			t.Fatalf("GOMAXPROCS=%d diverged:\n%s\nvs\n%s", procs, got, base)
 		}
 	}
 }

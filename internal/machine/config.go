@@ -4,61 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/vfs"
-)
-
-// EngineKind selects the simulation driver that advances a machine's
-// threads: the sequential driver (one thread at a time in global
-// (clock, ID) order) or the epoch-barriered parallel driver (per-node
-// clock domains on their own host goroutines between barriers). The two
-// produce byte-identical results; the choice trades host cores for wall
-// time only.
-type EngineKind int
-
-const (
-	// EngineAuto defers to the process-wide DefaultEngine (set by CLI
-	// flags); machines built by library code inherit the run's choice.
-	EngineAuto EngineKind = iota
-	// EngineSeq pins the sequential driver.
-	EngineSeq
-	// EnginePar pins the epoch-barriered parallel driver.
-	EnginePar
-)
-
-func (k EngineKind) String() string {
-	switch k {
-	case EngineAuto:
-		return "auto"
-	case EngineSeq:
-		return "seq"
-	case EnginePar:
-		return "par"
-	}
-	return fmt.Sprintf("EngineKind(%d)", int(k))
-}
-
-// ParseEngine maps the CLI spelling of an engine choice to its kind.
-func ParseEngine(s string) (EngineKind, error) {
-	switch s {
-	case "auto":
-		return EngineAuto, nil
-	case "seq":
-		return EngineSeq, nil
-	case "par":
-		return EnginePar, nil
-	}
-	return EngineAuto, fmt.Errorf("machine: unknown engine %q (want seq, par or auto)", s)
-}
-
-// DefaultEngine and DefaultEpoch are the process-wide engine defaults
-// used by machines whose Config leaves Engine (EngineAuto) or EpochCycles
-// (zero) unset. CLIs set them from -engine/-epoch flags so every machine a
-// run constructs — including those built deep inside experiment code —
-// follows the run's choice.
-var (
-	DefaultEngine = EngineSeq
-	DefaultEpoch  = sim.DefaultEpoch
 )
 
 // MaxCores is the per-node core-count ceiling. The evaluation platform
@@ -117,21 +63,12 @@ func (c *Config) Validate() error {
 	if c.FileCache < vfs.RegimeAuto || c.FileCache > vfs.RegimePopcorn {
 		return &ConfigError{Field: "FileCache", Value: c.FileCache, Reason: "unknown page-cache regime"}
 	}
-	if c.Engine < EngineAuto || c.Engine > EnginePar {
-		return &ConfigError{Field: "Engine", Value: c.Engine, Reason: "unknown engine kind"}
-	}
-	if c.EpochCycles < 0 {
-		return &ConfigError{Field: "EpochCycles", Value: c.EpochCycles, Reason: "must not be negative"}
-	}
 	if c.Fabric != nil && c.SharedEngine == nil {
 		return &ConfigError{Field: "Fabric", Value: "non-nil",
 			Reason: "cluster machines need a SharedEngine (one clock universe per fabric)"}
 	}
 	if c.MachID < 0 {
 		return &ConfigError{Field: "MachID", Value: c.MachID, Reason: "must not be negative"}
-	}
-	if c.DomainBase < 0 {
-		return &ConfigError{Field: "DomainBase", Value: c.DomainBase, Reason: "must not be negative"}
 	}
 	if c.NIC.Slots < 0 || c.NIC.SlotSize < 0 {
 		return &ConfigError{Field: "NIC", Value: c.NIC, Reason: "ring geometry must not be negative"}

@@ -108,15 +108,6 @@ type Config struct {
 	// page cache, multiple-kernel baselines replicate per kernel with DSM
 	// messages. Setting it explicitly decouples the two axes.
 	FileCache vfs.Regime
-	// Engine selects the simulation driver (sequential or epoch-barriered
-	// parallel); EngineAuto follows the process-wide DefaultEngine. The
-	// drivers are result-identical — this knob only trades host cores for
-	// wall time.
-	Engine EngineKind
-	// EpochCycles is the parallel driver's epoch length in simulated
-	// cycles (zero selects DefaultEpoch). Shorter epochs synchronize the
-	// node domains more often; the choice never changes results.
-	EpochCycles sim.Cycles
 	// Fabric, when non-nil, attaches the machine to a cluster switch: a
 	// NIC and a transport stack are built at boot and the socket syscalls
 	// become operational. Requires SharedEngine — every machine of one
@@ -129,9 +120,6 @@ type Config struct {
 	// simulation engine instead of creating its own. NewCluster assigns
 	// one engine to all of its machines.
 	SharedEngine *sim.Engine
-	// DomainBase offsets the machine's two per-node clock domains so they
-	// stay disjoint across cluster machines (machine i uses 2i).
-	DomainBase int
 	// NIC overrides the NIC ring geometry (zero selects
 	// net.DefaultNICConfig). Ignored without Fabric.
 	NIC net.NICConfig
@@ -212,7 +200,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	hwCfg.Tracer = cfg.Tracer
 	hwCfg.Engine = cfg.SharedEngine
-	hwCfg.DomainBase = cfg.DomainBase
 	plat := hw.NewPlatform(hwCfg)
 
 	m := &Machine{Cfg: cfg, Plat: plat, procs: make(map[string]*kernel.Process)}
@@ -263,7 +250,7 @@ func New(cfg Config) (*Machine, error) {
 			m.attachNIC(ctx, pt)
 		}
 	})
-	if err := m.runEngine(); err != nil {
+	if err := m.Plat.Engine.Run(); err != nil {
 		return nil, err
 	}
 	if bootErr != nil {
@@ -342,25 +329,6 @@ func (m *Machine) attachNIC(ctx *kernel.Context, pt *hw.Port) {
 	m.Cfg.Fabric.Attach(m.NIC)
 	m.Net = net.NewStack(m.NIC, m.Cfg.Fabric, 0)
 	ctx.Net = m.Net
-}
-
-// runEngine drives the machine's engine to completion with the configured
-// driver. Boot and setup phases run their single global thread either way;
-// the parallel driver pays off in task phases, where each node's threads
-// advance on their own host goroutine between epoch barriers.
-func (m *Machine) runEngine() error {
-	eng := m.Cfg.Engine
-	if eng == EngineAuto {
-		eng = DefaultEngine
-	}
-	if eng != EnginePar {
-		return m.Plat.Engine.Run()
-	}
-	epoch := m.Cfg.EpochCycles
-	if epoch <= 0 {
-		epoch = DefaultEpoch
-	}
-	return m.Plat.Engine.RunParallel(epoch)
 }
 
 // msgAreaBase places the messaging area per §8.2: Separated keeps it in
@@ -481,7 +449,7 @@ func (m *Machine) spawnSetup(specs []TaskSpec, procFor []*kernel.Process, errp *
 
 // spawnTask spawns one task thread, filling res when the engine runs it.
 func (m *Machine) spawnTask(s TaskSpec, proc *kernel.Process, res *Result) {
-	th := m.Plat.Engine.Spawn(s.Name, s.Start, func(th *sim.Thread) {
+	m.Plat.Engine.Spawn(s.Name, s.Start, func(th *sim.Thread) {
 		t := kernel.NewTaskOn(s.Name, proc, m.OS, m.Ctx, th, s.Core)
 		res.Name = s.Name
 		res.Start = s.Start
@@ -495,10 +463,6 @@ func (m *Machine) spawnTask(s TaskSpec, proc *kernel.Process, res *Result) {
 		res.Err = err
 		res.End = th.Now()
 	})
-	// Task threads live in their origin node's clock domain (offset by the
-	// machine's domain base in a cluster); migration rebinds the domain as
-	// it rebinds the port.
-	th.SetDomain(m.Plat.DomainBase + int(s.Origin))
 }
 
 // RunTasks creates the tasks' processes, runs all task bodies to
@@ -513,7 +477,7 @@ func (m *Machine) RunTasks(specs ...TaskSpec) ([]Result, error) {
 	var setupErr error
 	procFor := make([]*kernel.Process, len(specs))
 	m.spawnSetup(specs, procFor, &setupErr)
-	if err := m.runEngine(); err != nil {
+	if err := m.Plat.Engine.Run(); err != nil {
 		return nil, err
 	}
 	if setupErr != nil {
@@ -525,7 +489,7 @@ func (m *Machine) RunTasks(specs ...TaskSpec) ([]Result, error) {
 	for i := range specs {
 		m.spawnTask(specs[i], procFor[i], &results[i])
 	}
-	if err := m.runEngine(); err != nil {
+	if err := m.Plat.Engine.Run(); err != nil {
 		return results, err
 	}
 	for _, r := range results {

@@ -140,13 +140,13 @@ func TestTenantRootDifferential(t *testing.T) {
 	}
 }
 
-// tenantSockRevokeScenario blocks a tenant server in SocketAccept with no
-// client in sight, then revokes its socket grant from a root task: the
-// accept must fail with a typed Revoked error instead of sleeping
-// forever, under either engine driver.
-func tenantSockRevokeScenario(t *testing.T, engine EngineKind) {
+// TestTenantRevokeWhileBlockedSocket blocks a tenant server in
+// SocketAccept with no client in sight, then revokes its socket grant from
+// a root task: the accept must fail with a typed Revoked error instead of
+// sleeping forever.
+func TestTenantRevokeWhileBlockedSocket(t *testing.T) {
 	mk := func(tenants []TenantSpec) Config {
-		return Config{Model: mem.Shared, OS: StramashOS, Engine: engine, Tenants: tenants}
+		return Config{Model: mem.Shared, OS: StramashOS, Tenants: tenants}
 	}
 	srvTen := []TenantSpec{{Name: "srv", Grants: []string{"sock"}}}
 	cl, err := NewCluster([]Config{mk(srvTen), mk(nil)}, net.DefaultFabricConfig())
@@ -202,14 +202,6 @@ func tenantSockRevokeScenario(t *testing.T, engine EngineKind) {
 	if ten.Stats.Revocations != 2 {
 		t.Errorf("tenant revocations = %d, want 2", ten.Stats.Revocations)
 	}
-}
-
-func TestTenantRevokeWhileBlockedSocket(t *testing.T) {
-	tenantSockRevokeScenario(t, EngineSeq)
-}
-
-func TestTenantRevokeWhileBlockedSocketPar(t *testing.T) {
-	tenantSockRevokeScenario(t, EnginePar)
 }
 
 // TestTenantProcessReuseAcrossTenants rejects sharing one process between

@@ -98,151 +98,6 @@ func (p *Physical) frameSlow(idx uint64) *[PageSize]byte {
 	return f
 }
 
-// peek returns the backing frame for address a if it is already
-// materialized, or nil. Unlike frame it mutates nothing — not even the
-// last-frame cache — so concurrent peeks from parallel-engine domains are
-// safe as long as materialization (which only frame/frameSlow performs)
-// stays confined to serial phases.
-func (p *Physical) peek(a PhysAddr) *[PageSize]byte {
-	idx := uint64(a) >> PageShift
-	root := idx >> frameLeafBits
-	if root < farRootLimit {
-		if root >= uint64(len(p.roots)) {
-			return nil
-		}
-		leaf := p.roots[root]
-		if leaf == nil {
-			return nil
-		}
-		return leaf[idx&(frameLeafSize-1)]
-	}
-	return p.far[idx]
-}
-
-// FrameCache is a caller-owned one-entry frame cache for the Local access
-// methods. Each simulated task holds its own, so hot same-page accesses
-// skip the radix walk without touching Physical's shared last-frame cache
-// (which parallel-engine domains must not race on). The zero value is
-// ready to use.
-type FrameCache struct {
-	idx uint64
-	f   *[PageSize]byte
-}
-
-// NewFrameCache returns an empty cache (idx poised at an impossible frame).
-func NewFrameCache() FrameCache { return FrameCache{idx: ^uint64(0)} }
-
-// frameLocal resolves a's backing frame through the caller's cache without
-// materializing: ok is false when the frame does not exist yet, and the
-// caller must fall back to a serial-phase access.
-func (p *Physical) frameLocal(c *FrameCache, a PhysAddr) (*[PageSize]byte, bool) {
-	idx := uint64(a) >> PageShift
-	if idx == c.idx && c.f != nil {
-		return c.f, true
-	}
-	f := p.peek(a)
-	if f == nil {
-		return nil, false
-	}
-	c.idx = idx
-	c.f = f
-	return f, true
-}
-
-// ReadUintLocal is ReadUint restricted to already-materialized frames: it
-// never mutates Physical, routing the frame lookup through the caller's
-// FrameCache instead of the shared one. ok is false (and the value
-// meaningless) if any byte of the access lies on an unmaterialized frame.
-func (p *Physical) ReadUintLocal(c *FrameCache, a PhysAddr, n int) (uint64, bool) {
-	if n <= 0 {
-		return 0, true
-	}
-	if n > 8 {
-		n = 8
-	}
-	off := int(a) & (PageSize - 1)
-	if off+n <= PageSize {
-		f, ok := p.frameLocal(c, a)
-		if !ok {
-			return 0, false
-		}
-		switch n {
-		case 8:
-			return binary.LittleEndian.Uint64(f[off : off+8]), true
-		case 4:
-			return uint64(binary.LittleEndian.Uint32(f[off : off+4])), true
-		case 2:
-			return uint64(binary.LittleEndian.Uint16(f[off : off+2])), true
-		case 1:
-			return uint64(f[off]), true
-		}
-		var out uint64
-		for i := 0; i < n; i++ {
-			out |= uint64(f[off+i]) << (8 * uint(i))
-		}
-		return out, true
-	}
-	var out uint64
-	for i := 0; i < n; i++ {
-		f, ok := p.frameLocal(c, a+PhysAddr(i))
-		if !ok {
-			return 0, false
-		}
-		out |= uint64(f[(off+i)&(PageSize-1)]) << (8 * uint(i))
-	}
-	return out, true
-}
-
-// WriteUintLocal is WriteUint restricted to already-materialized frames,
-// with the same contract as ReadUintLocal. When it returns false it has
-// written nothing (a page-crossing store probes both frames first).
-func (p *Physical) WriteUintLocal(c *FrameCache, a PhysAddr, n int, v uint64) bool {
-	if n <= 0 {
-		return true
-	}
-	off := int(a) & (PageSize - 1)
-	if n <= 8 && off+n <= PageSize {
-		f, ok := p.frameLocal(c, a)
-		if !ok {
-			return false
-		}
-		switch n {
-		case 8:
-			binary.LittleEndian.PutUint64(f[off:off+8], v)
-			return true
-		case 4:
-			binary.LittleEndian.PutUint32(f[off:off+4], uint32(v))
-			return true
-		case 2:
-			binary.LittleEndian.PutUint16(f[off:off+2], uint16(v))
-			return true
-		case 1:
-			f[off] = byte(v)
-			return true
-		}
-		for i := 0; i < n; i++ {
-			f[off+i] = byte(v >> (8 * uint(i)))
-		}
-		return true
-	}
-	// Slow shape: probe every frame before the first store so a miss leaves
-	// memory untouched.
-	for i := 0; i < n; i++ {
-		if _, ok := p.frameLocal(c, a+PhysAddr(i)); !ok {
-			return false
-		}
-	}
-	for i := 0; i < n; i++ {
-		var b byte
-		if i < 8 {
-			b = byte(v >> (8 * uint(i)))
-		}
-		f, _ := p.frameLocal(c, a+PhysAddr(i))
-		f[(off+i)&(PageSize-1)] = b
-	}
-	return true
-}
-
 // CheckMapped returns an error if [a, a+n) is not fully covered by the
 // layout's regions.
 func (p *Physical) CheckMapped(a PhysAddr, n int) error {

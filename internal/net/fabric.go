@@ -45,16 +45,14 @@ func DefaultFabricConfig() FabricConfig {
 // arbitration. The switch is sender-synchronous, like the interconnect
 // messenger's Notify: the sending thread itself carries the frame from its
 // TX ring through the switch into the destination RX ring on its own
-// timeline, inside a serial section, so arbitration order is a function of
-// simulated time only and the parallel engine reproduces it exactly.
+// timeline, so arbitration order is a function of simulated time only.
 type Fabric struct {
 	Cfg  FabricConfig
 	nics []*NIC
 
 	// busyUntil is the simulated time the switch finishes its current
-	// forward. Host-side state is legal here because it is only ever
-	// touched inside serial sections, whose execution order both engine
-	// drivers define identically.
+	// forward. Host-side state is legal here because the engine runs one
+	// simulated thread at a time, in an order defined by simulated clocks.
 	busyUntil sim.Cycles
 }
 
@@ -93,17 +91,9 @@ func (f *Fabric) Machines() int { return len(f.nics) }
 // Lookahead is the fabric's conservative lookahead: the minimum simulated
 // delay between a sender committing a frame (the doorbell write) and that
 // frame being visible in any destination RX ring — doorbell plus switch
-// store-and-forward of an empty frame. In clock-domain terms the switch is
-// its own domain and this is the lower bound it promises every machine.
-//
-// The parallel driver does not consume this bound to run RX reads in the
-// domain phase: visibility under both drivers is defined by segment
-// execution order, not simulated time (Transmit is sender-synchronous —
-// the frame lands within the sender's own segment), so a simulated-time
-// lookahead cannot license reordering ring reads around it. The bound is
-// still the honest description of the fabric's timing floor, and the
-// timing tests pin it so transport changes cannot silently shrink the
-// cross-machine latency the experiments assume.
+// store-and-forward of an empty frame: the lower bound the switch promises
+// every machine. The timing tests pin it so transport changes cannot
+// silently shrink the cross-machine latency the experiments assume.
 func (f *Fabric) Lookahead() sim.Cycles {
 	return f.Cfg.DoorbellCycles + f.Cfg.SwitchCycles +
 		sim.Cycles(HeaderBytes/f.Cfg.BytesPerCycle)
@@ -129,9 +119,6 @@ func (f *Fabric) acquire(t *sim.Thread) {
 // a backoff (counted as a retransmit), so delivery is also reliable.
 func (f *Fabric) Transmit(pt *hw.Port, fr *Frame) {
 	t := pt.T
-	t.BeginSerial()
-	defer t.EndSerial()
-
 	if fr.Src.Mach >= len(f.nics) || fr.Dst.Mach >= len(f.nics) {
 		panic(fmt.Sprintf("net: transmit %v -> %v on a %d-machine fabric", fr.Src, fr.Dst, len(f.nics)))
 	}
@@ -146,7 +133,7 @@ func (f *Fabric) Transmit(pt *hw.Port, fr *Frame) {
 	// violation, not a wire condition. The enqueue is atomic: a descriptor
 	// post is one DMA transaction, and a quantum yield between the head
 	// read and the head publish would let a concurrent producer double-book
-	// the slot (serial sections pin the global token, not indivisibility).
+	// the slot.
 	t.BeginAtomic()
 	okTX := src.TX.Send(pt, wire)
 	t.EndAtomic()

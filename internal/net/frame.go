@@ -6,8 +6,8 @@
 // kernel's socket syscalls are built.
 //
 // Everything here follows the determinism contract of the rest of the
-// simulator: every cross-machine effect runs inside a BeginSerial section,
-// frame arbitration at the switch is a function of simulated time only, and
+// simulator: every cross-machine effect happens on the sending thread's own
+// timeline, frame arbitration at the switch is a function of simulated time only, and
 // tracing is observation-only. The layering mirrors the CSP-style Go kernel
 // network stack split (socket / transport / device) with the interconnect
 // package's ring + doorbell idiom as the device layer.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/hw"
@@ -102,13 +103,10 @@ type threadWaiter struct {
 func (w *threadWaiter) Awaken(when sim.Cycles) { w.eng.Wake(w.th, when) }
 
 // wait blocks pt's thread until cond holds, following the stack's waiter
-// discipline (register, poll, re-check, sleep). The whole loop runs in a
-// serial section: waiter registration is cluster-shared state.
+// discipline (register, poll, re-check, sleep).
 func (tn *testNet) wait(s *Stack, pt *hw.Port, cond func() bool) {
 	th := pt.T
 	w := &threadWaiter{eng: tn.eng, th: th}
-	th.BeginSerial()
-	defer th.EndSerial()
 	for {
 		s.PollRx(pt)
 		if cond() {
@@ -161,13 +159,10 @@ func pattern(n int) []byte {
 // runEcho wires an echo server on machine 1 and a client on machine 0,
 // pushes msgBytes through and back, closes both sides, and returns the
 // echoed bytes (plus the simulation end time via the engine).
-func runEcho(t *testing.T, tn *testNet, msgBytes int, domains bool) []byte {
+func runEcho(t *testing.T, tn *testNet, msgBytes int) []byte {
 	t.Helper()
 	var echoed []byte
 	tn.eng.Spawn("server", 0, func(th *sim.Thread) {
-		if domains {
-			th.SetDomain(2)
-		}
 		s := tn.stacks[1]
 		pt := tn.plats[1].NewPort(mem.NodeX86, 0, th)
 		l, err := s.Listen(80)
@@ -188,9 +183,6 @@ func runEcho(t *testing.T, tn *testNet, msgBytes int, domains bool) []byte {
 		l.Close()
 	})
 	tn.eng.Spawn("client", 0, func(th *sim.Thread) {
-		if domains {
-			th.SetDomain(0)
-		}
 		s := tn.stacks[0]
 		pt := tn.plats[0].NewPort(mem.NodeX86, 0, th)
 		c := s.Dial(pt, Addr{Mach: 1, Port: 80})
@@ -210,7 +202,7 @@ func runEcho(t *testing.T, tn *testNet, msgBytes int, domains bool) []byte {
 func TestTwoMachineEcho(t *testing.T) {
 	tn := newTestNet(t, 2, DefaultNICConfig(), DefaultFabricConfig(), 0)
 	msg := pattern(8000)
-	echoed := runEcho(t, tn, len(msg), false)
+	echoed := runEcho(t, tn, len(msg))
 	if !bytes.Equal(echoed, msg) {
 		t.Fatalf("echo corrupted: got %d bytes, want %d", len(echoed), len(msg))
 	}
@@ -325,59 +317,28 @@ func TestRetransmitOnFullRing(t *testing.T) {
 
 // echoFingerprint runs the echo scenario on a fresh fabric and returns a
 // digest of everything observable: end time, payload, and NIC counters.
-func echoFingerprint(t *testing.T, parallel bool, epoch sim.Cycles) string {
+func echoFingerprint(t *testing.T) string {
 	t.Helper()
 	tn := newTestNet(t, 2, DefaultNICConfig(), DefaultFabricConfig(), 0)
-	var echoed []byte
-	tn.eng.Spawn("server", 0, func(th *sim.Thread) {
-		th.SetDomain(2)
-		s := tn.stacks[1]
-		pt := tn.plats[1].NewPort(mem.NodeX86, 0, th)
-		l, _ := s.Listen(80)
-		tn.wait(s, pt, func() bool { return l.Pending() > 0 })
-		c := l.TryAccept()
-		for !c.EOF() {
-			tn.wait(s, pt, func() bool { return c.Buffered() > 0 || c.EOF() })
-			tn.sendAll(s, c, pt, c.TryRecv(pt, 4096))
-		}
-		c.Close(pt)
-	})
-	tn.eng.Spawn("client", 0, func(th *sim.Thread) {
-		th.SetDomain(0)
-		s := tn.stacks[0]
-		pt := tn.plats[0].NewPort(mem.NodeX86, 0, th)
-		c := s.Dial(pt, Addr{Mach: 1, Port: 80})
-		tn.wait(s, pt, func() bool { return c.State() == StateEstablished })
-		msg := pattern(6000)
-		tn.sendAll(s, c, pt, msg)
-		echoed = tn.recvN(s, c, pt, len(msg))
-		c.Close(pt)
-		tn.wait(s, pt, func() bool { return c.State() == StateClosed })
-	})
-	var err error
-	if parallel {
-		err = tn.eng.RunParallel(epoch)
-	} else {
-		err = tn.eng.Run()
-	}
-	if err != nil {
-		t.Fatalf("echo run (parallel=%v): %v", parallel, err)
-	}
+	echoed := runEcho(t, tn, 6000)
 	return fmt.Sprintf("end=%d payload=%x nic0=%+v nic1=%+v",
 		tn.eng.MaxTime(), echoed, tn.fab.NIC(0).Stats, tn.fab.NIC(1).Stats)
 }
 
-// TestEchoDeterministicAcrossEngines: the same two-machine exchange must be
-// bit-identical run-to-run and between the sequential and epoch-parallel
-// drivers — the transport's serial sections are what make this hold.
+// TestEchoDeterministicAcrossEngines: the same two-machine exchange, each
+// run on a fresh engine, must be bit-identical run to run and at
+// GOMAXPROCS 1, 2 and 8 — the yield points on the transport's shared rings
+// fix its cross-thread order, not the host scheduler.
 func TestEchoDeterministicAcrossEngines(t *testing.T) {
-	want := echoFingerprint(t, false, 0)
-	if again := echoFingerprint(t, false, 0); again != want {
-		t.Fatalf("sequential runs diverged:\n%s\n%s", want, again)
+	want := echoFingerprint(t)
+	if again := echoFingerprint(t); again != want {
+		t.Fatalf("runs diverged:\n%s\n%s", want, again)
 	}
-	for _, epoch := range []sim.Cycles{sim.DefaultEpoch, 1000} {
-		if got := echoFingerprint(t, true, epoch); got != want {
-			t.Fatalf("parallel driver (epoch=%d) diverged:\nseq %s\npar %s", epoch, want, got)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := echoFingerprint(t); got != want {
+			t.Fatalf("GOMAXPROCS=%d diverged:\n%s\n%s", procs, want, got)
 		}
 	}
 }

@@ -91,20 +91,6 @@ type Listener struct {
 
 // Stack is one machine's transport endpoint: the connection table, the
 // listener table, and the receive-poll loop over the machine's NIC.
-//
-// Serialization follows a two-tier ownership map. The NIC rings, the
-// switch fabric and the waiter list are cluster-shared: rings are written
-// by remote senders, and waiters are woken by remote doorbell IPI
-// handlers, so every touch runs inside a serial section and -engine=par
-// reproduces the sequential schedule exactly. The rest — connection and
-// listener tables, socket buffers, flow-control windows, cumulative-ACK
-// bookkeeping — is machine-local transport state: it is only ever touched
-// by local threads running stack verbs. By default those verbs serialize
-// too (several local tasks may share the stack), but a single task that is
-// the machine's only socket user can Claim the stack, after which its
-// buffer copies, window checks and table updates run in its domain's
-// parallel phase with no park; only ring drains and fabric hand-offs still
-// take the global token.
 type Stack struct {
 	// Mach is this machine's fabric index.
 	Mach int
@@ -118,16 +104,6 @@ type Stack struct {
 	listeners map[uint16]*Listener
 	nextPort  uint16
 	waiters   []Waiter
-
-	// owner, when non-nil, is the one simulated thread allowed to touch
-	// this stack's machine-local transport state. A single thread's
-	// operations are totally ordered by its own program order under every
-	// driver, so the owner may run them in its domain phase without
-	// changing what any shared-state touch observes. Claim/Release write it
-	// under the global token; any other thread's verb entry asserts the
-	// claim (under the token) and panics on a violation, so a wrong claim
-	// is a deterministic crash, never a silent divergence.
-	owner *sim.Thread
 }
 
 // DefaultWindow is the per-connection receive window.
@@ -156,60 +132,6 @@ func NewStack(nic *NIC, fab *Fabric, window uint32) *Stack {
 		s.WakeAll(when)
 	})
 	return s
-}
-
-// Claim declares t the stack's only toucher: until Release, every other
-// thread's stack verb panics, and in exchange t's machine-local transport
-// operations run in its domain phase instead of the serial phase. The
-// claim is a contract about the workload (one socket-using task per
-// machine), not something the stack can infer — a task that shares its
-// machine's sockets must simply not claim.
-func (s *Stack) Claim(t *sim.Thread) {
-	t.BeginSerial()
-	defer t.EndSerial()
-	if s.owner != nil && s.owner != t {
-		panic(fmt.Sprintf("net: machine %d stack already claimed by thread %q, re-claimed by %q",
-			s.Mach, s.owner.Name, t.Name))
-	}
-	s.owner = t
-}
-
-// Release drops t's exclusivity claim; the stack reverts to serializing
-// every verb.
-func (s *Stack) Release(t *sim.Thread) {
-	t.BeginSerial()
-	defer t.EndSerial()
-	if s.owner != t {
-		panic(fmt.Sprintf("net: machine %d stack released by thread %q without its claim", s.Mach, t.Name))
-	}
-	s.owner = nil
-}
-
-// Exclusive reports whether t holds the stack's exclusivity claim. The
-// owner may read this from its domain phase: only t itself can change a
-// claim it holds.
-func (s *Stack) Exclusive(t *sim.Thread) bool { return s.owner == t }
-
-// unlocked is Lock's no-op release for the exclusive fast path.
-func unlocked() {}
-
-// Lock opens the serial section protecting machine-local transport state
-// on a shared (unclaimed) stack and returns the matching release. The
-// claiming owner gets a no-op pair — its touches are ordered by program
-// order alone — and any third thread touching a claimed stack panics. The
-// owner check reads s.owner outside the token, which is safe: if it reads
-// its own claim the only writer is itself, and anything else falls through
-// to the serial path where the assert re-reads under the token.
-func (s *Stack) Lock(t *sim.Thread) func() {
-	if s.owner == t {
-		return unlocked
-	}
-	t.BeginSerial()
-	if s.owner != nil {
-		panic(fmt.Sprintf("net: machine %d stack claimed by thread %q but touched by %q",
-			s.Mach, s.owner.Name, t.Name))
-	}
-	return t.EndSerial
 }
 
 // AddWaiter registers w for wake-up on stack progress. Callers follow the
@@ -281,7 +203,6 @@ func (l *Listener) Pending() int { return len(l.pending) }
 // connection is in StateSynSent; the caller polls (PollRx) until it
 // reaches StateEstablished.
 func (s *Stack) Dial(pt *hw.Port, remote Addr) *Conn {
-	defer s.Lock(pt.T)()
 	port := s.allocPort(remote)
 	c := &Conn{
 		stack:  s,
@@ -326,17 +247,7 @@ func (s *Stack) send(pt *hw.Port, c *Conn, f *Frame) {
 // processed and wakes all waiters if there were any, at the polling
 // thread's current time.
 func (s *Stack) PollRx(pt *hw.Port) int {
-	// The RX ring is written by remote senders, so draining it always takes
-	// the global token, claim or no claim: whether a frame is visible at a
-	// given poll is defined by segment execution order, which only the
-	// serial phase preserves. This is the "recv hand-off parks" boundary.
 	t := pt.T
-	t.BeginSerial()
-	defer t.EndSerial()
-	if s.owner != nil && s.owner != t {
-		panic(fmt.Sprintf("net: machine %d stack claimed by thread %q but polled by %q",
-			s.Mach, s.owner.Name, t.Name))
-	}
 	n := 0
 	for {
 		// Atomic like the fabric's enqueues: two local tasks may poll the
@@ -460,10 +371,6 @@ func (c *Conn) Credit() uint32 {
 // window is closed (or the connection is not established); the caller
 // waits for an ACK and retries.
 func (c *Conn) TrySend(pt *hw.Port, payload []byte) int {
-	// State and window checks touch only machine-local connection state:
-	// under a claim they run in the domain phase, and only the per-frame
-	// fabric hand-off inside send parks.
-	defer c.stack.Lock(pt.T)()
 	if c.state != StateEstablished || c.sentFIN {
 		return 0
 	}
@@ -493,10 +400,6 @@ func (c *Conn) TrySend(pt *hw.Port, payload []byte) int {
 // fully drains — enough to guarantee a credit-blocked sender always
 // unblocks; finer-grained acknowledgment piggybacks on data frames.
 func (c *Conn) TryRecv(pt *hw.Port, max int) []byte {
-	// The buffer copy and cumulative-ACK bookkeeping run against frames a
-	// previous serial-phase poll already delivered: machine-local state,
-	// domain phase under a claim. Only the explicit ACK transmission parks.
-	defer c.stack.Lock(pt.T)()
 	if len(c.recvBuf) == 0 || max <= 0 {
 		return nil
 	}
@@ -517,7 +420,6 @@ func (c *Conn) TryRecv(pt *hw.Port, max int) []byte {
 // Close shuts our sending direction (FIN). The connection is torn down
 // once both directions are shut; receiving remains possible until then.
 func (c *Conn) Close(pt *hw.Port) {
-	defer c.stack.Lock(pt.T)()
 	if c.sentFIN || c.state == StateClosed {
 		return
 	}

@@ -431,9 +431,6 @@ func (o *OS) MigrateTask(t *kernel.Task, to mem.NodeID) error {
 		return nil
 	}
 	proc := t.Proc
-	// From here on the address space is DSM-replicated: faults on either
-	// kernel invalidate or downgrade the other side's mappings.
-	proc.RevocableMappings = true
 	t.Stats.NodeInstructions[t.Node] += kinstrMigration
 	t.Stats.NodeInstructions[to] += kinstrMigration
 	// Task state transfer: task struct + regset + fs + signal state.
@@ -465,8 +462,6 @@ func (o *OS) MigrateTask(t *kernel.Task, to mem.NodeID) error {
 // kernel; a remote waiter must RPC to enqueue itself (§6.5). The value
 // check runs under the origin's futex lock.
 func (o *OS) FutexWait(t *kernel.Task, uaddr pgtable.VirtAddr, expected uint64) error {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	ft := o.futexes[t.Proc.PID]
 	f := ft.Get(t.Proc.PID, uaddr)
 	var werr error
@@ -534,8 +529,6 @@ func (o *OS) FutexWait(t *kernel.Task, uaddr pgtable.VirtAddr, expected uint64) 
 
 // FutexWake implements kernel.OS.
 func (o *OS) FutexWake(t *kernel.Task, uaddr pgtable.VirtAddr, n int) (int, error) {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	ft := o.futexes[t.Proc.PID]
 	f := ft.Get(t.Proc.PID, uaddr)
 	var woken []*kernel.Task

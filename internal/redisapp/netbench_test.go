@@ -1,8 +1,6 @@
 package redisapp
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -11,12 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-func newTestCluster(t *testing.T, os machine.OSKind, model mem.Model, machines int,
-	engine machine.EngineKind) *machine.Cluster {
+func newTestCluster(t *testing.T, os machine.OSKind, model mem.Model, machines int) *machine.Cluster {
 	t.Helper()
 	cfgs := make([]machine.Config, machines)
 	for i := range cfgs {
-		cfgs[i] = machine.Config{Model: model, OS: os, Engine: engine}
+		cfgs[i] = machine.Config{Model: model, OS: os}
 	}
 	cl, err := machine.NewCluster(cfgs, net.DefaultFabricConfig())
 	if err != nil {
@@ -36,7 +33,7 @@ func quickTraffic() TrafficParams {
 // two servers — and checks conservation: every request sent is served and
 // answered, with no misses (GETs hit the pre-populated keyspace).
 func TestClusterBenchServes(t *testing.T) {
-	cl := newTestCluster(t, machine.StramashOS, mem.Shared, 3, machine.EngineSeq)
+	cl := newTestCluster(t, machine.StramashOS, mem.Shared, 3)
 	p := quickTraffic()
 	r, err := ClusterBench(cl, p)
 	if err != nil {
@@ -74,11 +71,11 @@ func TestClusterBenchServes(t *testing.T) {
 // responses (equal digests) for the same traffic.
 func TestClusterBenchFusedPopcornDigest(t *testing.T) {
 	p := quickTraffic()
-	fused, err := ClusterBench(newTestCluster(t, machine.StramashOS, mem.Shared, 3, machine.EngineSeq), p)
+	fused, err := ClusterBench(newTestCluster(t, machine.StramashOS, mem.Shared, 3), p)
 	if err != nil {
 		t.Fatalf("fused: %v", err)
 	}
-	pop, err := ClusterBench(newTestCluster(t, machine.PopcornSHM, mem.Separated, 3, machine.EngineSeq), p)
+	pop, err := ClusterBench(newTestCluster(t, machine.PopcornSHM, mem.Separated, 3), p)
 	if err != nil {
 		t.Fatalf("popcorn: %v", err)
 	}
@@ -90,102 +87,25 @@ func TestClusterBenchFusedPopcornDigest(t *testing.T) {
 	}
 }
 
-// TestClusterBenchEngineIdentity pins cluster-bench determinism across
-// drivers: sequential and epoch-barriered parallel runs agree on every
-// number the benchmark reports.
+// TestClusterBenchEngineIdentity pins cluster-bench run-to-run
+// determinism: two runs agree on every number the benchmark reports.
 func TestClusterBenchEngineIdentity(t *testing.T) {
 	p := quickTraffic()
 	p.Requests = 80
-	run := func(e machine.EngineKind) ClusterResult {
-		r, err := ClusterBench(newTestCluster(t, machine.StramashOS, mem.Shared, 3, e), p)
+	run := func() ClusterResult {
+		r, err := ClusterBench(newTestCluster(t, machine.StramashOS, mem.Shared, 3), p)
 		if err != nil {
-			t.Fatalf("engine %v: %v", e, err)
+			t.Fatal(err)
 		}
 		return r
 	}
-	seq := run(machine.EngineSeq)
-	par := run(machine.EnginePar)
-	if seq.Traffic != par.Traffic {
-		t.Fatalf("traffic diverged:\nseq %+v\npar %+v", seq.Traffic, par.Traffic)
+	first, again := run(), run()
+	if first.Traffic != again.Traffic {
+		t.Fatalf("traffic diverged:\nfirst %+v\nagain %+v", first.Traffic, again.Traffic)
 	}
-	for s := range seq.PerServer {
-		if seq.PerServer[s] != par.PerServer[s] {
-			t.Fatalf("server %d diverged:\nseq %+v\npar %+v", s, seq.PerServer[s], par.PerServer[s])
-		}
-	}
-}
-
-// BenchmarkClusterParallel measures host wall time for one ClusterBench
-// run under the parallel driver at 1, 2 and 4 server machines and host
-// parallelism 1, 2 and 8. ServerCompute gives every request a real
-// application body (domain-phase work), so widening the cluster adds
-// host-parallelizable load rather than pure serial transport. Simulated
-// results are pinned (the digest must match the sequential oracle); only
-// host wall time is allowed to move with GOMAXPROCS.
-func BenchmarkClusterParallel(b *testing.B) {
-	p := TrafficParams{
-		Requests: 240, Clients: 32, PayloadBytes: 512, Keys: 32,
-		ZipfS: 1.0, InterArrival: 900, SetEvery: 10, Seed: 7,
-		ServerCompute: 20000,
-	}
-	run := func(b *testing.B, servers int, engine machine.EngineKind) {
-		cfgs := make([]machine.Config, servers+1)
-		for i := range cfgs {
-			cfgs[i] = machine.Config{Model: mem.Shared, OS: machine.StramashOS, Engine: engine}
-		}
-		cl, err := machine.NewCluster(cfgs, net.DefaultFabricConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ClusterBench(cl, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, servers := range []int{1, 2, 4} {
-		servers := servers
-		var want uint64
-		b.Run(fmt.Sprintf("servers=%d/oracle-seq", servers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfgs := make([]machine.Config, servers+1)
-				for j := range cfgs {
-					cfgs[j] = machine.Config{Model: mem.Shared, OS: machine.StramashOS, Engine: machine.EngineSeq}
-				}
-				cl, err := machine.NewCluster(cfgs, net.DefaultFabricConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := ClusterBench(cl, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				want = r.Traffic.Digest
-			}
-		})
-		for _, procs := range []int{1, 2, 8} {
-			procs := procs
-			b.Run(fmt.Sprintf("servers=%d/par/procs=%d", servers, procs), func(b *testing.B) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				for i := 0; i < b.N; i++ {
-					run(b, servers, machine.EnginePar)
-				}
-				// Identity spot check outside the timed loop.
-				b.StopTimer()
-				cfgs := make([]machine.Config, servers+1)
-				for j := range cfgs {
-					cfgs[j] = machine.Config{Model: mem.Shared, OS: machine.StramashOS, Engine: machine.EnginePar}
-				}
-				cl, err := machine.NewCluster(cfgs, net.DefaultFabricConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := ClusterBench(cl, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if want != 0 && r.Traffic.Digest != want {
-					b.Fatalf("par digest %x diverged from sequential oracle %x", r.Traffic.Digest, want)
-				}
-			})
+	for s := range first.PerServer {
+		if first.PerServer[s] != again.PerServer[s] {
+			t.Fatalf("server %d diverged:\nfirst %+v\nagain %+v", s, first.PerServer[s], again.PerServer[s])
 		}
 	}
 }

@@ -204,13 +204,9 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 		keyIdx[i] = sampleZipf(rng, cdf)
 	}
 
-	// One generator thread drives every connection, so the machine stack
-	// can be claimed for the duration: send/recv pumps run in the
-	// generator's clock domain between ring hand-offs.
 	if err := t.ClaimNet(); err != nil {
 		return res, err
 	}
-	defer t.ReleaseNet()
 
 	fds := make([]int, len(servers))
 	for s, a := range servers {

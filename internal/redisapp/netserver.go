@@ -99,8 +99,7 @@ type NetServerParams struct {
 	Migrate bool
 	// ExtraCompute is added application work per request, in instructions
 	// (0 = none). It models request bodies heavier than pure store lookups
-	// and gives scaling benchmarks a per-machine compute component that
-	// runs in the domain phase.
+	// and gives cluster benchmarks a per-machine compute component.
 	ExtraCompute int64
 }
 
@@ -123,14 +122,9 @@ type NetServerStats struct {
 // and many per-client connections behave the same.
 func ServeNet(t *kernel.Task, p NetServerParams) (NetServerStats, error) {
 	var st NetServerStats
-	// The server is its machine stack's only user, so claim it: request
-	// parsing, connection bookkeeping and store work then stay in the
-	// thread's own clock domain, and only NIC-ring and waiter hand-offs
-	// cross to the serial phase.
 	if err := t.ClaimNet(); err != nil {
 		return st, err
 	}
-	defer t.ReleaseNet()
 	lfd, err := t.SocketListen(p.Port)
 	if err != nil {
 		return st, err

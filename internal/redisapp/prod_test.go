@@ -362,11 +362,11 @@ func FuzzAOFRecord(f *testing.F) {
 }
 
 // newProdCluster builds loadgen + one production server machine.
-func newProdCluster(t testing.TB, cores int, regime vfs.Regime, engine machine.EngineKind) *machine.Cluster {
+func newProdCluster(t testing.TB, cores int, regime vfs.Regime) *machine.Cluster {
 	t.Helper()
 	cfgs := []machine.Config{
-		{Model: mem.Shared, OS: machine.StramashOS, Engine: engine},
-		{Model: mem.Shared, OS: machine.StramashOS, Engine: engine, FileCache: regime,
+		{Model: mem.Shared, OS: machine.StramashOS},
+		{Model: mem.Shared, OS: machine.StramashOS, FileCache: regime,
 			Cores: cores, Sched: kernel.SchedTimeSlice, SchedQuantum: 20_000},
 	}
 	cl, err := machine.NewCluster(cfgs, net.DefaultFabricConfig())
@@ -393,9 +393,9 @@ func expectedAOFRecords(p TrafficParams) int {
 }
 
 // runProd drives one production server end to end.
-func runProd(t testing.TB, kind KeyspaceKind, cores int, regime vfs.Regime, engine machine.EngineKind) ProdClusterResult {
+func runProd(t testing.TB, kind KeyspaceKind, cores int, regime vfs.Regime) ProdClusterResult {
 	t.Helper()
-	cl := newProdCluster(t, cores, regime, engine)
+	cl := newProdCluster(t, cores, regime)
 	p := prodTraffic()
 	r, err := ClusterProdBench(cl, p, ProdParams{Kind: kind, Cores: cores})
 	if err != nil {
@@ -453,11 +453,11 @@ func checkProd(t *testing.T, r ProdClusterResult, kind KeyspaceKind) {
 // TestServeProdSharded and TestServeProdLocked are the end-to-end runs of
 // the two keyspace regimes over the wire.
 func TestServeProdSharded(t *testing.T) {
-	checkProd(t, runProd(t, KSSharded, 2, vfs.RegimeFused, machine.EngineSeq), KSSharded)
+	checkProd(t, runProd(t, KSSharded, 2, vfs.RegimeFused), KSSharded)
 }
 
 func TestServeProdLocked(t *testing.T) {
-	r := runProd(t, KSLocked, 2, vfs.RegimeFused, machine.EngineSeq)
+	r := runProd(t, KSLocked, 2, vfs.RegimeFused)
 	checkProd(t, r, KSLocked)
 	var waits int64
 	for _, w := range r.PerServer[0].PerWorker {
@@ -471,8 +471,8 @@ func TestServeProdLocked(t *testing.T) {
 // TestServeProdCrossRegimeDigest pins response-content identity between
 // the sharded and locked keyspaces for the same traffic.
 func TestServeProdCrossRegimeDigest(t *testing.T) {
-	sh := runProd(t, KSSharded, 2, vfs.RegimeFused, machine.EngineSeq)
-	lk := runProd(t, KSLocked, 2, vfs.RegimeFused, machine.EngineSeq)
+	sh := runProd(t, KSSharded, 2, vfs.RegimeFused)
+	lk := runProd(t, KSLocked, 2, vfs.RegimeFused)
 	if sh.Traffic.Digest != lk.Traffic.Digest {
 		t.Fatalf("response digests diverge: sharded %x locked %x", sh.Traffic.Digest, lk.Traffic.Digest)
 	}
@@ -482,17 +482,17 @@ func TestServeProdCrossRegimeDigest(t *testing.T) {
 	}
 }
 
-// TestServeProdEngineIdentity pins seq/par determinism for both regimes,
-// including worker counters and digests.
+// TestServeProdEngineIdentity pins run-to-run determinism for both
+// regimes, including worker counters and digests.
 func TestServeProdEngineIdentity(t *testing.T) {
 	for _, kind := range []KeyspaceKind{KSSharded, KSLocked} {
-		seq := runProd(t, kind, 2, vfs.RegimeFused, machine.EngineSeq)
-		par := runProd(t, kind, 2, vfs.RegimeFused, machine.EnginePar)
-		if seq.Traffic != par.Traffic {
-			t.Fatalf("%v: traffic diverged:\nseq %+v\npar %+v", kind, seq.Traffic, par.Traffic)
+		first := runProd(t, kind, 2, vfs.RegimeFused)
+		again := runProd(t, kind, 2, vfs.RegimeFused)
+		if first.Traffic != again.Traffic {
+			t.Fatalf("%v: traffic diverged:\nfirst %+v\nagain %+v", kind, first.Traffic, again.Traffic)
 		}
-		if !reflect.DeepEqual(seq.PerServer, par.PerServer) {
-			t.Fatalf("%v: server stats diverged:\nseq %+v\npar %+v", kind, seq.PerServer, par.PerServer)
+		if !reflect.DeepEqual(first.PerServer, again.PerServer) {
+			t.Fatalf("%v: server stats diverged:\nfirst %+v\nagain %+v", kind, first.PerServer, again.PerServer)
 		}
 	}
 }
@@ -501,6 +501,6 @@ func TestServeProdEngineIdentity(t *testing.T) {
 // DSM-replicated page cache: persistence must still replay correctly and
 // the fsync counters must show message-paying flushes.
 func TestServeProdPopcornRegime(t *testing.T) {
-	r := runProd(t, KSLocked, 1, vfs.RegimePopcorn, machine.EngineSeq)
+	r := runProd(t, KSLocked, 1, vfs.RegimePopcorn)
 	checkProd(t, r, KSLocked)
 }

@@ -167,7 +167,6 @@ func ServeProd(t *kernel.Task, p ProdParams) (ProdStats, error) {
 	if err := t.ClaimNet(); err != nil {
 		return st, err
 	}
-	defer t.ReleaseNet()
 	lfd, err := t.SocketListen(p.Port)
 	if err != nil {
 		return st, err
@@ -229,9 +228,7 @@ func ServeProd(t *kernel.Task, p ProdParams) (ProdStats, error) {
 	// serve error surfaces instead of a join deadlock.
 	for w := 0; w < workers; w++ {
 		t.Th.YieldPoint()
-		t.Th.BeginSerial()
 		err := t.Store(rings.stop(w), 8, 1)
-		t.Th.EndSerial()
 		t.Th.YieldPoint()
 		if err != nil {
 			return st, err
@@ -459,17 +456,13 @@ func prodFrontend(t *kernel.Task, p ProdParams, rings prodRings, workers int, lf
 
 // prodRingPush enqueues one request if the ring has space. Ring control
 // words synchronize tasks through plain simulated memory, so every
-// operation is bracketed by yield points: the sequential engine orders
-// cross-thread visibility at segment granularity, and a ring store buried
-// mid-segment between parking syscalls would be seen at different times
-// by the two engine drivers.
+// operation is bracketed by yield points: the engine orders cross-thread
+// visibility at segment granularity, so a ring store buried mid-segment
+// between parking syscalls would become visible at whatever simulated time
+// the segment happened to end, not at the store's own.
 func prodRingPush(t *kernel.Task, ring pgtable.VirtAddr, q queuedProd) (ok bool, err error) {
 	t.Th.YieldPoint()
-	t.Th.BeginSerial()
-	defer func() {
-		t.Th.EndSerial()
-		t.Th.YieldPoint()
-	}()
+	defer t.Th.YieldPoint()
 	head, err := t.Load(ring, 8)
 	if err != nil {
 		return false, err
@@ -502,11 +495,7 @@ func prodRingPush(t *kernel.Task, ring pgtable.VirtAddr, q queuedProd) (ok bool,
 // prodRingPush).
 func prodRingPop(t *kernel.Task, ring pgtable.VirtAddr) (seq uint64, status byte, payload []byte, ok bool, err error) {
 	t.Th.YieldPoint()
-	t.Th.BeginSerial()
-	defer func() {
-		t.Th.EndSerial()
-		t.Th.YieldPoint()
-	}()
+	defer t.Th.YieldPoint()
 	head, err := t.Load(ring, 8)
 	if err != nil {
 		return 0, 0, nil, false, err
@@ -541,16 +530,12 @@ func prodRingPop(t *kernel.Task, ring pgtable.VirtAddr) (seq uint64, status byte
 	return seq, status, payload, true, nil
 }
 
-// prodRingConsume dequeues the request at tail (yield/serial discipline as
-// in prodRingPush: the slot reads and the tail publication are one
-// ordering unit under both engine drivers).
+// prodRingConsume dequeues the request at tail (yield discipline as in
+// prodRingPush: the slot reads and the tail publication are one ordering
+// unit).
 func prodRingConsume(t *kernel.Task, reqRing pgtable.VirtAddr, tail uint64) (seq uint64, cmd Command, key, val []byte, err error) {
 	t.Th.YieldPoint()
-	t.Th.BeginSerial()
-	defer func() {
-		t.Th.EndSerial()
-		t.Th.YieldPoint()
-	}()
+	defer t.Th.YieldPoint()
 	slot := reqRing + prodRingCtl + pgtable.VirtAddr(int(tail%prodSlots)*prodSlotCap)
 	hdr, err := t.ReadBytes(slot, prodReqHdr)
 	if err != nil {
@@ -581,17 +566,13 @@ func prodRingConsume(t *kernel.Task, reqRing pgtable.VirtAddr, tail uint64) (seq
 
 // prodRingPeek reads a ring's control words plus the stop flag as one
 // ordering unit. The worker wait loops spin on this: the loads are
-// cross-task shared state, so even a read-only probe must take the serial
-// token — a probe running ahead of a lower-clocked producer's pending
-// publication would observe the ring at a simulated time the sequential
-// driver never produces.
+// cross-task shared state, so even a read-only probe starts at a yield
+// point — a probe running ahead of a lower-clocked producer's pending
+// publication would observe the ring before that publication's simulated
+// time.
 func prodRingPeek(t *kernel.Task, ring, stopAddr pgtable.VirtAddr) (head, tail, stop uint64, err error) {
 	t.Th.YieldPoint()
-	t.Th.BeginSerial()
-	defer func() {
-		t.Th.EndSerial()
-		t.Th.YieldPoint()
-	}()
+	defer t.Th.YieldPoint()
 	if head, err = t.Load(ring, 8); err != nil {
 		return
 	}
@@ -602,17 +583,13 @@ func prodRingPeek(t *kernel.Task, ring, stopAddr pgtable.VirtAddr) (head, tail, 
 	return
 }
 
-// prodRingRespond enqueues one response (yield/serial discipline as in
+// prodRingRespond enqueues one response (yield discipline as in
 // prodRingPush). The caller has already established that the ring has
 // space; the worker is the ring's only producer, so the space cannot
 // vanish between the check and this section.
 func prodRingRespond(t *kernel.Task, respRing pgtable.VirtAddr, seq uint64, status byte, payload []byte) error {
 	t.Th.YieldPoint()
-	t.Th.BeginSerial()
-	defer func() {
-		t.Th.EndSerial()
-		t.Th.YieldPoint()
-	}()
+	defer t.Th.YieldPoint()
 	rh, err := t.Load(respRing, 8)
 	if err != nil {
 		return err

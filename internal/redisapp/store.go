@@ -45,9 +45,9 @@ const entryHdr = 40
 // its bump offset in host state — valid only while a single task (or the
 // single-threaded seed server) allocates from it. A shared arena
 // (NewSharedArena) keeps the offset in simulated memory, guarded by a
-// futex-backed mutex, so cloned workers in different clock domains can
-// allocate concurrently without a host-level data race: the offset word is
-// ordinary coherent memory traffic like every other store field.
+// futex-backed mutex, so cloned workers on either node can allocate
+// concurrently: the offset word is ordinary coherent memory traffic like
+// every other store field.
 type Arena struct {
 	base pgtable.VirtAddr
 	size uint64

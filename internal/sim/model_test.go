@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -36,9 +37,7 @@ type op struct {
 }
 
 // script is one thread's whole life. Threads of one group only ever wake
-// each other, and a group is one clock domain under the parallel driver, so
-// every script obeys the domain-phase contract (DESIGN.md §10) as written:
-// the only cross-domain effect is Spawn, which parks first.
+// each other.
 type script struct {
 	name      string
 	ops       []op
@@ -121,7 +120,6 @@ func newScriptWorld(scripts []script, groups int) *scriptWorld {
 func (w *scriptWorld) spawn(i int, start Cycles) {
 	s := &w.scripts[i]
 	t := w.eng.Spawn(s.name, start, func(t *Thread) { w.run(t, s) })
-	t.SetDomain(s.group)
 	w.groups[s.group] = append(w.groups[s.group], t)
 }
 
@@ -158,7 +156,6 @@ func (w *scriptWorld) run(t *Thread, s *script) {
 		case opEndAtomic:
 			t.EndAtomic()
 		case opSpawn:
-			t.CrossDomain()
 			w.spawn(o.arg, t.Now())
 		case opPanic:
 			panic("boom")
@@ -444,48 +441,60 @@ func TestScheduleModel(t *testing.T) {
 	t.Logf("coverage over %d seeds: %+v", modelSeeds, cov)
 }
 
-// TestScheduleModelParallel runs the same scripts under RunParallel: the
-// error and every final clock must match the interpreter. A run that stops
-// at a panic leaves the other domains wherever the phase had taken them, so
-// only its error is compared.
+// TestScheduleModelParallel runs the same scripts untraced, each on its own
+// engine, with four engines at a time on concurrent host goroutines (as
+// -hostprocs runs an experiment's rows): the error, every final clock and
+// the segment accounting must still match the interpreter. This covers
+// Run's untraced path, which TestScheduleModel does not take, and shows
+// that engines share no state.
 func TestScheduleModelParallel(t *testing.T) {
+	type job struct {
+		seed    uint64
+		scripts []script
+		groups  int
+		m       *model
+		wantErr error
+	}
 	var cov modelCoverage
-	var driven EngineStats
+	jobs := make(chan job)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				w := newScriptWorld(j.scripts, j.groups)
+				w.spawnRoots()
+				gotErr := w.eng.Run()
+				if errText(gotErr) != errText(j.wantErr) {
+					t.Errorf("seed %d: Run error %q, model %q", j.seed, errText(gotErr), errText(j.wantErr))
+					continue
+				}
+				clocks := w.clocks()
+				if len(clocks) != len(j.m.threads) {
+					t.Errorf("seed %d: %d threads, model %d", j.seed, len(clocks), len(j.m.threads))
+					continue
+				}
+				for i, c := range clocks {
+					if c != j.m.threads[i].now {
+						t.Errorf("seed %d: thread %d ends at %d, model %d", j.seed, i, c, j.m.threads[i].now)
+					}
+				}
+				st := w.eng.Stats
+				if st.SerialSegments != j.m.segments || st.SerialCycles != j.m.cycles || st.SelfContinues != j.m.selfPicks {
+					t.Errorf("seed %d: %d segments / %d cycles / %d self-continues, model %d / %d / %d",
+						j.seed, st.SerialSegments, st.SerialCycles, st.SelfContinues,
+						j.m.segments, j.m.cycles, j.m.selfPicks)
+				}
+			}
+		}()
+	}
 	for seed := uint64(1); seed <= modelSeeds; seed++ {
 		groups := 1 + int(seed%3)
 		scripts := genScripts(seed, groups)
 		m, wantErr := runModel(scripts, groups, &cov)
-		for _, epoch := range []Cycles{150, 1000, DefaultEpoch} {
-			w := newScriptWorld(scripts, groups)
-			w.spawnRoots()
-			gotErr := w.eng.RunParallel(epoch)
-			driven.Add(w.eng.Stats)
-			if errText(gotErr) != errText(wantErr) {
-				t.Fatalf("seed %d epoch %d: RunParallel error %q, model %q", seed, epoch, errText(gotErr), errText(wantErr))
-			}
-			if m.panicked() {
-				continue
-			}
-			for i, c := range w.clocks() {
-				if c != m.threads[i].now {
-					t.Fatalf("seed %d epoch %d: thread %d ends at %d, model %d", seed, epoch, i, c, m.threads[i].now)
-				}
-			}
-		}
+		jobs <- job{seed, scripts, groups, m, wantErr}
 	}
-	if driven.DomainSegments == 0 || driven.Parks == 0 || driven.SoloSegments == 0 || driven.SerialSegments == 0 {
-		t.Errorf("the scenarios did not reach every grant path of the parallel driver: %+v", driven)
-	}
-	if driven.SelfContinues != 0 {
-		t.Errorf("%d self-continues under RunParallel: its phases must go through the driver", driven.SelfContinues)
-	}
-}
-
-func (m *model) panicked() bool {
-	for _, t := range m.threads {
-		if t.err != nil {
-			return true
-		}
-	}
-	return false
+	close(jobs)
+	wg.Wait()
 }

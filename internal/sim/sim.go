@@ -9,12 +9,11 @@
 // interactions (atomics, IPIs, futex wake-ups) is a deterministic function of
 // the simulated timeline, never of host goroutine scheduling.
 //
-// On the host a thread is a coroutine of its driver, not a goroutine the Go
+// On the host a thread is a coroutine of Run, not a goroutine the Go
 // scheduler places: granting a segment is one direct switch into the thread
-// and one back (Thread.resume / Thread.suspend), and under the sequential
-// driver a yielding thread that is still the minimum keeps running with no
-// switch at all. Both are invisible in simulated time; DESIGN.md §6 has the
-// measured costs.
+// and one back (Thread.resume / Thread.suspend), and a yielding thread that
+// is still the minimum keeps running with no switch at all. Both are
+// invisible in simulated time; DESIGN.md §6 has the measured costs.
 package sim
 
 import (
@@ -65,12 +64,6 @@ func (k Clock) FromNanos(ns float64) Cycles {
 // ThreadID identifies a simulated thread within an Engine.
 type ThreadID int
 
-// GlobalDomain marks a thread that may touch any simulated state (boot,
-// setup, service threads). The parallel driver never runs such threads
-// concurrently with anything else; the sequential driver ignores domains
-// entirely.
-const GlobalDomain = -1
-
 // threadState is the lifecycle state of a simulated thread.
 type threadState int
 
@@ -96,12 +89,11 @@ func (s threadState) String() string {
 }
 
 // Thread is a simulated thread of execution. The body function runs as a
-// runtime coroutine (iter.Pull) of whichever driver goroutine grants it the
-// execution token: resume switches the host CPU straight into the body,
-// suspend switches it straight back, and neither goes through the Go
-// scheduler. A coroutine only ever runs while its resumer waits, so at most
-// one simulated thread executes per token and the simulation stays
-// deterministic.
+// runtime coroutine (iter.Pull) of the goroutine running Engine.Run: resume
+// switches the host CPU straight into the body, suspend switches it straight
+// back, and neither goes through the Go scheduler. A coroutine only ever
+// runs while its resumer waits, so at most one simulated thread executes at
+// a time and the simulation stays deterministic.
 type Thread struct {
 	ID   ThreadID
 	Name string
@@ -142,102 +134,24 @@ type Thread struct {
 	blockReason string
 	err         error
 
-	// domain is the clock domain the thread belongs to (a node index for
-	// task threads, GlobalDomain for boot/setup threads). Only the parallel
-	// driver reads it: threads of different domains may run concurrently on
-	// host goroutines between cross-domain interaction points.
-	domain int
-	// local is true while the parallel driver is running this thread inside
-	// a domain-parallel phase: the thread holds its domain's token, not the
-	// global one, and must confine itself to domain-private state. Code
-	// reaching a cross-domain effect point calls CrossDomain, which parks
-	// the thread until the driver re-grants it the global token.
-	local bool
-	// parked is true between a CrossDomain call and the serial re-grant.
-	parked bool
-	// serialDepth counts open BeginSerial sections. While positive the
-	// thread must only ever be granted serially — a mid-section yield
-	// (quantum expiry, futex sleep) must not hand it back inside a later
-	// domain-parallel phase, because the rest of the section still touches
-	// cross-domain state.
-	serialDepth int
 	// segKey is the thread's clock at the moment its current run segment was
 	// granted (or, for a segment the thread continued into without a switch,
-	// began). The sequential engine orders segments by (clock at grant, ID)
-	// and charges each one the cycles since its key; the parallel driver
-	// serializes parked cross-domain continuations in exactly that key
-	// order, which is what makes the two drivers agree.
+	// began). closeSegment charges each segment the cycles since its key.
 	segKey Cycles
 }
 
-// resume grants the thread the execution token: the calling driver switches
-// into the thread's coroutine and gets the host CPU back when the thread
-// next suspends or its body returns.
+// resume grants the thread the execution token: Run switches into the
+// thread's coroutine and gets the host CPU back when the thread next
+// suspends or its body returns.
 func (t *Thread) resume() { t.next() }
 
-// suspend hands the execution token back to the driver that resumed the
-// thread and returns when a driver next resumes it. Every thread-side park
-// (yield, block, cross-domain park) goes through here.
+// suspend hands the execution token back to Run and returns when Run next
+// resumes the thread. Every thread-side park (yield, block) goes through
+// here.
 func (t *Thread) suspend() { t.yield(struct{}{}) }
 
 // Now returns the thread's local simulated time.
 func (t *Thread) Now() Cycles { return t.now }
-
-// Domain returns the thread's clock domain.
-func (t *Thread) Domain() int { return t.domain }
-
-// SetDomain assigns the thread to a clock domain. It must be called while
-// the engine is idle, from a serially-running thread (migration runs under
-// the global token), or on the thread itself — never from another domain's
-// parallel phase.
-func (t *Thread) SetDomain(d int) { t.domain = d }
-
-// InLocal reports whether the thread currently holds only its domain token
-// (parallel driver, domain-parallel phase). Code on the hot path uses it to
-// choose between the domain-confined fast path and a CrossDomain bailout.
-// Under the sequential driver it is always false.
-func (t *Thread) InLocal() bool { return t.local }
-
-// CrossDomain is the cross-domain effect point: a no-op under the
-// sequential driver (and for serially-granted threads), but under the
-// parallel driver's domain phase it parks the thread until the driver has
-// quiesced every domain and re-grants this thread the global execution
-// token, in segment-key order. After it returns the thread may touch any
-// simulated state until its next YieldPoint.
-//
-// Instrumented code must call it before mutating any shared state and
-// before charging any cycles for the operation that needs it, so the
-// operation re-executes from a clean slate under the global token.
-func (t *Thread) CrossDomain() {
-	if !t.local {
-		return
-	}
-	t.local = false
-	t.parked = true
-	t.suspend()
-	t.parked = false
-}
-
-// BeginSerial opens a serial section: the thread parks out of any
-// domain-parallel phase immediately (CrossDomain) and, until the matching
-// EndSerial, the parallel driver will only ever grant it under the global
-// token — even across yields and blocks inside the section. Use it to
-// bracket whole operations on cross-domain state (a file syscall, a fault,
-// a migration); use bare CrossDomain only when every shared touch happens
-// before the next possible yield. Sections nest. Under the sequential
-// driver both calls are near-free no-ops.
-func (t *Thread) BeginSerial() {
-	t.serialDepth++
-	t.CrossDomain()
-}
-
-// EndSerial closes a BeginSerial section.
-func (t *Thread) EndSerial() {
-	if t.serialDepth == 0 {
-		panic(fmt.Sprintf("sim: thread %q EndSerial without BeginSerial", t.Name))
-	}
-	t.serialDepth--
-}
 
 // Advance consumes d cycles of simulated time on this thread. If the thread
 // has consumed more than the engine quantum since it last yielded, it hands
@@ -300,11 +214,11 @@ func (t *Thread) AdvanceTo(when Cycles) {
 // operations so that cross-thread orderings follow simulated time. Inside
 // an atomic section it is a no-op.
 //
-// Under the sequential driver the thread applies the rule itself: when it is
-// still the minimum it closes the segment in place — exactly what Run does
-// after a resume returns — and runs on, with no host switch at all. Nothing
-// observable distinguishes that from suspending and being picked again: Run
-// emits a switch event only when the picked thread differs from the last.
+// The thread applies the rule itself: when it is still the minimum it
+// closes the segment in place — exactly what Run does after a resume
+// returns — and runs on, with no host switch at all. Nothing observable
+// distinguishes that from suspending and being picked again: Run emits a
+// switch event only when the picked thread differs from the last.
 func (t *Thread) YieldPoint() {
 	if t.atomicDepth > 0 {
 		return
@@ -312,9 +226,7 @@ func (t *Thread) YieldPoint() {
 	t.sinceYield = 0
 	t.state = stateRunnable
 	e := t.eng
-	if !e.sequential {
-		t.suspend()
-	} else if next := e.pickNext(); next == t {
+	if next := e.pickNext(); next == t {
 		e.closeSegment(t)
 		e.Stats.SelfContinues++
 		t.segKey = t.now
@@ -388,23 +300,16 @@ type Engine struct {
 	// simulated clock, so tracing cannot perturb the schedule.
 	Tracer trace.Tracer
 
-	// Stats accumulates host-side driver counters across runs. They are
-	// deterministic but driver-dependent; see EngineStats.
+	// Stats accumulates host-side driver counters across runs; see
+	// EngineStats.
 	Stats EngineStats
 
 	threads []*Thread
 	lastRun ThreadID
 	running bool
-	// sequential is true for the duration of Run: yielding threads may keep
-	// the token themselves (see YieldPoint). The parallel driver's phases
-	// always go through the driver.
-	sequential bool
 	// picked is the thread a yielding thread found ahead of itself; Run
 	// grants it next instead of scanning again.
 	picked *Thread
-
-	// phaseDomains is the parallel driver's reusable phase scratch.
-	phaseDomains []int
 }
 
 // NewEngine returns an engine with the default scheduling quantum.
@@ -417,12 +322,11 @@ func NewEngine() *Engine {
 // may be called before Run or from inside a running thread.
 func (e *Engine) Spawn(name string, start Cycles, body func(t *Thread)) *Thread {
 	t := &Thread{
-		ID:     ThreadID(len(e.threads)),
-		Name:   name,
-		eng:    e,
-		state:  stateRunnable,
-		now:    start,
-		domain: GlobalDomain,
+		ID:    ThreadID(len(e.threads)),
+		Name:  name,
+		eng:   e,
+		state: stateRunnable,
+		now:   start,
 	}
 	e.threads = append(e.threads, t)
 	if tr := e.Tracer; tr != nil {
@@ -478,8 +382,8 @@ func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: engine already running")
 	}
-	e.running, e.sequential = true, true
-	defer func() { e.running, e.sequential = false, false }()
+	e.running = true
+	defer func() { e.running = false }()
 
 	for {
 		next := e.picked
@@ -507,8 +411,8 @@ func (e *Engine) Run() error {
 	}
 }
 
-// closeSegment accounts the sequential-driver segment t has just ended: the
-// one that began at t.segKey.
+// closeSegment accounts the segment t has just ended: the one that began at
+// t.segKey.
 func (e *Engine) closeSegment(t *Thread) {
 	e.Stats.SerialSegments++
 	e.Stats.SerialCycles += t.now - t.segKey

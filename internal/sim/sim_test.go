@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +122,82 @@ func TestEngineDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic at %d: %v vs %v", i, a, b)
+		}
+	}
+}
+
+// synthOutcome runs a synthetic workload of n threads, each mixing plain
+// advances, atomic sections, quantum-crossing advances, yield points and a
+// mid-run rendezvous (even threads block, odd threads wake them), and
+// returns a ledger of shared-state updates in commit order plus every
+// thread's final clock. Any change in the schedule changes the ledger.
+func synthOutcome(t *testing.T, n, steps int) string {
+	t.Helper()
+	e := NewEngine()
+	var threads []*Thread
+	var ledger []string
+	counter := 0
+	for i := 0; i < n; i++ {
+		i := i
+		threads = append(threads, e.Spawn(fmt.Sprintf("synth%d", i), Cycles(i*17), func(th *Thread) {
+			for s := 0; s < steps; s++ {
+				if s == steps/2 {
+					if i%2 == 0 {
+						th.Block("synth-rendezvous")
+					} else {
+						e.Wake(threads[i-1], th.Now()+100)
+						ledger = append(ledger, fmt.Sprintf("t%d s%d wake t%d @%d", i, s, i-1, th.Now()))
+					}
+				}
+				switch (s*7 + i*3) % 5 {
+				case 0:
+					counter++
+					ledger = append(ledger, fmt.Sprintf("t%d s%d @%d c%d", i, s, th.Now(), counter))
+					th.Advance(Cycles(13 + i))
+				case 1:
+					counter += 2
+					th.Advance(40000) // crosses the quantum
+					th.YieldPoint()
+					ledger = append(ledger, fmt.Sprintf("t%d s%d long @%d c%d", i, s, th.Now(), counter))
+				case 2:
+					th.BeginAtomic()
+					th.Advance(Cycles((i*13+s*31)%97 + 1))
+					th.EndAtomic()
+				case 3:
+					th.Advance(Cycles((i+s)%29 + 5))
+				default:
+					th.Advance(Cycles((i*7+s)%61 + 1))
+					th.YieldPoint()
+				}
+			}
+		}))
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	out := fmt.Sprintf("counter=%d\n", counter)
+	for _, l := range ledger {
+		out += l + "\n"
+	}
+	for _, th := range threads {
+		out += fmt.Sprintf("final t%d @%d\n", th.ID, th.Now())
+	}
+	return out
+}
+
+// TestParallelDeterminismAcrossGOMAXPROCS re-runs a synthetic workload at
+// host parallelism 1, 2 and 8, three times each: the simulated outcome
+// must not notice how many host threads carry the coroutines.
+func TestParallelDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	const n, steps = 12, 70
+	want := synthOutcome(t, n, steps)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for rep := 0; rep < 3; rep++ {
+			if got := synthOutcome(t, n, steps); got != want {
+				t.Errorf("GOMAXPROCS=%d rep %d diverged", procs, rep)
+			}
 		}
 	}
 }

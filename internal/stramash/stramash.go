@@ -357,8 +357,6 @@ func (o *OS) MigrateTask(t *kernel.Task, to mem.NodeID) error {
 // list directly in shared memory (§6.5), including the value check under
 // the cross-ISA lock — no origin round trip.
 func (o *OS) FutexWait(t *kernel.Task, uaddr pgtable.VirtAddr, expected uint64) error {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	f := o.futexes[t.Proc.PID].Get(t.Proc.PID, uaddr)
 	f.Lock(t.Port)
 	if t.CapCancelPending() {
@@ -393,8 +391,6 @@ func (o *OS) FutexWait(t *kernel.Task, uaddr pgtable.VirtAddr, expected uint64) 
 // FutexWake implements kernel.OS: direct list access; waking a waiter
 // executing on the other ISA costs one cross-ISA IPI.
 func (o *OS) FutexWake(t *kernel.Task, uaddr pgtable.VirtAddr, n int) (int, error) {
-	t.Th.BeginSerial()
-	defer t.Th.EndSerial()
 	f := o.futexes[t.Proc.PID].Get(t.Proc.PID, uaddr)
 	f.Lock(t.Port)
 	woken := f.Dequeue(t.Port, n)

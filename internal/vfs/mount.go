@@ -238,7 +238,7 @@ func (m *Mount) ReadAt(pt *hw.Port, ten *cap.Tenant, ino *Inode, p []byte, off i
 		if err != nil {
 			return done, err
 		}
-		copy(p[done:done+chunk], pt.Read(frame+mem.PhysAddr(pageOff), chunk))
+		pt.ReadInto(frame+mem.PhysAddr(pageOff), p[done:done+chunk])
 		done += chunk
 	}
 	return n, nil
