@@ -107,6 +107,29 @@ type LevelConfig struct {
 	Ways int
 }
 
+// MaxWays is the highest associativity a level supports: a set's recency
+// word has one 4-bit rank per way.
+const MaxWays = 16
+
+// Validate reports whether a level of this geometry can be built. A zero
+// Size (no level) always can; otherwise Size must not be negative, Ways
+// must be a power of two from 1 to MaxWays, and the set count must be a
+// non-zero power of two.
+func (c LevelConfig) Validate() error {
+	switch {
+	case c.Size == 0:
+		return nil
+	case c.Size < 0:
+		return fmt.Errorf("cache: size %d is negative", c.Size)
+	case c.Ways < 1 || c.Ways > MaxWays || c.Ways&(c.Ways-1) != 0:
+		return fmt.Errorf("cache: %d ways is not a power of two from 1 to %d", c.Ways, MaxWays)
+	}
+	if n := c.Sets(); n == 0 || n&(n-1) != 0 {
+		return fmt.Errorf("cache: set count %d not a non-zero power of two (size=%d ways=%d)", n, c.Size, c.Ways)
+	}
+	return nil
+}
+
 // Sets returns the number of sets for this geometry.
 func (c LevelConfig) Sets() int {
 	if c.Size == 0 {

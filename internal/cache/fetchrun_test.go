@@ -1,13 +1,14 @@
 package cache
 
 // Differential test for the instruction-fetch hit run: IfetchHits must leave
-// the hierarchy — every way's tag, valid/dirty bits and LRU stamp, every
-// level's tick, every counter — exactly where the same fetches pushed one by
-// one through Access(Ifetch) leave it, whatever else happens between runs.
+// the hierarchy — every way's tag and valid/dirty bits, every set's LRU
+// order, every counter — exactly where the same fetches pushed one by one
+// through Access(Ifetch) leave it, whatever else happens between runs.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -63,14 +64,13 @@ func (s *fetchStream) fetchEach(h *Hierarchy, node mem.NodeID, core, k int) sim.
 	return total
 }
 
-// fetchRuns charges the same k fetches as hit runs, each bounded by the
-// window's end as Compute bounds them, with Access for each fetch a run
-// stops at.
+// fetchRuns charges the same k fetches as hit runs that wrap at the
+// window's end, as Compute's do, with Access for each fetch a run stops at.
 func (s *fetchStream) fetchRuns(h *Hierarchy, node mem.NodeID, core, k int) sim.Cycles {
 	l1 := h.Config().Nodes[node].Lat.L1
 	var total sim.Cycles
 	for k > 0 {
-		if n := h.IfetchHits(node, core, s.addr(), int64(min(k, s.lines-s.pos))); n > 0 {
+		if n := h.IfetchHits(node, core, s.base, s.lines, s.pos, int64(k)); n > 0 {
 			total += sim.Cycles(n) * l1
 			s.step(n)
 			k -= n
@@ -191,8 +191,9 @@ func (h *Hierarchy) levels() []*level {
 	return append(out, h.sharedL3)
 }
 
-// checkSameLevels fails t unless every level of got has ref's tick and
-// every way's tag, valid/dirty bits and LRU stamp.
+// checkSameLevels fails t unless every level of got has ref's tag and
+// valid/dirty bits in every way and ranks every set's valid ways in ref's
+// recency order.
 func checkSameLevels(t *testing.T, ref, got *Hierarchy) {
 	t.Helper()
 	gotLevels := got.levels()
@@ -201,12 +202,14 @@ func checkSameLevels(t *testing.T, ref, got *Hierarchy) {
 		if want == nil {
 			continue
 		}
-		if have.tick != want.tick {
-			t.Errorf("level %d: tick %d, want %d", li, have.tick, want.tick)
-		}
 		for wi := range want.ways {
 			if have.ways[wi] != want.ways[wi] {
-				t.Fatalf("level %d way %d: %+v, want %+v", li, wi, have.ways[wi], want.ways[wi])
+				t.Fatalf("level %d way %d: %#x, want %#x", li, wi, have.ways[wi], want.ways[wi])
+			}
+		}
+		for s := range want.order {
+			if h, w := have.recency(s), want.recency(s); !slices.Equal(h, w) {
+				t.Fatalf("level %d set %d: valid ways in recency order %v, want %v", li, s, h, w)
 			}
 		}
 	}
@@ -256,6 +259,58 @@ func TestIfetchHitsMatchesAccess(t *testing.T) {
 			})
 		}
 	}
+	t.Run("cyclic", testIfetchHitsCyclic)
+}
+
+// testIfetchHitsCyclic: one run over windows of 1 to 129 lines, from
+// several starts, of lines−1 to 10·lines fetches, with the window resident
+// in scrambled LRU order or with the line just after or just before start
+// snooped out, leaves the hierarchy where the same fetches through Access
+// do, and stops at the missing line, in the wrapped part too.
+func testIfetchHitsCyclic(t *testing.T) {
+	const base = 0x10000
+	for _, lines := range []int{1, 63, 64, 65, 128, 129} {
+		for _, limit := range []int{lines - 1, lines, lines + 1, 2 * lines, 10 * lines} {
+			for _, start := range slices.Compact([]int{0, lines / 2, lines - 1}) {
+				for _, gone := range []int{-1, (start + 1) % lines, (start + lines - 1) % lines} {
+					name := fmt.Sprintf("lines=%d/limit=%d/start=%d/gone=%d", lines, limit, start, gone)
+					warm := func(h *Hierarchy) {
+						// The window, lines aliasing its L1I sets, then the
+						// window again in a scrambled order.
+						rng := rand.New(rand.NewSource(int64(lines)))
+						for i := 0; i < 2*lines; i++ {
+							h.Access(0, 0, Ifetch, base+mem.PhysAddr(rng.Intn(lines))*mem.LineSize+l3Stride, 4)
+						}
+						for _, i := range rng.Perm(lines) {
+							h.Access(0, 0, Ifetch, base+mem.PhysAddr(i)*mem.LineSize, 4)
+						}
+						if gone >= 0 {
+							h.Access(1, 0, Write, base+mem.PhysAddr(gone)*mem.LineSize, 8)
+						}
+					}
+					ref, run := newTestHierarchy(mem.Separated), newTestHierarchy(mem.Separated)
+					warm(ref)
+					warm(run)
+					want := limit
+					if gone >= 0 {
+						want = min(limit, (gone-start+lines)%lines)
+					}
+					n := run.IfetchHits(0, 0, base, lines, start, int64(limit))
+					if n != want {
+						t.Fatalf("%s: run of %d fetches, want %d", name, n, want)
+					}
+					(&fetchStream{base: base, lines: lines, pos: start}).fetchEach(ref, 0, 0, n)
+					if got, want := run.Stats(0), ref.Stats(0); got != want {
+						t.Fatalf("%s: stats\n got %+v\nwant %+v", name, got, want)
+					}
+					if got, want := run.CoreStats(0, 0), ref.CoreStats(0, 0); got != want {
+						t.Fatalf("%s: core stats\n got %+v\nwant %+v", name, got, want)
+					}
+					checkSameLevels(t, ref, run)
+				}
+			}
+		}
+	}
 }
 
 // TestIfetchHitsBypassedUnderTap: a Tap must see every access, so the run
@@ -263,12 +318,12 @@ func TestIfetchHitsMatchesAccess(t *testing.T) {
 func TestIfetchHitsBypassedUnderTap(t *testing.T) {
 	h := newTestHierarchy(mem.Separated)
 	h.Access(mem.NodeX86, 0, Ifetch, 0x1000, mem.LineSize)
-	if n := h.IfetchHits(mem.NodeX86, 0, 0x1000, 4); n != 1 {
+	if n := h.IfetchHits(mem.NodeX86, 0, 0x1000, 4, 0, 4); n != 1 {
 		t.Fatalf("resident line: run of %d, want 1 (stops at the first miss)", n)
 	}
 	h.Tap = func(mem.NodeID, int, Kind, mem.PhysAddr, int) {}
 	before := h.Stats(mem.NodeX86)
-	if n := h.IfetchHits(mem.NodeX86, 0, 0x1000, 4); n != 0 {
+	if n := h.IfetchHits(mem.NodeX86, 0, 0x1000, 4, 0, 4); n != 0 {
 		t.Errorf("run of %d under a Tap, want 0", n)
 	}
 	if after := h.Stats(mem.NodeX86); after != before {

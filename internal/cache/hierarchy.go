@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/mem"
@@ -14,146 +15,166 @@ type lineAddr uint64
 
 func lineOf(a mem.PhysAddr) lineAddr { return lineAddr(a >> mem.LineShift) }
 
-// way is one cache way: a tag plus replacement state.
-type way struct {
-	line  lineAddr
-	valid bool
-	dirty bool
-	used  int64 // global LRU timestamp
-}
+// way is one cache way packed into a word, line<<2 | dirty<<1 | valid. An
+// invalid way is zero. A 16-way set is 128 bytes, two host cache lines.
+type way uint64
+
+const (
+	wayValid way = 1 << iota
+	wayDirty
+)
+
+func (w way) valid() bool    { return w&wayValid != 0 }
+func (w way) dirty() bool    { return w&wayDirty != 0 }
+func (w way) line() lineAddr { return lineAddr(w >> 2) }
+
+// holds reports whether w is a valid way holding a: the set scan's test,
+// which a memo slot must pass before it is used.
+func (w way) holds(a lineAddr) bool { return w&^wayDirty == way(a)<<2|wayValid }
 
 // level is one set-associative cache level with true LRU replacement. The
 // ways of all sets live in one contiguous array (set s occupies
-// ways[s*assoc : (s+1)*assoc]), so a lookup is a shift, a mask and a short
-// scan of adjacent memory — no per-set slice headers, no division.
+// ways[s<<shift : (s+1)<<shift]), so finding a line is a shift, a mask and a
+// short scan of adjacent memory — no per-set slice headers, no division.
 //
-// memo is a direct-mapped way hint: slot a&(memoSize-1) names the way the
-// last set scan that found a line with those low bits returned, so a hit on
-// any recently found line — not only the last one — is one load and one
-// compare. A slot is a hint, never trusted: it points into ways, which is
-// never reallocated; it is used only if the way is valid and holds the line,
-// the scan's own test; and only a scan hit writes a way into it, while
-// insert clears the filled line's slot, so a slot that passes the test names
-// the way the scan would return even in an L2 that holds a line twice
-// (DESIGN §6, "Way memo").
+// order holds one recency word per set: nibble k is the index within the
+// set of the way with recency rank k, rank 0 the most recently used. The
+// low 4·ways bits are always a permutation of the set's way indices, so
+// choosing a victim reads the set's tags and one word, never per-way
+// replacement state (DESIGN §6, "Recency words").
+//
+// memo is a direct-mapped way hint: slot a&(memoSize-1) holds one plus the
+// index in ways of the way the last set scan that found a line with those
+// low bits returned (zero is empty), so a hit on any recently found line —
+// not only the last one — is one load and one compare. A slot is a hint,
+// never trusted: it is used only if the way holds the line, the scan's own
+// test; and only a scan hit writes a slot, while insert clears the filled
+// line's slot, so a slot that passes the test names the way the scan would
+// return even in an L2 that holds a line twice (DESIGN §6, "Way memo").
 type level struct {
 	ways  []way
-	memo  [memoSize]*way
-	assoc int
-	mask  uint64
-	// tick is the level's private LRU clock, bumped once per stamp. Victim
-	// selection compares timestamps only within one level, so a per-level
-	// clock decides every eviction exactly as one hierarchy-wide clock would,
-	// and the hit-run fast path can hold it in a register.
-	tick int64
-}
-
-func newLevel(c LevelConfig) *level {
-	n := c.Sets()
-	if n == 0 {
-		return nil
-	}
-	if n&(n-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d not a power of two (size=%d ways=%d)", n, c.Size, c.Ways))
-	}
-	return &level{ways: make([]way, n*c.Ways), assoc: c.Ways, mask: uint64(n - 1)}
-}
-
-func (l *level) setOf(a lineAddr) []way {
-	s := (uint64(a) & l.mask) * uint64(l.assoc)
-	return l.ways[s : s+uint64(l.assoc)]
+	order []uint64
+	memo  [memoSize]uint32
+	shift uint   // log2 of the ways per set
+	last  uint64 // ways per set - 1
+	mask  uint64 // set count - 1
+	ranks uint64 // the low 4·ways bits: a recency word's used nibbles
 }
 
 // memoSize is the number of way-memo slots per level.
 const memoSize = 1024
 
-// lookup returns the way holding a, or nil. The hot callers inline its two
-// halves themselves: lookup with both is over the inlining budget.
-func (l *level) lookup(a lineAddr) *way {
-	if w := l.hit(a); w != nil {
-		return w
+// nibbles has a one in every nibble of a recency word.
+const nibbles = 0x1111111111111111
+
+func newLevel(c LevelConfig) *level {
+	if err := c.Validate(); err != nil {
+		panic(err)
 	}
-	return l.scan(a)
+	n := c.Sets()
+	if n == 0 {
+		return nil
+	}
+	l := &level{
+		ways:  make([]way, n*c.Ways),
+		order: make([]uint64, n),
+		shift: uint(bits.TrailingZeros(uint(c.Ways))),
+		last:  uint64(c.Ways - 1),
+		mask:  uint64(n - 1),
+		ranks: 1<<(4*uint(c.Ways)) - 1,
+	}
+	for s := range l.order {
+		l.order[s] = 0xFEDCBA9876543210 & l.ranks // rank k is way k
+	}
+	return l
 }
 
-// hit returns the way a's memo slot names if it holds a, else nil.
-func (l *level) hit(a lineAddr) *way {
-	if w := l.memo[a&(memoSize-1)]; w.holds(a) {
-		return w
-	}
-	return nil
+// setOf returns a's set.
+func (l *level) setOf(a lineAddr) []way {
+	b := (uint64(a) & l.mask) << l.shift
+	return l.ways[b : b+1<<l.shift]
 }
 
-// holds reports whether w is a valid way holding a: the set scan's test,
-// which a memo slot must pass before it is used.
-func (w *way) holds(a lineAddr) bool { return w != nil && w.valid && w.line == a }
+// hit returns the index of the way a's memo slot names if it holds a, else
+// -1.
+func (l *level) hit(a lineAddr) int {
+	if i := uint(l.memo[a&(memoSize-1)]) - 1; i < uint(len(l.ways)) && l.ways[i].holds(a) {
+		return int(i)
+	}
+	return -1
+}
 
-// scan searches a's set, remembering a hit in a's memo slot.
-func (l *level) scan(a lineAddr) *way {
-	set := l.setOf(a)
-	for i := range set {
-		if set[i].valid && set[i].line == a {
-			l.memo[a&(memoSize-1)] = &set[i]
-			return &set[i]
+// scan searches a's set and returns the index of the lowest way holding a,
+// or -1, remembering a hit in a's memo slot.
+func (l *level) scan(a lineAddr) int {
+	b := int((uint64(a) & l.mask) << l.shift)
+	for i, w := range l.ways[b : b+1<<l.shift] {
+		if w.holds(a) {
+			l.memo[a&(memoSize-1)] = uint32(b+i) + 1
+			return b + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // insert fills a into the level, evicting the LRU way if needed. It returns
-// the way now holding a (so callers can mark it dirty without a second set
-// scan) plus the evicted line and whether an eviction of a valid (possibly
-// dirty) line happened.
-func (l *level) insert(a lineAddr) (filled *way, evicted lineAddr, wasValid, wasDirty bool) {
-	if l == nil {
-		return nil, 0, false, false
+// the index of the way now holding a (so callers can mark it dirty without
+// a second set scan) plus the evicted line and whether an eviction of a
+// valid (possibly dirty) line happened. The victim is the set's lowest
+// invalid way, else the way of the top rank; the fill then holds rank 0,
+// which in a full set is a rotation of the word.
+func (l *level) insert(a lineAddr) (filled int, evicted lineAddr, wasValid, wasDirty bool) {
+	s := uint64(a) & l.mask
+	b := int(s << l.shift)
+	set := l.ways[b : b+1<<l.shift]
+	v := 0
+	for v < len(set) && set[v].valid() {
+		v++
 	}
-	set := l.setOf(a)
-	victim := l.victimIn(set)
-	w := &set[victim]
-	evicted, wasValid, wasDirty = w.line, w.valid, w.dirty
-	l.tick++
-	*w = way{line: a, valid: true, used: l.tick}
-	// A slot last written for another line may name w, which now passes
-	// for a; when a already has a lower-index copy (the no-L3 double fill)
-	// that is not the way the scan returns.
-	l.memo[a&(memoSize-1)] = nil
-	return w, evicted, wasValid, wasDirty
+	if v == len(set) {
+		o := l.order[s]
+		v = int(o>>(4*(len(set)-1))) & 0xF
+		l.order[s] = (o<<4 | uint64(v)) & l.ranks
+	} else {
+		l.stamp(b + v)
+	}
+	w := set[v]
+	set[v] = way(a)<<2 | wayValid
+	// A slot last written for another line may name way v, which now
+	// passes for a; when a already has a lower-index copy (the no-L3
+	// double fill) that is not the way the scan returns.
+	l.memo[a&(memoSize-1)] = 0
+	return b + v, w.line(), w.valid(), w.dirty()
 }
 
-// victimIn returns the index insert would evict from the given set: the
-// first invalid way, else the least recently used.
-func (l *level) victimIn(set []way) int {
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			return i
-		}
-		if set[i].used < set[victim].used {
-			victim = i
-		}
-	}
-	return victim
-}
-
-// stamp marks a way most recently used.
-func (l *level) stamp(w *way) {
-	l.tick++
-	w.used = l.tick
+// stamp makes way i (an index into ways) its set's most recently used: the
+// ways ranked before it move back one rank and it takes rank 0. It does not
+// branch on i's rank. Rank r is the first nibble of the word equal to i's
+// index k in the set, found with the has-zero-nibble test on the word xor
+// k in every nibble; m covers nibbles 0..r, which take the word shifted up
+// one nibble with k shifted in.
+func (l *level) stamp(i int) {
+	// shift&63 spares the compiler's check for a shift past 63.
+	s, k := uint(i)>>(l.shift&63), uint64(i)&l.last
+	o := l.order[s]
+	x := o ^ k*nibbles
+	t := (x - nibbles) &^ x & (nibbles << 3)
+	m := t ^ (t - 1)
+	l.order[s] = o ^ (o^(o<<4|k))&m
 }
 
 // invalidate removes a from the level, returning whether it was present and
-// whether it was dirty.
+// whether it was dirty. The way keeps its stale rank: an invalid way is
+// chosen by the invalid-first rule, never by rank.
 func (l *level) invalidate(a lineAddr) (present, dirty bool) {
 	if l == nil {
 		return false, false
 	}
 	set := l.setOf(a)
-	for i := range set {
-		if set[i].valid && set[i].line == a {
-			present, dirty = true, set[i].dirty
-			set[i] = way{}
-			return present, dirty
+	for i, w := range set {
+		if w.holds(a) {
+			set[i] = 0
+			return true, w.dirty()
 		}
 	}
 	return false, false
@@ -161,11 +182,8 @@ func (l *level) invalidate(a lineAddr) (present, dirty bool) {
 
 // flushAll invalidates every line (used by tests and node reset).
 func (l *level) flushAll() {
-	if l == nil {
-		return
-	}
-	for i := range l.ways {
-		l.ways[i] = way{}
+	if l != nil {
+		clear(l.ways)
 	}
 }
 
@@ -410,7 +428,8 @@ func (h *Hierarchy) Access(node mem.NodeID, core int, kind Kind, addr mem.PhysAd
 	return total
 }
 
-// accessLine performs the per-line simulation: coherence, lookup, fill.
+// accessLine performs the per-line simulation: coherence, level search,
+// fill.
 func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycles {
 	nc := h.nodes[node]
 	st := &nc.stats
@@ -439,10 +458,10 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		// invisible to the timing model; the inclusion invariant
 		// guarantees the entry exists and records this node as a holder.
 		w := l1.hit(ln)
-		if w == nil {
+		if w < 0 {
 			w = l1.scan(ln)
 		}
-		if w != nil {
+		if w >= 0 {
 			l1.stamp(w)
 			if kind == Ifetch {
 				st.L1IHits++
@@ -463,7 +482,7 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	// inclusion-maintained invalidation). held is read before this access
 	// marks the node a holder: when it is false no private level of the
 	// node holds the line (DESIGN §6, "Directory-first misses"), so the
-	// lookups below that are guaranteed to miss are skipped.
+	// level searches below that are guaranteed to miss are skipped.
 	e := h.entryFor(node, core, ln)
 	held := e.holders[node]
 	if isWrite {
@@ -507,7 +526,7 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		}
 	}
 
-	// Level lookups. Reads already probed (and missed) L1 above. A lookup
+	// Level searches. Reads already probed (and missed) L1 above. A search
 	// changes nothing on a miss, so skipping one that must miss is exact.
 	l3 := nc.l3
 	if h.cfg.SharedL3 {
@@ -515,12 +534,12 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	}
 	if isWrite && held {
 		w := l1.hit(ln)
-		if w == nil {
+		if w < 0 {
 			w = l1.scan(ln)
 		}
-		if w != nil {
+		if w >= 0 {
 			l1.stamp(w)
-			w.dirty = true
+			l1.ways[w] |= wayDirty
 			st.L1DHits++
 			cs.L1DHits++
 			cost += lat.L1
@@ -533,19 +552,19 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 
 	st.L2Accesses++
 	l2 := nc.l2[core]
-	var w2 *way
+	w2 := -1
 	// Without an L3 the L2 is the last level, and its double fill (fillL3
 	// and fillLevel both insert) can leave a copy the directory no longer
 	// lists; that L2 is always searched.
 	if l2 != nil && (held || l3 == nil) {
-		if w2 = l2.hit(ln); w2 == nil {
+		if w2 = l2.hit(ln); w2 < 0 {
 			w2 = l2.scan(ln)
 		}
 	}
-	if w := w2; w != nil {
-		l2.stamp(w)
+	if w2 >= 0 {
+		l2.stamp(w2)
 		if isWrite {
-			w.dirty = true
+			l2.ways[w2] |= wayDirty
 		}
 		st.L2Hits++
 		cost += lat.L2
@@ -559,16 +578,16 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	if l3 != nil {
 		st.L3Accesses++
 		// The shared L3 holds lines the other node filled.
-		var w3 *way
+		w3 := -1
 		if held || h.cfg.SharedL3 {
-			if w3 = l3.hit(ln); w3 == nil {
+			if w3 = l3.hit(ln); w3 < 0 {
 				w3 = l3.scan(ln)
 			}
 		}
-		if w := w3; w != nil {
-			l3.stamp(w)
+		if w3 >= 0 {
+			l3.stamp(w3)
 			if isWrite {
-				w.dirty = true
+				l3.ways[w3] |= wayDirty
 			}
 			st.L3Hits++
 			cost += lat.L3
@@ -581,7 +600,7 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		cost += lat.L3
 	}
 
-	// Memory access. One region lookup gives the locality (as
+	// Memory access. One region search gives the locality (as
 	// Layout.Classify: FullyShared is all local, unmapped is remote) and
 	// whether a remote hit lands in the shared pool.
 	pa := mem.PhysAddr(ln) * mem.LineSize
@@ -617,19 +636,22 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 }
 
 // IfetchHits charges up to limit consecutive instruction fetches by (node,
-// core) of the lines at addr, addr+LineSize, … and returns how many it
-// charged. Each one is exactly Access(node, core, Ifetch, line, LineSize)
-// taking the L1I-hit path — the way is stamped with the level's next LRU
-// tick, the node's and core's L1I access and hit counters and the hit
-// latencies grow by one fetch — but the counters are added once for the
-// whole run and no clock is advanced: the caller owes n·Lat.L1 cycles.
+// core) of a code window of lines lines at base, walked cyclically from
+// line start, and returns how many it charged. Each one is exactly
+// Access(node, core, Ifetch, line, LineSize) taking the L1I-hit path — the
+// way becomes its set's most recently used, the node's and core's L1I access
+// and hit counters and the hit latencies grow by one fetch — but the
+// counters are added once for the whole run and no clock is advanced: the
+// caller owes n·Lat.L1 cycles.
 //
 // The run stops before the first line that is not resident in the L1I (that
 // fetch needs the full Access path: fill, directory, events) and charges
 // nothing while a Tap is installed, since a Tap must observe every access.
-// It never wraps: a caller walking a window bounds limit by the lines left
-// before the window's end.
-func (h *Hierarchy) IfetchHits(node mem.NodeID, core int, addr mem.PhysAddr, limit int64) int {
+// Of a run of n fetches only the last min(n, lines) are applied to the LRU
+// order, in fetch order: a way's rank depends only on its last touch, and
+// any lines consecutive fetches touch every window line (DESIGN §6,
+// "Recency words").
+func (h *Hierarchy) IfetchHits(node mem.NodeID, core int, base mem.PhysAddr, lines, start int, limit int64) int {
 	if h.Tap != nil {
 		return 0
 	}
@@ -638,20 +660,33 @@ func (h *Hierarchy) IfetchHits(node mem.NodeID, core int, addr mem.PhysAddr, lim
 	if l1 == nil {
 		return 0
 	}
-	first := lineOf(addr)
-	hits, tick := int64(0), l1.tick
-	for ; hits < limit; hits++ {
-		ln := first + lineAddr(hits)
-		w := l1.memo[ln&(memoSize-1)]
-		if !w.holds(ln) { // hit(ln), without its nil result to test again
-			if w = l1.scan(ln); w == nil {
-				break
-			}
+	// Check residency along the run until a line misses or the whole
+	// window is found; then no fetch of the run can miss.
+	first := lineOf(base)
+	hits, j := int64(0), start
+	for pass := min(limit, int64(lines)); hits < pass; hits++ {
+		if ln := first + lineAddr(j); l1.hit(ln) < 0 && l1.scan(ln) < 0 {
+			break
 		}
-		tick++
-		w.used = tick // l1.stamp(w), with the tick held in a register
+		if j++; j == lines {
+			j = 0
+		}
 	}
-	l1.tick = tick
+	if hits == int64(lines) {
+		hits = limit
+	}
+	q := min(hits, int64(lines))
+	for j = int((int64(start) + hits - q) % int64(lines)); q > 0; q-- {
+		ln := first + lineAddr(j)
+		w := l1.hit(ln)
+		if w < 0 {
+			w = l1.scan(ln)
+		}
+		l1.stamp(w)
+		if j++; j == lines {
+			j = 0
+		}
+	}
 	cycles := sim.Cycles(hits) * h.cfg.Nodes[node].Lat.L1
 	st, cs := &nc.stats, &nc.coreStats[core]
 	st.L1IAccesses += hits
@@ -671,7 +706,7 @@ func (h *Hierarchy) fillLevel(l *level, ln lineAddr, dirty bool) {
 	}
 	w, _, _, _ := l.insert(ln)
 	if dirty {
-		w.dirty = true
+		l.ways[w] |= wayDirty
 	}
 }
 
@@ -682,20 +717,24 @@ func (h *Hierarchy) fillL3(node, core int, l3 *level, ln lineAddr, dirty bool) {
 	st := &h.nodes[node].stats
 	if l3 == nil {
 		// Small configs without an L3 enforce inclusion at L2 instead.
-		w, evicted, wasValid, wasDirty := h.nodes[node].l2[core].insert(ln)
+		l2 := h.nodes[node].l2[core]
+		if l2 == nil {
+			return
+		}
+		w, evicted, wasValid, wasDirty := l2.insert(ln)
 		if wasValid {
 			h.onLastLevelEvict(node, evicted, wasDirty)
 		}
 		if dirty {
 			// The back-invalidation above targets only the evicted line,
 			// never ln, so w still holds the line just filled.
-			w.dirty = true
+			l2.ways[w] |= wayDirty
 		}
 		return
 	}
 	w, evicted, wasValid, wasDirty := l3.insert(ln)
 	if dirty {
-		w.dirty = true
+		l3.ways[w] |= wayDirty
 	}
 	if !wasValid {
 		return

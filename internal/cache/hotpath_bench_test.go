@@ -6,7 +6,8 @@ package cache
 // real runs: the warm L1 hit, L1 hits scattered over a resident working
 // set, the cache-miss path (with directory churn
 // from inclusive-LLC evictions), a cold stream over more directory than the
-// host caches hold, and the cross-node snoop path.
+// host caches hold, the cross-node snoop path, and a last-level fill into a
+// full set the host caches do not hold.
 
 import (
 	"math/rand"
@@ -189,5 +190,51 @@ func TestSnoopPathZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, pingPong)
 	if allocs != 0 {
 		t.Errorf("snoop path allocates %.2f objects per ping-pong, want 0", allocs)
+	}
+}
+
+// fullLevel returns a default-geometry L3 level (4 MiB, 16 ways, 4096 sets)
+// with every set full, and its set indices in a fixed shuffled order, so a
+// fill walking them finds each set cold in the host caches, as a last-level
+// miss stream does.
+func fullLevel() (*level, []lineAddr) {
+	cfg := DefaultNodeConfig(XeonGoldLatencies()).L3
+	l, sets := newLevel(cfg), cfg.Sets()
+	for i := 0; i < sets*cfg.Ways; i++ {
+		l.insert(lineAddr(i))
+	}
+	order := make([]lineAddr, sets)
+	for i, s := range rand.New(rand.NewSource(1)).Perm(sets) {
+		order[i] = lineAddr(s)
+	}
+	return l, order
+}
+
+// BenchmarkLevelFillFull measures one fill into a full set of the L3-sized
+// level: choosing the LRU victim and replacing it.
+func BenchmarkLevelFillFull(b *testing.B) {
+	l, order := fullLevel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.insert(lineAddr(i)<<12 | order[i&(len(order)-1)])
+	}
+}
+
+// TestLevelFillZeroAllocs: a pass of fills over every set evicts on every
+// fill and allocates nothing.
+func TestLevelFillZeroAllocs(t *testing.T) {
+	l, order := fullLevel()
+	next := lineAddr(1)
+	pass := func() {
+		for _, s := range order {
+			if _, _, wasValid, _ := l.insert(next<<12 | s); !wasValid {
+				t.Fatal("a fill into a full set evicted nothing")
+			}
+			next++
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
+		t.Errorf("fills into full sets allocate %.0f objects per %d-fill pass, want 0", allocs, len(order))
 	}
 }

@@ -42,22 +42,24 @@ func (o *missOracle) Flush() {
 	clear(o.dir.m)
 }
 
-// scanFor is the set scan alone, with no way memo. The oracle searches
-// through it rather than lookup, so the memo under test can neither answer
-// for it nor be written by it.
-func scanFor(l *level, ln lineAddr) *way {
-	set := l.setOf(ln)
-	for i := range set {
-		if set[i].valid && set[i].line == ln {
-			return &set[i]
+// scanFor is the set scan alone, with no way memo: it returns the index of
+// the lowest way of l holding ln, or -1. The oracle searches through it
+// rather than hit and scan, so the memo under test can neither answer for
+// it nor be written by it.
+func scanFor(l *level, ln lineAddr) int {
+	b := int((uint64(ln) & l.mask) << l.shift)
+	for i, w := range l.setOf(ln) {
+		if w.holds(ln) {
+			return b + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // accessLine is the parent commit's, verbatim but for the directory calls
-// (h.entryFor → o.dir.ensure), the helpers that touch the directory, and
-// the way searches (its one-entry hint and lookup → scanFor).
+// (h.entryFor → o.dir.ensure), the helpers that touch the directory, the
+// way searches (its one-entry hint and lookup → scanFor) and the way
+// handles (a *way and its fields → an index into the level's ways).
 func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycles {
 	h := o.Hierarchy
 	nc := h.nodes[node]
@@ -80,7 +82,7 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 
 	if !isWrite {
 		w := scanFor(l1, ln)
-		if w != nil {
+		if w >= 0 {
 			l1.stamp(w)
 			if kind == Ifetch {
 				st.L1IHits++
@@ -139,9 +141,9 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 
 	if isWrite {
 		w := scanFor(l1, ln)
-		if w != nil {
+		if w >= 0 {
 			l1.stamp(w)
-			w.dirty = true
+			l1.ways[w] |= wayDirty
 			st.L1DHits++
 			cs.L1DHits++
 			cost += lat.L1
@@ -154,14 +156,14 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 
 	st.L2Accesses++
 	l2 := nc.l2[core]
-	var w2 *way
+	w2 := -1
 	if l2 != nil {
 		w2 = scanFor(l2, ln)
 	}
-	if w := w2; w != nil {
+	if w := w2; w >= 0 {
 		l2.stamp(w)
 		if isWrite {
-			w.dirty = true
+			l2.ways[w] |= wayDirty
 		}
 		st.L2Hits++
 		cost += lat.L2
@@ -179,10 +181,10 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 	if l3 != nil {
 		st.L3Accesses++
 		w3 := scanFor(l3, ln)
-		if w := w3; w != nil {
+		if w := w3; w >= 0 {
 			l3.stamp(w)
 			if isWrite {
-				w.dirty = true
+				l3.ways[w] |= wayDirty
 			}
 			st.L3Hits++
 			cost += lat.L3
@@ -233,18 +235,19 @@ func (o *missOracle) fillL3(node, core int, l3 *level, ln lineAddr, dirty bool) 
 	h := o.Hierarchy
 	st := &h.nodes[node].stats
 	if l3 == nil {
-		w, evicted, wasValid, wasDirty := h.nodes[node].l2[core].insert(ln)
+		l2 := h.nodes[node].l2[core]
+		w, evicted, wasValid, wasDirty := l2.insert(ln)
 		if wasValid {
 			o.onLastLevelEvict(node, evicted, wasDirty)
 		}
 		if dirty {
-			w.dirty = true
+			l2.ways[w] |= wayDirty
 		}
 		return
 	}
 	w, evicted, wasValid, wasDirty := l3.insert(ln)
 	if dirty {
-		w.dirty = true
+		l3.ways[w] |= wayDirty
 	}
 	if !wasValid {
 		return
@@ -489,7 +492,7 @@ func TestAccessLineMatchesMissOracle(t *testing.T) {
 		step(1, Write, x)
 		step(0, Read, ln) // the double fill: ways 2 and 3
 		set := got.nodes[0].l2[0].setOf(lineOf(ln))
-		if set[2].line != lineOf(ln) || set[3].line != lineOf(ln) || !set[2].valid || !set[3].valid {
+		if !set[2].holds(lineOf(ln)) || !set[3].holds(lineOf(ln)) {
 			t.Fatalf("L2 set %+v: the script no longer double-fills ways 2 and 3", set)
 		}
 		step(0, Read, 0x1200) // two lines of another L2 set evict ln from L1

@@ -57,7 +57,7 @@ func checkLines(t *testing.T, h *Hierarchy, included [2][]*level, lines []lineAd
 					continue
 				}
 				for _, w := range l.setOf(ln) {
-					if w.valid && w.line == ln {
+					if w.holds(ln) {
 						t.Fatalf("step %d: line %#x is in a private level of node %d, which the directory does not list",
 							step, ln, n)
 					}
@@ -76,8 +76,8 @@ func checkInclusion(t *testing.T, h *Hierarchy) {
 				continue
 			}
 			for _, w := range l.ways {
-				if w.valid && !h.HoldsLine(mem.NodeID(n), mem.PhysAddr(w.line)*mem.LineSize) {
-					t.Fatalf("line %#x is in a private level of node %d, which the directory does not list", w.line, n)
+				if w.valid() && !h.HoldsLine(mem.NodeID(n), mem.PhysAddr(w.line())*mem.LineSize) {
+					t.Fatalf("line %#x is in a private level of node %d, which the directory does not list", w.line(), n)
 				}
 			}
 		}

@@ -266,16 +266,23 @@ type Figure10Result struct {
 // 128 KiB L2 — preserving the capacity relationship of the paper's
 // 4 MiB-vs-32 MiB study.
 func Figure10(scale Scale) (*Figure10Result, error) {
-	small, err := figure10Grid(scale, 256<<10)
+	small, err := figure10Grid(scale, figure10SmallL3)
 	if err != nil {
 		return nil, err
 	}
-	large, err := figure10Grid(scale, 2<<20)
+	large, err := figure10Grid(scale, figure10LargeL3)
 	if err != nil {
 		return nil, err
 	}
 	return &Figure10Result{Small: small, Large: large}, nil
 }
+
+// The Figure 10 hierarchy, scaled with NPB.
+const (
+	figure10L2      = 128 << 10
+	figure10SmallL3 = 256 << 10
+	figure10LargeL3 = 2 << 20
+)
 
 // figure10Grid runs only IS and CG on the configs that matter for the
 // study (SHM and Stramash-Shared/Separated plus Vanilla for normalization).
@@ -292,7 +299,7 @@ func figure10Grid(scale Scale, l3 int) (*Figure9Result, error) {
 	for _, bench := range []string{"IS", "CG"} {
 		var vanilla sim.Cycles
 		for _, cfg := range configs {
-			m, err := machine.New(machine.Config{Model: cfg.Model, OS: cfg.OS, L3Size: l3, L2Size: 128 << 10})
+			m, err := machine.New(machine.Config{Model: cfg.Model, OS: cfg.OS, L3Size: l3, L2Size: figure10L2})
 			if err != nil {
 				return nil, err
 			}

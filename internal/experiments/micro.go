@@ -162,6 +162,9 @@ type Figure11Result struct {
 	Cells []Figure11Cell
 }
 
+// figure11QuickL3 is Figure 11's L3 at Quick scale.
+const figure11QuickL3 = 256 << 10
+
 // Figure11 measures the five access scenarios on Popcorn-SHM and on
 // Stramash under the Shared and FullyShared models.
 // The buffer must exceed the L3 (the paper uses 10 MB against 4 MB);
@@ -172,7 +175,7 @@ func Figure11(scale Scale) (*Figure11Result, error) {
 	l3 := 0 // default 4 MB
 	if scale == Quick {
 		p.Bytes = 1 << 20
-		l3 = 256 << 10
+		l3 = figure11QuickL3
 	}
 	systems := []struct {
 		label string

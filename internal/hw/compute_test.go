@@ -78,7 +78,8 @@ type computeOutcome struct {
 // the two cores of node 0 while a thread on node 1 keeps storing into that
 // code (snoop-invalidating lines out from under both), under a tracer. Each
 // round also runs a short routine laid out right after the window, so the
-// lines past the window's end are resident when a hit run reaches it.
+// lines past the window's end are resident: a hit run that walked past the
+// end instead of wrapping would find them.
 func runComputeCase(t *testing.T, tc computeCase, oracle bool) computeOutcome {
 	t.Helper()
 	const (

@@ -293,13 +293,13 @@ func (pt *Port) ZeroPage(a mem.PhysAddr) {
 // realistically for loopy code.
 //
 // Fetches that hit are charged as a hit run: as many consecutive resident
-// lines as are left in full batches, before the window's end and before the
-// thread's next quantum yield go through cache.Hierarchy.IfetchHits in one
-// pass, and the clock advances once by their sum. That is the same
-// simulated history as fetching them one by one (DESIGN.md §6); the fetch
-// that misses, the one whose cycles cross the quantum and the partial tail
-// batch are always charged individually, as is every fetch while a cache
-// Tap is installed.
+// lines of the window, wrapping at its end, as are left in full batches and
+// fit before the thread's next quantum yield go through
+// cache.Hierarchy.IfetchHits in one call, and the clock advances once by
+// their sum. That is the same simulated history as fetching them one by one
+// (DESIGN.md §6); the fetch that misses, the one whose cycles cross the
+// quantum and the partial tail batch are always charged individually, as is
+// every fetch while a cache Tap is installed.
 func (pt *Port) Compute(n int64, pc *CodeWindow) {
 	if n <= 0 {
 		return
@@ -311,11 +311,9 @@ func (pt *Port) Compute(n int64, pc *CodeWindow) {
 	for i := int64(0); i < n; {
 		if k := (n - i) / instPerLine; k > 0 && perHit > 0 {
 			// k·perHit must stay below the yield headroom, so that no
-			// Advance of the run would have yielded, and the run must stop
-			// at the window's end, where the walk wraps.
-			k = min(k, int64((pt.T.YieldHeadroom()-1)/perHit), int64(pc.lines-pc.line))
-			at := pc.Base + mem.PhysAddr(pc.line)*mem.LineSize
-			if hits := pt.Plat.Caches.IfetchHits(pt.Node, pt.Core, at, k); hits > 0 {
+			// Advance of the run would have yielded.
+			k = min(k, int64((pt.T.YieldHeadroom()-1)/perHit))
+			if hits := pt.Plat.Caches.IfetchHits(pt.Node, pt.Core, pc.Base, pc.lines, pc.line, k); hits > 0 {
 				pc.advance(hits)
 				pt.T.Advance(sim.Cycles(hits) * perHit)
 				i += int64(hits) * instPerLine
@@ -375,11 +373,7 @@ func (w *CodeWindow) next() mem.PhysAddr {
 }
 
 // advance steps the walk past k fetched lines, wrapping at the window's
-// end. k never reaches past the end: next steps one line, and Compute
-// bounds a hit run by the lines left before the end.
+// end as often as k requires: a hit run may cover the window many times.
 func (w *CodeWindow) advance(k int) {
-	w.line += k
-	if w.line >= w.lines {
-		w.line -= w.lines
-	}
+	w.line = (w.line + k) % w.lines
 }

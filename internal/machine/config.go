@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/kernel"
 	"repro/internal/vfs"
 )
@@ -45,14 +46,8 @@ func (c *Config) Validate() error {
 	if c.SchedQuantum < 0 {
 		return &ConfigError{Field: "SchedQuantum", Value: c.SchedQuantum, Reason: "must not be negative"}
 	}
-	if c.L3Size < 0 {
-		return &ConfigError{Field: "L3Size", Value: c.L3Size, Reason: "must not be negative"}
-	}
-	if c.L2Size < 0 {
-		return &ConfigError{Field: "L2Size", Value: c.L2Size, Reason: "must not be negative"}
-	}
-	if c.L3PerNode != nil && (c.L3PerNode[0] < 0 || c.L3PerNode[1] < 0) {
-		return &ConfigError{Field: "L3PerNode", Value: *c.L3PerNode, Reason: "must not be negative"}
+	if err := c.validateCaches(); err != nil {
+		return err
 	}
 	if c.IPIMicros < 0 {
 		return &ConfigError{Field: "IPIMicros", Value: c.IPIMicros, Reason: "must not be negative"}
@@ -83,6 +78,33 @@ func (c *Config) Validate() error {
 	}
 	if err := validateTenants(c.Tenants); err != nil {
 		return err
+	}
+	return nil
+}
+
+// validateCaches checks that every cache size the config overrides builds a
+// level at the associativity New keeps (cache.LevelConfig.Validate, the
+// check the cache model panics on).
+func (c *Config) validateCaches() error {
+	def := cache.DefaultNodeConfig(cache.Latencies{})
+	type size struct {
+		field string
+		value any
+		level cache.LevelConfig
+	}
+	sizes := []size{
+		{"L3Size", c.L3Size, cache.LevelConfig{Size: c.L3Size, Ways: def.L3.Ways}},
+		{"L2Size", c.L2Size, cache.LevelConfig{Size: c.L2Size, Ways: def.L2.Ways}},
+	}
+	if c.L3PerNode != nil {
+		for _, n := range c.L3PerNode {
+			sizes = append(sizes, size{"L3PerNode", *c.L3PerNode, cache.LevelConfig{Size: n, Ways: def.L3.Ways}})
+		}
+	}
+	for _, s := range sizes {
+		if err := s.level.Validate(); err != nil {
+			return &ConfigError{Field: s.field, Value: s.value, Reason: err.Error()}
+		}
 	}
 	return nil
 }

@@ -31,6 +31,11 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-l3", Config{L3Size: -1}, "L3Size"},
 		{"negative-l2", Config{L2Size: -1}, "L2Size"},
 		{"negative-l3-per-node", Config{L3PerNode: &[2]int{4 << 20, -1}}, "L3PerNode"},
+		{"l3-sets-not-power-of-two", Config{L3Size: 3 << 20}, "L3Size"},
+		{"l2-no-sets", Config{L2Size: 1000}, "L2Size"},
+		{"l3-per-node-sets-not-power-of-two", Config{L3PerNode: &[2]int{4 << 20, 3 << 20}}, "L3PerNode"},
+		{"l3-per-node-no-l3", Config{L3PerNode: &[2]int{16 << 20, 0}}, ""},
+		{"scaled-hierarchy", Config{L3Size: 256 << 10, L2Size: 128 << 10}, ""},
 		{"negative-ipi", Config{IPIMicros: -2}, "IPIMicros"},
 		{"negative-rtt", Config{NetRTTMicros: -75}, "NetRTTMicros"},
 		{"negative-cpi", Config{CPI: [2]float64{-0.5, 0}}, "CPI"},
@@ -67,6 +72,16 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	var ce *ConfigError
 	if !errors.As(err, &ce) || ce.Field != "Cores" {
 		t.Fatalf("New(Cores: -3) = %v, want *ConfigError on Cores", err)
+	}
+	// Cache sizes the cache model cannot build: an error, not a panic in
+	// the model and not a machine silently missing the level.
+	_, err = New(Config{Model: mem.Shared, OS: StramashOS, L3Size: 3 << 20})
+	if !errors.As(err, &ce) || ce.Field != "L3Size" {
+		t.Fatalf("New(L3Size: 3 MiB) = %v, want *ConfigError on L3Size", err)
+	}
+	_, err = New(Config{Model: mem.Shared, OS: StramashOS, L2Size: 1000})
+	if !errors.As(err, &ce) || ce.Field != "L2Size" {
+		t.Fatalf("New(L2Size: 1000) = %v, want *ConfigError on L2Size", err)
 	}
 }
 
