@@ -38,7 +38,7 @@ type ClusterRow struct {
 	Servers int
 	Traffic redisapp.TrafficResult
 	// PerServer is each server task's own accounting.
-	PerServer []redisapp.NetServerStats
+	PerServer []redisapp.ProdStats
 	// NIC holds every machine's device counters, generator first.
 	NIC []net.NICStats
 	// Engine holds the shared engine's driver counters for this cell, when

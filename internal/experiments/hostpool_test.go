@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/redisapp"
 	"repro/internal/vfs"
 )
@@ -157,6 +159,65 @@ func TestRedisprodEngineStatsPinned(t *testing.T) {
 	} {
 		if got := row.Engine[k]; got != want {
 			t.Errorf("sharded/fused/2c %s = %d, want %d", k, got, want)
+		}
+	}
+}
+
+// TestClusterCellsPinned pins the serving cells of the cluster experiment
+// at a small request count: every client-visible traffic figure plus the
+// engine's hand-offs and simulated cycles, across both personalities, one
+// and four servers, read-only and mixed traffic, and with and without
+// per-request server compute. The values were captured from the dedicated
+// single-task socket server before it became ServeProd's zero-worker
+// configuration. The cycle total catches work the traffic cannot see:
+// the generator's clock starts once every server has answered its
+// connect, so a cost every server pays before serving shifts no latency.
+func TestClusterCellsPinned(t *testing.T) {
+	prev := StatGate(GateEngine)
+	SetStatGate(GateEngine, true)
+	defer SetStatGate(GateEngine, prev)
+	type pin struct {
+		done, misses      int
+		digest            uint64
+		p50, p99, elapsed int64
+		handoffs, cycles  int64
+	}
+	cases := []struct {
+		os       machine.OSKind
+		model    mem.Model
+		servers  int
+		setEvery int
+		compute  int64
+		want     pin
+	}{
+		{machine.StramashOS, mem.Shared, 1, 0, 0, pin{40, 0, 0x169faf8c25daa4bd, 474010, 618667, 643867, 906, 1677752}},
+		{machine.StramashOS, mem.Shared, 1, 0, 20000, pin{40, 0, 0x169faf8c25daa4bd, 1208603, 1564939, 1592239, 2297, 3574476}},
+		{machine.StramashOS, mem.Shared, 1, 10, 0, pin{40, 0, 0xb36b3fed313f1a6c, 478030, 613635, 640935, 794, 1671868}},
+		{machine.StramashOS, mem.Shared, 1, 10, 20000, pin{40, 0, 0xb36b3fed313f1a6c, 1214819, 1554780, 1579280, 2421, 3560073}},
+		{machine.StramashOS, mem.Shared, 4, 0, 0, pin{40, 0, 0x169faf8c25daa4bd, 309549, 475439, 503439, 826, 3806765}},
+		{machine.StramashOS, mem.Shared, 4, 0, 20000, pin{40, 0, 0x169faf8c25daa4bd, 498989, 687750, 715750, 861, 4973053}},
+		{machine.StramashOS, mem.Shared, 4, 10, 0, pin{40, 0, 0xb36b3fed313f1a6c, 321171, 425185, 450385, 1013, 3667191}},
+		{machine.StramashOS, mem.Shared, 4, 10, 20000, pin{40, 0, 0xb36b3fed313f1a6c, 590729, 699107, 724307, 1221, 5049931}},
+		{machine.PopcornSHM, mem.Separated, 1, 0, 0, pin{40, 0, 0x169faf8c25daa4bd, 694055, 803956, 828456, 1138, 2228138}},
+		{machine.PopcornSHM, mem.Separated, 1, 0, 20000, pin{40, 0, 0x169faf8c25daa4bd, 1450608, 1751895, 1779195, 2685, 4129616}},
+		{machine.PopcornSHM, mem.Separated, 1, 10, 0, pin{40, 0, 0xb36b3fed313f1a6c, 875703, 959835, 983635, 1391, 2549414}},
+		{machine.PopcornSHM, mem.Separated, 1, 10, 20000, pin{40, 0, 0xb36b3fed313f1a6c, 1649086, 1915664, 1943664, 2970, 4458554}},
+		{machine.PopcornSHM, mem.Separated, 4, 0, 0, pin{40, 0, 0x169faf8c25daa4bd, 531682, 652353, 680353, 945, 5378173}},
+		{machine.PopcornSHM, mem.Separated, 4, 0, 20000, pin{40, 0, 0x169faf8c25daa4bd, 761954, 939812, 966757, 1271, 6872722}},
+		{machine.PopcornSHM, mem.Separated, 4, 10, 0, pin{40, 0, 0xb36b3fed313f1a6c, 598422, 804954, 829454, 1157, 5921268}},
+		{machine.PopcornSHM, mem.Separated, 4, 10, 20000, pin{40, 0, 0xb36b3fed313f1a6c, 854392, 1082045, 1100945, 1450, 7297235}},
+	}
+	for _, c := range cases {
+		p := clusterParams(Quick)
+		p.Requests, p.SetEvery, p.ServerCompute = 40, c.setEvery, c.compute
+		row, err := clusterRun(c.os, c.model, c.servers, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := row.Traffic
+		got := pin{tr.Done, tr.Misses, tr.Digest, int64(tr.P50), int64(tr.P99), int64(tr.Elapsed), row.Engine["handoffs"], row.Engine["serial_cycles"]}
+		if got != c.want {
+			t.Errorf("%v/%dsrv set=%d compute=%d:\n got %#v\nwant %#v", c.os, c.servers, c.setEvery, c.compute, got, c.want)
 		}
 	}
 }

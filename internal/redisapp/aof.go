@@ -16,7 +16,7 @@ import (
 //
 // where len counts everything after itself (9 + klen + vlen). Records
 // hold the wire-level command as received — replay runs them through the
-// same netExecute path as live traffic, so derived-key prefixes, SADD
+// same execute path as live traffic, so derived-key prefixes, SADD
 // member truncation and MSET fan-out are reproduced rather than re-encoded.
 const aofRecHdr = 9
 
@@ -70,26 +70,28 @@ func mutatesStore(cmd Command, miss int) bool {
 	return false
 }
 
+// The production server's log file and group-commit policy: flush the
+// staged records after aofGroupK of them, or once aofGroupQ cycles have
+// passed since the last flush (checked at append time, like a timer wheel
+// serviced on the request path), whichever comes first.
+const (
+	aofPath              = "/redis.aof"
+	aofGroupK            = 8
+	aofGroupQ sim.Cycles = 150_000
+)
+
 // aofLog is one task's append-only-file handle with group commit: Append
 // stages records host-side, and the staged batch is written and fsynced
-// when it reaches GroupK records or GroupQ cycles have passed since the
-// last flush — redis's "appendfsync everysec" shape, but measured in
-// simulated time so the policy is a pure function of the cycle clock and
-// the command stream (identical under the sequential and parallel
-// engines). Each worker owns its own aofLog over its own descriptor; the
-// file itself is opened with OAppend, so concurrent batch writes land as
-// atomic appends.
+// when the policy above says so — redis's "appendfsync everysec" shape,
+// but measured in simulated time so the policy is a pure function of the
+// cycle clock and the command stream. Each worker owns its own aofLog over
+// its own descriptor; the file itself is opened with OAppend, so
+// concurrent batch writes land as atomic appends.
 type aofLog struct {
 	fd        int
 	staged    []byte
 	stagedRec int
 	lastFlush sim.Cycles
-
-	// GroupK flushes after this many staged records; GroupQ flushes when
-	// this many cycles have passed since the last flush (checked at
-	// append time, like a timer wheel serviced on the request path).
-	GroupK int
-	GroupQ sim.Cycles
 
 	// Batches counts fsync batches, Records appended records, Bytes
 	// written bytes — the -json worker counters.
@@ -98,19 +100,13 @@ type aofLog struct {
 	Bytes   int64
 }
 
-// openAOF opens (creating if needed) the log at path for appending.
-func openAOF(t *kernel.Task, path string, k int, q sim.Cycles) (*aofLog, error) {
-	fd, err := t.OpenFile(path, vfs.OWrite|vfs.OCreate|vfs.OAppend)
+// openAOF opens (creating if needed) the log at aofPath for appending.
+func openAOF(t *kernel.Task) (*aofLog, error) {
+	fd, err := t.OpenFile(aofPath, vfs.OWrite|vfs.OCreate|vfs.OAppend)
 	if err != nil {
 		return nil, err
 	}
-	if k < 1 {
-		k = 1
-	}
-	if q <= 0 {
-		q = 1 << 62 // effectively count-only
-	}
-	return &aofLog{fd: fd, GroupK: k, GroupQ: q, lastFlush: t.Th.Now()}, nil
+	return &aofLog{fd: fd, lastFlush: t.Th.Now()}, nil
 }
 
 // Append stages one mutation record and flushes if the group-commit
@@ -119,7 +115,7 @@ func (l *aofLog) Append(t *kernel.Task, cmd Command, key, val []byte) error {
 	l.staged = append(l.staged, encodeAOFRecord(cmd, key, val)...)
 	l.stagedRec++
 	l.Records++
-	if l.stagedRec >= l.GroupK || t.Th.Now()-l.lastFlush >= l.GroupQ {
+	if l.stagedRec >= aofGroupK || t.Th.Now()-l.lastFlush >= aofGroupQ {
 		return l.Flush(t)
 	}
 	return nil
@@ -180,7 +176,7 @@ func RecoverAOF(t *kernel.Task, path string, store *Store) (int, error) {
 				break
 			}
 			buf = rest
-			if _, _, err := netExecute(t, store, cmd, key, val); err != nil {
+			if _, _, err := execute(t, store, cmd, key, val); err != nil {
 				return applied, err
 			}
 			applied++

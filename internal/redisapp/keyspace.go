@@ -64,7 +64,7 @@ func NewStoreSharded(t *kernel.Task, workers int, arenaBytes uint64, nBuckets in
 
 // Exec runs cmd on worker w's shard, lock-free.
 func (ks *StoreSharded) Exec(t *kernel.Task, w int, cmd Command, key, val []byte) ([]byte, int, error) {
-	return netExecute(t, ks.shards[w], cmd, key, val)
+	return execute(t, ks.shards[w], cmd, key, val)
 }
 
 // Digest sums the shard digests; Store.Digest is an order-independent
@@ -169,7 +169,7 @@ func (ks *StoreLocked) Exec(t *kernel.Task, _ int, cmd Command, key, val []byte)
 			return nil, 0, err
 		}
 	}
-	payload, miss, err := netExecute(t, ks.store, cmd, key, val)
+	payload, miss, err := execute(t, ks.store, cmd, key, val)
 	for i := len(stripes) - 1; i >= 0; i-- {
 		if uerr := ks.locks[stripes[i]].Unlock(t); uerr != nil && err == nil {
 			err = uerr

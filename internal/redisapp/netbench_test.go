@@ -1,12 +1,13 @@
 package redisapp
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/net"
-	"repro/internal/sim"
 )
 
 func newTestCluster(t *testing.T, os machine.OSKind, model mem.Model, machines int) *machine.Cluster {
@@ -104,14 +105,14 @@ func TestClusterBenchEngineIdentity(t *testing.T) {
 		t.Fatalf("traffic diverged:\nfirst %+v\nagain %+v", first.Traffic, again.Traffic)
 	}
 	for s := range first.PerServer {
-		if first.PerServer[s] != again.PerServer[s] {
+		if !reflect.DeepEqual(first.PerServer[s], again.PerServer[s]) {
 			t.Fatalf("server %d diverged:\nfirst %+v\nagain %+v", s, first.PerServer[s], again.PerServer[s])
 		}
 	}
 }
 
 // TestDecodeRequestRejectsCorruptHeaders exercises the stream decoder's
-// bounds checks (the satellite hardening shared with the ring server).
+// bounds checks on the socket server's wire input.
 func TestDecodeRequestRejectsCorruptHeaders(t *testing.T) {
 	good := encodeRequest(CmdSet, []byte("k"), []byte("v"))
 	if _, _, _, _, ok, err := decodeRequest(good); err != nil || !ok {
@@ -132,6 +133,40 @@ func TestDecodeRequestRejectsCorruptHeaders(t *testing.T) {
 	if _, _, _, _, ok, err := decodeRequest(good[:5]); err != nil || ok {
 		t.Fatalf("truncated request should want more bytes: ok=%v err=%v", ok, err)
 	}
-	var zero sim.Cycles
-	_ = zero
+}
+
+// FuzzRequestCodec drives the socket server's wire codec with arbitrary
+// bytes: neither decoder may panic, a decoded request or response must
+// respect the stream bounds and re-encode to exactly the bytes it
+// consumed, and encodeRequest → decodeRequest round-trips.
+func FuzzRequestCodec(f *testing.F) {
+	f.Add(encodeRequest(CmdSet, []byte("key:000001"), bytes.Repeat([]byte{7}, 64)), byte(CmdSet), []byte("k"), []byte("v"))
+	f.Add(encodeRequest(CmdGet, []byte("key:000002"), nil), byte(CmdGet), []byte("key"), []byte(nil))
+	f.Add(encodeResponse(1, []byte("payload")), byte(CmdMSet), bytes.Repeat([]byte{'k'}, maxNetKey), []byte("x"))
+	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, byte(0), []byte(nil), []byte(nil))
+	f.Fuzz(func(t *testing.T, data []byte, cmd byte, key, val []byte) {
+		if c, k, v, rest, ok, err := decodeRequest(data); err == nil && ok {
+			if len(k) == 0 || len(k) > maxNetKey || len(v) > maxNetVal {
+				t.Fatalf("decodeRequest accepted klen=%d vlen=%d", len(k), len(v))
+			}
+			if re := encodeRequest(c, k, v); !bytes.Equal(re, data[:len(data)-len(rest)]) {
+				t.Fatalf("request re-encode mismatch: %x vs %x", re, data[:len(data)-len(rest)])
+			}
+		}
+		if st, pl, rest, ok, err := decodeResponse(data); err == nil && ok {
+			if st > 1 || len(pl) > maxNetVal {
+				t.Fatalf("decodeResponse accepted status=%d plen=%d", st, len(pl))
+			}
+			if re := encodeResponse(st, pl); !bytes.Equal(re, data[:len(data)-len(rest)]) {
+				t.Fatalf("response re-encode mismatch: %x vs %x", re, data[:len(data)-len(rest)])
+			}
+		}
+		if Command(cmd) < CmdGet || Command(cmd) > CmdMSet || len(key) == 0 || len(key) > maxNetKey || len(val) > maxNetVal {
+			return
+		}
+		c, k, v, rest, ok, err := decodeRequest(encodeRequest(Command(cmd), key, val))
+		if err != nil || !ok || c != Command(cmd) || !bytes.Equal(k, key) || !bytes.Equal(v, val) || len(rest) != 0 {
+			t.Fatalf("round trip diverged: ok=%v err=%v", ok, err)
+		}
+	})
 }

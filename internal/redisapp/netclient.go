@@ -6,8 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/kernel"
-	"repro/internal/machine"
-	"repro/internal/mem"
 	"repro/internal/net"
 	"repro/internal/sim"
 )
@@ -39,8 +37,8 @@ type TrafficParams struct {
 	// Port is the servers' listening port (0 = 6379).
 	Port uint16
 	// ServerCompute is extra per-request application work on each server,
-	// in instructions (NetServerParams.ExtraCompute, fanned out by
-	// ClusterBench). 0 keeps the pure store-lookup servers.
+	// in instructions (ProdParams.ExtraCompute, fanned out by
+	// ClusterProdBench). 0 keeps the pure store-lookup servers.
 	ServerCompute int64
 }
 
@@ -330,67 +328,6 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 		if err := t.CloseSock(fd); err != nil {
 			return res, err
 		}
-	}
-	return res, nil
-}
-
-// ClusterResult is one cluster benchmark measurement: machine 0 generated
-// the traffic, machines 1..Servers served it.
-type ClusterResult struct {
-	Servers   int
-	Traffic   TrafficResult
-	PerServer []NetServerStats
-}
-
-// ClusterBench runs the multi-machine benchmark on cl: a load-balancer /
-// generator task on machine 0 fans open-loop traffic into one ServeNet
-// task per remaining machine, over sockets, NIC rings and the switch.
-func ClusterBench(cl *machine.Cluster, p TrafficParams) (ClusterResult, error) {
-	nS := len(cl.Machines) - 1
-	if err := p.Validate(nS); err != nil {
-		return ClusterResult{}, err
-	}
-	if p.Port == 0 {
-		p.Port = 6379
-	}
-	expected := make([]int, nS)
-	for i := 0; i < p.Requests; i++ {
-		expected[i%nS]++
-	}
-	res := ClusterResult{Servers: nS, PerServer: make([]NetServerStats, nS)}
-	specs := make([]machine.ClusterTask, 0, nS+1)
-	for s := 0; s < nS; s++ {
-		s := s
-		specs = append(specs, machine.ClusterTask{Mach: s + 1, TaskSpec: machine.TaskSpec{
-			Name: fmt.Sprintf("redis-net-%d", s), Origin: mem.NodeX86, KeepAlive: true,
-			Body: func(t *kernel.Task) error {
-				st, err := ServeNet(t, NetServerParams{
-					Port: p.Port, Expected: expected[s],
-					PayloadBytes: p.PayloadBytes, Keys: p.Keys, Migrate: true,
-					ExtraCompute: p.ServerCompute,
-				})
-				res.PerServer[s] = st
-				return err
-			},
-		}})
-	}
-	servers := make([]net.Addr, nS)
-	for s := range servers {
-		servers[s] = net.Addr{Mach: s + 1, Port: p.Port}
-	}
-	// The generator starts late enough that every server is listening
-	// (listen is each server's first syscall; SYNs sent to a dead port
-	// would be dropped).
-	specs = append(specs, machine.ClusterTask{Mach: 0, TaskSpec: machine.TaskSpec{
-		Name: "loadgen", Origin: mem.NodeX86, KeepAlive: true, Start: 2000,
-		Body: func(t *kernel.Task) error {
-			tr, err := GenerateTraffic(t, servers, p)
-			res.Traffic = tr
-			return err
-		},
-	}})
-	if _, err := cl.RunTasks(specs...); err != nil {
-		return res, err
 	}
 	return res, nil
 }

@@ -94,8 +94,9 @@ func TestBenchParamsValidate(t *testing.T) {
 	}
 }
 
-// TestTrafficParamsValidate covers the traffic generator's surface,
-// including the hoisted requests<servers livelock rejection.
+// TestTrafficParamsValidate covers the cluster driver's surface: the
+// traffic generator's parameters, including the hoisted requests<servers
+// livelock rejection, then the servers'.
 func TestTrafficParamsValidate(t *testing.T) {
 	good := quickTraffic()
 	if err := good.Validate(2); err != nil {
@@ -106,21 +107,26 @@ func TestTrafficParamsValidate(t *testing.T) {
 		mut     func(*TrafficParams)
 		servers int
 		field   string
+		server  ProdParams
 	}{
-		{"no servers", func(p *TrafficParams) {}, 0, "servers"},
-		{"zero requests", func(p *TrafficParams) { p.Requests = 0 }, 2, "Requests"},
-		{"requests below servers", func(p *TrafficParams) { p.Requests = 1 }, 2, "Requests"},
-		{"zero clients", func(p *TrafficParams) { p.Clients = 0 }, 2, "Clients"},
-		{"zero payload", func(p *TrafficParams) { p.PayloadBytes = 0 }, 2, "PayloadBytes"},
-		{"oversized payload", func(p *TrafficParams) { p.PayloadBytes = maxNetVal + 1 }, 2, "PayloadBytes"},
-		{"zero keys", func(p *TrafficParams) { p.Keys = 0 }, 2, "Keys"},
-		{"negative gap", func(p *TrafficParams) { p.InterArrival = -1 }, 2, "InterArrival"},
-		{"negative setevery", func(p *TrafficParams) { p.SetEvery = -1 }, 2, "SetEvery"},
+		{"no servers", func(p *TrafficParams) {}, 0, "servers", ProdParams{}},
+		{"zero requests", func(p *TrafficParams) { p.Requests = 0 }, 2, "Requests", ProdParams{}},
+		{"requests below servers", func(p *TrafficParams) { p.Requests = 1 }, 2, "Requests", ProdParams{}},
+		{"zero clients", func(p *TrafficParams) { p.Clients = 0 }, 2, "Clients", ProdParams{}},
+		{"zero payload", func(p *TrafficParams) { p.PayloadBytes = 0 }, 2, "PayloadBytes", ProdParams{}},
+		{"oversized payload", func(p *TrafficParams) { p.PayloadBytes = maxNetVal + 1 }, 2, "PayloadBytes", ProdParams{}},
+		{"zero keys", func(p *TrafficParams) { p.Keys = 0 }, 2, "Keys", ProdParams{}},
+		{"negative gap", func(p *TrafficParams) { p.InterArrival = -1 }, 2, "InterArrival", ProdParams{}},
+		{"negative setevery", func(p *TrafficParams) { p.SetEvery = -1 }, 2, "SetEvery", ProdParams{}},
+		{"negative cores", func(p *TrafficParams) {}, 2, "Cores", ProdParams{Cores: -1}},
 	}
 	for _, c := range cases {
 		p := good
 		c.mut(&p)
 		err := p.Validate(c.servers)
+		if err == nil {
+			err = c.server.Validate()
+		}
 		var pe *ParamError
 		if !errors.As(err, &pe) || pe.Field != c.field {
 			t.Errorf("%s: Validate(%d) = %v, want ParamError on %s", c.name, c.servers, err, c.field)
@@ -183,7 +189,7 @@ func TestKeyspaceDifferentialDigest(t *testing.T) {
 			return err
 		}
 		for _, c := range cmds {
-			if _, _, err := netExecute(task, seed, c.cmd, c.key, c.val); err != nil {
+			if _, _, err := execute(task, seed, c.cmd, c.key, c.val); err != nil {
 				return err
 			}
 		}
@@ -266,7 +272,7 @@ func TestAOFCrashPointReplay(t *testing.T) {
 		}
 		digests = append(digests, d0)
 		for _, c := range cmds {
-			_, miss, err := netExecute(task, oracle, c.cmd, c.key, c.val)
+			_, miss, err := execute(task, oracle, c.cmd, c.key, c.val)
 			if err != nil {
 				return err
 			}
@@ -393,7 +399,7 @@ func expectedAOFRecords(p TrafficParams) int {
 }
 
 // runProd drives one production server end to end.
-func runProd(t testing.TB, kind KeyspaceKind, cores int, regime vfs.Regime) ProdClusterResult {
+func runProd(t testing.TB, kind KeyspaceKind, cores int, regime vfs.Regime) ClusterResult {
 	t.Helper()
 	cl := newProdCluster(t, cores, regime)
 	p := prodTraffic()
@@ -405,7 +411,7 @@ func runProd(t testing.TB, kind KeyspaceKind, cores int, regime vfs.Regime) Prod
 }
 
 // checkProd asserts the invariants every production run must satisfy.
-func checkProd(t *testing.T, r ProdClusterResult, kind KeyspaceKind) {
+func checkProd(t *testing.T, r ClusterResult, kind KeyspaceKind) {
 	t.Helper()
 	p := prodTraffic()
 	if r.Traffic.Done != p.Requests || r.Traffic.Sent != p.Requests {

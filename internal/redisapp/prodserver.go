@@ -14,8 +14,8 @@ import (
 	"repro/internal/vfs"
 )
 
-// This file is the production-shaped server: a frontend task owns the
-// machine's network stack and clone()s one worker per core on each node.
+// This file is the socket server: a frontend task owns the machine's
+// network stack and clone()s one worker per core on each node.
 // The frontend decodes pipelined RESP-lite requests, routes each by key
 // hash to its owning worker over a per-worker request ring in simulated
 // memory, reassembles responses into per-connection order, and flushes
@@ -24,6 +24,9 @@ import (
 // with group-commit fsync, and report per-worker counters. After the run
 // the server replays the AOF into a fresh store and digests both — the
 // replay-equals-live check is the persistence story's proof obligation.
+// With no cores it is the single-task server: no workers, rings or AOF;
+// the frontend runs every request itself against one plain store, from
+// the other ISA (the paper's time_event scenario, §9.2.8).
 
 // Worker ring geometry: slot 0 of each ring holds head (producer index)
 // at +0 and tail (consumer index) at +64. Request slots carry
@@ -57,7 +60,7 @@ func (k KeyspaceKind) String() string {
 	return "sharded"
 }
 
-// ProdParams configures one production server process.
+// ProdParams configures one socket server process.
 type ProdParams struct {
 	// Port is the listening port (0 = 6379).
 	Port uint16
@@ -67,18 +70,24 @@ type ProdParams struct {
 	// traffic generator's deterministic key/value functions.
 	PayloadBytes int
 	Keys         int
-	// Kind picks the keyspace regime.
+	// Kind picks the keyspace regime (unused with no workers).
 	Kind KeyspaceKind
 	// Cores is the per-node core count; the server clones one worker per
-	// core per node (2*Cores workers).
+	// core per node (2*Cores workers). 0 runs the single-task server.
 	Cores int
-	// AOFPath is the append-only log file (empty = "/redis.aof").
-	AOFPath string
-	// GroupK and GroupQ are the group-commit policy: flush the staged
-	// records after GroupK commands or GroupQ cycles, whichever first
-	// (0 = defaults 8 and 150000).
-	GroupK int
-	GroupQ sim.Cycles
+	// ExtraCompute is added application work per request, in instructions
+	// (0 = none). It models request bodies heavier than pure store lookups
+	// and gives cluster benchmarks a per-machine compute component.
+	ExtraCompute int64
+}
+
+// Validate rejects a negative core count; the traffic-derived fields are
+// checked by TrafficParams.Validate.
+func (p ProdParams) Validate() error {
+	if p.Cores < 0 {
+		return &ParamError{Field: "Cores", Value: p.Cores, Reason: "must not be negative"}
+	}
+	return nil
 }
 
 // ProdWorkerStats is one worker's counters, for the -json export.
@@ -96,13 +105,14 @@ type ProdStats struct {
 	Served  int
 	Misses  int
 	Workers int
-	// ServeCycles spans the frontend's serve loop (populate, clone and
-	// recovery excluded).
+	// ServeCycles spans the frontend's serve loop up to closing the client
+	// connections (populate, clone and recovery excluded).
 	ServeCycles sim.Cycles
 	PerWorker   []ProdWorkerStats
 	// LiveDigest is the keyspace digest after the run; ReplayDigest is
 	// the digest of a fresh store built by replaying the AOF. Equal
-	// digests mean the log captured every surviving mutation.
+	// digests mean the log captured every surviving mutation. These and
+	// the AOF counters stay zero in the single-task server.
 	LiveDigest   uint64
 	ReplayDigest uint64
 	// AOFRecords counts records applied by the replay; AOFFileBytes is
@@ -138,25 +148,19 @@ func (r prodRings) stop(w int) pgtable.VirtAddr {
 }
 func (r prodRings) size() uint64 { return uint64(2*r.workers*r.ringBytes() + r.workers*64) }
 
-// ServeProd runs the production server on task t: listen, build the
-// keyspace, log the populate phase to the AOF, clone the workers, serve
-// Expected pipelined requests, then join, digest, and verify recovery.
+// ServeProd runs the socket server on task t: listen, build and populate
+// the keyspace, then serve Expected pipelined requests and close. With
+// workers it logs the populate phase to the AOF, clones the workers
+// before serving, and afterwards joins, digests, and verifies recovery.
+// With no cores it migrates to the other ISA after populating and serves
+// every request from the frontend.
 func ServeProd(t *kernel.Task, p ProdParams) (ProdStats, error) {
 	var st ProdStats
+	if err := p.Validate(); err != nil {
+		return st, err
+	}
 	if p.Port == 0 {
 		p.Port = 6379
-	}
-	if p.AOFPath == "" {
-		p.AOFPath = "/redis.aof"
-	}
-	if p.GroupK == 0 {
-		p.GroupK = 8
-	}
-	if p.GroupQ == 0 {
-		p.GroupQ = 150_000
-	}
-	if p.Cores < 1 {
-		p.Cores = 1
 	}
 	workers := 2 * p.Cores
 	st.Workers = workers
@@ -176,13 +180,29 @@ func ServeProd(t *kernel.Task, p ProdParams) (ProdStats, error) {
 	if err != nil {
 		return st, err
 	}
+	bp := BenchParams{PayloadBytes: p.PayloadBytes, Keys: p.Keys}
+	if workers == 0 {
+		// The single-task server keeps no log, populates its one store
+		// directly and serves from the other ISA.
+		for i := 0; i < p.Keys; i++ {
+			if _, _, err := ks.Exec(t, 0, CmdSet, keyFor(bp, i), valFor(bp, i)); err != nil {
+				return st, err
+			}
+		}
+		if err := t.Migrate(mem.NodeArm); err != nil {
+			return st, err
+		}
+		if err := prodFrontend(t, p, ks, prodRings{}, lfd, &st); err != nil {
+			return st, err
+		}
+		return st, t.CloseSock(lfd)
+	}
 	// Populate through the same Exec + AOF path live mutations use, so
 	// the log replays into the complete keyspace, not just the deltas.
-	front, err := openAOF(t, p.AOFPath, p.GroupK, p.GroupQ)
+	front, err := openAOF(t)
 	if err != nil {
 		return st, err
 	}
-	bp := BenchParams{PayloadBytes: p.PayloadBytes, Keys: p.Keys}
 	for i := 0; i < p.Keys; i++ {
 		key, val := keyFor(bp, i), valFor(bp, i)
 		w := routeKey(t, key, workers)
@@ -222,7 +242,7 @@ func ServeProd(t *kernel.Task, p ProdParams) (ProdStats, error) {
 		kids[w] = c
 	}
 
-	serveErr := prodFrontend(t, p, rings, workers, lfd, &st)
+	serveErr := prodFrontend(t, p, ks, rings, lfd, &st)
 
 	// Shut the workers down whether or not the serve loop succeeded, so a
 	// serve error surfaces instead of a join deadlock.
@@ -259,7 +279,7 @@ func ServeProd(t *kernel.Task, p ProdParams) (ProdStats, error) {
 	if err != nil {
 		return st, err
 	}
-	st.AOFRecords, err = RecoverAOF(t, p.AOFPath, rstore)
+	st.AOFRecords, err = RecoverAOF(t, aofPath, rstore)
 	if err != nil {
 		return st, err
 	}
@@ -267,7 +287,7 @@ func ServeProd(t *kernel.Task, p ProdParams) (ProdStats, error) {
 	if err != nil {
 		return st, err
 	}
-	rfd, err := t.OpenFile(p.AOFPath, vfs.ORead)
+	rfd, err := t.OpenFile(aofPath, vfs.ORead)
 	if err != nil {
 		return st, err
 	}
@@ -288,7 +308,19 @@ func ServeProd(t *kernel.Task, p ProdParams) (ProdStats, error) {
 const prodPrefault = 256 << 10
 
 // buildKeyspace constructs the regime's store(s) and warms their arenas.
+// With no workers it is one plain store, not warmed.
 func buildKeyspace(t *kernel.Task, kind KeyspaceKind, workers int) (Keyspace, error) {
+	if workers == 0 {
+		arena, err := NewArena(t, 48<<20, "redis.heap")
+		if err != nil {
+			return nil, err
+		}
+		store, err := NewStore(t, arena, 256)
+		if err != nil {
+			return nil, err
+		}
+		return &StoreSharded{shards: []*Store{store}}, nil
+	}
 	if kind == KSLocked {
 		arena, err := NewSharedArena(t, 48<<20, "redis.heap")
 		if err != nil {
@@ -317,8 +349,9 @@ func buildKeyspace(t *kernel.Task, kind KeyspaceKind, workers int) (Keyspace, er
 
 // prodFrontend is the timed serve loop: accept, decode pipelined
 // requests, route to worker rings, reassemble responses per connection in
-// request order, and flush them batched.
-func prodFrontend(t *kernel.Task, p ProdParams, rings prodRings, workers int, lfd int, st *ProdStats) error {
+// request order, and flush them batched. With no workers it runs each
+// request itself as it decodes it, and the flush sends the responses.
+func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lfd int, st *ProdStats) error {
 	t.BeginTimed()
 	defer func() { st.ServeCycles = t.TimedCycles() }()
 
@@ -374,16 +407,25 @@ func prodFrontend(t *kernel.Task, p ProdParams, rings prodRings, workers int, lf
 					break
 				}
 				buf = rest
-				// Protocol parsing cost, as in the single-task server.
+				// Protocol parsing cost (RESP decode is byte-at-a-time work).
 				t.Compute(int64(20 + (len(key)+len(val))/8))
-				q := queuedProd{
-					seq: nextSeq, cmd: cmd,
-					key: append([]byte(nil), key...), val: append([]byte(nil), val...),
-					dest: routeKey(t, key, workers),
-				}
+				seq := nextSeq
 				nextSeq++
-				backlog[fd] = append(backlog[fd], q)
-				pendSeq[fd] = append(pendSeq[fd], q.seq)
+				pendSeq[fd] = append(pendSeq[fd], seq)
+				if rings.workers == 0 {
+					payload, miss, err := serve(t, p, ks, 0, cmd, key, val)
+					if err != nil {
+						return err
+					}
+					st.Misses += miss
+					respBySeq[seq] = encodeResponse(respStatus(miss), payload)
+					continue
+				}
+				backlog[fd] = append(backlog[fd], queuedProd{
+					seq: seq, cmd: cmd,
+					key: append([]byte(nil), key...), val: append([]byte(nil), val...),
+					dest: routeKey(t, key, rings.workers),
+				})
 			}
 			rbufs[fd] = buf
 		}
@@ -404,7 +446,7 @@ func prodFrontend(t *kernel.Task, p ProdParams, rings prodRings, workers int, lf
 			}
 		}
 		// Response pump: drain every worker's response ring.
-		for w := 0; w < workers; w++ {
+		for w := 0; w < rings.workers; w++ {
 			for {
 				seq, status, payload, ok, err := prodRingPop(t, rings.resp(w))
 				if err != nil {
@@ -606,6 +648,24 @@ func prodRingRespond(t *kernel.Task, respRing pgtable.VirtAddr, seq uint64, stat
 	return t.Store(respRing, 8, rh+1)
 }
 
+// serve executes one request as worker w (0 in the single-task server),
+// then the request's extra application work.
+func serve(t *kernel.Task, p ProdParams, ks Keyspace, w int, cmd Command, key, val []byte) ([]byte, int, error) {
+	payload, miss, err := ks.Exec(t, w, cmd, key, val)
+	if err == nil && p.ExtraCompute > 0 {
+		t.Compute(p.ExtraCompute)
+	}
+	return payload, miss, err
+}
+
+// respStatus is a response's status byte: 1 = ok, 0 = miss.
+func respStatus(miss int) byte {
+	if miss > 0 {
+		return 0
+	}
+	return 1
+}
+
 // prodWorker is one cloned worker: poll the request ring, execute against
 // the keyspace, log mutations with group commit, and push the response.
 func prodWorker(t *kernel.Task, p ProdParams, ks Keyspace, w int, rings prodRings, out *ProdWorkerStats) error {
@@ -616,7 +676,7 @@ func prodWorker(t *kernel.Task, p ProdParams, ks Keyspace, w int, rings prodRing
 			return err
 		}
 	}
-	log, err := openAOF(t, p.AOFPath, p.GroupK, p.GroupQ)
+	log, err := openAOF(t)
 	if err != nil {
 		return err
 	}
@@ -638,7 +698,7 @@ func prodWorker(t *kernel.Task, p ProdParams, ks Keyspace, w int, rings prodRing
 		if err != nil {
 			return err
 		}
-		payload, miss, err := ks.Exec(t, w, cmd, key, val)
+		payload, miss, err := serve(t, p, ks, w, cmd, key, val)
 		if err != nil {
 			return err
 		}
@@ -664,11 +724,7 @@ func prodWorker(t *kernel.Task, p ProdParams, ks Keyspace, w int, rings prodRing
 			t.Th.Advance(200)
 			t.Th.YieldPoint()
 		}
-		status := byte(1)
-		if miss > 0 {
-			status = 0
-		}
-		if err := prodRingRespond(t, respRing, seq, status, payload); err != nil {
+		if err := prodRingRespond(t, respRing, seq, respStatus(miss), payload); err != nil {
 			return err
 		}
 		out.Ops++
@@ -684,41 +740,48 @@ func prodWorker(t *kernel.Task, p ProdParams, ks Keyspace, w int, rings prodRing
 	return nil
 }
 
-// ProdClusterResult is one production cluster run: machine 0 generated
+// ClusterResult is one cluster benchmark measurement: machine 0 generated
 // the traffic, machines 1..Servers ran ServeProd.
-type ProdClusterResult struct {
+type ClusterResult struct {
 	Servers   int
 	Traffic   TrafficResult
 	PerServer []ProdStats
 }
 
-// ClusterProdBench drives one GenerateTraffic load balancer into ServeProd
-// servers on the remaining machines, mirroring ClusterBench.
-func ClusterProdBench(cl *machine.Cluster, p TrafficParams, pp ProdParams) (ProdClusterResult, error) {
+// ClusterBench runs the cluster benchmark against single-task servers.
+func ClusterBench(cl *machine.Cluster, p TrafficParams) (ClusterResult, error) {
+	return ClusterProdBench(cl, p, ProdParams{})
+}
+
+// ClusterProdBench runs the multi-machine benchmark on cl: a load-balancer /
+// generator task on machine 0 fans open-loop traffic into one ServeProd
+// task per remaining machine, over sockets, NIC rings and the switch. pp
+// sets the servers' keyspace regime and cores; the traffic sets the rest.
+func ClusterProdBench(cl *machine.Cluster, p TrafficParams, pp ProdParams) (ClusterResult, error) {
 	nS := len(cl.Machines) - 1
 	if err := p.Validate(nS); err != nil {
-		return ProdClusterResult{}, err
+		return ClusterResult{}, err
+	}
+	if err := pp.Validate(); err != nil {
+		return ClusterResult{}, err
 	}
 	if p.Port == 0 {
 		p.Port = 6379
 	}
+	pp.Port, pp.PayloadBytes, pp.Keys, pp.ExtraCompute = p.Port, p.PayloadBytes, p.Keys, p.ServerCompute
 	expected := make([]int, nS)
 	for i := 0; i < p.Requests; i++ {
 		expected[i%nS]++
 	}
-	res := ProdClusterResult{Servers: nS, PerServer: make([]ProdStats, nS)}
+	res := ClusterResult{Servers: nS, PerServer: make([]ProdStats, nS)}
 	specs := make([]machine.ClusterTask, 0, nS+1)
 	for s := 0; s < nS; s++ {
-		s := s
+		sp := pp
+		sp.Expected = expected[s]
 		specs = append(specs, machine.ClusterTask{Mach: s + 1, TaskSpec: machine.TaskSpec{
 			Name: fmt.Sprintf("redis-prod-%d", s), Origin: mem.NodeX86, KeepAlive: true,
 			Body: func(t *kernel.Task) error {
-				st, err := ServeProd(t, ProdParams{
-					Port: p.Port, Expected: expected[s],
-					PayloadBytes: p.PayloadBytes, Keys: p.Keys,
-					Kind: pp.Kind, Cores: pp.Cores,
-					AOFPath: pp.AOFPath, GroupK: pp.GroupK, GroupQ: pp.GroupQ,
-				})
+				st, err := ServeProd(t, sp)
 				res.PerServer[s] = st
 				return err
 			},
@@ -728,6 +791,9 @@ func ClusterProdBench(cl *machine.Cluster, p TrafficParams, pp ProdParams) (Prod
 	for s := range servers {
 		servers[s] = net.Addr{Mach: s + 1, Port: p.Port}
 	}
+	// The generator starts late enough that every server is listening
+	// (listen is each server's first syscall; SYNs sent to a dead port
+	// would be dropped).
 	specs = append(specs, machine.ClusterTask{Mach: 0, TaskSpec: machine.TaskSpec{
 		Name: "loadgen", Origin: mem.NodeX86, KeepAlive: true, Start: 2000,
 		Body: func(t *kernel.Task) error {

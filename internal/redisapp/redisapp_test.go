@@ -205,18 +205,23 @@ func TestBenchRunGetStramash(t *testing.T) {
 	}
 }
 
+// TestBenchAllCommandsStramash runs every command at the usual payload
+// and at one below SADD's 32-byte member cut, which the validator accepts
+// and the server must clamp rather than slice past.
 func TestBenchAllCommandsStramash(t *testing.T) {
 	for _, name := range CommandNames {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			cmd, _ := ParseCommand(name)
-			m := newM(t, machine.StramashOS)
-			res, err := Run(m, BenchParams{Command: cmd, Requests: 24, PayloadBytes: 256, Keys: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Errors != 0 {
-				t.Errorf("%d errors", res.Errors)
+			for _, payload := range []int{256, 16} {
+				m := newM(t, machine.StramashOS)
+				res, err := Run(m, BenchParams{Command: cmd, Requests: 24, PayloadBytes: payload, Keys: 8})
+				if err != nil {
+					t.Fatalf("%dB: %v", payload, err)
+				}
+				if res.Errors != 0 {
+					t.Errorf("%dB: %d errors", payload, res.Errors)
+				}
 			}
 		})
 	}

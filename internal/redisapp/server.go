@@ -226,9 +226,11 @@ func Run(m *machine.Machine, p BenchParams) (BenchResult, error) {
 			// Protocol parsing cost (RESP decode is byte-at-a-time work).
 			t.Compute(int64(20 + (klen+vlen)/8))
 
-			if err := execute(t, store, cmd, key, val, &res); err != nil {
+			_, miss, err := execute(t, store, cmd, key, val)
+			if err != nil {
 				return err
 			}
+			res.Errors += miss
 			if err := t.Store(rb+64, 8, tail+1); err != nil {
 				return err
 			}
@@ -308,55 +310,4 @@ func Run(m *machine.Machine, p BenchParams) (BenchResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// execute runs one command against the store, verifying results where the
-// command returns data.
-func execute(t *kernel.Task, store *Store, cmd Command, key, val []byte, res *BenchResult) error {
-	switch cmd {
-	case CmdGet:
-		got, err := store.Get(t, key)
-		if err != nil {
-			return err
-		}
-		if got == nil {
-			res.Errors++
-		}
-	case CmdSet:
-		return store.Set(t, key, val)
-	case CmdLPush:
-		return store.Push(t, append([]byte("l:"), key...), val, true)
-	case CmdRPush:
-		return store.Push(t, append([]byte("l:"), key...), val, false)
-	case CmdLPop:
-		got, err := store.Pop(t, append([]byte("l:"), key...), true)
-		if err != nil {
-			return err
-		}
-		if got == nil {
-			res.Errors++
-		}
-	case CmdRPop:
-		got, err := store.Pop(t, append([]byte("l:"), key...), false)
-		if err != nil {
-			return err
-		}
-		if got == nil {
-			res.Errors++
-		}
-	case CmdSAdd:
-		_, err := store.SAdd(t, append([]byte("s:"), key...), val[:32])
-		return err
-	case CmdMSet:
-		// MSET writes several keys in one request.
-		for j := 0; j < 4; j++ {
-			k := append([]byte(fmt.Sprintf("m%d:", j)), key...)
-			if err := store.Set(t, k, val); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("redisapp: bad command %d", cmd)
-	}
-	return nil
 }
