@@ -14,6 +14,10 @@
 //	             [-prod] [-prod-kind sharded|locked]
 //	             [-prod-regime fused|popcorn] [-prod-cores N]
 //	             [-prod-requests R]
+//	             [-tenants N] [-tenants-regime fused|popcorn]
+//
+// -fileio, -prod, -cluster and -tenants are exclusive modes; naming more
+// than one, or giving a negative count, prints the usage and exits 2.
 //
 // -trace records every simulated event (schedule, faults, coherence,
 // messaging) and writes a Chrome trace-event JSON loadable in Perfetto or
@@ -43,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/kernel"
 	"repro/internal/machine"
@@ -72,6 +77,12 @@ func main() {
 	tenants := flag.Int("tenants", 0, "boot one multi-tenant machine with N tenants under the capability layer and gate on the isolation claims")
 	tenantsRegime := flag.String("tenants-regime", "fused", "page-cache regime for the -tenants machine: fused or popcorn")
 	flag.Parse()
+
+	if err := modeError(*fileIO, *prod, *cluster, *tenants, *clusterReqs, *prodReqs); err != nil {
+		fmt.Fprintln(os.Stderr, "stramash-sim:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *fileIO {
 		fatal(runFileIO())
@@ -161,6 +172,33 @@ func main() {
 		fatal(f.Close())
 		fmt.Printf("trace: %d events written to %s\n", buf.Len(), *traceOut)
 	}
+}
+
+// modeError rejects flags main would otherwise narrow without a word: a
+// negative count (a negative -cluster or -tenants falls through to the NPB
+// job) or more than one of the exclusive modes (only the first would run).
+func modeError(fileIO, prod bool, cluster, tenants, clusterReqs, prodReqs int) error {
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{{"cluster", cluster}, {"tenants", tenants}, {"cluster-requests", clusterReqs}, {"prod-requests", prodReqs}} {
+		if c.n < 0 {
+			return fmt.Errorf("-%s %d: a count cannot be negative", c.flag, c.n)
+		}
+	}
+	var modes []string
+	for _, m := range []struct {
+		flag string
+		on   bool
+	}{{"-fileio", fileIO}, {"-prod", prod}, {"-cluster", cluster > 0}, {"-tenants", tenants > 0}} {
+		if m.on {
+			modes = append(modes, m.flag)
+		}
+	}
+	if len(modes) > 1 {
+		return fmt.Errorf("%s are exclusive modes; pick one", strings.Join(modes, " and "))
+	}
+	return nil
 }
 
 // tracerOrNil avoids the classic typed-nil-in-interface trap: a nil

@@ -188,16 +188,3 @@ func (s Summary) String() string {
 	}
 	return line
 }
-
-// RunAllParallel runs every registered spec through the pool at the given
-// scale and renders the canonical report to w. The rendered report is
-// byte-identical to a sequential RunAndReport loop over All(), whatever
-// the parallelism. It returns the summary, the per-spec outcomes, and the
-// first spec failure, if any.
-func RunAllParallel(ctx context.Context, w io.Writer, scale Scale, opts PoolOptions) (Summary, []Outcome, error) {
-	start := time.Now()
-	outcomes := RunPool(ctx, All(), scale, opts)
-	wall := time.Since(start)
-	_, err := Report(w, outcomes)
-	return Summarize(outcomes, wall), outcomes, err
-}

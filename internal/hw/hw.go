@@ -249,12 +249,6 @@ func (pt *Port) AtomicAdd64(addr mem.PhysAddr, delta uint64) uint64 {
 	return v
 }
 
-// Fetch charges an instruction fetch at addr (no data is returned; the ISA
-// interpreters hold decoded instructions host-side, like QEMU's TCG).
-func (pt *Port) Fetch(addr mem.PhysAddr, n int) {
-	pt.charge(cache.Ifetch, addr, n)
-}
-
 // CopyPage copies a whole page, charging line-granular reads of the source
 // and writes of the destination (this is what makes DSM page replication
 // expensive, §9.2.3).

@@ -21,9 +21,6 @@ const capCheckCost sim.Cycles = 40
 // enqueue is seen before the task sleeps.
 func (t *Task) CapCancelPending() bool { return t.capCancel }
 
-// Tenant returns the tenant the task's process runs as (nil = root).
-func (t *Task) Tenant() *cap.Tenant { return t.Proc.Ten }
-
 // emitCapEvent traces a capability event attributed to this task.
 func (t *Task) emitCapEvent(kind trace.Kind, id cap.CapID) {
 	if tr := t.Ctx.Plat.Tracer; tr != nil {

@@ -213,19 +213,6 @@ func (t *Task) WriteFile(fd int, p []byte) (int, error) {
 	return n, err
 }
 
-// SeekFile sets the descriptor's offset (SEEK_SET).
-func (t *Task) SeekFile(fd int, off int64) error {
-	f, err := t.fdFile(fd)
-	if err != nil {
-		return err
-	}
-	if off < 0 {
-		return vfs.ErrInvalid
-	}
-	f.Off = off
-	return nil
-}
-
 // FileSize returns the file's current size (fstat).
 func (t *Task) FileSize(fd int) (int64, error) {
 	if _, err := t.enterFS(); err != nil {

@@ -114,9 +114,6 @@ type CPU struct {
 	freeAt sim.Cycles
 }
 
-// QueueLen returns the number of tasks waiting on the run queue.
-func (c *CPU) QueueLen() int { return len(c.queue) }
-
 // Running returns the number of tasks currently occupying the CPU.
 func (c *CPU) Running() int { return c.running }
 

@@ -380,15 +380,6 @@ func (t *Task) CloseSock(fd int) error {
 	return t.FDs().Close(fd)
 }
 
-// SockState returns the connection state behind fd (diagnostics/tests).
-func (t *Task) SockState(fd int) (net.ConnState, error) {
-	c, _, err := t.sockConn(fd)
-	if err != nil {
-		return 0, err
-	}
-	return c.State(), nil
-}
-
 // ClaimNet is the gate a socket-serving task (a server loop, a load
 // generator) passes before it starts: the machine must have a stack, and a
 // tenant must hold a Net capability, paying capCheckCost for the check.

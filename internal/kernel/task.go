@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/pgtable"
@@ -428,11 +427,6 @@ func (t *Task) Rebind(node mem.NodeID) {
 	t.tlb[node].invalidateAll()
 }
 
-// InvalidateTLB drops the cached translation of va on this task.
-func (t *Task) InvalidateTLB(node mem.NodeID, va pgtable.VirtAddr) {
-	t.tlb[node].invalidate(va &^ (mem.PageSize - 1))
-}
-
 // Exit terminates the task through the OS personality.
 func (t *Task) Exit() error {
 	if t.exited {
@@ -440,76 +434,4 @@ func (t *Task) Exit() error {
 	}
 	t.exited = true
 	return t.OS.ExitTask(t)
-}
-
-// Exited reports whether Exit has run.
-func (t *Task) Exited() bool { return t.exited }
-
-// Fetch charges an instruction fetch (used by the ISA bus adapter).
-func (t *Task) Fetch(va pgtable.VirtAddr, n int) {
-	// Code pages are mapped like data; translate without write.
-	pa, err := t.translate(va, false)
-	if err != nil {
-		// Fetch faults surface on the next data access; charge a miss.
-		t.Th.Advance(100)
-		return
-	}
-	t.Port.Fetch(pa, n)
-}
-
-// Bus adapts the task to the isa.Bus interface so compiled programs can
-// execute on it with full translation and timing.
-type Bus struct {
-	T *Task
-	// OnMigrate, when set, handles MIGRATE instructions; otherwise they
-	// are ignored.
-	OnMigrate func(id int)
-	// Err records the first access error (the ISA layer has no error path
-	// for memory operations, matching hardware, where these are traps).
-	Err error
-}
-
-// Fetch implements isa.Bus.
-func (b *Bus) Fetch(va uint64, n int) { b.T.Fetch(pgtable.VirtAddr(va), n) }
-
-// Load implements isa.Bus.
-func (b *Bus) Load(va uint64, n int) uint64 {
-	v, err := b.T.Load(pgtable.VirtAddr(va), n)
-	if err != nil && b.Err == nil {
-		b.Err = err
-	}
-	return v
-}
-
-// Store implements isa.Bus.
-func (b *Bus) Store(va uint64, n int, v uint64) {
-	if err := b.T.Store(pgtable.VirtAddr(va), n, v); err != nil && b.Err == nil {
-		b.Err = err
-	}
-}
-
-// CAS implements isa.Bus.
-func (b *Bus) CAS(va uint64, old, new uint64) (uint64, bool) {
-	prev, ok, err := b.T.CAS(pgtable.VirtAddr(va), old, new)
-	if err != nil && b.Err == nil {
-		b.Err = err
-	}
-	return prev, ok
-}
-
-// Migrate implements isa.Bus.
-func (b *Bus) Migrate(id int) {
-	if b.OnMigrate != nil {
-		b.OnMigrate(id)
-	}
-}
-
-// Touch charges a single cache access of the given kind without data
-// movement; used by OS code modelling structure walks.
-func (t *Task) Touch(kind cache.Kind, pa mem.PhysAddr, size int) {
-	if t.Ctx.Plat.Tracer != nil {
-		t.Ctx.Plat.Caches.TraceContext(int64(t.Th.Now()), int32(t.Th.ID))
-	}
-	lat := t.Ctx.Plat.Caches.Access(t.Node, t.Core, kind, pa, size)
-	t.Th.Advance(lat)
 }

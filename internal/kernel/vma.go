@@ -15,8 +15,6 @@ const (
 	VMARead VMAFlags = 1 << iota
 	// VMAWrite marks the area writable.
 	VMAWrite
-	// VMAExec marks the area executable.
-	VMAExec
 	// VMAAnon marks demand-zero anonymous memory.
 	VMAAnon
 	// VMAShared marks the area shared between processes/kernels.
@@ -41,9 +39,6 @@ func (v *VMA) FileBacked() bool { return v.FileIno != 0 }
 
 // Contains reports whether va falls inside the area.
 func (v *VMA) Contains(va pgtable.VirtAddr) bool { return va >= v.Start && va < v.End }
-
-// Len returns the area's size in bytes.
-func (v *VMA) Len() uint64 { return uint64(v.End - v.Start) }
 
 func (v *VMA) String() string {
 	return fmt.Sprintf("vma[%#x-%#x %s]", v.Start, v.End, v.Name)

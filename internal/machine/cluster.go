@@ -105,15 +105,5 @@ func (c *Cluster) RunTasks(specs ...ClusterTask) ([]Result, error) {
 	return results, nil
 }
 
-// ResetStats zeroes every machine's counters, including NIC stats.
-func (c *Cluster) ResetStats() {
-	for _, m := range c.Machines {
-		m.ResetStats()
-		if m.NIC != nil {
-			m.NIC.Stats = net.NICStats{}
-		}
-	}
-}
-
 // NICStats returns machine mach's NIC counters.
 func (c *Cluster) NICStats(mach int) net.NICStats { return c.Machines[mach].NICStats() }

@@ -114,16 +114,3 @@ func (m *Machine) Tenant(name string) *cap.Tenant {
 	}
 	return m.Ctx.Caps.Tenant(name)
 }
-
-// TenantStats snapshots every tenant's counters in declaration order.
-func (m *Machine) TenantStats() []cap.Stats {
-	if m.Ctx.Caps == nil {
-		return nil
-	}
-	tens := m.Ctx.Caps.Tenants()
-	out := make([]cap.Stats, len(tens))
-	for i, t := range tens {
-		out[i] = t.Stats
-	}
-	return out
-}

@@ -67,14 +67,6 @@ type MemAccessResult struct {
 	Accesses  int64
 }
 
-// PerAccess returns cycles per access.
-func (r MemAccessResult) PerAccess() float64 {
-	if r.Accesses == 0 {
-		return 0
-	}
-	return float64(r.Cycles) / float64(r.Accesses)
-}
-
 // RunMemAccess performs the §9.2.4 experiment on machine m: allocate the
 // buffer on one side, then sequentially access it from the configured
 // side, timing only the access pass.

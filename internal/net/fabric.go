@@ -85,20 +85,6 @@ func (f *Fabric) Attach(n *NIC) {
 // NIC returns the NIC attached for machine mach.
 func (f *Fabric) NIC(mach int) *NIC { return f.nics[mach] }
 
-// Machines returns the number of attached NICs.
-func (f *Fabric) Machines() int { return len(f.nics) }
-
-// Lookahead is the fabric's conservative lookahead: the minimum simulated
-// delay between a sender committing a frame (the doorbell write) and that
-// frame being visible in any destination RX ring — doorbell plus switch
-// store-and-forward of an empty frame: the lower bound the switch promises
-// every machine. The timing tests pin it so transport changes cannot
-// silently shrink the cross-machine latency the experiments assume.
-func (f *Fabric) Lookahead() sim.Cycles {
-	return f.Cfg.DoorbellCycles + f.Cfg.SwitchCycles +
-		sim.Cycles(HeaderBytes/f.Cfg.BytesPerCycle)
-}
-
 // acquire waits until the switch is idle at the calling thread's clock.
 // Re-checking after every yield makes arbitration deterministic: among
 // contending threads the engine always resumes the smallest (clock, ID)

@@ -83,13 +83,6 @@ func NewNIC(pt *hw.Port, mach int, base mem.PhysAddr, cfg NICConfig) *NIC {
 	return n
 }
 
-// Bytes returns the memory footprint of both rings, aligned.
-func (n *NIC) Bytes() uint64 {
-	tx := (n.TX.Bytes() + nicAlign - 1) &^ uint64(nicAlign-1)
-	rx := (n.RX.Bytes() + nicAlign - 1) &^ uint64(nicAlign-1)
-	return tx + rx
-}
-
 // noteRxEnqueued records one frame entering the RX ring (called by the
 // fabric after a successful enqueue).
 func (n *NIC) noteRxEnqueued(wireBytes int) {

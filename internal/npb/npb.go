@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
-	"repro/internal/mem"
 	"repro/internal/pgtable"
 	"repro/internal/sim"
 )
@@ -111,11 +110,6 @@ func (a arr) get(t *kernel.Task, i int) (uint64, error) {
 // set stores element i.
 func (a arr) set(t *kernel.Task, i int, v uint64) error {
 	return t.Store(a.addr(i), 8, v)
-}
-
-// Pages returns the array's page footprint.
-func (a arr) Pages() int {
-	return (a.n*8 + mem.PageSize - 1) / mem.PageSize
 }
 
 // offload runs step on the peer node when migrate is set: migrate there,

@@ -145,18 +145,6 @@ func (a *Arena) Prefault(t *kernel.Task, limit uint64) error {
 	return nil
 }
 
-// Used returns the bytes allocated so far from a private arena. Shared
-// arenas keep the offset in simulated memory; use UsedAt.
-func (a *Arena) Used() uint64 { return a.off }
-
-// UsedAt reads the bytes allocated so far, in either mode.
-func (a *Arena) UsedAt(t *kernel.Task) (uint64, error) {
-	if a.offAddr == 0 {
-		return a.off, nil
-	}
-	return t.Load(a.offAddr, 8)
-}
-
 // Store is the in-memory database.
 type Store struct {
 	arena    *Arena

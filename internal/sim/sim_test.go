@@ -356,40 +356,3 @@ func TestRNGIntnPanics(t *testing.T) {
 	}()
 	NewRNG(1).Intn(0)
 }
-
-func TestEventQueueOrdering(t *testing.T) {
-	q := NewEventQueue()
-	var fired []int
-	q.Schedule(30, func() { fired = append(fired, 30) })
-	q.Schedule(10, func() { fired = append(fired, 10) })
-	q.Schedule(20, func() { fired = append(fired, 20) })
-	q.Schedule(10, func() { fired = append(fired, 11) }) // same time, later insert
-
-	if at, ok := q.PeekTime(); !ok || at != 10 {
-		t.Fatalf("PeekTime = %d,%v want 10,true", at, ok)
-	}
-	n := q.RunDue(15)
-	if n != 2 {
-		t.Fatalf("RunDue(15) fired %d, want 2", n)
-	}
-	q.RunDue(100)
-	want := []int{10, 11, 20, 30}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired order %v, want %v", fired, want)
-		}
-	}
-	if q.Len() != 0 {
-		t.Errorf("queue not drained: %d left", q.Len())
-	}
-}
-
-func TestEventQueueEmptyPeek(t *testing.T) {
-	q := NewEventQueue()
-	if _, ok := q.PeekTime(); ok {
-		t.Fatal("PeekTime on empty queue returned ok")
-	}
-	if n := q.RunDue(1000); n != 0 {
-		t.Fatalf("RunDue on empty queue fired %d", n)
-	}
-}

@@ -2,7 +2,6 @@ package vfs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/hw"
@@ -20,8 +19,6 @@ type FS struct {
 	root    *Inode
 	byIno   map[int64]*Inode
 	nextIno int64
-	// counters for the superblock (host-side, deterministic).
-	inodesLive int64
 }
 
 // Inode is one file or directory.
@@ -52,22 +49,15 @@ func NewFS(ctrl mem.PhysAddr) *FS {
 		name: "/", children: make(map[string]*Inode)}
 	root.parent = root
 	return &FS{
-		ctrl:       ctrl,
-		root:       root,
-		byIno:      map[int64]*Inode{RootIno: root},
-		nextIno:    RootIno + 1,
-		inodesLive: 1,
+		ctrl:    ctrl,
+		root:    root,
+		byIno:   map[int64]*Inode{RootIno: root},
+		nextIno: RootIno + 1,
 	}
 }
 
-// Root returns the root directory inode.
-func (fs *FS) Root() *Inode { return fs.root }
-
 // ByIno looks an inode up by number (nil if absent).
 func (fs *FS) ByIno(ino int64) *Inode { return fs.byIno[ino] }
-
-// Live returns the number of live inodes (the superblock's usage count).
-func (fs *FS) Live() int64 { return fs.inodesLive }
 
 // Components splits path into its walk components. Empty components
 // (repeated slashes) and "." disappear; ".." is preserved for the walk to
@@ -202,7 +192,6 @@ func (fs *FS) create(pt *hw.Port, parent *Inode, name string, dir bool, home mem
 		ino.children = make(map[string]*Inode)
 	}
 	fs.nextIno++
-	fs.inodesLive++
 	fs.byIno[ino.Ino] = ino
 	parent.children[name] = ino
 	// Charge the dentry insert and the inode-table slot initialization.
@@ -231,45 +220,10 @@ func (fs *FS) unlink(pt *hw.Port, parent *Inode, name string) (*Inode, error) {
 	}
 	delete(parent.children, name)
 	delete(fs.byIno, ino.Ino)
-	fs.inodesLive--
 	ino.Nlink = 0
 	ino.parent = nil
 	// Charge the dentry removal and inode-table release.
 	fs.dentryInsertCost(pt, name)
 	fs.inodeTouch(pt, ino.Ino, true)
 	return ino, nil
-}
-
-// ReadDir returns the sorted child names of a directory (sorted so that
-// callers iterating a directory stay deterministic).
-func (fs *FS) ReadDir(pt *hw.Port, dir *Inode) ([]string, error) {
-	if !dir.Dir {
-		return nil, ErrNotDir
-	}
-	names := make([]string, 0, len(dir.children))
-	for n := range dir.children {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fs.dentryProbe(pt, n)
-	}
-	return names, nil
-}
-
-// Path reconstructs the inode's absolute path (host-side, for messages).
-func (fs *FS) Path(ino *Inode) string {
-	if ino == fs.root {
-		return "/"
-	}
-	var parts []string
-	for cur := ino; cur != nil && cur != fs.root; cur = cur.parent {
-		parts = append(parts, cur.name)
-	}
-	var sb strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		sb.WriteByte('/')
-		sb.WriteString(parts[i])
-	}
-	return sb.String()
 }

@@ -83,9 +83,6 @@ func newFusedCache(cfg Config, stats *Stats) *FusedCache {
 	}
 }
 
-// Regime implements PageCache.
-func (c *FusedCache) Regime() Regime { return RegimeFused }
-
 // SetInvalidateHook implements PageCache.
 func (c *FusedCache) SetInvalidateHook(h InvalidateHook) { c.hook = h }
 

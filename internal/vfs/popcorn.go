@@ -87,9 +87,6 @@ func newPopcornCache(cfg Config, stats *Stats) *PopcornCache {
 	}
 }
 
-// Regime implements PageCache.
-func (c *PopcornCache) Regime() Regime { return RegimePopcorn }
-
 // SetInvalidateHook implements PageCache.
 func (c *PopcornCache) SetInvalidateHook(h InvalidateHook) { c.hook = h }
 

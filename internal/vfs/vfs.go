@@ -129,7 +129,6 @@ func (s Stats) TotalMsgCycles() sim.Cycles { return s.MsgCycles[0] + s.MsgCycles
 // CacheFrames budget until the frame is freed, and a charge refused at
 // budget fails the fault with a *cap.CapError.
 type PageCache interface {
-	Regime() Regime
 	Frame(pt *hw.Port, ten *cap.Tenant, ino *Inode, idx int64, write bool) (mem.PhysAddr, error)
 	// Sync flushes ino's dirty pages (popcorn: writeback messages to the
 	// inode's home kernel; fused: a no-op, shared memory is authoritative).
