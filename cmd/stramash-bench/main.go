@@ -18,18 +18,25 @@
 // -parallel 1 for readable flame graphs; profiling does not perturb
 // simulated cycle counts, only host wall time.
 //
+// -parallel is the only host knob. It bounds the experiments in flight,
+// and when fewer experiments than -parallel run at once, the spare cores
+// go to each experiment's independent rows: -only redisprod uses all of
+// them, a full run keeps rows sequential, and -parallel 1 runs everything
+// on one goroutine at a time.
+//
 // -json additionally writes a machine-readable report: per experiment the
-// simulated cycle counts and counters (deterministic across runs), the
-// host wall time, and any shape deviations or errors. Exit codes: 0 all
-// shape claims reproduced, 1 an experiment failed, 3 shape deviations.
-// -engine-stats adds the simulation driver's own counters (segments,
-// self-continues, hand-offs, cycles) to the JSON for experiments that
-// export them.
+// simulated cycle counts and counters (deterministic across runs, with
+// per-worker and per-tenant counters for the serving extras), the
+// simulation driver's own counters (engine_stats) where an experiment
+// exports them, the host wall time, and any shape deviations or errors.
+// Exit codes: 0 all shape claims reproduced, 1 an experiment failed, 3
+// shape deviations.
 //
 // Experiment ids: table2, fig5-6-small, fig5-6-big, fig7-small, fig7-big,
 // fig8, table3, table4, fig9, fig10, fig11, fig12, fig13, fig14,
 // ablation-remote-alloc, ablation-ipi. Reproduction-only extras (run via
-// -only, excluded from the default full run): multicore.
+// -only, excluded from the default full run): multicore, filesys, cluster,
+// redisprod, tenants.
 package main
 
 import (
@@ -48,24 +55,13 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "workload scale: quick or full")
 	only := flag.String("only", "", "run a single experiment by id")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	parallel := flag.Int("parallel", 0, "experiments in flight (0 = GOMAXPROCS, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "host width: experiments in flight, spare cores to their rows (0 = GOMAXPROCS, 1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "per-experiment wall-clock timeout (0 = none)")
 	timing := flag.Bool("timing", false, "print per-experiment wall-clock timing to stderr")
 	jsonOut := flag.String("json", "", "write a machine-readable JSON report to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
-	hostprocs := flag.Int("hostprocs", 0, "concurrent machine runs within pooled experiments (0 = leave at 1)")
-	engineStats := flag.Bool("engine-stats", false, "capture per-run engine driver counters into the -json report (experiments that support it)")
-	workerStats := flag.Bool("worker-stats", false, "include per-worker counters (worker ops, futex waits, fsync batches) in the metrics of experiments that run the production redis server")
-	tenantStats := flag.Bool("tenant-stats", false, "include per-tenant capability counters (caps checked, denials, revocations, frames and cache frames charged, quota hits) in the metrics of multi-tenant experiments")
 	flag.Parse()
-
-	if *hostprocs > 0 {
-		experiments.HostProcs = *hostprocs
-	}
-	experiments.SetStatGate(experiments.GateEngine, *engineStats)
-	experiments.SetStatGate(experiments.GateWorker, *workerStats)
-	experiments.SetStatGate(experiments.GateTenant, *tenantStats)
 
 	if *list {
 		for _, s := range experiments.All() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 
 	"repro/internal/machine"
@@ -8,6 +9,17 @@ import (
 	"repro/internal/net"
 	"repro/internal/redisapp"
 )
+
+// clusterCmd defines the cluster subcommand.
+func clusterCmd(fs *flag.FlagSet) func() {
+	pers := personalityFlags(fs)
+	servers := fs.Int("servers", 2, "redis server machines behind the load balancer")
+	requests := requestsFlag(fs)
+	return func() {
+		osKind, model := pers.parse()
+		fatal(runCluster(osKind, model, *servers, *requests))
+	}
+}
 
 // runCluster boots a (servers+1)-machine cluster — machine 0 is the load
 // balancer, the rest are redis servers — and drives the open-loop socket

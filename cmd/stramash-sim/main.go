@@ -5,248 +5,142 @@
 //
 // Usage:
 //
-//	stramash-sim [-os vanilla|popcorn-tcp|popcorn-shm|stramash]
-//	             [-model separated|shared|fullyshared]
-//	             [-bench IS|CG|MG|FT] [-class T|S|W]
-//	             [-l3 bytes] [-no-migrate]
-//	             [-trace out.json] [-trace-summary]
-//	             [-fileio] [-cluster N] [-cluster-requests R]
-//	             [-prod] [-prod-kind sharded|locked]
-//	             [-prod-regime fused|popcorn] [-prod-cores N]
-//	             [-prod-requests R]
-//	             [-tenants N] [-tenants-regime fused|popcorn]
+//	stramash-sim [npb] [-os vanilla|popcorn-tcp|popcorn-shm|stramash]
+//	                   [-model separated|shared|fullyshared]
+//	                   [-bench IS|CG|MG|FT] [-class T|S|W]
+//	                   [-l3 bytes] [-no-migrate]
+//	                   [-trace out.json] [-trace-summary]
+//	stramash-sim fileio
+//	stramash-sim cluster [-os ...] [-model ...] [-servers N] [-requests R]
+//	stramash-sim prod [-kind sharded|locked] [-regime fused|popcorn]
+//	                  [-cores N] [-requests R]
+//	stramash-sim tenants [-n N] [-regime fused|popcorn]
 //
-// -fileio, -prod, -cluster and -tenants are exclusive modes; naming more
-// than one, or giving a negative count, prints the usage and exits 2.
+// With no subcommand, or when the first argument is a flag, stramash-sim
+// runs npb. An unknown subcommand, a bad flag, a negative count or a stray
+// argument prints the usage and exits 2.
 //
-// -trace records every simulated event (schedule, faults, coherence,
-// messaging) and writes a Chrome trace-event JSON loadable in Perfetto or
-// chrome://tracing. -trace-summary prints the per-class cycle-attribution
-// report instead of (or in addition to) the JSON. Tracing never perturbs
-// simulated timing: cycle counts are identical with and without it.
-//
-// -fileio replaces the NPB benchmark with a cross-ISA shared-file
-// workload (an x86 producer and an Arm consumer on one file) and runs it
-// under both page-cache regimes — the fused shared cache and the
-// Popcorn-style per-kernel DSM cache — printing their cycle and
-// page-cache counters side by side.
-//
-// -cluster N boots N server machines plus a load-balancer machine on one
-// switch fabric and runs the open-loop socket redis benchmark under the
-// selected -os/-model personality, printing client latency percentiles,
-// per-server accounting, and each machine's NIC counters.
-//
-// -prod boots a load generator plus one multi-core production redis
-// server (cloned worker per core, pipelined frontend, AOF group commit
-// through the chosen page-cache regime), prints per-worker and
-// persistence counters, and exits non-zero if replaying the AOF does not
-// rebuild the live keyspace — the recovery gate CI runs.
+// npb runs one NPB benchmark. -trace writes every simulated event
+// (schedule, faults, coherence, messaging) as Chrome trace-event JSON
+// loadable in Perfetto; -trace-summary prints the per-class
+// cycle-attribution report. Tracing never perturbs simulated cycles.
+// fileio runs an x86 producer and an Arm consumer on one file under both
+// page-cache regimes. cluster runs the socket redis benchmark on -servers
+// server machines behind a load balancer. prod runs the multi-core
+// production redis server and exits 1 if replaying its AOF does not
+// rebuild the live keyspace; tenants exits 1 if an isolation claim fails.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/npb"
-	"repro/internal/perf"
-	"repro/internal/trace"
+	"repro/internal/vfs"
 )
 
-func main() {
-	osFlag := flag.String("os", "stramash", "OS personality: vanilla, popcorn-tcp, popcorn-shm, stramash")
-	modelFlag := flag.String("model", "shared", "memory model: separated, shared, fullyshared")
-	benchFlag := flag.String("bench", "IS", "benchmark: IS, CG, MG, FT")
-	classFlag := flag.String("class", "S", "problem class: T, S, W")
-	l3 := flag.Int("l3", 0, "per-node L3 size in bytes (0 = default 4 MiB)")
-	noMigrate := flag.Bool("no-migrate", false, "run without cross-ISA migration")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
-	traceSummary := flag.Bool("trace-summary", false, "print the per-class cycle-attribution report")
-	fileIO := flag.Bool("fileio", false, "run the cross-ISA shared-file workload under both page-cache regimes")
-	cluster := flag.Int("cluster", 0, "boot N server machines plus a load balancer and run the socket redis benchmark")
-	clusterReqs := flag.Int("cluster-requests", 200, "requests for the -cluster benchmark")
-	prod := flag.Bool("prod", false, "run the multi-core production redis server with AOF persistence and verify recovery")
-	prodKind := flag.String("prod-kind", "sharded", "production keyspace regime: sharded or locked")
-	prodRegime := flag.String("prod-regime", "fused", "production AOF page-cache regime: fused or popcorn")
-	prodCores := flag.Int("prod-cores", 2, "production server cores per node (2x workers)")
-	prodReqs := flag.Int("prod-requests", 200, "requests for the -prod benchmark")
-	tenants := flag.Int("tenants", 0, "boot one multi-tenant machine with N tenants under the capability layer and gate on the isolation claims")
-	tenantsRegime := flag.String("tenants-regime", "fused", "page-cache regime for the -tenants machine: fused or popcorn")
-	flag.Parse()
+// subcommands maps each subcommand to the function that defines its flags
+// on a fresh FlagSet and returns the job those flags configure.
+var subcommands = map[string]func(fs *flag.FlagSet) func(){
+	"npb":     npbCmd,
+	"fileio":  func(*flag.FlagSet) func() { return func() { fatal(runFileIO()) } },
+	"cluster": clusterCmd,
+	"prod":    prodCmd,
+	"tenants": tenantsCmd,
+}
 
-	if err := modeError(*fileIO, *prod, *cluster, *tenants, *clusterReqs, *prodReqs); err != nil {
-		fmt.Fprintln(os.Stderr, "stramash-sim:", err)
-		flag.Usage()
+func main() {
+	_, job, err := parse(os.Args[1:], os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case err != nil:
 		os.Exit(2)
 	}
+	job()
+}
 
-	if *fileIO {
-		fatal(runFileIO())
-		return
+// parse picks the subcommand args name — npb when args is empty or starts
+// with a flag — and parses the rest with that subcommand's flags. A usage
+// error (every int flag is a count, so a negative one is too) is printed
+// with the usage to stderr and returned.
+func parse(args []string, stderr io.Writer) (string, func(), error) {
+	name := "npb"
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
 	}
-
-	if *prod {
-		kind, err := parseKeyspace(*prodKind)
-		fatal(err)
-		regime, err := parseRegime(*prodRegime)
-		fatal(err)
-		fatal(runProd(kind, regime, *prodCores, *prodReqs))
-		return
+	define, ok := subcommands[name]
+	if !ok {
+		fmt.Fprintf(stderr, "stramash-sim: unknown subcommand %q (npb, fileio, cluster, prod or tenants)\n", name)
+		return name, nil, fmt.Errorf("unknown subcommand %q", name)
 	}
-
-	if *tenants > 0 {
-		regime, err := parseRegime(*tenantsRegime)
-		fatal(err)
-		fatal(runTenants(*tenants, regime))
-		return
+	fs := flag.NewFlagSet("stramash-sim "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	job := define(fs)
+	if err := fs.Parse(args); err != nil {
+		return name, nil, err
 	}
-
-	osKind, err := parseOS(*osFlag)
-	fatal(err)
-	model, err := parseModel(*modelFlag)
-	fatal(err)
-
-	if *cluster > 0 {
-		fatal(runCluster(osKind, model, *cluster, *clusterReqs))
-		return
+	var err error
+	if fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-
-	class, err := parseClass(*classFlag)
-	fatal(err)
-
-	w, err := npb.New(*benchFlag, class)
-	fatal(err)
-
-	var buf *trace.Buffer
-	if *traceOut != "" || *traceSummary {
-		buf = trace.NewBuffer()
-	}
-
-	m, err := machine.New(machine.Config{Model: model, OS: osKind, L3Size: *l3, Tracer: tracerOrNil(buf)})
-	fatal(err)
-
-	migrate := !*noMigrate && osKind != machine.VanillaOS
-	fmt.Printf("running %s (class %v) on %v / %v, migrate=%v\n\n",
-		w.Name(), class, osKind, model, migrate)
-
-	var profile perf.Profile
-	var breakdown perf.Breakdown
-	res, err := m.RunSingle(w.Name(), mem.NodeX86, func(t *kernel.Task) error {
-		if err := w.Run(t, migrate); err != nil {
-			return err
+	fs.Visit(func(f *flag.Flag) {
+		if n, ok := f.Value.(flag.Getter).Get().(int); ok && n < 0 {
+			err = fmt.Errorf("-%s %d: a count cannot be negative", f.Name, n)
 		}
-		profile = perf.Collect(t)
-		breakdown = perf.BreakdownOf(t.TimedStats(), t.TimedCycles())
-		return nil
 	})
-	fatal(err)
-
-	fmt.Printf("result: VERIFIED, total %d cycles (task end-to-end)\n", res.Elapsed())
-	fmt.Printf("timed region: %d cycles\n", breakdown.Total)
-	fmt.Printf("breakdown: %v\n", breakdown)
-	fmt.Printf("icount: x86=%d arm=%d (IPC %.3f / %.3f)\n\n",
-		profile.Node[0].Instructions, profile.Node[1].Instructions,
-		profile.Node[0].IPC(), profile.Node[1].IPC())
-
-	st := res.Task.Stats
-	fmt.Printf("faults: %d read, %d write | migrations: %d | messages: %d\n\n",
-		st.ReadFaults, st.WriteFaults, st.Migrations, m.Messages())
-
-	for n := 0; n < 2; n++ {
-		node := mem.NodeID(n)
-		fmt.Println(perf.ArtifactDump(node.String(), m.CacheStats(node),
-			m.Plat.IPICount(node), res.Task.NodeTime(node)))
+	if err != nil {
+		fmt.Fprintln(stderr, "stramash-sim:", err)
+		fs.Usage()
+		return name, nil, err
 	}
+	return name, job, nil
+}
 
-	if *traceSummary {
-		fmt.Println(perf.TraceReport(buf))
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		fatal(err)
-		fatal(buf.WriteChromeTrace(f))
-		fatal(f.Close())
-		fmt.Printf("trace: %d events written to %s\n", buf.Len(), *traceOut)
+// requestsFlag, regimeFlag and personalityFlags are the flag definitions
+// subcommands share.
+func requestsFlag(fs *flag.FlagSet) *int {
+	return fs.Int("requests", 200, "requests the load generator sends")
+}
+
+func regimeFlag(fs *flag.FlagSet) *string {
+	return fs.String("regime", "fused", "page-cache regime: fused or popcorn")
+}
+
+// personality is the -os/-model pair.
+type personality struct{ os, model *string }
+
+func personalityFlags(fs *flag.FlagSet) personality {
+	return personality{
+		os:    fs.String("os", "stramash", "OS personality: vanilla, popcorn-tcp, popcorn-shm, stramash"),
+		model: fs.String("model", "shared", "memory model: separated, shared, fullyshared"),
 	}
 }
 
-// modeError rejects flags main would otherwise narrow without a word: a
-// negative count (a negative -cluster or -tenants falls through to the NPB
-// job) or more than one of the exclusive modes (only the first would run).
-func modeError(fileIO, prod bool, cluster, tenants, clusterReqs, prodReqs int) error {
-	for _, c := range []struct {
-		flag string
-		n    int
-	}{{"cluster", cluster}, {"tenants", tenants}, {"cluster-requests", clusterReqs}, {"prod-requests", prodReqs}} {
-		if c.n < 0 {
-			return fmt.Errorf("-%s %d: a count cannot be negative", c.flag, c.n)
-		}
+func (p personality) parse() (machine.OSKind, mem.Model) {
+	osKind, ok := map[string]machine.OSKind{"vanilla": machine.VanillaOS, "popcorn-tcp": machine.PopcornTCP,
+		"popcorn-shm": machine.PopcornSHM, "stramash": machine.StramashOS}[*p.os]
+	if !ok {
+		fatal(fmt.Errorf("unknown OS %q", *p.os))
 	}
-	var modes []string
-	for _, m := range []struct {
-		flag string
-		on   bool
-	}{{"-fileio", fileIO}, {"-prod", prod}, {"-cluster", cluster > 0}, {"-tenants", tenants > 0}} {
-		if m.on {
-			modes = append(modes, m.flag)
-		}
+	model, ok := map[string]mem.Model{"separated": mem.Separated, "shared": mem.Shared, "fullyshared": mem.FullyShared}[*p.model]
+	if !ok {
+		fatal(fmt.Errorf("unknown model %q", *p.model))
 	}
-	if len(modes) > 1 {
-		return fmt.Errorf("%s are exclusive modes; pick one", strings.Join(modes, " and "))
-	}
-	return nil
+	return osKind, model
 }
 
-// tracerOrNil avoids the classic typed-nil-in-interface trap: a nil
-// *trace.Buffer stored in a trace.Tracer interface would compare non-nil
-// at every emit site.
-func tracerOrNil(buf *trace.Buffer) trace.Tracer {
-	if buf == nil {
-		return nil
+func parseRegime(s string) vfs.Regime {
+	regime, ok := map[string]vfs.Regime{"fused": vfs.RegimeFused, "popcorn": vfs.RegimePopcorn}[s]
+	if !ok {
+		fatal(fmt.Errorf("unknown page-cache regime %q (fused or popcorn)", s))
 	}
-	return buf
-}
-
-func parseOS(s string) (machine.OSKind, error) {
-	switch s {
-	case "vanilla":
-		return machine.VanillaOS, nil
-	case "popcorn-tcp":
-		return machine.PopcornTCP, nil
-	case "popcorn-shm":
-		return machine.PopcornSHM, nil
-	case "stramash":
-		return machine.StramashOS, nil
-	}
-	return 0, fmt.Errorf("unknown OS %q", s)
-}
-
-func parseModel(s string) (mem.Model, error) {
-	switch s {
-	case "separated":
-		return mem.Separated, nil
-	case "shared":
-		return mem.Shared, nil
-	case "fullyshared":
-		return mem.FullyShared, nil
-	}
-	return 0, fmt.Errorf("unknown model %q", s)
-}
-
-func parseClass(s string) (npb.Class, error) {
-	switch s {
-	case "T":
-		return npb.ClassT, nil
-	case "S":
-		return npb.ClassS, nil
-	case "W":
-		return npb.ClassW, nil
-	}
-	return 0, fmt.Errorf("unknown class %q", s)
+	return regime
 }
 
 func fatal(err error) {

@@ -1,37 +1,43 @@
 package main
 
 import (
-	"strings"
+	"io"
 	"testing"
 )
 
-func TestModeError(t *testing.T) {
+func TestParseArgs(t *testing.T) {
 	cases := []struct {
-		name                                    string
-		fileIO, prod                            bool
-		cluster, tenants, clusterReqs, prodReqs int
-		want                                    string // "" = accepted
+		args []string
+		want string // subcommand run; "" = usage error
 	}{
-		{name: "default NPB job", clusterReqs: 200, prodReqs: 200},
-		{name: "fileio", fileIO: true},
-		{name: "prod", prod: true, clusterReqs: 200, prodReqs: 200},
-		{name: "cluster", cluster: 2, clusterReqs: 120},
-		{name: "tenants", tenants: 3},
-		{name: "negative cluster", cluster: -1, want: "-cluster -1"},
-		{name: "negative tenants", tenants: -1, want: "-tenants -1"},
-		{name: "negative cluster requests", cluster: 2, clusterReqs: -5, want: "-cluster-requests -5"},
-		{name: "negative prod requests", prod: true, prodReqs: -1, want: "-prod-requests -1"},
-		{name: "prod and cluster", prod: true, cluster: 2, want: "-prod and -cluster"},
-		{name: "fileio, prod and cluster", fileIO: true, prod: true, cluster: 2, want: "-fileio and -prod and -cluster"},
-		{name: "cluster and tenants", cluster: 1, tenants: 2, want: "-cluster and -tenants"},
+		{nil, "npb"},
+		{[]string{"-os", "stramash", "-bench", "IS", "-class", "T", "-trace", "t.json", "-trace-summary"}, "npb"},
+		{[]string{"npb", "-os", "popcorn-shm", "-model", "separated", "-l3", "1048576", "-no-migrate"}, "npb"},
+		{[]string{"fileio"}, "fileio"},
+		{[]string{"cluster", "-os", "popcorn-shm", "-model", "separated", "-servers", "2", "-requests", "120"}, "cluster"},
+		{[]string{"prod", "-kind", "locked", "-regime", "popcorn", "-cores", "2", "-requests", "120"}, "prod"},
+		{[]string{"tenants", "-n", "2", "-regime", "popcorn"}, "tenants"},
+		{[]string{"bogus"}, ""},
+		{[]string{"prod", "cluster"}, ""},
+		{[]string{"fileio", "extra"}, ""},
+		{[]string{"cluster", "-servers", "-1"}, ""},
+		{[]string{"cluster", "-requests", "-5"}, ""},
+		{[]string{"prod", "-cores", "-1"}, ""},
+		{[]string{"tenants", "-n", "-1"}, ""},
+		{[]string{"-l3", "-4096"}, ""},
+		{[]string{"prod", "-servers", "2"}, ""},
+		{[]string{"fileio", "-os", "stramash"}, ""},
+		{[]string{"-cluster", "2"}, ""},
 	}
 	for _, c := range cases {
-		err := modeError(c.fileIO, c.prod, c.cluster, c.tenants, c.clusterReqs, c.prodReqs)
+		name, job, err := parse(c.args, io.Discard)
 		switch {
-		case c.want == "" && err != nil:
-			t.Errorf("%s: rejected: %v", c.name, err)
-		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
-			t.Errorf("%s: err = %v, want it to name %q", c.name, err, c.want)
+		case c.want == "" && err == nil:
+			t.Errorf("%q: accepted as %s, want a usage error", c.args, name)
+		case c.want != "" && err != nil:
+			t.Errorf("%q: rejected: %v", c.args, err)
+		case c.want != "" && (name != c.want || job == nil):
+			t.Errorf("%q: ran %s (job %v), want %s", c.args, name, job != nil, c.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 
 	"repro/internal/kernel"
@@ -10,6 +11,21 @@ import (
 	"repro/internal/redisapp"
 	"repro/internal/vfs"
 )
+
+// prodCmd defines the prod subcommand.
+func prodCmd(fs *flag.FlagSet) func() {
+	kindName := fs.String("kind", "sharded", "keyspace regime: sharded or locked")
+	regime := regimeFlag(fs)
+	cores := fs.Int("cores", 2, "server cores per node (2x workers)")
+	requests := requestsFlag(fs)
+	return func() {
+		kind, ok := map[string]redisapp.KeyspaceKind{"sharded": redisapp.KSSharded, "locked": redisapp.KSLocked}[*kindName]
+		if !ok {
+			fatal(fmt.Errorf("unknown keyspace %q (sharded or locked)", *kindName))
+		}
+		fatal(runProd(kind, parseRegime(*regime), *cores, *requests))
+	}
+}
 
 // runProd boots a two-machine cluster — a load generator and one
 // multi-core production redis server — and drives the pipelined benchmark:
@@ -63,24 +79,4 @@ func runProd(kind redisapp.KeyspaceKind, regime vfs.Regime, cores, requests int)
 	}
 	fmt.Println("recovery: replay matches live keyspace")
 	return nil
-}
-
-func parseKeyspace(s string) (redisapp.KeyspaceKind, error) {
-	switch s {
-	case "sharded":
-		return redisapp.KSSharded, nil
-	case "locked":
-		return redisapp.KSLocked, nil
-	}
-	return 0, fmt.Errorf("unknown keyspace %q (sharded or locked)", s)
-}
-
-func parseRegime(s string) (vfs.Regime, error) {
-	switch s {
-	case "fused":
-		return vfs.RegimeFused, nil
-	case "popcorn":
-		return vfs.RegimePopcorn, nil
-	}
-	return 0, fmt.Errorf("unknown page-cache regime %q (fused or popcorn)", s)
 }

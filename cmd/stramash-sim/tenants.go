@@ -1,12 +1,20 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 
 	"repro/internal/cap"
 	"repro/internal/experiments"
 	"repro/internal/vfs"
 )
+
+// tenantsCmd defines the tenants subcommand.
+func tenantsCmd(fs *flag.FlagSet) func() {
+	n := fs.Int("n", 3, "tenants on the machine: a victim plus n-1 noisy neighbors")
+	regime := regimeFlag(fs)
+	return func() { fatal(runTenants(*n, parseRegime(*regime))) }
+}
 
 // runTenants boots one multi-tenant fused machine with n tenants (a victim
 // plus n-1 noisy neighbors) under the capability layer, plus a solo
@@ -18,7 +26,7 @@ import (
 // descriptor. CI's multi-tenant smoke gates on this.
 func runTenants(n int, regime vfs.Regime) error {
 	if n < 2 {
-		return fmt.Errorf("-tenants needs at least 2 tenants (a victim and a rogue), got %d", n)
+		return fmt.Errorf("tenants needs at least 2 tenants (a victim and a rogue), got %d", n)
 	}
 	solo, err := experiments.RunTenantsCell(regime, 1, experiments.Quick)
 	if err != nil {

@@ -5,7 +5,8 @@
 //
 // Like stramash-bench, the validation experiments run on a bounded worker
 // pool; the stdout report is rendered in suite order and is byte-identical
-// at any -parallel setting.
+// at any -parallel setting. As there, -parallel is the only host knob:
+// cores beyond the experiments in flight go to each experiment's rows.
 //
 // Exit codes: 0 when the validation reproduces, 1 when an experiment fails
 // to run, 3 when it runs but shape deviations are found. CI gates on this.
@@ -35,7 +36,7 @@ var validationIDs = []string{"table2", "fig5-6-small", "fig5-6-big", "fig7-small
 
 func main() {
 	scaleFlag := flag.String("scale", "quick", "workload scale: quick or full")
-	parallel := flag.Int("parallel", 0, "experiments in flight (0 = GOMAXPROCS, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "host width: experiments in flight, spare cores to their rows (0 = GOMAXPROCS, 1 = sequential)")
 	extras := flag.Bool("extras", false, "also gate the reproduction-only extras (multicore, filesys, cluster, redisprod, tenants)")
 	flag.Parse()
 

@@ -20,7 +20,7 @@ func (f fakeResult) Render() string        { return f.name + " table\n" }
 func (f fakeResult) ShapeErrors() []string { return f.shape }
 
 func spec(id string, res fakeResult, err error) experiments.Spec {
-	return experiments.Spec{ID: id, Run: func(experiments.Scale) (experiments.Result, error) {
+	return experiments.Spec{ID: id, Run: func(experiments.Scale, int) (experiments.Result, error) {
 		if err != nil {
 			return nil, err
 		}

@@ -138,7 +138,7 @@ func Example_osbench() {
 // through an mmap of the same file. Under the fused page cache (the
 // default on a fused-kernel machine) both kernels address the same frames
 // in the CXL pool, so the hand-off costs coherent loads, not page copies.
-// `stramash-sim -fileio` runs the same hand-off under both page-cache
+// `stramash-sim fileio` runs the same hand-off under both page-cache
 // regimes side by side.
 func Example_fileserver() {
 	const (
@@ -274,7 +274,7 @@ func Example_redisserver() {
 // Workers execute against hash-partitioned private shards and append every
 // mutation to a shared AOF through the fused VFS with group-commit fsync.
 // After the run the server replays the log into a fresh store and proves
-// the replay digest equals the live keyspace. `stramash-sim -prod` runs
+// the replay digest equals the live keyspace. `stramash-sim prod` runs
 // the other keyspace regimes and core counts.
 func Example_redisprod() {
 	const cores = 2

@@ -18,7 +18,8 @@ type Budget struct {
 	CPUShare int
 }
 
-// Stats are the per-tenant counters the -tenant-stats JSON gate exports.
+// Stats are the per-tenant counters the tenants experiment's metrics
+// always carry (caps_checked/… and the rest).
 // They are simulated-deterministic: every increment happens at a
 // serial- or atomic-bracketed gate, never on a host-racy path.
 type Stats struct {

@@ -41,9 +41,8 @@ type ClusterRow struct {
 	PerServer []redisapp.ProdStats
 	// NIC holds every machine's device counters, generator first.
 	NIC []net.NICStats
-	// Engine holds the shared engine's driver counters for this cell, when
-	// StatGate(GateEngine) was set. Driver-dependent: never rendered, never
-	// in Metrics — exported only through EngineStats (-engine-stats JSON).
+	// Engine holds the shared engine's driver counters for this cell:
+	// never rendered, never in Metrics — exported only through EngineStats.
 	Engine map[string]int64
 }
 
@@ -71,7 +70,7 @@ func clusterParams(s Scale) redisapp.TrafficParams {
 }
 
 // Cluster runs the benchmark grid.
-func Cluster(s Scale) (Result, error) {
+func Cluster(s Scale, rows int) (Result, error) {
 	p := clusterParams(s)
 	res := &ClusterResult{Params: p}
 	type cell struct {
@@ -85,7 +84,7 @@ func Cluster(s Scale) (Result, error) {
 		}
 	}
 	res.Rows = make([]ClusterRow, len(cells))
-	err := forEachRow(len(cells), func(i int) error {
+	err := forEachRow(rows, len(cells), func(i int) error {
 		row, err := clusterRun(clusterOSes[cells[i].osIdx].OS, clusterOSes[cells[i].osIdx].Model,
 			cells[i].servers, p)
 		if err != nil {
@@ -120,9 +119,7 @@ func clusterRun(os machine.OSKind, model mem.Model, servers int, p redisapp.Traf
 	for m := range cl.Machines {
 		row.NIC = append(row.NIC, cl.NICStats(m))
 	}
-	if StatGate(GateEngine) {
-		row.Engine = cl.EngineStats().Map()
-	}
+	row.Engine = cl.EngineStats().Map()
 	return row, nil
 }
 
@@ -278,18 +275,11 @@ func (r *ClusterResult) Metrics() map[string]int64 {
 	return m
 }
 
-// EngineStats implements EngineStatsSource: per-cell driver counters
-// (segment kinds, phase widths, parks) keyed like Metrics. Nil unless the
-// run captured them (GateEngine).
+// EngineStats implements EngineStatsSource: per-cell driver counters,
+// keyed like Metrics.
 func (r *ClusterResult) EngineStats() map[string]int64 {
-	var m map[string]int64
+	m := make(map[string]int64)
 	for _, row := range r.Rows {
-		if row.Engine == nil {
-			continue
-		}
-		if m == nil {
-			m = make(map[string]int64)
-		}
 		base := fmt.Sprintf("%s/%dsrv", row.OS, row.Servers)
 		for k, v := range row.Engine {
 			m[k+"/"+base] = v

@@ -45,7 +45,7 @@ type FilesysResult struct {
 }
 
 // Filesys runs the read/write mix under both regimes.
-func Filesys(s Scale) (Result, error) {
+func Filesys(s Scale, rows int) (Result, error) {
 	filePages := 16
 	rounds := 2
 	if s == Full {
@@ -64,7 +64,7 @@ func Filesys(s Scale) (Result, error) {
 		}
 	}
 	res.Rows = make([]FilesysRow, len(cells))
-	err := forEachRow(len(cells), func(i int) error {
+	err := forEachRow(rows, len(cells), func(i int) error {
 		row, err := filesysRun(cells[i].regime, cells[i].cores, filePages, rounds)
 		if err != nil {
 			return err

@@ -44,7 +44,7 @@ func TestFilesysDeterminism(t *testing.T) {
 		t.Fatal("filesys spec not found")
 	}
 
-	direct, err := Filesys(Quick)
+	direct, err := Filesys(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFilesysMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := Filesys(Quick)
+	res, err := Filesys(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,24 +2,15 @@ package experiments
 
 import "sync"
 
-// HostProcs bounds how many of one experiment's independent machine runs
-// (multicore rows, filesys cells) execute concurrently on host goroutines.
-// The default of 1 keeps rows strictly sequential; CLIs raise it via
-// -hostprocs. Each row builds and drives a fully isolated machine and
-// stores its result by row index, so the rendered report is byte-identical
-// at any setting — like PoolOptions.Parallelism one level up, this knob
-// only trades host cores for wall time.
-var HostProcs = 1
-
-// forEachRow runs n independent row builders with at most HostProcs in
-// flight and returns the first error by row index (not completion order),
-// so failures are as deterministic as results.
-func forEachRow(n int, run func(i int) error) error {
-	procs := HostProcs
-	if procs < 1 {
-		procs = 1
-	}
-	if procs == 1 {
+// forEachRow runs n independent row builders (multicore rows, serving
+// cells) with at most width in flight and returns the first error by row
+// index (not completion order), so failures are as deterministic as
+// results. Each row builds and drives a fully isolated machine and stores
+// its result by row index, so the rendered report is byte-identical at any
+// width: like PoolOptions.Parallelism one level up, the width only trades
+// host cores for wall time. RunPool derives it (rowWidth).
+func forEachRow(width, n int, run func(i int) error) error {
+	if width <= 1 {
 		for i := 0; i < n; i++ {
 			if err := run(i); err != nil {
 				return err
@@ -27,7 +18,7 @@ func forEachRow(n int, run func(i int) error) error {
 		}
 		return nil
 	}
-	sem := make(chan struct{}, procs)
+	sem := make(chan struct{}, width)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

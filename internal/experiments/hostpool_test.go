@@ -1,9 +1,10 @@
 package experiments
 
-// Host-side knobs must never change results: -hostprocs runs an
-// experiment's independent rows concurrently, GOMAXPROCS sets how many
+// Host-side widths must never change results: the row width RunPool hands
+// a spec runs its independent rows concurrently, GOMAXPROCS sets how many
 // host threads the Go runtime may use, and the engine's driver counters
-// describe how Run moved the host CPU, never what it simulated.
+// describe how Run moved the host CPU, never what it simulated. Every
+// width here is a call argument, so these tests share no process state.
 
 import (
 	"bytes"
@@ -16,26 +17,17 @@ import (
 	"repro/internal/vfs"
 )
 
-// withHostProcs runs fn with HostProcs overridden and restores it
-// afterwards. The knob is process-global, so tests using this helper must
-// not run in parallel with each other.
-func withHostProcs(procs int, fn func()) {
-	prev := HostProcs
-	defer func() { HostProcs = prev }()
-	HostProcs = procs
-	fn()
-}
-
-// renderSpec runs one spec at the given scale and returns the canonical
-// rendered report plus the exported metrics map (nil when the result does
-// not implement CycleMetrics).
-func renderSpec(t *testing.T, spec Spec, scale Scale) (string, map[string]int64) {
+// renderSpec runs one spec at the given scale and row width and returns
+// the canonical rendered report plus the exported metrics map (nil when
+// the result does not implement CycleMetrics).
+func renderSpec(t *testing.T, spec Spec, scale Scale, rows int) (string, map[string]int64) {
 	t.Helper()
-	var buf bytes.Buffer
-	res, _, err := RunAndReport(&buf, spec, scale)
+	res, err := spec.Run(scale, rows)
 	if err != nil {
 		t.Fatalf("%s: %v", spec.ID, err)
 	}
+	var buf bytes.Buffer
+	reportResult(&buf, res, res.ShapeErrors())
 	var metrics map[string]int64
 	if cm, ok := res.(CycleMetrics); ok {
 		metrics = cm.Metrics()
@@ -44,25 +36,23 @@ func renderSpec(t *testing.T, spec Spec, scale Scale) (string, map[string]int64)
 }
 
 // diffSpec runs one spec twice in this process, once with rows run one at
-// a time and once pooled across hostprocs workers, and demands identical
-// rendered reports and exported metrics. Specs without row pools still
-// run twice, so state leaking from one run into the next shows up too.
-func diffSpec(t *testing.T, spec Spec, scale Scale, hostprocs int) {
+// a time and once pooled rows at a time, and demands identical rendered
+// reports and exported metrics. Specs without row pools still run twice,
+// so state leaking from one run into the next shows up too.
+func diffSpec(t *testing.T, spec Spec, scale Scale, rows int) {
 	t.Helper()
-	var wantOut, gotOut string
-	var wantMetrics, gotMetrics map[string]int64
-	withHostProcs(1, func() { wantOut, wantMetrics = renderSpec(t, spec, scale) })
-	withHostProcs(hostprocs, func() { gotOut, gotMetrics = renderSpec(t, spec, scale) })
+	wantOut, wantMetrics := renderSpec(t, spec, scale, 1)
+	gotOut, gotMetrics := renderSpec(t, spec, scale, rows)
 	if gotOut != wantOut {
-		t.Errorf("%s: rendered report diverged at hostprocs=%d\nhostprocs=1:\n%s\nhostprocs=%d:\n%s",
-			spec.ID, hostprocs, wantOut, hostprocs, gotOut)
+		t.Errorf("%s: rendered report diverged at rows=%d\nrows=1:\n%s\nrows=%d:\n%s",
+			spec.ID, rows, wantOut, rows, gotOut)
 	}
 	if len(wantMetrics) != len(gotMetrics) {
 		t.Errorf("%s: metric count diverged: %d vs %d", spec.ID, len(wantMetrics), len(gotMetrics))
 	}
 	for k, v := range wantMetrics {
 		if gv, ok := gotMetrics[k]; !ok || gv != v {
-			t.Errorf("%s: metric %q: hostprocs=1 %d, hostprocs=%d %d", spec.ID, k, v, hostprocs, gv)
+			t.Errorf("%s: metric %q: rows=1 %d, rows=%d %d", spec.ID, k, v, rows, gv)
 		}
 	}
 }
@@ -73,7 +63,7 @@ func diffSpec(t *testing.T, spec Spec, scale Scale, hostprocs int) {
 var shortDiffIDs = []string{"fig13", "fig14", "multicore", "filesys"}
 
 // TestEngineDifferentialAllSpecs runs every paper experiment and every
-// extra at Quick scale, unpooled and then at -hostprocs 4, and demands
+// extra at Quick scale, unpooled and then at row width 4, and demands
 // byte-identical reports and metrics. Under -short only shortDiffIDs run.
 func TestEngineDifferentialAllSpecs(t *testing.T) {
 	specs := append(All(), Extra()...)
@@ -104,34 +94,31 @@ func TestEngineDifferentialGOMAXPROCS(t *testing.T) {
 		t.Skip("multi-GOMAXPROCS differential is long; run without -short")
 	}
 	spec, _ := Find("fig13")
-	want, _ := renderSpec(t, spec, Quick)
+	want, _ := renderSpec(t, spec, Quick, 1)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		if got, _ := renderSpec(t, spec, Quick); got != want {
+		if got, _ := renderSpec(t, spec, Quick, 1); got != want {
 			t.Errorf("GOMAXPROCS=%d: fig13 report diverged", procs)
 		}
 	}
 }
 
-// TestEngineHostPoolRows drives the row-pooled experiments (multicore
-// rows, filesys cells) at several -hostprocs widths; result assembly is
-// by row index, so the report must be identical at any width.
+// TestEngineHostPoolRows drives the row-pooled experiments (every extra)
+// at row widths 1, 2 and 4 through Spec.Run's width argument; result
+// assembly is by row index, so the report must be identical at any width.
 func TestEngineHostPoolRows(t *testing.T) {
 	for _, spec := range Extra() {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
-			var want string
-			withHostProcs(1, func() { want, _ = renderSpec(t, spec, Quick) })
+			want, _ := renderSpec(t, spec, Quick, 1)
 			widths := []int{2, 4}
 			if testing.Short() {
 				widths = []int{4}
 			}
-			for _, procs := range widths {
-				var got string
-				withHostProcs(procs, func() { got, _ = renderSpec(t, spec, Quick) })
-				if got != want {
-					t.Errorf("hostprocs=%d: %s diverged", procs, spec.ID)
+			for _, rows := range widths {
+				if got, _ := renderSpec(t, spec, Quick, rows); got != want {
+					t.Errorf("rows=%d: %s diverged", rows, spec.ID)
 				}
 			}
 		})
@@ -140,14 +127,11 @@ func TestEngineHostPoolRows(t *testing.T) {
 
 // TestRedisprodEngineStatsPinned pins the engine's segment accounting for
 // one quick-scale redisprod cell to the numbers the two-channel engine
-// produced (captured with `stramash-bench -only redisprod -scale quick
-// -engine-stats` on the commit before the coroutine hand-off). How the
+// produced (captured from `stramash-bench -only redisprod -scale quick`'s
+// engine_stats on the commit before the coroutine hand-off). How the
 // engine moves the host CPU between threads is free to change; what it
 // counts as a segment is not.
 func TestRedisprodEngineStatsPinned(t *testing.T) {
-	prev := StatGate(GateEngine)
-	SetStatGate(GateEngine, true)
-	defer SetStatGate(GateEngine, prev)
 	row, err := redisprodRun(redisapp.KSSharded, vfs.RegimeFused, 2, redisprodParams(Quick))
 	if err != nil {
 		t.Fatal(err)
@@ -173,9 +157,6 @@ func TestRedisprodEngineStatsPinned(t *testing.T) {
 // the generator's clock starts once every server has answered its
 // connect, so a cost every server pays before serving shifts no latency.
 func TestClusterCellsPinned(t *testing.T) {
-	prev := StatGate(GateEngine)
-	SetStatGate(GateEngine, true)
-	defer SetStatGate(GateEngine, prev)
 	type pin struct {
 		done, misses      int
 		digest            uint64

@@ -16,11 +16,11 @@ type CycleMetrics interface {
 }
 
 // EngineStatsSource is optionally implemented by experiment results that
-// can export the simulation driver's own counters (segments,
-// self-continues, hand-offs). Unlike Metrics these describe the driver,
-// not the simulation: they are captured only when StatGate(GateEngine) is
-// set and are kept out of Metrics and the rendered report, so a change to
-// how the engine moves the host CPU never changes a pinned output.
+// can export the simulation driver's own counters (segments, hand-offs,
+// segment cycles). Unlike Metrics these describe the driver, not the
+// simulation: they are deterministic under the one driver, but they are
+// kept out of Metrics and the rendered report, so a change to how the
+// engine moves the host CPU never changes a pinned output.
 type EngineStatsSource interface {
 	EngineStats() map[string]int64
 }
@@ -38,8 +38,8 @@ type JSONOutcome struct {
 	// Metrics holds the experiment's simulated cycle counts and counters
 	// when the result type exports them (CycleMetrics).
 	Metrics map[string]int64 `json:"metrics,omitempty"`
-	// EngineStats holds driver counters when -engine-stats is set and the
-	// result exports them (EngineStatsSource). Driver-dependent by design.
+	// EngineStats holds driver counters when the result exports them
+	// (EngineStatsSource).
 	EngineStats map[string]int64 `json:"engine_stats,omitempty"`
 }
 

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -88,6 +90,47 @@ func TestBuildJSONReport(t *testing.T) {
 	}
 	if rep.Summary.WallMS != 20 {
 		t.Errorf("wall %v ms, want 20", rep.Summary.WallMS)
+	}
+}
+
+// TestJSONCarriesServingCounters runs the production-redis and tenants
+// extras through the pool and checks that, with no option set, the -json
+// document carries per-worker and per-tenant counters in metrics and the
+// engine's driver counters in engine_stats.
+func TestJSONCarriesServingCounters(t *testing.T) {
+	var specs []Spec
+	for _, id := range []string{"redisprod", "tenants"} {
+		s, ok := Find(id)
+		if !ok {
+			t.Fatalf("missing spec %s", id)
+		}
+		specs = append(specs, s)
+	}
+	rep := BuildJSONReport(Quick, RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: 2}), 0)
+	hasPrefix := func(m map[string]int64, prefix string) bool {
+		for k := range m {
+			if strings.HasPrefix(k, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	rp, ten := rep.Experiments[0], rep.Experiments[1]
+	if rp.Error != "" || ten.Error != "" {
+		t.Fatalf("errors: %q, %q", rp.Error, ten.Error)
+	}
+	for _, prefix := range []string{"worker_ops/", "futex_waits/", "aof_fsync_batches/"} {
+		if !hasPrefix(rp.Metrics, prefix) {
+			t.Errorf("redisprod metrics carry no %s counters", prefix)
+		}
+	}
+	if rp.EngineStats["handoffs/sharded/fused/2c"] == 0 {
+		t.Errorf("redisprod engine_stats missing handoffs/sharded/fused/2c: %v", rp.EngineStats)
+	}
+	for _, prefix := range []string{"caps_checked/", "denials/", "quota_hits/"} {
+		if !hasPrefix(ten.Metrics, prefix) {
+			t.Errorf("tenants metrics carry no %s counters", prefix)
+		}
 	}
 }
 

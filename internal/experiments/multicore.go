@@ -49,7 +49,7 @@ type MulticoreResult struct {
 }
 
 // Multicore runs the scaling sweep.
-func Multicore(s Scale) (Result, error) {
+func Multicore(s Scale, rows int) (Result, error) {
 	bufBytes := 64 << 10
 	compute := int64(60_000)
 	passes := 2
@@ -60,7 +60,7 @@ func Multicore(s Scale) (Result, error) {
 	}
 	res := &MulticoreResult{Workers: multicoreWorkers}
 	res.Rows = make([]MulticoreRow, len(multicoreCores))
-	err := forEachRow(len(multicoreCores), func(i int) error {
+	err := forEachRow(rows, len(multicoreCores), func(i int) error {
 		row, err := multicoreRun(multicoreCores[i], bufBytes, compute, passes)
 		if err != nil {
 			return err

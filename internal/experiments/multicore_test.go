@@ -43,7 +43,7 @@ func TestMulticoreDeterminism(t *testing.T) {
 		t.Fatal("multicore spec not found")
 	}
 
-	direct, err := Multicore(Quick)
+	direct, err := Multicore(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestMulticoreMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := Multicore(Quick)
+	res, err := Multicore(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestTraceGoldenNetEvents(t *testing.T) {
 	specs := make([]Spec, runs)
 	for i := range specs {
 		i := i
-		specs[i] = Spec{ID: fmt.Sprintf("traced-cluster-%d", i), Run: func(Scale) (Result, error) {
+		specs[i] = Spec{ID: fmt.Sprintf("traced-cluster-%d", i), Run: func(Scale, int) (Result, error) {
 			c, buf, err := tracedClusterRun(true)
 			if err != nil {
 				return nil, err

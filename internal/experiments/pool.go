@@ -24,8 +24,10 @@ type Outcome struct {
 
 // PoolOptions configures RunPool.
 type PoolOptions struct {
-	// Parallelism bounds how many specs run concurrently; zero or negative
-	// means runtime.GOMAXPROCS(0).
+	// Parallelism is the host width P: it bounds how many specs run
+	// concurrently, and the cores left over when fewer specs than P are in
+	// flight go to each spec's rows (rowWidth). Zero or negative means
+	// runtime.GOMAXPROCS(0); 1 runs everything sequentially.
 	Parallelism int
 	// Timeout is the per-spec wall-clock limit; zero disables it. A spec
 	// that exceeds it is reported as an error and abandoned: its goroutine
@@ -34,27 +36,37 @@ type PoolOptions struct {
 	Timeout time.Duration
 }
 
-func (o PoolOptions) workers() int {
+func (o PoolOptions) width() int {
 	if o.Parallelism > 0 {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
+// rowWidth is the row width RunPool hands each spec: the host width p
+// split evenly across the specs in flight, at least 1. A full run keeps
+// its rows sequential; a single spec gets all p cores.
+func rowWidth(p, specs int) int {
+	if specs < 1 || specs >= p {
+		return 1
+	}
+	return p / specs
+}
+
 // RunPool executes specs on a bounded worker pool. Every spec builds its
 // own machines and shares no state with the others, so they run in fully
 // isolated goroutines with per-spec panic recovery and an optional
-// wall-clock timeout. Outcomes are indexed exactly like specs regardless
-// of completion order, which lets callers render deterministic,
-// paper-ordered reports. Cancelling ctx fails specs that have not started
-// with the context's error; specs already running are simulation-bound and
-// finish on their own.
+// wall-clock timeout, and each spec drives its rows rowWidth at a time.
+// Outcomes are indexed exactly like specs regardless of completion order,
+// which lets callers render deterministic, paper-ordered reports.
+// Cancelling ctx fails specs that have not started with the context's
+// error; specs already running are simulation-bound and finish on their
+// own.
 func RunPool(ctx context.Context, specs []Spec, scale Scale, opts PoolOptions) []Outcome {
 	outcomes := make([]Outcome, len(specs))
-	workers := opts.workers()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
+	p := opts.width()
+	workers := min(p, len(specs))
+	rows := rowWidth(p, len(specs))
 
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -63,7 +75,7 @@ func RunPool(ctx context.Context, specs []Spec, scale Scale, opts PoolOptions) [
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				outcomes[i] = runOne(ctx, specs[i], scale, opts.Timeout)
+				outcomes[i] = runOne(ctx, specs[i], scale, rows, opts.Timeout)
 			}
 		}()
 	}
@@ -84,7 +96,7 @@ func RunPool(ctx context.Context, specs []Spec, scale Scale, opts PoolOptions) [
 
 // runOne executes a single spec in a fresh goroutine so that a panic is
 // contained and a timeout or cancellation can abandon it.
-func runOne(ctx context.Context, spec Spec, scale Scale, timeout time.Duration) Outcome {
+func runOne(ctx context.Context, spec Spec, scale Scale, rows int, timeout time.Duration) Outcome {
 	type ran struct {
 		res Result
 		err error
@@ -97,7 +109,7 @@ func runOne(ctx context.Context, spec Spec, scale Scale, timeout time.Duration) 
 				done <- ran{err: fmt.Errorf("panic: %v\n%s", r, debug.Stack())}
 			}
 		}()
-		res, err := spec.Run(scale)
+		res, err := spec.Run(scale, rows)
 		done <- ran{res: res, err: err}
 	}()
 

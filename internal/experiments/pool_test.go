@@ -122,7 +122,7 @@ func TestPoolPreservesSpecOrder(t *testing.T) {
 		i := i
 		specs = append(specs, Spec{
 			ID: fmt.Sprintf("spec%d", i),
-			Run: func(Scale) (Result, error) {
+			Run: func(Scale, int) (Result, error) {
 				if i == 0 {
 					time.Sleep(100 * time.Millisecond)
 				}
@@ -156,7 +156,7 @@ func TestPoolBoundedConcurrency(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		specs = append(specs, Spec{
 			ID: fmt.Sprintf("spec%d", i),
-			Run: func(Scale) (Result, error) {
+			Run: func(Scale, int) (Result, error) {
 				n := cur.Add(1)
 				for {
 					m := max.Load()
@@ -176,11 +176,40 @@ func TestPoolBoundedConcurrency(t *testing.T) {
 	}
 }
 
+// TestPoolRowWidth checks the row width RunPool hands each spec: the host
+// width split across the specs in flight, never below 1.
+func TestPoolRowWidth(t *testing.T) {
+	for _, c := range []struct {
+		specs, parallelism, want int
+	}{
+		{1, 4, 4},
+		{2, 4, 2},
+		{3, 4, 1},
+		{16, 4, 1},
+		{16, 1, 1},
+	} {
+		var got atomic.Int32
+		specs := make([]Spec, c.specs)
+		for i := range specs {
+			specs[i] = Spec{ID: fmt.Sprintf("spec%d", i), Run: func(_ Scale, rows int) (Result, error) {
+				if old := got.Swap(int32(rows)); old != 0 && old != int32(rows) {
+					t.Errorf("specs handed different widths %d and %d", old, rows)
+				}
+				return fakeResult{name: "x"}, nil
+			}}
+		}
+		RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: c.parallelism})
+		if g := int(got.Load()); g != c.want {
+			t.Errorf("%d specs at Parallelism %d: row width %d, want %d", c.specs, c.parallelism, g, c.want)
+		}
+	}
+}
+
 func TestPoolPanicRecovery(t *testing.T) {
 	specs := []Spec{
-		{ID: "ok1", Run: func(Scale) (Result, error) { return fakeResult{name: "ok1"}, nil }},
-		{ID: "boom", Run: func(Scale) (Result, error) { panic("simulated machine wedged") }},
-		{ID: "ok2", Run: func(Scale) (Result, error) { return fakeResult{name: "ok2"}, nil }},
+		{ID: "ok1", Run: func(Scale, int) (Result, error) { return fakeResult{name: "ok1"}, nil }},
+		{ID: "boom", Run: func(Scale, int) (Result, error) { panic("simulated machine wedged") }},
+		{ID: "ok2", Run: func(Scale, int) (Result, error) { return fakeResult{name: "ok2"}, nil }},
 	}
 	outcomes := RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: 2})
 	if outcomes[0].Err != nil || outcomes[2].Err != nil {
@@ -196,11 +225,11 @@ func TestPoolPanicRecovery(t *testing.T) {
 
 func TestPoolTimeout(t *testing.T) {
 	specs := []Spec{
-		{ID: "slow", Run: func(Scale) (Result, error) {
+		{ID: "slow", Run: func(Scale, int) (Result, error) {
 			time.Sleep(5 * time.Second)
 			return fakeResult{name: "slow"}, nil
 		}},
-		{ID: "fast", Run: func(Scale) (Result, error) { return fakeResult{name: "fast"}, nil }},
+		{ID: "fast", Run: func(Scale, int) (Result, error) { return fakeResult{name: "fast"}, nil }},
 	}
 	start := time.Now()
 	outcomes := RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: 2, Timeout: 30 * time.Millisecond})
@@ -219,8 +248,8 @@ func TestPoolContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	specs := []Spec{
-		{ID: "a", Run: func(Scale) (Result, error) { return fakeResult{name: "a"}, nil }},
-		{ID: "b", Run: func(Scale) (Result, error) { return fakeResult{name: "b"}, nil }},
+		{ID: "a", Run: func(Scale, int) (Result, error) { return fakeResult{name: "a"}, nil }},
+		{ID: "b", Run: func(Scale, int) (Result, error) { return fakeResult{name: "b"}, nil }},
 	}
 	outcomes := RunPool(ctx, specs, Quick, PoolOptions{Parallelism: 1})
 	errs := 0

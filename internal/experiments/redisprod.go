@@ -42,8 +42,7 @@ type RedisprodRow struct {
 	// inter-kernel message count.
 	FS       vfs.Stats
 	Messages int64
-	// Engine holds the cluster engine's driver counters when
-	// StatGate(GateEngine) was set (driver-dependent, never rendered).
+	// Engine holds the cluster engine's driver counters (never rendered).
 	Engine map[string]int64
 }
 
@@ -69,7 +68,7 @@ func redisprodParams(s Scale) redisapp.TrafficParams {
 }
 
 // Redisprod runs the benchmark grid.
-func Redisprod(s Scale) (Result, error) {
+func Redisprod(s Scale, rows int) (Result, error) {
 	p := redisprodParams(s)
 	res := &RedisprodResult{Params: p}
 	type cell struct {
@@ -86,7 +85,7 @@ func Redisprod(s Scale) (Result, error) {
 		}
 	}
 	res.Rows = make([]RedisprodRow, len(cells))
-	err := forEachRow(len(cells), func(i int) error {
+	err := forEachRow(rows, len(cells), func(i int) error {
 		row, err := redisprodRun(cells[i].kind, cells[i].regime, cells[i].cores, p)
 		if err != nil {
 			return err
@@ -123,9 +122,7 @@ func redisprodRun(kind redisapp.KeyspaceKind, regime vfs.Regime, cores int, p re
 		Server:   r.PerServer[0],
 		FS:       cl.Machines[1].FileStats(),
 		Messages: cl.Machines[1].Messages(),
-	}
-	if StatGate(GateEngine) {
-		row.Engine = cl.EngineStats().Map()
+		Engine:   cl.EngineStats().Map(),
 	}
 	return row, nil
 }
@@ -297,9 +294,7 @@ func (r *RedisprodResult) ShapeErrors() []string {
 }
 
 // Metrics implements CycleMetrics: latency, volume and persistence
-// counters per cell; per-worker counters ride along when
-// StatGate(GateWorker) is set (stramash-bench -worker-stats), keyed by
-// worker index.
+// counters per cell, and per-worker counters keyed by worker index.
 func (r *RedisprodResult) Metrics() map[string]int64 {
 	m := make(map[string]int64)
 	for _, row := range r.Rows {
@@ -313,29 +308,21 @@ func (r *RedisprodResult) Metrics() map[string]int64 {
 		m["aof_bytes/"+base] = row.Server.AOFFileBytes
 		m["msg_cycles/"+base] = int64(row.FS.TotalMsgCycles())
 		m["messages/"+base] = row.Messages
-		if StatGate(GateWorker) {
-			for w, ws := range row.Server.PerWorker {
-				wb := fmt.Sprintf("%s/w%d", base, w)
-				m["worker_ops/"+wb] = ws.Ops
-				m["futex_waits/"+wb] = ws.FutexWaits
-				m["aof_fsync_batches/"+wb] = ws.FsyncBatches
-			}
+		for w, ws := range row.Server.PerWorker {
+			wb := fmt.Sprintf("%s/w%d", base, w)
+			m["worker_ops/"+wb] = ws.Ops
+			m["futex_waits/"+wb] = ws.FutexWaits
+			m["aof_fsync_batches/"+wb] = ws.FsyncBatches
 		}
 	}
 	return m
 }
 
 // EngineStats implements EngineStatsSource: per-cell driver counters,
-// keyed like Metrics. Nil unless the run captured them.
+// keyed like Metrics.
 func (r *RedisprodResult) EngineStats() map[string]int64 {
-	var m map[string]int64
+	m := make(map[string]int64)
 	for _, row := range r.Rows {
-		if row.Engine == nil {
-			continue
-		}
-		if m == nil {
-			m = make(map[string]int64)
-		}
 		for k, v := range row.Engine {
 			m[k+"/"+row.label()] = v
 		}

@@ -9,29 +9,32 @@ import (
 
 // Spec names one experiment and how to run it.
 type Spec struct {
-	ID  string
-	Run func(Scale) (Result, error)
+	ID string
+	// Run executes the experiment at scale s, driving at most rows of its
+	// independent machine runs at once on host goroutines. Experiments
+	// without rows ignore the width; no width changes a result.
+	Run func(s Scale, rows int) (Result, error)
 }
 
 // All returns every table/figure runner in paper order.
 func All() []Spec {
 	return []Spec{
-		{"table2", func(Scale) (Result, error) { return Table2(), nil }},
-		{"fig5-6-small", func(Scale) (Result, error) { return Figure5_6(hwref.SmallPair()) }},
-		{"fig5-6-big", func(Scale) (Result, error) { return Figure5_6(hwref.BigPair()) }},
-		{"fig7-small", func(s Scale) (Result, error) { return Figure7(hwref.SmallPair(), s) }},
-		{"fig7-big", func(s Scale) (Result, error) { return Figure7(hwref.BigPair(), s) }},
-		{"fig8", func(s Scale) (Result, error) { return Figure8(s) }},
-		{"table3", func(s Scale) (Result, error) { return Table3(s) }},
-		{"table4", func(s Scale) (Result, error) { return Table4(s) }},
-		{"fig9", func(s Scale) (Result, error) { return Figure9(s) }},
-		{"fig10", func(s Scale) (Result, error) { return Figure10(s) }},
-		{"fig11", func(s Scale) (Result, error) { return Figure11(s) }},
-		{"fig12", func(s Scale) (Result, error) { return Figure12(s) }},
-		{"fig13", func(s Scale) (Result, error) { return Figure13(s) }},
-		{"fig14", func(s Scale) (Result, error) { return Figure14(s) }},
-		{"ablation-remote-alloc", func(s Scale) (Result, error) { return AblationRemoteAlloc(s) }},
-		{"ablation-ipi", func(s Scale) (Result, error) { return AblationIPI(s) }},
+		{"table2", func(Scale, int) (Result, error) { return Table2(), nil }},
+		{"fig5-6-small", func(Scale, int) (Result, error) { return Figure5_6(hwref.SmallPair()) }},
+		{"fig5-6-big", func(Scale, int) (Result, error) { return Figure5_6(hwref.BigPair()) }},
+		{"fig7-small", func(s Scale, _ int) (Result, error) { return Figure7(hwref.SmallPair(), s) }},
+		{"fig7-big", func(s Scale, _ int) (Result, error) { return Figure7(hwref.BigPair(), s) }},
+		{"fig8", func(s Scale, _ int) (Result, error) { return Figure8(s) }},
+		{"table3", func(s Scale, _ int) (Result, error) { return Table3(s) }},
+		{"table4", func(s Scale, _ int) (Result, error) { return Table4(s) }},
+		{"fig9", func(s Scale, _ int) (Result, error) { return Figure9(s) }},
+		{"fig10", func(s Scale, _ int) (Result, error) { return Figure10(s) }},
+		{"fig11", func(s Scale, _ int) (Result, error) { return Figure11(s) }},
+		{"fig12", func(s Scale, _ int) (Result, error) { return Figure12(s) }},
+		{"fig13", func(s Scale, _ int) (Result, error) { return Figure13(s) }},
+		{"fig14", func(s Scale, _ int) (Result, error) { return Figure14(s) }},
+		{"ablation-remote-alloc", func(s Scale, _ int) (Result, error) { return AblationRemoteAlloc(s) }},
+		{"ablation-ipi", func(s Scale, _ int) (Result, error) { return AblationIPI(s) }},
 	}
 }
 
@@ -42,11 +45,11 @@ func All() []Spec {
 // -list like any other spec.
 func Extra() []Spec {
 	return []Spec{
-		{"multicore", func(s Scale) (Result, error) { return Multicore(s) }},
-		{"filesys", func(s Scale) (Result, error) { return Filesys(s) }},
-		{"cluster", func(s Scale) (Result, error) { return Cluster(s) }},
-		{"redisprod", func(s Scale) (Result, error) { return Redisprod(s) }},
-		{"tenants", func(s Scale) (Result, error) { return Tenants(s) }},
+		{"multicore", Multicore},
+		{"filesys", Filesys},
+		{"cluster", Cluster},
+		{"redisprod", Redisprod},
+		{"tenants", Tenants},
 	}
 }
 
@@ -66,10 +69,11 @@ func Find(id string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// RunAndReport executes one spec and writes its rendering plus shape-check
-// outcome to w, returning the result and any shape errors.
+// RunAndReport executes one spec with its rows one at a time and writes
+// its rendering plus shape-check outcome to w, returning the result and
+// any shape errors.
 func RunAndReport(w io.Writer, spec Spec, scale Scale) (Result, []string, error) {
-	res, err := spec.Run(scale)
+	res, err := spec.Run(scale, 1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: %s: %w", spec.ID, err)
 	}

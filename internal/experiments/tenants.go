@@ -71,7 +71,7 @@ type TenantsRow struct {
 	// counters after the run.
 	Names []string
 	Stats []cap.Stats
-	// Engine holds driver counters when StatGate(GateEngine) was set.
+	// Engine holds the machine engine's driver counters (never rendered).
 	Engine map[string]int64
 }
 
@@ -82,7 +82,7 @@ type TenantsResult struct {
 }
 
 // Tenants runs the isolation grid.
-func Tenants(s Scale) (Result, error) {
+func Tenants(s Scale, rows int) (Result, error) {
 	p := tenantsParamsFor(s)
 	res := &TenantsResult{Params: p}
 	type cell struct {
@@ -96,7 +96,7 @@ func Tenants(s Scale) (Result, error) {
 		}
 	}
 	res.Rows = make([]TenantsRow, len(cells))
-	err := forEachRow(len(cells), func(i int) error {
+	err := forEachRow(rows, len(cells), func(i int) error {
 		row, err := tenantsRun(cells[i].regime, cells[i].n, p)
 		if err != nil {
 			return err
@@ -111,8 +111,8 @@ func Tenants(s Scale) (Result, error) {
 }
 
 // RunTenantsCell measures one (regime, tenant count) cell at the given
-// scale. The stramash-sim -tenants mode builds its isolation gate from a
-// solo baseline plus one multi-tenant cell.
+// scale. The stramash-sim tenants subcommand builds its isolation gate
+// from a solo baseline plus one multi-tenant cell.
 func RunTenantsCell(regime vfs.Regime, n int, s Scale) (TenantsRow, error) {
 	return tenantsRun(regime, n, tenantsParamsFor(s))
 }
@@ -304,9 +304,7 @@ func tenantsRun(regime vfs.Regime, n int, p tenantsParams) (TenantsRow, error) {
 		row.Names = append(row.Names, ten.Name)
 		row.Stats = append(row.Stats, ten.Stats)
 	}
-	if StatGate(GateEngine) {
-		row.Engine = m.EngineStats().Map()
-	}
+	row.Engine = m.EngineStats().Map()
 	return row, nil
 }
 
@@ -435,9 +433,8 @@ func (r *TenantsResult) ShapeErrors() []string {
 	return errs
 }
 
-// Metrics implements CycleMetrics: victim latency and op counts per cell;
-// per-tenant capability counters ride along when StatGate(GateTenant) is
-// set (stramash-bench -tenant-stats), keyed by tenant name.
+// Metrics implements CycleMetrics: victim latency and op counts per cell,
+// and per-tenant capability counters keyed by tenant name.
 func (r *TenantsResult) Metrics() map[string]int64 {
 	m := make(map[string]int64)
 	for _, row := range r.Rows {
@@ -448,32 +445,24 @@ func (r *TenantsResult) Metrics() map[string]int64 {
 		m["denied_seen/"+base] = row.DeniedSeen
 		m["quota_seen/"+base] = row.QuotaSeen
 		m["revoked_seen/"+base] = row.RevokedSeen
-		if StatGate(GateTenant) {
-			for i, st := range row.Stats {
-				tb := base + "/" + row.Names[i]
-				m["caps_checked/"+tb] = st.CapsChecked
-				m["denials/"+tb] = st.Denials
-				m["revocations/"+tb] = st.Revocations
-				m["frames_charged/"+tb] = st.FramesCharged
-				m["cache_charged/"+tb] = st.CacheCharged
-				m["quota_hits/"+tb] = st.QuotaHits
-			}
+		for i, st := range row.Stats {
+			tb := base + "/" + row.Names[i]
+			m["caps_checked/"+tb] = st.CapsChecked
+			m["denials/"+tb] = st.Denials
+			m["revocations/"+tb] = st.Revocations
+			m["frames_charged/"+tb] = st.FramesCharged
+			m["cache_charged/"+tb] = st.CacheCharged
+			m["quota_hits/"+tb] = st.QuotaHits
 		}
 	}
 	return m
 }
 
 // EngineStats implements EngineStatsSource: per-cell driver counters,
-// keyed like Metrics. Nil unless the run captured them.
+// keyed like Metrics.
 func (r *TenantsResult) EngineStats() map[string]int64 {
-	var m map[string]int64
+	m := make(map[string]int64)
 	for _, row := range r.Rows {
-		if row.Engine == nil {
-			continue
-		}
-		if m == nil {
-			m = make(map[string]int64)
-		}
 		for k, v := range row.Engine {
 			m[k+"/"+row.label()] = v
 		}

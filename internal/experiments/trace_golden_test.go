@@ -101,7 +101,7 @@ func TestTraceGoldenSequentialVsPool(t *testing.T) {
 	specs := make([]Spec, runs)
 	for i := range specs {
 		i := i
-		specs[i] = Spec{ID: fmt.Sprintf("traced-futex-%d", i), Run: func(Scale) (Result, error) {
+		specs[i] = Spec{ID: fmt.Sprintf("traced-futex-%d", i), Run: func(Scale, int) (Result, error) {
 			c, buf, err := tracedFutexRun(loops, true)
 			if err != nil {
 				return nil, err
@@ -231,7 +231,7 @@ func TestTraceGoldenVFSEvents(t *testing.T) {
 			specs := make([]Spec, runs)
 			for i := range specs {
 				i := i
-				specs[i] = Spec{ID: fmt.Sprintf("traced-file-%d", i), Run: func(Scale) (Result, error) {
+				specs[i] = Spec{ID: fmt.Sprintf("traced-file-%d", i), Run: func(Scale, int) (Result, error) {
 					c, buf, err := tracedFileRun(tc.regime, true)
 					if err != nil {
 						return nil, err

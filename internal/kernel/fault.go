@@ -222,33 +222,10 @@ func (v *Vanilla) MigrateTask(t *Task, to mem.NodeID) error {
 
 // FutexWait implements OS.
 func (v *Vanilla) FutexWait(t *Task, uaddr pgtable.VirtAddr, expected uint64) error {
-	f := v.Futexes.Get(t.Proc.PID, uaddr)
-	f.Lock(t.Port)
-	if t.CapCancelPending() {
-		// Revoked between the syscall gate and the enqueue: back out as a
-		// spurious wake; the gated wrapper reports the *CapError.
-		f.Unlock(t.Port)
-		return ErrFutexRetry
-	}
-	val, err := FutexLoadValue(v.Ctx, t.Port, t.Proc, uaddr)
-	if err != nil {
-		f.Unlock(t.Port)
+	if err := v.Futexes.Get(t.Proc.PID, uaddr).CheckAndEnqueue(t.Port, t, uaddr, expected); err != nil {
 		return err
 	}
-	if val != expected {
-		f.Unlock(t.Port)
-		return ErrFutexRetry
-	}
-	f.Enqueue(t.Port, t)
-	f.Unlock(t.Port)
-	t.Stats.FutexWaits++
-	blockStart := t.Th.Now()
-	t.Sleep("futex")
-	if tr := v.Ctx.Plat.Tracer; tr != nil {
-		tr.Emit(trace.Event{Cycle: int64(blockStart), Kind: trace.KindFutexWait,
-			Node: int8(t.Node), Core: int16(t.Core), Tid: int32(t.Th.ID),
-			VA: uint64(uaddr), Cost: int64(t.Th.Now() - blockStart)})
-	}
+	t.FutexSleep(uaddr)
 	return nil
 }
 
@@ -272,15 +249,13 @@ func (v *Vanilla) FutexWake(t *Task, uaddr pgtable.VirtAddr, n int) (int, error)
 
 // ExitTask implements OS: unmap and free everything.
 func (v *Vanilla) ExitTask(t *Task) error {
-	return ReleaseProcessPages(v.Ctx, t.Port, t.Proc, func(node mem.NodeID, m *PageMeta) mem.NodeID {
-		return m.FrameOwner[node]
-	})
+	return ReleaseProcessPages(v.Ctx, t.Port, t.Proc)
 }
 
 // ReleaseProcessPages unmaps every page of proc and frees each frame to
-// the allocator chosen by owner (per node). Used by every personality's
-// exit path; the owner policy is what §6.4 varies.
-func ReleaseProcessPages(ctx *Context, pt *hw.Port, proc *Process, owner func(mem.NodeID, *PageMeta) mem.NodeID) error {
+// the allocator of the kernel that owns it (PageMeta.FrameOwner, or the
+// mapping node when unrecorded). Used by every personality's exit path.
+func ReleaseProcessPages(ctx *Context, pt *hw.Port, proc *Process) error {
 	// Tear pages down in address order: the unmap writes and frame frees go
 	// through the cache model and the buddy allocator, so iterating the map
 	// directly would make the exit path's cycle count (and the allocator's
@@ -308,7 +283,7 @@ func ReleaseProcessPages(ctx *Context, pt *hw.Port, proc *Process, owner func(me
 			if freed[fr] {
 				continue
 			}
-			own := owner(node, m)
+			own := m.FrameOwner[node]
 			if own == mem.NodeNone {
 				own = node
 			}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/pgtable"
+	"repro/internal/trace"
 )
 
 // FutexTable is the kernel's fast-userspace-mutex state. Each futex has a
@@ -133,10 +134,41 @@ func (f *Futex) Waiters() int { return len(f.waiters) }
 // caller re-examines the word and retries its locking protocol.
 var ErrFutexRetry = fmt.Errorf("kernel: futex value changed (EAGAIN)")
 
-// FutexLoadValue reads the current userspace value of uaddr through the
+// CheckAndEnqueue is every personality's FutexWait check-and-enqueue,
+// charged to pt: under f's lock it backs out with ErrFutexRetry when a
+// revocation cancelled t between the syscall gate and here (the gated
+// wrapper then reports the *CapError) or when the word at uaddr no longer
+// holds expected, and otherwise enqueues t.
+func (f *Futex) CheckAndEnqueue(pt *hw.Port, t *Task, uaddr pgtable.VirtAddr, expected uint64) error {
+	f.Lock(pt)
+	defer f.Unlock(pt)
+	if t.CapCancelPending() {
+		return ErrFutexRetry
+	}
+	val, err := futexLoadValue(pt, t.Proc, uaddr)
+	if err != nil {
+		return err
+	}
+	if val != expected {
+		return ErrFutexRetry
+	}
+	f.Enqueue(pt, t)
+	return nil
+}
+
+// FutexSleep blocks t once CheckAndEnqueue has queued it: it counts the
+// wait, sleeps until a wake, and emits the blocked span.
+func (t *Task) FutexSleep(uaddr pgtable.VirtAddr) {
+	t.Stats.FutexWaits++
+	blockStart := t.Th.Now()
+	t.Sleep("futex")
+	t.emitSpan(trace.KindFutexWait, blockStart, uint64(uaddr), 0)
+}
+
+// futexLoadValue reads the current userspace value of uaddr through the
 // most authoritative mapping: a node holding the page DSM-exclusive wins,
 // then any valid mapping. The read is charged to pt.
-func FutexLoadValue(ctx *Context, pt *hw.Port, proc *Process, uaddr pgtable.VirtAddr) (uint64, error) {
+func futexLoadValue(pt *hw.Port, proc *Process, uaddr pgtable.VirtAddr) (uint64, error) {
 	meta := proc.MetaIfAny(uaddr)
 	if meta == nil {
 		return 0, fmt.Errorf("kernel: futex word %#x never touched", uaddr)

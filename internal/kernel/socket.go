@@ -286,11 +286,7 @@ func (t *Task) SendSock(fd int, p []byte) (int, error) {
 		return sent, err
 	}
 	t.Stats.SockSendBytes += int64(sent)
-	if tr := t.Ctx.Plat.Tracer; tr != nil {
-		tr.Emit(trace.Event{Cycle: int64(start), Kind: trace.KindSockSend,
-			Node: int8(t.Node), Core: int16(t.Core), Tid: int32(t.Th.ID),
-			Arg: int64(sent), Cost: int64(t.Th.Now() - start)})
-	}
+	t.emitSpan(trace.KindSockSend, start, 0, int64(sent))
 	return sent, nil
 }
 
@@ -319,11 +315,7 @@ func (t *Task) RecvSock(fd int, max int) ([]byte, error) {
 	}
 	out := c.TryRecv(t.Port, max)
 	t.Stats.SockRecvBytes += int64(len(out))
-	if tr := t.Ctx.Plat.Tracer; tr != nil {
-		tr.Emit(trace.Event{Cycle: int64(start), Kind: trace.KindSockRecv,
-			Node: int8(t.Node), Core: int16(t.Core), Tid: int32(t.Th.ID),
-			Arg: int64(len(out)), Cost: int64(t.Th.Now() - start)})
-	}
+	t.emitSpan(trace.KindSockRecv, start, 0, int64(len(out)))
 	return out, nil
 }
 
@@ -348,11 +340,7 @@ func (t *Task) TryRecvSock(fd int, max int) ([]byte, error) {
 	}
 	out := c.TryRecv(t.Port, max)
 	t.Stats.SockRecvBytes += int64(len(out))
-	if tr := t.Ctx.Plat.Tracer; tr != nil {
-		tr.Emit(trace.Event{Cycle: int64(start), Kind: trace.KindSockRecv,
-			Node: int8(t.Node), Core: int16(t.Core), Tid: int32(t.Th.ID),
-			Arg: int64(len(out)), Cost: int64(t.Th.Now() - start)})
-	}
+	t.emitSpan(trace.KindSockRecv, start, 0, int64(len(out)))
 	return out, nil
 }
 

@@ -257,15 +257,11 @@ func (t *Task) accessAfterMiss(va pgtable.VirtAddr, write bool, fn func(pa mem.P
 			return fmt.Errorf("kernel: fault at %#x (write=%v) on %v: %w", va, write, t.Node, err)
 		}
 		t.Stats.FaultCycles += t.Th.Now() - start
-		if tr := t.Ctx.Plat.Tracer; tr != nil {
-			wr := int64(0)
-			if write {
-				wr = 1
-			}
-			tr.Emit(trace.Event{Cycle: int64(start), Kind: trace.KindPageFault,
-				Node: int8(t.Node), Core: int16(t.Core), Tid: int32(t.Th.ID),
-				VA: uint64(pva), Arg: wr, Cost: int64(t.Th.Now() - start)})
+		wr := int64(0)
+		if write {
+			wr = 1
 		}
+		t.emitSpan(trace.KindPageFault, start, uint64(pva), wr)
 		if attempt == 3 {
 			break
 		}
@@ -404,12 +400,17 @@ func (t *Task) Migrate(to mem.NodeID) error {
 	}
 	t.Stats.Migrations++
 	t.Stats.MigrationCycles += t.Th.Now() - start
-	if tr := t.Ctx.Plat.Tracer; tr != nil {
-		tr.Emit(trace.Event{Cycle: int64(start), Kind: trace.KindMigrate,
-			Node: int8(to), Core: int16(t.Core), Tid: int32(t.Th.ID),
-			Arg: int64(to), Cost: int64(t.Th.Now() - start)})
-	}
+	t.emitSpan(trace.KindMigrate, start, 0, int64(to)) // MigrateTask rebound t to node to
 	return nil
+}
+
+// emitSpan traces a span of kind that t started at start and ends now.
+func (t *Task) emitSpan(kind trace.Kind, start sim.Cycles, va uint64, arg int64) {
+	if tr := t.Ctx.Plat.Tracer; tr != nil {
+		tr.Emit(trace.Event{Cycle: int64(start), Kind: kind,
+			Node: int8(t.Node), Core: int16(t.Core), Tid: int32(t.Th.ID),
+			VA: va, Arg: arg, Cost: int64(t.Th.Now() - start)})
+	}
 }
 
 // Rebind switches the task's hardware binding to node (called by OS

@@ -464,26 +464,10 @@ func (o *OS) MigrateTask(t *kernel.Task, to mem.NodeID) error {
 func (o *OS) FutexWait(t *kernel.Task, uaddr pgtable.VirtAddr, expected uint64) error {
 	ft := o.futexes[t.Proc.PID]
 	f := ft.Get(t.Proc.PID, uaddr)
-	var werr error
 	if t.Node == t.Proc.Origin {
-		f.Lock(t.Port)
-		if t.CapCancelPending() {
-			// Revoked between the syscall gate and the enqueue: back out as
-			// a spurious wake; the gated wrapper reports the *CapError.
-			f.Unlock(t.Port)
-			return kernel.ErrFutexRetry
-		}
-		val, err := kernel.FutexLoadValue(o.Ctx, t.Port, t.Proc, uaddr)
-		if err != nil {
-			f.Unlock(t.Port)
+		if err := f.CheckAndEnqueue(t.Port, t, uaddr, expected); err != nil {
 			return err
 		}
-		if val != expected {
-			f.Unlock(t.Port)
-			return kernel.ErrFutexRetry
-		}
-		f.Enqueue(t.Port, t)
-		f.Unlock(t.Port)
 	} else {
 		o.Stats.FutexRPCs++
 		o.emit(t, trace.KindFutexRPC, uaddr, 0)
@@ -492,23 +476,9 @@ func (o *OS) FutexWait(t *kernel.Task, uaddr pgtable.VirtAddr, expected uint64) 
 		// preempted — a run-queue block would swallow a wake that arrives
 		// during the RPC's response leg.
 		t.Th.DisablePreempt()
+		var werr error
 		o.Msgr.RPC(t.Port, func(originPt *hw.Port, r []byte) []byte {
-			f.Lock(originPt)
-			if t.CapCancelPending() {
-				werr = kernel.ErrFutexRetry
-				f.Unlock(originPt)
-				return make([]byte, 16)
-			}
-			val, err := kernel.FutexLoadValue(o.Ctx, originPt, t.Proc, uaddr)
-			switch {
-			case err != nil:
-				werr = err
-			case val != expected:
-				werr = kernel.ErrFutexRetry
-			default:
-				f.Enqueue(originPt, t)
-			}
-			f.Unlock(originPt)
+			werr = f.CheckAndEnqueue(originPt, t, uaddr, expected)
 			return make([]byte, 16)
 		}, req(opFutexWait, t.Proc.PID, uaddr, expected))
 		t.Th.EnablePreempt()
@@ -516,14 +486,7 @@ func (o *OS) FutexWait(t *kernel.Task, uaddr pgtable.VirtAddr, expected uint64) 
 			return werr
 		}
 	}
-	t.Stats.FutexWaits++
-	blockStart := t.Th.Now()
-	t.Sleep("futex")
-	if tr := o.Ctx.Plat.Tracer; tr != nil {
-		tr.Emit(trace.Event{Cycle: int64(blockStart), Kind: trace.KindFutexWait,
-			Node: int8(t.Node), Core: int16(t.Core), Tid: int32(t.Th.ID),
-			VA: uint64(uaddr), Cost: int64(t.Th.Now() - blockStart)})
-	}
+	t.FutexSleep(uaddr)
 	return nil
 }
 
@@ -562,7 +525,5 @@ func (o *OS) FutexWake(t *kernel.Task, uaddr pgtable.VirtAddr, n int) (int, erro
 
 // ExitTask implements kernel.OS: each kernel frees the replicas it owns.
 func (o *OS) ExitTask(t *kernel.Task) error {
-	return kernel.ReleaseProcessPages(o.Ctx, t.Port, t.Proc, func(node mem.NodeID, m *kernel.PageMeta) mem.NodeID {
-		return m.FrameOwner[node]
-	})
+	return kernel.ReleaseProcessPages(o.Ctx, t.Port, t.Proc)
 }

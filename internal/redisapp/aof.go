@@ -14,22 +14,16 @@ import (
 //
 //	len(4) | cmd(1) | klen(4) | vlen(4) | key... | val...
 //
-// where len counts everything after itself (9 + klen + vlen). Records
-// hold the wire-level command as received — replay runs them through the
-// same execute path as live traffic, so derived-key prefixes, SADD
-// member truncation and MSET fan-out are reproduced rather than re-encoded.
-const aofRecHdr = 9
+// where len counts the request frame after it (reqHdr + klen + vlen).
+// Records hold the wire-level command as received — replay runs them
+// through the same execute path as live traffic, so derived-key prefixes,
+// SADD member truncation and MSET fan-out are reproduced rather than
+// re-encoded.
 
-// encodeAOFRecord serializes one mutation.
-func encodeAOFRecord(cmd Command, key, val []byte) []byte {
-	b := make([]byte, 4+aofRecHdr+len(key)+len(val))
-	binary.LittleEndian.PutUint32(b[0:4], uint32(aofRecHdr+len(key)+len(val)))
-	b[4] = byte(cmd)
-	binary.LittleEndian.PutUint32(b[5:9], uint32(len(key)))
-	binary.LittleEndian.PutUint32(b[9:13], uint32(len(val)))
-	copy(b[13:], key)
-	copy(b[13+len(key):], val)
-	return b
+// appendAOFRecord appends one mutation record to b.
+func appendAOFRecord(b []byte, cmd Command, key, val []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(reqHdr+len(key)+len(val)))
+	return appendRequest(b, cmd, key, val)
 }
 
 // decodeAOFRecord pulls one record off the front of buf. ok=false with a
@@ -37,24 +31,20 @@ func encodeAOFRecord(cmd Command, key, val []byte) []byte {
 // after a crash); a header that cannot be valid at any length is
 // corruption and errors.
 func decodeAOFRecord(buf []byte) (cmd Command, key, val, rest []byte, ok bool, err error) {
-	if len(buf) < 4+aofRecHdr {
+	const hdr = 4 + reqHdr
+	if len(buf) < hdr {
 		return 0, nil, nil, buf, false, nil
 	}
-	rlen := int(binary.LittleEndian.Uint32(buf[0:4]))
-	cmd = Command(buf[4])
-	klen := int(binary.LittleEndian.Uint32(buf[5:9]))
-	vlen := int(binary.LittleEndian.Uint32(buf[9:13]))
-	if cmd < CmdGet || cmd > CmdMSet || klen <= 0 || klen > maxNetKey || vlen < 0 || vlen > maxNetVal ||
-		rlen != aofRecHdr+klen+vlen {
-		return 0, nil, nil, buf, false,
-			fmt.Errorf("redisapp: corrupt AOF record (len=%d cmd=%d klen=%d vlen=%d)", rlen, cmd, klen, vlen)
+	rlen := binary.LittleEndian.Uint32(buf[0:4])
+	cmd, klen, vlen, err := requestHeader(buf[4:])
+	if err == nil && rlen != uint32(reqHdr+klen+vlen) {
+		err = fmt.Errorf("redisapp: corrupt AOF record (len=%d klen=%d vlen=%d)", rlen, klen, vlen)
 	}
-	if len(buf) < 4+rlen {
-		return 0, nil, nil, buf, false, nil
+	end := hdr + klen + vlen
+	if err != nil || len(buf) < end {
+		return 0, nil, nil, buf, false, err
 	}
-	key = buf[13 : 13+klen]
-	val = buf[13+klen : 13+klen+vlen]
-	return cmd, key, val, buf[4+rlen:], true, nil
+	return cmd, buf[hdr : hdr+klen], buf[hdr+klen : end], buf[end:], true, nil
 }
 
 // mutatesStore reports whether a command's effect must be logged. Pops
@@ -112,7 +102,7 @@ func openAOF(t *kernel.Task) (*aofLog, error) {
 // Append stages one mutation record and flushes if the group-commit
 // policy says so.
 func (l *aofLog) Append(t *kernel.Task, cmd Command, key, val []byte) error {
-	l.staged = append(l.staged, encodeAOFRecord(cmd, key, val)...)
+	l.staged = appendAOFRecord(l.staged, cmd, key, val)
 	l.stagedRec++
 	l.Records++
 	if l.stagedRec >= aofGroupK || t.Th.Now()-l.lastFlush >= aofGroupQ {

@@ -115,9 +115,10 @@ func NewStoreLocked(t *kernel.Task, store *Store, nLocks int) (*StoreLocked, err
 	return ks, nil
 }
 
-// derivedKeys lists every store key a command touches — the execute paths
-// prefix list/set/mset keys, so the lock set must be computed from the
-// same derived names, not the wire key.
+// derivedKeys lists every store key a command touches: lists, sets and
+// MSET's four copies live under prefixed names, not the wire key. execute
+// runs the command on these names and StoreLocked computes its lock set
+// from them, so the naming rule exists once.
 func derivedKeys(cmd Command, key []byte) [][]byte {
 	switch cmd {
 	case CmdLPush, CmdRPush, CmdLPop, CmdRPop:

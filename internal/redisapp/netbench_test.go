@@ -114,7 +114,7 @@ func TestClusterBenchEngineIdentity(t *testing.T) {
 // TestDecodeRequestRejectsCorruptHeaders exercises the stream decoder's
 // bounds checks on the socket server's wire input.
 func TestDecodeRequestRejectsCorruptHeaders(t *testing.T) {
-	good := encodeRequest(CmdSet, []byte("k"), []byte("v"))
+	good := appendRequest(nil, CmdSet, []byte("k"), []byte("v"))
 	if _, _, _, _, ok, err := decodeRequest(good); err != nil || !ok {
 		t.Fatalf("good request rejected: ok=%v err=%v", ok, err)
 	}
@@ -138,18 +138,18 @@ func TestDecodeRequestRejectsCorruptHeaders(t *testing.T) {
 // FuzzRequestCodec drives the socket server's wire codec with arbitrary
 // bytes: neither decoder may panic, a decoded request or response must
 // respect the stream bounds and re-encode to exactly the bytes it
-// consumed, and encodeRequest → decodeRequest round-trips.
+// consumed, and appendRequest → decodeRequest round-trips.
 func FuzzRequestCodec(f *testing.F) {
-	f.Add(encodeRequest(CmdSet, []byte("key:000001"), bytes.Repeat([]byte{7}, 64)), byte(CmdSet), []byte("k"), []byte("v"))
-	f.Add(encodeRequest(CmdGet, []byte("key:000002"), nil), byte(CmdGet), []byte("key"), []byte(nil))
-	f.Add(encodeResponse(1, []byte("payload")), byte(CmdMSet), bytes.Repeat([]byte{'k'}, maxNetKey), []byte("x"))
+	f.Add(appendRequest(nil, CmdSet, []byte("key:000001"), bytes.Repeat([]byte{7}, 64)), byte(CmdSet), []byte("k"), []byte("v"))
+	f.Add(appendRequest(nil, CmdGet, []byte("key:000002"), nil), byte(CmdGet), []byte("key"), []byte(nil))
+	f.Add(appendResponse(nil, 1, []byte("payload")), byte(CmdMSet), bytes.Repeat([]byte{'k'}, maxNetKey), []byte("x"))
 	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, byte(0), []byte(nil), []byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte, cmd byte, key, val []byte) {
 		if c, k, v, rest, ok, err := decodeRequest(data); err == nil && ok {
 			if len(k) == 0 || len(k) > maxNetKey || len(v) > maxNetVal {
 				t.Fatalf("decodeRequest accepted klen=%d vlen=%d", len(k), len(v))
 			}
-			if re := encodeRequest(c, k, v); !bytes.Equal(re, data[:len(data)-len(rest)]) {
+			if re := appendRequest(nil, c, k, v); !bytes.Equal(re, data[:len(data)-len(rest)]) {
 				t.Fatalf("request re-encode mismatch: %x vs %x", re, data[:len(data)-len(rest)])
 			}
 		}
@@ -157,14 +157,14 @@ func FuzzRequestCodec(f *testing.F) {
 			if st > 1 || len(pl) > maxNetVal {
 				t.Fatalf("decodeResponse accepted status=%d plen=%d", st, len(pl))
 			}
-			if re := encodeResponse(st, pl); !bytes.Equal(re, data[:len(data)-len(rest)]) {
+			if re := appendResponse(nil, st, pl); !bytes.Equal(re, data[:len(data)-len(rest)]) {
 				t.Fatalf("response re-encode mismatch: %x vs %x", re, data[:len(data)-len(rest)])
 			}
 		}
 		if Command(cmd) < CmdGet || Command(cmd) > CmdMSet || len(key) == 0 || len(key) > maxNetKey || len(val) > maxNetVal {
 			return
 		}
-		c, k, v, rest, ok, err := decodeRequest(encodeRequest(Command(cmd), key, val))
+		c, k, v, rest, ok, err := decodeRequest(appendRequest(nil, Command(cmd), key, val))
 		if err != nil || !ok || c != Command(cmd) || !bytes.Equal(k, key) || !bytes.Equal(v, val) || len(rest) != 0 {
 			t.Fatalf("round trip diverged: ok=%v err=%v", ok, err)
 		}

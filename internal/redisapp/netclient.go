@@ -150,19 +150,7 @@ func sampleZipf(rng *sim.RNG, cdf []float64) int {
 // respDigest hashes one response, keyed by its request index so the sum
 // over all responses is order-independent yet content-sensitive.
 func respDigest(idx int, status byte, payload []byte) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	for sh := 0; sh < 64; sh += 8 {
-		mix(byte(uint64(idx) >> sh))
-	}
-	mix(status)
-	for _, b := range payload {
-		mix(b)
-	}
-	return h
+	return fnvFold(fnvFold(fnvFoldU64(fnvBasis, uint64(idx)), []byte{status}), payload)
 }
 
 // percentile returns the q-quantile of lats (nearest-rank).
@@ -252,7 +240,7 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 				if p.SetEvery > 0 && i%p.SetEvery == 0 {
 					cmd, val = CmdSet, valFor(bp, keyIdx[i])
 				}
-				batch = append(batch, encodeRequest(cmd, keyFor(bp, keyIdx[i]), val)...)
+				batch = appendRequest(batch, cmd, keyFor(bp, keyIdx[i]), val)
 				pend[s] = append(pend[s], pendReq{idx: i, arrival: arrival(i)})
 				res.Sent++
 				progress = true

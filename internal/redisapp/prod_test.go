@@ -279,7 +279,7 @@ func TestAOFCrashPointReplay(t *testing.T) {
 			if !mutatesStore(c.cmd, miss) {
 				continue
 			}
-			records = append(records, encodeAOFRecord(c.cmd, c.key, c.val))
+			records = append(records, appendAOFRecord(nil, c.cmd, c.key, c.val))
 			d, err := oracle.Digest(task)
 			if err != nil {
 				return err
@@ -346,8 +346,8 @@ func TestAOFCrashPointReplay(t *testing.T) {
 // re-encode to the exact consumed bytes, and decode must never panic or
 // mis-frame on arbitrary input.
 func FuzzAOFRecord(f *testing.F) {
-	f.Add(encodeAOFRecord(CmdSet, []byte("key:000001"), bytes.Repeat([]byte{7}, 64)))
-	f.Add(encodeAOFRecord(CmdLPop, []byte("l:key"), nil))
+	f.Add(appendAOFRecord(nil, CmdSet, []byte("key:000001"), bytes.Repeat([]byte{7}, 64)))
+	f.Add(appendAOFRecord(nil, CmdLPop, []byte("l:key"), nil))
 	f.Add([]byte{0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xFF}, 32))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -356,7 +356,7 @@ func FuzzAOFRecord(f *testing.F) {
 			return
 		}
 		consumed := len(data) - len(rest)
-		re := encodeAOFRecord(cmd, key, val)
+		re := appendAOFRecord(nil, cmd, key, val)
 		if !bytes.Equal(re, data[:consumed]) {
 			t.Fatalf("re-encode mismatch: %x vs %x", re, data[:consumed])
 		}
@@ -365,6 +365,45 @@ func FuzzAOFRecord(f *testing.F) {
 			t.Fatalf("round trip diverged: ok=%v err=%v", ok2, err2)
 		}
 	})
+}
+
+// TestProdWorkerStatsOnStop stops a worker while its response ring is full
+// and one SET is queued: it serves the SET, cannot respond, and leaves
+// through the stop flag. Its stats must still show the record and the
+// batch its final Close flushed.
+func TestProdWorkerStatsOnStop(t *testing.T) {
+	m := newM(t, machine.StramashOS)
+	var out ProdWorkerStats
+	_, err := m.RunSingle("worker", mem.NodeX86, func(task *kernel.Task) error {
+		ks, err := buildKeyspace(task, KSSharded, 1)
+		if err != nil {
+			return err
+		}
+		rings := prodRings{workers: 1}
+		rings.base, err = task.Proc.MmapAligned(rings.size(), 2<<20, kernel.VMARead|kernel.VMAWrite, "redis.rings")
+		if err != nil {
+			return err
+		}
+		q := queuedProd{cmd: CmdSet, key: []byte("key:000001"), val: []byte("value")}
+		if ok, err := prodRingPush(task, rings.req(0), q); err != nil || !ok {
+			return fmt.Errorf("push: ok=%v err=%v", ok, err)
+		}
+		// A full response ring (head-tail = prodSlots) and the stop flag.
+		if err := task.Store(rings.resp(0), 8, prodSlots); err != nil {
+			return err
+		}
+		if err := task.Store(rings.stop(0), 8, 1); err != nil {
+			return err
+		}
+		return prodWorker(task, ProdParams{}, ks, 0, rings, &out)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(len(appendAOFRecord(nil, CmdSet, []byte("key:000001"), []byte("value"))))
+	if out.AOFRecords != 1 || out.FsyncBatches != 1 || out.AOFBytes != want || out.Ops != 0 {
+		t.Errorf("stats %+v, want 1 record, 1 fsync batch, %d bytes and no response", out, want)
+	}
 }
 
 // newProdCluster builds loadgen + one production server machine.

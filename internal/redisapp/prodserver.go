@@ -36,9 +36,9 @@ import (
 const (
 	prodRingCtl = 128
 	prodSlots   = 16
-	prodSlotCap = 8768 // fits hdr + maxNetKey + maxNetVal
-	prodReqHdr  = 17
-	prodRespHdr = 13
+	prodSlotCap = 8768 // fits seq + any frame the header checks accept
+	prodReqHdr  = 8 + reqHdr
+	prodRespHdr = 8 + respHdr
 )
 
 // KeyspaceKind selects the store regime behind the worker pool.
@@ -90,7 +90,12 @@ func (p ProdParams) Validate() error {
 	return nil
 }
 
-// ProdWorkerStats is one worker's counters, for the -json export.
+// ProdWorkerStats is one worker's counters, for the -json export. The AOF
+// counters cover only the worker's own log: a worker that serves GETs
+// only appends nothing and fsyncs no batch, and the populate records are
+// appended by the frontend's log, which belongs to no worker. A
+// read-only run therefore reports zero fsync batches on every worker
+// while the replayed log (ProdStats.AOFRecords) holds the populate.
 type ProdWorkerStats struct {
 	Ops          int64
 	Misses       int64
@@ -418,7 +423,7 @@ func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lf
 						return err
 					}
 					st.Misses += miss
-					respBySeq[seq] = encodeResponse(respStatus(miss), payload)
+					respBySeq[seq] = appendResponse(nil, respStatus(miss), payload)
 					continue
 				}
 				backlog[fd] = append(backlog[fd], queuedProd{
@@ -458,7 +463,7 @@ func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lf
 				if status == 0 {
 					st.Misses++
 				}
-				respBySeq[seq] = encodeResponse(status, payload)
+				respBySeq[seq] = appendResponse(nil, status, payload)
 				progress = true
 			}
 		}
@@ -516,13 +521,8 @@ func prodRingPush(t *kernel.Task, ring pgtable.VirtAddr, q queuedProd) (ok bool,
 	if head-tail >= prodSlots {
 		return false, nil
 	}
-	buf := make([]byte, prodReqHdr+len(q.key)+len(q.val))
-	binary.LittleEndian.PutUint64(buf[0:8], q.seq)
-	buf[8] = byte(q.cmd)
-	binary.LittleEndian.PutUint32(buf[9:13], uint32(len(q.key)))
-	binary.LittleEndian.PutUint32(buf[13:17], uint32(len(q.val)))
-	copy(buf[prodReqHdr:], q.key)
-	copy(buf[prodReqHdr+len(q.key):], q.val)
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, prodReqHdr+len(q.key)+len(q.val)), q.seq)
+	buf = appendRequest(buf, q.cmd, q.key, q.val)
 	slot := ring + prodRingCtl + pgtable.VirtAddr(int(head%prodSlots)*prodSlotCap)
 	if err := t.WriteBytes(slot, buf); err != nil {
 		return false, err
@@ -555,10 +555,9 @@ func prodRingPop(t *kernel.Task, ring pgtable.VirtAddr) (seq uint64, status byte
 		return 0, 0, nil, false, err
 	}
 	seq = binary.LittleEndian.Uint64(hdr[0:8])
-	status = hdr[8]
-	plen := int(binary.LittleEndian.Uint32(hdr[9:13]))
-	if plen < 0 || prodRespHdr+plen > prodSlotCap {
-		return 0, 0, nil, false, fmt.Errorf("redisapp: corrupt response slot (plen=%d)", plen)
+	status, plen, err := responseHeader(hdr[8:])
+	if err != nil {
+		return 0, 0, nil, false, err
 	}
 	if plen > 0 {
 		payload, err = t.ReadBytes(slot+prodRespHdr, plen)
@@ -584,11 +583,9 @@ func prodRingConsume(t *kernel.Task, reqRing pgtable.VirtAddr, tail uint64) (seq
 		return 0, 0, nil, nil, err
 	}
 	seq = binary.LittleEndian.Uint64(hdr[0:8])
-	cmd = Command(hdr[8])
-	klen := int(binary.LittleEndian.Uint32(hdr[9:13]))
-	vlen := int(binary.LittleEndian.Uint32(hdr[13:17]))
-	if klen <= 0 || klen > maxNetKey || vlen < 0 || vlen > maxNetVal {
-		return 0, 0, nil, nil, fmt.Errorf("redisapp: corrupt ring slot (klen=%d vlen=%d)", klen, vlen)
+	cmd, klen, vlen, err := requestHeader(hdr[8:])
+	if err != nil {
+		return 0, 0, nil, nil, err
 	}
 	key, err = t.ReadBytes(slot+prodReqHdr, klen)
 	if err != nil {
@@ -636,11 +633,8 @@ func prodRingRespond(t *kernel.Task, respRing pgtable.VirtAddr, seq uint64, stat
 	if err != nil {
 		return err
 	}
-	rbuf := make([]byte, prodRespHdr+len(payload))
-	binary.LittleEndian.PutUint64(rbuf[0:8], seq)
-	rbuf[8] = status
-	binary.LittleEndian.PutUint32(rbuf[9:13], uint32(len(payload)))
-	copy(rbuf[prodRespHdr:], payload)
+	rbuf := binary.LittleEndian.AppendUint64(make([]byte, 0, prodRespHdr+len(payload)), seq)
+	rbuf = appendResponse(rbuf, status, payload)
 	rslot := respRing + prodRingCtl + pgtable.VirtAddr(int(rh%prodSlots)*prodSlotCap)
 	if err := t.WriteBytes(rslot, rbuf); err != nil {
 		return err
@@ -680,6 +674,14 @@ func prodWorker(t *kernel.Task, p ProdParams, ks Keyspace, w int, rings prodRing
 	if err != nil {
 		return err
 	}
+	// Record the counters on every way out, after the final Close has
+	// flushed the last batch.
+	defer func() {
+		out.FsyncBatches = log.Batches
+		out.AOFRecords = log.Records
+		out.AOFBytes = log.Bytes
+		out.FutexWaits = t.Stats.FutexWaits
+	}()
 	reqRing, respRing := rings.req(w), rings.resp(w)
 	for {
 		head, tail, stop, err := prodRingPeek(t, reqRing, rings.stop(w))
@@ -730,14 +732,7 @@ func prodWorker(t *kernel.Task, p ProdParams, ks Keyspace, w int, rings prodRing
 		out.Ops++
 		out.Misses += int64(miss)
 	}
-	if err := log.Close(t); err != nil {
-		return err
-	}
-	out.FsyncBatches = log.Batches
-	out.AOFRecords = log.Records
-	out.AOFBytes = log.Bytes
-	out.FutexWaits = t.Stats.FutexWaits
-	return nil
+	return log.Close(t)
 }
 
 // ClusterResult is one cluster benchmark measurement: machine 0 generated

@@ -1,7 +1,6 @@
 package redisapp
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/kernel"
@@ -203,13 +202,14 @@ func Run(m *machine.Machine, p BenchParams) (BenchResult, error) {
 			if err != nil {
 				return err
 			}
-			cmd := Command(hdr[0])
-			klen := int(binary.LittleEndian.Uint32(hdr[1:5]))
-			vlen := int(binary.LittleEndian.Uint32(hdr[5:9]))
-			// A corrupt header must not drive ReadBytes past the slot: the
-			// lengths are attacker-controlled wire input in a real server.
-			if klen <= 0 || vlen < 0 || klen+vlen > slotSize-reqHdr {
-				return fmt.Errorf("redisapp: corrupt request header (klen=%d vlen=%d, slot payload max %d)",
+			cmd, klen, vlen, err := requestHeader(hdr)
+			if err != nil {
+				return err
+			}
+			// A header within the wire bounds can still overrun this
+			// ring's smaller slot.
+			if klen+vlen > slotSize-reqHdr {
+				return fmt.Errorf("redisapp: request overruns its slot (klen=%d vlen=%d, slot payload max %d)",
 					klen, vlen, slotSize-reqHdr)
 			}
 			key, err := t.ReadBytes(slot+reqHdr, klen)
@@ -275,18 +275,17 @@ func Run(m *machine.Machine, p BenchParams) (BenchResult, error) {
 				val = valFor(p, i)
 			}
 			slot := rb + ringCtl + pgtable.VirtAddr(int(head%ringSlots)*slotSize)
-			hdr := make([]byte, reqHdr)
-			hdr[0] = byte(p.Command)
-			binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(key)))
-			binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(val)))
-			if err := t.WriteBytes(slot, hdr); err != nil {
+			// Header, key and value stay three stores: the split is part
+			// of the simulated cost.
+			frame := appendRequest(nil, p.Command, key, val)
+			if err := t.WriteBytes(slot, frame[:reqHdr]); err != nil {
 				return err
 			}
-			if err := t.WriteBytes(slot+reqHdr, key); err != nil {
+			if err := t.WriteBytes(slot+reqHdr, frame[reqHdr:reqHdr+len(key)]); err != nil {
 				return err
 			}
 			if len(val) > 0 {
-				if err := t.WriteBytes(slot+reqHdr+pgtable.VirtAddr(len(key)), val); err != nil {
+				if err := t.WriteBytes(slot+reqHdr+pgtable.VirtAddr(len(key)), frame[reqHdr+len(key):]); err != nil {
 					return err
 				}
 			}

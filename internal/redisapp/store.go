@@ -169,11 +169,7 @@ func NewStore(t *kernel.Task, arena *Arena, nBuckets int) (*Store, error) {
 // hashKey is the FNV-1a hash of a key (computed by the CPU: charged as
 // compute work proportional to the key length).
 func hashKey(t *kernel.Task, key []byte) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, c := range key {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
+	h := fnvFold(fnvBasis, key)
 	t.Compute(int64(3 * len(key)))
 	if h == 0 {
 		h = 1

@@ -443,7 +443,7 @@ func TestScheduleModel(t *testing.T) {
 
 // TestScheduleModelParallel runs the same scripts untraced, each on its own
 // engine, with four engines at a time on concurrent host goroutines (as
-// -hostprocs runs an experiment's rows): the error, every final clock and
+// an experiment's rows run at a row width above 1): the error, every final clock and
 // the segment accounting must still match the interpreter. This covers
 // Run's untraced path, which TestScheduleModel does not take, and shows
 // that engines share no state.

@@ -357,34 +357,10 @@ func (o *OS) MigrateTask(t *kernel.Task, to mem.NodeID) error {
 // list directly in shared memory (§6.5), including the value check under
 // the cross-ISA lock — no origin round trip.
 func (o *OS) FutexWait(t *kernel.Task, uaddr pgtable.VirtAddr, expected uint64) error {
-	f := o.futexes[t.Proc.PID].Get(t.Proc.PID, uaddr)
-	f.Lock(t.Port)
-	if t.CapCancelPending() {
-		// The authorizing capability was revoked between the syscall gate
-		// and this enqueue: back out as a spurious wake; the gated wrapper
-		// turns the pending cancel into a typed *CapError.
-		f.Unlock(t.Port)
-		return kernel.ErrFutexRetry
-	}
-	val, err := kernel.FutexLoadValue(o.Ctx, t.Port, t.Proc, uaddr)
-	if err != nil {
-		f.Unlock(t.Port)
+	if err := o.futexes[t.Proc.PID].Get(t.Proc.PID, uaddr).CheckAndEnqueue(t.Port, t, uaddr, expected); err != nil {
 		return err
 	}
-	if val != expected {
-		f.Unlock(t.Port)
-		return kernel.ErrFutexRetry
-	}
-	f.Enqueue(t.Port, t)
-	f.Unlock(t.Port)
-	t.Stats.FutexWaits++
-	blockStart := t.Th.Now()
-	t.Sleep("futex")
-	if tr := o.Ctx.Plat.Tracer; tr != nil {
-		tr.Emit(trace.Event{Cycle: int64(blockStart), Kind: trace.KindFutexWait,
-			Node: int8(t.Node), Core: int16(t.Core), Tid: int32(t.Th.ID),
-			VA: uint64(uaddr), Cost: int64(t.Th.Now() - blockStart)})
-	}
+	t.FutexSleep(uaddr)
 	return nil
 }
 
@@ -420,7 +396,5 @@ func (o *OS) ExitTask(t *kernel.Task) error {
 			}
 		}
 	}
-	return kernel.ReleaseProcessPages(o.Ctx, t.Port, t.Proc, func(node mem.NodeID, m *kernel.PageMeta) mem.NodeID {
-		return m.FrameOwner[node]
-	})
+	return kernel.ReleaseProcessPages(o.Ctx, t.Port, t.Proc)
 }
