@@ -176,15 +176,8 @@ func (pt *Port) charge(kind cache.Kind, addr mem.PhysAddr, size int) {
 	pt.T.Advance(lat)
 }
 
-// Read loads n bytes at addr.
-func (pt *Port) Read(addr mem.PhysAddr, n int) []byte {
-	out := make([]byte, n)
-	pt.ReadInto(addr, out)
-	return out
-}
-
-// ReadInto fills dst with the len(dst) bytes at addr without allocating.
-// It is charged exactly like Read of len(dst) bytes.
+// ReadInto fills dst with the len(dst) bytes at addr without allocating:
+// one cache access of len(dst) bytes.
 func (pt *Port) ReadInto(addr mem.PhysAddr, dst []byte) {
 	pt.charge(cache.Read, addr, len(dst))
 	pt.Plat.Phys.ReadInto(addr, dst)
@@ -197,8 +190,8 @@ func (pt *Port) Write(addr mem.PhysAddr, data []byte) {
 }
 
 // ReadUint loads up to 8 bytes at addr, little-endian, without allocating.
-// The cache model is charged for the full n bytes, exactly like Read; only
-// the data-movement side differs (a register value instead of a slice).
+// The cache model is charged for the full n bytes, exactly like ReadInto;
+// only the data-movement side differs (a register value instead of a slice).
 func (pt *Port) ReadUint(addr mem.PhysAddr, n int) uint64 {
 	pt.charge(cache.Read, addr, n)
 	return pt.Plat.Phys.ReadUint(addr, n)

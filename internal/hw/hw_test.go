@@ -30,8 +30,10 @@ func TestPortReadWriteMovesData(t *testing.T) {
 	data := []byte("fused-kernel")
 	runOn(t, plat, mem.NodeX86, func(pt *Port) {
 		pt.Write(0x1000, data)
-		if got := pt.Read(0x1000, len(data)); !bytes.Equal(got, data) {
-			t.Errorf("Read = %q, want %q", got, data)
+		got := make([]byte, len(data))
+		pt.ReadInto(0x1000, got)
+		if !bytes.Equal(got, data) {
+			t.Errorf("ReadInto = %q, want %q", got, data)
 		}
 	})
 }
@@ -77,31 +79,32 @@ func TestCopyPageMovesDataAndCharges(t *testing.T) {
 	}
 }
 
-// TestReadIntoMatchesRead: ReadInto is Read without the allocation — the
-// same cycles, the same cache counters on both nodes and the same bytes —
+// TestReadIntoChargesOneAccess: ReadInto is one cache access of len(dst)
+// bytes — the same cycles and cache counters on both nodes as a bare
+// Caches.Access of that size — and returns the bytes the other node wrote,
 // for a page-sized read that straddles two frames and lines the other node
-// wrote.
-func TestReadIntoMatchesRead(t *testing.T) {
+// wrote. It allocates nothing.
+func TestReadIntoChargesOneAccess(t *testing.T) {
 	const src = mem.PhysAddr(0x4000 + 100)
 	type outcome struct {
 		end   sim.Cycles
 		stats [2]cache.Stats
 		data  []byte
 	}
+	payload := make([]byte, 2*mem.PageSize)
+	for i := range payload {
+		payload[i] = byte(i % 251)
+	}
 	run := func(into bool) outcome {
 		plat := NewPlatform(DefaultConfig(mem.Shared))
-		payload := make([]byte, 2*mem.PageSize)
-		for i := range payload {
-			payload[i] = byte(i % 251)
-		}
 		runOn(t, plat, mem.NodeArm, func(pt *Port) { pt.Write(0x4000, payload) })
 		var out outcome
+		out.data = make([]byte, mem.PageSize)
 		out.end = runOn(t, plat, mem.NodeX86, func(pt *Port) {
 			if into {
-				out.data = make([]byte, mem.PageSize)
 				pt.ReadInto(src, out.data)
 			} else {
-				out.data = pt.Read(src, mem.PageSize)
+				pt.T.Advance(plat.Caches.Access(pt.Node, pt.Core, cache.Read, src, mem.PageSize))
 			}
 		})
 		out.stats = [2]cache.Stats{plat.Caches.Stats(0), plat.Caches.Stats(1)}
@@ -109,13 +112,13 @@ func TestReadIntoMatchesRead(t *testing.T) {
 	}
 	want, got := run(false), run(true)
 	if got.end != want.end {
-		t.Errorf("ReadInto ended at cycle %d, Read at %d", got.end, want.end)
+		t.Errorf("ReadInto ended at cycle %d, one Access at %d", got.end, want.end)
 	}
 	if got.stats != want.stats {
-		t.Errorf("cache stats\n ReadInto %+v\n     Read %+v", got.stats, want.stats)
+		t.Errorf("cache stats\n ReadInto %+v\n   Access %+v", got.stats, want.stats)
 	}
-	if !bytes.Equal(got.data, want.data) {
-		t.Error("ReadInto and Read returned different bytes")
+	if !bytes.Equal(got.data, payload[100:100+mem.PageSize]) {
+		t.Error("ReadInto returned bytes other than those written")
 	}
 
 	plat := NewPlatform(DefaultConfig(mem.Shared))

@@ -2,6 +2,7 @@ package interconnect
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 	"repro/internal/mem"
@@ -82,6 +83,11 @@ type Messenger struct {
 	// spinlock. Without it two simulated threads' transactions would
 	// interleave their fragments on the same SPSC rings.
 	busy bool
+
+	// Reused by every transaction: RecvAll's buffer, ReplyBuf's, and the
+	// destination-side port. Only the transaction holding busy uses them.
+	rx, reply []byte
+	remote    hw.Port
 }
 
 // acquire spins (in simulated time) until the channel pair is free. The
@@ -130,10 +136,15 @@ func (m *Messenger) ResetStats() { m.stats = Stats{} }
 // Send transmits payload from pt's node to the other node and charges the
 // sender's clock with the transport cost. For SHM the cost is the ring
 // buffer memory traffic (fragmenting page-plus-header payloads) plus an
-// IPI; for TCP it is the stack cost plus half the round-trip.
+// IPI; for TCP it is the stack cost plus half the round-trip. TCP queues
+// payload itself, so it must stay unmodified until dequeued. An SHM payload
+// larger than the whole ring panics: nothing drains it until Send returns.
 func (m *Messenger) Send(pt *hw.Port, payload []byte) {
 	src := pt.Node
 	dst := mem.NodeID(1 - int(src))
+	if r := m.rings[src]; m.cfg.Mode == SHM && len(payload) > r.Slots*r.MaxPayload() {
+		panic(fmt.Sprintf("interconnect: payload %d exceeds ring capacity %d", len(payload), r.Slots*r.MaxPayload()))
+	}
 	m.stats.MessagesSent[src]++
 	m.stats.BytesSent[src] += int64(len(payload))
 	if tr := m.plat.Tracer; tr != nil {
@@ -202,21 +213,29 @@ func (m *Messenger) Recv(pt *hw.Port) ([]byte, bool) {
 	return nil, false
 }
 
-// RecvAll drains the full payload of one logical message that Send may have
-// fragmented: it keeps receiving (spinning on an empty ring) until total
-// bytes have arrived. Callers know message sizes from their protocol.
+// RecvAll drains the full payload of one logical SHM message that Send may
+// have fragmented: it keeps receiving (spinning on an empty ring) until total
+// bytes have arrived. Callers know message sizes from their protocol. The
+// result is the messenger's reused buffer, valid until the next RecvAll.
 func (m *Messenger) RecvAll(pt *hw.Port, total int) []byte {
-	out := make([]byte, 0, total)
+	out := m.rx[:0]
 	for len(out) < total {
-		frag, ok := m.Recv(pt)
-		if !ok {
+		var ok bool
+		if out, ok = m.rings[1-pt.Node].RecvAppend(pt, out); !ok {
 			pt.T.Advance(100)
 			pt.T.YieldPoint()
-			continue
 		}
-		out = append(out, frag...)
 	}
+	m.rx = out
 	return out
+}
+
+// ReplyBuf returns a zeroed n-byte buffer the messenger owns and reuses,
+// for an RPC handler to build its response in.
+func (m *Messenger) ReplyBuf(n int) []byte {
+	m.reply = slices.Grow(m.reply[:0], n)[:n]
+	clear(m.reply)
+	return m.reply
 }
 
 // RPC performs a synchronous request/response round trip from the caller's
@@ -224,7 +243,8 @@ func (m *Messenger) RecvAll(pt *hw.Port, total int) []byte {
 // sent over the transport, the remote service routine runs (its memory
 // traffic charged against the remote node's caches, since the caller blocks
 // for exactly that long), and the response travels back. The caller's
-// simulated clock absorbs the full round trip. Counts as two messages.
+// simulated clock absorbs the full round trip. Counts as two messages. The
+// response returned is valid until the messenger's next transaction.
 func (m *Messenger) RPC(pt *hw.Port, handler func(remote *hw.Port, req []byte) []byte, req []byte) []byte {
 	m.acquire(pt)
 	defer m.release()
@@ -245,7 +265,8 @@ func (m *Messenger) RPC(pt *hw.Port, handler func(remote *hw.Port, req []byte) [
 	// The remote service routine executes while the caller blocks; charge
 	// its work on the caller's timeline but against the remote node's
 	// caches by running it through a port bound to the remote node.
-	remotePt := m.plat.NewPort(dst, 0, pt.T)
+	m.remote = hw.Port{Plat: m.plat, Node: dst, T: pt.T}
+	remotePt := &m.remote
 	var reqCopy []byte
 	if m.cfg.Mode == SHM {
 		// Drain our own fragments from the ring on the remote side.
@@ -282,7 +303,8 @@ func (m *Messenger) Notify(pt *hw.Port, payload []byte) {
 	m.Send(pt, payload)
 	dst := mem.NodeID(1 - int(pt.Node))
 	pt.T.Advance(m.plat.Clock(pt.Node).FromMicros(m.plat.Cfg.IPIMicros))
-	remotePt := m.plat.NewPort(dst, 0, pt.T)
+	m.remote = hw.Port{Plat: m.plat, Node: dst, T: pt.T}
+	remotePt := &m.remote
 	if m.cfg.Mode == SHM {
 		m.RecvAll(remotePt, len(payload))
 		return

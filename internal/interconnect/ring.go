@@ -8,6 +8,7 @@ package interconnect
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 	"repro/internal/mem"
@@ -104,24 +105,33 @@ func (r *Ring) Send(pt *hw.Port, payload []byte) bool {
 	return true
 }
 
-// Recv dequeues the oldest message, returning nil, false when empty.
+// Recv dequeues the oldest message into a fresh slice, returning nil,
+// false when empty.
 func (r *Ring) Recv(pt *hw.Port) ([]byte, bool) {
+	return r.RecvAppend(pt, nil)
+}
+
+// RecvAppend dequeues the oldest message, reading its payload straight from
+// the slot onto the end of dst, and returns the extended slice; when the
+// ring is empty it returns dst, false.
+func (r *Ring) RecvAppend(pt *hw.Port, dst []byte) ([]byte, bool) {
 	head := pt.Read64(r.Base + ringHeadOff)
 	tail := pt.Read64(r.Base + ringTailOff)
 	if head == tail {
-		return nil, false
+		return dst, false
 	}
 	slot := r.slotAddr(tail)
-	n := uint32(pt.ReadUint(slot, slotHeader))
-	if int(n) > r.MaxPayload() {
+	n := int(uint32(pt.ReadUint(slot, slotHeader)))
+	if n > r.MaxPayload() {
 		panic(fmt.Sprintf("interconnect: corrupt slot length %d", n))
 	}
-	payload := pt.Read(slot+slotHeader, int(n))
+	dst = slices.Grow(dst, n)[:len(dst)+n]
+	pt.ReadInto(slot+slotHeader, dst[len(dst)-n:])
 	pt.Write64(r.Base+ringTailOff, tail+1)
 	if tr := pt.Plat.Tracer; tr != nil {
 		tr.Emit(trace.Event{Cycle: int64(pt.T.Now()), Kind: trace.KindRingDequeue,
 			Node: int8(pt.Node), Core: int16(pt.Core), Tid: int32(pt.T.ID),
 			PA: uint64(slot), Arg: int64(n)})
 	}
-	return payload, true
+	return dst, true
 }

@@ -104,15 +104,22 @@ func TestOwnedAndSharedRegions(t *testing.T) {
 	}
 }
 
+// readBytes returns a fresh copy of the n bytes at a.
+func readBytes(p *Physical, a PhysAddr, n int) []byte {
+	out := make([]byte, n)
+	p.ReadInto(a, out)
+	return out
+}
+
 func TestPhysicalReadWrite(t *testing.T) {
 	p := NewPhysical(DefaultLayout(Separated))
 	data := []byte("hello, heterogeneous world")
 	p.Write(0x1234, data)
-	if got := p.Read(0x1234, len(data)); !bytes.Equal(got, data) {
-		t.Errorf("Read = %q, want %q", got, data)
+	if got := readBytes(p, 0x1234, len(data)); !bytes.Equal(got, data) {
+		t.Errorf("ReadInto = %q, want %q", got, data)
 	}
 	// Unwritten memory reads as zero.
-	if got := p.Read(0x99000, 8); !bytes.Equal(got, make([]byte, 8)) {
+	if got := readBytes(p, 0x99000, 8); !bytes.Equal(got, make([]byte, 8)) {
 		t.Errorf("fresh memory = %v, want zeros", got)
 	}
 }
@@ -125,7 +132,7 @@ func TestPhysicalCrossPageWrite(t *testing.T) {
 	}
 	start := PhysAddr(PageSize - 100)
 	p.Write(start, data)
-	if got := p.Read(start, len(data)); !bytes.Equal(got, data) {
+	if got := readBytes(p, start, len(data)); !bytes.Equal(got, data) {
 		t.Error("cross-page write/read mismatch")
 	}
 }
@@ -176,7 +183,7 @@ func TestCopyZeroPage(t *testing.T) {
 		t.Error("CopyPage did not replicate contents")
 	}
 	p.ZeroPage(dst)
-	if bytes.Equal(p.Read(dst, PageSize), payload) {
+	if bytes.Equal(readBytes(p, dst, PageSize), payload) {
 		t.Error("ZeroPage left contents")
 	}
 	if p.SamePage(dst, src) {
@@ -216,7 +223,7 @@ func TestPhysicalPropertyRoundTrip(t *testing.T) {
 		}
 		a := PhysAddr(off % (1 << 28))
 		p.Write(a, data)
-		return bytes.Equal(p.Read(a, len(data)), data)
+		return bytes.Equal(readBytes(p, a, len(data)), data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

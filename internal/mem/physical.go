@@ -26,8 +26,9 @@ const (
 type frameLeaf [frameLeafSize]*[PageSize]byte
 
 // Physical is the byte-backed physical memory of the machine. The simulated
-// address space spans several GB but is sparse: 4 KiB frames are materialized
-// on first touch, so a simulation only pays for the pages it actually uses.
+// address space spans several GB but is sparse: a 4 KiB frame is
+// materialized on its first write, so a simulation only pays for the pages
+// it stores to. Until then the frame reads as zeros and zeroing is a no-op.
 //
 // Physical is deliberately free of timing: latency and coherence are modelled
 // by the cache layer, which calls into Physical only for data movement.
@@ -37,8 +38,8 @@ type Physical struct {
 	far    map[uint64]*[PageSize]byte // frames beyond the radix span
 	count  int                        // materialized frames
 
-	// Last-frame cache: the frame index and backing page of the most
-	// recently touched frame. lastIdx starts out as an impossible index.
+	// Last-frame cache: the index and backing page of the most recently
+	// touched frame, never zeroFrame. lastIdx starts out impossible.
 	lastIdx   uint64
 	lastFrame *[PageSize]byte
 }
@@ -51,7 +52,10 @@ func NewPhysical(l Layout) *Physical {
 // Layout returns the machine's memory map.
 func (p *Physical) Layout() *Layout { return &p.layout }
 
-// frame returns the backing frame for address a, materializing it if needed.
+// zeroFrame backs every read of a never-written frame. Nothing writes it.
+var zeroFrame [PageSize]byte
+
+// frame returns a's backing frame for a writer, materializing it if needed.
 func (p *Physical) frame(a PhysAddr) *[PageSize]byte {
 	idx := uint64(a) >> PageShift
 	if idx == p.lastIdx {
@@ -98,6 +102,34 @@ func (p *Physical) frameSlow(idx uint64) *[PageSize]byte {
 	return f
 }
 
+// peek returns a's backing frame for a reader: zeroFrame if never written.
+func (p *Physical) peek(a PhysAddr) *[PageSize]byte {
+	idx := uint64(a) >> PageShift
+	if idx == p.lastIdx {
+		return p.lastFrame
+	}
+	return p.peekSlow(idx)
+}
+
+// peekSlow is peek's radix walk, kept out of line so peek inlines.
+//
+//go:noinline
+func (p *Physical) peekSlow(idx uint64) *[PageSize]byte {
+	var f *[PageSize]byte
+	root := idx >> frameLeafBits
+	if root >= farRootLimit {
+		f = p.far[idx]
+	} else if root < uint64(len(p.roots)) && p.roots[root] != nil {
+		f = p.roots[root][idx&(frameLeafSize-1)]
+	}
+	if f == nil {
+		return &zeroFrame
+	}
+	p.lastIdx = idx
+	p.lastFrame = f
+	return f
+}
+
 // CheckMapped returns an error if [a, a+n) is not fully covered by the
 // layout's regions.
 func (p *Physical) CheckMapped(a PhysAddr, n int) error {
@@ -115,17 +147,10 @@ func (p *Physical) CheckMapped(a PhysAddr, n int) error {
 	return nil
 }
 
-// Read copies n bytes starting at a into a fresh slice.
-func (p *Physical) Read(a PhysAddr, n int) []byte {
-	out := make([]byte, n)
-	p.ReadInto(a, out)
-	return out
-}
-
 // ReadInto fills dst with the bytes starting at a.
 func (p *Physical) ReadInto(a PhysAddr, dst []byte) {
 	for len(dst) > 0 {
-		f := p.frame(a)
+		f := p.peek(a)
 		off := int(a) & (PageSize - 1)
 		n := copy(dst, f[off:])
 		dst = dst[n:]
@@ -145,7 +170,7 @@ func (p *Physical) Write(a PhysAddr, src []byte) {
 }
 
 // ReadUint loads up to 8 bytes at a, little-endian, without allocating: the
-// value of Read(a, n) assembled as the simulated ISAs do. Bytes past the
+// value of the n bytes at a assembled as the simulated ISAs do. Bytes past the
 // eighth do not contribute to the value (they would not fit a register).
 func (p *Physical) ReadUint(a PhysAddr, n int) uint64 {
 	if n <= 0 {
@@ -157,7 +182,7 @@ func (p *Physical) ReadUint(a PhysAddr, n int) uint64 {
 	off := int(a) & (PageSize - 1)
 	var out uint64
 	if off+n <= PageSize {
-		f := p.frame(a)
+		f := p.peek(a)
 		// Word sizes dominate; let them compile to single loads.
 		switch n {
 		case 8:
@@ -175,7 +200,7 @@ func (p *Physical) ReadUint(a PhysAddr, n int) uint64 {
 		return out
 	}
 	for i := 0; i < n; i++ {
-		f := p.frame(a + PhysAddr(i))
+		f := p.peek(a + PhysAddr(i))
 		out |= uint64(f[(off+i)&(PageSize-1)]) << (8 * uint(i))
 	}
 	return out
@@ -223,27 +248,12 @@ func (p *Physical) WriteUint(a PhysAddr, n int, v uint64) {
 // Read64 loads a little-endian 64-bit value at a (used by page-table
 // walkers, ring buffers and the simulated atomics).
 func (p *Physical) Read64(a PhysAddr) uint64 {
-	if int(a)&(PageSize-1) <= PageSize-8 {
-		f := p.frame(a)
-		off := int(a) & (PageSize - 1)
-		return binary.LittleEndian.Uint64(f[off : off+8])
-	}
-	var b [8]byte
-	p.ReadInto(a, b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	return p.ReadUint(a, 8)
 }
 
 // Write64 stores a little-endian 64-bit value at a.
 func (p *Physical) Write64(a PhysAddr, v uint64) {
-	if int(a)&(PageSize-1) <= PageSize-8 {
-		f := p.frame(a)
-		off := int(a) & (PageSize - 1)
-		binary.LittleEndian.PutUint64(f[off:off+8], v)
-		return
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	p.Write(a, b[:])
+	p.WriteUint(a, 8, v)
 }
 
 // Read32 loads a little-endian 32-bit value at a.
@@ -271,28 +281,34 @@ func (p *Physical) CompareAndSwap64(a PhysAddr, old, new uint64) (prev uint64, s
 }
 
 // CopyPage copies the 4 KiB page at src to dst. Both must be page-aligned.
+// Copying a never-written src zeroes dst the way ZeroPage does.
 func (p *Physical) CopyPage(dst, src PhysAddr) {
 	if dst&(PageSize-1) != 0 || src&(PageSize-1) != 0 {
 		panic(fmt.Sprintf("mem: CopyPage with unaligned addresses dst=%#x src=%#x", dst, src))
 	}
-	s := p.frame(src)
-	*p.frame(dst) = *s
+	if s := p.peek(src); s != &zeroFrame {
+		*p.frame(dst) = *s
+	} else {
+		p.ZeroPage(dst)
+	}
 }
 
-// ZeroPage clears the 4 KiB page at a. It must be page-aligned.
+// ZeroPage clears the 4 KiB page at a, in place. It must be page-aligned.
 func (p *Physical) ZeroPage(a PhysAddr) {
 	if a&(PageSize-1) != 0 {
 		panic(fmt.Sprintf("mem: ZeroPage with unaligned address %#x", a))
 	}
-	*p.frame(a) = [PageSize]byte{}
+	if f := p.peek(a); f != &zeroFrame {
+		*f = [PageSize]byte{}
+	}
 }
 
 // SamePage reports whether the pages at a and b have identical contents.
 func (p *Physical) SamePage(a, b PhysAddr) bool {
-	fa := p.frame(a)
-	return *fa == *p.frame(b)
+	fa := p.peek(a)
+	return *fa == *p.peek(b)
 }
 
-// TouchedFrames returns the number of frames materialized so far (useful in
-// tests asserting that page replication really copies pages).
+// TouchedFrames returns the number of frames written at least once (useful
+// in tests asserting that page replication really copies pages).
 func (p *Physical) TouchedFrames() int { return p.count }

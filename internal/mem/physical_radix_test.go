@@ -186,6 +186,76 @@ func TestPhysicalSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestPhysicalZeroFrames pins the never-written-frame rules: zeroing,
+// every read path, SamePage and copying from an absent frame neither
+// materialize a frame nor read anything but zeros; the first write does
+// materialize it; and zeroing a written frame clears it in place.
+func TestPhysicalZeroFrames(t *testing.T) {
+	p := NewPhysical(DefaultLayout(Separated))
+	const a, b, c = PhysAddr(0x10000), PhysAddr(0x20000), PhysAddr(0x30000)
+	far := PhysAddr(farRootLimit) << (PageShift + frameLeafBits)
+	buf := make([]byte, 2*PageSize)
+	for _, x := range []PhysAddr{a, far} {
+		p.ZeroPage(x)
+		p.ReadInto(x-PageSize/2, buf)
+		for i, v := range buf {
+			if v != 0 {
+				t.Fatalf("ReadInto(%#x)[%d] = %#x on never-written memory", x-PageSize/2, i, v)
+			}
+		}
+		if p.ReadUint(x+3, 8) != 0 || p.ReadUint(x-4, 8) != 0 || p.Read64(x+8) != 0 ||
+			p.Read64(x-4) != 0 || p.Read32(x+16) != 0 {
+			t.Fatalf("a word read of never-written %#x is not zero", x)
+		}
+		if !p.SamePage(x, b) {
+			t.Fatalf("SamePage(%#x, %#x) = false for two never-written frames", x, b)
+		}
+		p.CopyPage(c, x)
+	}
+	if got := p.TouchedFrames(); got != 0 {
+		t.Fatalf("zeroing, reading and copying absent frames materialized %d frames", got)
+	}
+	if p.Read64(c) != 0 {
+		t.Fatal("CopyPage from an absent frame left a non-zero destination")
+	}
+
+	p.Write64(a+8, 0xFEED)
+	if got := p.TouchedFrames(); got != 1 || p.Read64(a+8) != 0xFEED {
+		t.Fatalf("write after ZeroPage: TouchedFrames = %d, value %#x", got, p.Read64(a+8))
+	}
+	if p.Read64(b+8) != 0 {
+		t.Fatal("a write landed in the shared zero page: a never-written frame reads it")
+	}
+	p.Write64(c+16, 0xBEEF)
+	p.CopyPage(c, b) // absent source: the written destination is cleared
+	if p.Read64(c+16) != 0 || !p.SamePage(c, b) {
+		t.Fatal("CopyPage from an absent frame did not clear the written destination")
+	}
+	p.ZeroPage(a)
+	if p.Read64(a+8) != 0 || !p.SamePage(a, b) {
+		t.Fatal("ZeroPage left a written frame's data")
+	}
+	if got := p.TouchedFrames(); got != 2 {
+		t.Fatalf("TouchedFrames = %d after writing two frames, want 2", got)
+	}
+}
+
+// BenchmarkPhysicalZeroPage measures a buddy-style recycle of a page: a
+// word written into a frame, then the frame zeroed in place, then a copy
+// into it from a never-written frame. The contract is 0 allocs/op.
+func BenchmarkPhysicalZeroPage(b *testing.B) {
+	p := NewPhysical(DefaultLayout(Separated))
+	const dst, absent = PhysAddr(0x4000), PhysAddr(0x8000)
+	p.Write64(dst, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Write64(dst, uint64(i))
+		p.ZeroPage(dst)
+		p.CopyPage(dst, absent)
+	}
+}
+
 // BenchmarkPhysicalReadWrite measures the radix + last-frame-cache data
 // path: an 8-byte write and read-back in a resident frame. The acceptance
 // contract is 0 allocs/op.

@@ -54,7 +54,23 @@ type Fabric struct {
 	// forward. Host-side state is legal here because the engine runs one
 	// simulated thread at a time, in an order defined by simulated clocks.
 	busyUntil sim.Cycles
+	// wire holds the buffers Transmit encodes and forwards frames in. A
+	// forward yields, so each Transmit in flight takes one of its own.
+	wire bufPool
 }
+
+// bufPool is a free list of reused buffers for a path that yields while it
+// holds one: each caller in flight gets its own.
+type bufPool [][]byte
+
+func (p *bufPool) get() (b []byte) {
+	if n := len(*p); n > 0 {
+		b, *p = (*p)[n-1], (*p)[:n-1]
+	}
+	return b
+}
+
+func (p *bufPool) put(b []byte) { *p = append(*p, b[:0]) }
 
 // NewFabric returns an empty switch.
 func NewFabric(cfg FabricConfig) *Fabric {
@@ -112,7 +128,7 @@ func (f *Fabric) Transmit(pt *hw.Port, fr *Frame) {
 	if src.Plat != pt.Plat {
 		panic(fmt.Sprintf("net: transmit for machine %d issued from a foreign machine's port", fr.Src.Mach))
 	}
-	wire := EncodeFrame(fr)
+	wire := appendFrame(f.wire.get(), fr)
 
 	// Produce into the local TX ring and ring the TX doorbell. The switch
 	// drains synchronously below, so a full TX ring is an invariant
@@ -148,7 +164,7 @@ func (f *Fabric) Transmit(pt *hw.Port, fr *Frame) {
 	// to the source machine's memory; atomic for the same reason the
 	// enqueue is) ...
 	t.BeginAtomic()
-	pulled, ok := src.TX.Recv(pt)
+	pulled, ok := src.TX.RecvAppend(pt, wire[:0])
 	t.EndAtomic()
 	if !ok {
 		panic(fmt.Sprintf("net: machine %d TX ring empty at forward time", src.Mach))
@@ -157,8 +173,8 @@ func (f *Fabric) Transmit(pt *hw.Port, fr *Frame) {
 	// this thread may have pulled the other sender's frame. Routing comes
 	// from the pulled frame's own header, so every frame still reaches its
 	// destination exactly once, whichever thread carries it.
-	pf, perr := DecodeFrame(pulled)
-	if perr != nil {
+	var pf Frame
+	if perr := decodeInPlace(pulled, &pf); perr != nil {
 		panic(fmt.Sprintf("net: machine %d TX ring held an undecodable frame: %v", src.Mach, perr))
 	}
 	dst = f.nics[pf.Dst.Mach]
@@ -196,6 +212,7 @@ func (f *Fabric) Transmit(pt *hw.Port, fr *Frame) {
 		}
 	}
 	dst.noteRxEnqueued(len(pulled))
+	f.wire.put(pulled)
 
 	// Frame-arrival doorbell on the destination machine.
 	dst.Plat.SendIPI(t, dst.IRQNode, dst.IRQCore)

@@ -14,6 +14,7 @@
 package net
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -91,50 +92,64 @@ const (
 	maxMach = 1<<16 - 1
 )
 
-// EncodeFrame serializes f. It panics on frames the transport can never
-// produce (oversized payload, out-of-range machine index): those are
-// programming errors, not wire conditions.
+// EncodeFrame serializes f into a fresh slice.
 func EncodeFrame(f *Frame) []byte {
+	return appendFrame(make([]byte, 0, HeaderBytes+len(f.Payload)), f)
+}
+
+// appendFrame appends the encoding of f to b. It panics on frames the
+// transport can never produce (oversized payload, out-of-range machine
+// index): those are programming errors, not wire conditions.
+func appendFrame(b []byte, f *Frame) []byte {
 	if len(f.Payload) > MTU {
 		panic(fmt.Sprintf("net: frame payload %d exceeds MTU %d", len(f.Payload), MTU))
 	}
 	if f.Src.Mach < 0 || f.Src.Mach > maxMach || f.Dst.Mach < 0 || f.Dst.Mach > maxMach {
 		panic(fmt.Sprintf("net: frame machine index out of range (%d -> %d)", f.Src.Mach, f.Dst.Mach))
 	}
-	b := make([]byte, HeaderBytes+len(f.Payload))
-	b[0] = byte(f.Kind)
-	binary.LittleEndian.PutUint16(b[1:3], uint16(f.Src.Mach))
-	binary.LittleEndian.PutUint16(b[3:5], f.Src.Port)
-	binary.LittleEndian.PutUint16(b[5:7], uint16(f.Dst.Mach))
-	binary.LittleEndian.PutUint16(b[7:9], f.Dst.Port)
-	binary.LittleEndian.PutUint32(b[9:13], f.Seq)
-	binary.LittleEndian.PutUint32(b[13:17], f.Ack)
-	binary.LittleEndian.PutUint32(b[17:21], f.Window)
-	binary.LittleEndian.PutUint16(b[21:23], uint16(len(f.Payload)))
-	copy(b[HeaderBytes:], f.Payload)
-	return b
+	b = append(b, byte(f.Kind))
+	b = binary.LittleEndian.AppendUint16(b, uint16(f.Src.Mach))
+	b = binary.LittleEndian.AppendUint16(b, f.Src.Port)
+	b = binary.LittleEndian.AppendUint16(b, uint16(f.Dst.Mach))
+	b = binary.LittleEndian.AppendUint16(b, f.Dst.Port)
+	b = binary.LittleEndian.AppendUint32(b, f.Seq)
+	b = binary.LittleEndian.AppendUint32(b, f.Ack)
+	b = binary.LittleEndian.AppendUint32(b, f.Window)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(f.Payload)))
+	return append(b, f.Payload...)
 }
 
-// DecodeFrame parses one frame off the wire. Frames arrive from simulated
-// memory a hostile or corrupted peer could have scribbled on, so every
-// field is validated: a bad kind, a truncated header, or a payload length
-// that disagrees with the frame size is an error, never a panic.
+// DecodeFrame is decodeInPlace into a new Frame owning a payload copy.
 func DecodeFrame(b []byte) (*Frame, error) {
+	f := new(Frame)
+	if err := decodeInPlace(b, f); err != nil {
+		return nil, err
+	}
+	f.Payload = bytes.Clone(f.Payload)
+	return f, nil
+}
+
+// decodeInPlace parses one frame off the wire into *f, whose Payload (nil
+// when empty) aliases b. Frames arrive from simulated memory a hostile or
+// corrupted peer could have scribbled on, so every field is validated: a
+// bad kind, a truncated header, or a payload length that disagrees with the
+// frame size is an error, never a panic.
+func decodeInPlace(b []byte, f *Frame) error {
 	if len(b) < HeaderBytes {
-		return nil, fmt.Errorf("net: frame truncated: %d bytes < %d header", len(b), HeaderBytes)
+		return fmt.Errorf("net: frame truncated: %d bytes < %d header", len(b), HeaderBytes)
 	}
 	k := FrameKind(b[0])
 	if k < FrameSYN || k >= frameKindEnd {
-		return nil, fmt.Errorf("net: bad frame kind %d", b[0])
+		return fmt.Errorf("net: bad frame kind %d", b[0])
 	}
 	plen := int(binary.LittleEndian.Uint16(b[21:23]))
 	if plen > MTU {
-		return nil, fmt.Errorf("net: frame payload length %d exceeds MTU %d", plen, MTU)
+		return fmt.Errorf("net: frame payload length %d exceeds MTU %d", plen, MTU)
 	}
 	if len(b) != HeaderBytes+plen {
-		return nil, fmt.Errorf("net: frame length %d does not match header+payload %d", len(b), HeaderBytes+plen)
+		return fmt.Errorf("net: frame length %d does not match header+payload %d", len(b), HeaderBytes+plen)
 	}
-	f := &Frame{
+	*f = Frame{
 		Kind:   k,
 		Src:    Addr{Mach: int(binary.LittleEndian.Uint16(b[1:3])), Port: binary.LittleEndian.Uint16(b[3:5])},
 		Dst:    Addr{Mach: int(binary.LittleEndian.Uint16(b[5:7])), Port: binary.LittleEndian.Uint16(b[7:9])},
@@ -143,7 +158,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		Window: binary.LittleEndian.Uint32(b[17:21]),
 	}
 	if plen > 0 {
-		f.Payload = append([]byte(nil), b[HeaderBytes:]...)
+		f.Payload = b[HeaderBytes:]
 	}
-	return f, nil
+	return nil
 }

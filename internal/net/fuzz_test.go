@@ -14,6 +14,11 @@ import (
 //   - Round trip: any input DecodeFrame accepts must re-encode to the exact
 //     same bytes, and any frame built from fuzzed fields must survive
 //     Encode -> Decode unchanged.
+//
+// The in-place forms the NIC path uses are held to the allocating ones:
+// decodeInPlace accepts and rejects exactly what DecodeFrame does, with
+// equal fields and payload, and appendFrame onto a non-empty prefix leaves
+// the prefix intact and appends exactly EncodeFrame's bytes.
 func FuzzNetFrame(f *testing.F) {
 	for _, fr := range sampleFrames() {
 		f.Add(EncodeFrame(fr))
@@ -22,8 +27,24 @@ func FuzzNetFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, HeaderBytes))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeFrame(data)
+		var inPlace Frame
+		if perr := decodeInPlace(data, &inPlace); (perr == nil) != (err == nil) {
+			t.Fatalf("decodeInPlace error %v, DecodeFrame error %v", perr, err)
+		}
 		if err != nil {
 			return // rejected garbage: exactly what the oracle wants
+		}
+		if !bytes.Equal(inPlace.Payload, fr.Payload) {
+			t.Fatalf("decodeInPlace payload %x, DecodeFrame %x", inPlace.Payload, fr.Payload)
+		}
+		inPlace.Payload = fr.Payload
+		if !reflect.DeepEqual(&inPlace, fr) {
+			t.Fatalf("decodeInPlace fields %+v, DecodeFrame %+v", inPlace, *fr)
+		}
+		const prefix = "prefix"
+		app := appendFrame(append(make([]byte, 0, len(prefix)+HeaderBytes), prefix...), fr)
+		if string(app[:len(prefix)]) != prefix || !bytes.Equal(app[len(prefix):], data) {
+			t.Fatalf("appendFrame onto a prefix = %x, want prefix + %x", app, data)
 		}
 		re := EncodeFrame(fr)
 		if !bytes.Equal(re, data) {

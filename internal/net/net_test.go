@@ -71,7 +71,7 @@ type testNet struct {
 
 const testNICBase = mem.PhysAddr(8 << 20)
 
-func newTestNet(t *testing.T, machines int, ncfg NICConfig, fcfg FabricConfig, window uint32) *testNet {
+func newTestNet(t testing.TB, machines int, ncfg NICConfig, fcfg FabricConfig, window uint32) *testNet {
 	t.Helper()
 	tn := &testNet{eng: sim.NewEngine(), fab: NewFabric(fcfg)}
 	tn.stacks = make([]*Stack, machines)

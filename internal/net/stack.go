@@ -104,6 +104,11 @@ type Stack struct {
 	listeners map[uint16]*Listener
 	nextPort  uint16
 	waiters   []Waiter
+
+	// rx holds the buffers PollRx receives into. The dequeue's EndAtomic
+	// can yield to another poll, so each PollRx in flight takes its own;
+	// dispatch copies a DATA payload out of it before anything can yield.
+	rx bufPool
 }
 
 // DefaultWindow is the per-connection receive window.
@@ -249,26 +254,29 @@ func (s *Stack) send(pt *hw.Port, c *Conn, f *Frame) {
 func (s *Stack) PollRx(pt *hw.Port) int {
 	t := pt.T
 	n := 0
+	buf := s.rx.get()
 	for {
 		// Atomic like the fabric's enqueues: two local tasks may poll the
 		// same ring, and a mid-dequeue quantum yield would dispatch one
 		// frame twice.
 		t.BeginAtomic()
-		wire, ok := s.NIC.RX.Recv(pt)
+		wire, ok := s.NIC.RX.RecvAppend(pt, buf[:0])
 		t.EndAtomic()
 		if !ok {
 			break
 		}
+		buf = wire
 		s.NIC.noteRxDrained()
-		f, err := DecodeFrame(wire)
-		if err != nil {
+		var f Frame
+		if err := decodeInPlace(wire, &f); err != nil {
 			// A corrupt frame is dropped at the device boundary, exactly
 			// like a bad checksum.
 			continue
 		}
-		s.dispatch(pt, f)
+		s.dispatch(pt, &f)
 		n++
 	}
+	s.rx.put(buf)
 	if n > 0 {
 		s.WakeAll(t.Now())
 	}
@@ -408,7 +416,7 @@ func (c *Conn) TryRecv(pt *hw.Port, max int) []byte {
 		n = max
 	}
 	out := append([]byte(nil), c.recvBuf[:n]...)
-	c.recvBuf = c.recvBuf[n:]
+	c.recvBuf = c.recvBuf[:copy(c.recvBuf, c.recvBuf[n:])] // keeps capacity
 	c.consumed += uint32(n)
 	if c.state == StateEstablished &&
 		(len(c.recvBuf) == 0 || c.consumed-c.lastAck >= c.stack.Window/4) {

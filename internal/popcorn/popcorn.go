@@ -317,7 +317,7 @@ func (o *OS) faultAtRemote(t *kernel.Task, va pgtable.VirtAddr, write bool) erro
 			// Origin's own mapping is installed lazily on its next access;
 			// metadata marks the frame as present at origin.
 		}
-		resp := make([]byte, respSize)
+		resp := o.Msgr.ReplyBuf(respSize)
 		if needsContent {
 			// Origin reads the page out of its memory into the message.
 			originPt.ReadInto(meta.Frames[origin], resp[64:])
@@ -375,7 +375,7 @@ func (o *OS) fetchPage(t *kernel.Task, va pgtable.VirtAddr, node mem.NodeID) err
 	t.Stats.NodeInstructions[node] += 2 * o.kinstrMsg()
 	t.Stats.NodeInstructions[other] += kinstrPageServe
 	o.Msgr.RPC(t.Port, func(remotePt *hw.Port, r []byte) []byte {
-		resp := make([]byte, 64+mem.PageSize)
+		resp := o.Msgr.ReplyBuf(64 + mem.PageSize)
 		remotePt.ReadInto(meta.Frames[other], resp[64:])
 		return resp
 	}, req(opPageRead, proc.PID, va, 0))

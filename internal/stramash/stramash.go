@@ -346,7 +346,7 @@ func (o *OS) MigrateTask(t *kernel.Task, to mem.NodeID) error {
 	// Destination kernel reads the context from shared memory.
 	dstPt := o.Ctx.Plat.NewPort(to, t.Core, t.Th)
 	t.Th.Advance(o.Ctx.Plat.Clock(to).FromMicros(o.Ctx.Plat.Cfg.IPIMicros))
-	dstPt.Read(ctrl+1024, len(state))
+	dstPt.ReadInto(ctrl+1024, state)
 	// Fused namespaces need no synchronization — both kernels already
 	// share one set (§6.6).
 	t.Rebind(to)

@@ -98,11 +98,10 @@ func (m *Mount) Stats() Stats { return *m.stats }
 
 // rpc runs one messenger round trip, accounting its cycles to the
 // requesting node's messaging bucket.
-func (m *Mount) rpc(pt *hw.Port, handler func(remote *hw.Port, req []byte) []byte, req []byte) []byte {
+func (m *Mount) rpc(pt *hw.Port, handler func(remote *hw.Port, req []byte) []byte, req []byte) {
 	start := pt.T.Now()
-	resp := m.msgr.RPC(pt, handler, req)
+	m.msgr.RPC(pt, handler, req)
 	m.stats.MsgCycles[pt.Node] += pt.T.Now() - start
-	return resp
 }
 
 // metaArrive replicates an inode's metadata to pt's node on first contact

@@ -212,7 +212,7 @@ func (c *PopcornCache) fetch(pt *hw.Port, ten *cap.Tenant, ino *Inode, idx int64
 		op = pcOpFetchSteal
 	}
 	c.rpc(pt, func(remote *hw.Port, req []byte) []byte {
-		resp := make([]byte, 64+mem.PageSize)
+		resp := c.msgr.ReplyBuf(64 + mem.PageSize)
 		remote.ReadInto(pg.frames[p], resp[64:])
 		if steal {
 			if c.hook != nil {
