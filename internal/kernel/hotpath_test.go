@@ -68,3 +68,34 @@ func TestTaskLoadStoreHitZeroAllocs(t *testing.T) {
 		return nil
 	})
 }
+
+// BenchmarkTaskReadAppend is the host cost of one 64-byte Task.ReadAppend
+// that hits the TLB and L1D into a buffer with room: the read every socket
+// server ring slot and GET value takes.
+func BenchmarkTaskReadAppend(b *testing.B) {
+	warmTask(b, func(task *Task, va pgtable.VirtAddr) error {
+		buf := make([]byte, 0, 64)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = task.ReadAppend(buf[:0], va, 64); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+func TestTaskReadAppendZeroAllocs(t *testing.T) {
+	warmTask(t, func(task *Task, va pgtable.VirtAddr) error {
+		buf := make([]byte, 0, 64)
+		if avg := testing.AllocsPerRun(100, func() { buf, _ = task.ReadAppend(buf[:0], va, 64) }); avg != 0 {
+			t.Errorf("ReadAppend into a 64-byte buffer allocates %.1f times per call, want 0", avg)
+		}
+		if len(buf) != 64 {
+			t.Errorf("ReadAppend returned %d bytes, want 64", len(buf))
+		}
+		return nil
+	})
+}

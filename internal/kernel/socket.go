@@ -313,34 +313,35 @@ func (t *Task) RecvSock(fd int, max int) ([]byte, error) {
 	if c.Buffered() == 0 {
 		return nil, io.EOF
 	}
-	out := c.TryRecv(t.Port, max)
+	out := c.RecvAppend(t.Port, nil, max)
 	t.Stats.SockRecvBytes += int64(len(out))
 	t.emitSpan(trace.KindSockRecv, start, 0, int64(len(out)))
 	return out, nil
 }
 
-// TryRecvSock is the non-blocking read: it polls the NIC and returns
-// whatever is buffered (nil when nothing is), or io.EOF at end-of-stream.
-func (t *Task) TryRecvSock(fd int, max int) ([]byte, error) {
+// TryRecvSock is the non-blocking read: it polls the NIC and appends
+// whatever is buffered, up to max bytes, to dst. With nothing buffered it
+// returns dst unchanged, and io.EOF at end-of-stream.
+func (t *Task) TryRecvSock(fd int, dst []byte, max int) ([]byte, error) {
 	s, err := t.enterSock()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	c, _, err := t.sockConn(fd)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	start := t.Th.Now()
 	s.PollRx(t.Port)
 	if c.Buffered() == 0 {
 		if c.EOF() || c.State() == net.StateClosed {
-			return nil, io.EOF
+			return dst, io.EOF
 		}
-		return nil, nil
+		return dst, nil
 	}
-	out := c.TryRecv(t.Port, max)
-	t.Stats.SockRecvBytes += int64(len(out))
-	t.emitSpan(trace.KindSockRecv, start, 0, int64(len(out)))
+	out := c.RecvAppend(t.Port, dst, max)
+	t.Stats.SockRecvBytes += int64(len(out) - len(dst))
+	t.emitSpan(trace.KindSockRecv, start, 0, int64(len(out)-len(dst)))
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 	"repro/internal/mem"
@@ -329,21 +330,28 @@ func (t *Task) Store(va pgtable.VirtAddr, size int, v uint64) error {
 	return err
 }
 
-// ReadBytes copies n bytes starting at va (page-crossing allowed).
+// ReadBytes copies n bytes starting at va (page-crossing allowed) into a
+// fresh slice, never nil.
 func (t *Task) ReadBytes(va pgtable.VirtAddr, n int) ([]byte, error) {
-	out := make([]byte, n)
-	for dst := out; len(dst) > 0; {
-		chunk := min(mem.PageSize-int(va&(mem.PageSize-1)), len(dst))
+	return t.ReadAppend(make([]byte, 0, n), va, n)
+}
+
+// ReadAppend appends the n bytes starting at va to dst: one load, charged
+// page chunk by page chunk.
+func (t *Task) ReadAppend(dst []byte, va pgtable.VirtAddr, n int) ([]byte, error) {
+	dst = slices.Grow(dst, n)
+	for out := dst[len(dst) : len(dst)+n]; len(out) > 0; {
+		chunk := min(mem.PageSize-int(va&(mem.PageSize-1)), len(out))
 		if err := t.access(va, false, func(pa mem.PhysAddr) {
-			t.Port.ReadInto(pa, dst[:chunk])
+			t.Port.ReadInto(pa, out[:chunk])
 		}); err != nil {
-			return nil, err
+			return dst, err
 		}
 		va += pgtable.VirtAddr(chunk)
-		dst = dst[chunk:]
+		out = out[chunk:]
 	}
 	t.Stats.Loads++
-	return out, nil
+	return dst[:len(dst)+n], nil
 }
 
 // WriteBytes stores data starting at va (page-crossing allowed).

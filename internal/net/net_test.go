@@ -143,7 +143,7 @@ func (tn *testNet) recvN(s *Stack, c *Conn, pt *hw.Port, n int) []byte {
 		if c.EOF() {
 			break
 		}
-		out = append(out, c.TryRecv(pt, n-len(out))...)
+		out = c.RecvAppend(pt, out, n-len(out))
 	}
 	return out
 }
@@ -176,7 +176,7 @@ func runEcho(t *testing.T, tn *testNet, msgBytes int) []byte {
 			if c.EOF() {
 				break
 			}
-			chunk := c.TryRecv(pt, 4096)
+			chunk := c.RecvAppend(pt, nil, 4096)
 			tn.sendAll(s, c, pt, chunk)
 		}
 		c.Close(pt)
@@ -237,7 +237,7 @@ func TestFlowControlWindow(t *testing.T) {
 		for !c.EOF() {
 			tn.wait(s, pt, func() bool { return c.Buffered() > 0 || c.EOF() })
 			// Consume deliberately slowly: tiny reads keep the window tight.
-			got = append(got, c.TryRecv(pt, 64)...)
+			got = c.RecvAppend(pt, got, 64)
 		}
 		c.Close(pt)
 	})
@@ -285,7 +285,7 @@ func TestRetransmitOnFullRing(t *testing.T) {
 		c := l.TryAccept()
 		for len(got) < frames*frameLen {
 			tn.wait(s, pt, func() bool { return c.Buffered() > 0 })
-			got = append(got, c.TryRecv(pt, frames*frameLen)...)
+			got = c.RecvAppend(pt, got, frames*frameLen)
 		}
 		c.Close(pt)
 	})

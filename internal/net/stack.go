@@ -403,26 +403,24 @@ func (c *Conn) TrySend(pt *hw.Port, payload []byte) int {
 	return sent
 }
 
-// TryRecv consumes up to max buffered bytes. An explicit ACK is sent when
-// the unacknowledged consumption grows past a quarter window or the buffer
-// fully drains — enough to guarantee a credit-blocked sender always
-// unblocks; finer-grained acknowledgment piggybacks on data frames.
-func (c *Conn) TryRecv(pt *hw.Port, max int) []byte {
+// RecvAppend consumes up to max buffered bytes, appending them to dst. An
+// explicit ACK is sent when the unacknowledged consumption grows past a
+// quarter window or the buffer fully drains — enough to guarantee a
+// credit-blocked sender always unblocks; finer-grained acknowledgment
+// piggybacks on data frames.
+func (c *Conn) RecvAppend(pt *hw.Port, dst []byte, max int) []byte {
 	if len(c.recvBuf) == 0 || max <= 0 {
-		return nil
+		return dst
 	}
-	n := len(c.recvBuf)
-	if n > max {
-		n = max
-	}
-	out := append([]byte(nil), c.recvBuf[:n]...)
+	n := min(len(c.recvBuf), max)
+	dst = append(dst, c.recvBuf[:n]...)
 	c.recvBuf = c.recvBuf[:copy(c.recvBuf, c.recvBuf[n:])] // keeps capacity
 	c.consumed += uint32(n)
 	if c.state == StateEstablished &&
 		(len(c.recvBuf) == 0 || c.consumed-c.lastAck >= c.stack.Window/4) {
 		c.stack.send(pt, c, &Frame{Kind: FrameACK})
 	}
-	return out
+	return dst
 }
 
 // Close shuts our sending direction (FIN). The connection is torn down

@@ -166,7 +166,7 @@ func RecoverAOF(t *kernel.Task, path string, store *Store) (int, error) {
 				break
 			}
 			buf = rest
-			if _, _, err := execute(t, store, cmd, key, val); err != nil {
+			if _, _, err := execute(t, store, nil, cmd, key, val); err != nil {
 				return applied, err
 			}
 			applied++

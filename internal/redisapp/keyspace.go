@@ -16,10 +16,13 @@ import (
 // locks — behind the same interface, so the production experiment can
 // hold the command stream fixed and measure only the regime.
 type Keyspace interface {
-	// Exec runs one command as worker w. Implementations must be safe for
-	// concurrent calls from distinct workers provided the frontend routes
-	// every request for a given key to the same worker (routeKey).
-	Exec(t *kernel.Task, w int, cmd Command, key, val []byte) (payload []byte, miss int, err error)
+	// Exec runs one command as worker w and, like execute, returns dst
+	// with the response payload appended. dst belongs to the caller: each
+	// worker brings its own, since two workers may run GETs on one store
+	// and yield in between. Implementations must be safe for concurrent calls
+	// from distinct workers provided the frontend routes every request for
+	// a given key to the same worker (routeKey).
+	Exec(t *kernel.Task, w int, dst []byte, cmd Command, key, val []byte) (payload []byte, miss int, err error)
 	// Digest folds the whole logical keyspace into one order- and
 	// layout-independent hash (Store.Digest semantics).
 	Digest(t *kernel.Task) (uint64, error)
@@ -63,8 +66,8 @@ func NewStoreSharded(t *kernel.Task, workers int, arenaBytes uint64, nBuckets in
 }
 
 // Exec runs cmd on worker w's shard, lock-free.
-func (ks *StoreSharded) Exec(t *kernel.Task, w int, cmd Command, key, val []byte) ([]byte, int, error) {
-	return execute(t, ks.shards[w], cmd, key, val)
+func (ks *StoreSharded) Exec(t *kernel.Task, w int, dst []byte, cmd Command, key, val []byte) ([]byte, int, error) {
+	return execute(t, ks.shards[w], dst, cmd, key, val)
 }
 
 // Digest sums the shard digests; Store.Digest is an order-independent
@@ -115,34 +118,33 @@ func NewStoreLocked(t *kernel.Task, store *Store, nLocks int) (*StoreLocked, err
 	return ks, nil
 }
 
-// derivedKeys lists every store key a command touches: lists, sets and
-// MSET's four copies live under prefixed names, not the wire key. execute
-// runs the command on these names and StoreLocked computes its lock set
-// from them, so the naming rule exists once.
-func derivedKeys(cmd Command, key []byte) [][]byte {
+// derivedKeys appends to dst every store key a command touches: lists,
+// sets and MSET's four copies live under prefixed names, not the wire key;
+// GET and SET use the wire key itself. execute runs the command on these
+// names and StoreLocked computes its lock set from them, so the naming
+// rule exists once.
+func derivedKeys(dst [][]byte, cmd Command, key []byte) [][]byte {
 	switch cmd {
 	case CmdLPush, CmdRPush, CmdLPop, CmdRPop:
-		return [][]byte{append([]byte("l:"), key...)}
+		return append(dst, append([]byte("l:"), key...))
 	case CmdSAdd:
-		return [][]byte{append([]byte("s:"), key...)}
+		return append(dst, append([]byte("s:"), key...))
 	case CmdMSet:
-		ks := make([][]byte, 0, 4)
 		for j := 0; j < 4; j++ {
-			ks = append(ks, append([]byte(fmt.Sprintf("m%d:", j)), key...))
+			dst = append(dst, append([]byte(fmt.Sprintf("m%d:", j)), key...))
 		}
-		return ks
+		return dst
 	}
-	return [][]byte{key}
+	return append(dst, key)
 }
 
 // stripesFor maps cmd's derived keys to a deduplicated ascending list of
-// lock indices. Striping is by bucket — two keys in one hash bucket share
-// a chain, so they must share a lock — then buckets fold onto the stripe
-// array.
-func (ks *StoreLocked) stripesFor(t *kernel.Task, cmd Command, key []byte) []int {
-	dks := derivedKeys(cmd, key)
-	stripes := make([]int, 0, len(dks))
-	for _, dk := range dks {
+// lock indices, appended to stripes. Striping is by bucket — two keys in
+// one hash bucket share a chain, so they must share a lock — then buckets
+// fold onto the stripe array.
+func (ks *StoreLocked) stripesFor(t *kernel.Task, stripes []int, cmd Command, key []byte) []int {
+	var kb [4][]byte
+	for _, dk := range derivedKeys(kb[:0], cmd, key) {
 		bucket := int(hashKey(t, dk) % uint64(ks.store.nBuckets))
 		s := bucket % len(ks.locks)
 		dup := false
@@ -163,14 +165,15 @@ func (ks *StoreLocked) stripesFor(t *kernel.Task, cmd Command, key []byte) []int
 // Exec locks the command's bucket stripes, runs it on the shared store,
 // and unlocks. The worker index is unused — any worker may execute any
 // command here; ordering is the router's job.
-func (ks *StoreLocked) Exec(t *kernel.Task, _ int, cmd Command, key, val []byte) ([]byte, int, error) {
-	stripes := ks.stripesFor(t, cmd, key)
+func (ks *StoreLocked) Exec(t *kernel.Task, _ int, dst []byte, cmd Command, key, val []byte) ([]byte, int, error) {
+	var sb [4]int
+	stripes := ks.stripesFor(t, sb[:0], cmd, key)
 	for _, s := range stripes {
 		if err := ks.locks[s].Lock(t); err != nil {
-			return nil, 0, err
+			return dst, 0, err
 		}
 	}
-	payload, miss, err := execute(t, ks.store, cmd, key, val)
+	payload, miss, err := execute(t, ks.store, dst, cmd, key, val)
 	for i := len(stripes) - 1; i >= 0; i-- {
 		if uerr := ks.locks[stripes[i]].Unlock(t); uerr != nil && err == nil {
 			err = uerr

@@ -3,7 +3,7 @@ package redisapp
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/net"
@@ -153,15 +153,14 @@ func respDigest(idx int, status byte, payload []byte) uint64 {
 	return fnvFold(fnvFold(fnvFoldU64(fnvBasis, uint64(idx)), []byte{status}), payload)
 }
 
-// percentile returns the q-quantile of lats (nearest-rank).
+// percentile returns the q-quantile of lats (nearest-rank), sorting lats
+// in place.
 func percentile(lats []sim.Cycles, q float64) sim.Cycles {
 	if len(lats) == 0 {
 		return 0
 	}
-	s := append([]sim.Cycles(nil), lats...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q*float64(len(s)-1) + 0.5)
-	return s[idx]
+	slices.Sort(lats)
+	return lats[int(q*float64(len(lats)-1)+0.5)]
 }
 
 // GenerateTraffic runs the open-loop generator on task t against servers.
@@ -189,6 +188,8 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 	for i := range keyIdx {
 		keyIdx[i] = sampleZipf(rng, cdf)
 	}
+	// Key and value bytes are built once per key index, on first use.
+	keys, vals := make([][]byte, p.Keys), make([][]byte, p.Keys)
 
 	if err := t.ClaimNet(); err != nil {
 		return res, err
@@ -209,7 +210,8 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 
 	queued := make([][]int, len(servers)) // arrived, not yet sent
 	pend := make([][]pendReq, len(servers))
-	rbufs := make([][]byte, len(servers))
+	rbufs := make([][]byte, len(servers)) // reassembly, received into and compacted
+	var batch []byte
 	dead := make([]bool, len(servers)) // server closed after serving its share
 	lats := make([]sim.Cycles, 0, p.Requests)
 	next := 0
@@ -232,15 +234,19 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 			// Pipelining: stage every sendable request for this server and
 			// flush them in one socket write, so a burst of arrivals costs
 			// one send-path traversal instead of one per request.
-			var batch []byte
+			batch = batch[:0]
 			for len(queued[s]) > 0 && len(pend[s]) < depth {
 				i := queued[s][0]
 				queued[s] = queued[s][1:]
+				k := keyIdx[i]
+				if keys[k] == nil {
+					keys[k], vals[k] = keyFor(bp, k), valFor(bp, k)
+				}
 				cmd, val := CmdGet, []byte(nil)
 				if p.SetEvery > 0 && i%p.SetEvery == 0 {
-					cmd, val = CmdSet, valFor(bp, keyIdx[i])
+					cmd, val = CmdSet, vals[k]
 				}
-				batch = appendRequest(batch, cmd, keyFor(bp, keyIdx[i]), val)
+				batch = appendRequest(batch, cmd, keys[k], val)
 				pend[s] = append(pend[s], pendReq{idx: i, arrival: arrival(i)})
 				res.Sent++
 				progress = true
@@ -256,12 +262,16 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 			if dead[s] {
 				continue
 			}
-			data, err := t.TryRecvSock(fds[s], 4096)
+			n := len(rbufs[s])
+			var err error
+			rbufs[s], err = t.TryRecvSock(fds[s], rbufs[s], 4096)
 			if err == io.EOF {
 				// A server that has served its whole share closes its end; EOF
-				// with requests still in flight is a broken server.
-				if n := len(pend[s]) + len(queued[s]); n > 0 {
-					return res, fmt.Errorf("redisapp: server %d closed with %d requests outstanding", s, n)
+				// with requests still in flight, or mid-response, is a broken
+				// server.
+				if n := len(pend[s]) + len(queued[s]); n+len(rbufs[s]) > 0 {
+					return res, fmt.Errorf("redisapp: server %d closed with %d requests outstanding and %d bytes of a partial response",
+						s, n, len(rbufs[s]))
 				}
 				if err := t.CloseSock(fds[s]); err != nil {
 					return res, err
@@ -273,20 +283,20 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 			if err != nil {
 				return res, err
 			}
-			if len(data) == 0 {
+			if len(rbufs[s]) == n {
 				continue
 			}
 			progress = true
-			buf := append(rbufs[s], data...)
+			off := 0
 			for {
-				status, payload, rest, ok, derr := decodeResponse(buf)
+				status, payload, rest, ok, derr := decodeResponse(rbufs[s][off:])
 				if derr != nil {
 					return res, derr
 				}
 				if !ok {
 					break
 				}
-				buf = rest
+				off = len(rbufs[s]) - len(rest)
 				if len(pend[s]) == 0 {
 					return res, fmt.Errorf("redisapp: server %d sent an unsolicited response", s)
 				}
@@ -299,7 +309,7 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 				res.Digest += respDigest(pr.idx, status, payload)
 				res.Done++
 			}
-			rbufs[s] = buf
+			rbufs[s] = rbufs[s][:copy(rbufs[s], rbufs[s][off:])]
 		}
 		if !progress {
 			t.Th.Advance(500) // generator poll interval

@@ -88,23 +88,28 @@ func decodeResponse(buf []byte) (status byte, payload, rest []byte, ok bool, err
 	return status, buf[respHdr:end], buf[end:], true, nil
 }
 
-// execute runs one command against the store and returns the response
-// payload (the value for reads, nothing for writes) plus a miss count. It
-// is the one request path: the socket server, its workers, AOF replay and
-// the Figure 14 ring server all run commands through it.
-func execute(t *kernel.Task, store *Store, cmd Command, key, val []byte) ([]byte, int, error) {
-	keys := derivedKeys(cmd, key)
+// execute runs one command against the store and returns dst with the
+// response payload appended (the value for reads, nothing for writes),
+// plus a miss count. It is the one request path: the socket server, its
+// workers, AOF replay and the Figure 14 ring server all run commands
+// through it.
+func execute(t *kernel.Task, store *Store, dst []byte, cmd Command, key, val []byte) ([]byte, int, error) {
+	var kb [4][]byte
+	keys := derivedKeys(kb[:0], cmd, key)
 	var got []byte
 	var err error
+	found := true
 	switch cmd {
 	case CmdGet:
-		got, err = store.Get(t, keys[0])
+		got, found, err = store.getAppend(t, dst, keys[0])
 	case CmdSet:
-		return nil, 0, store.Set(t, keys[0], val)
+		return dst, 0, store.Set(t, keys[0], val)
 	case CmdLPush, CmdRPush:
-		return nil, 0, store.Push(t, keys[0], val, cmd == CmdLPush)
+		return dst, 0, store.Push(t, keys[0], val, cmd == CmdLPush)
 	case CmdLPop, CmdRPop:
 		got, err = store.Pop(t, keys[0], cmd == CmdLPop)
+		found = got != nil
+		got = append(dst, got...)
 	case CmdSAdd:
 		// A set member is the value's first 32 bytes, or all of a shorter
 		// value.
@@ -113,22 +118,22 @@ func execute(t *kernel.Task, store *Store, cmd Command, key, val []byte) ([]byte
 			member = member[:32]
 		}
 		_, err := store.SAdd(t, keys[0], member)
-		return nil, 0, err
+		return dst, 0, err
 	case CmdMSet:
 		for _, k := range keys {
 			if err := store.Set(t, k, val); err != nil {
-				return nil, 0, err
+				return dst, 0, err
 			}
 		}
-		return nil, 0, nil
+		return dst, 0, nil
 	default:
-		return nil, 0, fmt.Errorf("redisapp: bad command %d", cmd)
+		return dst, 0, fmt.Errorf("redisapp: bad command %d", cmd)
 	}
 	if err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
-	if got == nil {
-		return nil, 1, nil
+	if !found {
+		return dst, 1, nil
 	}
 	return got, 0, nil
 }

@@ -134,29 +134,35 @@ func TestTrafficParamsValidate(t *testing.T) {
 	}
 }
 
+// testCmd is one command of a test stream.
+type testCmd struct {
+	cmd      Command
+	key, val []byte
+}
+
 // diffCommands is the shared command stream for the differential digest
 // test: every command type, keys that collide across buckets, values of
 // varying sizes.
-func diffCommands() []queuedProd {
-	var cmds []queuedProd
+func diffCommands() []testCmd {
+	var cmds []testCmd
 	for i := 0; i < 40; i++ {
 		key := []byte(fmt.Sprintf("key:%03d", i%7))
 		val := bytes.Repeat([]byte{byte(i + 1)}, 16+i*3)
 		switch i % 8 {
 		case 0, 1:
-			cmds = append(cmds, queuedProd{cmd: CmdSet, key: key, val: val})
+			cmds = append(cmds, testCmd{cmd: CmdSet, key: key, val: val})
 		case 2:
-			cmds = append(cmds, queuedProd{cmd: CmdGet, key: key})
+			cmds = append(cmds, testCmd{cmd: CmdGet, key: key})
 		case 3:
-			cmds = append(cmds, queuedProd{cmd: CmdLPush, key: key, val: val})
+			cmds = append(cmds, testCmd{cmd: CmdLPush, key: key, val: val})
 		case 4:
-			cmds = append(cmds, queuedProd{cmd: CmdRPush, key: key, val: val})
+			cmds = append(cmds, testCmd{cmd: CmdRPush, key: key, val: val})
 		case 5:
-			cmds = append(cmds, queuedProd{cmd: CmdLPop, key: key})
+			cmds = append(cmds, testCmd{cmd: CmdLPop, key: key})
 		case 6:
-			cmds = append(cmds, queuedProd{cmd: CmdSAdd, key: key, val: val})
+			cmds = append(cmds, testCmd{cmd: CmdSAdd, key: key, val: val})
 		case 7:
-			cmds = append(cmds, queuedProd{cmd: CmdMSet, key: key, val: val})
+			cmds = append(cmds, testCmd{cmd: CmdMSet, key: key, val: val})
 		}
 	}
 	return cmds
@@ -189,7 +195,7 @@ func TestKeyspaceDifferentialDigest(t *testing.T) {
 			return err
 		}
 		for _, c := range cmds {
-			if _, _, err := execute(task, seed, c.cmd, c.key, c.val); err != nil {
+			if _, _, err := execute(task, seed, nil, c.cmd, c.key, c.val); err != nil {
 				return err
 			}
 		}
@@ -203,7 +209,7 @@ func TestKeyspaceDifferentialDigest(t *testing.T) {
 		}
 		for _, c := range cmds {
 			w := routeKey(task, c.key, workers)
-			if _, _, err := sharded.Exec(task, w, c.cmd, c.key, c.val); err != nil {
+			if _, _, err := sharded.Exec(task, w, nil, c.cmd, c.key, c.val); err != nil {
 				return err
 			}
 		}
@@ -225,7 +231,7 @@ func TestKeyspaceDifferentialDigest(t *testing.T) {
 		}
 		for _, c := range cmds {
 			w := routeKey(task, c.key, workers)
-			if _, _, err := locked.Exec(task, w, c.cmd, c.key, c.val); err != nil {
+			if _, _, err := locked.Exec(task, w, nil, c.cmd, c.key, c.val); err != nil {
 				return err
 			}
 		}
@@ -272,7 +278,7 @@ func TestAOFCrashPointReplay(t *testing.T) {
 		}
 		digests = append(digests, d0)
 		for _, c := range cmds {
-			_, miss, err := execute(task, oracle, c.cmd, c.key, c.val)
+			_, miss, err := execute(task, oracle, nil, c.cmd, c.key, c.val)
 			if err != nil {
 				return err
 			}
@@ -384,8 +390,8 @@ func TestProdWorkerStatsOnStop(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		q := queuedProd{cmd: CmdSet, key: []byte("key:000001"), val: []byte("value")}
-		if ok, err := prodRingPush(task, rings.req(0), q); err != nil || !ok {
+		slot := appendRequest(make([]byte, 8), CmdSet, []byte("key:000001"), []byte("value"))
+		if ok, err := prodRingPush(task, rings.req(0), slot); err != nil || !ok {
 			return fmt.Errorf("push: ok=%v err=%v", ok, err)
 		}
 		// A full response ring (head-tail = prodSlots) and the stop flag.

@@ -126,13 +126,15 @@ type ProdStats struct {
 	AOFFileBytes int64
 }
 
-// queuedProd is one decoded request waiting for ring space.
-type queuedProd struct {
-	seq  uint64
-	cmd  Command
-	key  []byte
-	val  []byte
-	dest int
+// prodConn is one client connection's frontend state, its buffers reused:
+// rbuf is received into and compacted after decoding; staged queues the
+// requests awaiting ring space as dest(4)|seq(8)|request, the worker and
+// its ring slot; pend holds the seqs awaiting a response, in order.
+type prodConn struct {
+	fd     int
+	rbuf   []byte
+	staged []byte
+	pend   []uint64
 }
 
 // prodRings lays out the per-worker rings and stop flags in one mapping.
@@ -190,7 +192,7 @@ func ServeProd(t *kernel.Task, p ProdParams) (ProdStats, error) {
 		// The single-task server keeps no log, populates its one store
 		// directly and serves from the other ISA.
 		for i := 0; i < p.Keys; i++ {
-			if _, _, err := ks.Exec(t, 0, CmdSet, keyFor(bp, i), valFor(bp, i)); err != nil {
+			if _, _, err := ks.Exec(t, 0, nil, CmdSet, keyFor(bp, i), valFor(bp, i)); err != nil {
 				return st, err
 			}
 		}
@@ -211,7 +213,7 @@ func ServeProd(t *kernel.Task, p ProdParams) (ProdStats, error) {
 	for i := 0; i < p.Keys; i++ {
 		key, val := keyFor(bp, i), valFor(bp, i)
 		w := routeKey(t, key, workers)
-		if _, _, err := ks.Exec(t, w, CmdSet, key, val); err != nil {
+		if _, _, err := ks.Exec(t, w, nil, CmdSet, key, val); err != nil {
 			return st, err
 		}
 		if err := front.Append(t, CmdSet, key, val); err != nil {
@@ -356,15 +358,23 @@ func buildKeyspace(t *kernel.Task, kind KeyspaceKind, workers int) (Keyspace, er
 // requests, route to worker rings, reassemble responses per connection in
 // request order, and flush them batched. With no workers it runs each
 // request itself as it decodes it, and the flush sends the responses.
+// Responses are built in buffers from a free list, and one flush buffer
+// serves every connection: SendSock returns only once the fabric has
+// copied every byte out of it.
 func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lfd int, st *ProdStats) error {
 	t.BeginTimed()
 	defer func() { st.ServeCycles = t.TimedCycles() }()
 
-	var conns []int
-	rbufs := make(map[int][]byte)
-	backlog := make(map[int][]queuedProd)
-	pendSeq := make(map[int][]uint64) // per-conn seqs in request order
+	var conns []*prodConn
 	respBySeq := make(map[uint64][]byte)
+	var free [][]byte // response buffers not in respBySeq
+	take := func() (r []byte) {
+		if n := len(free); n > 0 {
+			r, free = free[n-1], free[:n-1]
+		}
+		return r
+	}
+	var vbuf, out []byte // the single-task server's value buffer; the flush buffer
 	var nextSeq uint64
 
 	for st.Served < p.Expected {
@@ -374,23 +384,24 @@ func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lf
 			return err
 		}
 		if fd >= 0 {
-			conns = append(conns, fd)
+			conns = append(conns, &prodConn{fd: fd})
 			progress = true
 		}
 		// Receive pump: decode every complete request per connection and
 		// stage it (ring space permitting comes later).
 		for ci := 0; ci < len(conns); ci++ {
-			fd := conns[ci]
-			data, err := t.TryRecvSock(fd, 4096)
+			c := conns[ci]
+			n := len(c.rbuf)
+			c.rbuf, err = t.TryRecvSock(c.fd, c.rbuf, 4096)
 			if err == io.EOF {
-				if n := len(backlog[fd]) + len(pendSeq[fd]); n > 0 {
-					return fmt.Errorf("redisapp: client closed with %d requests in flight", n)
+				if len(c.pend)+len(c.rbuf) > 0 {
+					return fmt.Errorf("redisapp: client on fd %d closed with %d requests in flight and %d bytes of a partial request",
+						c.fd, len(c.pend), len(c.rbuf))
 				}
-				if err := t.CloseSock(fd); err != nil {
+				if err := t.CloseSock(c.fd); err != nil {
 					return err
 				}
 				conns = append(conns[:ci], conns[ci+1:]...)
-				delete(rbufs, fd)
 				ci--
 				progress = true
 				continue
@@ -398,91 +409,95 @@ func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lf
 			if err != nil {
 				return err
 			}
-			if len(data) == 0 {
+			if len(c.rbuf) == n {
 				continue
 			}
 			progress = true
-			buf := append(rbufs[fd], data...)
+			off := 0
 			for {
-				cmd, key, val, rest, ok, derr := decodeRequest(buf)
+				cmd, key, val, rest, ok, derr := decodeRequest(c.rbuf[off:])
 				if derr != nil {
 					return derr
 				}
 				if !ok {
 					break
 				}
-				buf = rest
+				off = len(c.rbuf) - len(rest)
 				// Protocol parsing cost (RESP decode is byte-at-a-time work).
 				t.Compute(int64(20 + (len(key)+len(val))/8))
 				seq := nextSeq
 				nextSeq++
-				pendSeq[fd] = append(pendSeq[fd], seq)
+				c.pend = append(c.pend, seq)
 				if rings.workers == 0 {
-					payload, miss, err := serve(t, p, ks, 0, cmd, key, val)
+					var miss int
+					vbuf, miss, err = serve(t, p, ks, 0, vbuf[:0], cmd, key, val)
 					if err != nil {
 						return err
 					}
 					st.Misses += miss
-					respBySeq[seq] = appendResponse(nil, respStatus(miss), payload)
+					respBySeq[seq] = appendResponse(take(), respStatus(miss), vbuf)
 					continue
 				}
-				backlog[fd] = append(backlog[fd], queuedProd{
-					seq: seq, cmd: cmd,
-					key: append([]byte(nil), key...), val: append([]byte(nil), val...),
-					dest: routeKey(t, key, rings.workers),
-				})
+				c.staged = binary.LittleEndian.AppendUint32(c.staged, uint32(routeKey(t, key, rings.workers)))
+				c.staged = appendRequest(binary.LittleEndian.AppendUint64(c.staged, seq), cmd, key, val)
 			}
-			rbufs[fd] = buf
+			c.rbuf = c.rbuf[:copy(c.rbuf, c.rbuf[off:])]
 		}
-		// Route pump: push each connection's backlog head-of-line into its
-		// worker's ring; a full ring stalls only that connection.
-		for _, fd := range conns {
-			for len(backlog[fd]) > 0 {
-				q := backlog[fd][0]
-				ok, err := prodRingPush(t, rings.req(q.dest), q)
+		// Route pump: push each connection's staged requests head-of-line
+		// into their workers' rings; a full ring stalls only that connection.
+		for _, c := range conns {
+			off := 0
+			for off < len(c.staged) {
+				_, klen, vlen, _ := requestHeader(c.staged[off+4+8:]) // checked when staged
+				end := off + 4 + prodReqHdr + klen + vlen
+				ok, err := prodRingPush(t, rings.req(int(binary.LittleEndian.Uint32(c.staged[off:]))), c.staged[off+4:end])
 				if err != nil {
 					return err
 				}
 				if !ok {
 					break
 				}
-				backlog[fd] = backlog[fd][1:]
+				off = end
 				progress = true
 			}
+			c.staged = c.staged[:copy(c.staged, c.staged[off:])]
 		}
 		// Response pump: drain every worker's response ring.
 		for w := 0; w < rings.workers; w++ {
 			for {
-				seq, status, payload, ok, err := prodRingPop(t, rings.resp(w))
+				seq, r, ok, err := prodRingPop(t, rings.resp(w), take())
 				if err != nil {
 					return err
 				}
 				if !ok {
+					free = append(free, r)
 					break
 				}
-				if status == 0 {
+				if r[0] == 0 {
 					st.Misses++
 				}
-				respBySeq[seq] = appendResponse(nil, status, payload)
+				respBySeq[seq] = r
 				progress = true
 			}
 		}
 		// Flush pump: emit each connection's ready responses in request
 		// order, one socket write per connection per pass.
-		for _, fd := range conns {
-			var out []byte
-			for len(pendSeq[fd]) > 0 {
-				r, ok := respBySeq[pendSeq[fd][0]]
+		for _, c := range conns {
+			out = out[:0]
+			n := 0
+			for ; n < len(c.pend); n++ {
+				r, ok := respBySeq[c.pend[n]]
 				if !ok {
 					break
 				}
 				out = append(out, r...)
-				delete(respBySeq, pendSeq[fd][0])
-				pendSeq[fd] = pendSeq[fd][1:]
+				free = append(free, r[:0])
+				delete(respBySeq, c.pend[n])
 				st.Served++
 			}
+			c.pend = c.pend[:copy(c.pend, c.pend[n:])]
 			if len(out) > 0 {
-				if _, err := t.SendSock(fd, out); err != nil {
+				if _, err := t.SendSock(c.fd, out); err != nil {
 					return err
 				}
 				progress = true
@@ -493,21 +508,21 @@ func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lf
 			t.Th.YieldPoint()
 		}
 	}
-	for _, fd := range conns {
-		if err := t.CloseSock(fd); err != nil {
+	for _, c := range conns {
+		if err := t.CloseSock(c.fd); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// prodRingPush enqueues one request if the ring has space. Ring control
-// words synchronize tasks through plain simulated memory, so every
+// prodRingPush enqueues one slot (seq|request) if the ring has space. Ring
+// control words synchronize tasks through plain simulated memory, so every
 // operation is bracketed by yield points: the engine orders cross-thread
 // visibility at segment granularity, so a ring store buried mid-segment
 // between parking syscalls would become visible at whatever simulated time
 // the segment happened to end, not at the store's own.
-func prodRingPush(t *kernel.Task, ring pgtable.VirtAddr, q queuedProd) (ok bool, err error) {
+func prodRingPush(t *kernel.Task, ring pgtable.VirtAddr, slot []byte) (ok bool, err error) {
 	t.Th.YieldPoint()
 	defer t.Th.YieldPoint()
 	head, err := t.Load(ring, 8)
@@ -521,10 +536,7 @@ func prodRingPush(t *kernel.Task, ring pgtable.VirtAddr, q queuedProd) (ok bool,
 	if head-tail >= prodSlots {
 		return false, nil
 	}
-	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, prodReqHdr+len(q.key)+len(q.val)), q.seq)
-	buf = appendRequest(buf, q.cmd, q.key, q.val)
-	slot := ring + prodRingCtl + pgtable.VirtAddr(int(head%prodSlots)*prodSlotCap)
-	if err := t.WriteBytes(slot, buf); err != nil {
+	if err := t.WriteBytes(ring+prodRingCtl+pgtable.VirtAddr(int(head%prodSlots)*prodSlotCap), slot); err != nil {
 		return false, err
 	}
 	if err := t.Store(ring, 8, head+1); err != nil {
@@ -534,73 +546,69 @@ func prodRingPush(t *kernel.Task, ring pgtable.VirtAddr, q queuedProd) (ok bool,
 }
 
 // prodRingPop dequeues one response if available (yield discipline as in
-// prodRingPush).
-func prodRingPop(t *kernel.Task, ring pgtable.VirtAddr) (seq uint64, status byte, payload []byte, ok bool, err error) {
+// prodRingPush) and returns its seq and its response frame, built in
+// dst[:0]; with nothing to dequeue it returns dst.
+func prodRingPop(t *kernel.Task, ring pgtable.VirtAddr, dst []byte) (seq uint64, resp []byte, ok bool, err error) {
 	t.Th.YieldPoint()
 	defer t.Th.YieldPoint()
 	head, err := t.Load(ring, 8)
 	if err != nil {
-		return 0, 0, nil, false, err
+		return 0, dst, false, err
 	}
 	tail, err := t.Load(ring+64, 8)
 	if err != nil {
-		return 0, 0, nil, false, err
+		return 0, dst, false, err
 	}
 	if head == tail {
-		return 0, 0, nil, false, nil
+		return 0, dst, false, nil
 	}
 	slot := ring + prodRingCtl + pgtable.VirtAddr(int(tail%prodSlots)*prodSlotCap)
-	hdr, err := t.ReadBytes(slot, prodRespHdr)
+	resp, err = t.ReadAppend(dst[:0], slot, prodRespHdr)
 	if err != nil {
-		return 0, 0, nil, false, err
+		return 0, resp, false, err
 	}
-	seq = binary.LittleEndian.Uint64(hdr[0:8])
-	status, plen, err := responseHeader(hdr[8:])
+	seq = binary.LittleEndian.Uint64(resp)
+	_, plen, err := responseHeader(resp[8:])
 	if err != nil {
-		return 0, 0, nil, false, err
+		return 0, resp, false, err
 	}
+	// The frame is the slot without its seq: shift the header over it.
+	resp = resp[:copy(resp, resp[8:])]
 	if plen > 0 {
-		payload, err = t.ReadBytes(slot+prodRespHdr, plen)
-		if err != nil {
-			return 0, 0, nil, false, err
+		if resp, err = t.ReadAppend(resp, slot+prodRespHdr, plen); err != nil {
+			return 0, resp, false, err
 		}
 	}
 	if err := t.Store(ring+64, 8, tail+1); err != nil {
-		return 0, 0, nil, false, err
+		return 0, resp, false, err
 	}
-	return seq, status, payload, true, nil
+	return seq, resp, true, nil
 }
 
-// prodRingConsume dequeues the request at tail (yield discipline as in
-// prodRingPush: the slot reads and the tail publication are one ordering
-// unit).
-func prodRingConsume(t *kernel.Task, reqRing pgtable.VirtAddr, tail uint64) (seq uint64, cmd Command, key, val []byte, err error) {
+// prodRingConsume dequeues the request at tail into dst[:0] and returns
+// its slot, seq|request (yield discipline as in prodRingPush: the slot
+// reads and the tail publication are one ordering unit).
+func prodRingConsume(t *kernel.Task, reqRing pgtable.VirtAddr, tail uint64, dst []byte) ([]byte, error) {
 	t.Th.YieldPoint()
 	defer t.Th.YieldPoint()
-	slot := reqRing + prodRingCtl + pgtable.VirtAddr(int(tail%prodSlots)*prodSlotCap)
-	hdr, err := t.ReadBytes(slot, prodReqHdr)
+	at := reqRing + prodRingCtl + pgtable.VirtAddr(int(tail%prodSlots)*prodSlotCap)
+	slot, err := t.ReadAppend(dst[:0], at, prodReqHdr)
 	if err != nil {
-		return 0, 0, nil, nil, err
+		return slot, err
 	}
-	seq = binary.LittleEndian.Uint64(hdr[0:8])
-	cmd, klen, vlen, err := requestHeader(hdr[8:])
+	_, klen, vlen, err := requestHeader(slot[8:])
 	if err != nil {
-		return 0, 0, nil, nil, err
+		return slot, err
 	}
-	key, err = t.ReadBytes(slot+prodReqHdr, klen)
-	if err != nil {
-		return 0, 0, nil, nil, err
+	if slot, err = t.ReadAppend(slot, at+prodReqHdr, klen); err != nil {
+		return slot, err
 	}
 	if vlen > 0 {
-		val, err = t.ReadBytes(slot+prodReqHdr+pgtable.VirtAddr(klen), vlen)
-		if err != nil {
-			return 0, 0, nil, nil, err
+		if slot, err = t.ReadAppend(slot, at+prodReqHdr+pgtable.VirtAddr(klen), vlen); err != nil {
+			return slot, err
 		}
 	}
-	if err := t.Store(reqRing+64, 8, tail+1); err != nil {
-		return 0, 0, nil, nil, err
-	}
-	return seq, cmd, key, val, nil
+	return slot, t.Store(reqRing+64, 8, tail+1)
 }
 
 // prodRingPeek reads a ring's control words plus the stop flag as one
@@ -622,30 +630,29 @@ func prodRingPeek(t *kernel.Task, ring, stopAddr pgtable.VirtAddr) (head, tail, 
 	return
 }
 
-// prodRingRespond enqueues one response (yield discipline as in
-// prodRingPush). The caller has already established that the ring has
-// space; the worker is the ring's only producer, so the space cannot
-// vanish between the check and this section.
-func prodRingRespond(t *kernel.Task, respRing pgtable.VirtAddr, seq uint64, status byte, payload []byte) error {
+// prodRingRespond enqueues one response, encoded in dst[:0], which it
+// returns (yield discipline as in prodRingPush). The caller has already
+// established that the ring has space; the worker is the ring's only
+// producer, so the space cannot vanish between the check and this section.
+func prodRingRespond(t *kernel.Task, respRing pgtable.VirtAddr, seq uint64, status byte, payload, dst []byte) ([]byte, error) {
 	t.Th.YieldPoint()
 	defer t.Th.YieldPoint()
 	rh, err := t.Load(respRing, 8)
 	if err != nil {
-		return err
+		return dst, err
 	}
-	rbuf := binary.LittleEndian.AppendUint64(make([]byte, 0, prodRespHdr+len(payload)), seq)
-	rbuf = appendResponse(rbuf, status, payload)
+	rbuf := appendResponse(binary.LittleEndian.AppendUint64(dst[:0], seq), status, payload)
 	rslot := respRing + prodRingCtl + pgtable.VirtAddr(int(rh%prodSlots)*prodSlotCap)
 	if err := t.WriteBytes(rslot, rbuf); err != nil {
-		return err
+		return rbuf, err
 	}
-	return t.Store(respRing, 8, rh+1)
+	return rbuf, t.Store(respRing, 8, rh+1)
 }
 
 // serve executes one request as worker w (0 in the single-task server),
-// then the request's extra application work.
-func serve(t *kernel.Task, p ProdParams, ks Keyspace, w int, cmd Command, key, val []byte) ([]byte, int, error) {
-	payload, miss, err := ks.Exec(t, w, cmd, key, val)
+// appending its payload to dst, then the request's extra application work.
+func serve(t *kernel.Task, p ProdParams, ks Keyspace, w int, dst []byte, cmd Command, key, val []byte) ([]byte, int, error) {
+	payload, miss, err := ks.Exec(t, w, dst, cmd, key, val)
 	if err == nil && p.ExtraCompute > 0 {
 		t.Compute(p.ExtraCompute)
 	}
@@ -683,6 +690,7 @@ func prodWorker(t *kernel.Task, p ProdParams, ks Keyspace, w int, rings prodRing
 		out.FutexWaits = t.Stats.FutexWaits
 	}()
 	reqRing, respRing := rings.req(w), rings.resp(w)
+	var slot, payload, rbuf []byte // this worker's request, value and response buffers
 	for {
 		head, tail, stop, err := prodRingPeek(t, reqRing, rings.stop(w))
 		if err != nil {
@@ -696,12 +704,13 @@ func prodWorker(t *kernel.Task, p ProdParams, ks Keyspace, w int, rings prodRing
 			t.Th.YieldPoint()
 			continue
 		}
-		seq, cmd, key, val, err := prodRingConsume(t, reqRing, tail)
-		if err != nil {
+		if slot, err = prodRingConsume(t, reqRing, tail, slot); err != nil {
 			return err
 		}
-		payload, miss, err := serve(t, p, ks, w, cmd, key, val)
-		if err != nil {
+		seq := binary.LittleEndian.Uint64(slot)
+		cmd, key, val, _, _, _ := decodeRequest(slot[8:]) // checked by prodRingConsume
+		var miss int
+		if payload, miss, err = serve(t, p, ks, w, payload[:0], cmd, key, val); err != nil {
 			return err
 		}
 		if mutatesStore(cmd, miss) {
@@ -726,7 +735,7 @@ func prodWorker(t *kernel.Task, p ProdParams, ks Keyspace, w int, rings prodRing
 			t.Th.Advance(200)
 			t.Th.YieldPoint()
 		}
-		if err := prodRingRespond(t, respRing, seq, respStatus(miss), payload); err != nil {
+		if rbuf, err = prodRingRespond(t, respRing, seq, respStatus(miss), payload, rbuf); err != nil {
 			return err
 		}
 		out.Ops++

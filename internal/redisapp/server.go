@@ -183,6 +183,7 @@ func Run(m *machine.Machine, p BenchParams) (BenchResult, error) {
 		}
 		t.BeginTimed()
 		served := 0
+		var vbuf []byte
 		for served < p.Requests {
 			head, err := t.Load(rb, 8)
 			if err != nil {
@@ -226,7 +227,8 @@ func Run(m *machine.Machine, p BenchParams) (BenchResult, error) {
 			// Protocol parsing cost (RESP decode is byte-at-a-time work).
 			t.Compute(int64(20 + (klen+vlen)/8))
 
-			_, miss, err := execute(t, store, cmd, key, val)
+			var miss int
+			vbuf, miss, err = execute(t, store, vbuf[:0], cmd, key, val)
 			if err != nil {
 				return err
 			}

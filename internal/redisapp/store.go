@@ -202,7 +202,8 @@ func (s *Store) findEntry(t *kernel.Task, key []byte) (entry, ref pgtable.VirtAd
 				return 0, 0, err
 			}
 			if int(klen) == len(key) {
-				kb, err := t.ReadBytes(e+entryHdr, len(key))
+				var scratch [64]byte // the compare allocates only for longer keys
+				kb, err := t.ReadAppend(scratch[:0], e+entryHdr, len(key))
 				if err != nil {
 					return 0, 0, err
 				}
@@ -291,19 +292,30 @@ func (s *Store) Set(t *kernel.Task, key, val []byte) error {
 
 // Get returns key's string value, or nil if absent.
 func (s *Store) Get(t *kernel.Task, key []byte) ([]byte, error) {
+	v, ok, err := s.getAppend(t, []byte{}, key)
+	if !ok {
+		return nil, err
+	}
+	return v, nil
+}
+
+// getAppend appends key's string value to dst; ok is false, and dst
+// returned unchanged, if key is absent.
+func (s *Store) getAppend(t *kernel.Task, dst, key []byte) (_ []byte, ok bool, err error) {
 	e, _, err := s.findEntry(t, key)
 	if err != nil || e == 0 {
-		return nil, err
+		return dst, false, err
 	}
 	vp, err := t.Load(e+24, 8)
 	if err != nil || vp == 0 {
-		return nil, err
+		return dst, false, err
 	}
 	n, err := t.Load(pgtable.VirtAddr(vp), 8)
 	if err != nil {
-		return nil, err
+		return dst, false, err
 	}
-	return t.ReadBytes(pgtable.VirtAddr(vp)+8, int(n))
+	dst, err = t.ReadAppend(dst, pgtable.VirtAddr(vp)+8, int(n))
+	return dst, err == nil, err
 }
 
 // listHeader returns (creating on demand) key's list header address.
