@@ -9,9 +9,16 @@
 //
 // Usage:
 //
-//	stramash-bench [-scale quick|full] [-only <id>] [-parallel N]
-//	               [-timeout d] [-timing] [-list] [-json results.json]
+//	stramash-bench [-scale quick|full] [-only <id> | -suite validation|extras]
+//	               [-parallel N] [-timeout d] [-timing] [-list]
+//	               [-json results.json]
 //	               [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//
+// -suite runs a named group instead of the default paper sweep:
+// validation is the simulator-validation suite of §9.1 (table2, the IPI
+// latency characterisation of Figures 5/6, the icount validation of
+// Figure 7 and the cache plugin comparison of Figure 8); extras is the
+// reproduction-only experiments. -suite and -only exclude each other.
 //
 // -cpuprofile and -memprofile write pprof profiles of the host process
 // (see EXPERIMENTS.md, "Profiling the simulator"). Profile with
@@ -29,20 +36,22 @@
 // per-worker and per-tenant counters for the serving extras), the
 // simulation driver's own counters (engine_stats) where an experiment
 // exports them, the host wall time, and any shape deviations or errors.
-// Exit codes: 0 all shape claims reproduced, 1 an experiment failed, 3
-// shape deviations.
+// Exit codes: 0 all shape claims reproduced, 1 an experiment failed, 2
+// usage error, 3 shape deviations. CI gates on them.
 //
 // Experiment ids: table2, fig5-6-small, fig5-6-big, fig7-small, fig7-big,
 // fig8, table3, table4, fig9, fig10, fig11, fig12, fig13, fig14,
 // ablation-remote-alloc, ablation-ipi. Reproduction-only extras (run via
-// -only, excluded from the default full run): multicore, filesys, cluster,
-// redisprod, tenants.
+// -only or -suite extras, excluded from the default full run): multicore,
+// filesys, cluster, redisprod, tenants.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -51,108 +60,168 @@ import (
 	"repro/internal/experiments"
 )
 
+// validationIDs is the §9.1 suite, in report order.
+var validationIDs = []string{"table2", "fig5-6-small", "fig5-6-big", "fig7-small", "fig7-big", "fig8"}
+
+// options are the parsed flags that shape a run once its specs are chosen.
+type options struct {
+	scale                           experiments.Scale
+	pool                            experiments.PoolOptions
+	timing                          bool
+	jsonOut, cpuProfile, memProfile string
+}
+
 func main() {
-	scaleFlag := flag.String("scale", "quick", "workload scale: quick or full")
-	only := flag.String("only", "", "run a single experiment by id")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	parallel := flag.Int("parallel", 0, "host width: experiments in flight, spare cores to their rows (0 = GOMAXPROCS, 1 = sequential)")
-	timeout := flag.Duration("timeout", 0, "per-experiment wall-clock timeout (0 = none)")
-	timing := flag.Bool("timing", false, "print per-experiment wall-clock timing to stderr")
-	jsonOut := flag.String("json", "", "write a machine-readable JSON report to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, picks the experiments and
+// returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("stramash-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleFlag := fs.String("scale", "quick", "workload scale: quick or full")
+	only := fs.String("only", "", "run a single experiment by id")
+	suite := fs.String("suite", "", "run a named group: validation (§9.1) or extras")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	parallel := fs.Int("parallel", 0, "host width: experiments in flight, spare cores to their rows (0 = GOMAXPROCS, 1 = sequential)")
+	timeout := fs.Duration("timeout", 0, "per-experiment wall-clock timeout (0 = none)")
+	timing := fs.Bool("timing", false, "print per-experiment wall-clock timing to stderr")
+	jsonOut := fs.String("json", "", "write a machine-readable JSON report to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 
 	if *list {
 		for _, s := range experiments.All() {
-			fmt.Println(s.ID)
+			fmt.Fprintln(stdout, s.ID)
 		}
 		for _, s := range experiments.Extra() {
-			fmt.Println(s.ID)
+			fmt.Fprintln(stdout, s.ID)
 		}
-		return
+		return 0
 	}
 
-	var scale experiments.Scale
+	opt := options{
+		pool:   experiments.PoolOptions{Parallelism: *parallel, Timeout: *timeout},
+		timing: *timing, jsonOut: *jsonOut, cpuProfile: *cpuProfile, memProfile: *memProfile,
+	}
 	switch *scaleFlag {
 	case "quick":
-		scale = experiments.Quick
+		opt.scale = experiments.Quick
 	case "full":
-		scale = experiments.Full
+		opt.scale = experiments.Full
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleFlag)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown scale %q\n", *scaleFlag)
+		return 2
 	}
 
-	specs := experiments.All()
-	if *only != "" {
-		s, ok := experiments.Find(*only)
+	specs, err := selectSpecs(*only, *suite)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	return execute(specs, opt, stdout, stderr)
+}
+
+// selectSpecs resolves -only and -suite; with neither it is the paper
+// sweep. Every error it returns is a usage error.
+func selectSpecs(only, suite string) ([]experiments.Spec, error) {
+	switch {
+	case only != "" && suite != "":
+		return nil, fmt.Errorf("-only and -suite exclude each other")
+	case only != "":
+		s, ok := experiments.Find(only)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *only)
-			os.Exit(2)
+			return nil, fmt.Errorf("unknown experiment %q (use -list)", only)
 		}
-		specs = []experiments.Spec{s}
+		return []experiments.Spec{s}, nil
+	case suite == "validation":
+		var specs []experiments.Spec
+		for _, id := range validationIDs {
+			s, ok := experiments.Find(id)
+			if !ok {
+				return nil, fmt.Errorf("validation suite names unknown experiment %q", id)
+			}
+			specs = append(specs, s)
+		}
+		return specs, nil
+	case suite == "extras":
+		return experiments.Extra(), nil
+	case suite != "":
+		return nil, fmt.Errorf("unknown suite %q (validation or extras)", suite)
 	}
+	return experiments.All(), nil
+}
 
-	opts := experiments.PoolOptions{Parallelism: *parallel, Timeout: *timeout}
-
+// execute runs specs and reports them, returning the exit code. Tests
+// drive it with injected specs.
+func execute(specs []experiments.Spec, opt options, stdout, stderr io.Writer) int {
 	// Profiling brackets exactly the experiment pool: flag parsing and
-	// report rendering stay out of the profile. main exits via os.Exit, so
-	// the profiles are closed explicitly here rather than deferred.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	// report rendering stay out of the profile.
+	if opt.cpuProfile != "" {
+		f, err := os.Create(opt.cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
 	}
 
 	start := time.Now()
-	outcomes := experiments.RunPool(context.Background(), specs, scale, opts)
+	outcomes := experiments.RunPool(context.Background(), specs, opt.scale, opt.pool)
 	wall := time.Since(start)
 
-	if *cpuProfile != "" {
+	if opt.cpuProfile != "" {
 		pprof.StopCPUProfile()
-		fmt.Fprintf(os.Stderr, "cpu profile written to %s\n", *cpuProfile)
+		fmt.Fprintf(stderr, "cpu profile written to %s\n", opt.cpuProfile)
 	}
-	if *memProfile != "" {
-		if err := writeMemProfile(*memProfile); err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
+	if opt.memProfile != "" {
+		if err := writeMemProfile(opt.memProfile); err != nil {
+			fmt.Fprintf(stderr, "memprofile: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "heap profile written to %s\n", *memProfile)
+		fmt.Fprintf(stderr, "heap profile written to %s\n", opt.memProfile)
 	}
 
-	if *timing {
+	if opt.timing {
 		for _, o := range outcomes {
-			fmt.Fprintf(os.Stderr, "%-22s %v\n", o.Spec.ID, o.Wall.Round(time.Millisecond))
+			fmt.Fprintf(stderr, "%-22s %v\n", o.Spec.ID, o.Wall.Round(time.Millisecond))
 		}
 	}
-	summary := experiments.Summarize(outcomes, wall)
-	fmt.Fprintln(os.Stderr, summary)
+	fmt.Fprintln(stderr, experiments.Summarize(outcomes, wall))
 
-	if *jsonOut != "" {
-		if err := writeJSONFile(*jsonOut, scale, outcomes, wall); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
+	if opt.jsonOut != "" {
+		if err := writeJSONFile(opt.jsonOut, opt.scale, outcomes, wall); err != nil {
+			fmt.Fprintf(stderr, "json: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "json report written to %s\n", *jsonOut)
+		fmt.Fprintf(stderr, "json report written to %s\n", opt.jsonOut)
 	}
 
-	deviations, err := experiments.Report(os.Stdout, outcomes)
+	deviations, err := experiments.Report(stdout, outcomes)
 	switch {
 	case err != nil:
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
+		fmt.Fprintf(stderr, "error: %v\n", err)
 	case deviations > 0:
-		fmt.Printf("total shape deviations: %d\n", deviations)
+		fmt.Fprintf(stdout, "total shape deviations: %d\n", deviations)
 	default:
-		fmt.Println("all shape checks reproduced")
+		fmt.Fprintln(stdout, "all shape checks reproduced")
 	}
-	os.Exit(experiments.ExitCode(deviations, err))
+	return experiments.ExitCode(deviations, err)
 }
 
 // writeMemProfile records the post-run heap. allocs-space totals in the

@@ -118,10 +118,10 @@ func WriteJSON(w io.Writer, rep JSONReport) error {
 	return err
 }
 
-// ExitCode maps a run to the process exit code shared by stramash-bench
-// and stramash-validate: 0 when everything ran and every shape claim
-// reproduced, 1 on any execution error, 3 when the experiments completed
-// but shape deviations were found. CI gates on this.
+// ExitCode maps a run to stramash-bench's exit code: 0 when everything
+// ran and every shape claim reproduced, 1 on any execution error, 3 when
+// the experiments completed but shape deviations were found. CI gates on
+// this.
 func ExitCode(deviations int, err error) int {
 	switch {
 	case err != nil:

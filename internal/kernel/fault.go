@@ -144,7 +144,7 @@ func (v *Vanilla) Name() string { return "vanilla" }
 // CreateProcess allocates process control state on the origin kernel.
 func (v *Vanilla) CreateProcess(pt *hw.Port, origin mem.NodeID) (*Process, error) {
 	k := v.Ctx.Kernel(origin)
-	proc := NewProcess(k.NextPID(), origin)
+	proc := NewProcess(v.Ctx.NextPID(), origin)
 	ctrl, err := k.AllocZeroedPage(pt)
 	if err != nil {
 		return nil, err

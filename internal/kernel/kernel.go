@@ -1,7 +1,7 @@
 // Package kernel is the OS substrate shared by both operating-system
 // personalities of the reproduction: per-node kernel instances with buddy
 // page allocators over their firmware-assigned physical ranges (§6.1),
-// red-black VMA trees, bit-accurate per-ISA page tables, processes and
+// sorted VMA lists, bit-accurate per-ISA page tables, processes and
 // simulated tasks, futexes, and namespaces.
 //
 // The two personalities — the multiple-kernel baseline (internal/popcorn)
@@ -37,9 +37,6 @@ type Kernel struct {
 	// kernels share one Namespaces instance (§6.6); under the
 	// multiple-kernel personality each kernel has its own replica.
 	NS *Namespaces
-
-	// nextPID is the kernel-local PID cursor (origin kernel assigns PIDs).
-	nextPID int
 }
 
 // BootConfig controls how much of the node's firmware-assigned memory the
@@ -116,12 +113,6 @@ func (k *Kernel) AllocTablePage(pt *hw.Port) (mem.PhysAddr, error) {
 	return k.AllocZeroedPage(pt)
 }
 
-// NextPID returns a fresh process ID on this kernel.
-func (k *Kernel) NextPID() int {
-	k.nextPID++
-	return k.nextPID
-}
-
 // Context bundles the per-machine state every OS personality needs.
 type Context struct {
 	Plat    *hw.Platform
@@ -146,6 +137,17 @@ type Context struct {
 	// cancel mid-blocking waiters (invariant 13). Slices keep registration
 	// order deterministic.
 	capBlocked map[cap.CapID][]*Task
+
+	// lastPID is the machine-wide PID cursor. The personalities key
+	// per-process state by PID, so processes of both origins draw from
+	// one sequence.
+	lastPID int
+}
+
+// NextPID returns a fresh process ID, unique across both kernels.
+func (c *Context) NextPID() int {
+	c.lastPID++
+	return c.lastPID
 }
 
 // capBlock registers t as blocked under capability id.

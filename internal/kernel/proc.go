@@ -58,7 +58,7 @@ type PageMeta struct {
 }
 
 // Process is one user process. Its address space is described once (VMA
-// tree) but realized per node: each kernel instance keeps a page table in
+// list) but realized per node: each kernel instance keeps a page table in
 // its own hardware format referring — depending on the personality — to
 // shared frames or to replicas.
 type Process struct {
@@ -68,7 +68,7 @@ type Process struct {
 	// which every capability gate is a single host-side nil check
 	// (observer-effect-free, like the nil tracer).
 	Ten  *cap.Tenant
-	VMAs VMATree
+	VMAs VMAList
 	// Tables are the per-node page tables (nil until first used there).
 	Tables [2]*pgtable.Table
 	// Pages maps page-aligned VAs to their metadata.

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/pgtable"
@@ -13,7 +12,7 @@ func mkVMA(start, end pgtable.VirtAddr) *VMA {
 }
 
 func TestVMAInsertFind(t *testing.T) {
-	var tr VMATree
+	var tr VMAList
 	if err := tr.Insert(mkVMA(0x1000, 0x3000)); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestVMAInsertFind(t *testing.T) {
 }
 
 func TestVMAOverlapRejected(t *testing.T) {
-	var tr VMATree
+	var tr VMAList
 	tr.Insert(mkVMA(0x1000, 0x3000))
 	for _, bad := range [][2]pgtable.VirtAddr{
 		{0x0, 0x1001}, {0x2000, 0x2800}, {0x2FFF, 0x5000}, {0x1000, 0x3000},
@@ -56,7 +55,7 @@ func TestVMAOverlapRejected(t *testing.T) {
 }
 
 func TestVMARemove(t *testing.T) {
-	var tr VMATree
+	var tr VMAList
 	tr.Insert(mkVMA(0x1000, 0x2000))
 	tr.Insert(mkVMA(0x3000, 0x4000))
 	if v := tr.Remove(0x1000); v == nil {
@@ -74,10 +73,10 @@ func TestVMARemove(t *testing.T) {
 }
 
 func TestVMATreeAgainstNaiveModel(t *testing.T) {
-	// Property: under random inserts/removes/lookups, the RB-tree agrees
-	// with a naive sorted-slice model and keeps its invariants.
+	// Property: under random inserts/removes/lookups, the list agrees with
+	// a naive interval model and stays sorted.
 	rng := sim.NewRNG(42)
-	var tr VMATree
+	var tr VMAList
 	model := map[pgtable.VirtAddr]*VMA{}
 
 	for op := 0; op < 5000; op++ {
@@ -126,43 +125,52 @@ func TestVMATreeAgainstNaiveModel(t *testing.T) {
 			}
 		}
 		if op%100 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
 			if tr.Len() != len(model) {
 				t.Fatalf("op %d: Len %d != model %d", op, tr.Len(), len(model))
 			}
 		}
 	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
+
+	// The list holds exactly the model's areas, in address order.
+	if tr.Len() != len(model) {
+		t.Fatalf("Len %d, want %d", tr.Len(), len(model))
+	}
+	for i, v := range tr.areas {
+		if model[v.Start] == nil {
+			t.Fatalf("area %v not in model", v)
+		}
+		if i > 0 && tr.areas[i-1].End > v.Start {
+			t.Fatalf("areas %v and %v out of order", tr.areas[i-1], v)
+		}
 	}
 
-	// Walk returns sorted order and full coverage.
-	var walked []pgtable.VirtAddr
-	tr.Walk(func(v *VMA) bool {
-		walked = append(walked, v.Start)
-		return true
-	})
-	if len(walked) != len(model) {
-		t.Fatalf("Walk visited %d, want %d", len(walked), len(model))
+	// Mmap's cursor only grows, so every mapping appends; each area must
+	// be found at its first and its last byte.
+	p := NewProcess(1, 0)
+	var bases []pgtable.VirtAddr
+	for i := 0; i < 40; i++ {
+		var base pgtable.VirtAddr
+		var err error
+		if i%3 == 0 {
+			base, err = p.MmapAligned(uint64(i+1)*0x1000, 2<<20, VMARead|VMAWrite, "aligned")
+		} else {
+			base, err = p.Mmap(uint64(i)*0x800+1, VMARead, "anon")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, base)
 	}
-	if !sort.SliceIsSorted(walked, func(i, j int) bool { return walked[i] < walked[j] }) {
-		t.Error("Walk order not sorted")
+	if p.VMAs.Len() != len(bases) {
+		t.Fatalf("Len %d, want %d", p.VMAs.Len(), len(bases))
 	}
-}
-
-func TestVMAWalkEarlyStop(t *testing.T) {
-	var tr VMATree
-	for i := 0; i < 10; i++ {
-		tr.Insert(mkVMA(pgtable.VirtAddr(i)*0x1000, pgtable.VirtAddr(i)*0x1000+0x800))
-	}
-	n := 0
-	tr.Walk(func(v *VMA) bool {
-		n++
-		return n < 3
-	})
-	if n != 3 {
-		t.Errorf("Walk visited %d after early stop, want 3", n)
+	for _, base := range bases {
+		v := p.VMAs.Find(base)
+		if v == nil || v.Start != base {
+			t.Fatalf("Find(%#x) = %v", base, v)
+		}
+		if last := p.VMAs.Find(v.End - 1); last != v {
+			t.Fatalf("Find(%#x) = %v, want %v", v.End-1, last, v)
+		}
 	}
 }

@@ -126,7 +126,7 @@ func (o *OS) Name() string { return "popcorn-" + o.Msgr.Mode().String() }
 // CreateProcess sets up per-kernel control structures for a new process.
 func (o *OS) CreateProcess(pt *hw.Port, origin mem.NodeID) (*kernel.Process, error) {
 	k := o.Ctx.Kernel(origin)
-	proc := kernel.NewProcess(k.NextPID(), origin)
+	proc := kernel.NewProcess(o.Ctx.NextPID(), origin)
 	var pages [2]mem.PhysAddr
 	for n := 0; n < 2; n++ {
 		p, err := o.Ctx.Kernel(mem.NodeID(n)).AllocZeroedPage(pt)

@@ -294,3 +294,39 @@ func TestMigrationSendsStateMessages(t *testing.T) {
 	}
 	_ = ctx
 }
+
+func TestProcessesOfBothOriginsGetDistinctState(t *testing.T) {
+	// An x86-origin and an Arm-origin process live at once: per-process
+	// state is keyed by PID, so the two must never share a PID.
+	ctx, os := testSystem(t, interconnect.SHM)
+	var procs [2]*kernel.Process
+	var err error
+	ctx.Plat.Engine.Spawn("setup", 0, func(th *sim.Thread) {
+		for n := range procs {
+			node := mem.NodeID(n)
+			if procs[n], err = os.CreateProcess(ctx.Plat.NewPort(node, 0, th), node); err != nil {
+				return
+			}
+		}
+	})
+	if err := ctx.Plat.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, a := procs[mem.NodeX86].PID, procs[mem.NodeArm].PID
+	if x == a {
+		t.Fatalf("both processes got PID %d", x)
+	}
+	if os.ctrlPages[x] == os.ctrlPages[a] {
+		t.Errorf("processes share VMA control pages %v", os.ctrlPages[x])
+	}
+	if os.futexes[x] == os.futexes[a] {
+		t.Error("processes share a futex table")
+	}
+	os.vmaReplicated[x][0x1000] = true
+	if os.vmaReplicated[a][0x1000] {
+		t.Error("processes share a VMA replication set")
+	}
+}

@@ -92,7 +92,7 @@ func (o *OS) Name() string { return "stramash" }
 // CreateProcess allocates the single fused control page and futex block.
 func (o *OS) CreateProcess(pt *hw.Port, origin mem.NodeID) (*kernel.Process, error) {
 	k := o.Ctx.Kernel(origin)
-	proc := kernel.NewProcess(k.NextPID(), origin)
+	proc := kernel.NewProcess(o.Ctx.NextPID(), origin)
 	ctrl, err := k.AllocZeroedPage(pt)
 	if err != nil {
 		return nil, err

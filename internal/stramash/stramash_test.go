@@ -331,3 +331,38 @@ func allocInside(a *kernel.PageAlloc, blk *Block) (mem.PhysAddr, error) {
 		parked = append(parked, p)
 	}
 }
+
+func TestProcessesOfBothOriginsGetDistinctState(t *testing.T) {
+	// An x86-origin and an Arm-origin process live at once: per-process
+	// state is keyed by PID, so the two must never share a PID.
+	ctx, os := testSystem(t, mem.Shared)
+	var procs [2]*kernel.Process
+	var err error
+	ctx.Plat.Engine.Spawn("setup", 0, func(th *sim.Thread) {
+		for n := range procs {
+			node := mem.NodeID(n)
+			if procs[n], err = os.CreateProcess(ctx.Plat.NewPort(node, 0, th), node); err != nil {
+				return
+			}
+		}
+	})
+	if err := ctx.Plat.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, a := procs[mem.NodeX86].PID, procs[mem.NodeArm].PID
+	if x == a {
+		t.Fatalf("both processes got PID %d", x)
+	}
+	if os.ctrlPages[x] == os.ctrlPages[a] {
+		t.Errorf("processes share VMA control page %#x", os.ctrlPages[x])
+	}
+	if os.futexes[x] == os.futexes[a] {
+		t.Error("processes share a futex table")
+	}
+	if os.ptl[x] == os.ptl[a] {
+		t.Errorf("processes share page-table lock word %#x", os.ptl[x])
+	}
+}

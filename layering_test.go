@@ -26,7 +26,7 @@ var layers = [][]string{
 	{"internal/machine"},
 	{"internal/redisapp", "internal/microbench", "internal/hwref"},
 	{"internal/experiments"},
-	{"cmd/stramash-bench", "cmd/stramash-sim", "cmd/stramash-validate", "bench"},
+	{"cmd/stramash-bench", "cmd/stramash-sim", "bench"},
 	{"."},
 }
 
