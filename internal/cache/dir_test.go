@@ -102,10 +102,10 @@ func TestDirTableMatchesMapDirectory(t *testing.T) {
 					}
 					cells[k] = fe
 					mut := dirEntry{
-						holders:  [2]bool{rng.Intn(2) == 0, rng.Intn(2) == 0},
-						owner:    int8(rng.Intn(3) - 1),
-						modified: rng.Intn(2) == 0,
+						holders: [2]bool{rng.Intn(2) == 0, rng.Intn(2) == 0},
+						owner:   int8(rng.Intn(3) - 1),
 					}
+					mut.setModified(rng.Intn(2) == 0)
 					*fe = mut
 					*re = mut
 				}

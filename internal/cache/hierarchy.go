@@ -54,6 +54,8 @@ func (w way) holds(a lineAddr) bool { return w&^wayDirty == way(a)<<2|wayValid }
 type level struct {
 	ways  []way
 	order []uint64
+	// watch is the armed Watch of a parked spin loop whose L1D this is.
+	watch *Watch
 	memo  [memoSize]uint32
 	shift uint   // log2 of the ways per set
 	last  uint64 // ways per set - 1
@@ -194,8 +196,28 @@ type dirEntry struct {
 	holders [2]bool
 	// owner is the node holding the line Exclusive or Modified, or -1 when
 	// the line is Shared or uncached.
-	owner    int8
-	modified bool
+	owner int8
+	flags dirFlags
+}
+
+// dirFlags are a directory entry's bits besides holders and owner.
+type dirFlags uint8
+
+const (
+	// dirModified: the owner's copy is Modified.
+	dirModified dirFlags = 1 << iota
+	// dirWatched: an armed Watch polls the line.
+	dirWatched
+)
+
+func (e *dirEntry) modified() bool { return e.flags&dirModified != 0 }
+
+func (e *dirEntry) setModified(m bool) {
+	if m {
+		e.flags |= dirModified
+	} else {
+		e.flags &^= dirModified
+	}
 }
 
 // dirHint is a per-core one-entry cache of the directory cell of the core's
@@ -253,6 +275,8 @@ type Hierarchy struct {
 	bounds []shardBound
 	// hints are the per-node, per-core last-line directory cell caches.
 	hints [2][]dirHint
+	// watches are the armed Watches, in arming order.
+	watches []*Watch
 
 	// Tap, when set, observes every access before it is simulated. The
 	// Figure 8 validation uses it to replay the identical reference stream
@@ -302,15 +326,24 @@ func NewHierarchy(cfg Config, layout *mem.Layout) *Hierarchy {
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-// Stats returns a snapshot of node n's counters.
-func (h *Hierarchy) Stats(n mem.NodeID) Stats { return h.nodes[n].stats }
+// Stats returns a snapshot of node n's counters. Reading them fires every
+// armed Watch first, so the snapshot holds the parked loops' probes too.
+func (h *Hierarchy) Stats(n mem.NodeID) Stats {
+	h.fireAll()
+	return h.nodes[n].stats
+}
 
 // CoreStats returns a snapshot of the per-core private-cache counters of
-// core c on node n.
-func (h *Hierarchy) CoreStats(n mem.NodeID, c int) CoreStats { return h.nodes[n].coreStats[c] }
+// core c on node n (armed Watches fire first, as in Stats).
+func (h *Hierarchy) CoreStats(n mem.NodeID, c int) CoreStats {
+	h.fireAll()
+	return h.nodes[n].coreStats[c]
+}
 
-// ResetStats zeroes all counters without disturbing cache contents.
+// ResetStats zeroes all counters without disturbing cache contents (armed
+// Watches fire first, so no parked probe is counted after the reset).
 func (h *Hierarchy) ResetStats() {
+	h.fireAll()
 	for _, nc := range h.nodes {
 		nc.stats = Stats{}
 		for i := range nc.coreStats {
@@ -339,7 +372,7 @@ func (h *Hierarchy) CheckMESI() error {
 // checkMESI returns line ln's violation of the MESI invariant, or nil.
 func (e *dirEntry) checkMESI(ln lineAddr) error {
 	switch {
-	case e.modified && e.owner == -1:
+	case e.modified() && e.owner == -1:
 		return fmt.Errorf("cache: line %#x is Modified with no owner", ln)
 	case e.owner != -1 && e.owner != 0 && e.owner != 1:
 		return fmt.Errorf("cache: line %#x has invalid owner %d", ln, e.owner)
@@ -348,9 +381,9 @@ func (e *dirEntry) checkMESI(ln lineAddr) error {
 	case e.owner != -1 && e.holders[1-e.owner]:
 		return fmt.Errorf("cache: line %#x held M/E by node %d while node %d also holds it (S coexists with M/E)",
 			ln, e.owner, 1-e.owner)
-	case e.holders[0] && e.holders[1] && (e.owner != -1 || e.modified):
+	case e.holders[0] && e.holders[1] && (e.owner != -1 || e.modified()):
 		return fmt.Errorf("cache: line %#x shared by both nodes but owner=%d modified=%v",
-			ln, e.owner, e.modified)
+			ln, e.owner, e.modified())
 	}
 	return nil
 }
@@ -448,6 +481,11 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		cs.L1DAccesses++
 		st.MemAccesses++
 	}
+	if l1.watch != nil {
+		// Another thread uses a parked spin loop's L1D: its stamps and
+		// fills would interleave with the loop's.
+		l1.watch.trigger()
+	}
 
 	if !isWrite {
 		// Read L1-hit fast path: a line cached here cannot have a remote
@@ -486,6 +524,9 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	e := h.entryFor(node, core, ln)
 	held := e.holders[node]
 	if isWrite {
+		if e.flags&dirWatched != 0 {
+			h.fireLine(ln)
+		}
 		if e.holders[other] {
 			// CXL Snoop Invalidate: the other node must drop its copy.
 			h.invalidateNode(other, ln)
@@ -502,7 +543,7 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		}
 		e.holders[node] = true
 		e.owner = int8(node)
-		e.modified = true
+		e.flags |= dirModified
 	} else {
 		if e.holders[other] && int(e.owner) == other {
 			// CXL Snoop Data: M/E at the other node; forward data, both S.
@@ -510,7 +551,7 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 			st.SnoopDataForwards++
 			st.CoherenceLatency += h.cfg.CrossNode.Data
 			e.owner = -1
-			e.modified = false
+			e.setModified(false)
 			if tr := h.Tracer; tr != nil {
 				tr.Emit(trace.Event{Cycle: h.ctxCycle, Kind: trace.KindSnoopData,
 					Node: int8(node), Core: int16(core), Tid: h.ctxTid,
@@ -764,10 +805,13 @@ func (h *Hierarchy) onLastLevelEvict(node int, ln lineAddr, dirty bool) {
 		nc.l1i[c].invalidate(ln)
 	}
 	e := h.entry(ln)
+	if e.flags&dirWatched != 0 {
+		h.fireLine(ln)
+	}
 	e.holders[node] = false
 	if int(e.owner) == node {
 		e.owner = -1
-		e.modified = false
+		e.setModified(false)
 	}
 	if dirty {
 		pa := mem.PhysAddr(ln) * mem.LineSize
@@ -822,7 +866,9 @@ func (h *Hierarchy) forEachEntry(f func(lineAddr, *dirEntry)) {
 }
 
 // Flush empties every cache in the machine (contents only; stats remain).
+// Every armed Watch fires first.
 func (h *Hierarchy) Flush() {
+	h.fireAll()
 	for _, nc := range h.nodes {
 		for c := range nc.l2 {
 			nc.l1i[c].flushAll()

@@ -116,14 +116,14 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 		}
 		e.holders[node] = true
 		e.owner = int8(node)
-		e.modified = true
+		e.setModified(true)
 	} else {
 		if e.holders[other] && int(e.owner) == other {
 			cost += h.cfg.CrossNode.Data
 			st.SnoopDataForwards++
 			st.CoherenceLatency += h.cfg.CrossNode.Data
 			e.owner = -1
-			e.modified = false
+			e.setModified(false)
 			if tr := h.Tracer; tr != nil {
 				tr.Emit(trace.Event{Cycle: h.ctxCycle, Kind: trace.KindSnoopData,
 					Node: int8(node), Core: int16(core), Tid: h.ctxTid,
@@ -280,7 +280,7 @@ func (o *missOracle) onLastLevelEvict(node int, ln lineAddr, dirty bool) {
 	e.holders[node] = false
 	if int(e.owner) == node {
 		e.owner = -1
-		e.modified = false
+		e.setModified(false)
 	}
 	if dirty {
 		pa := mem.PhysAddr(ln) * mem.LineSize

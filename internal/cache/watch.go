@@ -1,0 +1,135 @@
+package cache
+
+import (
+	"slices"
+
+	"repro/internal/mem"
+	"repro/internal/sim"
+)
+
+// MaxWatchLines is the most lines one Watch polls.
+const MaxWatchLines = 4
+
+// Watch is a parked spin loop's claim on the cache state its probes depend
+// on (DESIGN.md §6, "Spin parking"). While it is armed, its core's L1D holds
+// every watched line, so each skipped probe would be L1D hits that only add
+// to counters and re-stamp lines already most recently used. The first
+// event that could change what a probe observes or costs fires it — and
+// disarms it — before the event takes effect:
+//
+//   - any data access through the core's L1D by another thread (its stamps
+//     and fills would interleave with the probes');
+//   - a write to a watched line, from any core of either node (dirWatched
+//     is tested where the write path already loads the line's entry);
+//   - a watched line leaving a last level (the eviction path's entry load),
+//     which also covers the back-invalidation out of the L1D;
+//   - Flush, and reading or resetting the counters (Stats, CoreStats,
+//     ResetStats), which must include the skipped probes.
+//
+// The zero value is disarmed. A Watch is reused park after park without
+// allocating.
+type Watch struct {
+	h     *Hierarchy
+	l1    *level
+	lines [MaxWatchLines]lineAddr
+	n     int
+	fire  func()
+	armed bool
+}
+
+// Arm arms w for a spin loop on (node, core) polling the lines holding
+// addrs, calling fire on the first disturbing event. It arms nothing and
+// returns false unless every line is resident in the core's L1D, no other
+// Watch holds that L1D, no Tap is installed and len(addrs) <= MaxWatchLines.
+// It charges nothing and changes no simulated cache state.
+func (h *Hierarchy) Arm(w *Watch, node mem.NodeID, core int, addrs []mem.PhysAddr, fire func()) bool {
+	l1 := h.nodes[node].l1d[core]
+	if w.armed || h.Tap != nil || l1.watch != nil || len(addrs) > MaxWatchLines {
+		return false
+	}
+	for _, a := range addrs {
+		if ln := lineOf(a); l1.hit(ln) < 0 && l1.scan(ln) < 0 {
+			return false
+		}
+	}
+	w.h, w.l1, w.n, w.fire, w.armed = h, l1, len(addrs), fire, true
+	for i, a := range addrs {
+		w.lines[i] = lineOf(a)
+		h.entry(w.lines[i]).flags |= dirWatched
+	}
+	l1.watch = w
+	h.watches = append(h.watches, w)
+	return true
+}
+
+// Disarm disarms w if it is armed; firing is then the caller's business.
+func (w *Watch) Disarm() {
+	if !w.armed {
+		return
+	}
+	h := w.h
+	w.armed = false
+	w.l1.watch = nil
+	h.watches = slices.DeleteFunc(h.watches, func(o *Watch) bool { return o == w })
+	for _, ln := range w.lines[:w.n] {
+		if !h.watched(ln) {
+			h.entry(ln).flags &^= dirWatched
+		}
+	}
+}
+
+// Armed reports whether w is armed.
+func (w *Watch) Armed() bool { return w.armed }
+
+// watched reports whether an armed Watch polls ln.
+func (h *Hierarchy) watched(ln lineAddr) bool {
+	for _, w := range h.watches {
+		if slices.Contains(w.lines[:w.n], ln) {
+			return true
+		}
+	}
+	return false
+}
+
+// trigger disarms w and fires it.
+func (w *Watch) trigger() {
+	w.Disarm()
+	w.fire()
+}
+
+// fireLine fires every armed Watch polling ln.
+func (h *Hierarchy) fireLine(ln lineAddr) {
+	for i := 0; i < len(h.watches); {
+		if w := h.watches[i]; slices.Contains(w.lines[:w.n], ln) {
+			w.trigger() // removes h.watches[i]
+			continue
+		}
+		i++
+	}
+}
+
+// fireAll fires every armed Watch, in arming order.
+func (h *Hierarchy) fireAll() {
+	for len(h.watches) > 0 {
+		h.watches[0].trigger()
+	}
+}
+
+// ReplayL1DHits adds n data reads by (node, core) that hit its L1D to the
+// node's and the core's counters, exactly as n Access calls taking the
+// read L1-hit path would, and returns their latency. It touches no cache
+// state: it accounts the probes a parked spin loop skipped, whose stamps
+// were no-ops.
+func (h *Hierarchy) ReplayL1DHits(node mem.NodeID, core int, n int64) sim.Cycles {
+	nc := h.nodes[node]
+	st, cs := &nc.stats, &nc.coreStats[core]
+	cycles := sim.Cycles(n) * h.cfg.Nodes[node].Lat.L1
+	st.L1DAccesses += n
+	cs.L1DAccesses += n
+	st.MemAccesses += n
+	st.L1DHits += n
+	cs.L1DHits += n
+	st.CacheHitLatency += cycles
+	st.TotalLatency += cycles
+	return cycles
+}

@@ -179,6 +179,9 @@ func (p *Process) FlushTLB(node mem.NodeID, va pgtable.VirtAddr) {
 	pva := va &^ (mem.PageSize - 1)
 	for _, t := range p.Tasks {
 		if t.Node == node {
+			if t.spin != nil && t.spin.watchesPage(pva) {
+				t.spin.disturb()
+			}
 			t.tlb[node].invalidate(pva)
 		}
 	}
@@ -188,6 +191,7 @@ func (p *Process) FlushTLB(node mem.NodeID, va pgtable.VirtAddr) {
 // exit). Entries are invalidated in place — no reallocation, no garbage.
 func (p *Process) FlushAllTLBs() {
 	for _, t := range p.Tasks {
+		t.spin.disturb()
 		for n := range t.tlb {
 			t.tlb[n].invalidateAll()
 		}

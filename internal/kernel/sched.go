@@ -231,6 +231,8 @@ func (s *Scheduler) acquire(t *Task) {
 	cpu := s.cpus[t.Node][t.Core]
 	if s.Policy == SchedTimeSlice {
 		if cpu.cur != nil && cpu.cur != t {
+			// A parked occupant's preemption hook stops being pure.
+			cpu.cur.spin.disturb()
 			cpu.queue = append(cpu.queue, t)
 			t.State = TaskReady
 			if tr := s.Ctx.Plat.Tracer; tr != nil {
@@ -323,6 +325,23 @@ func (s *Scheduler) quantumFor(t *Task) int64 {
 		q = 1
 	}
 	return q
+}
+
+// replaySlices applies maybePreempt's empty-queue branch at yield points
+// 0..n-1 of t's parked wait loop (spinLoop), in closed form: the slice
+// restarts at the first yield point where t has retired its quantum of
+// instructions, or held the CPU for the cycle backstop, since the slice
+// began.
+func (s *Scheduler) replaySlices(t *Task, sp *spinLoop, n int64) {
+	quantum := s.quantumFor(t)
+	for j := int64(0); ; j++ {
+		j = max(j, min(sp.firstWith(t.sliceInstr+quantum),
+			sp.firstAt(t.sliceStart+sim.Cycles(quantum*backstopFactor))))
+		if j >= n {
+			return
+		}
+		t.sliceInstr, t.sliceStart = sp.instr(j), sp.clock(j)
+	}
 }
 
 // maybePreempt is the preemption hook installed on every strictly scheduled

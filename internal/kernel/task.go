@@ -91,6 +91,9 @@ type Task struct {
 	sockSleeping bool
 	capCancel    bool
 
+	// spin is the SpinWait loop state, nil until the task's first SpinWait.
+	spin *spinLoop
+
 	Stats  TaskStats
 	exited bool
 

@@ -611,24 +611,19 @@ func prodRingConsume(t *kernel.Task, reqRing pgtable.VirtAddr, tail uint64, dst 
 	return slot, t.Store(reqRing+64, 8, tail+1)
 }
 
-// prodRingPeek reads a ring's control words plus the stop flag as one
-// ordering unit. The worker wait loops spin on this: the loads are
-// cross-task shared state, so even a read-only probe starts at a yield
-// point — a probe running ahead of a lower-clocked producer's pending
-// publication would observe the ring before that publication's simulated
-// time.
-func prodRingPeek(t *kernel.Task, ring, stopAddr pgtable.VirtAddr) (head, tail, stop uint64, err error) {
-	t.Th.YieldPoint()
-	defer t.Th.YieldPoint()
-	if head, err = t.Load(ring, 8); err != nil {
-		return
-	}
-	if tail, err = t.Load(ring+64, 8); err != nil {
-		return
-	}
-	stop, err = t.Load(stopAddr, 8)
-	return
-}
+// The worker wait loops (kernel.Task.SpinWait) poll a ring's head and tail
+// plus the stop flag as one ordering unit: the loads are cross-task shared
+// state, so even a read-only probe starts at a yield point — a probe
+// running ahead of a lower-clocked producer's pending publication would
+// observe the ring before that publication's simulated time. A worker
+// waits for a request while its ring is empty, and for response space
+// while that ring is full, until the stop flag is set.
+
+// prodReqIdle reports an empty request ring and no stop.
+func prodReqIdle(w []uint64) bool { return w[0] == w[1] && w[2] == 0 }
+
+// prodRespIdle reports a full response ring and no stop.
+func prodRespIdle(w []uint64) bool { return w[0]-w[1] >= prodSlots && w[2] == 0 }
 
 // prodRingRespond enqueues one response, encoded in dst[:0], which it
 // returns (yield discipline as in prodRingPush). The caller has already
@@ -690,20 +685,20 @@ func prodWorker(t *kernel.Task, p ProdParams, ks Keyspace, w int, rings prodRing
 		out.FutexWaits = t.Stats.FutexWaits
 	}()
 	reqRing, respRing := rings.req(w), rings.resp(w)
+	// Each wait polls a ring's control words plus the stop flag.
+	reqWords := [3]pgtable.VirtAddr{reqRing, reqRing + 64, rings.stop(w)}
+	respWords := [3]pgtable.VirtAddr{respRing, respRing + 64, rings.stop(w)}
+	var words [3]uint64            // head, tail, stop
 	var slot, payload, rbuf []byte // this worker's request, value and response buffers
 	for {
-		head, tail, stop, err := prodRingPeek(t, reqRing, rings.stop(w))
-		if err != nil {
+		if err := t.SpinWait(reqWords[:], words[:], 300, prodReqIdle); err != nil {
 			return err
 		}
-		if head == tail {
-			if stop != 0 {
-				break
-			}
-			t.Th.Advance(300) // worker poll interval
-			t.Th.YieldPoint()
-			continue
+		tail := words[1]
+		if words[0] == tail {
+			break // stopped
 		}
+		var err error
 		if slot, err = prodRingConsume(t, reqRing, tail, slot); err != nil {
 			return err
 		}
@@ -721,19 +716,11 @@ func prodWorker(t *kernel.Task, p ProdParams, ks Keyspace, w int, rings prodRing
 		// Push the response, waiting (in simulated time) for ring space;
 		// the frontend always drains, so this cannot deadlock — unless the
 		// frontend died mid-run, which the stop flag breaks us out of.
-		for {
-			rh, rt, stop, err := prodRingPeek(t, respRing, rings.stop(w))
-			if err != nil {
-				return err
-			}
-			if rh-rt < prodSlots {
-				break
-			}
-			if stop != 0 {
-				return log.Close(t)
-			}
-			t.Th.Advance(200)
-			t.Th.YieldPoint()
+		if err := t.SpinWait(respWords[:], words[:], 200, prodRespIdle); err != nil {
+			return err
+		}
+		if words[0]-words[1] >= prodSlots {
+			return log.Close(t) // stopped
 		}
 		if rbuf, err = prodRingRespond(t, respRing, seq, respStatus(miss), payload, rbuf); err != nil {
 			return err

@@ -76,6 +76,51 @@ func BenchmarkBlockWake(b *testing.B) {
 	}
 }
 
+// BenchmarkSpinPark is one park and one disturb per op: a spin loop parks
+// at its poll, and a disturber ten polls later sets its flag and ends the
+// park, so the loop's wake skips the nine polls in between in closed form.
+func BenchmarkSpinPark(b *testing.B) {
+	const period = 100
+	e := NewEngine()
+	var (
+		flag bool
+		c0   Cycles
+	)
+	wake := func(from Cycles) (int64, Cycles) {
+		if from <= c0 {
+			return 0, c0
+		}
+		k := (from - c0 + period - 1) / period
+		return int64(k), c0 + k*period
+	}
+	spinner := e.Spawn("spinner", 0, func(t *Thread) {
+		for i := 0; i < b.N; i++ {
+			for !flag {
+				t.Advance(period)
+				c0 = t.Now()
+				t.Park("bench", wake)
+			}
+			flag = false
+		}
+	})
+	e.Spawn("disturber", 0, func(t *Thread) {
+		for i := 0; i < b.N; i++ {
+			t.Advance(10 * period)
+			t.YieldPoint() // the flag store's segment starts ten polls on
+			flag = true
+			spinner.Disturb()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if e.Stats.Replayed < 9*int64(b.N) {
+		b.Fatalf("%d yield points replayed over %d parks", e.Stats.Replayed, b.N)
+	}
+}
+
 // TestHandoffZeroAllocs measures from inside a running thread, where the
 // threads and their coroutines already exist: neither keeping the token nor
 // a full switch to another thread and back may allocate.

@@ -16,6 +16,15 @@ import (
 // same final clocks and the same segment accounting from both. However the
 // engine moves the host CPU between threads (and whether it moves it at
 // all), the interpreter below is what it must be indistinguishable from.
+//
+// A spin op is a wait loop — advance, yield, until a group member sets the
+// thread's flag — which the engine runs through Thread.Park: it parks at
+// the loop's yield point, and a disturb op (or a wake) brings it back at
+// its first yield point ordered after the disturbing segment. The
+// interpreter never parks: it spins, granting every iteration by the
+// minimum rule, and only leaves the iterations the engine skips out of the
+// event stream and out of the self-continue count. So the ordering rule
+// (ties broken by ID included) is checked against plain spinning.
 
 type opKind int
 
@@ -28,6 +37,8 @@ const (
 	opEndAtomic
 	opSpawn // arg = script index of the child
 	opPanic
+	opSpin    // n = the loop's advance per iteration
+	opDisturb // arg = index into the thread's group: set its flag
 )
 
 type op struct {
@@ -43,16 +54,29 @@ type script struct {
 	ops       []op
 	group     int
 	hookEvery int // > 0: a preempt hook that Blocks on every hookEvery-th call
-	root      bool
-	start     Cycles
+	// spinner scripts hold spin ops and a preempt hook that only counts its
+	// calls: a parked loop's skipped hooks are pure.
+	spinner bool
+	root    bool
+	start   Cycles
 }
+
+// hooked reports whether the script's threads install a preempt hook.
+func (s *script) hooked() bool { return s.hookEvery > 0 || s.spinner }
 
 const modelQuantum = 64
 
 // genScripts builds a scenario from a seed: a few root threads per group
-// plus children that running threads spawn.
+// plus children that running threads spawn. Seeds above modelSeeds add
+// spinner scripts and disturb ops; seeds 1..modelSeeds draw exactly the
+// scenarios they did before spin ops existed.
 func genScripts(seed uint64, groups int) []script {
 	r := NewRNG(seed)
+	spin := seed > modelSeeds
+	wakeEnd := 85 // wake ops take p in [58, wakeEnd), disturb ops [wakeEnd, 85)
+	if spin {
+		wakeEnd = 77
+	}
 	roots := groups + 1 + r.Intn(4)
 	children := r.Intn(4)
 	scripts := make([]script, roots+children)
@@ -62,11 +86,16 @@ func genScripts(seed uint64, groups int) []script {
 		s.root = i < roots
 		s.group = i % groups
 		s.start = Cycles(r.Intn(40))
-		if r.Intn(4) == 0 {
+		if s.spinner = spin && r.Intn(3) == 0; !s.spinner && r.Intn(4) == 0 {
 			s.hookEvery = 3 + r.Intn(6)
 		}
 		depth := 0
 		for n := 20 + r.Intn(40); n > 0; n-- {
+			if s.spinner && depth == 0 && r.Intn(6) == 0 {
+				// Multiples of 8 make clock ties with other threads common.
+				s.ops = append(s.ops, op{kind: opSpin, n: Cycles(8 * (1 + r.Intn(7)))})
+				continue
+			}
 			switch p := r.Intn(100); {
 			case p < 40:
 				s.ops = append(s.ops, op{kind: opAdvance, n: Cycles(1 + r.Intn(modelQuantum*3/2))})
@@ -74,8 +103,10 @@ func genScripts(seed uint64, groups int) []script {
 				s.ops = append(s.ops, op{kind: opYield})
 			case p < 58:
 				s.ops = append(s.ops, op{kind: opBlock})
-			case p < 85:
+			case p < wakeEnd:
 				s.ops = append(s.ops, op{kind: opWake, n: Cycles(r.Intn(120)), arg: r.Intn(16)})
+			case p < 85:
+				s.ops = append(s.ops, op{kind: opDisturb, arg: r.Intn(16)})
 			case p < 92 && depth < 3:
 				depth++
 				s.ops = append(s.ops, op{kind: opBeginAtomic})
@@ -109,10 +140,15 @@ type scriptWorld struct {
 	eng     *Engine
 	scripts []script
 	groups  [][]*Thread
+	// flag and calls are per thread ID: the spin flag and the count of
+	// preempt-hook calls, replayed ones included.
+	flag  map[ThreadID]bool
+	calls map[ThreadID]int
 }
 
 func newScriptWorld(scripts []script, groups int) *scriptWorld {
-	w := &scriptWorld{eng: NewEngine(), scripts: scripts, groups: make([][]*Thread, groups)}
+	w := &scriptWorld{eng: NewEngine(), scripts: scripts, groups: make([][]*Thread, groups),
+		flag: map[ThreadID]bool{}, calls: map[ThreadID]int{}}
 	w.eng.Quantum = modelQuantum
 	return w
 }
@@ -132,10 +168,9 @@ func (w *scriptWorld) spawnRoots() {
 }
 
 func (w *scriptWorld) run(t *Thread, s *script) {
-	if s.hookEvery > 0 {
-		calls := 0
+	if s.hooked() {
 		t.SetPreempt(func() {
-			if calls++; calls%s.hookEvery == 0 {
+			if w.calls[t.ID]++; s.hookEvery > 0 && w.calls[t.ID]%s.hookEvery == 0 {
 				t.Block("hook")
 			}
 		})
@@ -159,6 +194,29 @@ func (w *scriptWorld) run(t *Thread, s *script) {
 			w.spawn(o.arg, t.Now())
 		case opPanic:
 			panic("boom")
+		case opSpin:
+			for !w.flag[t.ID] {
+				t.Advance(o.n)
+				if w.flag[t.ID] {
+					t.YieldPoint()
+					continue
+				}
+				c0, step := t.Now(), o.n
+				t.Park("spin", func(from Cycles) (int64, Cycles) {
+					if from <= c0 {
+						return 0, c0
+					}
+					k := (from - c0 + step - 1) / step
+					w.calls[t.ID] += int(k)
+					return int64(k), c0 + k*step
+				})
+			}
+			w.flag[t.ID] = false
+		case opDisturb:
+			g := w.groups[s.group]
+			u := g[o.arg%len(g)]
+			w.flag[u.ID] = true
+			u.Disturb()
 		}
 	}
 }
@@ -189,7 +247,22 @@ type modelThread struct {
 	// afterYield is set while the thread is suspended inside YieldPoint:
 	// its preempt hook runs first when it is next picked.
 	afterYield bool
+
+	// spin is the advance of the spin op the thread is in (0: none);
+	// spinMid marks a quantum yield inside the loop's advance. flag is the
+	// spin flag. parked is set while the engine would have the thread
+	// parked, disturbed once something has disturbed it there: its
+	// iterations are the engine's replayed ones until then.
+	spin              Cycles
+	lastVirtual       Cycles // the clock the last virtual segment began at
+	spinMid           bool
+	flag              bool
+	parked, disturbed bool
 }
+
+// virtual reports whether the thread's next segment is one the engine
+// replays instead of running.
+func (t *modelThread) virtual() bool { return t.parked && !t.disturbed }
 
 // modelCoverage counts the situations the scenario set must reach for the
 // comparison to mean anything.
@@ -197,6 +270,8 @@ type modelCoverage struct {
 	finished, deadlocks, panics          int
 	selfPicks, wakeBeatsSleep, hookParks int
 	wakeRunnableRaised, spawns, nested   int
+	replayed, disturbs, wakeParked       int
+	tieBelow, tieAbove, parkedAtDeadlock int
 }
 
 type model struct {
@@ -208,9 +283,30 @@ type model struct {
 	segments int64
 	cycles   Cycles
 	// selfPicks counts segments whose thread was also the previous pick: the
-	// segments the engine may run without a host switch.
-	selfPicks int64
-	cov       *modelCoverage
+	// segments the engine may run without a host switch. replayed counts
+	// the virtual ones (modelThread.virtual), which are neither.
+	selfPicks, replayed int64
+	// segStart and cur are the running segment's key.
+	segStart Cycles
+	cur      int
+	cov      *modelCoverage
+}
+
+// disturb is Thread.Disturb on the interpreter's side.
+func (m *model) disturb(u *modelThread) {
+	if !u.virtual() {
+		return
+	}
+	u.disturbed = true
+	m.cov.disturbs++
+	// A loop yield point at the disturbing segment's clock ran before it
+	// (lower ID) or is where the loop resumes (higher ID).
+	if u.id < m.cur && u.lastVirtual == m.segStart {
+		m.cov.tieBelow++
+	}
+	if u.id > m.cur && u.now == m.segStart {
+		m.cov.tieAbove++
+	}
 }
 
 func (m *model) emit(k trace.Kind, c Cycles, id int, name string) {
@@ -219,7 +315,7 @@ func (m *model) emit(k trace.Kind, c Cycles, id int, name string) {
 
 func (m *model) spawn(i int, start Cycles) {
 	s := &m.scripts[i]
-	t := &modelThread{id: len(m.threads), s: s, now: start, state: stateRunnable}
+	t := &modelThread{id: len(m.threads), s: s, now: start, state: stateRunnable, lastVirtual: -1}
 	m.threads = append(m.threads, t)
 	m.groups[s.group] = append(m.groups[s.group], t)
 	m.emit(trace.KindThreadSpawn, start, t.id, s.name)
@@ -257,8 +353,8 @@ func (m *model) segment(t *modelThread) {
 	t.blockReason = ""
 	if t.afterYield {
 		t.afterYield = false
-		if t.s.hookEvery > 0 {
-			if t.calls++; t.calls%t.s.hookEvery == 0 {
+		if t.s.hooked() {
+			if t.calls++; t.s.hookEvery > 0 && t.calls%t.s.hookEvery == 0 {
 				if m.block(t, "hook") {
 					m.cov.hookParks++
 					return
@@ -266,7 +362,38 @@ func (m *model) segment(t *modelThread) {
 			}
 		}
 	}
-	for t.pc < len(t.s.ops) {
+	if t.parked {
+		if t.disturbed {
+			t.parked, t.disturbed = false, false
+		} else {
+			// An iteration the engine replays: the flag is still clear.
+			t.now += t.spin
+			m.yield(t)
+			return
+		}
+	}
+	if t.spinMid {
+		t.spinMid = false
+		t.parked = !t.flag
+		m.yield(t)
+		return
+	}
+	for t.spin > 0 || t.pc < len(t.s.ops) {
+		if t.spin > 0 {
+			if t.flag {
+				t.flag, t.spin = false, 0
+				continue
+			}
+			t.now += t.spin
+			t.sinceYield += t.spin
+			if t.sinceYield >= modelQuantum && m.yield(t) {
+				t.spinMid = true
+				return
+			}
+			t.parked = !t.flag
+			m.yield(t)
+			return
+		}
 		o := t.s.ops[t.pc]
 		t.pc++
 		switch o.kind {
@@ -287,6 +414,10 @@ func (m *model) segment(t *modelThread) {
 		case opWake:
 			g := m.groups[t.s.group]
 			u := g[o.arg%len(g)]
+			if u.virtual() {
+				m.cov.wakeParked++
+			}
+			m.disturb(u)
 			if when := t.now + o.n; u.now < when {
 				if u.state == stateRunnable {
 					m.cov.wakeRunnableRaised++
@@ -314,6 +445,13 @@ func (m *model) segment(t *modelThread) {
 		case opPanic:
 			t.err = fmt.Errorf("sim: thread %q panicked: %v", t.s.name, "boom")
 			t.pc = len(t.s.ops)
+		case opSpin:
+			t.spin = o.n
+		case opDisturb:
+			g := m.groups[t.s.group]
+			u := g[o.arg%len(g)]
+			u.flag = true
+			m.disturb(u)
 		}
 	}
 	t.state = stateDone
@@ -324,16 +462,24 @@ func (m *model) segment(t *modelThread) {
 func (m *model) run() error {
 	for {
 		var next *modelThread
+		live := false
 		for _, t := range m.threads {
 			if t.state == stateRunnable && (next == nil || t.now < next.now) {
 				next = t // ties: the lower ID came first and stays
 			}
+			live = live || t.state == stateRunnable && !t.virtual()
 		}
-		if next == nil {
+		if !live {
+			// Only undisturbed spinners could run, and none of them can
+			// disturb anyone: the engine has them parked and stops here.
 			var stuck []string
 			for _, t := range m.threads {
 				if t.state == stateBlocked {
 					stuck = append(stuck, fmt.Sprintf("%s(%s)", t.s.name, t.blockReason))
+				}
+				if t.state == stateRunnable {
+					stuck = append(stuck, fmt.Sprintf("%s(spin)", t.s.name))
+					m.cov.parkedAtDeadlock++
 				}
 			}
 			if stuck == nil {
@@ -344,14 +490,21 @@ func (m *model) run() error {
 			sort.Strings(stuck)
 			return fmt.Errorf("sim: deadlock, blocked threads: %v", stuck)
 		}
-		if next.id != m.lastRun {
-			m.emit(trace.KindThreadSwitch, next.now, next.id, next.s.name)
-		} else {
-			m.selfPicks++
-			m.cov.selfPicks++
-		}
-		m.lastRun = next.id
 		c0 := next.now
+		if next.virtual() {
+			next.lastVirtual = c0
+			m.replayed++
+			m.cov.replayed++
+		} else {
+			if next.id != m.lastRun {
+				m.emit(trace.KindThreadSwitch, next.now, next.id, next.s.name)
+			} else {
+				m.selfPicks++
+				m.cov.selfPicks++
+			}
+			m.lastRun = next.id
+			m.segStart, m.cur = c0, next.id
+		}
 		m.segment(next)
 		m.segments++
 		m.cycles += next.now - c0
@@ -383,13 +536,21 @@ func eventText(evs []trace.Event) string {
 	return (&trace.Buffer{Events: evs}).Text()
 }
 
-const modelSeeds = 240
+// modelSeeds are the scenarios without spin ops; the spinSeeds after them
+// add spinners, disturb ops and wakes of parked threads.
+const (
+	modelSeeds = 240
+	spinSeeds  = 240
+)
 
 // TestScheduleModel compares the sequential driver, traced, with the
 // interpreter: events, error, final clocks and segment accounting.
 func TestScheduleModel(t *testing.T) {
-	var cov modelCoverage
-	for seed := uint64(1); seed <= modelSeeds; seed++ {
+	var cov, plain modelCoverage
+	for seed := uint64(1); seed <= modelSeeds+spinSeeds; seed++ {
+		if seed == modelSeeds+1 {
+			plain = cov
+		}
 		groups := 1 + int(seed%3)
 		scripts := genScripts(seed, groups)
 		m, wantErr := runModel(scripts, groups, &cov)
@@ -427,18 +588,31 @@ func TestScheduleModel(t *testing.T) {
 			t.Fatalf("seed %d: %d self-continues, model re-picked the yielding thread %d times",
 				seed, st.SelfContinues, m.selfPicks)
 		}
+		if st.Replayed != m.replayed {
+			t.Fatalf("seed %d: %d replayed yield points, model %d", seed, st.Replayed, m.replayed)
+		}
+		for i, mt := range m.threads {
+			if got := w.calls[ThreadID(i)]; got != mt.calls {
+				t.Fatalf("seed %d: thread %d ran its preempt hook %d times, model %d", seed, i, got, mt.calls)
+			}
+		}
 	}
 	for name, n := range map[string]int{
 		"finished": cov.finished, "deadlock": cov.deadlocks, "panic": cov.panics,
 		"self re-pick": cov.selfPicks, "wake beats sleep": cov.wakeBeatsSleep,
 		"hook park": cov.hookParks, "wake raises a runnable thread": cov.wakeRunnableRaised,
 		"spawn from a running thread": cov.spawns, "nested atomic": cov.nested,
+		"replayed yield point": cov.replayed, "disturb of a parked thread": cov.disturbs,
+		"disturb tied by a lower ID": cov.tieBelow, "disturb tied by a higher ID": cov.tieAbove,
+		"wake of a parked thread": cov.wakeParked,
+		"parked at deadlock":      cov.parkedAtDeadlock,
 	} {
 		if n == 0 {
 			t.Errorf("no scenario reached %q: the generator lost coverage", name)
 		}
 	}
-	t.Logf("coverage over %d seeds: %+v", modelSeeds, cov)
+	t.Logf("coverage over seeds 1..%d (no spin ops): %+v", modelSeeds, plain)
+	t.Logf("coverage over all %d seeds: %+v", modelSeeds+spinSeeds, cov)
 }
 
 // TestScheduleModelParallel runs the same scripts untraced, each on its own
@@ -481,15 +655,16 @@ func TestScheduleModelParallel(t *testing.T) {
 					}
 				}
 				st := w.eng.Stats
-				if st.SerialSegments != j.m.segments || st.SerialCycles != j.m.cycles || st.SelfContinues != j.m.selfPicks {
-					t.Errorf("seed %d: %d segments / %d cycles / %d self-continues, model %d / %d / %d",
-						j.seed, st.SerialSegments, st.SerialCycles, st.SelfContinues,
-						j.m.segments, j.m.cycles, j.m.selfPicks)
+				if st.SerialSegments != j.m.segments || st.SerialCycles != j.m.cycles ||
+					st.SelfContinues != j.m.selfPicks || st.Replayed != j.m.replayed {
+					t.Errorf("seed %d: %d segments / %d cycles / %d self-continues / %d replayed, model %d / %d / %d / %d",
+						j.seed, st.SerialSegments, st.SerialCycles, st.SelfContinues, st.Replayed,
+						j.m.segments, j.m.cycles, j.m.selfPicks, j.m.replayed)
 				}
 			}
 		}()
 	}
-	for seed := uint64(1); seed <= modelSeeds; seed++ {
+	for seed := uint64(1); seed <= modelSeeds+spinSeeds; seed++ {
 		groups := 1 + int(seed%3)
 		scripts := genScripts(seed, groups)
 		m, wantErr := runModel(scripts, groups, &cov)

@@ -71,6 +71,7 @@ const (
 	stateRunnable threadState = iota
 	stateRunning
 	stateBlocked
+	stateParked
 	stateDone
 )
 
@@ -82,6 +83,8 @@ func (s threadState) String() string {
 		return "running"
 	case stateBlocked:
 		return "blocked"
+	case stateParked:
+		return "parked"
 	case stateDone:
 		return "done"
 	}
@@ -138,6 +141,9 @@ type Thread struct {
 	// granted (or, for a segment the thread continued into without a switch,
 	// began). closeSegment charges each segment the cycles since its key.
 	segKey Cycles
+
+	// wake is the parked thread's replay (Park); nil when not parked.
+	wake func(from Cycles) (skipped int64, at Cycles)
 }
 
 // resume grants the thread the execution token: Run switches into the
@@ -235,11 +241,98 @@ func (t *Thread) YieldPoint() {
 		t.suspend()
 	}
 	t.state = stateRunning
-	if t.preempt != nil && !t.inPreempt && t.preemptOff == 0 {
-		t.inPreempt = true
-		t.preempt()
-		t.inPreempt = false
+	if t.Preemptible() {
+		t.runPreempt()
 	}
+}
+
+// runPreempt runs the preemption hook at a yield point the thread has just
+// regained the token at. Callers test Preemptible first, which inlines.
+func (t *Thread) runPreempt() {
+	t.inPreempt = true
+	t.preempt()
+	t.inPreempt = false
+}
+
+// Preemptible reports whether a yield point would run the preemption hook
+// now: one is installed, preemption is not disabled and the hook is not
+// running.
+func (t *Thread) Preemptible() bool {
+	return t.preempt != nil && !t.inPreempt && t.preemptOff == 0
+}
+
+// Park is a YieldPoint after which the thread leaves scheduling until
+// Disturb: the segment ends here as if another thread were ahead, and the
+// thread is not picked again until something disturbs it. It is for wait
+// loops whose skipped iterations are pure — they only add to counters and
+// redo what the last iteration did — so running them later, in closed
+// form, is the same history (DESIGN.md §6, "Spin parking").
+//
+// The loop's yield points from this one on are numbered 0, 1, 2, … with
+// non-decreasing clocks. When Disturb ends the park, wake runs on the
+// disturbing thread with from, the earliest clock a yield point of this
+// thread may have and still order after the disturbing segment; it
+// applies the skipped iterations' effects and returns how many yield
+// points come before the first one at or after from, and that one's
+// clock. The engine closes the skipped points' segments (SerialSegments,
+// SerialCycles; Replayed counts them) and makes the thread runnable at
+// that clock. When it is next granted, Park returns after the preemption
+// hook, as YieldPoint would at that point; the hooks of the skipped points
+// are wake's to account. Park panics inside an atomic section.
+func (t *Thread) Park(reason string, wake func(from Cycles) (skipped int64, at Cycles)) {
+	if t.atomicDepth > 0 {
+		panic(fmt.Sprintf("sim: thread %q parked inside an atomic section", t.Name))
+	}
+	t.sinceYield = 0
+	t.wake = wake
+	t.blockReason = reason
+	t.state = stateParked
+	t.suspend()
+	t.state = stateRunning
+	if t.Preemptible() {
+		t.runPreempt()
+	}
+}
+
+// Disturb ends the thread's Park, if it is parked. It runs inside the
+// segment whose action changes what the parked loop would observe, or
+// would cost, before that action takes effect. The parked thread resumes at
+// its first yield point ordered after that segment by the key pickNext
+// uses, (segment start clock, thread ID): a yield point at clock c of
+// thread x comes after segment (s, y) when c > s, or c == s and x > y. Had
+// the thread been spinning, that is exactly where it would be waiting
+// when the segment ran: its earlier yield points were each the minimum
+// before the segment was granted. That rests on grants never going back
+// in time, which holds because no thread becomes runnable behind the
+// running one: every Wake is at or after the waker's clock, and every
+// Spawn during a run at or after the spawner's. With the engine idle the
+// thread resumes where it parked.
+func (t *Thread) Disturb() {
+	if t.state != stateParked || t.wake == nil {
+		return
+	}
+	t.eng.replay(t)
+	t.state = stateRunnable
+	t.blockReason = ""
+}
+
+// replay brings parked thread t to its first yield point ordered after the
+// current segment (the last one, once Run has nothing left to grant).
+func (e *Engine) replay(t *Thread) {
+	from := t.now
+	if c := e.cur; c != nil && c != t { // t's own last segment ended where it parked
+		from = c.segKey
+		if t.ID < c.ID {
+			from++
+		}
+	}
+	wake := t.wake
+	t.wake = nil
+	n, at := wake(from)
+	e.Stats.SerialSegments += n
+	e.Stats.SerialCycles += at - t.now
+	e.Stats.Replayed += n
+	t.now = at
 }
 
 // DisablePreempt suppresses the preemption hook (not the yield itself)
@@ -310,6 +403,9 @@ type Engine struct {
 	// picked is the thread a yielding thread found ahead of itself; Run
 	// grants it next instead of scanning again.
 	picked *Thread
+	// cur is the thread holding the execution token during Run (the last
+	// one granted), nil while the engine is idle.
+	cur *Thread
 }
 
 // NewEngine returns an engine with the default scheduling quantum.
@@ -361,6 +457,7 @@ func (e *Engine) Spawn(name string, start Cycles, body func(t *Thread)) *Thread 
 // immediately — so a wake can never be lost between a waiter's enqueue and
 // its sleep, exactly like the kernel futex path.
 func (e *Engine) Wake(t *Thread, when Cycles) {
+	t.Disturb()
 	if t.now < when {
 		t.now = when
 	}
@@ -383,7 +480,7 @@ func (e *Engine) Run() error {
 		return fmt.Errorf("sim: engine already running")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() { e.running, e.cur = false, nil }()
 
 	for {
 		next := e.picked
@@ -392,6 +489,7 @@ func (e *Engine) Run() error {
 			next = e.pickNext()
 		}
 		if next == nil {
+			e.settleParked()
 			if e.allDone() {
 				return e.firstErr()
 			}
@@ -402,10 +500,12 @@ func (e *Engine) Run() error {
 				Tid: int32(next.ID), Node: -1, Name: next.Name})
 		}
 		e.lastRun = next.ID
+		e.cur = next
 		next.segKey = next.now
 		next.resume()
 		e.closeSegment(next)
 		if next.err != nil {
+			e.settleParked()
 			return next.err
 		}
 	}
@@ -433,6 +533,19 @@ func (e *Engine) pickNext() *Thread {
 	return best
 }
 
+// settleParked brings every parked thread to its first yield point after
+// the last segment, where the loop it parked in would be waiting when the
+// run ends, and leaves it parked for good. Run ends with parked threads
+// only on an error: a thread's panic, or the deadlock error when nothing
+// is left to disturb them.
+func (e *Engine) settleParked() {
+	for _, t := range e.threads {
+		if t.state == stateParked && t.wake != nil {
+			e.replay(t)
+		}
+	}
+}
+
 func (e *Engine) allDone() bool {
 	for _, t := range e.threads {
 		if t.state != stateDone {
@@ -454,7 +567,7 @@ func (e *Engine) firstErr() error {
 func (e *Engine) deadlockErr() error {
 	var stuck []string
 	for _, t := range e.threads {
-		if t.state == stateBlocked {
+		if t.state == stateBlocked || t.state == stateParked {
 			stuck = append(stuck, fmt.Sprintf("%s(%s)", t.Name, t.blockReason))
 		}
 	}
@@ -463,7 +576,9 @@ func (e *Engine) deadlockErr() error {
 }
 
 // MaxTime returns the largest local clock across all threads; with the
-// engine idle this is the simulation's end time.
+// engine idle this is the simulation's end time. A parked thread's clock is
+// where it parked until something disturbs it, so mid-run this reads only
+// the threads that are not parked correctly.
 func (e *Engine) MaxTime() Cycles {
 	var m Cycles
 	for _, t := range e.threads {

@@ -12,9 +12,13 @@ type EngineStats struct {
 	SerialSegments int64
 	// SelfContinues counts the segments Run never switched for: the
 	// yielding thread was still the minimum (clock, ID) runnable thread and
-	// kept the token. Handoffs() − SelfContinues is the number of coroutine
-	// switches actually paid.
+	// kept the token.
 	SelfContinues int64
+	// Replayed counts the segments a parked thread never ran: the yield
+	// points of its wait loop that Disturb accounted in closed form
+	// (Thread.Park). Handoffs() − SelfContinues − Replayed is the number of
+	// coroutine switches actually paid.
+	Replayed int64
 	// SerialCycles attributes simulated cycles advanced to the segments they
 	// were advanced in.
 	SerialCycles Cycles
@@ -25,8 +29,8 @@ type EngineStats struct {
 }
 
 // Handoffs returns the total segments granted. Each costs one coroutine
-// switch into the thread and one back, except the SelfContinues, which cost
-// neither.
+// switch into the thread and one back, except the SelfContinues and the
+// Replayed, which cost neither.
 func (s EngineStats) Handoffs() int64 { return s.SerialSegments }
 
 // Add accumulates o into s (cluster experiments aggregate one engine per
@@ -34,6 +38,7 @@ func (s EngineStats) Handoffs() int64 { return s.SerialSegments }
 func (s *EngineStats) Add(o EngineStats) {
 	s.SerialSegments += o.SerialSegments
 	s.SelfContinues += o.SelfContinues
+	s.Replayed += o.Replayed
 	s.SerialCycles += o.SerialCycles
 }
 
@@ -43,6 +48,7 @@ func (s EngineStats) Map() map[string]int64 {
 	return map[string]int64{
 		"serial_segments": s.SerialSegments,
 		"self_continues":  s.SelfContinues,
+		"replayed":        s.Replayed,
 		"serial_cycles":   int64(s.SerialCycles),
 		"handoffs":        s.Handoffs(),
 	}
