@@ -46,7 +46,11 @@ type exactRun struct {
 // runExactCell runs one cell the way redisprodRun does (one server, quick
 // traffic), keeping the server task.
 func runExactCell(kind redisapp.KeyspaceKind, regime vfs.Regime, cores int) (*exactRun, error) {
-	p := redisprodParams(Quick)
+	return runProdCell(redisprodParams(Quick), kind, regime, cores)
+}
+
+// runProdCell is runExactCell with traffic p.
+func runProdCell(p redisapp.TrafficParams, kind redisapp.KeyspaceKind, regime vfs.Regime, cores int) (*exactRun, error) {
 	cl, err := machine.NewCluster([]machine.Config{
 		{Model: mem.Shared, OS: machine.StramashOS},
 		{Model: mem.Shared, OS: machine.StramashOS, FileCache: regime,
@@ -185,7 +189,30 @@ func TestRedisprodWorkersPark(t *testing.T) {
 			t.Errorf("%s replayed %.1f %% of its wait-loop yield points, want at least 90 %%", task.Name, 100*share)
 		}
 	}
-	if es := r.cl.EngineStats(); es.Replayed != replayed {
-		t.Errorf("engine replayed %d yield points, the workers %d", es.Replayed, replayed)
+	if es := r.cl.EngineStats(); es.Replayed != replayed+es.LockReplayed {
+		t.Errorf("engine replayed %d yield points, the workers %d and the lock spins %d",
+			es.Replayed, replayed, es.LockReplayed)
+	}
+}
+
+// TestRedisprodLockSpinsPark is the lock-spin parking guard on a quick
+// all-SET sharded/popcorn/4c cell, where every request appends to the AOF
+// under its inode's append lock, through the page cache's locks and the
+// messenger's: at least 90 % of the lock spins' yield points are replayed
+// instead of run (sim.Thread.SpinWhile). Nearly all the rest are worker
+// 0's: it shares x86 core 0 with the frontend, and while the frontend is
+// queued there its preemption hook is not pure.
+func TestRedisprodLockSpinsPark(t *testing.T) {
+	p := redisprodParams(Quick)
+	p.SetEvery = 1
+	r, err := runProdCell(p, redisapp.KSSharded, vfs.RegimePopcorn, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := r.cl.EngineStats()
+	share := float64(es.LockReplayed) / float64(es.LockYields+es.LockReplayed)
+	t.Logf("lock spins: %d yield points run, %d replayed (%.1f %%)", es.LockYields, es.LockReplayed, 100*share)
+	if share < 0.9 {
+		t.Errorf("lock spins replayed %.1f %% of their yield points, want at least 90 %%", 100*share)
 	}
 }

@@ -83,6 +83,8 @@ type Messenger struct {
 	// spinlock. Without it two simulated threads' transactions would
 	// interleave their fragments on the same SPSC rings.
 	busy bool
+	// waiters are the threads parked in acquire.
+	waiters sim.Waiters
 
 	// Reused by every transaction: RecvAll's buffer, ReplyBuf's, and the
 	// destination-side port. Only the transaction holding busy uses them.
@@ -90,18 +92,18 @@ type Messenger struct {
 	remote    hw.Port
 }
 
-// acquire spins (in simulated time) until the channel pair is free. The
-// engine runs one simulated thread at a time, so the busy flag needs no
-// host synchronization.
+// acquire spins (in simulated time, sim.Thread.SpinWhile) until the
+// channel pair is free. The engine runs one simulated thread at a time, so
+// the busy flag needs no host synchronization.
 func (m *Messenger) acquire(pt *hw.Port) {
-	for m.busy {
-		pt.T.Advance(150)
-		pt.T.YieldPoint()
-	}
+	pt.T.SpinWhile("lock:msg", &m.waiters, 150, func() bool { return m.busy })
 	m.busy = true
 }
 
-func (m *Messenger) release() { m.busy = false }
+func (m *Messenger) release() {
+	m.waiters.Disturb()
+	m.busy = false
+}
 
 // NewMessenger builds (and, for SHM, initializes in memory) the messaging
 // layer. The init port is used only for the one-time ring setup.

@@ -93,6 +93,8 @@ type Task struct {
 
 	// spin is the SpinWait loop state, nil until the task's first SpinWait.
 	spin *spinLoop
+	// lockSpin is the schedule of the flag spin being replayed (replaySpin).
+	lockSpin lockSpin
 
 	Stats  TaskStats
 	exited bool

@@ -21,6 +21,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/pgtable"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -49,8 +50,10 @@ type OS struct {
 	vmaReplicated map[int]map[pgtable.VirtAddr]bool
 	// pageBusy serializes DSM fault handling per page, as Popcorn's page
 	// server does: two concurrently faulting kernels must never observe
-	// each other's transient protocol states.
+	// each other's transient protocol states. pageWait lists the tasks
+	// parked on any of them.
 	pageBusy map[pageKey]bool
+	pageWait sim.Waiters
 
 	Stats Stats
 }
@@ -60,19 +63,19 @@ type pageKey struct {
 	va  pgtable.VirtAddr
 }
 
-// lockPage spins (in simulated time) until the page's DSM state machine is
-// free, then claims it.
+// lockPage spins (in simulated time, sim.Thread.SpinWhile) until the
+// page's DSM state machine is free, then claims it.
 func (o *OS) lockPage(t *kernel.Task, va pgtable.VirtAddr) pageKey {
 	k := pageKey{t.Proc.PID, va &^ (mem.PageSize - 1)}
-	for o.pageBusy[k] {
-		t.Th.Advance(120)
-		t.Th.YieldPoint()
-	}
+	t.Th.SpinWhile("lock:dsm-page", &o.pageWait, 120, func() bool { return o.pageBusy[k] })
 	o.pageBusy[k] = true
 	return k
 }
 
-func (o *OS) unlockPage(k pageKey) { delete(o.pageBusy, k) }
+func (o *OS) unlockPage(k pageKey) {
+	o.pageWait.Disturb()
+	delete(o.pageBusy, k)
+}
 
 // emit sends a DSM protocol event with the task's context filled in.
 func (o *OS) emit(t *kernel.Task, kind trace.Kind, va pgtable.VirtAddr, arg int64) {

@@ -1,6 +1,8 @@
 package popcorn
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pgtable"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // testSystem boots a context + baseline OS over the Shared memory model.
@@ -328,5 +331,90 @@ func TestProcessesOfBothOriginsGetDistinctState(t *testing.T) {
 	os.vmaReplicated[x][0x1000] = true
 	if os.vmaReplicated[a][0x1000] {
 		t.Error("processes share a VMA replication set")
+	}
+}
+
+// dsmRace runs four tasks of one process, two per node, storing to one
+// page in turns, so that their faults contend for the page's DSM lock and
+// the messenger's channel lock. It renders every number a parked lock
+// spin could move. With a tracer installed the lock spins never park
+// (sim.Thread.SpinWhile), and tracing moves no simulated number, so the
+// traced run is the spinning reference.
+func dsmRace(t *testing.T, traced bool) (string, sim.EngineStats) {
+	t.Helper()
+	ctx, os := testSystem(t, interconnect.SHM)
+	eng := ctx.Plat.Engine
+	if traced {
+		eng.Tracer = trace.NewBuffer()
+	}
+	var proc *kernel.Process
+	var base pgtable.VirtAddr
+	var err error
+	eng.Spawn("setup", 0, func(th *sim.Thread) {
+		if proc, err = os.CreateProcess(ctx.Plat.NewPort(mem.NodeX86, 0, th), mem.NodeX86); err != nil {
+			return
+		}
+		task := kernel.NewTask("setup", proc, os, ctx, th)
+		if base, err = proc.Mmap(mem.PageSize, kernel.VMARead|kernel.VMAWrite, "d"); err == nil {
+			err = task.Store(base, 8, 0)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := make([]*kernel.Task, 4)
+	errs := make([]error, 4)
+	for w := range tasks {
+		eng.Spawn(fmt.Sprintf("w%d", w), eng.MaxTime(), func(th *sim.Thread) {
+			task := kernel.NewTask(th.Name, proc, os, ctx, th)
+			tasks[w] = task
+			if w%2 == 1 {
+				if errs[w] = task.Migrate(mem.NodeArm); errs[w] != nil {
+					return
+				}
+			}
+			for i := range 8 {
+				if errs[w] = task.Store(base+pgtable.VirtAddr(8*w), 8, uint64(i)); errs[w] != nil {
+					return
+				}
+				task.Compute(500)
+			}
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for w, task := range tasks {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		fmt.Fprintf(&b, "%s now %d %+v\n", task.Name, task.Th.Now(), task.Stats)
+	}
+	fmt.Fprintf(&b, "popcorn %+v\nmessenger %+v\n", os.Stats, os.Msgr.Stats())
+	fmt.Fprintf(&b, "engine segments %d cycles %d\n", eng.Stats.SerialSegments, eng.Stats.SerialCycles)
+	return b.String(), eng.Stats
+}
+
+// TestDSMLockParksExactly holds the DSM page-lock and messenger lock
+// spins to the spinning run's every number, and requires that they
+// parked.
+func TestDSMLockParksExactly(t *testing.T) {
+	want, spun := dsmRace(t, true)
+	got, parked := dsmRace(t, false)
+	if got != want {
+		t.Fatalf("parked lock spins diverge from spinning\n--- parked\n%s--- spinning\n%s", got, want)
+	}
+	t.Logf("spinning: %d lock-spin yield points; parked: %d run, %d replayed",
+		spun.LockYields, parked.LockYields, parked.LockReplayed)
+	if spun.LockYields == 0 || spun.LockReplayed != 0 {
+		t.Fatalf("traced run: %d lock-spin yield points run, %d replayed; want some run, none replayed",
+			spun.LockYields, spun.LockReplayed)
+	}
+	if parked.LockReplayed == 0 {
+		t.Fatalf("untraced run replayed no lock-spin yield point (%d run)", parked.LockYields)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -25,6 +26,12 @@ import (
 // minimum rule, and only leaves the iterations the engine skips out of the
 // event stream and out of the self-continue count. So the ordering rule
 // (ties broken by ID included) is checked against plain spinning.
+//
+// Lock and unlock ops take and release a spin lock of the thread's group:
+// the engine waits in Thread.SpinWhile, the interpreter spins, and the
+// unlock disturbs every waiter the engine has parked. SpinWhile never
+// parks under a tracer, so the seeds with lock ops run untraced and are
+// compared on everything but the event stream.
 
 type opKind int
 
@@ -39,6 +46,8 @@ const (
 	opPanic
 	opSpin    // n = the loop's advance per iteration
 	opDisturb // arg = index into the thread's group: set its flag
+	opLock    // n = the spin's poll interval; the group's lock
+	opUnlock
 )
 
 type op struct {
@@ -68,11 +77,13 @@ const modelQuantum = 64
 
 // genScripts builds a scenario from a seed: a few root threads per group
 // plus children that running threads spawn. Seeds above modelSeeds add
-// spinner scripts and disturb ops; seeds 1..modelSeeds draw exactly the
-// scenarios they did before spin ops existed.
+// spinner scripts and disturb ops, and seeds above modelSeeds+spinSeeds
+// lock and unlock ops; lower seeds draw exactly the scenarios they did
+// before those ops existed.
 func genScripts(seed uint64, groups int) []script {
 	r := NewRNG(seed)
 	spin := seed > modelSeeds
+	locks := seed > modelSeeds+spinSeeds
 	wakeEnd := 85 // wake ops take p in [58, wakeEnd), disturb ops [wakeEnd, 85)
 	if spin {
 		wakeEnd = 77
@@ -89,8 +100,22 @@ func genScripts(seed uint64, groups int) []script {
 		if s.spinner = spin && r.Intn(3) == 0; !s.spinner && r.Intn(4) == 0 {
 			s.hookEvery = 3 + r.Intn(6)
 		}
-		depth := 0
+		depth, holding := 0, false
 		for n := 20 + r.Intn(40); n > 0; n-- {
+			// Never inside an atomic section, where a contended lock would
+			// spin without yielding, and never nested.
+			if locks && depth == 0 {
+				if !holding && r.Intn(8) == 0 {
+					s.ops = append(s.ops, op{kind: opLock, n: Cycles(8 * (1 + r.Intn(7)))})
+					holding = true
+					continue
+				}
+				if holding && r.Intn(5) == 0 {
+					s.ops = append(s.ops, op{kind: opUnlock})
+					holding = false
+					continue
+				}
+			}
 			if s.spinner && depth == 0 && r.Intn(6) == 0 {
 				// Multiples of 8 make clock ties with other threads common.
 				s.ops = append(s.ops, op{kind: opSpin, n: Cycles(8 * (1 + r.Intn(7)))})
@@ -118,6 +143,10 @@ func genScripts(seed uint64, groups int) []script {
 		for ; depth > 0; depth-- {
 			s.ops = append(s.ops, op{kind: opEndAtomic})
 		}
+		// Some holders exit without unlocking.
+		if holding && r.Intn(3) > 0 {
+			s.ops = append(s.ops, op{kind: opUnlock})
+		}
 	}
 	// Every child is spawned exactly once, by an earlier script, and joins
 	// its parent's group.
@@ -144,11 +173,15 @@ type scriptWorld struct {
 	// preempt-hook calls, replayed ones included.
 	flag  map[ThreadID]bool
 	calls map[ThreadID]int
+	// held and waiters are per group: its lock.
+	held    []bool
+	waiters []Waiters
 }
 
 func newScriptWorld(scripts []script, groups int) *scriptWorld {
 	w := &scriptWorld{eng: NewEngine(), scripts: scripts, groups: make([][]*Thread, groups),
-		flag: map[ThreadID]bool{}, calls: map[ThreadID]int{}}
+		flag: map[ThreadID]bool{}, calls: map[ThreadID]int{},
+		held: make([]bool, groups), waiters: make([]Waiters, groups)}
 	w.eng.Quantum = modelQuantum
 	return w
 }
@@ -174,6 +207,11 @@ func (w *scriptWorld) run(t *Thread, s *script) {
 				t.Block("hook")
 			}
 		})
+	}
+	if s.spinner {
+		// The counting hook is pure; a blocking one is not, and a lock
+		// spin under it never parks.
+		t.SetPreemptSpin(func() bool { return true }, func(_ Spin, n int64) { w.calls[t.ID] += int(n) })
 	}
 	for _, o := range s.ops {
 		switch o.kind {
@@ -217,6 +255,12 @@ func (w *scriptWorld) run(t *Thread, s *script) {
 			u := g[o.arg%len(g)]
 			w.flag[u.ID] = true
 			u.Disturb()
+		case opLock:
+			t.SpinWhile("lock", &w.waiters[s.group], o.n, func() bool { return w.held[s.group] })
+			w.held[s.group] = true
+		case opUnlock:
+			w.waiters[s.group].Disturb()
+			w.held[s.group] = false
 		}
 	}
 }
@@ -258,11 +302,28 @@ type modelThread struct {
 	spinMid           bool
 	flag              bool
 	parked, disturbed bool
+	// lock is the poll interval of the lock op the thread spins in (0:
+	// none); lockMid marks a quantum yield inside the spin's advance.
+	lock    Cycles
+	lockMid bool
 }
 
 // virtual reports whether the thread's next segment is one the engine
 // replays instead of running.
 func (t *modelThread) virtual() bool { return t.parked && !t.disturbed }
+
+// lockCoverage counts the lock-op situations the lock seeds must reach.
+type lockCoverage struct {
+	lockReplayed, releaseDisturbs, unparkedSpins       int
+	releaseTieBelow, releaseTieAbove, lockedAtDeadlock int
+}
+
+// modelLock is a group's lock on the interpreter's side: whether it is
+// held, and the threads the engine has listed as parked on it (Waiters).
+type modelLock struct {
+	held    bool
+	waiters []*modelThread
+}
 
 // modelCoverage counts the situations the scenario set must reach for the
 // comparison to mean anything.
@@ -290,6 +351,19 @@ type model struct {
 	segStart Cycles
 	cur      int
 	cov      *modelCoverage
+	// locks are per group; lockYields and lockReplayed count the lock
+	// spins' yield points run and virtual (EngineStats.LockYields,
+	// LockReplayed).
+	locks                    []modelLock
+	lockYields, lockReplayed int64
+	lcov                     *lockCoverage
+}
+
+// ties reports whether a disturb of u by the running segment ties with a
+// yield point of u's loop: one at the segment's clock ran before it (lower
+// ID), or is where the loop resumes (higher ID).
+func (m *model) ties(u *modelThread) (below, above bool) {
+	return u.id < m.cur && u.lastVirtual == m.segStart, u.id > m.cur && u.now == m.segStart
 }
 
 // disturb is Thread.Disturb on the interpreter's side.
@@ -299,13 +373,28 @@ func (m *model) disturb(u *modelThread) {
 	}
 	u.disturbed = true
 	m.cov.disturbs++
-	// A loop yield point at the disturbing segment's clock ran before it
-	// (lower ID) or is where the loop resumes (higher ID).
-	if u.id < m.cur && u.lastVirtual == m.segStart {
+	below, above := m.ties(u)
+	if below {
 		m.cov.tieBelow++
 	}
-	if u.id > m.cur && u.now == m.segStart {
+	if above {
 		m.cov.tieAbove++
+	}
+}
+
+// lockPark is the decision SpinWhile makes at its yield point: park, and
+// join the lock's waiters, unless a preempt hook that is not pure (one
+// that blocks) is installed.
+func (m *model) lockPark(t *modelThread) {
+	m.lockYields++
+	if t.s.hookEvery > 0 {
+		m.lcov.unparkedSpins++
+		return
+	}
+	t.parked = true
+	l := &m.locks[t.s.group]
+	if !slices.Contains(l.waiters, t) {
+		l.waiters = append(l.waiters, t)
 	}
 }
 
@@ -366,8 +455,9 @@ func (m *model) segment(t *modelThread) {
 		if t.disturbed {
 			t.parked, t.disturbed = false, false
 		} else {
-			// An iteration the engine replays: the flag is still clear.
-			t.now += t.spin
+			// An iteration the engine replays: the flag is still clear,
+			// or the lock still held.
+			t.now += t.spin + t.lock
 			m.yield(t)
 			return
 		}
@@ -378,7 +468,13 @@ func (m *model) segment(t *modelThread) {
 		m.yield(t)
 		return
 	}
-	for t.spin > 0 || t.pc < len(t.s.ops) {
+	if t.lockMid {
+		t.lockMid = false
+		m.lockPark(t)
+		m.yield(t)
+		return
+	}
+	for t.spin > 0 || t.lock > 0 || t.pc < len(t.s.ops) {
 		if t.spin > 0 {
 			if t.flag {
 				t.flag, t.spin = false, 0
@@ -391,6 +487,22 @@ func (m *model) segment(t *modelThread) {
 				return
 			}
 			t.parked = !t.flag
+			m.yield(t)
+			return
+		}
+		if t.lock > 0 {
+			l := &m.locks[t.s.group]
+			if !l.held {
+				l.held, t.lock = true, 0
+				continue
+			}
+			t.now += t.lock
+			t.sinceYield += t.lock
+			if t.sinceYield >= modelQuantum && m.yield(t) {
+				t.lockMid = true
+				return
+			}
+			m.lockPark(t)
 			m.yield(t)
 			return
 		}
@@ -452,6 +564,25 @@ func (m *model) segment(t *modelThread) {
 			u := g[o.arg%len(g)]
 			u.flag = true
 			m.disturb(u)
+		case opLock:
+			t.lock = o.n
+		case opUnlock:
+			l := &m.locks[t.s.group]
+			for _, u := range l.waiters {
+				if u.virtual() {
+					m.lcov.releaseDisturbs++
+					below, above := m.ties(u)
+					if below {
+						m.lcov.releaseTieBelow++
+					}
+					if above {
+						m.lcov.releaseTieAbove++
+					}
+				}
+				m.disturb(u)
+			}
+			l.waiters = l.waiters[:0]
+			l.held = false
 		}
 	}
 	t.state = stateDone
@@ -477,7 +608,11 @@ func (m *model) run() error {
 				if t.state == stateBlocked {
 					stuck = append(stuck, fmt.Sprintf("%s(%s)", t.s.name, t.blockReason))
 				}
-				if t.state == stateRunnable {
+				if t.state == stateRunnable && t.lock > 0 {
+					stuck = append(stuck, fmt.Sprintf("%s(lock)", t.s.name))
+					m.cov.parkedAtDeadlock++
+					m.lcov.lockedAtDeadlock++
+				} else if t.state == stateRunnable {
 					stuck = append(stuck, fmt.Sprintf("%s(spin)", t.s.name))
 					m.cov.parkedAtDeadlock++
 				}
@@ -495,6 +630,10 @@ func (m *model) run() error {
 			next.lastVirtual = c0
 			m.replayed++
 			m.cov.replayed++
+			if next.lock > 0 {
+				m.lockReplayed++
+				m.lcov.lockReplayed++
+			}
 		} else {
 			if next.id != m.lastRun {
 				m.emit(trace.KindThreadSwitch, next.now, next.id, next.s.name)
@@ -515,8 +654,9 @@ func (m *model) run() error {
 	}
 }
 
-func runModel(scripts []script, groups int, cov *modelCoverage) (*model, error) {
-	m := &model{scripts: scripts, groups: make([][]*modelThread, groups), lastRun: -1, cov: cov}
+func runModel(scripts []script, groups int, cov *modelCoverage, lcov *lockCoverage) (*model, error) {
+	m := &model{scripts: scripts, groups: make([][]*modelThread, groups), lastRun: -1, cov: cov,
+		locks: make([]modelLock, groups), lcov: lcov}
 	for i := range scripts {
 		if scripts[i].root {
 			m.spawn(i, scripts[i].start)
@@ -537,34 +677,45 @@ func eventText(evs []trace.Event) string {
 }
 
 // modelSeeds are the scenarios without spin ops; the spinSeeds after them
-// add spinners, disturb ops and wakes of parked threads.
+// add spinners, disturb ops and wakes of parked threads, and the lockSeeds
+// after those lock and unlock ops.
 const (
 	modelSeeds = 240
 	spinSeeds  = 240
+	lockSeeds  = 240
 )
 
-// TestScheduleModel compares the sequential driver, traced, with the
-// interpreter: events, error, final clocks and segment accounting.
+// TestScheduleModel compares Engine.Run with the interpreter:
+// events (traced; the lock seeds run untraced), error, final clocks and
+// segment accounting.
 func TestScheduleModel(t *testing.T) {
-	var cov, plain modelCoverage
-	for seed := uint64(1); seed <= modelSeeds+spinSeeds; seed++ {
+	var cov, plain, lockCov modelCoverage
+	var lcov lockCoverage
+	for seed := uint64(1); seed <= modelSeeds+spinSeeds+lockSeeds; seed++ {
 		if seed == modelSeeds+1 {
 			plain = cov
 		}
+		locks := seed > modelSeeds+spinSeeds
+		c := &cov
+		if locks {
+			c = &lockCov
+		}
 		groups := 1 + int(seed%3)
 		scripts := genScripts(seed, groups)
-		m, wantErr := runModel(scripts, groups, &cov)
+		m, wantErr := runModel(scripts, groups, c, &lcov)
 
 		w := newScriptWorld(scripts, groups)
 		buf := trace.NewBuffer()
-		w.eng.Tracer = buf
+		if !locks {
+			w.eng.Tracer = buf
+		}
 		w.spawnRoots()
 		gotErr := w.eng.Run()
 
 		if errText(gotErr) != errText(wantErr) {
 			t.Fatalf("seed %d: Run error %q, model %q", seed, errText(gotErr), errText(wantErr))
 		}
-		if got, want := eventText(buf.Events), eventText(m.events); got != want {
+		if got, want := eventText(buf.Events), eventText(m.events); !locks && got != want {
 			t.Fatalf("seed %d: event stream diverges from the model\n--- engine\n%s--- model\n%s", seed, got, want)
 		}
 		clocks := w.clocks()
@@ -591,6 +742,10 @@ func TestScheduleModel(t *testing.T) {
 		if st.Replayed != m.replayed {
 			t.Fatalf("seed %d: %d replayed yield points, model %d", seed, st.Replayed, m.replayed)
 		}
+		if st.LockYields != m.lockYields || st.LockReplayed != m.lockReplayed {
+			t.Fatalf("seed %d: %d lock-spin yield points run and %d replayed, model %d and %d",
+				seed, st.LockYields, st.LockReplayed, m.lockYields, m.lockReplayed)
+		}
 		for i, mt := range m.threads {
 			if got := w.calls[ThreadID(i)]; got != mt.calls {
 				t.Fatalf("seed %d: thread %d ran its preempt hook %d times, model %d", seed, i, got, mt.calls)
@@ -611,8 +766,19 @@ func TestScheduleModel(t *testing.T) {
 			t.Errorf("no scenario reached %q: the generator lost coverage", name)
 		}
 	}
+	for name, n := range map[string]int{
+		"replayed lock-spin yield point": lcov.lockReplayed, "release of a parked waiter": lcov.releaseDisturbs,
+		"release tied by a lower ID": lcov.releaseTieBelow, "release tied by a higher ID": lcov.releaseTieAbove,
+		"lock waiter parked at deadlock":     lcov.lockedAtDeadlock,
+		"lock spin under a hook that blocks": lcov.unparkedSpins,
+	} {
+		if n == 0 {
+			t.Errorf("no lock seed reached %q: the generator lost coverage", name)
+		}
+	}
 	t.Logf("coverage over seeds 1..%d (no spin ops): %+v", modelSeeds, plain)
 	t.Logf("coverage over all %d seeds: %+v", modelSeeds+spinSeeds, cov)
+	t.Logf("coverage over the %d lock seeds: %+v %+v", lockSeeds, lockCov, lcov)
 }
 
 // TestScheduleModelParallel runs the same scripts untraced, each on its own
@@ -630,6 +796,7 @@ func TestScheduleModelParallel(t *testing.T) {
 		wantErr error
 	}
 	var cov modelCoverage
+	var lcov lockCoverage
 	jobs := make(chan job)
 	var wg sync.WaitGroup
 	for range 4 {
@@ -656,7 +823,8 @@ func TestScheduleModelParallel(t *testing.T) {
 				}
 				st := w.eng.Stats
 				if st.SerialSegments != j.m.segments || st.SerialCycles != j.m.cycles ||
-					st.SelfContinues != j.m.selfPicks || st.Replayed != j.m.replayed {
+					st.SelfContinues != j.m.selfPicks || st.Replayed != j.m.replayed ||
+					st.LockYields != j.m.lockYields || st.LockReplayed != j.m.lockReplayed {
 					t.Errorf("seed %d: %d segments / %d cycles / %d self-continues / %d replayed, model %d / %d / %d / %d",
 						j.seed, st.SerialSegments, st.SerialCycles, st.SelfContinues, st.Replayed,
 						j.m.segments, j.m.cycles, j.m.selfPicks, j.m.replayed)
@@ -664,10 +832,10 @@ func TestScheduleModelParallel(t *testing.T) {
 			}
 		}()
 	}
-	for seed := uint64(1); seed <= modelSeeds+spinSeeds; seed++ {
+	for seed := uint64(1); seed <= modelSeeds+spinSeeds+lockSeeds; seed++ {
 		groups := 1 + int(seed%3)
 		scripts := genScripts(seed, groups)
-		m, wantErr := runModel(scripts, groups, &cov)
+		m, wantErr := runModel(scripts, groups, &cov, &lcov)
 		jobs <- job{seed, scripts, groups, m, wantErr}
 	}
 	close(jobs)

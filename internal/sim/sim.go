@@ -144,6 +144,15 @@ type Thread struct {
 
 	// wake is the parked thread's replay (Park); nil when not parked.
 	wake func(from Cycles) (skipped int64, at Cycles)
+
+	// spin is a parked SpinWhile's schedule; spinWake is its Park wake,
+	// bound on first use so that parking allocates nothing.
+	spin     Spin
+	spinWake func(from Cycles) (int64, Cycles)
+	// preemptPure and preemptReplay describe the preemption hook at a
+	// flag spin's yield points (SetPreemptSpin).
+	preemptPure   func() bool
+	preemptReplay func(s Spin, n int64)
 }
 
 // resume grants the thread the execution token: Run switches into the
@@ -356,8 +365,12 @@ func (t *Thread) EnablePreempt() {
 // thread's own coroutine while it holds the execution token, so it may
 // consult simulated state and call Block to give up the CPU. Installing a
 // hook that never blocks and charges no cycles leaves the simulated
-// timeline untouched.
-func (t *Thread) SetPreempt(h func()) { t.preempt = h }
+// timeline untouched. It clears what SetPreemptSpin declared about the
+// previous hook.
+func (t *Thread) SetPreempt(h func()) {
+	t.preempt = h
+	t.preemptPure, t.preemptReplay = nil, nil
+}
 
 // Block parks the thread until another thread calls Engine.Wake. If a Wake
 // already arrived since the thread last ran (wake-beats-sleep), Block

@@ -19,6 +19,11 @@ type EngineStats struct {
 	// (Thread.Park). Handoffs() − SelfContinues − Replayed is the number of
 	// coroutine switches actually paid.
 	Replayed int64
+	// LockYields and LockReplayed count the yield points of flag spins
+	// (Thread.SpinWhile): those run, and those replayed while parked, a
+	// part of Replayed. Map leaves them out; the mechanism guards read
+	// them.
+	LockYields, LockReplayed int64
 	// SerialCycles attributes simulated cycles advanced to the segments they
 	// were advanced in.
 	SerialCycles Cycles
@@ -39,6 +44,8 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.SerialSegments += o.SerialSegments
 	s.SelfContinues += o.SelfContinues
 	s.Replayed += o.Replayed
+	s.LockYields += o.LockYields
+	s.LockReplayed += o.LockReplayed
 	s.SerialCycles += o.SerialCycles
 }
 

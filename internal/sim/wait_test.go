@@ -1,0 +1,104 @@
+package sim
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+)
+
+// spinLockRace is a lock handed back and forth: the holder takes the flag
+// for hold cycles, rounds times, and the waiter spins for it in between,
+// parking on every round. round, when non-nil, runs on the holder at the
+// start of each round.
+func spinLockRace(rounds int, round func(i int)) *Engine {
+	const hold, interval = 10 * 100, 100
+	e := NewEngine()
+	var (
+		held bool
+		w    Waiters
+	)
+	e.Spawn("holder", 0, func(t *Thread) {
+		for i := 0; i < rounds; i++ {
+			if round != nil {
+				round(i)
+			}
+			held = true
+			t.Advance(hold)
+			t.YieldPoint() // the release is a segment of its own
+			w.Disturb()
+			held = false
+			t.Advance(interval / 2)
+			t.YieldPoint()
+		}
+	})
+	e.Spawn("waiter", 1, func(t *Thread) {
+		for i := 0; i < rounds; i++ {
+			t.SpinWhile("lock:test", &w, interval, func() bool { return held })
+			t.Advance(interval)
+			t.YieldPoint() // the holder retakes the lock before the next wait
+		}
+	})
+	return e
+}
+
+// TestSpinWhileZeroAllocs requires lock-spin parking to allocate nothing:
+// across 50 park/disturb cycles, once the waiter list and the thread's
+// wake exist, the process's allocation count does not move.
+func TestSpinWhileZeroAllocs(t *testing.T) {
+	// No collection during the run: the runtime's work after one (starting
+	// mark workers, background cleanups) allocates on its own goroutines,
+	// which ReadMemStats counts too.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	var e *Engine
+	var replayed int64
+	e = spinLockRace(61, func(i int) {
+		switch i {
+		case 10:
+			runtime.ReadMemStats(&before)
+			replayed = e.Stats.LockReplayed
+		case 60:
+			runtime.ReadMemStats(&after)
+			replayed = e.Stats.LockReplayed - replayed
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if replayed < 50*8 {
+		t.Fatalf("%d yield points replayed over 50 rounds: the waiter did not park on each", replayed)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d allocations over 50 park/disturb cycles", n)
+	}
+}
+
+// BenchmarkSpinWhile is one lock-spin park and one disturb per op: the
+// waiter parks for a lock held ten polls, and the release's disturb skips
+// the polls in between in closed form.
+func BenchmarkSpinWhile(b *testing.B) {
+	e := spinLockRace(b.N, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if e.Stats.LockReplayed < 8*int64(b.N) {
+		b.Fatalf("%d yield points replayed over %d parks", e.Stats.LockReplayed, b.N)
+	}
+}
+
+func TestSpinFirstAt(t *testing.T) {
+	s := Spin{C0: 1000, Interval: 150}
+	for _, c := range []struct {
+		at   Cycles
+		want int64
+	}{{0, 0}, {1000, 0}, {1001, 1}, {1150, 1}, {1151, 2}, {1300, 2}} {
+		if got := s.FirstAt(c.at); got != c.want {
+			t.Errorf("FirstAt(%d) = %d, want %d", c.at, got, c.want)
+		}
+		if j := s.FirstAt(c.at); s.Clock(j) < c.at || j > 0 && s.Clock(j-1) >= c.at {
+			t.Errorf("FirstAt(%d) = %d is not the first yield point at or after it", c.at, j)
+		}
+	}
+}

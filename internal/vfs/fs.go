@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // FS is the in-memory file system: a superblock worth of bookkeeping, an
@@ -35,8 +36,10 @@ type Inode struct {
 	name     string
 	parent   *Inode
 	children map[string]*Inode
-	// appendBusy is the inode's append lock (see LockAppend).
+	// appendBusy is the inode's append lock (see LockAppend), appendWait
+	// the appenders parked on it.
 	appendBusy bool
+	appendWait sim.Waiters
 }
 
 // RootIno is the root directory's inode number.

@@ -61,7 +61,7 @@ type FusedCache struct {
 	pool      *pagePool
 	local     LocalAlloc
 	freeLocal LocalFree
-	busy      map[pageKey]bool
+	locks     pageLocks
 	stats     *Stats
 	tracer    trace.Tracer
 	hook      InvalidateHook
@@ -77,7 +77,7 @@ func newFusedCache(cfg Config, stats *Stats) *FusedCache {
 		pool:      newPagePool(cfg.PoolBase, cfg.PoolSize),
 		local:     cfg.Local,
 		freeLocal: cfg.FreeLocal,
-		busy:      make(map[pageKey]bool),
+		locks:     newPageLocks(),
 		stats:     stats,
 		tracer:    cfg.Tracer,
 	}
@@ -90,8 +90,8 @@ func (c *FusedCache) SetInvalidateHook(h InvalidateHook) { c.hook = h }
 func (c *FusedCache) Frame(pt *hw.Port, ten *cap.Tenant, ino *Inode, idx int64, write bool) (mem.PhysAddr, error) {
 	k := pageKey{ino.Ino, idx}
 	pt.T.Advance(lookupCost)
-	lockPage(pt, c.busy, k)
-	defer unlockPage(c.busy, k)
+	c.locks.lock(pt, k)
+	defer c.locks.unlock(k)
 	if f, ok := c.frames[k]; ok {
 		c.stats.Hits[pt.Node]++
 		emitPC(c.tracer, pt, trace.KindPageCacheHit, pt.Node, ino.Ino, idx, f)
@@ -149,10 +149,10 @@ func (c *FusedCache) Sync(pt *hw.Port, ino *Inode) error {
 func (c *FusedCache) Drop(pt *hw.Port, ino *Inode) error {
 	for _, idx := range c.perIno[ino.Ino] {
 		k := pageKey{ino.Ino, idx}
-		lockPage(pt, c.busy, k)
+		c.locks.lock(pt, k)
 		frame, ok := c.frames[k]
 		if !ok {
-			unlockPage(c.busy, k)
+			c.locks.unlock(k)
 			continue
 		}
 		if c.hook != nil {
@@ -165,7 +165,7 @@ func (c *FusedCache) Drop(pt *hw.Port, ino *Inode) error {
 			delete(c.fromPool, k)
 		} else {
 			if err := c.freeLocal(pt, c.owner[k], frame); err != nil {
-				unlockPage(c.busy, k)
+				c.locks.unlock(k)
 				return err
 			}
 			delete(c.owner, k)
@@ -177,7 +177,7 @@ func (c *FusedCache) Drop(pt *hw.Port, ino *Inode) error {
 		delete(c.frames, k)
 		c.stats.Invalidations[pt.Node]++
 		emitPC(c.tracer, pt, trace.KindPageCacheInvalidate, pt.Node, ino.Ino, idx, frame)
-		unlockPage(c.busy, k)
+		c.locks.unlock(k)
 	}
 	delete(c.perIno, ino.Ino)
 	return nil

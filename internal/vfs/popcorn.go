@@ -65,7 +65,7 @@ type PopcornCache struct {
 	msgr      *interconnect.Messenger
 	local     LocalAlloc
 	freeLocal LocalFree
-	busy      map[pageKey]bool
+	locks     pageLocks
 	stats     *Stats
 	tracer    trace.Tracer
 	hook      InvalidateHook
@@ -81,7 +81,7 @@ func newPopcornCache(cfg Config, stats *Stats) *PopcornCache {
 		msgr:      cfg.Msgr,
 		local:     cfg.Local,
 		freeLocal: cfg.FreeLocal,
-		busy:      make(map[pageKey]bool),
+		locks:     newPageLocks(),
 		stats:     stats,
 		tracer:    cfg.Tracer,
 	}
@@ -105,8 +105,8 @@ func (c *PopcornCache) Frame(pt *hw.Port, ten *cap.Tenant, ino *Inode, idx int64
 	n := pt.Node
 	k := pageKey{ino.Ino, idx}
 	pt.T.Advance(lookupCost)
-	lockPage(pt, c.busy, k)
-	defer unlockPage(c.busy, k)
+	c.locks.lock(pt, k)
+	defer c.locks.unlock(k)
 
 	pg := c.pages[k]
 	if pg == nil {
@@ -276,9 +276,9 @@ func (c *PopcornCache) Sync(pt *hw.Port, ino *Inode) error {
 			pg.dirty = false
 			continue
 		}
-		lockPage(pt, c.busy, k)
+		c.locks.lock(pt, k)
 		if !pg.dirty || pg.state[n] != csExclusive { // re-check under the lock
-			unlockPage(c.busy, k)
+			c.locks.unlock(k)
 			continue
 		}
 		var syncErr error
@@ -296,7 +296,7 @@ func (c *PopcornCache) Sync(pt *hw.Port, ino *Inode) error {
 			return make([]byte, 64)
 		}, pcReq(pcOpWriteback, ino.Ino, idx, mem.PageSize))
 		if syncErr != nil {
-			unlockPage(c.busy, k)
+			c.locks.unlock(k)
 			return syncErr
 		}
 		if c.hook != nil {
@@ -306,7 +306,7 @@ func (c *PopcornCache) Sync(pt *hw.Port, ino *Inode) error {
 		pg.dirty = false
 		c.stats.Writebacks[n]++
 		emitPC(c.tracer, pt, trace.KindPageCacheWriteback, n, ino.Ino, idx, pg.frames[n])
-		unlockPage(c.busy, k)
+		c.locks.unlock(k)
 	}
 	return nil
 }
@@ -329,14 +329,14 @@ func (c *PopcornCache) Drop(pt *hw.Port, ino *Inode) error {
 		if pg == nil {
 			continue
 		}
-		lockPage(pt, c.busy, k)
+		c.locks.lock(pt, k)
 		if pg.frames[n] != 0 {
 			if c.hook != nil {
 				c.hook(pt, ino.Ino, idx, n, false)
 			}
 			frame := pg.frames[n]
 			if err := c.freeLocal(pt, n, frame); err != nil {
-				unlockPage(c.busy, k)
+				c.locks.unlock(k)
 				return err
 			}
 			if ten := c.charged[n][k]; ten != nil {
@@ -353,7 +353,7 @@ func (c *PopcornCache) Drop(pt *hw.Port, ino *Inode) error {
 		} else {
 			delete(c.pages, k)
 		}
-		unlockPage(c.busy, k)
+		c.locks.unlock(k)
 	}
 	if len(peerHeld) > 0 {
 		c.rpc(pt, func(remote *hw.Port, req []byte) []byte {

@@ -155,33 +155,42 @@ func emitPC(tr trace.Tracer, pt *hw.Port, kind trace.Kind, node mem.NodeID, ino,
 		VA: uint64(idx) * mem.PageSize, PA: uint64(pa), Arg: ino})
 }
 
-// lockPage spins (in simulated time) until the page's protocol lock is
-// free, then takes it. The simulation engine serializes execution on one
-// token, so the flag itself needs no host synchronization; the spin makes
-// concurrent faults on one page serialize in simulated time.
-func lockPage(pt *hw.Port, busy map[pageKey]bool, k pageKey) {
-	for busy[k] {
-		pt.T.Advance(busySpinCost)
-		pt.T.YieldPoint()
-	}
-	busy[k] = true
+// pageLocks are a cache's per-page protocol locks. The simulation engine
+// serializes execution on one token, so the flags need no host
+// synchronization; the spin (sim.Thread.SpinWhile) makes concurrent faults
+// on one page serialize in simulated time. The cache's waiters share one
+// list: a release disturbs waiters on other pages too, which is exact.
+type pageLocks struct {
+	held map[pageKey]bool
+	wait sim.Waiters
 }
 
-func unlockPage(busy map[pageKey]bool, k pageKey) { delete(busy, k) }
+func newPageLocks() pageLocks { return pageLocks{held: make(map[pageKey]bool)} }
+
+// lock spins until page k's lock is free, then takes it.
+func (l *pageLocks) lock(pt *hw.Port, k pageKey) {
+	pt.T.SpinWhile("lock:page", &l.wait, busySpinCost, func() bool { return l.held[k] })
+	l.held[k] = true
+}
+
+func (l *pageLocks) unlock(k pageKey) {
+	l.wait.Disturb()
+	delete(l.held, k)
+}
 
 // LockAppend serializes append-mode writers on one inode. A write syscall
 // reads end-of-file and then writes there; in the popcorn regime the write
 // can block mid-transfer on page RPCs, opening a window where a second
 // appender reads the same end-of-file and the records tear. Same idiom as
-// lockPage: the engine's execution token serializes the flag accesses, the
+// pageLocks: the engine's execution token serializes the flag accesses, the
 // spin serializes the appenders in simulated time.
 func (ino *Inode) LockAppend(pt *hw.Port) {
-	for ino.appendBusy {
-		pt.T.Advance(busySpinCost)
-		pt.T.YieldPoint()
-	}
+	pt.T.SpinWhile("lock:append", &ino.appendWait, busySpinCost, func() bool { return ino.appendBusy })
 	ino.appendBusy = true
 }
 
 // UnlockAppend releases LockAppend.
-func (ino *Inode) UnlockAppend() { ino.appendBusy = false }
+func (ino *Inode) UnlockAppend() {
+	ino.appendWait.Disturb()
+	ino.appendBusy = false
+}
