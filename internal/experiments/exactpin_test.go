@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -21,7 +20,7 @@ import (
 // CPU's dispatch, preemption and busy counters, and the engine's segment
 // accounting. The 1-core cell is the one where worker 0 time-slices the
 // frontend's CPU and the Arm worker takes snoops on the rings the x86
-// frontend writes. testdata/redisprod_exact.txt was captured from the
+// frontend writes. testdata/pins/redisprod_exact.txt was captured from the
 // worker wait loops spinning through the engine at every yield point.
 
 // exactCells are the pinned (kind, regime, cores) cells.
@@ -43,13 +42,8 @@ type exactRun struct {
 	traffic redisapp.TrafficResult
 }
 
-// runExactCell runs one cell the way redisprodRun does (one server, quick
-// traffic), keeping the server task.
-func runExactCell(kind redisapp.KeyspaceKind, regime vfs.Regime, cores int) (*exactRun, error) {
-	return runProdCell(redisprodParams(Quick), kind, regime, cores)
-}
-
-// runProdCell is runExactCell with traffic p.
+// runProdCell runs one cell with traffic p the way redisprodRun does (one
+// server), keeping the server task.
 func runProdCell(p redisapp.TrafficParams, kind redisapp.KeyspaceKind, regime vfs.Regime, cores int) (*exactRun, error) {
 	cl, err := machine.NewCluster([]machine.Config{
 		{Model: mem.Shared, OS: machine.StramashOS},
@@ -90,7 +84,7 @@ func runProdCell(p redisapp.TrafficParams, kind redisapp.KeyspaceKind, regime vf
 // exactDump runs one cell and renders everything the pin holds, one fact
 // per line.
 func exactDump(kind redisapp.KeyspaceKind, regime vfs.Regime, cores int) (string, error) {
-	r, err := runExactCell(kind, regime, cores)
+	r, err := runProdCell(redisprodParams(Quick), kind, regime, cores)
 	if err != nil {
 		return "", err
 	}
@@ -121,9 +115,7 @@ func exactDump(kind redisapp.KeyspaceKind, regime vfs.Regime, cores int) (string
 	return b.String(), nil
 }
 
-// exactGolden is the pinned rendering of every cell in exactCells.
-const exactGolden = "testdata/redisprod_exact.txt"
-
+// exactAll renders every cell in exactCells: the redisprod-exact pin.
 func exactAll() (string, error) {
 	var b strings.Builder
 	for _, c := range exactCells {
@@ -136,42 +128,13 @@ func exactAll() (string, error) {
 	return b.String(), nil
 }
 
-// TestRedisprodExactPinned compares the three cells with the golden file
-// line by line.
-func TestRedisprodExactPinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three redisprod cells")
-	}
-	got, err := exactAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(exactGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(raw), "\n")
-	for i := 0; i < max(len(gl), len(wl)); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("%s line %d differs\n got: %s\nwant: %s", exactGolden, i+1, g, w)
-		}
-	}
-}
-
 // TestRedisprodWorkersPark is the spin-parking mechanism guard on the
 // quick sharded/fused/2c cell: the workers that hold a CPU of their own
 // replay at least 90 % of their wait-loop yield points instead of running
 // them. Worker 0 shares x86 core 0 with the frontend, whose run-queue
 // turn keeps it from parking.
 func TestRedisprodWorkersPark(t *testing.T) {
-	r, err := runExactCell(redisapp.KSSharded, vfs.RegimeFused, 2)
+	r, err := runProdCell(redisprodParams(Quick), redisapp.KSSharded, vfs.RegimeFused, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

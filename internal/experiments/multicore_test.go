@@ -3,51 +3,42 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestMulticoreRegistry: the scaling experiment is reachable through Find
-// and Extra but must stay out of All(), whose full-scale output is pinned
+// extraOnly demands that the extra id is reachable through Find and
+// Extra but stays out of All(), whose full-scale output is pinned
 // byte-for-byte by experiments_full.txt.
-func TestMulticoreRegistry(t *testing.T) {
-	if _, ok := Find("multicore"); !ok {
-		t.Fatal("Find does not know the multicore experiment")
+func extraOnly(t *testing.T, id string) {
+	if _, ok := Find(id); !ok {
+		t.Fatalf("Find does not know the %s experiment", id)
 	}
-	for _, s := range All() {
-		if s.ID == "multicore" {
-			t.Error("multicore is in All(); that changes the pinned full-run output")
-		}
+	if slices.ContainsFunc(All(), func(s Spec) bool { return s.ID == id }) {
+		t.Errorf("%s is in All(); that changes the pinned full-run output", id)
 	}
-	found := false
-	for _, s := range Extra() {
-		if s.ID == "multicore" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("multicore missing from Extra()")
+	if !slices.ContainsFunc(Extra(), func(s Spec) bool { return s.ID == id }) {
+		t.Errorf("%s missing from Extra()", id)
 	}
 }
 
-// TestMulticoreDeterminism is the multi-core determinism golden: the sweep
-// (whose 4-core point runs four cloned workers over four strictly
-// scheduled CPUs) must render byte-identically when run directly, through
-// the sequential RunAndReport path, and under the parallel pool.
-func TestMulticoreDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	spec, ok := Find("multicore")
-	if !ok {
-		t.Fatal("multicore spec not found")
-	}
+func TestMulticoreRegistry(t *testing.T) { extraOnly(t, "multicore") }
 
-	direct, err := Multicore(Quick, 1)
+// deterministic demands that the spec id renders byte-identically when run
+// directly, through the sequential RunAndReport path, and twice
+// concurrently under the parallel pool, and reproduces its shape at quick
+// scale. It returns the direct result.
+func deterministic(t *testing.T, id string) Result {
+	spec, ok := Find(id)
+	if !ok {
+		t.Fatalf("%s spec not found", id)
+	}
+	direct, err := spec.Run(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seq bytes.Buffer
+	var seq, viaPool bytes.Buffer
 	if _, _, err := RunAndReport(&seq, spec, Quick); err != nil {
 		t.Fatal(err)
 	}
@@ -57,29 +48,33 @@ func TestMulticoreDeterminism(t *testing.T) {
 			t.Fatalf("pooled run %d: %v", i, o.Err)
 		}
 	}
-
 	if a, b := direct.Render(), pooled[0].Result.Render(); a != b {
 		t.Errorf("direct and pooled renderings differ:\n--- direct\n%s\n--- pooled\n%s", a, b)
 	}
 	if a, b := pooled[0].Result.Render(), pooled[1].Result.Render(); a != b {
 		t.Errorf("two concurrent pooled runs render differently:\n--- first\n%s\n--- second\n%s", a, b)
 	}
-	var viaPool bytes.Buffer
 	if _, err := Report(&viaPool, pooled[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if seq.String() != viaPool.String() {
-		t.Errorf("sequential report differs from pooled report:\n--- seq\n%s\n--- pool\n%s",
-			seq.String(), viaPool.String())
+		t.Errorf("sequential report differs from pooled report:\n--- seq\n%s\n--- pool\n%s", seq.String(), viaPool.String())
 	}
-
 	if shape := direct.ShapeErrors(); len(shape) != 0 {
 		t.Errorf("shape deviations at quick scale: %v", shape)
 	}
+	return direct
+}
 
-	// The sweep's shape: the 4-core row exists and every one of its cores
-	// was exercised (nonzero per-core L1D traffic).
-	mr := direct.(*MulticoreResult)
+// TestMulticoreDeterminism is the multi-core determinism golden: the sweep
+// (whose 4-core point runs four cloned workers over four strictly
+// scheduled CPUs) is deterministic, and every core of its 4-core row was
+// exercised (nonzero per-core L1D traffic).
+func TestMulticoreDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	mr := deterministic(t, "multicore").(*MulticoreResult)
 	var got4 bool
 	for _, row := range mr.Rows {
 		if row.Cores != 4 {

@@ -7,8 +7,6 @@ package experiments
 // experiment pool.
 
 import (
-	"context"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -71,33 +69,5 @@ func TestTraceGoldenNetEvents(t *testing.T) {
 		}
 	}
 
-	const runs = 2
-	texts := make([]string, runs)
-	specs := make([]Spec, runs)
-	for i := range specs {
-		i := i
-		specs[i] = Spec{ID: fmt.Sprintf("traced-cluster-%d", i), Run: func(Scale, int) (Result, error) {
-			c, buf, err := tracedClusterRun(true)
-			if err != nil {
-				return nil, err
-			}
-			if c != refCycles {
-				return nil, fmt.Errorf("pool run: %d cycles, reference %d", c, refCycles)
-			}
-			texts[i] = buf.Text()
-			return fakeResult{name: "traced cluster", body: "ok\n"}, nil
-		}}
-	}
-	outcomes := RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: runs})
-	for _, o := range outcomes {
-		if o.Err != nil {
-			t.Fatal(o.Err)
-		}
-	}
-	for i := 0; i < runs; i++ {
-		if texts[i] != refText {
-			t.Errorf("pool run %d: cluster trace differs from sequential reference (%d vs %d bytes)",
-				i, len(texts[i]), len(refText))
-		}
-	}
+	poolTraces(t, 2, refCycles, refText, func() (sim.Cycles, *trace.Buffer, error) { return tracedClusterRun(true) })
 }

@@ -79,53 +79,51 @@ func TestTracedCyclesEqualUntraced(t *testing.T) {
 	}
 }
 
+// poolTraces runs a traced run n times concurrently inside RunPool and
+// demands each retire refCycles and record refText, the sequential
+// reference's. Each run owns a private machine and buffer — the pool's
+// concurrency must not leak into the simulated event stream.
+func poolTraces(t *testing.T, n int, refCycles sim.Cycles, refText string, run func() (sim.Cycles, *trace.Buffer, error)) {
+	t.Helper()
+	texts := make([]string, n)
+	specs := make([]Spec, n)
+	for i := range specs {
+		specs[i] = Spec{ID: fmt.Sprintf("traced-%d", i), Run: func(Scale, int) (Result, error) {
+			c, buf, err := run()
+			if err != nil {
+				return nil, err
+			}
+			if c != refCycles {
+				return nil, fmt.Errorf("pool run %d: %d cycles, sequential reference %d", i, c, refCycles)
+			}
+			texts[i] = buf.Text()
+			return fakeResult{name: "traced", body: "ok\n"}, nil
+		}}
+	}
+	for i, o := range RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: n}) {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		if texts[i] != refText {
+			t.Errorf("pool run %d: trace differs from sequential reference (%d vs %d bytes)", i, len(texts[i]), len(refText))
+		}
+	}
+}
+
 // TestTraceGoldenSequentialVsPool records the futex experiment's trace
 // once sequentially, then three more times concurrently inside RunPool,
 // and demands every pool-recorded trace be byte-identical to the
-// sequential reference. Each run owns a private machine and buffer — the
-// pool's concurrency must not leak into the simulated event stream.
+// sequential reference.
 func TestTraceGoldenSequentialVsPool(t *testing.T) {
 	const loops = 30
 	refCycles, ref, err := tracedFutexRun(loops, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refText := ref.Text()
-	if refText == "" {
+	if ref.Text() == "" {
 		t.Fatal("sequential reference trace is empty")
 	}
-
-	const runs = 3
-	texts := make([]string, runs)
-	cycles := make([]sim.Cycles, runs)
-	specs := make([]Spec, runs)
-	for i := range specs {
-		i := i
-		specs[i] = Spec{ID: fmt.Sprintf("traced-futex-%d", i), Run: func(Scale, int) (Result, error) {
-			c, buf, err := tracedFutexRun(loops, true)
-			if err != nil {
-				return nil, err
-			}
-			cycles[i] = c
-			texts[i] = buf.Text()
-			return fakeResult{name: "traced futex", body: "ok\n"}, nil
-		}}
-	}
-	outcomes := RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: runs})
-	for _, o := range outcomes {
-		if o.Err != nil {
-			t.Fatal(o.Err)
-		}
-	}
-	for i := 0; i < runs; i++ {
-		if cycles[i] != refCycles {
-			t.Errorf("pool run %d: %d cycles, sequential reference %d", i, cycles[i], refCycles)
-		}
-		if texts[i] != refText {
-			t.Errorf("pool run %d: trace differs from sequential reference (%d vs %d bytes)",
-				i, len(texts[i]), len(refText))
-		}
-	}
+	poolTraces(t, 3, refCycles, ref.Text(), func() (sim.Cycles, *trace.Buffer, error) { return tracedFutexRun(loops, true) })
 }
 
 // tracedFileRun executes a small cross-node file workload under the given
@@ -226,35 +224,7 @@ func TestTraceGoldenVFSEvents(t *testing.T) {
 				}
 			}
 
-			const runs = 2
-			texts := make([]string, runs)
-			specs := make([]Spec, runs)
-			for i := range specs {
-				i := i
-				specs[i] = Spec{ID: fmt.Sprintf("traced-file-%d", i), Run: func(Scale, int) (Result, error) {
-					c, buf, err := tracedFileRun(tc.regime, true)
-					if err != nil {
-						return nil, err
-					}
-					if c != refCycles {
-						return nil, fmt.Errorf("pool run: %d cycles, reference %d", c, refCycles)
-					}
-					texts[i] = buf.Text()
-					return fakeResult{name: "traced file", body: "ok\n"}, nil
-				}}
-			}
-			outcomes := RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: runs})
-			for _, o := range outcomes {
-				if o.Err != nil {
-					t.Fatal(o.Err)
-				}
-			}
-			for i := 0; i < runs; i++ {
-				if texts[i] != refText {
-					t.Errorf("pool run %d: file trace differs from sequential reference (%d vs %d bytes)",
-						i, len(texts[i]), len(refText))
-				}
-			}
+			poolTraces(t, 2, refCycles, refText, func() (sim.Cycles, *trace.Buffer, error) { return tracedFileRun(tc.regime, true) })
 		})
 	}
 }

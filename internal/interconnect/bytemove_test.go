@@ -10,32 +10,40 @@ import (
 	"repro/internal/sim"
 )
 
+// runBounded runs the engine of a platform whose one thread runs body on a
+// 4-slot SHM messenger. The host-time deadline turns a livelock into a
+// failure instead of a hung test binary.
+func runBounded(t *testing.T, body func(m *Messenger, x86, arm *hw.Port)) error {
+	t.Helper()
+	plat := hw.NewPlatform(hw.DefaultConfig(mem.Shared))
+	plat.Engine.Spawn("main", 0, func(th *sim.Thread) {
+		x86, arm := plat.NewPort(mem.NodeX86, 0, th), plat.NewPort(mem.NodeArm, 0, th)
+		cfg := DefaultConfig(SHM, plat.Layout().SharedRegions()[0].Start)
+		cfg.Slots = 4
+		body(NewMessenger(cfg, plat, x86), x86, arm)
+	})
+	done := make(chan error, 1)
+	go func() { done <- plat.Engine.Run() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("the engine did not finish within 10 s (livelock)")
+		return nil
+	}
+}
+
 // TestSendBeyondRingCapacityPanics: RPC runs both ends on the caller's
 // thread, so nothing drains the ring while Send is still enqueueing. A
 // payload needing more fragments than the ring has slots must therefore
 // fail up front instead of spinning on the full ring forever; one that
-// needs exactly every slot must still go through. The host-time deadline
-// turns a livelock into a failure instead of a hung test binary.
+// needs exactly every slot must still go through.
 func TestSendBeyondRingCapacityPanics(t *testing.T) {
 	run := func(fragments int) error {
-		plat := hw.NewPlatform(hw.DefaultConfig(mem.Shared))
-		plat.Engine.Spawn("main", 0, func(th *sim.Thread) {
-			pt := plat.NewPort(mem.NodeX86, 0, th)
-			cfg := DefaultConfig(SHM, plat.Layout().SharedRegions()[0].Start)
-			cfg.Slots = 4
-			m := NewMessenger(cfg, plat, pt)
+		return runBounded(t, func(m *Messenger, pt, _ *hw.Port) {
 			req := make([]byte, fragments*m.rings[0].MaxPayload())
 			m.RPC(pt, func(*hw.Port, []byte) []byte { return make([]byte, 16) }, req)
 		})
-		done := make(chan error, 1)
-		go func() { done <- plat.Engine.Run() }()
-		select {
-		case err := <-done:
-			return err
-		case <-time.After(10 * time.Second):
-			t.Fatalf("a %d-fragment RPC over a 4-slot ring did not finish within 10 s (livelock)", fragments)
-			return nil
-		}
 	}
 	if err := run(4); err != nil {
 		t.Fatalf("a request filling the ring exactly failed: %v", err)
@@ -43,6 +51,33 @@ func TestSendBeyondRingCapacityPanics(t *testing.T) {
 	err := run(5)
 	if err == nil || !strings.Contains(err.Error(), "exceeds ring capacity") {
 		t.Fatalf("a request one slot past the ring returned %v, want a capacity panic", err)
+	}
+}
+
+// TestUndrainedSendPanics: every transaction drains what it sent, so only a
+// second Send that nothing drained can fill a ring. It panics instead of
+// backing off until a consumer that never comes.
+func TestUndrainedSendPanics(t *testing.T) {
+	err := runBounded(t, func(m *Messenger, x86, _ *hw.Port) {
+		msg := make([]byte, 3*m.rings[0].MaxPayload())
+		m.Send(x86, msg)
+		m.Send(x86, msg)
+	})
+	if err == nil || !strings.Contains(err.Error(), "ring full") {
+		t.Fatalf("a second undrained Send returned %v, want a ring-full panic", err)
+	}
+}
+
+// TestShortRecvAllPanics: a message is wholly in the ring before RecvAll
+// starts, so a ring that empties short of the expected size panics instead
+// of spinning for bytes nothing will send.
+func TestShortRecvAllPanics(t *testing.T) {
+	err := runBounded(t, func(m *Messenger, x86, arm *hw.Port) {
+		m.Send(x86, make([]byte, 10))
+		m.RecvAll(arm, 20)
+	})
+	if err == nil || !strings.Contains(err.Error(), "ring empty after 10 of 20 bytes") {
+		t.Fatalf("a short RecvAll returned %v, want a ring-empty panic", err)
 	}
 }
 

@@ -9,54 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestPollingModeSkipsIPI(t *testing.T) {
-	plat := hw.NewPlatform(hw.DefaultConfig(mem.Shared))
-	plat.Engine.Spawn("main", 0, func(th *sim.Thread) {
-		x86 := plat.NewPort(mem.NodeX86, 0, th)
-		arm := plat.NewPort(mem.NodeArm, 0, th)
-		cfg := DefaultConfig(SHM, plat.Layout().SharedRegions()[0].Start)
-		cfg.Polling = true
-		m := NewMessenger(cfg, plat, x86)
-
-		m.Send(x86, []byte("polled"))
-		if got := plat.IPICount(mem.NodeArm); got != 0 {
-			t.Errorf("polling send raised %d IPIs", got)
-		}
-		// The receiver still finds the message by polling the ring.
-		msg, ok := m.Recv(arm)
-		if !ok || string(msg) != "polled" {
-			t.Errorf("Recv = %q,%v", msg, ok)
-		}
-	})
-	if err := plat.Engine.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPollingCheaperSendThanInterrupt(t *testing.T) {
-	cost := func(polling bool) sim.Cycles {
-		plat := hw.NewPlatform(hw.DefaultConfig(mem.Shared))
-		var end sim.Cycles
-		plat.Engine.Spawn("main", 0, func(th *sim.Thread) {
-			pt := plat.NewPort(mem.NodeX86, 0, th)
-			cfg := DefaultConfig(SHM, plat.Layout().SharedRegions()[0].Start)
-			cfg.Polling = polling
-			m := NewMessenger(cfg, plat, pt)
-			start := th.Now()
-			m.Send(pt, []byte("x"))
-			end = th.Now() - start
-		})
-		if err := plat.Engine.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return end
-	}
-	ipi, polled := cost(false), cost(true)
-	if polled >= ipi {
-		t.Errorf("polling send (%d) not cheaper than IPI send (%d)", polled, ipi)
-	}
-}
-
 func TestConcurrentRPCsDoNotInterleave(t *testing.T) {
 	// Two simulated threads fire RPCs with distinct payloads concurrently;
 	// the channel lock must keep each transaction intact (no crossed

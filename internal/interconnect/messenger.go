@@ -52,11 +52,6 @@ type Config struct {
 	SlotSize int
 	// NetRTTMicros is the full message round-trip latency for TCP mode.
 	NetRTTMicros float64
-	// Polling disables IPI notification on SHM sends; the receiver is
-	// expected to poll the ring instead ("we also support polling in place
-	// of interrupt dispatching", §6.2). Saves the 2 µs doorbell at the cost
-	// of the receiver's poll loop.
-	Polling bool
 }
 
 // DefaultConfig returns a messenger configuration in the given mode with
@@ -141,6 +136,9 @@ func (m *Messenger) ResetStats() { m.stats = Stats{} }
 // IPI; for TCP it is the stack cost plus half the round-trip. TCP queues
 // payload itself, so it must stay unmodified until dequeued. An SHM payload
 // larger than the whole ring panics: nothing drains it until Send returns.
+// So does a full ring: every transaction starts with both rings empty and
+// drains what it sent before it ends, so only a second undrained Send can
+// fill one, and nothing would ever drain it.
 func (m *Messenger) Send(pt *hw.Port, payload []byte) {
 	src := pt.Node
 	dst := mem.NodeID(1 - int(src))
@@ -167,19 +165,15 @@ func (m *Messenger) Send(pt *hw.Port, payload []byte) {
 			if off > 0 {
 				m.stats.Fragments[src]++
 			}
-			for !ring.Send(pt, payload[off:end]) {
-				// Ring full: back off; the consumer will drain it.
-				pt.T.Advance(200)
-				pt.T.YieldPoint()
+			if !ring.Send(pt, payload[off:end]) {
+				panic(fmt.Sprintf("interconnect: node %v ring full: a Send that nothing drained", src))
 			}
 			if end >= len(payload) {
 				break
 			}
 			off = end
 		}
-		if !m.cfg.Polling {
-			m.plat.SendIPI(pt.T, dst, 0)
-		}
+		m.plat.SendIPI(pt.T, dst, 0)
 	case TCP:
 		// Kernel TCP stack: syscall + copies + NIC DMA, then wire time.
 		const perByteCycles = 0.4
@@ -216,16 +210,18 @@ func (m *Messenger) Recv(pt *hw.Port) ([]byte, bool) {
 }
 
 // RecvAll drains the full payload of one logical SHM message that Send may
-// have fragmented: it keeps receiving (spinning on an empty ring) until total
-// bytes have arrived. Callers know message sizes from their protocol. The
-// result is the messenger's reused buffer, valid until the next RecvAll.
+// have fragmented: it keeps receiving until total bytes have arrived.
+// Callers know message sizes from their protocol. Both ends of a
+// transaction run on the caller's thread, so the whole message is in the
+// ring before RecvAll starts: a ring that empties short of total panics
+// instead of waiting for bytes nothing will send. The result is the
+// messenger's reused buffer, valid until the next RecvAll.
 func (m *Messenger) RecvAll(pt *hw.Port, total int) []byte {
 	out := m.rx[:0]
 	for len(out) < total {
 		var ok bool
 		if out, ok = m.rings[1-pt.Node].RecvAppend(pt, out); !ok {
-			pt.T.Advance(100)
-			pt.T.YieldPoint()
+			panic(fmt.Sprintf("interconnect: node %v ring empty after %d of %d bytes", pt.Node, len(out), total))
 		}
 	}
 	m.rx = out

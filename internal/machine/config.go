@@ -65,9 +65,6 @@ func (c *Config) Validate() error {
 	if c.MachID < 0 {
 		return &ConfigError{Field: "MachID", Value: c.MachID, Reason: "must not be negative"}
 	}
-	if c.NIC.Slots < 0 || c.NIC.SlotSize < 0 {
-		return &ConfigError{Field: "NIC", Value: c.NIC, Reason: "ring geometry must not be negative"}
-	}
 	for n := 0; n < 2; n++ {
 		if c.CPI[n] < 0 {
 			return &ConfigError{Field: "CPI", Value: c.CPI[n], Reason: "must not be negative"}

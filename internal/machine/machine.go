@@ -120,9 +120,6 @@ type Config struct {
 	// simulation engine instead of creating its own. NewCluster assigns
 	// one engine to all of its machines.
 	SharedEngine *sim.Engine
-	// NIC overrides the NIC ring geometry (zero selects
-	// net.DefaultNICConfig). Ignored without Fabric.
-	NIC net.NICConfig
 	// Tenants, when non-empty, boots the machine multi-tenant: a
 	// capability namespace is built with one tenant per spec and every
 	// privileged syscall a tenant task makes is checked against its
@@ -325,7 +322,7 @@ func (m *Machine) attachNIC(ctx *kernel.Context, pt *hw.Port) {
 	if m.vfsPoolCarved {
 		base += vfsPoolSize
 	}
-	m.NIC = net.NewNIC(pt, m.Cfg.MachID, base, m.Cfg.NIC)
+	m.NIC = net.NewNIC(pt, m.Cfg.MachID, base, net.DefaultNICConfig())
 	m.Cfg.Fabric.Attach(m.NIC)
 	m.Net = net.NewStack(m.NIC, m.Cfg.Fabric, 0)
 	ctx.Net = m.Net

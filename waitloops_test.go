@@ -21,8 +21,6 @@ import (
 // listed here.
 var waitLoopAllow = map[string]string{
 	"bench/layers.go:sweepSim":                          "the engine microbenchmark's hand-off loops: they time yield points and wait for nothing",
-	"internal/interconnect/messenger.go:Send":           "ring-full send: the probe is a load of the ring's tail in simulated memory",
-	"internal/interconnect/messenger.go:RecvAll":        "the probe is a load of the ring's head in simulated memory",
 	"internal/microbench/wakelatency.go:RunWakeLatency": "the probe is a syscall: FutexWake until the waiter is queued",
 	"internal/net/fabric.go:acquire":                    "switch arbitration: each attempt advances to the clock the switch frees at",
 	"internal/net/fabric.go:Transmit":                   "retransmit backoff: the wait doubles each attempt and has no disturber",
