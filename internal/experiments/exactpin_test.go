@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/kernel"
@@ -115,6 +117,13 @@ func exactDump(kind redisapp.KeyspaceKind, regime vfs.Regime, cores int) (string
 	return b.String(), nil
 }
 
+// exactPin is the redisprod-exact pin file.
+const exactPin = "testdata/pins/redisprod_exact.txt"
+
+// exactOnce is exactAll run once per test binary: TestPins and
+// TestRedisprodExactPinned check the same render.
+var exactOnce = sync.OnceValues(exactAll)
+
 // exactAll renders every cell in exactCells: the redisprod-exact pin.
 func exactAll() (string, error) {
 	var b strings.Builder
@@ -126,6 +135,50 @@ func exactAll() (string, error) {
 		fmt.Fprintf(&b, "== %v/%v/%dc\n%s", c.kind, c.regime, c.cores, d)
 	}
 	return b.String(), nil
+}
+
+// TestRedisprodExactPinned checks the redisprod-exact pin on its own, for
+// a run selecting only the redisprod tests; TestPins checks the same
+// render.
+func TestRedisprodExactPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three redisprod cells")
+	}
+	testPin(t, pin{"redisprod-exact", exactPin, false, exactOnce})
+}
+
+// TestRedisprodEngineStatsPinned holds the engine columns the redisprod
+// experiment reports for its quick sharded/fused/2c cell to the engine
+// line the redisprod-exact pin holds for that cell, so the experiment's
+// own path (redisprodRun) and the pin's (runProdCell) cannot drift apart.
+// A hand-off is a serial segment, so handoffs equals serial_segments.
+func TestRedisprodEngineStatsPinned(t *testing.T) {
+	raw, err := os.ReadFile(exactPin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, _, _ := strings.Cut(strings.TrimPrefix(string(raw), "== sharded/fused/2c\n"), "\n== ")
+	i := strings.LastIndex(cell, "\nengine ")
+	if !strings.HasPrefix(string(raw), "== sharded/fused/2c\n") || i < 0 {
+		t.Fatalf("%s does not open with the sharded/fused/2c cell and its engine line", exactPin)
+	}
+	var segs, cycles int64
+	if _, err := fmt.Sscanf(cell[i+1:], "engine serial_segments=%d serial_cycles=%d", &segs, &cycles); err != nil {
+		t.Fatalf("%s: sharded/fused/2c engine line: %v", exactPin, err)
+	}
+	row, err := redisprodRun(redisapp.KSSharded, vfs.RegimeFused, 2, redisprodParams(Quick))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[string]int64{
+		"serial_segments": segs,
+		"serial_cycles":   cycles,
+		"handoffs":        segs,
+	} {
+		if got := row.Engine[k]; got != want {
+			t.Errorf("sharded/fused/2c %s = %d, want %d", k, got, want)
+		}
+	}
 }
 
 // TestRedisprodWorkersPark is the spin-parking mechanism guard on the
