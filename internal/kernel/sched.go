@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -169,8 +168,7 @@ func (s *Scheduler) Attach(t *Task) {
 	t.Sched = s
 	if s.Policy == SchedTimeSlice {
 		t.Th.SetPreempt(func() { s.maybePreempt(t) })
-		t.Th.SetPreemptSpin(func() bool { return s.spinPure(t) },
-			func(sp sim.Spin, n int64) { s.replaySpin(t, sp, n) })
+		t.Th.SetSpinHook(t.spinLoop())
 	}
 	s.acquire(t)
 }
@@ -236,7 +234,6 @@ func (s *Scheduler) acquire(t *Task) {
 		if cpu.cur != nil && cpu.cur != t {
 			// A parked occupant's preemption hook stops being pure.
 			cpu.cur.Th.Disturb()
-			cpu.cur.spin.disturb()
 			cpu.queue = append(cpu.queue, t)
 			t.State = TaskReady
 			if tr := s.Ctx.Plat.Tracer; tr != nil {
@@ -331,67 +328,21 @@ func (s *Scheduler) quantumFor(t *Task) int64 {
 	return q
 }
 
-// yieldSchedule is a parked wait loop's yield points 0, 1, 2, … from the
-// one it parked at (sim.Thread.Park): each one's clock and the task's
-// retired instructions there, both non-decreasing in j, and the first
-// yield point at or after a clock or an instruction count.
-type yieldSchedule interface {
-	clock(j int64) sim.Cycles
-	instr(j int64) int64
-	firstAt(c sim.Cycles) int64
-	firstWith(instr int64) int64
-}
-
 // replaySlices applies maybePreempt's empty-queue branch at yield points
-// 0..n-1 of t's parked wait loop ys, in closed form: the slice restarts at
-// the first yield point where t has retired its quantum of instructions,
-// or held the CPU for the cycle backstop, since the slice began.
-func (s *Scheduler) replaySlices(t *Task, ys yieldSchedule, n int64) {
+// 0..n-1 of t's parked wait loop sp, parked with instr0 instructions
+// retired, in closed form: the slice restarts at the first yield point
+// where t has retired its quantum of instructions, or held the CPU for the
+// cycle backstop, since the slice began.
+func (s *Scheduler) replaySlices(t *Task, sp sim.Spin, instr0, n int64) {
 	quantum := s.quantumFor(t)
 	for j := int64(0); ; j++ {
-		j = max(j, min(ys.firstWith(t.sliceInstr+quantum),
-			ys.firstAt(t.sliceStart+sim.Cycles(quantum*backstopFactor))))
+		j = max(j, min(sp.FirstWith(t.sliceInstr+quantum-instr0),
+			sp.FirstAt(t.sliceStart+sim.Cycles(quantum*backstopFactor))))
 		if j >= n {
 			return
 		}
-		t.sliceInstr, t.sliceStart = ys.instr(j), ys.clock(j)
+		t.sliceInstr, t.sliceStart = instr0+sp.Instr(j), sp.Clock(j)
 	}
-}
-
-// lockSpin is a parked flag spin's yield-point schedule
-// (sim.Thread.SpinWhile): the spin's clocks, and no instruction retired.
-type lockSpin struct {
-	sp     sim.Spin
-	instr0 int64
-}
-
-func (l *lockSpin) clock(j int64) sim.Cycles   { return l.sp.Clock(j) }
-func (l *lockSpin) instr(int64) int64          { return l.instr0 }
-func (l *lockSpin) firstAt(c sim.Cycles) int64 { return l.sp.FirstAt(c) }
-func (l *lockSpin) firstWith(instr int64) int64 {
-	if instr <= l.instr0 {
-		return 0
-	}
-	return math.MaxInt64
-}
-
-// spinPure is t's preemption hook's purity test at a flag spin's yield
-// points (sim.Thread.SetPreemptSpin). With t off its CPU the hook returns
-// at once; with t alone on it, it is slice arithmetic on t's own fields,
-// until an enqueue on the CPU disturbs the spin (acquire). A tenant's
-// quantum may be rescaled meanwhile, so its tasks never park.
-func (s *Scheduler) spinPure(t *Task) bool {
-	return t.Proc.Ten == nil && (t.State != TaskRunning || t.cpu == nil || len(t.cpu.queue) == 0)
-}
-
-// replaySpin is t's hook replay over yield points 0..n-1 of the parked
-// flag spin sp.
-func (s *Scheduler) replaySpin(t *Task, sp sim.Spin, n int64) {
-	if t.State != TaskRunning || t.cpu == nil {
-		return
-	}
-	t.lockSpin = lockSpin{sp: sp, instr0: t.instrTotal()}
-	s.replaySlices(t, &t.lockSpin, n)
 }
 
 // maybePreempt is the preemption hook installed on every strictly scheduled

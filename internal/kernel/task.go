@@ -91,10 +91,9 @@ type Task struct {
 	sockSleeping bool
 	capCancel    bool
 
-	// spin is the SpinWait loop state, nil until the task's first SpinWait.
+	// spin is the task's wait-loop state and SpinHook, nil until the
+	// task's first SpinWait or Attach under time-slicing.
 	spin *spinLoop
-	// lockSpin is the schedule of the flag spin being replayed (replaySpin).
-	lockSpin lockSpin
 
 	Stats  TaskStats
 	exited bool

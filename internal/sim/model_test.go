@@ -211,7 +211,7 @@ func (w *scriptWorld) run(t *Thread, s *script) {
 	if s.spinner {
 		// The counting hook is pure; a blocking one is not, and a lock
 		// spin under it never parks.
-		t.SetPreemptSpin(func() bool { return true }, func(_ Spin, n int64) { w.calls[t.ID] += int(n) })
+		t.SetSpinHook(countingSpin{w, t.ID})
 	}
 	for _, o := range s.ops {
 		switch o.kind {
@@ -264,6 +264,16 @@ func (w *scriptWorld) run(t *Thread, s *script) {
 		}
 	}
 }
+
+// countingSpin is the counting hook's SpinHook: the hook is pure, and
+// replaying n yield points counts n calls.
+type countingSpin struct {
+	w  *scriptWorld
+	id ThreadID
+}
+
+func (countingSpin) Pure() bool               { return true }
+func (h countingSpin) Replay(_ Spin, n int64) { h.w.calls[h.id] += int(n) }
 
 func (w *scriptWorld) clocks() []Cycles {
 	out := make([]Cycles, len(w.eng.threads))

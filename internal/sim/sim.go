@@ -145,14 +145,14 @@ type Thread struct {
 	// wake is the parked thread's replay (Park); nil when not parked.
 	wake func(from Cycles) (skipped int64, at Cycles)
 
-	// spin is a parked SpinWhile's schedule; spinWake is its Park wake,
-	// bound on first use so that parking allocates nothing.
+	// spin is a parked loop's schedule (ParkSpin) and spinAt the yield
+	// point its last wake resumed it at; spinWake is its Park wake, bound
+	// on first use so that parking allocates nothing. spinHook describes
+	// the preemption hook at the loop's yield points (SetSpinHook).
 	spin     Spin
+	spinAt   int64
 	spinWake func(from Cycles) (int64, Cycles)
-	// preemptPure and preemptReplay describe the preemption hook at a
-	// flag spin's yield points (SetPreemptSpin).
-	preemptPure   func() bool
-	preemptReplay func(s Spin, n int64)
+	spinHook SpinHook
 }
 
 // resume grants the thread the execution token: Run switches into the
@@ -365,11 +365,11 @@ func (t *Thread) EnablePreempt() {
 // thread's own coroutine while it holds the execution token, so it may
 // consult simulated state and call Block to give up the CPU. Installing a
 // hook that never blocks and charges no cycles leaves the simulated
-// timeline untouched. It clears what SetPreemptSpin declared about the
-// previous hook.
+// timeline untouched. It clears the SpinHook that described the previous
+// hook.
 func (t *Thread) SetPreempt(h func()) {
 	t.preempt = h
-	t.preemptPure, t.preemptReplay = nil, nil
+	t.spinHook = nil
 }
 
 // Block parks the thread until another thread calls Engine.Wake. If a Wake

@@ -1,23 +1,136 @@
 package sim
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
-// Spin is the yield-point schedule of a parked flag spin (SpinWhile): its
-// yield point j, counted from the one it parked at, is at clock
-// C0 + j·Interval.
+// Spin is the yield-point schedule of a parked wait loop (ParkSpin), its
+// yield points numbered 0, 1, 2, … from the one it parked at, where it has
+// just advanced Interval cycles. It has one of two shapes:
+//
+//   - a flag spin (SpinWhile) has one yield point per Interval and
+//     retires no instructions: Probe and Loads are zero;
+//   - a memory probe (kernel.Task.SpinWait) has three yield points per
+//     iteration of Probe+Interval cycles: the loop top, at the clock of
+//     the yield point before it; the probe's close, Probe cycles later,
+//     after its Loads loads; and the poll, after the next Interval.
 type Spin struct {
-	C0, Interval Cycles
+	C0, Interval, Probe Cycles
+	Loads               int64
+}
+
+// points returns the yield points per iteration.
+func (s Spin) points() int64 {
+	if s.Loads == 0 {
+		return 1
+	}
+	return 3
 }
 
 // Clock returns the clock of yield point j.
-func (s Spin) Clock(j int64) Cycles { return s.C0 + Cycles(j)*s.Interval }
+func (s Spin) Clock(j int64) Cycles {
+	p := s.points()
+	c := s.C0 + Cycles(j/p)*(s.Probe+s.Interval)
+	if j%p == 2 {
+		c += s.Probe
+	}
+	return c
+}
+
+// Instr returns the instructions the loop retires from yield point 0 to
+// yield point j: Loads per probe closed.
+func (s Spin) Instr(j int64) int64 { return s.Loads * ((j + 1) / 3) }
 
 // FirstAt returns the first yield point at or after clock c.
 func (s Spin) FirstAt(c Cycles) int64 {
 	if c <= s.C0 {
 		return 0
 	}
-	return int64((c - s.C0 + s.Interval - 1) / s.Interval)
+	p, period := s.points(), s.Probe+s.Interval
+	m, r := int64((c-s.C0)/period), (c-s.C0)%period
+	switch {
+	case r == 0:
+		return p * m
+	case r <= s.Probe:
+		return p*m + 2
+	}
+	return p * (m + 1)
+}
+
+// FirstWith returns the first yield point at which the loop has retired at
+// least instr instructions since yield point 0; for a flag spin with
+// instr > 0 there is none, and it returns math.MaxInt64.
+func (s Spin) FirstWith(instr int64) int64 {
+	switch {
+	case instr <= 0:
+		return 0
+	case s.Loads == 0:
+		return math.MaxInt64
+	}
+	return 3*((instr+s.Loads-1)/s.Loads) - 1
+}
+
+// SpinHook is the preemption hook's side of a parked wait loop, installed
+// with SetSpinHook beside SetPreempt. Pure reports whether, from now until
+// something disturbs the thread, the hook would only change state that
+// Replay can bring up to date later. Replay applies the hook's calls at
+// yield points 0..n-1 of the parked loop s, and the effects of the loads
+// the loop retired before yield point n (s.Instr(n)). Without a hook, a
+// loop under an enabled preemption hook never parks.
+type SpinHook interface {
+	Pure() bool
+	Replay(s Spin, n int64)
+}
+
+// SetSpinHook installs the thread's SpinHook, which describes the hook
+// installed by the last SetPreempt; SetPreempt clears it.
+func (t *Thread) SetSpinHook(h SpinHook) { t.spinHook = h }
+
+// ParkSpin parks the thread at yield point 0 of the wait loop s instead of
+// running it, when the loop's skipped iterations are provably pure
+// (DESIGN.md §6, "Spin parking"): the thread is outside atomic sections, no
+// engine tracer is installed, 0 < s.Interval and s.Probe+s.Interval <
+// Quantum (so no advance of the loop reaches a quantum yield), and the
+// preemption hook is absent, disabled, or Pure by the SpinHook. The caller
+// vouches for the rest: every skipped iteration would observe what the
+// last one did, until w.Disturb (w may be nil), Engine.Wake or another
+// Disturb. The wake finds the first yield point ordered after the
+// disturbing segment, has the SpinHook replay the ones before it, and
+// ParkSpin returns its index once the thread resumes there. It returns
+// false without parking otherwise, and the caller runs yield point 0.
+// reason names what the loop waits for in deadlock diagnostics.
+func (t *Thread) ParkSpin(reason string, w *Waiters, s Spin) (int64, bool) {
+	e := t.eng
+	if t.atomicDepth > 0 || e.Tracer != nil || s.Interval <= 0 || s.Probe+s.Interval >= e.Quantum ||
+		t.Preemptible() && (t.spinHook == nil || !t.spinHook.Pure()) {
+		return 0, false
+	}
+	if w != nil {
+		w.add(t)
+	}
+	t.spin = s
+	if t.spinWake == nil {
+		t.spinWake = t.spinReplay
+	}
+	t.Park(reason, t.spinWake)
+	return t.spinAt, true
+}
+
+// spinReplay is a parked loop's wake (Park): the first yield point at or
+// after from, after the SpinHook accounts the ones before it. Only the
+// thread itself installs, enables or disables its hook, so Preemptible
+// reads as it did at the park.
+func (t *Thread) spinReplay(from Cycles) (int64, Cycles) {
+	j := t.spin.FirstAt(from)
+	if t.Preemptible() {
+		t.spinHook.Replay(t.spin, j)
+	}
+	if t.spin.Loads == 0 {
+		t.eng.Stats.LockReplayed += j
+	}
+	t.spinAt = j
+	return j, t.spin.Clock(j)
 }
 
 // Waiters lists the threads parked in SpinWhile on one lock, for the
@@ -56,60 +169,14 @@ func (w *Waiters) add(t *Thread) {
 //
 // over a condition that only host state decides: a flag whose release
 // calls w.Disturb before it clears. It parks at the loop's yield point
-// instead of spinning when the skipped iterations are provably pure
-// (DESIGN.md §6, "Spin parking"): the thread is outside atomic sections,
-// no engine tracer is installed, 0 < interval < Quantum (so no advance of
-// the loop reaches a quantum yield), and the preemption hook is absent,
-// disabled, or pure by the test installed with SetPreemptSpin. Until the
-// release, Engine.Wake or the hook's owner disturbs it, every skipped
-// iteration reads the same flag and advances the same interval, so the
-// wake finds the first yield point ordered after the disturbing segment
-// with one division and has the hook's replay account the skipped hooks.
-// reason names the lock in deadlock diagnostics.
+// (ParkSpin) instead of spinning when it may. reason names the lock in
+// deadlock diagnostics.
 func (t *Thread) SpinWhile(reason string, w *Waiters, interval Cycles, busy func() bool) {
 	for busy() {
 		t.Advance(interval)
 		t.eng.Stats.LockYields++
-		if !t.spinParkable(interval) {
+		if _, parked := t.ParkSpin(reason, w, Spin{C0: t.now, Interval: interval}); !parked {
 			t.YieldPoint()
-			continue
 		}
-		w.add(t)
-		t.spin = Spin{C0: t.now, Interval: interval}
-		if t.spinWake == nil {
-			t.spinWake = t.spinReplay
-		}
-		t.Park(reason, t.spinWake)
 	}
-}
-
-// spinParkable reports whether SpinWhile may park at its yield point.
-func (t *Thread) spinParkable(interval Cycles) bool {
-	e := t.eng
-	return t.atomicDepth == 0 && e.Tracer == nil && interval > 0 && interval < e.Quantum &&
-		(!t.Preemptible() || t.preemptPure != nil && t.preemptPure())
-}
-
-// spinReplay is a parked SpinWhile's wake (Park): the first yield point
-// at or after from, after the installed replay accounts the preemption
-// hooks of the ones before it. Only the thread itself installs, enables
-// or disables its hook, so Preemptible reads as it did at the park.
-func (t *Thread) spinReplay(from Cycles) (int64, Cycles) {
-	j := t.spin.FirstAt(from)
-	if j > 0 && t.Preemptible() {
-		t.preemptReplay(t.spin, j)
-	}
-	t.eng.Stats.LockReplayed += j
-	return j, t.spin.Clock(j)
-}
-
-// SetPreemptSpin declares what the preemption hook does at a flag spin's
-// yield points (SpinWhile), where no simulated work happens but the
-// loop's advance. pure reports whether, from now until something disturbs
-// the thread, the hook would only change state that replay can bring up
-// to date later; replay applies the hook's calls at yield points 0..n-1
-// of the parked spin s. Without them a spin under an enabled hook never
-// parks. SetPreempt clears them: they describe one hook.
-func (t *Thread) SetPreemptSpin(pure func() bool, replay func(s Spin, n int64)) {
-	t.preemptPure, t.preemptReplay = pure, replay
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -88,6 +89,13 @@ func BenchmarkSpinWhile(b *testing.B) {
 	}
 }
 
+// TestSpinFirstAt checks a parked loop's schedule against linear scans of
+// its yield points: FirstAt(c) is the first j with Clock(j) >= c, and
+// FirstWith(i) the first j with Instr(j) >= i (math.MaxInt64 if none).
+// Both shapes run over several C0, intervals, probe latencies and load
+// counts, at every clock from below C0 to the last yield point scanned,
+// so ties at a poll (r == 0) and at a probe's close (r == Probe) are
+// covered, and so are the two yield points a probe loop has at one clock.
 func TestSpinFirstAt(t *testing.T) {
 	s := Spin{C0: 1000, Interval: 150}
 	for _, c := range []struct {
@@ -97,8 +105,48 @@ func TestSpinFirstAt(t *testing.T) {
 		if got := s.FirstAt(c.at); got != c.want {
 			t.Errorf("FirstAt(%d) = %d, want %d", c.at, got, c.want)
 		}
-		if j := s.FirstAt(c.at); s.Clock(j) < c.at || j > 0 && s.Clock(j-1) >= c.at {
-			t.Errorf("FirstAt(%d) = %d is not the first yield point at or after it", c.at, j)
+	}
+
+	// maxWatchLines is cache.MaxWatchLines, the most words a parked
+	// kernel.Task.SpinWait polls (cache imports sim, so it is restated).
+	const maxWatchLines = 4
+	var spins []Spin
+	for _, c0 := range []Cycles{0, 1000, 12345} {
+		for _, interval := range []Cycles{1, 150, 997} {
+			spins = append(spins, Spin{C0: c0, Interval: interval})
+			for _, loads := range []int64{1, 2, maxWatchLines} {
+				for _, lat := range []Cycles{1, 4} {
+					spins = append(spins, Spin{C0: c0, Interval: interval, Probe: Cycles(loads) * lat, Loads: loads})
+				}
+			}
+		}
+	}
+	const n = 40 // yield points scanned
+	first := func(ok func(j int64) bool) int64 {
+		for j := int64(0); j < n; j++ {
+			if ok(j) {
+				return j
+			}
+		}
+		return math.MaxInt64
+	}
+	for _, s := range spins {
+		if s.Clock(0) != s.C0 || s.Instr(0) != 0 {
+			t.Fatalf("%+v: yield point 0 at clock %d with %d instructions", s, s.Clock(0), s.Instr(0))
+		}
+		for c := s.C0 - 2; c <= s.Clock(n-1); c++ {
+			if got, want := s.FirstAt(c), first(func(j int64) bool { return s.Clock(j) >= c }); got != want {
+				t.Fatalf("%+v: FirstAt(%d) = %d, the scan finds %d", s, c, got, want)
+			}
+		}
+		for i := int64(-1); i <= s.Instr(n-1)+1; i++ {
+			want := first(func(j int64) bool { return s.Instr(j) >= i })
+			if want == math.MaxInt64 && s.Loads > 0 {
+				continue // beyond the scan
+			}
+			if got := s.FirstWith(i); got != want {
+				t.Fatalf("%+v: FirstWith(%d) = %d, the scan finds %d", s, i, got, want)
+			}
 		}
 	}
 }
