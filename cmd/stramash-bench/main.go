@@ -80,7 +80,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("stramash-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	scaleFlag := fs.String("scale", "quick", "workload scale: quick or full")
+	var scale experiments.Scale
+	fs.Var(&scale, "scale", "workload scale: quick or full")
 	only := fs.String("only", "", "run a single experiment by id")
 	suite := fs.String("suite", "", "run a named group: validation (§9.1) or extras")
 	list := fs.Bool("list", false, "list experiment ids and exit")
@@ -112,17 +113,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opt := options{
+		scale:  scale,
 		pool:   experiments.PoolOptions{Parallelism: *parallel, Timeout: *timeout},
 		timing: *timing, jsonOut: *jsonOut, cpuProfile: *cpuProfile, memProfile: *memProfile,
-	}
-	switch *scaleFlag {
-	case "quick":
-		opt.scale = experiments.Quick
-	case "full":
-		opt.scale = experiments.Full
-	default:
-		fmt.Fprintf(stderr, "unknown scale %q\n", *scaleFlag)
-		return 2
 	}
 
 	specs, err := selectSpecs(*only, *suite)

@@ -1,7 +1,8 @@
 // Command stramash-sim runs one workload on one simulated machine
 // configuration and prints the perf profile, the overhead breakdown, and
 // the artifact-style cache counter dump — the reproduction's equivalent of
-// booting a Stramash-QEMU pair and running an NPB binary in it.
+// booting a Stramash-QEMU pair and running an NPB binary in it. Its other
+// subcommands each run one cell of a serving extra of stramash-bench.
 //
 // Usage:
 //
@@ -11,24 +12,27 @@
 //	                   [-l3 bytes] [-no-migrate]
 //	                   [-trace out.json] [-trace-summary]
 //	stramash-sim fileio
-//	stramash-sim cluster [-os ...] [-model ...] [-servers N] [-requests R]
+//	stramash-sim cluster [-os ...] [-model ...] [-servers N] [-scale quick|full]
 //	stramash-sim prod [-kind sharded|locked] [-regime fused|popcorn]
-//	                  [-cores N] [-requests R]
+//	                  [-cores N] [-scale quick|full]
 //	stramash-sim tenants [-n N] [-regime fused|popcorn]
 //
 // With no subcommand, or when the first argument is a flag, stramash-sim
-// runs npb. An unknown subcommand, a bad flag, a negative count or a stray
-// argument prints the usage and exits 2.
+// runs npb. An unknown subcommand, a bad flag, a bad -scale, a negative
+// count or a stray argument prints the usage and exits 2.
 //
 // npb runs one NPB benchmark. -trace writes every simulated event
 // (schedule, faults, coherence, messaging) as Chrome trace-event JSON
 // loadable in Perfetto; -trace-summary prints the per-class
 // cycle-attribution report. Tracing never perturbs simulated cycles.
-// fileio runs an x86 producer and an Arm consumer on one file under both
-// page-cache regimes. cluster runs the socket redis benchmark on -servers
-// server machines behind a load balancer. prod runs the multi-core
-// production redis server and exits 1 if replaying its AOF does not
-// rebuild the live keyspace; tenants exits 1 if an isolation claim fails.
+//
+// fileio, cluster, prod and tenants run cells of the filesys, cluster,
+// redisprod and tenants extras through the extras' own entry points:
+// fileio the two 1-core cells, cluster and prod the named cell at -scale,
+// tenants the named cell after its solo baseline (quick scale). Each
+// prints the extra's own rendering of those rows, then the extra's
+// per-cell check, and exits 1 if any check fails. At -scale full the
+// cluster and prod rows are the ones pinned in extras_full.txt.
 package main
 
 import (
@@ -36,40 +40,49 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/vfs"
 )
 
+// job is a configured subcommand run: it writes its report to w.
+type job func(w io.Writer) error
+
 // subcommands maps each subcommand to the function that defines its flags
 // on a fresh FlagSet and returns the job those flags configure.
-var subcommands = map[string]func(fs *flag.FlagSet) func(){
+var subcommands = map[string]func(fs *flag.FlagSet) job{
 	"npb":     npbCmd,
-	"fileio":  func(*flag.FlagSet) func() { return func() { fatal(runFileIO()) } },
+	"fileio":  fileioCmd,
 	"cluster": clusterCmd,
 	"prod":    prodCmd,
 	"tenants": tenantsCmd,
 }
 
 func main() {
-	_, job, err := parse(os.Args[1:], os.Stderr)
+	_, run, err := parse(os.Args[1:], os.Stderr)
 	switch {
 	case errors.Is(err, flag.ErrHelp):
 		os.Exit(0)
 	case err != nil:
 		os.Exit(2)
 	}
-	job()
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "stramash-sim:", err)
+		os.Exit(1)
+	}
 }
 
 // parse picks the subcommand args name — npb when args is empty or starts
 // with a flag — and parses the rest with that subcommand's flags. A usage
 // error (every int flag is a count, so a negative one is too) is printed
 // with the usage to stderr and returned.
-func parse(args []string, stderr io.Writer) (string, func(), error) {
+func parse(args []string, stderr io.Writer) (string, job, error) {
 	name := "npb"
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		name, args = args[0], args[1:]
@@ -81,7 +94,7 @@ func parse(args []string, stderr io.Writer) (string, func(), error) {
 	}
 	fs := flag.NewFlagSet("stramash-sim "+name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	job := define(fs)
+	run := define(fs)
 	if err := fs.Parse(args); err != nil {
 		return name, nil, err
 	}
@@ -99,13 +112,15 @@ func parse(args []string, stderr io.Writer) (string, func(), error) {
 		fs.Usage()
 		return name, nil, err
 	}
-	return name, job, nil
+	return name, run, nil
 }
 
-// requestsFlag, regimeFlag and personalityFlags are the flag definitions
+// scaleFlag, regimeFlag and personalityFlags are the flag definitions
 // subcommands share.
-func requestsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("requests", 200, "requests the load generator sends")
+func scaleFlag(fs *flag.FlagSet) *experiments.Scale {
+	s := new(experiments.Scale)
+	fs.Var(s, "scale", "workload scale of the extra's cell: `quick` or full")
+	return s
 }
 
 func regimeFlag(fs *flag.FlagSet) *string {
@@ -122,30 +137,25 @@ func personalityFlags(fs *flag.FlagSet) personality {
 	}
 }
 
-func (p personality) parse() (machine.OSKind, mem.Model) {
-	osKind, ok := map[string]machine.OSKind{"vanilla": machine.VanillaOS, "popcorn-tcp": machine.PopcornTCP,
-		"popcorn-shm": machine.PopcornSHM, "stramash": machine.StramashOS}[*p.os]
-	if !ok {
-		fatal(fmt.Errorf("unknown OS %q", *p.os))
-	}
-	model, ok := map[string]mem.Model{"separated": mem.Separated, "shared": mem.Shared, "fullyshared": mem.FullyShared}[*p.model]
-	if !ok {
-		fatal(fmt.Errorf("unknown model %q", *p.model))
-	}
-	return osKind, model
-}
-
-func parseRegime(s string) vfs.Regime {
-	regime, ok := map[string]vfs.Regime{"fused": vfs.RegimeFused, "popcorn": vfs.RegimePopcorn}[s]
-	if !ok {
-		fatal(fmt.Errorf("unknown page-cache regime %q (fused or popcorn)", s))
-	}
-	return regime
-}
-
-func fatal(err error) {
+func (p personality) parse() (machine.OSKind, mem.Model, error) {
+	osKind, err := lookup("OS", *p.os, map[string]machine.OSKind{"vanilla": machine.VanillaOS,
+		"popcorn-tcp": machine.PopcornTCP, "popcorn-shm": machine.PopcornSHM, "stramash": machine.StramashOS})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stramash-sim:", err)
-		os.Exit(1)
+		return 0, 0, err
 	}
+	model, err := lookup("model", *p.model, map[string]mem.Model{"separated": mem.Separated, "shared": mem.Shared, "fullyshared": mem.FullyShared})
+	return osKind, model, err
+}
+
+// regimes names the page-cache regimes for -regime.
+var regimes = map[string]vfs.Regime{"fused": vfs.RegimeFused, "popcorn": vfs.RegimePopcorn}
+
+// lookup resolves the value of a named-choice flag; what names the choice
+// in the error, which lists the valid names.
+func lookup[V any](what, name string, values map[string]V) (V, error) {
+	v, ok := values[name]
+	if !ok {
+		return v, fmt.Errorf("unknown %s %q (%s)", what, name, strings.Join(slices.Sorted(maps.Keys(values)), ", "))
+	}
+	return v, nil
 }

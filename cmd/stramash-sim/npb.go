@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/kernel"
@@ -14,7 +15,7 @@ import (
 )
 
 // npbCmd defines the npb subcommand: one NPB benchmark on one machine.
-func npbCmd(fs *flag.FlagSet) func() {
+func npbCmd(fs *flag.FlagSet) job {
 	pers := personalityFlags(fs)
 	bench := fs.String("bench", "IS", "benchmark: IS, CG, MG, FT")
 	classFlag := fs.String("class", "S", "problem class: T, S, W")
@@ -22,14 +23,19 @@ func npbCmd(fs *flag.FlagSet) func() {
 	noMigrate := fs.Bool("no-migrate", false, "run without cross-ISA migration")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
 	traceSummary := fs.Bool("trace-summary", false, "print the per-class cycle-attribution report")
-	return func() {
-		osKind, model := pers.parse()
-		class, ok := map[string]npb.Class{"T": npb.ClassT, "S": npb.ClassS, "W": npb.ClassW}[*classFlag]
-		if !ok {
-			fatal(fmt.Errorf("unknown class %q", *classFlag))
+	return func(out io.Writer) error {
+		osKind, model, err := pers.parse()
+		if err != nil {
+			return err
+		}
+		class, err := lookup("class", *classFlag, map[string]npb.Class{"T": npb.ClassT, "S": npb.ClassS, "W": npb.ClassW})
+		if err != nil {
+			return err
 		}
 		w, err := npb.New(*bench, class)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 
 		// A nil *trace.Buffer in the interface would compare non-nil at
 		// every emit site: the tracer stays nil unless tracing is on.
@@ -40,10 +46,12 @@ func npbCmd(fs *flag.FlagSet) func() {
 			tracer = buf
 		}
 		m, err := machine.New(machine.Config{Model: model, OS: osKind, L3Size: *l3, Tracer: tracer})
-		fatal(err)
+		if err != nil {
+			return err
+		}
 
 		migrate := !*noMigrate && osKind != machine.VanillaOS
-		fmt.Printf("running %s (class %v) on %v / %v, migrate=%v\n\n",
+		fmt.Fprintf(out, "running %s (class %v) on %v / %v, migrate=%v\n\n",
 			w.Name(), class, osKind, model, migrate)
 
 		var profile perf.Profile
@@ -56,34 +64,44 @@ func npbCmd(fs *flag.FlagSet) func() {
 			breakdown = perf.BreakdownOf(t.TimedStats(), t.TimedCycles())
 			return nil
 		})
-		fatal(err)
+		if err != nil {
+			return err
+		}
 
-		fmt.Printf("result: VERIFIED, total %d cycles (task end-to-end)\n", res.Elapsed())
-		fmt.Printf("timed region: %d cycles\n", breakdown.Total)
-		fmt.Printf("breakdown: %v\n", breakdown)
-		fmt.Printf("icount: x86=%d arm=%d (IPC %.3f / %.3f)\n\n",
+		fmt.Fprintf(out, "result: VERIFIED, total %d cycles (task end-to-end)\n", res.Elapsed())
+		fmt.Fprintf(out, "timed region: %d cycles\n", breakdown.Total)
+		fmt.Fprintf(out, "breakdown: %v\n", breakdown)
+		fmt.Fprintf(out, "icount: x86=%d arm=%d (IPC %.3f / %.3f)\n\n",
 			profile.Node[0].Instructions, profile.Node[1].Instructions,
 			profile.Node[0].IPC(), profile.Node[1].IPC())
 
 		st := res.Task.Stats
-		fmt.Printf("faults: %d read, %d write | migrations: %d | messages: %d\n\n",
+		fmt.Fprintf(out, "faults: %d read, %d write | migrations: %d | messages: %d\n\n",
 			st.ReadFaults, st.WriteFaults, st.Migrations, m.Messages())
 
 		for n := 0; n < 2; n++ {
 			node := mem.NodeID(n)
-			fmt.Println(perf.ArtifactDump(node.String(), m.CacheStats(node),
+			fmt.Fprintln(out, perf.ArtifactDump(node.String(), m.CacheStats(node),
 				m.Plat.IPICount(node), res.Task.NodeTime(node)))
 		}
 
 		if *traceSummary {
-			fmt.Println(perf.TraceReport(buf))
+			fmt.Fprintln(out, perf.TraceReport(buf))
 		}
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
-			fatal(err)
-			fatal(buf.WriteChromeTrace(f))
-			fatal(f.Close())
-			fmt.Printf("trace: %d events written to %s\n", buf.Len(), *traceOut)
+			if err != nil {
+				return err
+			}
+			if err := buf.WriteChromeTrace(f); err != nil {
+				f.Close()
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "trace: %d events written to %s\n", buf.Len(), *traceOut)
 		}
+		return nil
 	}
 }

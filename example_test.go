@@ -274,8 +274,10 @@ func Example_redisserver() {
 // Workers execute against hash-partitioned private shards and append every
 // mutation to a shared AOF through the fused VFS with group-commit fsync.
 // After the run the server replays the log into a fresh store and proves
-// the replay digest equals the live keyspace. `stramash-sim prod` runs
-// the other keyspace regimes and core counts.
+// the replay digest equals the live keyspace. The example drives its own
+// small traffic; `stramash-sim prod -kind K -regime R -cores N -scale S`
+// runs any cell of the redisprod extra instead, with that extra's traffic
+// and its per-cell check (the replay digest among them).
 func Example_redisprod() {
 	const cores = 2
 	cfgs := []machine.Config{

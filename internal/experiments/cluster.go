@@ -74,29 +74,34 @@ func Cluster(s Scale, rows int) (Result, error) {
 	p := clusterParams(s)
 	res := &ClusterResult{Params: p}
 	type cell struct {
-		osIdx   int
+		os      machine.OSKind
+		model   mem.Model
 		servers int
 	}
 	var cells []cell
-	for o := range clusterOSes {
+	for _, o := range clusterOSes {
 		for _, n := range clusterServers {
-			cells = append(cells, cell{o, n})
+			cells = append(cells, cell{o.OS, o.Model, n})
 		}
 	}
-	res.Rows = make([]ClusterRow, len(cells))
-	err := forEachRow(rows, len(cells), func(i int) error {
-		row, err := clusterRun(clusterOSes[cells[i].osIdx].OS, clusterOSes[cells[i].osIdx].Model,
-			cells[i].servers, p)
-		if err != nil {
-			return err
-		}
-		res.Rows[i] = row
-		return nil
-	})
-	if err != nil {
+	var err error
+	if res.Rows, err = forEachRow(rows, cells, func(c cell) (ClusterRow, error) {
+		return clusterRun(c.os, c.model, c.servers, p)
+	}); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// ClusterCell runs the grid's (personality, servers) cell at scale s — the
+// same traffic, machines and counters as Cluster — as a one-row result.
+func ClusterCell(os machine.OSKind, model mem.Model, servers int, s Scale) (*ClusterResult, error) {
+	p := clusterParams(s)
+	row, err := clusterRun(os, model, servers, p)
+	if err != nil {
+		return nil, err
+	}
+	return &ClusterResult{Params: p, Rows: []ClusterRow{row}}, nil
 }
 
 // clusterRun measures one cell: boot servers+1 machines on a shared clock
@@ -156,18 +161,53 @@ func (r *ClusterResult) Render() string {
 
 // row looks up a (personality, servers) cell.
 func (r *ClusterResult) row(os machine.OSKind, servers int) (ClusterRow, bool) {
-	for _, row := range r.Rows {
-		if row.OS == os && row.Servers == servers {
-			return row, true
-		}
-	}
-	return ClusterRow{}, false
+	return find(r.Rows, func(row ClusterRow) bool { return row.OS == os && row.Servers == servers })
 }
 
-// ShapeErrors implements Result: conservation (every request served once,
-// no misses), byte-identical content across every cell (the digest is a
-// pure function of the request schedule), plausible latency order, live
-// NICs on every machine, and queueing relief from 1 to 4 servers.
+// CellErrors is the per-cell check: conservation (every request served
+// once, no misses, every server busy), plausible latency order, and live
+// NICs on every machine.
+func (r *ClusterResult) CellErrors(row ClusterRow) []string {
+	var errs []string
+	label := fmt.Sprintf("%v/%dsrv", row.OS, row.Servers)
+	if row.Traffic.Done != r.Params.Requests || row.Traffic.Sent != r.Params.Requests {
+		errs = append(errs, fmt.Sprintf("%s: sent %d done %d, want %d",
+			label, row.Traffic.Sent, row.Traffic.Done, r.Params.Requests))
+	}
+	if row.Traffic.Misses != 0 {
+		errs = append(errs, fmt.Sprintf("%s: %d misses against a pre-populated keyspace",
+			label, row.Traffic.Misses))
+	}
+	if row.Traffic.P50 <= 0 || row.Traffic.P99 < row.Traffic.P50 {
+		errs = append(errs, fmt.Sprintf("%s: implausible percentiles p50=%d p99=%d",
+			label, row.Traffic.P50, row.Traffic.P99))
+	}
+	served := 0
+	for s, st := range row.PerServer {
+		if st.Served == 0 {
+			errs = append(errs, fmt.Sprintf("%s: server %d served nothing", label, s))
+		}
+		served += st.Served
+	}
+	if served != r.Params.Requests {
+		errs = append(errs, fmt.Sprintf("%s: servers served %d, want %d",
+			label, served, r.Params.Requests))
+	}
+	for m, ns := range row.NIC {
+		if ns.TxFrames == 0 || ns.RxFrames == 0 {
+			errs = append(errs, fmt.Sprintf("%s: machine %d NIC idle (%+v)", label, m, ns))
+		}
+	}
+	if len(row.NIC) > 0 && row.NIC[0].RxOccHW < 1 {
+		errs = append(errs, fmt.Sprintf("%s: generator RX ring never held a frame", label))
+	}
+	return errs
+}
+
+// ShapeErrors implements Result: every cell passes CellErrors, the
+// content is byte-identical across every cell (the digest is a pure
+// function of the request schedule), adding servers relieves queueing
+// from 1 to 4 servers, and the fused personality beats Popcorn.
 func (r *ClusterResult) ShapeErrors() []string {
 	var errs []string
 	var digest uint64
@@ -180,37 +220,7 @@ func (r *ClusterResult) ShapeErrors() []string {
 				errs = append(errs, "missing cell "+label)
 				continue
 			}
-			if row.Traffic.Done != r.Params.Requests || row.Traffic.Sent != r.Params.Requests {
-				errs = append(errs, fmt.Sprintf("%s: sent %d done %d, want %d",
-					label, row.Traffic.Sent, row.Traffic.Done, r.Params.Requests))
-			}
-			if row.Traffic.Misses != 0 {
-				errs = append(errs, fmt.Sprintf("%s: %d misses against a pre-populated keyspace",
-					label, row.Traffic.Misses))
-			}
-			if row.Traffic.P50 <= 0 || row.Traffic.P99 < row.Traffic.P50 {
-				errs = append(errs, fmt.Sprintf("%s: implausible percentiles p50=%d p99=%d",
-					label, row.Traffic.P50, row.Traffic.P99))
-			}
-			served := 0
-			for s, st := range row.PerServer {
-				if st.Served == 0 {
-					errs = append(errs, fmt.Sprintf("%s: server %d served nothing", label, s))
-				}
-				served += st.Served
-			}
-			if served != r.Params.Requests {
-				errs = append(errs, fmt.Sprintf("%s: servers served %d, want %d",
-					label, served, r.Params.Requests))
-			}
-			for m, ns := range row.NIC {
-				if ns.TxFrames == 0 || ns.RxFrames == 0 {
-					errs = append(errs, fmt.Sprintf("%s: machine %d NIC idle (%+v)", label, m, ns))
-				}
-			}
-			if len(row.NIC) > 0 && row.NIC[0].RxOccHW < 1 {
-				errs = append(errs, fmt.Sprintf("%s: generator RX ring never held a frame", label))
-			}
+			errs = append(errs, r.CellErrors(row)...)
 			if !haveDigest {
 				digest, haveDigest = row.Traffic.Digest, true
 			} else if row.Traffic.Digest != digest {

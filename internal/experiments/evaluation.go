@@ -178,12 +178,7 @@ func figure9At(scale Scale, l3 int) (*Figure9Result, error) {
 
 // Cell finds one measurement.
 func (r *Figure9Result) Cell(bench, config string) (Figure9Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Benchmark == bench && c.Config == config {
-			return c, true
-		}
-	}
-	return Figure9Cell{}, false
+	return find(r.Cells, func(c Figure9Cell) bool { return c.Benchmark == bench && c.Config == config })
 }
 
 // Speedup returns config b's time divided by config a's for a benchmark

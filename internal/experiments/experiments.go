@@ -28,6 +28,31 @@ const (
 	Full
 )
 
+// String names the scale the way the -scale flag spells it.
+func (s Scale) String() string {
+	if s == Quick {
+		return "quick"
+	}
+	return "full"
+}
+
+// Set parses a -scale flag value, so that every CLI defines the flag with
+// flag.Var and a bad value is a usage error.
+func (s *Scale) Set(v string) error {
+	switch v {
+	case "quick":
+		*s = Quick
+	case "full":
+		*s = Full
+	default:
+		return fmt.Errorf("unknown scale %q (quick or full)", v)
+	}
+	return nil
+}
+
+// Get makes Scale a flag.Getter like the flag package's own values.
+func (s *Scale) Get() any { return *s }
+
 func (s Scale) class() npb.Class {
 	if s == Quick {
 		return npb.ClassT
@@ -75,6 +100,18 @@ func ratio(a, b float64) float64 {
 }
 
 // tableWriter builds aligned text tables.
+// find returns the first of rows that match accepts: the one row lookup
+// every result's cell accessors share.
+func find[R any](rows []R, match func(R) bool) (R, bool) {
+	for _, row := range rows {
+		if match(row) {
+			return row, true
+		}
+	}
+	var zero R
+	return zero, false
+}
+
 type tableWriter struct {
 	header []string
 	rows   [][]string

@@ -44,36 +44,50 @@ type FilesysResult struct {
 	Rows      []FilesysRow
 }
 
+// filesysRegimes is the swept page-cache regime.
+var filesysRegimes = []vfs.Regime{vfs.RegimeFused, vfs.RegimePopcorn}
+
+// filesysFor returns the empty result for one scale: the file size and
+// round count every cell runs.
+func filesysFor(s Scale) *FilesysResult {
+	if s == Full {
+		return &FilesysResult{FilePages: 64, Rounds: 4}
+	}
+	return &FilesysResult{FilePages: 16, Rounds: 2}
+}
+
 // Filesys runs the read/write mix under both regimes.
 func Filesys(s Scale, rows int) (Result, error) {
-	filePages := 16
-	rounds := 2
-	if s == Full {
-		filePages = 64
-		rounds = 4
-	}
-	res := &FilesysResult{FilePages: filePages, Rounds: rounds}
+	res := filesysFor(s)
 	type cell struct {
 		regime vfs.Regime
 		cores  int
 	}
 	var cells []cell
-	for _, regime := range []vfs.Regime{vfs.RegimeFused, vfs.RegimePopcorn} {
+	for _, regime := range filesysRegimes {
 		for _, cores := range filesysCores {
 			cells = append(cells, cell{regime, cores})
 		}
 	}
-	res.Rows = make([]FilesysRow, len(cells))
-	err := forEachRow(rows, len(cells), func(i int) error {
-		row, err := filesysRun(cells[i].regime, cells[i].cores, filePages, rounds)
-		if err != nil {
-			return err
-		}
-		res.Rows[i] = row
-		return nil
-	})
-	if err != nil {
+	var err error
+	if res.Rows, err = forEachRow(rows, cells, func(c cell) (FilesysRow, error) {
+		return filesysRun(c.regime, c.cores, res.FilePages, res.Rounds)
+	}); err != nil {
 		return nil, err
+	}
+	return res, nil
+}
+
+// FilesysCells runs the grid's two cells at one core count — fused, then
+// popcorn — at scale s, with the same file and rounds as Filesys.
+func FilesysCells(cores int, s Scale) (*FilesysResult, error) {
+	res := filesysFor(s)
+	for _, regime := range filesysRegimes {
+		row, err := filesysRun(regime, cores, res.FilePages, res.Rounds)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
@@ -256,18 +270,35 @@ func (r *FilesysResult) Render() string {
 
 // row looks up a (regime, cores) cell.
 func (r *FilesysResult) row(regime vfs.Regime, cores int) (FilesysRow, bool) {
-	for _, row := range r.Rows {
-		if row.Regime == regime && row.Cores == cores {
-			return row, true
+	return find(r.Rows, func(row FilesysRow) bool { return row.Regime == regime && row.Cores == cores })
+}
+
+// CellErrors is the per-cell check: the cell's regime shows its signature
+// traffic — page-cache hits under fused, DSM writebacks and invalidations
+// under popcorn.
+func (r *FilesysResult) CellErrors(row FilesysRow) []string {
+	var errs []string
+	st := row.Stats
+	switch row.Regime {
+	case vfs.RegimeFused:
+		if st.Hits[0]+st.Hits[1] == 0 {
+			errs = append(errs, fmt.Sprintf("%d-core fused run saw no page-cache hits", row.Cores))
+		}
+	case vfs.RegimePopcorn:
+		if st.Writebacks[0]+st.Writebacks[1] == 0 {
+			errs = append(errs, fmt.Sprintf("%d-core popcorn run saw no DSM writebacks", row.Cores))
+		}
+		if st.Invalidations[0]+st.Invalidations[1] == 0 {
+			errs = append(errs, fmt.Sprintf("%d-core popcorn run saw no DSM invalidations", row.Cores))
 		}
 	}
-	return FilesysRow{}, false
+	return errs
 }
 
 // ShapeErrors implements Result: the fused page cache must beat the DSM
 // replica scheme on cross-ISA sharing — fewer messaging cycles and a
-// shorter makespan at every core count — and each regime's signature
-// traffic must actually appear.
+// shorter makespan at every core count — and every cell passes
+// CellErrors.
 func (r *FilesysResult) ShapeErrors() []string {
 	var errs []string
 	for _, cores := range filesysCores {
@@ -285,17 +316,8 @@ func (r *FilesysResult) ShapeErrors() []string {
 			errs = append(errs, fmt.Sprintf("%d-core fused msg cycles %d not below popcorn %d",
 				cores, f.Stats.TotalMsgCycles(), p.Stats.TotalMsgCycles()))
 		}
-		if f.Stats.Hits[0]+f.Stats.Hits[1] == 0 {
-			errs = append(errs, fmt.Sprintf("%d-core fused run saw no page-cache hits", cores))
-		}
-		wb := p.Stats.Writebacks[0] + p.Stats.Writebacks[1]
-		inv := p.Stats.Invalidations[0] + p.Stats.Invalidations[1]
-		if wb == 0 {
-			errs = append(errs, fmt.Sprintf("%d-core popcorn run saw no DSM writebacks", cores))
-		}
-		if inv == 0 {
-			errs = append(errs, fmt.Sprintf("%d-core popcorn run saw no DSM invalidations", cores))
-		}
+		errs = append(errs, r.CellErrors(f)...)
+		errs = append(errs, r.CellErrors(p)...)
 	}
 	return errs
 }

@@ -59,14 +59,6 @@ type JSONReport struct {
 	Summary     JSONSummary   `json:"summary"`
 }
 
-// String names the scale the way the -scale flag spells it.
-func (s Scale) String() string {
-	if s == Quick {
-		return "quick"
-	}
-	return "full"
-}
-
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // BuildJSONReport converts pool outcomes into the -json document. Errored

@@ -219,12 +219,7 @@ func Figure11(scale Scale) (*Figure11Result, error) {
 
 // Cell finds one measurement.
 func (r *Figure11Result) Cell(scenario, system string) (Figure11Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Scenario == scenario && c.System == system {
-			return c, true
-		}
-	}
-	return Figure11Cell{}, false
+	return find(r.Cells, func(c Figure11Cell) bool { return c.Scenario == scenario && c.System == system })
 }
 
 // Name implements Result.

@@ -59,16 +59,10 @@ func Multicore(s Scale, rows int) (Result, error) {
 		passes = 4
 	}
 	res := &MulticoreResult{Workers: multicoreWorkers}
-	res.Rows = make([]MulticoreRow, len(multicoreCores))
-	err := forEachRow(rows, len(multicoreCores), func(i int) error {
-		row, err := multicoreRun(multicoreCores[i], bufBytes, compute, passes)
-		if err != nil {
-			return err
-		}
-		res.Rows[i] = row
-		return nil
-	})
-	if err != nil {
+	var err error
+	if res.Rows, err = forEachRow(rows, multicoreCores, func(cores int) (MulticoreRow, error) {
+		return multicoreRun(cores, bufBytes, compute, passes)
+	}); err != nil {
 		return nil, err
 	}
 	base := float64(res.Rows[0].Makespan)

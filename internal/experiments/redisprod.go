@@ -84,19 +84,25 @@ func Redisprod(s Scale, rows int) (Result, error) {
 			}
 		}
 	}
-	res.Rows = make([]RedisprodRow, len(cells))
-	err := forEachRow(rows, len(cells), func(i int) error {
-		row, err := redisprodRun(cells[i].kind, cells[i].regime, cells[i].cores, p)
-		if err != nil {
-			return err
-		}
-		res.Rows[i] = row
-		return nil
-	})
-	if err != nil {
+	var err error
+	if res.Rows, err = forEachRow(rows, cells, func(c cell) (RedisprodRow, error) {
+		return redisprodRun(c.kind, c.regime, c.cores, p)
+	}); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// RedisprodCell runs the grid's (kind, regime, cores) cell at scale s —
+// the same traffic, machines and counters as Redisprod — as a one-row
+// result.
+func RedisprodCell(kind redisapp.KeyspaceKind, regime vfs.Regime, cores int, s Scale) (*RedisprodResult, error) {
+	p := redisprodParams(s)
+	row, err := redisprodRun(kind, regime, cores, p)
+	if err != nil {
+		return nil, err
+	}
+	return &RedisprodResult{Params: p, Rows: []RedisprodRow{row}}, nil
 }
 
 // redisprodRun measures one cell: boot a loadgen machine and a
@@ -165,36 +171,75 @@ func (r *RedisprodResult) Render() string {
 
 // row looks up one cell.
 func (r *RedisprodResult) row(kind redisapp.KeyspaceKind, regime vfs.Regime, cores int) (RedisprodRow, bool) {
-	for _, row := range r.Rows {
-		if row.Kind == kind && row.Regime == regime && row.Cores == cores {
-			return row, true
-		}
-	}
-	return RedisprodRow{}, false
+	return find(r.Rows, func(row RedisprodRow) bool {
+		return row.Kind == kind && row.Regime == regime && row.Cores == cores
+	})
 }
 
-// redisprodExpectedAOF is populate plus one record per SET in the stream.
-func (r *RedisprodResult) redisprodExpectedAOF() int {
-	sets := 0
-	if r.Params.SetEvery > 0 {
-		sets = (r.Params.Requests + r.Params.SetEvery - 1) / r.Params.SetEvery
-	}
-	return r.Params.Keys + sets
-}
-
-// ShapeErrors implements Result: per-cell conservation (every request
-// served exactly once, no misses, worker ops sum to the request count),
+// CellErrors is the per-cell check: conservation (every request served
+// exactly once, no misses, worker ops sum to the request count),
 // persistence integrity (replay digest equals live digest, the AOF holds
-// exactly populate+SETs records), cross-cell response-digest identity,
-// and the cost orderings the axes exist to show — the sharded keyspace
-// does not lose to the locked one at the widest machine, the fused AOF
-// path beats popcorn's, and the page-cache counters prove each regime
-// actually ran (fused moves no DSM messages, popcorn writes back).
+// exactly populate+SETs records, the group-commit fsync ran), and the
+// page-cache counters prove the cell's regime actually ran (fused moves no
+// DSM messages, popcorn writes back).
+func (r *RedisprodResult) CellErrors(row RedisprodRow) []string {
+	var errs []string
+	label := row.label()
+	if row.Traffic.Done != r.Params.Requests || row.Traffic.Sent != r.Params.Requests {
+		errs = append(errs, fmt.Sprintf("%s: sent %d done %d, want %d",
+			label, row.Traffic.Sent, row.Traffic.Done, r.Params.Requests))
+	}
+	if row.Traffic.Misses != 0 || row.Server.Misses != 0 {
+		errs = append(errs, fmt.Sprintf("%s: %d client / %d server misses against a pre-populated keyspace",
+			label, row.Traffic.Misses, row.Server.Misses))
+	}
+	if row.Server.Served != r.Params.Requests {
+		errs = append(errs, fmt.Sprintf("%s: frontend served %d, want %d",
+			label, row.Server.Served, r.Params.Requests))
+	}
+	var ops int64
+	for _, w := range row.Server.PerWorker {
+		ops += w.Ops
+	}
+	if ops != int64(r.Params.Requests) {
+		errs = append(errs, fmt.Sprintf("%s: worker ops sum to %d, want %d",
+			label, ops, r.Params.Requests))
+	}
+	if row.Server.ReplayDigest != row.Server.LiveDigest {
+		errs = append(errs, fmt.Sprintf("%s: AOF replay digest %x != live digest %x — the log lost a mutation",
+			label, row.Server.ReplayDigest, row.Server.LiveDigest))
+	}
+	// The AOF holds the populate plus one record per SET in the stream.
+	wantAOF := r.Params.Keys
+	if r.Params.SetEvery > 0 {
+		wantAOF += (r.Params.Requests + r.Params.SetEvery - 1) / r.Params.SetEvery
+	}
+	if row.Server.AOFRecords != wantAOF {
+		errs = append(errs, fmt.Sprintf("%s: AOF replayed %d records, want %d (populate %d + SETs)",
+			label, row.Server.AOFRecords, wantAOF, r.Params.Keys))
+	}
+	if row.FS.Syncs[0]+row.FS.Syncs[1] == 0 {
+		errs = append(errs, fmt.Sprintf("%s: no page-cache syncs — the group-commit fsync path never ran", label))
+	}
+	if row.Regime == vfs.RegimeFused && row.FS.TotalMsgCycles() != 0 {
+		errs = append(errs, fmt.Sprintf("%s: fused page cache spent %d cycles on DSM messages",
+			label, int64(row.FS.TotalMsgCycles())))
+	}
+	if row.Regime == vfs.RegimePopcorn && row.FS.Writebacks[0]+row.FS.Writebacks[1] == 0 {
+		errs = append(errs, fmt.Sprintf("%s: popcorn page cache never wrote a page back", label))
+	}
+	return errs
+}
+
+// ShapeErrors implements Result: every cell passes CellErrors, the
+// response digest is identical across cells, and the cost orderings the
+// axes exist to show hold — the sharded keyspace does not lose to the
+// locked one at the widest machine, and the fused AOF path beats
+// popcorn's.
 func (r *RedisprodResult) ShapeErrors() []string {
 	var errs []string
 	var digest uint64
 	var haveDigest bool
-	wantAOF := r.redisprodExpectedAOF()
 	for _, kind := range redisprodKinds {
 		for _, regime := range redisprodRegimes {
 			for _, cores := range redisprodCores {
@@ -204,44 +249,7 @@ func (r *RedisprodResult) ShapeErrors() []string {
 					errs = append(errs, "missing cell "+label)
 					continue
 				}
-				if row.Traffic.Done != r.Params.Requests || row.Traffic.Sent != r.Params.Requests {
-					errs = append(errs, fmt.Sprintf("%s: sent %d done %d, want %d",
-						label, row.Traffic.Sent, row.Traffic.Done, r.Params.Requests))
-				}
-				if row.Traffic.Misses != 0 || row.Server.Misses != 0 {
-					errs = append(errs, fmt.Sprintf("%s: %d client / %d server misses against a pre-populated keyspace",
-						label, row.Traffic.Misses, row.Server.Misses))
-				}
-				if row.Server.Served != r.Params.Requests {
-					errs = append(errs, fmt.Sprintf("%s: frontend served %d, want %d",
-						label, row.Server.Served, r.Params.Requests))
-				}
-				var ops int64
-				for _, w := range row.Server.PerWorker {
-					ops += w.Ops
-				}
-				if ops != int64(r.Params.Requests) {
-					errs = append(errs, fmt.Sprintf("%s: worker ops sum to %d, want %d",
-						label, ops, r.Params.Requests))
-				}
-				if row.Server.ReplayDigest != row.Server.LiveDigest {
-					errs = append(errs, fmt.Sprintf("%s: AOF replay digest %x != live digest %x — the log lost a mutation",
-						label, row.Server.ReplayDigest, row.Server.LiveDigest))
-				}
-				if row.Server.AOFRecords != wantAOF {
-					errs = append(errs, fmt.Sprintf("%s: AOF replayed %d records, want %d (populate %d + SETs)",
-						label, row.Server.AOFRecords, wantAOF, r.Params.Keys))
-				}
-				if row.FS.Syncs[0]+row.FS.Syncs[1] == 0 {
-					errs = append(errs, fmt.Sprintf("%s: no page-cache syncs — the group-commit fsync path never ran", label))
-				}
-				if regime == vfs.RegimeFused && row.FS.TotalMsgCycles() != 0 {
-					errs = append(errs, fmt.Sprintf("%s: fused page cache spent %d cycles on DSM messages",
-						label, int64(row.FS.TotalMsgCycles())))
-				}
-				if regime == vfs.RegimePopcorn && row.FS.Writebacks[0]+row.FS.Writebacks[1] == 0 {
-					errs = append(errs, fmt.Sprintf("%s: popcorn page cache never wrote a page back", label))
-				}
+				errs = append(errs, r.CellErrors(row)...)
 				if !haveDigest {
 					digest, haveDigest = row.Traffic.Digest, true
 				} else if row.Traffic.Digest != digest {

@@ -95,30 +95,33 @@ func Tenants(s Scale, rows int) (Result, error) {
 			cells = append(cells, cell{regime, n})
 		}
 	}
-	res.Rows = make([]TenantsRow, len(cells))
-	err := forEachRow(rows, len(cells), func(i int) error {
-		row, err := tenantsRun(cells[i].regime, cells[i].n, p)
-		if err != nil {
-			return err
-		}
-		res.Rows[i] = row
-		return nil
-	})
-	if err != nil {
+	var err error
+	if res.Rows, err = forEachRow(rows, cells, func(c cell) (TenantsRow, error) {
+		return tenantsRun(c.regime, c.n, p)
+	}); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// RunTenantsCell measures one (regime, tenant count) cell at the given
-// scale. The stramash-sim tenants subcommand builds its isolation gate
-// from a solo baseline plus one multi-tenant cell.
-func RunTenantsCell(regime vfs.Regime, n int, s Scale) (TenantsRow, error) {
-	return tenantsRun(regime, n, tenantsParamsFor(s))
+// TenantsCell runs the grid's (regime, n) cell at scale s with the same
+// params as Tenants, after the regime's solo baseline its SLO is measured
+// against: the result holds the solo row, then (for n != 1) the n row.
+func TenantsCell(regime vfs.Regime, n int, s Scale) (*TenantsResult, error) {
+	res := &TenantsResult{Params: tenantsParamsFor(s)}
+	counts := []int{1, n}
+	if n == 1 {
+		counts = counts[:1]
+	}
+	for _, count := range counts {
+		row, err := tenantsRun(regime, count, res.Params)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res, nil
 }
-
-// TenantsSLOFactor is the victim p50 bound exported for the CLI gate.
-const TenantsSLOFactor = tenantsSLO
 
 // tenantsSpecs builds the machine's tenant declarations: one victim with
 // room to work and full share, and n-1 rogues with tight budgets and a
@@ -348,15 +351,10 @@ func (r *TenantsResult) Render() string {
 
 // row looks up one cell.
 func (r *TenantsResult) row(regime vfs.Regime, n int) (TenantsRow, bool) {
-	for _, row := range r.Rows {
-		if row.Regime == regime && row.Tenants == n {
-			return row, true
-		}
-	}
-	return TenantsRow{}, false
+	return find(r.Rows, func(row TenantsRow) bool { return row.Regime == regime && row.Tenants == n })
 }
 
-// tenantStat sums one counter over the row's rogue tenants.
+// rogueStat sums one counter over the row's rogue tenants.
 func (row TenantsRow) rogueStat(f func(cap.Stats) int64) int64 {
 	var sum int64
 	for i, st := range row.Stats {
@@ -377,57 +375,64 @@ func (row TenantsRow) victimStats() cap.Stats {
 	return cap.Stats{}
 }
 
-// ShapeErrors implements Result: the victim completes every op in every
-// cell and is never denied (it holds the grants it uses); multi-tenant
-// cells actually exercise the isolation machinery (denials, quota hits,
-// and a mid-run revocation the rogue observes as a typed error on a live
-// descriptor); and the victim's p50 stays within the SLO multiple of the
-// same regime's solo baseline at every swept tenant count.
+// CellErrors is the per-cell check: the victim completes every op and is
+// never denied (it holds the grants it uses); a multi-tenant cell
+// actually exercises the isolation machinery (denials, quota hits, and a
+// mid-run revocation the rogue observes as a typed error on a live
+// descriptor), and keeps the victim's p50 within the SLO multiple of the
+// same regime's solo row in r, when r holds one.
+func (r *TenantsResult) CellErrors(row TenantsRow) []string {
+	var errs []string
+	label := row.label()
+	if row.Done != r.Params.VictimOps {
+		errs = append(errs, fmt.Sprintf("%s: victim completed %d ops, want %d",
+			label, row.Done, r.Params.VictimOps))
+	}
+	if v := row.victimStats(); v.Denials != 0 {
+		errs = append(errs, fmt.Sprintf("%s: victim was denied %d times despite holding its grants",
+			label, v.Denials))
+	}
+	if row.Tenants == 1 {
+		return errs
+	}
+	if d := row.rogueStat(func(s cap.Stats) int64 { return s.Denials }); d == 0 || row.DeniedSeen == 0 {
+		errs = append(errs, fmt.Sprintf("%s: no cross-tenant denials (kernel %d, observed %d)",
+			label, d, row.DeniedSeen))
+	}
+	if q := row.rogueStat(func(s cap.Stats) int64 { return s.QuotaHits }); q == 0 || row.QuotaSeen == 0 {
+		errs = append(errs, fmt.Sprintf("%s: budgets never refused a charge (kernel %d, observed %d)",
+			label, q, row.QuotaSeen))
+	}
+	if v := row.rogueStat(func(s cap.Stats) int64 { return s.Revocations }); v == 0 {
+		errs = append(errs, fmt.Sprintf("%s: no capability was revoked", label))
+	}
+	if row.RevokedSeen == 0 {
+		errs = append(errs, fmt.Sprintf("%s: rogue never observed a Revoked error on its live descriptor", label))
+	}
+	if solo, ok := r.row(row.Regime, 1); ok && solo.P50 > 0 && row.P50 > tenantsSLO*solo.P50 {
+		errs = append(errs, fmt.Sprintf("%s: victim p50 %d breaches %dx solo SLO (solo %d)",
+			label, int64(row.P50), tenantsSLO, int64(solo.P50)))
+	}
+	return errs
+}
+
+// ShapeErrors implements Result: every regime has a nonzero solo
+// baseline, and every swept cell passes CellErrors.
 func (r *TenantsResult) ShapeErrors() []string {
 	var errs []string
 	for _, regime := range tenantsRegimes {
-		solo, okSolo := r.row(regime, 1)
-		if !okSolo {
+		if solo, ok := r.row(regime, 1); !ok {
 			errs = append(errs, fmt.Sprintf("%v: missing solo baseline", regime))
 		} else if solo.P50 == 0 {
 			errs = append(errs, fmt.Sprintf("%v/1t: solo p50 is zero", regime))
 		}
 		for _, n := range tenantsCounts {
 			row, ok := r.row(regime, n)
-			label := fmt.Sprintf("%v/%dt", regime, n)
 			if !ok {
-				errs = append(errs, "missing cell "+label)
+				errs = append(errs, fmt.Sprintf("missing cell %v/%dt", regime, n))
 				continue
 			}
-			if row.Done != r.Params.VictimOps {
-				errs = append(errs, fmt.Sprintf("%s: victim completed %d ops, want %d",
-					label, row.Done, r.Params.VictimOps))
-			}
-			if v := row.victimStats(); v.Denials != 0 {
-				errs = append(errs, fmt.Sprintf("%s: victim was denied %d times despite holding its grants",
-					label, v.Denials))
-			}
-			if n == 1 {
-				continue
-			}
-			if d := row.rogueStat(func(s cap.Stats) int64 { return s.Denials }); d == 0 || row.DeniedSeen == 0 {
-				errs = append(errs, fmt.Sprintf("%s: no cross-tenant denials (kernel %d, observed %d)",
-					label, d, row.DeniedSeen))
-			}
-			if q := row.rogueStat(func(s cap.Stats) int64 { return s.QuotaHits }); q == 0 || row.QuotaSeen == 0 {
-				errs = append(errs, fmt.Sprintf("%s: budgets never refused a charge (kernel %d, observed %d)",
-					label, q, row.QuotaSeen))
-			}
-			if v := row.rogueStat(func(s cap.Stats) int64 { return s.Revocations }); v == 0 {
-				errs = append(errs, fmt.Sprintf("%s: no capability was revoked", label))
-			}
-			if row.RevokedSeen == 0 {
-				errs = append(errs, fmt.Sprintf("%s: rogue never observed a Revoked error on its live descriptor", label))
-			}
-			if okSolo && solo.P50 > 0 && row.P50 > tenantsSLO*solo.P50 {
-				errs = append(errs, fmt.Sprintf("%s: victim p50 %d breaches %dx solo SLO (solo %d)",
-					label, int64(row.P50), tenantsSLO, int64(solo.P50)))
-			}
+			errs = append(errs, r.CellErrors(row)...)
 		}
 	}
 	return errs

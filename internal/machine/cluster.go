@@ -19,19 +19,15 @@ type Cluster struct {
 }
 
 // NewCluster builds and boots the machines of cfgs, in order, on one
-// shared engine and one fabric. The per-machine cluster fields
-// (SharedEngine, Fabric, MachID) are assigned here — cfgs describe only
-// the machine-local knobs.
+// shared engine and one fabric; machine i is the fabric's port i. cfgs
+// describe only the machine-local knobs.
 func NewCluster(cfgs []Config, fcfg net.FabricConfig) (*Cluster, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("machine: empty cluster")
 	}
 	c := &Cluster{Eng: sim.NewEngine(), Fab: net.NewFabric(fcfg)}
 	for i, cfg := range cfgs {
-		cfg.SharedEngine = c.Eng
-		cfg.Fabric = c.Fab
-		cfg.MachID = i
-		m, err := New(cfg)
+		m, err := boot(cfg, c.Eng, c.Fab, i)
 		if err != nil {
 			return nil, fmt.Errorf("machine: booting cluster machine %d: %w", i, err)
 		}

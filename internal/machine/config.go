@@ -58,13 +58,6 @@ func (c *Config) Validate() error {
 	if c.FileCache < vfs.RegimeAuto || c.FileCache > vfs.RegimePopcorn {
 		return &ConfigError{Field: "FileCache", Value: c.FileCache, Reason: "unknown page-cache regime"}
 	}
-	if c.Fabric != nil && c.SharedEngine == nil {
-		return &ConfigError{Field: "Fabric", Value: "non-nil",
-			Reason: "cluster machines need a SharedEngine (one clock universe per fabric)"}
-	}
-	if c.MachID < 0 {
-		return &ConfigError{Field: "MachID", Value: c.MachID, Reason: "must not be negative"}
-	}
 	for n := 0; n < 2; n++ {
 		if c.CPI[n] < 0 {
 			return &ConfigError{Field: "CPI", Value: c.CPI[n], Reason: "must not be negative"}

@@ -108,18 +108,6 @@ type Config struct {
 	// page cache, multiple-kernel baselines replicate per kernel with DSM
 	// messages. Setting it explicitly decouples the two axes.
 	FileCache vfs.Regime
-	// Fabric, when non-nil, attaches the machine to a cluster switch: a
-	// NIC and a transport stack are built at boot and the socket syscalls
-	// become operational. Requires SharedEngine — every machine of one
-	// cluster must live in the same simulated clock universe.
-	Fabric *net.Fabric
-	// MachID is the machine's index on the fabric (its switch port and
-	// transport address). Ignored without Fabric.
-	MachID int
-	// SharedEngine, when non-nil, makes the platform join an existing
-	// simulation engine instead of creating its own. NewCluster assigns
-	// one engine to all of its machines.
-	SharedEngine *sim.Engine
 	// Tenants, when non-empty, boots the machine multi-tenant: a
 	// capability namespace is built with one tenant per spec and every
 	// privileged syscall a tenant task makes is checked against its
@@ -151,9 +139,14 @@ type Machine struct {
 	// attaches to: per-core run queues over both nodes' cores.
 	Sched *kernel.Scheduler
 	// NIC and Net are the machine's network interface and transport stack,
-	// nil unless the config attached the machine to a cluster fabric.
+	// nil unless NewCluster attached the machine to its fabric.
 	NIC *net.NIC
 	Net *net.Stack
+
+	// fabric is the cluster switch the machine is attached to (nil for a
+	// standalone machine) and machID its port and transport address there.
+	fabric *net.Fabric
+	machID int
 
 	procs map[string]*kernel.Process
 	// vfsPoolCarved records that mountVFS placed the fused frame pool in
@@ -161,8 +154,14 @@ type Machine struct {
 	vfsPoolCarved bool
 }
 
-// New builds and boots a machine.
-func New(cfg Config) (*Machine, error) {
+// New builds and boots a standalone machine.
+func New(cfg Config) (*Machine, error) { return boot(cfg, nil, nil, 0) }
+
+// boot builds and boots a machine. A nil eng gives the platform its own
+// engine; a non-nil fab attaches the machine to that cluster switch as
+// port machID, which needs the cluster's shared engine — every machine of
+// one cluster lives in the same simulated clock universe.
+func boot(cfg Config, eng *sim.Engine, fab *net.Fabric, machID int) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -196,10 +195,10 @@ func New(cfg Config) (*Machine, error) {
 		hwCfg.ClockHz = cfg.ClockHz
 	}
 	hwCfg.Tracer = cfg.Tracer
-	hwCfg.Engine = cfg.SharedEngine
+	hwCfg.Engine = eng
 	plat := hw.NewPlatform(hwCfg)
 
-	m := &Machine{Cfg: cfg, Plat: plat, procs: make(map[string]*kernel.Process)}
+	m := &Machine{Cfg: cfg, Plat: plat, fabric: fab, machID: machID, procs: make(map[string]*kernel.Process)}
 
 	// Boot the two kernel instances from the firmware memory map (§6.1).
 	ctx := &kernel.Context{Plat: plat}
@@ -243,7 +242,7 @@ func New(cfg Config) (*Machine, error) {
 			return
 		}
 		bootErr = m.mountVFS(ctx)
-		if bootErr == nil && cfg.Fabric != nil {
+		if bootErr == nil && fab != nil {
 			m.attachNIC(ctx, pt)
 		}
 	})
@@ -322,9 +321,9 @@ func (m *Machine) attachNIC(ctx *kernel.Context, pt *hw.Port) {
 	if m.vfsPoolCarved {
 		base += vfsPoolSize
 	}
-	m.NIC = net.NewNIC(pt, m.Cfg.MachID, base, net.DefaultNICConfig())
-	m.Cfg.Fabric.Attach(m.NIC)
-	m.Net = net.NewStack(m.NIC, m.Cfg.Fabric, 0)
+	m.NIC = net.NewNIC(pt, m.machID, base, net.DefaultNICConfig())
+	m.fabric.Attach(m.NIC)
+	m.Net = net.NewStack(m.NIC, m.fabric, 0)
 	ctx.Net = m.Net
 }
 

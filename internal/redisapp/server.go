@@ -69,15 +69,9 @@ type BenchParams struct {
 	Keys int
 }
 
-// DefaultBenchParams returns a scaled §9.2.8 configuration.
-func DefaultBenchParams(cmd Command) BenchParams {
-	return BenchParams{Command: cmd, Requests: 300, PayloadBytes: 1024, Keys: 64}
-}
-
 // Validate rejects shapes the benchmark cannot run: unknown commands,
 // zero/negative counts, and payloads that overflow a ring slot. Run calls
-// it after applying defaults, so a zero-valued BenchParams{Command: c}
-// stays the "use defaults" idiom.
+// it first; every field must be set.
 func (p BenchParams) Validate() error {
 	if p.Command < CmdGet || p.Command > CmdMSet {
 		return &ParamError{Field: "Command", Value: int(p.Command), Reason: "unknown command code"}
@@ -126,9 +120,6 @@ func valFor(p BenchParams, i int) []byte {
 // there, §9.2.8), and then serves p.Requests requests that a NIC-side
 // task deposits into origin-memory RX buffers.
 func Run(m *machine.Machine, p BenchParams) (BenchResult, error) {
-	if p.Requests == 0 {
-		p = DefaultBenchParams(p.Command)
-	}
 	if err := p.Validate(); err != nil {
 		return BenchResult{}, err
 	}
