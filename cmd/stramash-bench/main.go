@@ -2,16 +2,15 @@
 // paper's evaluation section and reports, per experiment, whether the
 // paper's shape claims reproduce.
 //
-// Experiments run on a bounded worker pool (one fully isolated simulated
-// machine set per experiment). The report on stdout is rendered in paper
-// order whatever the completion order, so it is byte-identical at any
-// -parallel setting; timing and the run summary go to stderr.
+// Experiments run at most -parallel at a time (one fully isolated
+// simulated machine set per experiment). The report on stdout is rendered
+// in paper order whatever the completion order, so it is byte-identical at
+// any -parallel setting; the run summary goes to stderr.
 //
 // Usage:
 //
 //	stramash-bench [-scale quick|full] [-only <id> | -suite validation|extras]
-//	               [-parallel N] [-timeout d] [-timing] [-list]
-//	               [-json results.json]
+//	               [-parallel N] [-list] [-json results.json]
 //	               [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -suite runs a named group instead of the default paper sweep:
@@ -35,7 +34,8 @@
 // simulated cycle counts and counters (deterministic across runs, with
 // per-worker and per-tenant counters for the serving extras), the
 // simulation driver's own counters (engine_stats) where an experiment
-// exports them, the host wall time, and any shape deviations or errors.
+// exports them, each experiment's host wall time (wall_ms), and any shape
+// deviations or errors.
 // Exit codes: 0 all shape claims reproduced, 1 an experiment failed, 2
 // usage error, 3 shape deviations. CI gates on them.
 //
@@ -47,7 +47,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -66,8 +65,7 @@ var validationIDs = []string{"table2", "fig5-6-small", "fig5-6-big", "fig7-small
 // options are the parsed flags that shape a run once its specs are chosen.
 type options struct {
 	scale                           experiments.Scale
-	pool                            experiments.PoolOptions
-	timing                          bool
+	parallel                        int
 	jsonOut, cpuProfile, memProfile string
 }
 
@@ -86,8 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	suite := fs.String("suite", "", "run a named group: validation (§9.1) or extras")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	parallel := fs.Int("parallel", 0, "host width: experiments in flight, spare cores to their rows (0 = GOMAXPROCS, 1 = sequential)")
-	timeout := fs.Duration("timeout", 0, "per-experiment wall-clock timeout (0 = none)")
-	timing := fs.Bool("timing", false, "print per-experiment wall-clock timing to stderr")
 	jsonOut := fs.String("json", "", "write a machine-readable JSON report to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
@@ -113,9 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opt := options{
-		scale:  scale,
-		pool:   experiments.PoolOptions{Parallelism: *parallel, Timeout: *timeout},
-		timing: *timing, jsonOut: *jsonOut, cpuProfile: *cpuProfile, memProfile: *memProfile,
+		scale: scale, parallel: *parallel,
+		jsonOut: *jsonOut, cpuProfile: *cpuProfile, memProfile: *memProfile,
 	}
 
 	specs, err := selectSpecs(*only, *suite)
@@ -159,7 +154,7 @@ func selectSpecs(only, suite string) ([]experiments.Spec, error) {
 // execute runs specs and reports them, returning the exit code. Tests
 // drive it with injected specs.
 func execute(specs []experiments.Spec, opt options, stdout, stderr io.Writer) int {
-	// Profiling brackets exactly the experiment pool: flag parsing and
+	// Profiling brackets exactly the experiment runs: flag parsing and
 	// report rendering stay out of the profile.
 	if opt.cpuProfile != "" {
 		f, err := os.Create(opt.cpuProfile)
@@ -175,7 +170,7 @@ func execute(specs []experiments.Spec, opt options, stdout, stderr io.Writer) in
 	}
 
 	start := time.Now()
-	outcomes := experiments.RunPool(context.Background(), specs, opt.scale, opt.pool)
+	outcomes := experiments.RunPool(specs, opt.scale, opt.parallel)
 	wall := time.Since(start)
 
 	if opt.cpuProfile != "" {
@@ -190,11 +185,6 @@ func execute(specs []experiments.Spec, opt options, stdout, stderr io.Writer) in
 		fmt.Fprintf(stderr, "heap profile written to %s\n", opt.memProfile)
 	}
 
-	if opt.timing {
-		for _, o := range outcomes {
-			fmt.Fprintf(stderr, "%-22s %v\n", o.Spec.ID, o.Wall.Round(time.Millisecond))
-		}
-	}
 	fmt.Fprintln(stderr, experiments.Summarize(outcomes, wall))
 
 	if opt.jsonOut != "" {

@@ -20,7 +20,7 @@ func (f fakeResult) Render() string        { return f.name + " table\n" }
 func (f fakeResult) ShapeErrors() []string { return f.shape }
 
 // quick runs the injected specs sequentially at quick scale.
-var quick = options{scale: experiments.Quick, pool: experiments.PoolOptions{Parallelism: 1}}
+var quick = options{scale: experiments.Quick, parallel: 1}
 
 func spec(id string, res fakeResult, err error) experiments.Spec {
 	return experiments.Spec{ID: id, Run: func(experiments.Scale, int) (experiments.Result, error) {

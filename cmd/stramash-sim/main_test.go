@@ -51,6 +51,21 @@ func TestParseArgs(t *testing.T) {
 	}
 }
 
+// TestClusterTaskErrorNamesCause runs a cluster cell whose servers cannot
+// serve: the vanilla OS has no cross-kernel migration, so each server task
+// fails and the load generator waits forever for replies. The job must
+// fail with the server's own error, not only the deadlock it leaves.
+func TestClusterTaskErrorNamesCause(t *testing.T) {
+	_, job, err := parse([]string{"cluster", "-os", "vanilla", "-servers", "1"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = job(io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "vanilla OS cannot migrate across kernels") {
+		t.Errorf("err = %v, want the server task's migration error", err)
+	}
+}
+
 // TestCellRowsMatchGrid runs each extra's subcommand and checks that every
 // row it prints equals, field for field, the row the extra's grid renders
 // for that cell at the same scale: at -scale full the pinned extras_full.txt,

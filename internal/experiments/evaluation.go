@@ -146,21 +146,27 @@ type Figure9Result struct {
 }
 
 // Figure9 runs the NPB × OS/model grid (with the default 4 MB L3).
-func Figure9(scale Scale) (*Figure9Result, error) { return figure9At(scale, 0) }
+func Figure9(scale Scale) (*Figure9Result, error) {
+	return npbGrid("figure9", []string{"IS", "CG", "MG", "FT"}, Figure9Configs(), scale.class(), machine.Config{})
+}
 
-func figure9At(scale Scale, l3 int) (*Figure9Result, error) {
-	r := &Figure9Result{L3Size: l3}
-	class := scale.class()
-	for _, bench := range []string{"IS", "CG", "MG", "FT"} {
+// npbGrid runs every bench on every config, each on a fresh machine with
+// base's cache sizes, normalizing each bench's cycles to its Vanilla run
+// (configs[0]).
+func npbGrid(name string, benches []string, configs []NPBConfig, class npb.Class, base machine.Config) (*Figure9Result, error) {
+	r := &Figure9Result{L3Size: base.L3Size}
+	for _, bench := range benches {
 		var vanilla sim.Cycles
-		for _, cfg := range Figure9Configs() {
-			m, err := machine.New(machine.Config{Model: cfg.Model, OS: cfg.OS, L3Size: l3})
+		for _, cfg := range configs {
+			mcfg := base
+			mcfg.Model, mcfg.OS = cfg.Model, cfg.OS
+			m, err := machine.New(mcfg)
 			if err != nil {
 				return nil, err
 			}
 			cycles, _, err := runBenchmark(m, bench, class, cfg.Migrate)
 			if err != nil {
-				return nil, fmt.Errorf("figure9 %s/%s: %w", bench, cfg.Label, err)
+				return nil, fmt.Errorf("%s %s/%s: %w", name, bench, cfg.Label, err)
 			}
 			if cfg.Label == "Vanilla" {
 				vanilla = cycles
@@ -254,22 +260,31 @@ type Figure10Result struct {
 	Large *Figure9Result // 32 MB
 }
 
-// Figure10 runs IS and CG at both cache sizes. The study needs working
-// sets that overflow the small L3 but fit the large one; since the
-// reproduction scales NPB down (~1 MB working sets instead of hundreds of
-// MB), the cache hierarchy is scaled with it — 256 KiB vs 2 MiB L3 over a
-// 128 KiB L2 — preserving the capacity relationship of the paper's
-// 4 MiB-vs-32 MiB study.
-func Figure10(scale Scale) (*Figure10Result, error) {
-	small, err := figure10Grid(scale, figure10SmallL3)
-	if err != nil {
-		return nil, err
+// Figure10 runs IS and CG at both cache sizes, on the configs that matter
+// for the study (SHM and Stramash-Shared/Separated plus Vanilla for
+// normalization), at class S whatever the scale: capacity effects need the
+// full working set. The study needs working sets that overflow the small
+// L3 but fit the large one; since the reproduction scales NPB down (~1 MB
+// working sets instead of hundreds of MB), the cache hierarchy is scaled
+// with it — 256 KiB vs 2 MiB L3 over a 128 KiB L2 — preserving the
+// capacity relationship of the paper's 4 MiB-vs-32 MiB study.
+func Figure10(Scale) (*Figure10Result, error) {
+	configs := []NPBConfig{
+		{"Vanilla", machine.VanillaOS, mem.FullyShared, false},
+		{"Popcorn-SHM", machine.PopcornSHM, mem.Shared, true},
+		{"Stramash-Shared", machine.StramashOS, mem.Shared, true},
+		{"Stramash-Separated", machine.StramashOS, mem.Separated, true},
 	}
-	large, err := figure10Grid(scale, figure10LargeL3)
-	if err != nil {
-		return nil, err
+	var grids [2]*Figure9Result
+	for i, l3 := range []int{figure10SmallL3, figure10LargeL3} {
+		var err error
+		grids[i], err = npbGrid("figure10", []string{"IS", "CG"}, configs, npb.ClassS,
+			machine.Config{L3Size: l3, L2Size: figure10L2})
+		if err != nil {
+			return nil, err
+		}
 	}
-	return &Figure10Result{Small: small, Large: large}, nil
+	return &Figure10Result{Small: grids[0], Large: grids[1]}, nil
 }
 
 // The Figure 10 hierarchy, scaled with NPB.
@@ -278,41 +293,6 @@ const (
 	figure10SmallL3 = 256 << 10
 	figure10LargeL3 = 2 << 20
 )
-
-// figure10Grid runs only IS and CG on the configs that matter for the
-// study (SHM and Stramash-Shared/Separated plus Vanilla for normalization).
-func figure10Grid(scale Scale, l3 int) (*Figure9Result, error) {
-	r := &Figure9Result{L3Size: l3}
-	class := npb.ClassS // capacity effects need the full working set
-	_ = scale
-	configs := []NPBConfig{
-		{"Vanilla", machine.VanillaOS, mem.FullyShared, false},
-		{"Popcorn-SHM", machine.PopcornSHM, mem.Shared, true},
-		{"Stramash-Shared", machine.StramashOS, mem.Shared, true},
-		{"Stramash-Separated", machine.StramashOS, mem.Separated, true},
-	}
-	for _, bench := range []string{"IS", "CG"} {
-		var vanilla sim.Cycles
-		for _, cfg := range configs {
-			m, err := machine.New(machine.Config{Model: cfg.Model, OS: cfg.OS, L3Size: l3, L2Size: figure10L2})
-			if err != nil {
-				return nil, err
-			}
-			cycles, _, err := runBenchmark(m, bench, class, cfg.Migrate)
-			if err != nil {
-				return nil, fmt.Errorf("figure10 %s/%s: %w", bench, cfg.Label, err)
-			}
-			if cfg.Label == "Vanilla" {
-				vanilla = cycles
-			}
-			r.Cells = append(r.Cells, Figure9Cell{
-				Benchmark: bench, Config: cfg.Label, Cycles: cycles,
-				Normalized: ratio(float64(cycles), float64(vanilla)),
-			})
-		}
-	}
-	return r, nil
-}
 
 // Name implements Result.
 func (r *Figure10Result) Name() string { return "Figure 10: IS vs CG cache-size sensitivity" }

@@ -124,12 +124,13 @@ func TestFigure13QuickShape(t *testing.T) {
 func TestRunAndReportRendersShape(t *testing.T) {
 	var buf bytes.Buffer
 	spec, _ := Find("table2")
-	res, shape, err := RunAndReport(&buf, spec, Quick)
+	outcomes := RunPool([]Spec{spec}, Quick, 1)
+	deviations, err := Report(&buf, outcomes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res == nil || len(shape) != 0 {
-		t.Errorf("res=%v shape=%v", res, shape)
+	if res, shape := outcomes[0].Result, outcomes[0].Shape; res == nil || len(shape) != 0 || deviations != 0 {
+		t.Errorf("res=%v shape=%v deviations=%d", res, shape, deviations)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "Table 2") || !strings.Contains(out, "REPRODUCED") {

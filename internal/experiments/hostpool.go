@@ -2,14 +2,14 @@ package experiments
 
 import "sync"
 
-// forEachRow runs run on every cell — independent row builders (multicore
-// rows, serving cells) — with at most width in flight, and returns the
-// rows in cell order or the first error by cell index (not completion
-// order), so failures are as deterministic as results. Each row builds
-// and drives a fully isolated machine, so the rendered report is
-// byte-identical at any width: like PoolOptions.Parallelism one level up,
-// the width only trades host cores for wall time. RunPool derives it
-// (rowWidth).
+// forEachRow runs run on every cell — specs in RunPool, independent row
+// builders (multicore rows, serving cells) inside a spec — with at most
+// width in flight, and returns the rows in cell order or the first error
+// by cell index (not completion order), so failures are as deterministic
+// as results. At width 1 it is a plain in-order loop. Each cell builds
+// and drives fully isolated machines, so the rendered report is
+// byte-identical at any width: the width only trades host cores for wall
+// time.
 func forEachRow[C, R any](width int, cells []C, run func(C) (R, error)) ([]R, error) {
 	rows := make([]R, len(cells))
 	errs := make([]error, len(cells))

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -106,7 +105,7 @@ func TestJSONCarriesServingCounters(t *testing.T) {
 		}
 		specs = append(specs, s)
 	}
-	rep := BuildJSONReport(Quick, RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: 2}), 0)
+	rep := BuildJSONReport(Quick, RunPool(specs, Quick, 2), 0)
 	hasPrefix := func(m map[string]int64, prefix string) bool {
 		for k := range m {
 			if strings.HasPrefix(k, prefix) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -26,7 +25,7 @@ func extraOnly(t *testing.T, id string) {
 func TestMulticoreRegistry(t *testing.T) { extraOnly(t, "multicore") }
 
 // deterministic demands that the spec id renders byte-identically when run
-// directly, through the sequential RunAndReport path, and twice
+// directly, through a width-1 pool (the sequential reference), and twice
 // concurrently under the parallel pool, and reproduces its shape at quick
 // scale. It returns the direct result.
 func deterministic(t *testing.T, id string) Result {
@@ -39,10 +38,10 @@ func deterministic(t *testing.T, id string) Result {
 		t.Fatal(err)
 	}
 	var seq, viaPool bytes.Buffer
-	if _, _, err := RunAndReport(&seq, spec, Quick); err != nil {
+	if _, err := Report(&seq, RunPool([]Spec{spec}, Quick, 1)); err != nil {
 		t.Fatal(err)
 	}
-	pooled := RunPool(context.Background(), []Spec{spec, spec}, Quick, PoolOptions{Parallelism: 2})
+	pooled := RunPool([]Spec{spec, spec}, Quick, 2)
 	for i, o := range pooled {
 		if o.Err != nil {
 			t.Fatalf("pooled run %d: %v", i, o.Err)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -234,7 +233,7 @@ func clusterCells() (string, error) {
 // and Report, at the host's width.
 func extrasFull() (string, error) {
 	var b strings.Builder
-	for _, o := range RunPool(context.Background(), Extra(), Full, PoolOptions{}) {
+	for _, o := range RunPool(Extra(), Full, 0) {
 		n, err := Report(&b, []Outcome{o})
 		if err != nil {
 			return "", err

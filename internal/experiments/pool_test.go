@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -60,9 +59,9 @@ func TestGoldenDeterminism(t *testing.T) {
 		return buf.String()
 	}
 
-	seq1 := RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: 1})
-	seq2 := RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: 1})
-	par := RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: len(specs)})
+	seq1 := RunPool(specs, Quick, 1)
+	seq2 := RunPool(specs, Quick, 1)
+	par := RunPool(specs, Quick, len(specs))
 
 	for i := range specs {
 		r1, r2, rp := seq1[i].Result.Render(), seq2[i].Result.Render(), par[i].Result.Render()
@@ -77,16 +76,16 @@ func TestGoldenDeterminism(t *testing.T) {
 		t.Errorf("full report differs between sequential and parallel runs")
 	}
 
-	// The pooled report must also be byte-identical to the legacy
-	// sequential RunAndReport loop.
+	// The pooled report must also be byte-identical to one spec at a
+	// time through a width-1 pool, the sequential reference.
 	var legacy bytes.Buffer
 	for _, s := range specs {
-		if _, _, err := RunAndReport(&legacy, s, Quick); err != nil {
+		if _, err := Report(&legacy, RunPool([]Spec{s}, Quick, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if legacy.String() != report(par) {
-		t.Errorf("pooled report differs from sequential RunAndReport loop")
+		t.Errorf("pooled report differs from sequential one-spec-at-a-time report")
 	}
 }
 
@@ -130,7 +129,7 @@ func TestPoolPreservesSpecOrder(t *testing.T) {
 			},
 		})
 	}
-	outcomes := RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: 4})
+	outcomes := RunPool(specs, Quick, 4)
 	for i, o := range outcomes {
 		if o.Err != nil {
 			t.Fatalf("spec%d: %v", i, o.Err)
@@ -170,7 +169,7 @@ func TestPoolBoundedConcurrency(t *testing.T) {
 			},
 		})
 	}
-	RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: workers})
+	RunPool(specs, Quick, workers)
 	if got := max.Load(); got > workers {
 		t.Errorf("observed %d concurrent specs, pool bound is %d", got, workers)
 	}
@@ -198,7 +197,7 @@ func TestPoolRowWidth(t *testing.T) {
 				return fakeResult{name: "x"}, nil
 			}}
 		}
-		RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: c.parallelism})
+		RunPool(specs, Quick, c.parallelism)
 		if g := int(got.Load()); g != c.want {
 			t.Errorf("%d specs at Parallelism %d: row width %d, want %d", c.specs, c.parallelism, g, c.want)
 		}
@@ -211,7 +210,7 @@ func TestPoolPanicRecovery(t *testing.T) {
 		{ID: "boom", Run: func(Scale, int) (Result, error) { panic("simulated machine wedged") }},
 		{ID: "ok2", Run: func(Scale, int) (Result, error) { return fakeResult{name: "ok2"}, nil }},
 	}
-	outcomes := RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: 2})
+	outcomes := RunPool(specs, Quick, 2)
 	if outcomes[0].Err != nil || outcomes[2].Err != nil {
 		t.Errorf("healthy specs failed: %v / %v", outcomes[0].Err, outcomes[2].Err)
 	}
@@ -220,50 +219,6 @@ func TestPoolPanicRecovery(t *testing.T) {
 	}
 	if !strings.Contains(outcomes[1].Err.Error(), "boom") {
 		t.Errorf("panic error does not name the spec: %v", outcomes[1].Err)
-	}
-}
-
-func TestPoolTimeout(t *testing.T) {
-	specs := []Spec{
-		{ID: "slow", Run: func(Scale, int) (Result, error) {
-			time.Sleep(5 * time.Second)
-			return fakeResult{name: "slow"}, nil
-		}},
-		{ID: "fast", Run: func(Scale, int) (Result, error) { return fakeResult{name: "fast"}, nil }},
-	}
-	start := time.Now()
-	outcomes := RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: 2, Timeout: 30 * time.Millisecond})
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("pool took %v, timeout did not abandon the slow spec", elapsed)
-	}
-	if outcomes[0].Err == nil || !strings.Contains(outcomes[0].Err.Error(), "timed out") {
-		t.Errorf("slow spec error = %v, want timeout", outcomes[0].Err)
-	}
-	if outcomes[1].Err != nil {
-		t.Errorf("fast spec failed: %v", outcomes[1].Err)
-	}
-}
-
-func TestPoolContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	specs := []Spec{
-		{ID: "a", Run: func(Scale, int) (Result, error) { return fakeResult{name: "a"}, nil }},
-		{ID: "b", Run: func(Scale, int) (Result, error) { return fakeResult{name: "b"}, nil }},
-	}
-	outcomes := RunPool(ctx, specs, Quick, PoolOptions{Parallelism: 1})
-	errs := 0
-	for _, o := range outcomes {
-		if o.Err != nil {
-			errs++
-		}
-	}
-	if errs == 0 {
-		t.Error("cancelled context produced no failed outcomes")
-	}
-	var buf bytes.Buffer
-	if _, err := Report(&buf, outcomes); err == nil {
-		t.Error("Report over cancelled outcomes returned nil error")
 	}
 }
 

@@ -69,22 +69,7 @@ func Find(id string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// RunAndReport executes one spec with its rows one at a time and writes
-// its rendering plus shape-check outcome to w, returning the result and
-// any shape errors.
-func RunAndReport(w io.Writer, spec Spec, scale Scale) (Result, []string, error) {
-	res, err := spec.Run(scale, 1)
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: %s: %w", spec.ID, err)
-	}
-	shape := res.ShapeErrors()
-	reportResult(w, res, shape)
-	return res, shape, nil
-}
-
 // reportResult writes one finished result in the canonical report format.
-// Both the sequential path (RunAndReport) and the parallel pool (Report)
-// render through this, which is what keeps their output byte-identical.
 func reportResult(w io.Writer, res Result, shape []string) {
 	fmt.Fprintf(w, "== %s ==\n", res.Name())
 	fmt.Fprint(w, res.Render())

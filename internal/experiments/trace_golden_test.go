@@ -8,7 +8,6 @@ package experiments
 // same run executed sequentially.
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -100,7 +99,7 @@ func poolTraces(t *testing.T, n int, refCycles sim.Cycles, refText string, run f
 			return fakeResult{name: "traced", body: "ok\n"}, nil
 		}}
 	}
-	for i, o := range RunPool(context.Background(), specs, Quick, PoolOptions{Parallelism: n}) {
+	for i, o := range RunPool(specs, Quick, n) {
 		if o.Err != nil {
 			t.Fatal(o.Err)
 		}

@@ -50,55 +50,71 @@ func (c *Cluster) EngineStats() sim.EngineStats { return c.Eng.Stats }
 // spec order. Tasks on different machines overlap in simulated time and
 // talk over the fabric through the socket syscalls.
 func (c *Cluster) RunTasks(specs ...ClusterTask) ([]Result, error) {
-	byMach := make([][]TaskSpec, len(c.Machines))
+	return runTasks(c.Eng, c.Machines, specs)
+}
+
+// runTasks is the one task runner; Machine.RunTasks is its one-machine
+// case. It runs in two engine runs, and the spawn order fixes every
+// thread ID and so every cycle: phase 1 spawns one process-creation
+// thread per machine with work, in machine order; phase 2 spawns the
+// task threads in spec order.
+func runTasks(eng *sim.Engine, ms []*Machine, specs []ClusterTask) ([]Result, error) {
+	byMach := make([][]TaskSpec, len(ms))
 	for _, s := range specs {
-		if s.Mach < 0 || s.Mach >= len(c.Machines) {
+		if s.Mach < 0 || s.Mach >= len(ms) {
 			return nil, fmt.Errorf("machine: task %q on machine %d of a %d-machine cluster",
-				s.Name, s.Mach, len(c.Machines))
+				s.Name, s.Mach, len(ms))
 		}
 		byMach[s.Mach] = append(byMach[s.Mach], s.TaskSpec)
 	}
-	for mi, ms := range byMach {
-		if err := c.Machines[mi].checkSpecs(ms); err != nil {
+	for mi, mspecs := range byMach {
+		if err := ms[mi].checkSpecs(mspecs); err != nil {
 			return nil, err
 		}
 	}
 
-	// Phase 1: one setup thread per machine with work, one engine run.
-	setupErrs := make([]error, len(c.Machines))
-	procFor := make([][]*kernel.Process, len(c.Machines))
-	for mi, ms := range byMach {
-		if len(ms) == 0 {
+	setupErrs := make([]error, len(ms))
+	procFor := make([][]*kernel.Process, len(ms))
+	for mi, mspecs := range byMach {
+		if len(mspecs) == 0 {
 			continue
 		}
-		procFor[mi] = make([]*kernel.Process, len(ms))
-		c.Machines[mi].spawnSetup(ms, procFor[mi], &setupErrs[mi])
+		procFor[mi] = make([]*kernel.Process, len(mspecs))
+		ms[mi].spawnSetup(mspecs, procFor[mi], &setupErrs[mi])
 	}
-	if err := c.Eng.Run(); err != nil {
-		return nil, err
-	}
+	runErr := eng.Run()
 	for _, err := range setupErrs {
 		if err != nil {
-			return nil, err
+			return nil, causeFirst(err, runErr)
 		}
+	}
+	if runErr != nil {
+		return nil, runErr
 	}
 
-	// Phase 2: spawn every task thread in spec order, one engine run.
 	results := make([]Result, len(specs))
-	cursor := make([]int, len(c.Machines))
+	cursor := make([]int, len(ms))
 	for i, s := range specs {
-		c.Machines[s.Mach].spawnTask(s.TaskSpec, procFor[s.Mach][cursor[s.Mach]], &results[i])
+		ms[s.Mach].spawnTask(s.TaskSpec, procFor[s.Mach][cursor[s.Mach]], &results[i])
 		cursor[s.Mach]++
 	}
-	if err := c.Eng.Run(); err != nil {
-		return results, err
-	}
+	runErr = eng.Run()
 	for _, r := range results {
 		if r.Err != nil {
-			return results, fmt.Errorf("machine: task %q: %w", r.Name, r.Err)
+			return results, causeFirst(fmt.Errorf("machine: task %q: %w", r.Name, r.Err), runErr)
 		}
 	}
-	return results, nil
+	return results, runErr
+}
+
+// causeFirst reports a thread's own error ahead of the engine error it
+// caused: a task that fails leaves its peers waiting forever, and the
+// engine's deadlock names only them. Both stay reachable by errors.Is.
+func causeFirst(err, runErr error) error {
+	if runErr == nil {
+		return err
+	}
+	return fmt.Errorf("%w; then %w", err, runErr)
 }
 
 // NICStats returns machine mach's NIC counters.

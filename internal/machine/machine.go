@@ -463,37 +463,14 @@ func (m *Machine) spawnTask(s TaskSpec, proc *kernel.Process, res *Result) {
 
 // RunTasks creates the tasks' processes, runs all task bodies to
 // completion under the simulation engine, and returns per-task results in
-// spec order.
+// spec order. A failed task's error comes first, ahead of any deadlock it
+// left behind.
 func (m *Machine) RunTasks(specs ...TaskSpec) ([]Result, error) {
-	if err := m.checkSpecs(specs); err != nil {
-		return nil, err
+	cts := make([]ClusterTask, len(specs))
+	for i, s := range specs {
+		cts[i].TaskSpec = s
 	}
-
-	// Phase 1: create processes in a setup thread.
-	var setupErr error
-	procFor := make([]*kernel.Process, len(specs))
-	m.spawnSetup(specs, procFor, &setupErr)
-	if err := m.Plat.Engine.Run(); err != nil {
-		return nil, err
-	}
-	if setupErr != nil {
-		return nil, setupErr
-	}
-
-	// Phase 2: run the tasks.
-	results := make([]Result, len(specs))
-	for i := range specs {
-		m.spawnTask(specs[i], procFor[i], &results[i])
-	}
-	if err := m.Plat.Engine.Run(); err != nil {
-		return results, err
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			return results, fmt.Errorf("machine: task %q: %w", r.Name, r.Err)
-		}
-	}
-	return results, nil
+	return runTasks(m.Plat.Engine, []*Machine{m}, cts)
 }
 
 // RunSingle is the common case: one task, one fresh process.

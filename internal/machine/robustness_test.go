@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/net"
 	"repro/internal/pgtable"
 )
 
@@ -59,6 +61,11 @@ func TestMultipleCoresPerNode(t *testing.T) {
 	}
 }
 
+// TestTaskBodyErrorPropagates checks that a task's error reaches the
+// caller with its cause, through both entry points of the one task runner.
+// When task "a" fails and task "b" then waits forever for it, the engine
+// deadlocks naming only b; the runner must still report a's own error
+// first (errors.Is reaches it) and keep b in the message.
 func TestTaskBodyErrorPropagates(t *testing.T) {
 	m, err := New(Config{Model: mem.Shared, OS: StramashOS})
 	if err != nil {
@@ -75,6 +82,49 @@ func TestTaskBodyErrorPropagates(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "segfault") {
 		t.Errorf("error lost its cause: %v", err)
+	}
+
+	sentinel := errors.New("task a gave up")
+	a := TaskSpec{Name: "a", Origin: mem.NodeX86, Body: func(*kernel.Task) error { return sentinel }}
+	b := TaskSpec{Name: "b", Origin: mem.NodeArm, Body: func(task *kernel.Task) error {
+		task.Th.Block("wait-for-a")
+		return nil
+	}}
+	for _, r := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Machine.RunTasks", func() error {
+			m, err := New(Config{Model: mem.Shared, OS: StramashOS})
+			if err != nil {
+				return err
+			}
+			_, err = m.RunTasks(a, b)
+			return err
+		}},
+		{"Cluster.RunTasks", func() error {
+			cfg := Config{Model: mem.Shared, OS: StramashOS}
+			cl, err := NewCluster([]Config{cfg, cfg}, net.DefaultFabricConfig())
+			if err != nil {
+				return err
+			}
+			_, err = cl.RunTasks(ClusterTask{Mach: 0, TaskSpec: a}, ClusterTask{Mach: 1, TaskSpec: b})
+			return err
+		}},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			err := r.run()
+			if !errors.Is(err, sentinel) {
+				t.Fatalf("err = %v, want it to wrap task a's error", err)
+			}
+			msg := err.Error()
+			if !strings.HasPrefix(msg, `machine: task "a": task a gave up`) {
+				t.Errorf("task a's error is not reported first: %v", err)
+			}
+			if !strings.Contains(msg, "b(wait-for-a)") {
+				t.Errorf("error no longer names the blocked thread b: %v", err)
+			}
+		})
 	}
 }
 

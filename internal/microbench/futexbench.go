@@ -150,14 +150,8 @@ func RunFutexPingPong(m *machine.Machine, loops int) (FutexResult, error) {
 			},
 		},
 	}
-	results, err := m.RunTasks(specs...)
-	if err != nil {
+	if _, err := m.RunTasks(specs...); err != nil {
 		return res, err
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			return res, r.Err
-		}
 	}
 	if res.Counter != uint64(loops) {
 		return res, fmt.Errorf("microbench: futex counter = %d, want %d (lost wakeups?)", res.Counter, loops)

@@ -87,14 +87,8 @@ func RunWakeLatency(m *machine.Machine, rounds int) (WakeLatencyResult, error) {
 			},
 		},
 	}
-	results, err := m.RunTasks(specs...)
-	if err != nil {
+	if _, err := m.RunTasks(specs...); err != nil {
 		return res, err
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			return res, r.Err
-		}
 	}
 	if done != rounds {
 		return res, fmt.Errorf("microbench: %d of %d wakes completed", done, rounds)

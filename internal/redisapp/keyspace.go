@@ -2,7 +2,7 @@ package redisapp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/pgtable"
@@ -158,7 +158,7 @@ func (ks *StoreLocked) stripesFor(t *kernel.Task, stripes []int, cmd Command, ke
 			stripes = append(stripes, s)
 		}
 	}
-	sort.Ints(stripes)
+	slices.Sort(stripes)
 	return stripes
 }
 

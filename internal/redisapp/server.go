@@ -289,17 +289,9 @@ func Run(m *machine.Machine, p BenchParams) (BenchResult, error) {
 		return nil
 	}
 
-	results, err := m.RunTasks(
+	_, err := m.RunTasks(
 		machine.TaskSpec{Name: "redis-server", Origin: mem.NodeX86, ProcKey: "redis", KeepAlive: true, Body: serverBody},
 		machine.TaskSpec{Name: "nic", Origin: mem.NodeX86, ProcKey: "redis", KeepAlive: true, Start: 500, Body: nicBody},
 	)
-	if err != nil {
-		return res, err
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			return res, r.Err
-		}
-	}
-	return res, nil
+	return res, err
 }

@@ -101,7 +101,7 @@ func fnv32(s string) uint32 {
 // dentryProbe charges the hash-chain probe for one component lookup: two
 // cache-line reads of the dentry hash table living on the control page.
 func (fs *FS) dentryProbe(pt *hw.Port, name string) {
-	line := int(fnv32(name)) % (mem.PageSize / mem.LineSize / 2)
+	line := int(fnv32(name) % (mem.PageSize / mem.LineSize / 2))
 	base := fs.ctrl + mem.PhysAddr(line*mem.LineSize)
 	pt.ReadUint(base, 8)
 	pt.ReadUint(base+mem.PhysAddr(mem.LineSize/2), 8)
@@ -205,7 +205,7 @@ func (fs *FS) create(pt *hw.Port, parent *Inode, name string, dir bool, home mem
 
 // dentryInsertCost charges the hash-bucket write of a new dentry.
 func (fs *FS) dentryInsertCost(pt *hw.Port, name string) {
-	line := int(fnv32(name)) % (mem.PageSize / mem.LineSize / 2)
+	line := int(fnv32(name) % (mem.PageSize / mem.LineSize / 2))
 	pt.WriteUint(fs.ctrl+mem.PhysAddr(line*mem.LineSize), 8, uint64(len(name)))
 }
 
