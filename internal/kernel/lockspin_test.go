@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,11 +123,13 @@ func (r *lockRig) waiter(name string, core int, start sim.Cycles, o waiterOpts) 
 }
 
 // intruder starts a scheduled task that computes on x86 core from clock
-// start: an enqueue on that CPU if a waiter holds it.
+// start: an enqueue on that CPU if a waiter holds it, which then hands it
+// the CPU at its slice's expiry.
 func (r *lockRig) intruder(name string, core int, start sim.Cycles) {
 	errp := new(error)
 	r.errs = append(r.errs, errp)
 	spawnScheduled(r.ctx, r.s, r.v, name, core, start, func(t *Task) error {
+		r.ends[name+" dispatched"] = t.Th.Now()
 		r.tasks = append(r.tasks, t)
 		t.Compute(20_000)
 		r.ends[name] = t.Th.Now()
@@ -152,23 +155,28 @@ func (r *lockRig) dump() string {
 	return b.String()
 }
 
-// lockScenario is one way a parked lock spin ends. tie is a clock of the
-// first waiter's loop yield points at or after 300 000, from an undisturbed
-// reference run.
+// lockTies are clocks from undisturbed reference runs: poll, a yield point
+// of the first waiter's loop at or after 300 000; expiry, the yield point
+// at which its slice expires once an intruder queues on its CPU at
+// 151 000, where it yields the CPU.
+type lockTies struct{ poll, expiry sim.Cycles }
+
+// lockScenario is one way a parked lock spin ends.
 type lockScenario struct {
 	name    string
 	quantum int64
-	// noPark marks a waiter that must not park.
-	noPark bool
-	spawn  func(r *lockRig, tie sim.Cycles)
+	// noPark marks a waiter that must not park; queued one that must park
+	// while a task is queued on its CPU (sim.EngineStats.TimedParks).
+	noPark, queued bool
+	spawn          func(r *lockRig, tie lockTies)
 }
 
 var lockScenarios = []lockScenario{
-	{name: "one waiter", spawn: func(r *lockRig, _ sim.Cycles) {
+	{name: "one waiter", spawn: func(r *lockRig, _ lockTies) {
 		r.holder("holder", 300_000)
 		r.waiter("w1", 1, 1000, waiterOpts{})
 	}},
-	{name: "three waiters released once", spawn: func(r *lockRig, _ sim.Cycles) {
+	{name: "three waiters released once", spawn: func(r *lockRig, _ lockTies) {
 		r.holder("holder", 300_000)
 		r.waiter("w1", 1, 1000, waiterOpts{})
 		r.waiter("w2", 2, 1000, waiterOpts{})
@@ -178,47 +186,79 @@ var lockScenarios = []lockScenario{
 	// holder releases before the waiter's yield point at its clock, which
 	// then finds the lock free; a higher-ID one after it, so the waiter
 	// polls once more.
-	{name: "release on a yield point, lower ID", spawn: func(r *lockRig, tie sim.Cycles) {
-		r.holder("holder", tie)
+	{name: "release on a yield point, lower ID", spawn: func(r *lockRig, tie lockTies) {
+		r.holder("holder", tie.poll)
 		r.waiter("w1", 1, 1000, waiterOpts{})
 	}},
-	{name: "release on a yield point, higher ID", spawn: func(r *lockRig, tie sim.Cycles) {
+	{name: "release on a yield point, higher ID", spawn: func(r *lockRig, tie lockTies) {
 		r.waiter("w1", 1, 1000, waiterOpts{})
-		r.holder("holder", tie)
+		r.holder("holder", tie.poll)
 	}},
 	// The enqueue falls between two of the parked waiter's slice restarts,
 	// so the replayed slice decides when its hook preempts it.
-	{name: "enqueue on the waiter's CPU", quantum: 500, spawn: func(r *lockRig, _ sim.Cycles) {
+	{name: "enqueue on the waiter's CPU", quantum: 500, queued: true, spawn: func(r *lockRig, _ lockTies) {
 		r.holder("holder", 300_000)
 		r.waiter("w1", 1, 1000, waiterOpts{})
 		r.intruder("intruder", 1, 151_000)
 	}},
-	{name: "Engine.Wake of the waiter", spawn: func(r *lockRig, _ sim.Cycles) {
+	{name: "Engine.Wake of the waiter", spawn: func(r *lockRig, _ lockTies) {
 		r.holder("holder", 300_000)
 		r.waiter("w1", 1, 1000, waiterOpts{})
 		r.ctx.Plat.Engine.Spawn("waker", 150_000, func(th *sim.Thread) {
 			r.ctx.Plat.Engine.Wake(r.tasks[0].Th, th.Now())
 		})
 	}},
-	{name: "preemption disabled", spawn: func(r *lockRig, _ sim.Cycles) {
+	{name: "preemption disabled", spawn: func(r *lockRig, _ lockTies) {
 		r.holder("holder", 300_000)
 		r.waiter("w1", 1, 1000, waiterOpts{noPreempt: true})
 	}},
 	// A 100-instruction quantum's cycle backstop is 400 cycles: the park
 	// crosses it hundreds of times, each a slice restart the replay finds.
-	{name: "slice backstop crossings", quantum: 100, spawn: func(r *lockRig, _ sim.Cycles) {
+	{name: "slice backstop crossings", quantum: 100, spawn: func(r *lockRig, _ lockTies) {
 		r.holder("holder", 300_000)
 		r.waiter("w1", 1, 1000, waiterOpts{})
 		r.waiter("w2", 2, 1000, waiterOpts{})
 	}},
-	{name: "tenant task", noPark: true, spawn: func(r *lockRig, _ sim.Cycles) {
+	{name: "tenant task", noPark: true, spawn: func(r *lockRig, _ lockTies) {
 		r.holder("holder", 300_000)
 		r.waiter("w1", 1, 1000, waiterOpts{tenant: true})
+	}},
+	// With a task queued on its CPU the waiter's hook does nothing until
+	// its slice expires and then yields the CPU, so its park ends by
+	// itself at the expiry yield point (sim.Spin.Bound). The intruder
+	// computes for several slices, so the two take turns.
+	{name: "queued task, cycle backstop", queued: true, spawn: func(r *lockRig, _ lockTies) {
+		r.holder("holder", 300_000)
+		r.waiter("w1", 1, 1000, waiterOpts{})
+		r.intruder("intruder", 1, 151_000)
+	}},
+	{name: "queued task, release before expiry", queued: true, spawn: func(r *lockRig, tie lockTies) {
+		r.holder("holder", tie.expiry-2000)
+		r.waiter("w1", 1, 1000, waiterOpts{})
+		r.intruder("intruder", 1, 151_000)
+	}},
+	// The release's segment ties with the expiry yield point: a lower-ID
+	// holder releases before it, a higher-ID one after the waiter yielded.
+	{name: "queued task, release tied with expiry, lower ID", queued: true, spawn: func(r *lockRig, tie lockTies) {
+		r.holder("holder", tie.expiry)
+		r.waiter("w1", 1, 1000, waiterOpts{})
+		r.intruder("intruder", 1, 151_000)
+	}},
+	{name: "queued task, release tied with expiry, higher ID", queued: true, spawn: func(r *lockRig, tie lockTies) {
+		r.waiter("w1", 1, 1000, waiterOpts{})
+		r.intruder("intruder", 1, 151_000)
+		r.holder("holder", tie.expiry)
+	}},
+	{name: "queued task, second enqueue while parked", queued: true, spawn: func(r *lockRig, tie lockTies) {
+		r.holder("holder", 300_000)
+		r.waiter("w1", 1, 1000, waiterOpts{})
+		r.intruder("intruder", 1, 151_000)
+		r.intruder("intruder2", 1, tie.expiry-2000)
 	}},
 }
 
 // runLock runs scenario sc with the lock parking or spinning.
-func runLock(t *testing.T, sc lockScenario, parks bool, tie sim.Cycles) *lockRig {
+func runLock(t *testing.T, sc lockScenario, parks bool, tie lockTies) *lockRig {
 	t.Helper()
 	q := sc.quantum
 	if q == 0 {
@@ -240,13 +280,19 @@ func runLock(t *testing.T, sc lockScenario, parks bool, tie sim.Cycles) *lockRig
 // TestSpinWhileMatchesSpinning runs each scenario on fresh machines with
 // the lock spinning and parking, and requires the same clocks, task and
 // CPU counters, slice fields and engine segment accounting from both —
-// and that the waiters parked, except a tenant's.
+// and that the waiters parked, except a tenant's, and parked with a task
+// queued on their CPU where the scenario queues one.
 func TestSpinWhileMatchesSpinning(t *testing.T) {
 	// The waiter's loop yield points are at its entry clock plus multiples
 	// of the interval; the same in every scenario up to the release.
-	ref := runLock(t, lockScenarios[0], false, 0)
+	ref := runLock(t, lockScenarios[0], false, lockTies{})
 	entry := ref.entered["w1"][0]
-	tie := entry + (300_000-entry+lockInterval-1)/lockInterval*lockInterval
+	tie := lockTies{poll: entry + (300_000-entry+lockInterval-1)/lockInterval*lockInterval}
+	i := slices.IndexFunc(lockScenarios, func(sc lockScenario) bool { return sc.name == "queued task, cycle backstop" })
+	queued := runLock(t, lockScenarios[i], false, tie)
+	if tie.expiry = queued.ends["intruder dispatched"]; tie.expiry-2000 <= 151_000 {
+		t.Fatalf("the first expiry with a task queued is at %d: no room for an event before it", tie.expiry)
+	}
 	for _, sc := range lockScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			want := runLock(t, sc, false, tie)
@@ -260,6 +306,9 @@ func TestSpinWhileMatchesSpinning(t *testing.T) {
 			}
 			if parked := es.LockReplayed > 0; parked == sc.noPark {
 				t.Fatalf("%d lock-spin yield points replayed, %d run", es.LockReplayed, es.LockYields)
+			}
+			if sc.queued && es.TimedParks == 0 {
+				t.Fatal("no waiter parked while a task was queued on its CPU")
 			}
 		})
 	}

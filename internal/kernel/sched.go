@@ -232,7 +232,10 @@ func (s *Scheduler) acquire(t *Task) {
 	cpu := s.cpus[t.Node][t.Core]
 	if s.Policy == SchedTimeSlice {
 		if cpu.cur != nil && cpu.cur != t {
-			// A parked occupant's preemption hook stops being pure.
+			// With a task queued, a parked occupant's preemption hook
+			// acts at its slice's expiry: it re-parks with that bound (if
+			// one was queued already, the disturb is spurious, which is
+			// exact).
 			cpu.cur.Th.Disturb()
 			cpu.queue = append(cpu.queue, t)
 			t.State = TaskReady
@@ -334,15 +337,23 @@ func (s *Scheduler) quantumFor(t *Task) int64 {
 // where t has retired its quantum of instructions, or held the CPU for the
 // cycle backstop, since the slice began.
 func (s *Scheduler) replaySlices(t *Task, sp sim.Spin, instr0, n int64) {
-	quantum := s.quantumFor(t)
 	for j := int64(0); ; j++ {
-		j = max(j, min(sp.FirstWith(t.sliceInstr+quantum-instr0),
-			sp.FirstAt(t.sliceStart+sim.Cycles(quantum*backstopFactor))))
+		j = max(j, s.sliceEnd(t, sp, instr0))
 		if j >= n {
 			return
 		}
 		t.sliceInstr, t.sliceStart = instr0+sp.Instr(j), sp.Clock(j)
 	}
+}
+
+// sliceEnd returns the first yield point of t's parked wait loop sp,
+// parked with instr0 instructions retired, at which t's current slice has
+// expired: t has retired its quantum of instructions, or held the CPU for
+// the cycle backstop, since the slice began (maybePreempt's test).
+func (s *Scheduler) sliceEnd(t *Task, sp sim.Spin, instr0 int64) int64 {
+	quantum := s.quantumFor(t)
+	return min(sp.FirstWith(t.sliceInstr+quantum-instr0),
+		sp.FirstAt(t.sliceStart+sim.Cycles(quantum*backstopFactor)))
 }
 
 // maybePreempt is the preemption hook installed on every strictly scheduled

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/cache"
@@ -20,14 +21,15 @@ import (
 // The loop parks (sim.Thread.ParkSpin) instead of spinning when it
 // provably can (DESIGN.md §6, "Spin parking"): the last probe found
 // nothing to do and all its loads were TLB and L1D hits; the task is a
-// root task that holds its CPU with an empty run queue under
-// time-slicing, with preemption enabled; no tracer and no cache Tap is
-// installed. Until something disturbs it, every skipped iteration would
-// repeat the last one exactly, so when the task wakes its SpinHook
-// replays them in closed form — its counters, its cache counters and the
-// scheduler's slice arithmetic at every skipped yield point — and it
-// resumes at its first yield point ordered after the disturbing segment.
-// Every simulated number is the same as spinning.
+// root task that holds its CPU under time-slicing, with preemption
+// enabled; no tracer and no cache Tap is installed. Until something
+// disturbs it, every skipped iteration would repeat the last one exactly,
+// so when the task wakes its SpinHook replays them in closed form — its
+// counters, its cache counters and the scheduler's slice arithmetic at
+// every skipped yield point — and it resumes at its first yield point
+// ordered after the disturbing segment. With a task queued on its CPU the
+// park also ends by itself at the slice's expiry, where the task yields
+// the CPU. Every simulated number is the same as spinning.
 func (t *Task) SpinWait(addrs []pgtable.VirtAddr, vals []uint64, interval sim.Cycles, idle func(vals []uint64) bool) error {
 	const (
 		atLoopTop = iota // next: the iteration's first yield point
@@ -161,19 +163,30 @@ func (sp *spinLoop) watchesPage(pva pgtable.VirtAddr) bool {
 	return slices.Contains(sp.pages[:sp.n], pva)
 }
 
-// Pure is the task's preemption hook's purity at a parked loop's yield
-// points (sim.SpinHook). With the task alone on its CPU the hook is slice
-// arithmetic on the task's own fields, until an enqueue on the CPU
-// disturbs the loop (acquire). A tenant's quantum may be rescaled
-// meanwhile, so its tasks never park.
-func (sp *spinLoop) Pure() bool {
+// PureUntil is the first yield point of a parked loop s at which the
+// task's preemption hook acts (sim.SpinHook). With the task alone on its
+// CPU the hook is slice arithmetic on the task's own fields, until an
+// enqueue on the CPU disturbs the loop (acquire): it never acts. With a
+// task queued on the CPU the hook does nothing until the slice expires and
+// then preempts: it acts at the slice's expiry, which a second enqueue
+// does not move. A tenant's quantum may be rescaled meanwhile, so its
+// tasks never park.
+func (sp *spinLoop) PureUntil(s sim.Spin) int64 {
 	t, cpu := sp.t, sp.t.cpu
-	return t.Proc.Ten == nil && t.State == TaskRunning && cpu != nil && cpu.cur == t && len(cpu.queue) == 0
+	switch {
+	case t.Proc.Ten != nil || t.State != TaskRunning || cpu == nil || cpu.cur != t:
+		return 0
+	case len(cpu.queue) == 0:
+		return math.MaxInt64
+	}
+	return t.Sched.sliceEnd(t, s, t.instrTotal())
 }
 
 // Replay is the task's preemption hook over yield points 0..n-1 of its
 // parked loop s (sim.SpinHook): the skipped probes' loads, as L1D hits,
-// then the slice arithmetic at every skipped yield point.
+// then the slice arithmetic at every skipped yield point. With a task
+// queued on the CPU that arithmetic is none: n <= s.Bound, the slice's
+// expiry, so replaySlices finds no restart.
 func (sp *spinLoop) Replay(s sim.Spin, n int64) {
 	t := sp.t
 	instr0 := t.instrTotal()

@@ -98,7 +98,7 @@ func BenchmarkSpinPark(b *testing.B) {
 			for !flag {
 				t.Advance(period)
 				c0 = t.Now()
-				t.Park("bench", wake)
+				t.Park("bench", never, wake)
 			}
 			flag = false
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -21,10 +22,13 @@ import (
 // A spin op is a wait loop — advance, yield, until a group member sets the
 // thread's flag — which the engine runs through Thread.Park: it parks at
 // the loop's yield point, and a disturb op (or a wake) brings it back at
-// its first yield point ordered after the disturbing segment. The
-// interpreter never parks: it spins, granting every iteration by the
+// its first yield point ordered after the disturbing segment. Some spin
+// ops script the yield point of their first park where their hook stops
+// being pure: that park also ends by itself at the yield point's clock.
+// The interpreter never parks: it spins, granting every iteration by the
 // minimum rule, and only leaves the iterations the engine skips out of the
-// event stream and out of the self-continue count. So the ordering rule
+// event stream and out of the self-continue count; the scripted yield
+// point is an ordinary runnable one at its clock. So the ordering rule
 // (ties broken by ID included) is checked against plain spinning.
 //
 // Lock and unlock ops take and release a spin lock of the thread's group:
@@ -44,9 +48,9 @@ const (
 	opEndAtomic
 	opSpawn // arg = script index of the child
 	opPanic
-	opSpin    // n = the loop's advance per iteration
+	opSpin    // n = the loop's advance per iteration, arg > 0 = its first park's bound (Spin.Bound)
 	opDisturb // arg = index into the thread's group: set its flag
-	opLock    // n = the spin's poll interval; the group's lock
+	opLock    // n = the spin's poll interval, arg > 0 = its first park's bound; the group's lock
 	opUnlock
 )
 
@@ -106,7 +110,11 @@ func genScripts(seed uint64, groups int) []script {
 			// spin without yielding, and never nested.
 			if locks && depth == 0 {
 				if !holding && r.Intn(8) == 0 {
-					s.ops = append(s.ops, op{kind: opLock, n: Cycles(8 * (1 + r.Intn(7)))})
+					o := op{kind: opLock, n: Cycles(8 * (1 + r.Intn(7)))}
+					if r.Intn(2) == 0 {
+						o.arg = 1 + r.Intn(6)
+					}
+					s.ops = append(s.ops, o)
 					holding = true
 					continue
 				}
@@ -118,7 +126,11 @@ func genScripts(seed uint64, groups int) []script {
 			}
 			if s.spinner && depth == 0 && r.Intn(6) == 0 {
 				// Multiples of 8 make clock ties with other threads common.
-				s.ops = append(s.ops, op{kind: opSpin, n: Cycles(8 * (1 + r.Intn(7)))})
+				o := op{kind: opSpin, n: Cycles(8 * (1 + r.Intn(7)))}
+				if r.Intn(2) == 0 {
+					o.arg = 1 + r.Intn(6)
+				}
+				s.ops = append(s.ops, o)
 				continue
 			}
 			switch p := r.Intn(100); {
@@ -169,10 +181,12 @@ type scriptWorld struct {
 	eng     *Engine
 	scripts []script
 	groups  [][]*Thread
-	// flag and calls are per thread ID: the spin flag and the count of
-	// preempt-hook calls, replayed ones included.
+	// flag, calls and bound are per thread ID: the spin flag, the count of
+	// preempt-hook calls, replayed ones included, and the bound of the
+	// lock op's first park, which its SpinHook reports.
 	flag  map[ThreadID]bool
 	calls map[ThreadID]int
+	bound map[ThreadID]int64
 	// held and waiters are per group: its lock.
 	held    []bool
 	waiters []Waiters
@@ -180,7 +194,7 @@ type scriptWorld struct {
 
 func newScriptWorld(scripts []script, groups int) *scriptWorld {
 	w := &scriptWorld{eng: NewEngine(), scripts: scripts, groups: make([][]*Thread, groups),
-		flag: map[ThreadID]bool{}, calls: map[ThreadID]int{},
+		flag: map[ThreadID]bool{}, calls: map[ThreadID]int{}, bound: map[ThreadID]int64{},
 		held: make([]bool, groups), waiters: make([]Waiters, groups)}
 	w.eng.Quantum = modelQuantum
 	return w
@@ -233,6 +247,7 @@ func (w *scriptWorld) run(t *Thread, s *script) {
 		case opPanic:
 			panic("boom")
 		case opSpin:
+			bound := o.arg
 			for !w.flag[t.ID] {
 				t.Advance(o.n)
 				if w.flag[t.ID] {
@@ -240,7 +255,11 @@ func (w *scriptWorld) run(t *Thread, s *script) {
 					continue
 				}
 				c0, step := t.Now(), o.n
-				t.Park("spin", func(from Cycles) (int64, Cycles) {
+				due := never
+				if bound > 0 {
+					due, bound = c0+Cycles(bound)*step, 0
+				}
+				t.Park("spin", due, func(from Cycles) (int64, Cycles) {
 					if from <= c0 {
 						return 0, c0
 					}
@@ -256,6 +275,7 @@ func (w *scriptWorld) run(t *Thread, s *script) {
 			w.flag[u.ID] = true
 			u.Disturb()
 		case opLock:
+			w.bound[t.ID] = int64(o.arg)
 			t.SpinWhile("lock", &w.waiters[s.group], o.n, func() bool { return w.held[s.group] })
 			w.held[s.group] = true
 		case opUnlock:
@@ -265,14 +285,23 @@ func (w *scriptWorld) run(t *Thread, s *script) {
 	}
 }
 
-// countingSpin is the counting hook's SpinHook: the hook is pure, and
-// replaying n yield points counts n calls.
+// countingSpin is the counting hook's SpinHook: the hook is pure, except
+// at the scripted bound of a lock op's first park, and replaying n yield
+// points counts n calls.
 type countingSpin struct {
 	w  *scriptWorld
 	id ThreadID
 }
 
-func (countingSpin) Pure() bool               { return true }
+func (h countingSpin) PureUntil(Spin) int64 {
+	b := h.w.bound[h.id]
+	if b == 0 {
+		return math.MaxInt64
+	}
+	h.w.bound[h.id] = 0
+	return b
+}
+
 func (h countingSpin) Replay(_ Spin, n int64) { h.w.calls[h.id] += int(n) }
 
 func (w *scriptWorld) clocks() []Cycles {
@@ -306,12 +335,17 @@ type modelThread struct {
 	// spinMid marks a quantum yield inside the loop's advance. flag is the
 	// spin flag. parked is set while the engine would have the thread
 	// parked, disturbed once something has disturbed it there: its
-	// iterations are the engine's replayed ones until then.
+	// iterations are the engine's replayed ones until then. bound is the
+	// spin or lock op's first park's bound (0: none, or that park is past);
+	// timed marks a park with a bound, left the virtual iterations before
+	// it: the iteration after them is runnable for real at its clock.
 	spin              Cycles
+	bound, left       int
 	lastVirtual       Cycles // the clock the last virtual segment began at
 	spinMid           bool
 	flag              bool
 	parked, disturbed bool
+	timed             bool
 	// lock is the poll interval of the lock op the thread spins in (0:
 	// none); lockMid marks a quantum yield inside the spin's advance.
 	lock    Cycles
@@ -326,6 +360,7 @@ func (t *modelThread) virtual() bool { return t.parked && !t.disturbed }
 type lockCoverage struct {
 	lockReplayed, releaseDisturbs, unparkedSpins       int
 	releaseTieBelow, releaseTieAbove, lockedAtDeadlock int
+	timedLockWakes                                     int
 }
 
 // modelLock is a group's lock on the interpreter's side: whether it is
@@ -343,6 +378,8 @@ type modelCoverage struct {
 	wakeRunnableRaised, spawns, nested   int
 	replayed, disturbs, wakeParked       int
 	tieBelow, tieAbove, parkedAtDeadlock int
+	timedWakes, timedSelfPicks           int
+	timedDisturbs                        int
 }
 
 type model struct {
@@ -366,7 +403,9 @@ type model struct {
 	// LockReplayed).
 	locks                    []modelLock
 	lockYields, lockReplayed int64
-	lcov                     *lockCoverage
+	// timedParks counts the parks with a bound (EngineStats.TimedParks).
+	timedParks int64
+	lcov       *lockCoverage
 }
 
 // ties reports whether a disturb of u by the running segment ties with a
@@ -383,6 +422,9 @@ func (m *model) disturb(u *modelThread) {
 	}
 	u.disturbed = true
 	m.cov.disturbs++
+	if u.timed {
+		m.cov.timedDisturbs++
+	}
 	below, above := m.ties(u)
 	if below {
 		m.cov.tieBelow++
@@ -392,9 +434,26 @@ func (m *model) disturb(u *modelThread) {
 	}
 }
 
+// spinPark is the decision a spin op makes at its loop's yield point: park
+// unless its flag is already set, until its bound if it has one.
+func (m *model) spinPark(t *modelThread) {
+	t.parked = !t.flag
+	m.timedPark(t, t.parked && t.bound > 0)
+}
+
+// timedPark records whether t's park has a bound, and consumes the bound.
+func (m *model) timedPark(t *modelThread, timed bool) {
+	t.timed, t.left = timed, t.bound
+	t.bound = 0
+	if timed {
+		m.timedParks++
+	}
+}
+
 // lockPark is the decision SpinWhile makes at its yield point: park, and
 // join the lock's waiters, unless a preempt hook that is not pure (one
-// that blocks) is installed.
+// that blocks) is installed; under the counting hook, the op's first park
+// until its bound.
 func (m *model) lockPark(t *modelThread) {
 	m.lockYields++
 	if t.s.hookEvery > 0 {
@@ -402,6 +461,9 @@ func (m *model) lockPark(t *modelThread) {
 		return
 	}
 	t.parked = true
+	if t.s.spinner {
+		m.timedPark(t, t.bound > 0)
+	}
 	l := &m.locks[t.s.group]
 	if !slices.Contains(l.waiters, t) {
 		l.waiters = append(l.waiters, t)
@@ -463,7 +525,7 @@ func (m *model) segment(t *modelThread) {
 	}
 	if t.parked {
 		if t.disturbed {
-			t.parked, t.disturbed = false, false
+			t.parked, t.disturbed, t.timed = false, false, false
 		} else {
 			// An iteration the engine replays: the flag is still clear,
 			// or the lock still held.
@@ -474,7 +536,7 @@ func (m *model) segment(t *modelThread) {
 	}
 	if t.spinMid {
 		t.spinMid = false
-		t.parked = !t.flag
+		m.spinPark(t)
 		m.yield(t)
 		return
 	}
@@ -496,7 +558,7 @@ func (m *model) segment(t *modelThread) {
 				t.spinMid = true
 				return
 			}
-			t.parked = !t.flag
+			m.spinPark(t)
 			m.yield(t)
 			return
 		}
@@ -568,14 +630,14 @@ func (m *model) segment(t *modelThread) {
 			t.err = fmt.Errorf("sim: thread %q panicked: %v", t.s.name, "boom")
 			t.pc = len(t.s.ops)
 		case opSpin:
-			t.spin = o.n
+			t.spin, t.bound = o.n, o.arg
 		case opDisturb:
 			g := m.groups[t.s.group]
 			u := g[o.arg%len(g)]
 			u.flag = true
 			m.disturb(u)
 		case opLock:
-			t.lock = o.n
+			t.lock, t.bound = o.n, o.arg
 		case opUnlock:
 			l := &m.locks[t.s.group]
 			for _, u := range l.waiters {
@@ -608,7 +670,7 @@ func (m *model) run() error {
 			if t.state == stateRunnable && (next == nil || t.now < next.now) {
 				next = t // ties: the lower ID came first and stays
 			}
-			live = live || t.state == stateRunnable && !t.virtual()
+			live = live || t.state == stateRunnable && (!t.virtual() || t.timed)
 		}
 		if !live {
 			// Only undisturbed spinners could run, and none of them can
@@ -634,6 +696,20 @@ func (m *model) run() error {
 			m.cov.deadlocks++
 			sort.Strings(stuck)
 			return fmt.Errorf("sim: deadlock, blocked threads: %v", stuck)
+		}
+		if next.virtual() && next.timed {
+			if next.left == 0 { // the park's bound: the engine grants it here
+				next.disturbed = true
+				m.cov.timedWakes++
+				if next.lock > 0 {
+					m.lcov.timedLockWakes++
+				}
+				if next.id == m.lastRun {
+					m.cov.timedSelfPicks++
+				}
+			} else {
+				next.left--
+			}
 		}
 		c0 := next.now
 		if next.virtual() {
@@ -752,6 +828,9 @@ func TestScheduleModel(t *testing.T) {
 		if st.Replayed != m.replayed {
 			t.Fatalf("seed %d: %d replayed yield points, model %d", seed, st.Replayed, m.replayed)
 		}
+		if st.TimedParks != m.timedParks {
+			t.Fatalf("seed %d: %d timed parks, model %d", seed, st.TimedParks, m.timedParks)
+		}
 		if st.LockYields != m.lockYields || st.LockReplayed != m.lockReplayed {
 			t.Fatalf("seed %d: %d lock-spin yield points run and %d replayed, model %d and %d",
 				seed, st.LockYields, st.LockReplayed, m.lockYields, m.lockReplayed)
@@ -770,7 +849,9 @@ func TestScheduleModel(t *testing.T) {
 		"replayed yield point": cov.replayed, "disturb of a parked thread": cov.disturbs,
 		"disturb tied by a lower ID": cov.tieBelow, "disturb tied by a higher ID": cov.tieAbove,
 		"wake of a parked thread": cov.wakeParked,
-		"parked at deadlock":      cov.parkedAtDeadlock,
+		"park ended at its bound": cov.timedWakes, "park ended at its bound without a switch": cov.timedSelfPicks,
+		"disturb before the bound": cov.timedDisturbs,
+		"parked at deadlock":       cov.parkedAtDeadlock,
 	} {
 		if n == 0 {
 			t.Errorf("no scenario reached %q: the generator lost coverage", name)
@@ -781,6 +862,7 @@ func TestScheduleModel(t *testing.T) {
 		"release tied by a lower ID": lcov.releaseTieBelow, "release tied by a higher ID": lcov.releaseTieAbove,
 		"lock waiter parked at deadlock":     lcov.lockedAtDeadlock,
 		"lock spin under a hook that blocks": lcov.unparkedSpins,
+		"lock park ended at its bound":       lcov.timedLockWakes,
 	} {
 		if n == 0 {
 			t.Errorf("no lock seed reached %q: the generator lost coverage", name)
@@ -834,7 +916,8 @@ func TestScheduleModelParallel(t *testing.T) {
 				st := w.eng.Stats
 				if st.SerialSegments != j.m.segments || st.SerialCycles != j.m.cycles ||
 					st.SelfContinues != j.m.selfPicks || st.Replayed != j.m.replayed ||
-					st.LockYields != j.m.lockYields || st.LockReplayed != j.m.lockReplayed {
+					st.LockYields != j.m.lockYields || st.LockReplayed != j.m.lockReplayed ||
+					st.TimedParks != j.m.timedParks {
 					t.Errorf("seed %d: %d segments / %d cycles / %d self-continues / %d replayed, model %d / %d / %d / %d",
 						j.seed, st.SerialSegments, st.SerialCycles, st.SelfContinues, st.Replayed,
 						j.m.segments, j.m.cycles, j.m.selfPicks, j.m.replayed)

@@ -142,8 +142,11 @@ type Thread struct {
 	// began). closeSegment charges each segment the cycles since its key.
 	segKey Cycles
 
-	// wake is the parked thread's replay (Park); nil when not parked.
+	// wake is the parked thread's replay (Park); nil when not parked. due
+	// is the clock its park ends by itself at, never when only a Disturb
+	// ends it.
 	wake func(from Cycles) (skipped int64, at Cycles)
+	due  Cycles
 
 	// spin is a parked loop's schedule (ParkSpin) and spinAt the yield
 	// point its last wake resumed it at; spinWake is its Park wake, bound
@@ -270,33 +273,54 @@ func (t *Thread) Preemptible() bool {
 	return t.preempt != nil && !t.inPreempt && t.preemptOff == 0
 }
 
+// never is a parked thread's due clock when only a Disturb ends its park.
+const never Cycles = math.MaxInt64
+
 // Park is a YieldPoint after which the thread leaves scheduling until
-// Disturb: the segment ends here as if another thread were ahead, and the
-// thread is not picked again until something disturbs it. It is for wait
-// loops whose skipped iterations are pure — they only add to counters and
-// redo what the last iteration did — so running them later, in closed
-// form, is the same history (DESIGN.md §6, "Spin parking").
+// Disturb, or until its own yield point at clock due: the segment ends
+// here as if another thread were ahead, and the thread is not picked again
+// until something disturbs it or (due, ID) is the minimum key. It is for
+// wait loops whose skipped iterations are pure — they only add to counters
+// and redo what the last iteration did — so running them later, in closed
+// form, is the same history (DESIGN.md §6, "Spin parking"). due is the
+// clock of the loop's first yield point that is not pure, or never.
 //
 // The loop's yield points from this one on are numbered 0, 1, 2, … with
 // non-decreasing clocks. When Disturb ends the park, wake runs on the
 // disturbing thread with from, the earliest clock a yield point of this
-// thread may have and still order after the disturbing segment; it
-// applies the skipped iterations' effects and returns how many yield
-// points come before the first one at or after from, and that one's
-// clock. The engine closes the skipped points' segments (SerialSegments,
-// SerialCycles; Replayed counts them) and makes the thread runnable at
-// that clock. When it is next granted, Park returns after the preemption
-// hook, as YieldPoint would at that point; the hooks of the skipped points
-// are wake's to account. Park panics inside an atomic section.
-func (t *Thread) Park(reason string, wake func(from Cycles) (skipped int64, at Cycles)) {
+// thread may have and still order after the disturbing segment; when the
+// park ends at due, wake runs with from = due, as if the thread's own
+// yield point there disturbed it. wake applies the skipped iterations'
+// effects and returns how many yield points come before the first one at
+// or after from, and that one's clock. The engine closes the skipped
+// points' segments (SerialSegments, SerialCycles; Replayed counts them)
+// and makes the thread runnable at that clock. When it is next granted,
+// Park returns after the preemption hook, as YieldPoint would at that
+// point; the hooks of the skipped points are wake's to account. Park
+// panics inside an atomic section.
+func (t *Thread) Park(reason string, due Cycles, wake func(from Cycles) (skipped int64, at Cycles)) {
 	if t.atomicDepth > 0 {
 		panic(fmt.Sprintf("sim: thread %q parked inside an atomic section", t.Name))
 	}
 	t.sinceYield = 0
-	t.wake = wake
+	t.wake, t.due = wake, due
 	t.blockReason = reason
 	t.state = stateParked
-	t.suspend()
+	e := t.eng
+	var next *Thread
+	if due != never {
+		e.Stats.TimedParks++
+		next = e.pickNext()
+	}
+	if next == t { // its own due clock is the minimum: keep the token, as YieldPoint would
+		e.closeSegment(t)
+		e.Stats.SelfContinues++
+		t.unpark(due)
+		t.segKey = t.now
+	} else {
+		e.picked = next // nil: Run scans
+		t.suspend()
+	}
 	t.state = stateRunning
 	if t.Preemptible() {
 		t.runPreempt()
@@ -320,14 +344,20 @@ func (t *Thread) Disturb() {
 	if t.state != stateParked || t.wake == nil {
 		return
 	}
-	t.eng.replay(t)
+	t.unpark(t.eng.after(t))
+}
+
+// unpark ends t's Park at its first yield point at or after from.
+func (t *Thread) unpark(from Cycles) {
+	t.eng.replay(t, from)
 	t.state = stateRunnable
 	t.blockReason = ""
 }
 
-// replay brings parked thread t to its first yield point ordered after the
-// current segment (the last one, once Run has nothing left to grant).
-func (e *Engine) replay(t *Thread) {
+// after returns the earliest clock a yield point of parked thread t may
+// have and still order after the current segment (the last one, once Run
+// has nothing left to grant).
+func (e *Engine) after(t *Thread) Cycles {
 	from := t.now
 	if c := e.cur; c != nil && c != t { // t's own last segment ended where it parked
 		from = c.segKey
@@ -335,8 +365,14 @@ func (e *Engine) replay(t *Thread) {
 			from++
 		}
 	}
+	return from
+}
+
+// replay brings parked thread t to its first yield point at or after
+// from.
+func (e *Engine) replay(t *Thread, from Cycles) {
 	wake := t.wake
-	t.wake = nil
+	t.wake, t.due = nil, never
 	n, at := wake(from)
 	e.Stats.SerialSegments += n
 	e.Stats.SerialCycles += at - t.now
@@ -508,6 +544,9 @@ func (e *Engine) Run() error {
 			}
 			return e.deadlockErr()
 		}
+		if next.state == stateParked { // picked at its due clock
+			next.unpark(next.due)
+		}
 		if tr := e.Tracer; tr != nil && next.ID != e.lastRun {
 			tr.Emit(trace.Event{Cycle: int64(next.now), Kind: trace.KindThreadSwitch,
 				Tid: int32(next.ID), Node: -1, Name: next.Name})
@@ -532,15 +571,21 @@ func (e *Engine) closeSegment(t *Thread) {
 }
 
 // pickNext returns the runnable thread with the smallest local clock,
-// breaking ties by thread ID for determinism.
+// breaking ties by thread ID for determinism. A parked thread with a due
+// clock competes at that clock: it is the yield point its park ends at.
 func (e *Engine) pickNext() *Thread {
 	var best *Thread
+	var at Cycles
 	for _, t := range e.threads {
+		c := t.now
 		if t.state != stateRunnable {
-			continue
+			if t.state != stateParked || t.due == never {
+				continue
+			}
+			c = t.due
 		}
-		if best == nil || t.now < best.now || (t.now == best.now && t.ID < best.ID) {
-			best = t
+		if best == nil || c < at { // ties: the lower ID came first and stays
+			best, at = t, c
 		}
 	}
 	return best
@@ -550,11 +595,12 @@ func (e *Engine) pickNext() *Thread {
 // the last segment, where the loop it parked in would be waiting when the
 // run ends, and leaves it parked for good. Run ends with parked threads
 // only on an error: a thread's panic, or the deadlock error when nothing
-// is left to disturb them.
+// is left to disturb them. A thread whose park has a due clock is never
+// among the deadlocked: pickNext grants it there.
 func (e *Engine) settleParked() {
 	for _, t := range e.threads {
 		if t.state == stateParked && t.wake != nil {
-			e.replay(t)
+			e.replay(t, e.after(t))
 		}
 	}
 }

@@ -24,6 +24,11 @@ type EngineStats struct {
 	// part of Replayed. Map leaves them out; the mechanism guards read
 	// them.
 	LockYields, LockReplayed int64
+	// TimedParks counts the parks with a due clock (Thread.Park): those of
+	// a wait loop whose preemption hook acts at a known yield point
+	// (Spin.Bound), which end there by themselves unless a Disturb comes
+	// first. Map leaves it out.
+	TimedParks int64
 	// SerialCycles attributes simulated cycles advanced to the segments they
 	// were advanced in.
 	SerialCycles Cycles
@@ -46,6 +51,7 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.Replayed += o.Replayed
 	s.LockYields += o.LockYields
 	s.LockReplayed += o.LockReplayed
+	s.TimedParks += o.TimedParks
 	s.SerialCycles += o.SerialCycles
 }
 

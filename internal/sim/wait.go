@@ -7,7 +7,9 @@ import (
 
 // Spin is the yield-point schedule of a parked wait loop (ParkSpin), its
 // yield points numbered 0, 1, 2, … from the one it parked at, where it has
-// just advanced Interval cycles. It has one of two shapes:
+// just advanced Interval cycles, and Bound, the first of them at which the
+// preemption hook acts (math.MaxInt64: none), which ParkSpin sets from the
+// SpinHook. It has one of two shapes:
 //
 //   - a flag spin (SpinWhile) has one yield point per Interval and
 //     retires no instructions: Probe and Loads are zero;
@@ -17,7 +19,7 @@ import (
 //     after its Loads loads; and the poll, after the next Interval.
 type Spin struct {
 	C0, Interval, Probe Cycles
-	Loads               int64
+	Loads, Bound        int64
 }
 
 // points returns the yield points per iteration.
@@ -72,14 +74,16 @@ func (s Spin) FirstWith(instr int64) int64 {
 }
 
 // SpinHook is the preemption hook's side of a parked wait loop, installed
-// with SetSpinHook beside SetPreempt. Pure reports whether, from now until
-// something disturbs the thread, the hook would only change state that
-// Replay can bring up to date later. Replay applies the hook's calls at
-// yield points 0..n-1 of the parked loop s, and the effects of the loads
-// the loop retired before yield point n (s.Instr(n)). Without a hook, a
-// loop under an enabled preemption hook never parks.
+// with SetSpinHook beside SetPreempt. PureUntil returns the first yield
+// point of the loop s at which the hook would act, if nothing disturbs the
+// thread first (math.MaxInt64: none); at the yield points before it, the
+// hook only changes state that Replay can bring up to date later. Replay
+// applies the hook's calls at yield points 0..n-1 of the parked loop s,
+// n <= s.Bound, and the effects of the loads the loop retired before yield
+// point n (s.Instr(n)). Without a hook, a loop under an enabled preemption
+// hook never parks.
 type SpinHook interface {
-	Pure() bool
+	PureUntil(s Spin) int64
 	Replay(s Spin, n int64)
 }
 
@@ -92,19 +96,31 @@ func (t *Thread) SetSpinHook(h SpinHook) { t.spinHook = h }
 // (DESIGN.md §6, "Spin parking"): the thread is outside atomic sections, no
 // engine tracer is installed, 0 < s.Interval and s.Probe+s.Interval <
 // Quantum (so no advance of the loop reaches a quantum yield), and the
-// preemption hook is absent, disabled, or Pure by the SpinHook. The caller
-// vouches for the rest: every skipped iteration would observe what the
-// last one did, until w.Disturb (w may be nil), Engine.Wake or another
-// Disturb. The wake finds the first yield point ordered after the
-// disturbing segment, has the SpinHook replay the ones before it, and
-// ParkSpin returns its index once the thread resumes there. It returns
-// false without parking otherwise, and the caller runs yield point 0.
-// reason names what the loop waits for in deadlock diagnostics.
+// preemption hook is absent, disabled, or pure by the SpinHook at yield
+// point 0 at least. The caller vouches for the rest: every skipped
+// iteration would observe what the last one did, until w.Disturb (w may be
+// nil), Engine.Wake or another Disturb. The wake finds the first yield
+// point ordered after the disturbing segment, has the SpinHook replay the
+// ones before it, and ParkSpin returns its index once the thread resumes
+// there. A park whose hook acts at a yield point (s.Bound, from PureUntil)
+// also ends there by itself, as the loop's own yield point at its clock:
+// the thread resumes at the first yield point at or after s.Clock(s.Bound),
+// where the hook runs for real. It returns false without parking
+// otherwise, and the caller runs yield point 0. reason names what the loop
+// waits for in deadlock diagnostics.
 func (t *Thread) ParkSpin(reason string, w *Waiters, s Spin) (int64, bool) {
 	e := t.eng
-	if t.atomicDepth > 0 || e.Tracer != nil || s.Interval <= 0 || s.Probe+s.Interval >= e.Quantum ||
-		t.Preemptible() && (t.spinHook == nil || !t.spinHook.Pure()) {
+	if t.atomicDepth > 0 || e.Tracer != nil || s.Interval <= 0 || s.Probe+s.Interval >= e.Quantum {
 		return 0, false
+	}
+	s.Bound = math.MaxInt64
+	if t.Preemptible() {
+		if t.spinHook == nil {
+			return 0, false
+		}
+		if s.Bound = t.spinHook.PureUntil(s); s.Bound <= 0 {
+			return 0, false
+		}
 	}
 	if w != nil {
 		w.add(t)
@@ -113,7 +129,11 @@ func (t *Thread) ParkSpin(reason string, w *Waiters, s Spin) (int64, bool) {
 	if t.spinWake == nil {
 		t.spinWake = t.spinReplay
 	}
-	t.Park(reason, t.spinWake)
+	due := never
+	if s.Bound < math.MaxInt64 {
+		due = s.Clock(s.Bound)
+	}
+	t.Park(reason, due, t.spinWake)
 	return t.spinAt, true
 }
 

@@ -10,8 +10,9 @@ import (
 // spinLockRace is a lock handed back and forth: the holder takes the flag
 // for hold cycles, rounds times, and the waiter spins for it in between,
 // parking on every round. round, when non-nil, runs on the holder at the
-// start of each round.
-func spinLockRace(rounds int, round func(i int)) *Engine {
+// start of each round. hook, when non-nil, is the SpinHook of a
+// preemption hook the waiter installs, which does nothing.
+func spinLockRace(rounds int, round func(i int), hook SpinHook) *Engine {
 	const hold, interval = 10 * 100, 100
 	e := NewEngine()
 	var (
@@ -33,6 +34,10 @@ func spinLockRace(rounds int, round func(i int)) *Engine {
 		}
 	})
 	e.Spawn("waiter", 1, func(t *Thread) {
+		if hook != nil {
+			t.SetPreempt(func() {})
+			t.SetSpinHook(hook)
+		}
 		for i := 0; i < rounds; i++ {
 			t.SpinWhile("lock:test", &w, interval, func() bool { return held })
 			t.Advance(interval)
@@ -42,35 +47,54 @@ func spinLockRace(rounds int, round func(i int)) *Engine {
 	return e
 }
 
+// boundHook is a SpinHook whose hook acts at yield point b of every park.
+type boundHook int64
+
+func (b boundHook) PureUntil(Spin) int64 { return int64(b) }
+func (boundHook) Replay(Spin, int64)     {}
+
 // TestSpinWhileZeroAllocs requires lock-spin parking to allocate nothing:
 // across 50 park/disturb cycles, once the waiter list and the thread's
-// wake exist, the process's allocation count does not move.
+// wake exist, the process's allocation count does not move. Under a hook
+// that acts at the fourth poll of each park, every round's first park
+// ends there by itself (a timed park), and the next one at the release.
 func TestSpinWhileZeroAllocs(t *testing.T) {
 	// No collection during the run: the runtime's work after one (starting
 	// mark workers, background cleanups) allocates on its own goroutines,
 	// which ReadMemStats counts too.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	var e *Engine
-	var replayed int64
-	e = spinLockRace(61, func(i int) {
-		switch i {
-		case 10:
-			runtime.ReadMemStats(&before)
-			replayed = e.Stats.LockReplayed
-		case 60:
-			runtime.ReadMemStats(&after)
-			replayed = e.Stats.LockReplayed - replayed
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if replayed < 50*8 {
-		t.Fatalf("%d yield points replayed over 50 rounds: the waiter did not park on each", replayed)
-	}
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("%d allocations over 50 park/disturb cycles", n)
+	for _, c := range []struct {
+		name           string
+		hook           SpinHook
+		replays, timed int64 // at least, per round
+	}{
+		{"no hook", nil, 8, 0},
+		{"timed park", boundHook(4), 4, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			var e *Engine
+			var replayed, timed int64
+			e = spinLockRace(61, func(i int) {
+				switch i {
+				case 10:
+					runtime.ReadMemStats(&before)
+					replayed, timed = e.Stats.LockReplayed, e.Stats.TimedParks
+				case 60:
+					runtime.ReadMemStats(&after)
+					replayed, timed = e.Stats.LockReplayed-replayed, e.Stats.TimedParks-timed
+				}
+			}, c.hook)
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if replayed < 50*c.replays || timed < 50*c.timed {
+				t.Fatalf("%d yield points replayed and %d timed parks over 50 rounds: the waiter did not park on each", replayed, timed)
+			}
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Errorf("%d allocations over 50 park/disturb cycles", n)
+			}
+		})
 	}
 }
 
@@ -78,7 +102,7 @@ func TestSpinWhileZeroAllocs(t *testing.T) {
 // waiter parks for a lock held ten polls, and the release's disturb skips
 // the polls in between in closed form.
 func BenchmarkSpinWhile(b *testing.B) {
-	e := spinLockRace(b.N, nil)
+	e := spinLockRace(b.N, nil, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
