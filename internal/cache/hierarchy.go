@@ -525,7 +525,7 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	held := e.holders[node]
 	if isWrite {
 		if e.flags&dirWatched != 0 {
-			h.fireLine(ln)
+			h.fireLine(ln, node, true)
 		}
 		if e.holders[other] {
 			// CXL Snoop Invalidate: the other node must drop its copy.
@@ -547,6 +547,11 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	} else {
 		if e.holders[other] && int(e.owner) == other {
 			// CXL Snoop Data: M/E at the other node; forward data, both S.
+			// The demotion makes a write probe there pay a Snoop
+			// Invalidate; a read probe's hits are unchanged.
+			if e.flags&dirWatched != 0 {
+				h.fireLine(ln, node, false)
+			}
 			cost += h.cfg.CrossNode.Data
 			st.SnoopDataForwards++
 			st.CoherenceLatency += h.cfg.CrossNode.Data
@@ -806,7 +811,7 @@ func (h *Hierarchy) onLastLevelEvict(node int, ln lineAddr, dirty bool) {
 	}
 	e := h.entry(ln)
 	if e.flags&dirWatched != 0 {
-		h.fireLine(ln)
+		h.fireLine(ln, -1, false)
 	}
 	e.holders[node] = false
 	if int(e.owner) == node {

@@ -20,7 +20,11 @@ const MaxWatchLines = 4
 //   - any data access through the core's L1D by another thread (its stamps
 //     and fills would interleave with the probes');
 //   - a write to a watched line, from any core of either node (dirWatched
-//     is tested where the write path already loads the line's entry);
+//     is tested where the write path already loads the line's entry) —
+//     for a watch whose probes are writes, from the other node only;
+//   - for a watch whose probes are writes, a read of a watched line from
+//     the other node, which demotes the line the probes hit in M state
+//     (the Snoop Data branch, which loads the same entry);
 //   - a watched line leaving a last level (the eviction path's entry load),
 //     which also covers the back-invalidation out of the L1D;
 //   - Flush, and reading or resetting the counters (Stats, CoreStats,
@@ -35,24 +39,38 @@ type Watch struct {
 	n     int
 	fire  func()
 	armed bool
+	// write: the probes are writes (a CAS) by node, each an L1D write hit.
+	write bool
+	node  int
 }
 
-// Arm arms w for a spin loop on (node, core) polling the lines holding
+// Arm arms w for a spin loop on (node, core) probing the lines holding
 // addrs, calling fire on the first disturbing event. It arms nothing and
 // returns false unless every line is resident in the core's L1D, no other
-// Watch holds that L1D, no Tap is installed and len(addrs) <= MaxWatchLines.
-// It charges nothing and changes no simulated cache state.
-func (h *Hierarchy) Arm(w *Watch, node mem.NodeID, core int, addrs []mem.PhysAddr, fire func()) bool {
+// Watch holds that L1D, no Tap is installed and len(addrs) <= MaxWatchLines;
+// with write (the probes are writes), also unless the node holds every line
+// in M state, alone, so that each probe would be a write hit. A write watch
+// ignores writes from its own node, which leave its copy and the line's
+// directory entry as they are: a change of a watched word's value is then
+// the caller's to catch (kernel.Task.SpinCAS: the lock's release disturbs
+// its waiters). Arm charges nothing and changes no simulated cache state.
+func (h *Hierarchy) Arm(w *Watch, node mem.NodeID, core int, addrs []mem.PhysAddr, write bool, fire func()) bool {
 	l1 := h.nodes[node].l1d[core]
 	if w.armed || h.Tap != nil || l1.watch != nil || len(addrs) > MaxWatchLines {
 		return false
 	}
 	for _, a := range addrs {
-		if ln := lineOf(a); l1.hit(ln) < 0 && l1.scan(ln) < 0 {
+		ln := lineOf(a)
+		if l1.hit(ln) < 0 && l1.scan(ln) < 0 {
 			return false
 		}
+		if write {
+			if e := h.entry(ln); int(e.owner) != int(node) || !e.modified() || e.holders[1-node] {
+				return false
+			}
+		}
 	}
-	w.h, w.l1, w.n, w.fire, w.armed = h, l1, len(addrs), fire, true
+	w.h, w.l1, w.n, w.fire, w.write, w.node, w.armed = h, l1, len(addrs), fire, write, int(node), true
 	for i, a := range addrs {
 		w.lines[i] = lineOf(a)
 		h.entry(w.lines[i]).flags |= dirWatched
@@ -97,10 +115,16 @@ func (w *Watch) trigger() {
 	w.fire()
 }
 
-// fireLine fires every armed Watch polling ln.
-func (h *Hierarchy) fireLine(ln lineAddr) {
+// fireLine fires the armed Watches polling ln that an access to it by
+// node changes — every one for an eviction (node < 0). A write changes
+// what a read probe reads. A write from the other node invalidates the
+// line a write probe hits, and a read from there demotes it from M; a
+// write from the watcher's own node changes neither its copy nor the
+// directory entry, and the word's value is the lock's to guard (Arm).
+func (h *Hierarchy) fireLine(ln lineAddr, node int, write bool) {
 	for i := 0; i < len(h.watches); {
-		if w := h.watches[i]; slices.Contains(w.lines[:w.n], ln) {
+		w := h.watches[i]
+		if (node < 0 || w.write && w.node != node || !w.write && write) && slices.Contains(w.lines[:w.n], ln) {
 			w.trigger() // removes h.watches[i]
 			continue
 		}

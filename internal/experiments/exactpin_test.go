@@ -12,6 +12,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/net"
 	"repro/internal/redisapp"
+	"repro/internal/stramash"
 	"repro/internal/vfs"
 )
 
@@ -202,9 +203,39 @@ func TestRedisprodWorkersPark(t *testing.T) {
 			t.Errorf("%s replayed %.1f %% of its wait-loop yield points, want at least 90 %%", task.Name, 100*share)
 		}
 	}
-	if es := r.cl.EngineStats(); es.Replayed != replayed+es.LockReplayed {
-		t.Errorf("engine replayed %d yield points, the workers %d and the lock spins %d",
-			es.Replayed, replayed, es.LockReplayed)
+	var ptl int64
+	for _, task := range r.server.Proc.Tasks {
+		ptl += task.CASYields()
+	}
+	if es := r.cl.EngineStats(); es.Replayed != replayed+es.LockReplayed+ptl {
+		t.Errorf("engine replayed %d yield points, the workers %d, the lock spins %d and the PTL spins %d",
+			es.Replayed, replayed, es.LockReplayed, ptl)
+	}
+}
+
+// ptlFailedCASes is the quick sharded/fused/2c cell's failed PTL CASes,
+// counted on the spinning loop before kernel.Task.SpinCAS parked it.
+const ptlFailedCASes = 14_123
+
+// TestRedisprodPTLSpinsPark is the PTL-spin parking guard on the quick
+// sharded/fused/2c cell: the server machine's failed Stramash-PTL CASes,
+// run and replayed, are exactly those the spinning loop ran, and at least
+// 90 % of them are replayed parked (kernel.Task.SpinCAS).
+func TestRedisprodPTLSpinsPark(t *testing.T) {
+	r, err := runProdCell(redisprodParams(Quick), redisapp.KSSharded, vfs.RegimeFused, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := r.cl.Machines[1].OS.(*stramash.OS).Stats
+	failed := st.PTLFailedRun + st.PTLFailedReplayed
+	share := float64(st.PTLFailedReplayed) / float64(failed)
+	t.Logf("PTL: %d acquisitions, %d contended, %d failed CASes run, %d replayed (%.2f %%)",
+		st.PTLAcquisitions, st.PTLContended, st.PTLFailedRun, st.PTLFailedReplayed, 100*share)
+	if failed != ptlFailedCASes {
+		t.Errorf("%d failed PTL CASes run or replayed, the spinning loop ran %d", failed, ptlFailedCASes)
+	}
+	if share < 0.90 {
+		t.Errorf("%.2f %% of the failed PTL CASes replayed, want at least 90 %%", 100*share)
 	}
 }
 

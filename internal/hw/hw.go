@@ -167,13 +167,15 @@ func (p *Platform) NewPort(node mem.NodeID, core int, t *sim.Thread) *Port {
 	return &Port{Plat: p, Node: node, Core: core, T: t}
 }
 
-// charge pushes one access through the cache model and advances the clock.
-func (pt *Port) charge(kind cache.Kind, addr mem.PhysAddr, size int) {
+// charge pushes one access through the cache model, advances the clock
+// and returns the access's latency.
+func (pt *Port) charge(kind cache.Kind, addr mem.PhysAddr, size int) sim.Cycles {
 	if pt.Plat.Tracer != nil {
 		pt.Plat.Caches.TraceContext(int64(pt.T.Now()), int32(pt.T.ID))
 	}
 	lat := pt.Plat.Caches.Access(pt.Node, pt.Core, kind, addr, size)
 	pt.T.Advance(lat)
+	return lat
 }
 
 // ReadInto fills dst with the len(dst) bytes at addr without allocating:
@@ -216,14 +218,27 @@ func (pt *Port) Write64(addr mem.PhysAddr, v uint64) {
 	pt.Plat.Phys.Write64(addr, v)
 }
 
+// AtomicPenalty is the fixed cost of an atomic read-modify-write beyond
+// its write access.
+const AtomicPenalty = 12
+
+// ChargeAtomic charges the access of an atomic read-modify-write of the
+// 64-bit word at addr: a write (the coherence protocol must gain exclusive
+// ownership either way) plus AtomicPenalty. It returns the write's
+// latency. CompareAndSwap64 and AtomicAdd64 are ChargeAtomic, a yield
+// point, and the data operation.
+func (pt *Port) ChargeAtomic(addr mem.PhysAddr) sim.Cycles {
+	lat := pt.charge(cache.Write, addr, 8)
+	pt.T.Advance(AtomicPenalty)
+	return lat
+}
+
 // CompareAndSwap64 is the cross-ISA atomic primitive (§6.5): x86 LOCK
-// CMPXCHG and Arm LSE CAS both map onto it. It is charged as a write (the
-// coherence protocol must gain exclusive ownership either way) plus a small
-// fixed atomic-op penalty.
+// CMPXCHG and Arm LSE CAS both map onto it. A wait loop that resumes
+// between its charge and its compare-and-swap runs the second half alone,
+// Phys.CompareAndSwap64 (kernel.Task.SpinCAS).
 func (pt *Port) CompareAndSwap64(addr mem.PhysAddr, old, new uint64) (uint64, bool) {
-	const atomicPenalty = 12
-	pt.charge(cache.Write, addr, 8)
-	pt.T.Advance(atomicPenalty)
+	pt.ChargeAtomic(addr)
 	// Serialize against other simulated threads at a scheduling point so
 	// lock interleavings follow simulated time.
 	pt.T.YieldPoint()
@@ -233,9 +248,7 @@ func (pt *Port) CompareAndSwap64(addr mem.PhysAddr, old, new uint64) (uint64, bo
 // AtomicAdd64 atomically adds delta to the word at addr, returning the new
 // value (x86 LOCK XADD / Arm LDADD).
 func (pt *Port) AtomicAdd64(addr mem.PhysAddr, delta uint64) uint64 {
-	const atomicPenalty = 12
-	pt.charge(cache.Write, addr, 8)
-	pt.T.Advance(atomicPenalty)
+	pt.ChargeAtomic(addr)
 	pt.T.YieldPoint()
 	v := pt.Plat.Phys.Read64(addr) + delta
 	pt.Plat.Phys.Write64(addr, v)

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/cache"
+	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/pgtable"
 	"repro/internal/sim"
@@ -74,7 +75,7 @@ func (t *Task) SpinWait(addrs []pgtable.VirtAddr, vals []uint64, interval sim.Cy
 		j, parked := int64(0), false
 		if sp.watch.Armed() && t.Th.Preemptible() {
 			j, parked = t.Th.ParkSpin("spin", nil, sim.Spin{C0: t.Th.Now(), Interval: interval,
-				Probe: sim.Cycles(sp.n) * lat, Loads: int64(sp.n)})
+				Probe: sim.Cycles(sp.n) * lat, Hits: int64(sp.n), Loads: int64(sp.n)})
 		}
 		// Whatever woke the loop, or kept it from parking, ends the last
 		// probe's prediction of the next.
@@ -92,17 +93,81 @@ func (t *Task) SpinWait(addrs []pgtable.VirtAddr, vals []uint64, interval sim.Cy
 	}
 }
 
+// SpinCAS is a CAS spin lock's contended acquire through the task's port,
+// the wait loop
+//
+//	for !t.Port.CompareAndSwap64(pa, old, new) {
+//		t.Th.Advance(interval)
+//		t.Th.YieldPoint()
+//	}
+//
+// whose every CAS is a yield point between its charge and the
+// compare-and-swap. It returns once a CAS swaps, with the failed CASes it
+// ran and those it replayed parked; or, with ok false, after the poll of
+// the first failed CAS beyond limit. w lists the parked waiters, for the
+// lock's release to disturb: every write that stores old into the word
+// must call w.Disturb first, in its own segment.
+//
+// The loop parks (sim.Thread.ParkSpin) after a failed CAS whose write hit
+// the L1D, when the task may park as in SpinWait. Until the word's value
+// changes, which only the release does, or something changes the cost of
+// the next CAS — a write or read of the line from the other node, and the
+// rest of cache.Watch's events — every skipped CAS would be the same write
+// hit on a line the core holds Modified, and would fail. The SpinHook
+// replays their hits (cache counters only, as a Port CAS counts nothing
+// on the task) and the slice arithmetic, and the loop resumes at its first
+// yield point ordered after the disturbing segment. If that is a CAS's own
+// yield point, its charge is replayed and only its compare-and-swap is
+// left to run.
+func (t *Task) SpinCAS(w *sim.Waiters, pa mem.PhysAddr, old, new uint64, interval sim.Cycles, limit int64) (ran, replayed int64, ok bool) {
+	lat := t.Ctx.Plat.Cfg.Cache.Nodes[t.Node].Lat.L1
+	sp := t.spinLoop()
+	for charged := false; ; {
+		if !charged {
+			// Arm inside the probe's segment, as SpinWait does; a CAS
+			// that swaps disarms it.
+			if t.Port.ChargeAtomic(pa) == lat {
+				t.armCAS(pa)
+			}
+			t.Th.YieldPoint()
+		}
+		if _, ok := t.Ctx.Plat.Phys.CompareAndSwap64(pa, old, new); ok {
+			sp.watch.Disarm()
+			return ran, replayed, true
+		}
+		ran++
+		t.Th.Advance(interval)
+		j, parked := int64(0), false
+		if sp.watch.Armed() && t.Th.Preemptible() {
+			j, parked = t.Th.ParkSpin("lock:cas", w, sim.Spin{C0: t.Th.Now(), Interval: interval,
+				Probe: lat + hw.AtomicPenalty, Hits: 1})
+		}
+		sp.watch.Disarm()
+		if !parked {
+			t.Th.YieldPoint()
+		}
+		// Yield point j closes CAS j/2+1 (odd j) or polls after CAS j/2
+		// failed (even j).
+		replayed += j / 2
+		charged = j%2 == 1
+		if ran+replayed > limit {
+			return ran, replayed, false
+		}
+	}
+}
+
 // spinLoop is a task's wait-loop state and its scheduler's SpinHook,
-// allocated by the task's first SpinWait or Scheduler.Attach and reused by
-// every later park.
+// allocated by the task's first SpinWait, SpinCAS or Scheduler.Attach and
+// reused by every later park.
 type spinLoop struct {
 	t     *Task
 	watch cache.Watch
 	// pages are the polled words' pages, for TLB shootdowns.
 	pages [cache.MaxWatchLines]pgtable.VirtAddr
 	n     int
-	// ran and replayed count the SpinWait yield points run and replayed.
-	ran, replayed int64
+	// ran and replayed count the SpinWait yield points run and replayed,
+	// casReplayed the SpinCAS yield points replayed.
+	ran, replayed, casReplayed int64
 	// fire is bound once, so arming allocates nothing.
 	fire func()
 }
@@ -125,12 +190,26 @@ func (t *Task) SpinYields() (ran, replayed int64) {
 	return t.spin.ran, t.spin.replayed
 }
 
+// CASYields returns how many yield points the task's SpinCAS loops
+// replayed parked. Host-side observability, like SpinYields.
+func (t *Task) CASYields() (replayed int64) {
+	if t.spin == nil {
+		return 0
+	}
+	return t.spin.casReplayed
+}
+
+// mayPark reports whether the task is one whose wait loops may park at
+// all: a root task under time-slicing, with no tracer installed.
+func (t *Task) mayPark() bool {
+	return t.Sched != nil && t.Sched.Policy == SchedTimeSlice && t.Proc.Ten == nil && t.Ctx.Plat.Tracer == nil
+}
+
 // armSpin arms the loop's watch after a probe of addrs that hit throughout
 // and found nothing to do, if the task is one that may park at all.
 func (t *Task) armSpin(addrs []pgtable.VirtAddr) {
 	plat := t.Ctx.Plat
-	if t.Sched == nil || t.Sched.Policy != SchedTimeSlice || t.Proc.Ten != nil ||
-		plat.Tracer != nil || len(addrs) == 0 || len(addrs) > cache.MaxWatchLines {
+	if !t.mayPark() || len(addrs) == 0 || len(addrs) > cache.MaxWatchLines {
 		return
 	}
 	sp := t.spin
@@ -144,13 +223,27 @@ func (t *Task) armSpin(addrs []pgtable.VirtAddr) {
 		pas[i] = fr + mem.PhysAddr(a-pva)
 		sp.pages[i] = pva
 	}
-	if plat.Caches.Arm(&sp.watch, t.Node, t.Core, pas[:len(addrs)], sp.fire) {
+	if plat.Caches.Arm(&sp.watch, t.Node, t.Core, pas[:len(addrs)], false, sp.fire) {
 		sp.n = len(addrs)
 	}
 }
 
-// disturb ends the task's SpinWait park, if it is parked there, and
-// disarms the watch: the last probe no longer predicts the next.
+// armCAS arms the loop's watch on the lock word at pa after a CAS whose
+// write hit the L1D, if the task may park at all. No page is polled
+// through the TLB.
+func (t *Task) armCAS(pa mem.PhysAddr) {
+	if !t.mayPark() {
+		return
+	}
+	sp := t.spin
+	pas := [1]mem.PhysAddr{pa}
+	if t.Ctx.Plat.Caches.Arm(&sp.watch, t.Node, t.Core, pas[:], true, sp.fire) {
+		sp.n = 0
+	}
+}
+
+// disturb ends the task's SpinWait or SpinCAS park, if it is parked there,
+// and disarms the watch: the last probe no longer predicts the next.
 func (sp *spinLoop) disturb() {
 	if sp != nil && sp.watch.Armed() {
 		sp.t.Th.Disturb()
@@ -183,20 +276,27 @@ func (sp *spinLoop) PureUntil(s sim.Spin) int64 {
 }
 
 // Replay is the task's preemption hook over yield points 0..n-1 of its
-// parked loop s (sim.SpinHook): the skipped probes' loads, as L1D hits,
-// then the slice arithmetic at every skipped yield point. With a task
-// queued on the CPU that arithmetic is none: n <= s.Bound, the slice's
-// expiry, so replaySlices finds no restart.
+// parked loop s (sim.SpinHook): the skipped probes' L1D hits, which a
+// memory probe's loads also count on the task, then the slice arithmetic
+// at every skipped yield point. With a task queued on the CPU that
+// arithmetic is none: n <= s.Bound, the slice's expiry, so replaySlices
+// finds no restart.
 func (sp *spinLoop) Replay(s sim.Spin, n int64) {
 	t := sp.t
 	instr0 := t.instrTotal()
-	if loads := s.Instr(n); loads > 0 {
-		t.Stats.Loads += loads
-		t.Stats.NodeInstructions[t.Node] += loads
-		t.Stats.MemAccessCycles += t.Ctx.Plat.Caches.ReplayL1DHits(t.Node, t.Core, loads)
+	if hits := s.L1DHits(n); hits > 0 {
+		cycles := t.Ctx.Plat.Caches.ReplayL1DHits(t.Node, t.Core, hits)
+		if loads := s.Instr(n); loads > 0 {
+			t.Stats.Loads += loads
+			t.Stats.NodeInstructions[t.Node] += loads
+			t.Stats.MemAccessCycles += cycles
+		}
 	}
-	if s.Loads > 0 {
+	switch {
+	case s.Loads > 0:
 		sp.replayed += n
+	case s.Hits > 0:
+		sp.casReplayed += n
 	}
 	t.Sched.replaySlices(t, s, instr0, n)
 }

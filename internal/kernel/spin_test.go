@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"maps"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -418,7 +419,9 @@ func TestSpinWaitMatchesSpinning(t *testing.T) {
 // across 50 wake-ups of a parked poller (each one a replay, a serve and a
 // new park) the process's allocation count does not move. With a task
 // queued on the poller's CPU throughout, its parks end by themselves at
-// each slice expiry (timed parks) between the wake-ups.
+// each slice expiry (timed parks) between the wake-ups. The same holds for
+// a CAS spin (SpinCAS) that the other node's writes of the held lock word
+// wake 50 times.
 func TestSpinParkZeroAllocs(t *testing.T) {
 	// No collection during the run: the runtime's work after one (starting
 	// mark workers, background cleanups) allocates on its own goroutines,
@@ -464,4 +467,58 @@ func TestSpinParkZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	t.Run("cas", func(t *testing.T) {
+		r := newSpinRig(t, 2000, 0)
+		var lock mem.PhysAddr
+		var waiters sim.Waiters
+		var ran, replayed int64
+		spawnScheduled(r.ctx, r.s, r.v, "locker", 0, 0, func(t *Task) error {
+			va, err := t.Proc.Mmap(mem.PageSize, VMARead|VMAWrite, "lock")
+			if err != nil {
+				return err
+			}
+			if err := t.Store(va, 8, 1); err != nil { // held
+				return err
+			}
+			if lock, err = t.translate(va, false); err != nil {
+				return err
+			}
+			ran, replayed, _ = t.SpinCAS(&waiters, lock, 0, 1, 60, math.MaxInt64)
+			return nil
+		}, r.errp())
+		var before, after runtime.MemStats
+		var parked int64
+		es := &r.ctx.Plat.Engine.Stats
+		r.ctx.Plat.Engine.Spawn("writer", 400_000, func(th *sim.Thread) {
+			pt := r.ctx.Plat.NewPort(mem.NodeArm, 0, th)
+			for i := 1; i <= 60; i++ {
+				if i == 10 {
+					runtime.ReadMemStats(&before)
+					parked = es.Replayed
+				}
+				th.YieldPoint()
+				pt.Write64(lock, 1)
+				th.YieldPoint()
+				th.Advance(20_000)
+			}
+			runtime.ReadMemStats(&after)
+			parked = es.Replayed - parked
+			waiters.Disturb()
+			pt.Write64(lock, 0)
+		})
+		if err := r.ctx.Plat.Engine.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, err := range r.errs {
+			if *err != nil {
+				t.Fatal(*err)
+			}
+		}
+		if parked == 0 || ran < 60 || replayed == 0 {
+			t.Fatalf("%d yield points replayed between wake-ups, %d failed CASes run and %d replayed: the spin did not park between them", parked, ran, replayed)
+		}
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%d allocations over 50 park/wake cycles", n)
+		}
+	})
 }

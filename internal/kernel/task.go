@@ -92,7 +92,7 @@ type Task struct {
 	capCancel    bool
 
 	// spin is the task's wait-loop state and SpinHook, nil until the
-	// task's first SpinWait or Attach under time-slicing.
+	// task's first SpinWait, SpinCAS or Attach under time-slicing.
 	spin *spinLoop
 
 	Stats  TaskStats

@@ -9,40 +9,58 @@ import (
 // yield points numbered 0, 1, 2, … from the one it parked at, where it has
 // just advanced Interval cycles, and Bound, the first of them at which the
 // preemption hook acts (math.MaxInt64: none), which ParkSpin sets from the
-// SpinHook. It has one of two shapes:
+// SpinHook. A probe charges Hits L1D hits and retires Loads instructions.
+// The schedule has one of three shapes:
 //
-//   - a flag spin (SpinWhile) has one yield point per Interval and
-//     retires no instructions: Probe and Loads are zero;
+//   - a flag spin (SpinWhile) has one yield point per Interval and no
+//     probe: Probe, Hits and Loads are zero;
 //   - a memory probe (kernel.Task.SpinWait) has three yield points per
 //     iteration of Probe+Interval cycles: the loop top, at the clock of
 //     the yield point before it; the probe's close, Probe cycles later,
-//     after its Loads loads; and the poll, after the next Interval.
+//     after its Loads loads, each an L1D hit (Hits = Loads); and the
+//     poll, after the next Interval;
+//   - a CAS probe (kernel.Task.SpinCAS) has two: the probe's close,
+//     Probe cycles after the poll before it, after the CAS's one L1D
+//     write hit (Hits = 1, Loads = 0: a CAS retires no instruction); and
+//     the poll, after the next Interval.
 type Spin struct {
 	C0, Interval, Probe Cycles
-	Loads, Bound        int64
+	Hits, Loads, Bound  int64
 }
 
 // points returns the yield points per iteration.
 func (s Spin) points() int64 {
-	if s.Loads == 0 {
+	switch {
+	case s.Hits == 0:
 		return 1
+	case s.Loads == 0:
+		return 2
 	}
 	return 3
 }
 
-// Clock returns the clock of yield point j.
+// Clock returns the clock of yield point j. The last yield point of each
+// iteration but the poll is the probe's close.
 func (s Spin) Clock(j int64) Cycles {
 	p := s.points()
 	c := s.C0 + Cycles(j/p)*(s.Probe+s.Interval)
-	if j%p == 2 {
+	if j%p == p-1 {
 		c += s.Probe
 	}
 	return c
 }
 
+// probes returns the probes the loop closes from yield point 0 to yield
+// point j.
+func (s Spin) probes(j int64) int64 { return (j + 1) / s.points() }
+
 // Instr returns the instructions the loop retires from yield point 0 to
 // yield point j: Loads per probe closed.
-func (s Spin) Instr(j int64) int64 { return s.Loads * ((j + 1) / 3) }
+func (s Spin) Instr(j int64) int64 { return s.Loads * s.probes(j) }
+
+// L1DHits returns the L1D hits the loop charges from yield point 0 to
+// yield point j: Hits per probe closed.
+func (s Spin) L1DHits(j int64) int64 { return s.Hits * s.probes(j) }
 
 // FirstAt returns the first yield point at or after clock c.
 func (s Spin) FirstAt(c Cycles) int64 {
@@ -55,14 +73,15 @@ func (s Spin) FirstAt(c Cycles) int64 {
 	case r == 0:
 		return p * m
 	case r <= s.Probe:
-		return p*m + 2
+		return p*m + p - 1
 	}
 	return p * (m + 1)
 }
 
 // FirstWith returns the first yield point at which the loop has retired at
-// least instr instructions since yield point 0; for a flag spin with
-// instr > 0 there is none, and it returns math.MaxInt64.
+// least instr instructions since yield point 0; for a loop that retires
+// none (a flag spin, a CAS probe) with instr > 0 there is none, and it
+// returns math.MaxInt64.
 func (s Spin) FirstWith(instr int64) int64 {
 	switch {
 	case instr <= 0:
@@ -79,9 +98,9 @@ func (s Spin) FirstWith(instr int64) int64 {
 // thread first (math.MaxInt64: none); at the yield points before it, the
 // hook only changes state that Replay can bring up to date later. Replay
 // applies the hook's calls at yield points 0..n-1 of the parked loop s,
-// n <= s.Bound, and the effects of the loads the loop retired before yield
-// point n (s.Instr(n)). Without a hook, a loop under an enabled preemption
-// hook never parks.
+// n <= s.Bound, and the effects of the accesses the loop's probes made
+// before yield point n (s.L1DHits(n), s.Instr(n)). Without a hook, a loop
+// under an enabled preemption hook never parks.
 type SpinHook interface {
 	PureUntil(s Spin) int64
 	Replay(s Spin, n int64)
@@ -146,7 +165,7 @@ func (t *Thread) spinReplay(from Cycles) (int64, Cycles) {
 	if t.Preemptible() {
 		t.spinHook.Replay(t.spin, j)
 	}
-	if t.spin.Loads == 0 {
+	if t.spin.Hits == 0 {
 		t.eng.Stats.LockReplayed += j
 	}
 	t.spinAt = j

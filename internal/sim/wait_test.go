@@ -115,11 +115,13 @@ func BenchmarkSpinWhile(b *testing.B) {
 
 // TestSpinFirstAt checks a parked loop's schedule against linear scans of
 // its yield points: FirstAt(c) is the first j with Clock(j) >= c, and
-// FirstWith(i) the first j with Instr(j) >= i (math.MaxInt64 if none).
-// Both shapes run over several C0, intervals, probe latencies and load
-// counts, at every clock from below C0 to the last yield point scanned,
-// so ties at a poll (r == 0) and at a probe's close (r == Probe) are
-// covered, and so are the two yield points a probe loop has at one clock.
+// FirstWith(i) the first j with Instr(j) >= i (math.MaxInt64 if none);
+// L1DHits grows by Hits exactly at the yield points that close a probe,
+// Probe cycles after the one before. All three shapes run over several
+// C0, intervals, probe latencies and load counts, at every clock from
+// below C0 to the last yield point scanned, so ties at a poll (r == 0)
+// and at a probe's close (r == Probe) are covered, and so are the two
+// yield points a memory-probe loop has at one clock.
 func TestSpinFirstAt(t *testing.T) {
 	s := Spin{C0: 1000, Interval: 150}
 	for _, c := range []struct {
@@ -132,15 +134,18 @@ func TestSpinFirstAt(t *testing.T) {
 	}
 
 	// maxWatchLines is cache.MaxWatchLines, the most words a parked
-	// kernel.Task.SpinWait polls (cache imports sim, so it is restated).
-	const maxWatchLines = 4
+	// kernel.Task.SpinWait polls (cache imports sim, so it is restated);
+	// a CAS probe's charge is an L1 hit plus the 12-cycle atomic penalty
+	// (hw.AtomicPenalty, restated for the same reason).
+	const maxWatchLines, atomicPenalty = 4, 12
 	var spins []Spin
 	for _, c0 := range []Cycles{0, 1000, 12345} {
-		for _, interval := range []Cycles{1, 150, 997} {
+		for _, interval := range []Cycles{1, 60, 150, 997} {
 			spins = append(spins, Spin{C0: c0, Interval: interval})
-			for _, loads := range []int64{1, 2, maxWatchLines} {
-				for _, lat := range []Cycles{1, 4} {
-					spins = append(spins, Spin{C0: c0, Interval: interval, Probe: Cycles(loads) * lat, Loads: loads})
+			for _, lat := range []Cycles{1, 4} {
+				spins = append(spins, Spin{C0: c0, Interval: interval, Probe: lat + atomicPenalty, Hits: 1})
+				for _, loads := range []int64{1, 2, maxWatchLines} {
+					spins = append(spins, Spin{C0: c0, Interval: interval, Probe: Cycles(loads) * lat, Hits: loads, Loads: loads})
 				}
 			}
 		}
@@ -155,8 +160,16 @@ func TestSpinFirstAt(t *testing.T) {
 		return math.MaxInt64
 	}
 	for _, s := range spins {
-		if s.Clock(0) != s.C0 || s.Instr(0) != 0 {
-			t.Fatalf("%+v: yield point 0 at clock %d with %d instructions", s, s.Clock(0), s.Instr(0))
+		if s.Clock(0) != s.C0 || s.Instr(0) != 0 || s.L1DHits(0) != 0 {
+			t.Fatalf("%+v: yield point 0 at clock %d with %d instructions and %d hits", s, s.Clock(0), s.Instr(0), s.L1DHits(0))
+		}
+		if s.Probe != s.Interval {
+			for j := int64(1); j < n; j++ {
+				closes := s.Hits > 0 && s.Clock(j)-s.Clock(j-1) == s.Probe
+				if d := s.L1DHits(j) - s.L1DHits(j-1); closes && d != s.Hits || !closes && d != 0 {
+					t.Fatalf("%+v: yield point %d at clock %d adds %d hits after clock %d", s, j, s.Clock(j), d, s.Clock(j-1))
+				}
+			}
 		}
 		for c := s.C0 - 2; c <= s.Clock(n-1); c++ {
 			if got, want := s.FirstAt(c), first(func(j int64) bool { return s.Clock(j) >= c }); got != want {

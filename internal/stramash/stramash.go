@@ -28,6 +28,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/pgtable"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -40,6 +41,11 @@ type Stats struct {
 	OriginHandled     int64 // faults forwarded to origin (missing upper tables)
 	RemoteAllocations int64 // anonymous pages allocated by the remote kernel
 	GlobalBlockMoves  int64
+
+	// Host-side PTL contention counters (no simulated number depends on
+	// them): acquisitions whose first CAS failed, and the failed CASes run
+	// and replayed parked (kernel.Task.SpinCAS).
+	PTLContended, PTLFailedRun, PTLFailedReplayed int64
 }
 
 // OS is the fused-kernel personality.
@@ -60,8 +66,8 @@ type OS struct {
 	// ctrlPages: one control page per process, at the origin — the single
 	// authoritative copy both kernels touch (fused kernel VAS).
 	ctrlPages map[int]mem.PhysAddr
-	// ptl is the per-process cross-ISA page-table lock word address.
-	ptl map[int]mem.PhysAddr
+	// ptl is the per-process cross-ISA page-table lock.
+	ptl map[int]*ptlLock
 
 	Stats Stats
 }
@@ -75,7 +81,7 @@ func New(ctx *kernel.Context, msgr *interconnect.Messenger) *OS {
 		Msgr:      msgr,
 		futexes:   make(map[int]*kernel.FutexTable),
 		ctrlPages: make(map[int]mem.PhysAddr),
-		ptl:       make(map[int]mem.PhysAddr),
+		ptl:       make(map[int]*ptlLock),
 	}
 	o.Global = NewGlobalAllocator(ctx, DefaultGlobalConfig())
 	// Fused namespaces: both kernel instances share one set (§6.6).
@@ -104,7 +110,7 @@ func (o *OS) CreateProcess(pt *hw.Port, origin mem.NodeID) (*kernel.Process, err
 	}
 	o.futexes[proc.PID] = kernel.NewFutexTable(fp)
 	// The Stramash-PTL lock word lives on the control page.
-	o.ptl[proc.PID] = ctrl + 512
+	o.ptl[proc.PID] = &ptlLock{word: ctrl + 512}
 	return proc, nil
 }
 
@@ -117,30 +123,44 @@ func (o *OS) emit(t *kernel.Task, kind trace.Kind, va pgtable.VirtAddr, arg int6
 	}
 }
 
-// lockPTL acquires the cross-ISA page table lock (Stramash-PTL, §6.4).
+// ptlLivelock is the most failed CASes one PTL acquire tolerates.
+const ptlLivelock = 1_000_001
+
+// ptlLock is a process's Stramash-PTL: its lock word, and the waiters
+// parked on it (kernel.Task.SpinCAS) for the release to disturb.
+type ptlLock struct {
+	word    mem.PhysAddr
+	waiters sim.Waiters
+}
+
+// lockPTL acquires the cross-ISA page table lock (Stramash-PTL, §6.4): a
+// CAS spin with a 60-cycle poll.
 func (o *OS) lockPTL(t *kernel.Task) {
-	addr := o.ptl[t.Proc.PID]
+	l := o.ptl[t.Proc.PID]
 	start := t.Th.Now()
-	for i := 0; ; i++ {
-		if _, ok := t.Port.CompareAndSwap64(addr, 0, uint64(t.Node)+1); ok {
-			o.Stats.PTLAcquisitions++
-			if tr := o.Ctx.Plat.Tracer; tr != nil {
-				tr.Emit(trace.Event{Cycle: int64(start), Kind: trace.KindPTLAcquire,
-					Node: int8(t.Node), Core: int16(t.Core), Tid: int32(t.Th.ID),
-					PA: uint64(addr), Cost: int64(t.Th.Now() - start)})
-			}
-			return
-		}
-		t.Th.Advance(60)
-		t.Th.YieldPoint()
-		if i > 1_000_000 {
-			panic("stramash: PTL livelock")
-		}
+	ran, replayed, ok := t.SpinCAS(&l.waiters, l.word, 0, uint64(t.Node)+1, 60, ptlLivelock)
+	if !ok {
+		panic("stramash: PTL livelock")
+	}
+	o.Stats.PTLAcquisitions++
+	if ran+replayed > 0 {
+		o.Stats.PTLContended++
+		o.Stats.PTLFailedRun += ran
+		o.Stats.PTLFailedReplayed += replayed
+	}
+	if tr := o.Ctx.Plat.Tracer; tr != nil {
+		tr.Emit(trace.Event{Cycle: int64(start), Kind: trace.KindPTLAcquire,
+			Node: int8(t.Node), Core: int16(t.Core), Tid: int32(t.Th.ID),
+			PA: uint64(l.word), Cost: int64(t.Th.Now() - start)})
 	}
 }
 
+// unlockPTL releases the PTL. It disturbs the parked waiters first: a
+// waiter's watch does not see a write from its own node.
 func (o *OS) unlockPTL(t *kernel.Task) {
-	t.Port.Write64(o.ptl[t.Proc.PID], 0)
+	l := o.ptl[t.Proc.PID]
+	l.waiters.Disturb()
+	t.Port.Write64(l.word, 0)
 }
 
 // allocNear allocates a zeroed page from node's kernel, triggering the

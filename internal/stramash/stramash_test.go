@@ -362,7 +362,7 @@ func TestProcessesOfBothOriginsGetDistinctState(t *testing.T) {
 	if os.futexes[x] == os.futexes[a] {
 		t.Error("processes share a futex table")
 	}
-	if os.ptl[x] == os.ptl[a] {
-		t.Errorf("processes share page-table lock word %#x", os.ptl[x])
+	if os.ptl[x].word == os.ptl[a].word {
+		t.Errorf("processes share page-table lock word %#x", os.ptl[x].word)
 	}
 }
