@@ -51,6 +51,28 @@ func TestParseArgs(t *testing.T) {
 	}
 }
 
+// TestNPBTraceSummary runs the npb job with -trace-summary and checks that
+// the trace's cycle-attribution report follows the run's counters.
+func TestNPBTraceSummary(t *testing.T) {
+	_, job, err := parse([]string{"npb", "-bench", "IS", "-class", "T", "-trace-summary"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := job(&out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{"result: VERIFIED", "cycle attribution (busy=", "  fault ", "  event counts:"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output lacks %q:\n%s", want, got)
+		}
+	}
+	if i, j := strings.Index(got, "result: VERIFIED"), strings.Index(got, "cycle attribution"); i < 0 || j < i {
+		t.Errorf("the attribution report does not follow the run's result")
+	}
+}
+
 // TestClusterTaskErrorNamesCause runs a cluster cell whose servers cannot
 // serve: the vanilla OS has no cross-kernel migration, so each server task
 // fails and the load generator waits forever for replies. The job must

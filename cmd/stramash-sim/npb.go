@@ -86,7 +86,7 @@ func npbCmd(fs *flag.FlagSet) job {
 		}
 
 		if *traceSummary {
-			fmt.Fprintln(out, perf.TraceReport(buf))
+			fmt.Fprintln(out, trace.Attribute(buf.Events).Render())
 		}
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)

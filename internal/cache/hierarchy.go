@@ -41,7 +41,7 @@ func (w way) holds(a lineAddr) bool { return w&^wayDirty == way(a)<<2|wayValid }
 // set of the way with recency rank k, rank 0 the most recently used. The
 // low 4·ways bits are always a permutation of the set's way indices, so
 // choosing a victim reads the set's tags and one word, never per-way
-// replacement state (DESIGN §6, "Recency words").
+// replacement state (DESIGN §10, "Recency words").
 //
 // memo is a direct-mapped way hint: slot a&(memoSize-1) holds one plus the
 // index in ways of the way the last set scan that found a line with those
@@ -50,7 +50,7 @@ func (w way) holds(a lineAddr) bool { return w&^wayDirty == way(a)<<2|wayValid }
 // never trusted: it is used only if the way holds the line, the scan's own
 // test; and only a scan hit writes a slot, while insert clears the filled
 // line's slot, so a slot that passes the test names the way the scan would
-// return even in an L2 that holds a line twice (DESIGN §6, "Way memo").
+// return even in an L2 that holds a line twice (DESIGN §10, "Way memo").
 type level struct {
 	ways  []way
 	order []uint64
@@ -246,7 +246,7 @@ type nodeCaches struct {
 // group: each table's root starts at the lowest line of its regions, so
 // the sparse space between node memory and a high shared pool costs no
 // root slots (one table based at line 0 measured +0.5 % host allocation on
-// the cluster workload; DESIGN §6).
+// the cluster workload; ROADMAP, "Closed by measurement").
 type dirShard int8
 
 const (
@@ -519,7 +519,7 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	// Coherence actions against the other node (and other cores via
 	// inclusion-maintained invalidation). held is read before this access
 	// marks the node a holder: when it is false no private level of the
-	// node holds the line (DESIGN §6, "Directory-first misses"), so the
+	// node holds the line (DESIGN §10, "Directory-first misses"), so the
 	// level searches below that are guaranteed to miss are skipped.
 	e := h.entryFor(node, core, ln)
 	held := e.holders[node]
@@ -695,8 +695,8 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 // nothing while a Tap is installed, since a Tap must observe every access.
 // Of a run of n fetches only the last min(n, lines) are applied to the LRU
 // order, in fetch order: a way's rank depends only on its last touch, and
-// any lines consecutive fetches touch every window line (DESIGN §6,
-// "Recency words").
+// any lines consecutive fetches touch every window line (DESIGN §10,
+// "Hit runs").
 func (h *Hierarchy) IfetchHits(node mem.NodeID, core int, base mem.PhysAddr, lines, start int, limit int64) int {
 	if h.Tap != nil {
 		return 0

@@ -19,7 +19,7 @@ func checkMESI(t *testing.T, h *Hierarchy, step int) {
 
 // includedLevels lists the levels of node n whose lines the directory must
 // list as held by n — the invariant the directory-first miss path relies on
-// (DESIGN §6, "Directory-first misses"): every L1I and L1D, the private L3,
+// (DESIGN §10, "Directory-first misses"): every L1I and L1D, the private L3,
 // and every L2 when the node has an L3. Without an L3 the L2 is exempt: a
 // memory miss fills it twice, and back-invalidation removes one copy —
 // which is why accessLine always searches such an L2.

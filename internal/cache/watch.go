@@ -11,7 +11,7 @@ import (
 const MaxWatchLines = 4
 
 // Watch is a parked spin loop's claim on the cache state its probes depend
-// on (DESIGN.md §6, "Spin parking"). While it is armed, its core's L1D holds
+// on (DESIGN.md §6, "Parking"). While it is armed, its core's L1D holds
 // every watched line, so each skipped probe would be L1D hits that only add
 // to counters and re-stamp lines already most recently used. The first
 // event that could change what a probe observes or costs fires it — and

@@ -7,7 +7,7 @@
 //
 // The package is pure bookkeeping: it holds no locks, spends no simulated
 // cycles and knows nothing about tasks or scheduling. The kernel decides
-// where checks happen (DESIGN.md invariant 13); this keeps the table
+// where checks happen (DESIGN.md §14); this keeps the table
 // fuzzable against a plain map oracle.
 //
 // The root tenant is the nil *Tenant: every charge and check method on a

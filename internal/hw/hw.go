@@ -297,7 +297,7 @@ func (pt *Port) ZeroPage(a mem.PhysAddr) {
 // fit before the thread's next quantum yield go through
 // cache.Hierarchy.IfetchHits in one call, and the clock advances once by
 // their sum. That is the same simulated history as fetching them one by one
-// (DESIGN.md §6); the fetch that misses, the one whose cycles cross the
+// (DESIGN.md §11); the fetch that misses, the one whose cycles cross the
 // quantum and the partial tail batch are always charged individually, as is
 // every fetch while a cache Tap is installed.
 func (pt *Port) Compute(n int64, pc *CodeWindow) {

@@ -202,14 +202,6 @@ func (s *Scheduler) Sleep(t *Task, reason string) {
 	}
 }
 
-// Awaken makes a sleeping task runnable at simulated time when. It runs on
-// the waker's thread; the sleeper re-acquires its CPU on its own thread
-// (see Sleep). Waking a task that has not yet blocked leaves a pending
-// wake, exactly as Engine.Wake does.
-func (s *Scheduler) Awaken(t *Task, when sim.Cycles) {
-	s.Ctx.Plat.Engine.Wake(t.Th, when)
-}
-
 // Migrated is called by Task.Rebind when a task changes node: the origin
 // CPU is released and the destination CPU acquired, so cross-node
 // migration is literally dequeue-on-origin/enqueue-on-remote. The caller

@@ -20,7 +20,7 @@ import (
 // pure function of the words.
 //
 // The loop parks (sim.Thread.ParkSpin) instead of spinning when it
-// provably can (DESIGN.md §6, "Spin parking"): the last probe found
+// provably can (DESIGN.md §6, "Parking"): the last probe found
 // nothing to do and all its loads were TLB and L1D hits; the task is a
 // root task that holds its CPU under time-slicing, with preemption
 // enabled; no tracer and no cache Tap is installed. Until something

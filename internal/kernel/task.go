@@ -185,10 +185,6 @@ func (t *Task) Sleep(reason string) {
 // Awaken makes a sleeping task runnable at simulated time when (the moment
 // the wake-up reaches it). Runs on the waker's thread.
 func (t *Task) Awaken(when sim.Cycles) {
-	if t.Sched != nil {
-		t.Sched.Awaken(t, when)
-		return
-	}
 	t.Ctx.Plat.Engine.Wake(t.Th, when)
 }
 

@@ -27,8 +27,8 @@ type tlbEntry struct {
 // unbounded — a translation stays cached until it is explicitly shot down —
 // because TLB misses charge a simulated page-table walk, so the reach of
 // the translation cache is part of the timing contract and must not change
-// with host data-structure choices (DESIGN.md "Host performance
-// architecture").
+// with host data-structure choices (DESIGN.md §6, "The per-access
+// path").
 //
 // It used to be a Go map, one hash per load/store plus a fresh map
 // allocation on every flush. It is now a fixed-size direct-mapped array

@@ -13,7 +13,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // NodePerf is one node's counters from one run: what `perf stat` reports
@@ -127,16 +126,6 @@ func (b Breakdown) String() string {
 	}
 	return fmt.Sprintf("INST %.1f%% | MEM %.1f%% | MSG %.1f%% | MIG %.1f%% | other %.1f%%",
 		pct(b.Inst), pct(b.Mem), pct(b.Msg), pct(b.Migration), pct(b.Other))
-}
-
-// TraceReport renders the per-class cycle-attribution report computed from
-// a recorded trace, extending the Figure 9 INST/MEM/MSG breakdown with
-// mechanism-level classes (fault handling, messaging, synchronization,
-// coherence, raw memory, compute residual). This is what stramash-sim
-// -trace-summary prints.
-func TraceReport(buf *trace.Buffer) string {
-	a := trace.Attribute(buf.Events)
-	return a.Render()
 }
 
 // ArtifactDump renders one node's cache counters in the format of the

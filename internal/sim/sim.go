@@ -13,7 +13,7 @@
 // scheduler places: granting a segment is one direct switch into the thread
 // and one back (Thread.resume / Thread.suspend), and a yielding thread that
 // is still the minimum keeps running with no switch at all. Both are
-// invisible in simulated time; DESIGN.md §6 has the measured costs.
+// invisible in simulated time (DESIGN.md §9, "Engine hand-off").
 package sim
 
 import (
@@ -282,7 +282,7 @@ const never Cycles = math.MaxInt64
 // until something disturbs it or (due, ID) is the minimum key. It is for
 // wait loops whose skipped iterations are pure — they only add to counters
 // and redo what the last iteration did — so running them later, in closed
-// form, is the same history (DESIGN.md §6, "Spin parking"). due is the
+// form, is the same history (DESIGN.md §6, "Parking"). due is the
 // clock of the loop's first yield point that is not pure, or never.
 //
 // The loop's yield points from this one on are numbered 0, 1, 2, … with

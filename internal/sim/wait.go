@@ -112,7 +112,7 @@ func (t *Thread) SetSpinHook(h SpinHook) { t.spinHook = h }
 
 // ParkSpin parks the thread at yield point 0 of the wait loop s instead of
 // running it, when the loop's skipped iterations are provably pure
-// (DESIGN.md §6, "Spin parking"): the thread is outside atomic sections, no
+// (DESIGN.md §9, "Parked spins"): the thread is outside atomic sections, no
 // engine tracer is installed, 0 < s.Interval and s.Probe+s.Interval <
 // Quantum (so no advance of the loop reaches a quantum yield), and the
 // preemption hook is absent, disabled, or pure by the SpinHook at yield
