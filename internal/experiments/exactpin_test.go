@@ -41,6 +41,7 @@ var exactCells = []struct {
 type exactRun struct {
 	cl      *machine.Cluster
 	server  *kernel.Task
+	loadgen *kernel.Task
 	st      redisapp.ProdStats
 	traffic redisapp.TrafficResult
 }
@@ -75,6 +76,7 @@ func runProdCell(p redisapp.TrafficParams, kind redisapp.KeyspaceKind, regime vf
 		machine.ClusterTask{Mach: 0, TaskSpec: machine.TaskSpec{
 			Name: "loadgen", Origin: mem.NodeX86, KeepAlive: true, Start: 2000,
 			Body: func(t *kernel.Task) error {
+				r.loadgen = t
 				var err error
 				r.traffic, err = redisapp.GenerateTraffic(t, []net.Addr{{Mach: 1, Port: p.Port}}, p)
 				return err
@@ -207,9 +209,27 @@ func TestRedisprodWorkersPark(t *testing.T) {
 	for _, task := range r.server.Proc.Tasks {
 		ptl += task.CASYields()
 	}
-	if es := r.cl.EngineStats(); es.Replayed != replayed+es.LockReplayed+ptl {
-		t.Errorf("engine replayed %d yield points, the workers %d, the lock spins %d and the PTL spins %d",
-			es.Replayed, replayed, es.LockReplayed, ptl)
+	_, gen := r.loadgen.SockPolls()
+	if es := r.cl.EngineStats(); es.Replayed != replayed+es.LockReplayed+ptl+gen {
+		t.Errorf("engine replayed %d yield points, the workers %d, the lock spins %d, the PTL spins %d and the load generator %d",
+			es.Replayed, replayed, es.LockReplayed, ptl, gen)
+	}
+}
+
+// TestRedisprodLoadgenParks is the socket-probe parking guard on the quick
+// sharded/fused/2c cell: the load generator replays at least 90 % of its
+// idle polls instead of running them (kernel.Task.PollSock). An idle
+// stretch's first poll always runs: the iteration before it found work.
+func TestRedisprodLoadgenParks(t *testing.T) {
+	r, err := runProdCell(redisprodParams(Quick), redisapp.KSSharded, vfs.RegimeFused, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran, replayed := r.loadgen.SockPolls()
+	share := float64(replayed) / float64(ran+replayed)
+	t.Logf("load generator: %d idle polls run, %d replayed (%.1f %%)", ran, replayed, 100*share)
+	if share < 0.9 {
+		t.Errorf("the load generator replayed %.1f %% of its idle polls, want at least 90 %%", 100*share)
 	}
 }
 

@@ -65,6 +65,12 @@ func (r *Ring) slotAddr(i uint64) mem.PhysAddr {
 	return r.Base + ringSlotsOff + mem.PhysAddr(int(i%uint64(r.Slots))*r.SlotSize)
 }
 
+// Control returns the addresses of the ring's head and tail words, each on
+// a cache line of its own.
+func (r *Ring) Control() (head, tail mem.PhysAddr) {
+	return r.Base + ringHeadOff, r.Base + ringTailOff
+}
+
 // Full reports whether the ring has no free slot.
 func (r *Ring) Full(pt *hw.Port) bool {
 	head := pt.Read64(r.Base + ringHeadOff)

@@ -334,7 +334,7 @@ func (s *Scheduler) replaySlices(t *Task, sp sim.Spin, instr0, n int64) {
 		if j >= n {
 			return
 		}
-		t.sliceInstr, t.sliceStart = instr0+sp.Instr(j), sp.Clock(j)
+		t.sliceInstr, t.sliceStart = instr0+sp.Retired(j), sp.Clock(j)
 	}
 }
 

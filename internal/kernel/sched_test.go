@@ -118,6 +118,57 @@ func TestTimeSliceRoundRobin(t *testing.T) {
 	}
 }
 
+// TestTimeSliceReleaseWatermark is invariant 11's release watermark
+// (CPU.freeAt): a task that sleeps and is woken onto a free CPU whose last
+// occupant released it later than the wake does not occupy the CPU before
+// that release. The engine quantum is unbounded, so the occupant's whole
+// run and its release are one segment that the wake, earlier in simulated
+// time, follows.
+func TestTimeSliceReleaseWatermark(t *testing.T) {
+	ctx := schedContext(t, 1, 1)
+	ctx.Plat.Engine.Quantum = 1 << 40
+	s := NewScheduler(ctx, SchedTimeSlice, 0)
+	v := NewVanilla(ctx)
+	var (
+		sleeper                               *Task
+		slept, occupied, released, wake, woke sim.Cycles
+		errs                                  [2]error
+	)
+	spawnScheduled(ctx, s, v, "sleeper", 0, 0, func(t *Task) error {
+		sleeper = t
+		slept = t.Th.Now()
+		t.Sleep("nap")
+		woke = t.Th.Now()
+		return nil
+	}, &errs[0])
+	spawnScheduled(ctx, s, v, "occupant", 0, 50_000, func(t *Task) error {
+		occupied = t.Th.Now()
+		t.Th.Advance(200_000)
+		released = t.Th.Now() // Detach releases the CPU here
+		return nil
+	}, &errs[1])
+	ctx.Plat.Engine.Spawn("waker", 100_000, func(th *sim.Thread) {
+		th.YieldPoint()
+		wake = th.Now()
+		sleeper.Awaken(wake)
+	})
+	if err := ctx.Plat.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !(slept < occupied && wake < released) {
+		t.Fatalf("slept at %d, occupied at %d, woken at %d, released at %d: the occupant must take the CPU after the sleep and release it after the wake",
+			slept, occupied, wake, released)
+	}
+	if woke != released {
+		t.Errorf("the sleeper woken at %d occupies the CPU at %d, want the last occupant's release %d", wake, woke, released)
+	}
+}
+
 // TestTimeSliceQuantumBounds: a quantum larger than either task's total
 // retired instructions (with a correspondingly large cycle backstop) must
 // never preempt — the first task runs to completion and the second follows.

@@ -34,12 +34,15 @@ func (t *Task) netStack() (*net.Stack, error) {
 	return t.Ctx.Net, nil
 }
 
-// enterSock charges one socket-syscall entry and resolves the stack.
+// enterSock charges one socket-syscall entry and resolves the stack. It
+// counts the syscall for the task's socket poll loop (PollSock), as
+// idleSock counts one that took its idle path.
 func (t *Task) enterSock() (*net.Stack, error) {
 	s, err := t.netStack()
 	if err != nil {
 		return nil, err
 	}
+	t.spinLoop().sockCalls++
 	t.Th.Advance(sockSyscallCost)
 	t.Stats.NodeInstructions[t.Node] += kinstrSockSyscall
 	return s, nil
@@ -181,6 +184,7 @@ func (t *Task) TrySocketAccept(lfd int) (int, error) {
 	s.PollRx(t.Port)
 	c := sk.ln.TryAccept()
 	if c == nil {
+		t.idleSock()
 		return -1, nil
 	}
 	id, err := t.deriveCap(lcap, cap.Sock, "accepted")
@@ -337,6 +341,7 @@ func (t *Task) TryRecvSock(fd int, dst []byte, max int) ([]byte, error) {
 		if c.EOF() || c.State() == net.StateClosed {
 			return dst, io.EOF
 		}
+		t.idleSock()
 		return dst, nil
 	}
 	out := c.RecvAppend(t.Port, dst, max)
@@ -344,6 +349,10 @@ func (t *Task) TryRecvSock(fd int, dst []byte, max int) ([]byte, error) {
 	t.emitSpan(trace.KindSockRecv, start, 0, int64(len(out)-len(dst)))
 	return out, nil
 }
+
+// idleSock counts a non-blocking socket syscall that found nothing to do,
+// a probe of the task's socket poll loop (PollSock).
+func (t *Task) idleSock() { t.spin.sockIdle++ }
 
 // CloseSock releases a socket descriptor: listeners are unregistered,
 // connections send FIN. CloseFile routes socket descriptors here, so

@@ -1,0 +1,264 @@
+package kernel
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"repro/internal/hw"
+	"repro/internal/interconnect"
+	"repro/internal/mem"
+	"repro/internal/net"
+	"repro/internal/sim"
+)
+
+// sockRig is a spinRig whose poller polls a listening socket on a NIC of
+// its own instead of ring words: each iteration is one TrySocketAccept,
+// which never accepts. A frame written into the RX ring (staleFrame, which
+// the receive poll dequeues and drops) makes an iteration that is not
+// idle, after which the poller works for a while.
+type sockRig struct {
+	*spinRig
+	rx *interconnect.Ring
+	// workAt is the clock of the poller's last yield point before its
+	// work, 0 until it first works.
+	workAt sim.Cycles
+}
+
+// sockPollScenario is one disturbing event for a socket poller on x86
+// core 0 under policy. irqCore is the core whose port built the NIC (the
+// fabric's enqueues come through it). until is the caller's bound: the
+// loop ends there. quantumYield has each work phase end a quantum's
+// headroom short of the next probe's ring read, so that the probe reaches
+// a quantum yield after it, and an injector writes the ring during that
+// yield, in a segment ordered before the probe's clock.
+type sockPollScenario struct {
+	name         string
+	policy       SchedPolicy
+	irqCore      int
+	until        sim.Cycles
+	quantumYield bool
+	spawn        func(r *sockRig)
+	timed        bool // some park ends by itself
+}
+
+// staleFrame is an ACK for a connection the poller's stack does not have.
+var staleFrame = net.EncodeFrame(&net.Frame{Kind: net.FrameACK, Src: net.Addr{Port: 9}, Dst: net.Addr{Port: 80}})
+
+// write enqueues staleFrame into the poller's RX ring at clock at from
+// (x86, core).
+func (r *sockRig) write(name string, core int, at sim.Cycles) {
+	r.raw(name, mem.NodeX86, core, at, func(pt *hw.Port) { r.rx.Send(pt, staleFrame) })
+}
+
+var sockPollScenarios = []sockPollScenario{
+	{name: "rx write from another core", irqCore: 1, until: 2_000_000, spawn: func(r *sockRig) {
+		r.write("writer", 1, 400_000)
+		r.write("writer2", 1, 900_000)
+	}},
+	{name: "rx write through the poller's core", irqCore: 0, until: 2_000_000, spawn: func(r *sockRig) {
+		r.write("writer", 0, 400_000)
+		r.write("writer2", 0, 900_000)
+	}},
+	{name: "caller bound", irqCore: 1, until: 700_000, timed: true, spawn: func(r *sockRig) {
+		r.write("writer", 1, 400_000)
+	}},
+	{name: "quantum yield inside a probe", irqCore: 1, until: 2_000_000, quantumYield: true, spawn: func(r *sockRig) {
+		r.write("writer", 1, 400_000)
+		r.ctx.Plat.Engine.Spawn("injector", 400_000, func(th *sim.Thread) {
+			pt := r.ctx.Plat.NewPort(mem.NodeX86, 1, th)
+			for {
+				th.Advance(50)
+				th.YieldPoint()
+				if r.workAt > 0 && th.Now() > r.workAt {
+					r.rx.Send(pt, staleFrame)
+					r.ends["injector"] = th.Now()
+					return
+				}
+			}
+		})
+	}},
+	{name: "queued task", policy: SchedTimeSlice, irqCore: 1, until: 2_000_000, timed: true, spawn: func(r *sockRig) {
+		r.queue("intruder", 400_000, 20_000)
+		r.write("writer", 1, 1_500_000)
+	}},
+}
+
+// newSockRig builds scenario sc's machine with the poller's idle polls
+// parking (PollSock) or spinning (the loop's verbatim Advance and
+// YieldPoint), ready to run.
+func newSockRig(tb testing.TB, sc sockPollScenario, park bool) *sockRig {
+	tb.Helper()
+	r := &sockRig{spinRig: newSpinRig(tb, 2000, 0)}
+	r.s = NewScheduler(r.ctx, sc.policy, 2000)
+	nicBase := r.ctx.Plat.Layout().OwnedRegions(mem.NodeX86)[0].Start + 32<<20
+	spawnScheduled(r.ctx, r.s, r.v, "poller", 0, 0, func(t *Task) error {
+		r.poller = t
+		nic := net.NewNIC(r.ctx.Plat.NewPort(mem.NodeX86, sc.irqCore, t.Th), 0, nicBase, net.DefaultNICConfig())
+		fab := net.NewFabric(net.DefaultFabricConfig())
+		fab.Attach(nic)
+		r.ctx.Net = net.NewStack(nic, fab, 0)
+		r.rx = nic.RX
+		lfd, err := t.SocketListen(80)
+		if err != nil {
+			return err
+		}
+		// The first poll brings the ring's control words into the L1D.
+		if _, err := t.TrySocketAccept(lfd); err != nil {
+			return err
+		}
+		idle := sockSyscallCost + 2*r.ctx.Plat.Cfg.Cache.Nodes[mem.NodeX86].Lat.L1
+		for t.Th.Now() < sc.until {
+			if park {
+				t.BeginSockProbe()
+			}
+			start := t.Th.Now()
+			if _, err := t.TrySocketAccept(lfd); err != nil {
+				return err
+			}
+			if t.Th.Now()-start != idle { // the receive poll dropped a frame
+				r.served++
+				r.returns = append(r.returns, t.Th.Now())
+				t.Th.YieldPoint()
+				r.workAt = t.Th.Now()
+				if sc.quantumYield {
+					t.Th.Advance(t.Th.YieldHeadroom() - sockSyscallCost - 1)
+				} else {
+					t.Compute(200)
+				}
+				continue
+			}
+			if park {
+				t.PollSock(r.interval, sc.until)
+			} else {
+				t.Th.Advance(r.interval)
+				t.Th.YieldPoint()
+			}
+		}
+		r.ends["poller"] = t.Th.Now()
+		return nil
+	}, r.errp())
+	sc.spawn(r)
+	return r
+}
+
+// run runs the rig's engine to the end.
+func (r *sockRig) run(tb testing.TB) {
+	tb.Helper()
+	if err := r.ctx.Plat.Engine.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	for _, err := range r.errs {
+		if *err != nil {
+			tb.Fatal(*err)
+		}
+	}
+}
+
+// runSockPoll runs scenario sc with the poller's idle polls parking or
+// spinning.
+func runSockPoll(t *testing.T, sc sockPollScenario, park bool) *sockRig {
+	t.Helper()
+	r := newSockRig(t, sc, park)
+	r.run(t)
+	return r
+}
+
+// TestPollSockMatchesSpinning runs each disturbing event on fresh machines
+// with the socket poller's idle polls spinning and through PollSock, under
+// both scheduling policies, and requires the same clocks, task, cache and
+// CPU counters and engine segment accounting from both — and that
+// PollSock parked, with parks ending by themselves where the scenario has
+// a bound.
+func TestPollSockMatchesSpinning(t *testing.T) {
+	for _, sc := range sockPollScenarios {
+		for _, policy := range []SchedPolicy{SchedShared, SchedTimeSlice} {
+			if sc.policy == SchedTimeSlice && policy == SchedShared {
+				continue
+			}
+			sc := sc
+			sc.policy = policy
+			t.Run(fmt.Sprintf("%s/%v", sc.name, policy), func(t *testing.T) {
+				ref := runSockPoll(t, sc, false)
+				got := runSockPoll(t, sc, true)
+				if g, w := got.dump(), ref.dump(); g != w {
+					t.Fatalf("PollSock diverges from the spinning loop\n--- PollSock\n%s--- spinning\n%s", g, w)
+				}
+				if ref.served == 0 {
+					t.Fatal("the poller dropped no frame")
+				}
+				es := got.ctx.Plat.Engine.Stats
+				if _, replayed := got.poller.SockPolls(); replayed == 0 || es.Replayed != replayed {
+					t.Fatalf("%d polls replayed, the engine replayed %d: PollSock never parked", replayed, es.Replayed)
+				}
+				if sc.timed && es.TimedParks == 0 {
+					t.Fatal("no park ended by itself")
+				}
+			})
+		}
+	}
+}
+
+// TestSockParkZeroAllocs requires socket-probe parking to allocate
+// nothing: across 50 frames that wake a parked poller (each one a replay,
+// a dropped frame and a new park) the process's allocation count does not
+// move. The count starts once the frames have written every ring slot, so
+// that no page of the ring is new.
+func TestSockParkZeroAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	var replayed int64
+	sc := sockPollScenario{name: "frames", irqCore: 1, until: 4_000_000, spawn: func(r *sockRig) {
+		r.ctx.Plat.Engine.Spawn("writer", 300_000, func(th *sim.Thread) {
+			pt := r.ctx.Plat.NewPort(mem.NodeX86, 1, th)
+			for i := 1; i <= 120; i++ {
+				if i == 70 {
+					runtime.ReadMemStats(&before)
+					_, replayed = r.poller.SockPolls()
+				}
+				th.YieldPoint()
+				r.rx.Send(pt, staleFrame)
+				th.YieldPoint()
+				th.Advance(20_000)
+			}
+			runtime.ReadMemStats(&after)
+			_, n := r.poller.SockPolls()
+			replayed = n - replayed
+		})
+	}}
+	r := runSockPoll(t, sc, true)
+	if replayed == 0 || r.served != 120 {
+		t.Fatalf("%d polls replayed, %d frames dropped: the poller did not park between them", replayed, r.served)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d allocations over 50 park/wake cycles", n)
+	}
+}
+
+// BenchmarkSockProbePark is one parked idle stretch of a socket poller per
+// op, the load generator's loop shape: a frame wakes the poller parked in
+// PollSock, which drops it, works, and parks again until the next one.
+func BenchmarkSockProbePark(b *testing.B) {
+	const gap = 20_000
+	sc := sockPollScenario{name: "bench", irqCore: 1, until: 300_000 + sim.Cycles(b.N+1)*gap, spawn: func(r *sockRig) {
+		r.ctx.Plat.Engine.Spawn("writer", 300_000, func(th *sim.Thread) {
+			pt := r.ctx.Plat.NewPort(mem.NodeX86, 1, th)
+			for i := 0; i < b.N; i++ {
+				th.YieldPoint()
+				r.rx.Send(pt, staleFrame)
+				th.YieldPoint()
+				th.Advance(gap)
+			}
+		})
+	}}
+	r := newSockRig(b, sc, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	r.run(b)
+	_, replayed := r.poller.SockPolls()
+	if replayed < int64(b.N) {
+		b.Fatalf("%d polls replayed over %d frames: the poller did not park between them", replayed, b.N)
+	}
+	b.ReportMetric(float64(replayed)/float64(b.N), "replayed/op")
+}

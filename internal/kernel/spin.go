@@ -22,15 +22,16 @@ import (
 // The loop parks (sim.Thread.ParkSpin) instead of spinning when it
 // provably can (DESIGN.md §6, "Parking"): the last probe found
 // nothing to do and all its loads were TLB and L1D hits; the task is a
-// root task that holds its CPU under time-slicing, with preemption
-// enabled; no tracer and no cache Tap is installed. Until something
-// disturbs it, every skipped iteration would repeat the last one exactly,
-// so when the task wakes its SpinHook replays them in closed form — its
-// counters, its cache counters and the scheduler's slice arithmetic at
-// every skipped yield point — and it resumes at its first yield point
-// ordered after the disturbing segment. With a task queued on its CPU the
-// park also ends by itself at the slice's expiry, where the task yields
-// the CPU. Every simulated number is the same as spinning.
+// root task attached to a scheduler (mayPark) whose preemption hook, if
+// it runs, is pure for a while; no tracer and no cache Tap is installed.
+// Until something disturbs it, every skipped iteration would repeat the
+// last one exactly, so when the task wakes the skipped iterations are
+// replayed in closed form — its counters and its cache counters
+// (ReplayProbes), and under time-slicing the scheduler's slice arithmetic
+// at every skipped yield point (Replay) — and it resumes at its first
+// yield point ordered after the disturbing segment. With a task queued on
+// its CPU the park also ends by itself at the slice's expiry, where the
+// task yields the CPU. Every simulated number is the same as spinning.
 func (t *Task) SpinWait(addrs []pgtable.VirtAddr, vals []uint64, interval sim.Cycles, idle func(vals []uint64) bool) error {
 	const (
 		atLoopTop = iota // next: the iteration's first yield point
@@ -70,12 +71,11 @@ func (t *Task) SpinWait(addrs []pgtable.VirtAddr, vals []uint64, interval sim.Cy
 		t.Th.Advance(interval)
 		pos = atLoopTop
 		sp.ran++
-		// The SpinHook replays the loads, and it runs only where the
-		// preemption hook would.
 		j, parked := int64(0), false
-		if sp.watch.Armed() && t.Th.Preemptible() {
+		if sp.watch.Armed() {
 			j, parked = t.Th.ParkSpin("spin", nil, sim.Spin{C0: t.Th.Now(), Interval: interval,
-				Probe: sim.Cycles(sp.n) * lat, Hits: int64(sp.n), Loads: int64(sp.n)})
+				Probe: sim.Cycles(sp.n) * lat, Points: 3, Hits: int64(sp.n), Loads: int64(sp.n),
+				Bound: math.MaxInt64}, sp)
 		}
 		// Whatever woke the loop, or kept it from parking, ends the last
 		// probe's prediction of the next.
@@ -113,9 +113,9 @@ func (t *Task) SpinWait(addrs []pgtable.VirtAddr, vals []uint64, interval sim.Cy
 // changes, which only the release does, or something changes the cost of
 // the next CAS — a write or read of the line from the other node, and the
 // rest of cache.Watch's events — every skipped CAS would be the same write
-// hit on a line the core holds Modified, and would fail. The SpinHook
-// replays their hits (cache counters only, as a Port CAS counts nothing
-// on the task) and the slice arithmetic, and the loop resumes at its first
+// hit on a line the core holds Modified, and would fail. The wake replays
+// their hits (cache counters only, as a Port CAS counts nothing on the
+// task) and the slice arithmetic, and the loop resumes at its first
 // yield point ordered after the disturbing segment. If that is a CAS's own
 // yield point, its charge is replayed and only its compare-and-swap is
 // left to run.
@@ -138,9 +138,9 @@ func (t *Task) SpinCAS(w *sim.Waiters, pa mem.PhysAddr, old, new uint64, interva
 		ran++
 		t.Th.Advance(interval)
 		j, parked := int64(0), false
-		if sp.watch.Armed() && t.Th.Preemptible() {
+		if sp.watch.Armed() {
 			j, parked = t.Th.ParkSpin("lock:cas", w, sim.Spin{C0: t.Th.Now(), Interval: interval,
-				Probe: lat + hw.AtomicPenalty, Hits: 1})
+				Probe: lat + hw.AtomicPenalty, Points: 2, Hits: 1, Bound: math.MaxInt64}, sp)
 		}
 		sp.watch.Disarm()
 		if !parked {
@@ -156,9 +156,74 @@ func (t *Task) SpinCAS(w *sim.Waiters, pa mem.PhysAddr, old, new uint64, interva
 	}
 }
 
-// spinLoop is a task's wait-loop state and its scheduler's SpinHook,
-// allocated by the task's first SpinWait, SpinCAS or Scheduler.Attach and
-// reused by every later park.
+// BeginSockProbe marks the top of an iteration of a socket poll loop: the
+// probe PollSock judges starts here.
+func (t *Task) BeginSockProbe() {
+	sp := t.spinLoop()
+	sp.sockCalls, sp.sockIdle, sp.sockBegun = 0, 0, true
+	sp.sockStart, sp.sockHeadroom = t.Th.Now(), t.Th.YieldHeadroom()
+}
+
+// PollSock is the poll of a socket poll loop's iteration that found
+// nothing to do, the loop's
+//
+//	t.Th.Advance(interval)
+//	t.Th.YieldPoint()
+//
+// after a probe, from BeginSockProbe on, of non-blocking socket syscalls
+// (TryRecvSock, TrySocketAccept) that each took its idle path: nothing
+// dequeued from the NIC's RX ring, nothing accepted, nothing buffered and
+// no end of stream. until is the first clock at which the loop's next
+// iteration would act without a socket event: a timer, such as the load
+// generator's next arrival (math.MaxInt64: none). The caller vouches that
+// the next iteration would repeat this one until a socket event or until.
+//
+// The loop parks (sim.Thread.ParkSpin) instead of spinning when the probe
+// was k syscalls, every one idle, and nothing else — it cost exactly k
+// syscall entries plus 2k L1D hits, one on each of the RX ring's head and
+// tail words per syscall, and reached no quantum yield — and the task may
+// park (mayPark). A read watch on those two lines catches what would
+// change the next probe: the fabric's enqueue writes the head line,
+// another local task's dequeue writes the tail line, and any other
+// thread's access through the core's L1D fires it too (DESIGN.md §6,
+// "Parking"). Until then every skipped probe would be the same k idle
+// syscalls, so when the task wakes their instructions and L1D hits are
+// replayed in closed form, with the slice arithmetic under time-slicing,
+// and the loop resumes at its first poll ordered after the disturbing
+// segment, or at the first at or after until. Every simulated number is
+// the same as spinning.
+func (t *Task) PollSock(interval, until sim.Cycles) {
+	sp := t.spinLoop()
+	k := sp.sockIdle
+	probe := sim.Cycles(k) * (sockSyscallCost + 2*t.Ctx.Plat.Cfg.Cache.Nodes[t.Node].Lat.L1)
+	// Arm inside the probe's segment, as SpinWait does: at a quantum
+	// yield inside the probe a frame could have slipped in behind its
+	// read of the ring.
+	if sp.sockBegun && k > 0 && sp.sockCalls == k && t.Th.Now()-sp.sockStart == probe &&
+		sp.sockHeadroom-t.Th.YieldHeadroom() == probe {
+		t.armSock()
+	}
+	sp.sockBegun = false
+	t.Th.Advance(interval)
+	sp.sockRan++
+	parked := false
+	if sp.watch.Armed() {
+		s := sim.Spin{C0: t.Th.Now(), Interval: interval, Probe: probe, Points: 1,
+			Hits: 2 * k, Instr: kinstrSockSyscall * k, Bound: math.MaxInt64}
+		if until < math.MaxInt64 {
+			s.Bound = s.FirstAt(until)
+		}
+		_, parked = t.Th.ParkSpin("sock-poll", nil, s, sp)
+	}
+	sp.watch.Disarm()
+	if !parked {
+		t.Th.YieldPoint()
+	}
+}
+
+// spinLoop is a task's wait-loop state, its scheduler's SpinHook and its
+// parked probes' SpinProbe, allocated by the task's first wait loop,
+// socket syscall or Scheduler.Attach and reused by every later park.
 type spinLoop struct {
 	t     *Task
 	watch cache.Watch
@@ -166,8 +231,16 @@ type spinLoop struct {
 	pages [cache.MaxWatchLines]pgtable.VirtAddr
 	n     int
 	// ran and replayed count the SpinWait yield points run and replayed,
-	// casReplayed the SpinCAS yield points replayed.
-	ran, replayed, casReplayed int64
+	// casReplayed the SpinCAS yield points replayed, sockRan and
+	// sockReplayed the PollSock polls run and replayed.
+	ran, replayed, casReplayed, sockRan, sockReplayed int64
+	// sockCalls and sockIdle count the socket syscalls since the last
+	// BeginSockProbe and those of them that took their idle path;
+	// sockStart and sockHeadroom are its clock and the thread's yield
+	// headroom there, and sockBegun is set until the next poll.
+	sockCalls, sockIdle     int64
+	sockStart, sockHeadroom sim.Cycles
+	sockBegun               bool
 	// fire is bound once, so arming allocates nothing.
 	fire func()
 }
@@ -199,10 +272,20 @@ func (t *Task) CASYields() (replayed int64) {
 	return t.spin.casReplayed
 }
 
+// SockPolls returns how many idle socket-loop polls (PollSock) the task
+// ran and how many it replayed instead, parked: each is one iteration
+// that found nothing to do. Host-side observability, like SpinYields.
+func (t *Task) SockPolls() (ran, replayed int64) {
+	if t.spin == nil {
+		return 0, 0
+	}
+	return t.spin.sockRan, t.spin.sockReplayed
+}
+
 // mayPark reports whether the task is one whose wait loops may park at
-// all: a root task under time-slicing, with no tracer installed.
+// all: a root task attached to a scheduler, with no tracer installed.
 func (t *Task) mayPark() bool {
-	return t.Sched != nil && t.Sched.Policy == SchedTimeSlice && t.Proc.Ten == nil && t.Ctx.Plat.Tracer == nil
+	return t.Sched != nil && t.Proc.Ten == nil && t.Ctx.Plat.Tracer == nil
 }
 
 // armSpin arms the loop's watch after a probe of addrs that hit throughout
@@ -242,6 +325,21 @@ func (t *Task) armCAS(pa mem.PhysAddr) {
 	}
 }
 
+// armSock arms the loop's watch on the NIC RX ring's head and tail words
+// after an idle socket probe, if the task may park at all. No page is
+// polled through the TLB.
+func (t *Task) armSock() {
+	if !t.mayPark() {
+		return
+	}
+	sp := t.spin
+	head, tail := t.Ctx.Net.NIC.RX.Control()
+	pas := [2]mem.PhysAddr{head, tail}
+	if t.Ctx.Plat.Caches.Arm(&sp.watch, t.Node, t.Core, pas[:], false, sp.fire) {
+		sp.n = 0
+	}
+}
+
 // disturb ends the task's SpinWait or SpinCAS park, if it is parked there,
 // and disarms the watch: the last probe no longer predicts the next.
 func (sp *spinLoop) disturb() {
@@ -276,27 +374,36 @@ func (sp *spinLoop) PureUntil(s sim.Spin) int64 {
 }
 
 // Replay is the task's preemption hook over yield points 0..n-1 of its
-// parked loop s (sim.SpinHook): the skipped probes' L1D hits, which a
-// memory probe's loads also count on the task, then the slice arithmetic
-// at every skipped yield point. With a task queued on the CPU that
-// arithmetic is none: n <= s.Bound, the slice's expiry, so replaySlices
-// finds no restart.
+// parked loop s (sim.SpinHook): the slice arithmetic at every skipped
+// yield point, run before ReplayProbes counts the probes' instructions.
+// With a task queued on the CPU that arithmetic is none: n <= s.Bound,
+// the slice's expiry, so replaySlices finds no restart.
 func (sp *spinLoop) Replay(s sim.Spin, n int64) {
 	t := sp.t
-	instr0 := t.instrTotal()
+	t.Sched.replaySlices(t, s, t.instrTotal(), n)
+}
+
+// ReplayProbes counts the probes the task's parked loop s closed up to
+// yield point n (sim.SpinProbe): their L1D hits on the core's counters;
+// a memory probe's loads, each an L1D hit, and a socket probe's syscall
+// instructions on the task's. The loop's Points tell the three kernel
+// loops apart: SpinWait has 3, SpinCAS 2 and PollSock 1.
+func (sp *spinLoop) ReplayProbes(s sim.Spin, n int64) {
+	t := sp.t
 	if hits := s.L1DHits(n); hits > 0 {
-		cycles := t.Ctx.Plat.Caches.ReplayL1DHits(t.Node, t.Core, hits)
-		if loads := s.Instr(n); loads > 0 {
-			t.Stats.Loads += loads
-			t.Stats.NodeInstructions[t.Node] += loads
-			t.Stats.MemAccessCycles += cycles
-		}
+		t.Ctx.Plat.Caches.ReplayL1DHits(t.Node, t.Core, hits)
 	}
-	switch {
-	case s.Loads > 0:
+	if loads := s.Loads * s.Probes(n); loads > 0 {
+		t.Stats.Loads += loads
+		t.Stats.MemAccessCycles += sim.Cycles(loads) * t.Ctx.Plat.Cfg.Cache.Nodes[t.Node].Lat.L1
+	}
+	t.Stats.NodeInstructions[t.Node] += s.Retired(n)
+	switch s.Points {
+	case 3:
 		sp.replayed += n
-	case s.Hits > 0:
+	case 2:
 		sp.casReplayed += n
+	case 1:
+		sp.sockReplayed += n
 	}
-	t.Sched.replaySlices(t, s, instr0, n)
 }

@@ -77,7 +77,7 @@ func (r *spinRig) errp() *error {
 const spinL3Stride = 64 << 10 / 4 // one way of the test L3: lines this far apart share a set
 
 // newSpinRig builds the rig; l1 > 0 replaces every core's L1 hit latency.
-func newSpinRig(t *testing.T, quantum int64, l1 sim.Cycles) *spinRig {
+func newSpinRig(t testing.TB, quantum int64, l1 sim.Cycles) *spinRig {
 	t.Helper()
 	cfg := hw.DefaultConfig(mem.Separated)
 	cfg.Cache.Nodes[0].Cores = 2

@@ -91,8 +91,9 @@ type Task struct {
 	sockSleeping bool
 	capCancel    bool
 
-	// spin is the task's wait-loop state and SpinHook, nil until the
-	// task's first SpinWait, SpinCAS or Attach under time-slicing.
+	// spin is the task's wait-loop state, SpinHook and SpinProbe, nil
+	// until the task's first SpinWait, SpinCAS, socket syscall or Attach
+	// under time-slicing.
 	spin *spinLoop
 
 	Stats  TaskStats

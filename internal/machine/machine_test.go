@@ -12,8 +12,13 @@ func allOSKinds() []OSKind {
 	return []OSKind{VanillaOS, PopcornTCP, PopcornSHM, StramashOS}
 }
 
+// allModels returns the hardware models New accepts with every OS kind.
+func allModels() []mem.Model {
+	return []mem.Model{mem.Separated, mem.Shared, mem.FullyShared}
+}
+
 func TestBootAllConfigurations(t *testing.T) {
-	for _, model := range []mem.Model{mem.Separated, mem.Shared, mem.FullyShared} {
+	for _, model := range allModels() {
 		for _, os := range allOSKinds() {
 			m, err := New(Config{Model: model, OS: os})
 			if err != nil {
@@ -26,106 +31,121 @@ func TestBootAllConfigurations(t *testing.T) {
 	}
 }
 
+// TestLocalReadWriteAllOSes is invariant 2 on one node: every read returns
+// the last value written, on every hardware model and OS.
 func TestLocalReadWriteAllOSes(t *testing.T) {
 	for _, os := range allOSKinds() {
-		os := os
 		t.Run(os.String(), func(t *testing.T) {
-			m, err := New(Config{Model: mem.Shared, OS: os})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = m.RunSingle("rw", mem.NodeX86, func(task *kernel.Task) error {
-				base, err := task.Proc.Mmap(64<<10, kernel.VMARead|kernel.VMAWrite, "heap")
-				if err != nil {
-					return err
-				}
-				for i := 0; i < 1000; i++ {
-					if err := task.Store(base+pgtable.VirtAddr(i*8), 8, uint64(i*i)); err != nil {
-						return err
-					}
-				}
-				for i := 0; i < 1000; i++ {
-					v, err := task.Load(base+pgtable.VirtAddr(i*8), 8)
-					if err != nil {
-						return err
-					}
-					if v != uint64(i*i) {
-						t.Errorf("mem[%d] = %d, want %d", i, v, i*i)
-						return nil
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+			for _, model := range allModels() {
+				t.Run(model.String(), func(t *testing.T) { localReadWrite(t, model, os) })
 			}
 		})
 	}
 }
 
+func localReadWrite(t *testing.T, model mem.Model, os OSKind) {
+	m, err := New(Config{Model: model, OS: os})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.RunSingle("rw", mem.NodeX86, func(task *kernel.Task) error {
+		base, err := task.Proc.Mmap(64<<10, kernel.VMARead|kernel.VMAWrite, "heap")
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 1000; i++ {
+			if err := task.Store(base+pgtable.VirtAddr(i*8), 8, uint64(i*i)); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			v, err := task.Load(base+pgtable.VirtAddr(i*8), 8)
+			if err != nil {
+				return err
+			}
+			if v != uint64(i*i) {
+				t.Errorf("mem[%d] = %d, want %d", i, v, i*i)
+				return nil
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMigrationPreservesMemory is invariant 2 across a migration and
+// back, on every hardware model and every OS that migrates (the vanilla
+// OS cannot cross kernels).
 func TestMigrationPreservesMemory(t *testing.T) {
 	for _, os := range []OSKind{PopcornSHM, PopcornTCP, StramashOS} {
-		os := os
 		t.Run(os.String(), func(t *testing.T) {
-			m, err := New(Config{Model: mem.Shared, OS: os})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const n = 512
-			_, err = m.RunSingle("mig", mem.NodeX86, func(task *kernel.Task) error {
-				base, err := task.Proc.Mmap(n*8, kernel.VMARead|kernel.VMAWrite, "data")
-				if err != nil {
-					return err
-				}
-				// Phase 1 on x86: write.
-				for i := 0; i < n; i++ {
-					if err := task.Store(base+pgtable.VirtAddr(i*8), 8, uint64(i)+7); err != nil {
-						return err
-					}
-				}
-				// Migrate to Arm: read everything back, modify.
-				if err := task.Migrate(mem.NodeArm); err != nil {
-					return err
-				}
-				if task.Node != mem.NodeArm {
-					t.Error("task not rebound to arm")
-				}
-				for i := 0; i < n; i++ {
-					v, err := task.Load(base+pgtable.VirtAddr(i*8), 8)
-					if err != nil {
-						return err
-					}
-					if v != uint64(i)+7 {
-						t.Errorf("after migration mem[%d] = %d, want %d", i, v, uint64(i)+7)
-						return nil
-					}
-					if err := task.Store(base+pgtable.VirtAddr(i*8), 8, v*2); err != nil {
-						return err
-					}
-				}
-				// Back-migrate: verify the writes are visible at the origin.
-				if err := task.Migrate(mem.NodeX86); err != nil {
-					return err
-				}
-				for i := 0; i < n; i++ {
-					v, err := task.Load(base+pgtable.VirtAddr(i*8), 8)
-					if err != nil {
-						return err
-					}
-					if v != (uint64(i)+7)*2 {
-						t.Errorf("after back-migration mem[%d] = %d, want %d", i, v, (uint64(i)+7)*2)
-						return nil
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if msgs := m.Messages(); msgs == 0 && os != StramashOS {
-				t.Error("popcorn migration produced no messages")
+			for _, model := range allModels() {
+				t.Run(model.String(), func(t *testing.T) { migrationPreservesMemory(t, model, os) })
 			}
 		})
+	}
+}
+
+func migrationPreservesMemory(t *testing.T, model mem.Model, os OSKind) {
+	m, err := New(Config{Model: model, OS: os})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 512
+	_, err = m.RunSingle("mig", mem.NodeX86, func(task *kernel.Task) error {
+		base, err := task.Proc.Mmap(n*8, kernel.VMARead|kernel.VMAWrite, "data")
+		if err != nil {
+			return err
+		}
+		// Phase 1 on x86: write.
+		for i := 0; i < n; i++ {
+			if err := task.Store(base+pgtable.VirtAddr(i*8), 8, uint64(i)+7); err != nil {
+				return err
+			}
+		}
+		// Migrate to Arm: read everything back, modify.
+		if err := task.Migrate(mem.NodeArm); err != nil {
+			return err
+		}
+		if task.Node != mem.NodeArm {
+			t.Error("task not rebound to arm")
+		}
+		for i := 0; i < n; i++ {
+			v, err := task.Load(base+pgtable.VirtAddr(i*8), 8)
+			if err != nil {
+				return err
+			}
+			if v != uint64(i)+7 {
+				t.Errorf("after migration mem[%d] = %d, want %d", i, v, uint64(i)+7)
+				return nil
+			}
+			if err := task.Store(base+pgtable.VirtAddr(i*8), 8, v*2); err != nil {
+				return err
+			}
+		}
+		// Back-migrate: verify the writes are visible at the origin.
+		if err := task.Migrate(mem.NodeX86); err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			v, err := task.Load(base+pgtable.VirtAddr(i*8), 8)
+			if err != nil {
+				return err
+			}
+			if v != (uint64(i)+7)*2 {
+				t.Errorf("after back-migration mem[%d] = %d, want %d", i, v, (uint64(i)+7)*2)
+				return nil
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgs := m.Messages(); msgs == 0 && os != StramashOS {
+		t.Error("popcorn migration produced no messages")
 	}
 }
 

@@ -3,6 +3,7 @@ package redisapp
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"repro/internal/kernel"
@@ -215,7 +216,21 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 	dead := make([]bool, len(servers)) // server closed after serving its share
 	lats := make([]sim.Cycles, 0, p.Requests)
 	next := 0
+	// actAt is, after an iteration that found nothing to do, the first
+	// clock at which the loop top admits a request the loop acts on: one
+	// for a server whose pipeline has room (its queue is then empty) or
+	// that has closed (an error). An arrival for a full pipeline only
+	// queues, which the first loop top after it does as well.
+	actAt := func() sim.Cycles {
+		for i := next; i < p.Requests && i < next+len(servers); i++ {
+			if s := i % len(servers); dead[s] || len(pend[s]) < depth {
+				return arrival(i)
+			}
+		}
+		return math.MaxInt64
+	}
 	for res.Done < p.Requests {
+		t.BeginSockProbe()
 		// Admit every request whose nominal arrival has passed.
 		for next < p.Requests && t.Th.Now() >= arrival(next) {
 			queued[next%len(servers)] = append(queued[next%len(servers)], next)
@@ -312,8 +327,7 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 			rbufs[s] = rbufs[s][:copy(rbufs[s], rbufs[s][off:])]
 		}
 		if !progress {
-			t.Th.Advance(500) // generator poll interval
-			t.Th.YieldPoint()
+			t.PollSock(500, actAt()) // the generator's poll interval
 		}
 	}
 	res.Elapsed = t.TimedCycles()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/kernel"
 	"repro/internal/machine"
@@ -378,6 +379,7 @@ func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lf
 	var nextSeq uint64
 
 	for st.Served < p.Expected {
+		t.BeginSockProbe()
 		progress := false
 		fd, err := t.TrySocketAccept(lfd)
 		if err != nil {
@@ -504,8 +506,14 @@ func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lf
 			}
 		}
 		if !progress {
-			t.Th.Advance(400) // poll interval
-			t.Th.YieldPoint()
+			// The poll interval. With workers the probe also pops their
+			// response rings, which PollSock cannot watch, so it spins.
+			if rings.workers == 0 {
+				t.PollSock(400, math.MaxInt64)
+			} else {
+				t.Th.Advance(400)
+				t.Th.YieldPoint()
+			}
 		}
 	}
 	for _, c := range conns {

@@ -148,14 +148,16 @@ type Thread struct {
 	wake func(from Cycles) (skipped int64, at Cycles)
 	due  Cycles
 
-	// spin is a parked loop's schedule (ParkSpin) and spinAt the yield
-	// point its last wake resumed it at; spinWake is its Park wake, bound
-	// on first use so that parking allocates nothing. spinHook describes
-	// the preemption hook at the loop's yield points (SetSpinHook).
-	spin     Spin
-	spinAt   int64
-	spinWake func(from Cycles) (int64, Cycles)
-	spinHook SpinHook
+	// spin is a parked loop's schedule (ParkSpin), spinProbe the account
+	// of its probes and spinAt the yield point its last wake resumed it
+	// at; spinWake is its Park wake, bound on first use so that parking
+	// allocates nothing. spinHook describes the preemption hook at the
+	// loop's yield points (SetSpinHook).
+	spin      Spin
+	spinProbe SpinProbe
+	spinAt    int64
+	spinWake  func(from Cycles) (int64, Cycles)
+	spinHook  SpinHook
 }
 
 // resume grants the thread the execution token: Run switches into the

@@ -25,9 +25,9 @@ type EngineStats struct {
 	// them.
 	LockYields, LockReplayed int64
 	// TimedParks counts the parks with a due clock (Thread.Park): those of
-	// a wait loop whose preemption hook acts at a known yield point
-	// (Spin.Bound), which end there by themselves unless a Disturb comes
-	// first. Map leaves it out.
+	// a wait loop whose preemption hook or caller acts at a known yield
+	// point (Spin.Bound), which end there by themselves unless a Disturb
+	// comes first. Map leaves it out.
 	TimedParks int64
 	// SerialCycles attributes simulated cycles advanced to the segments they
 	// were advanced in.

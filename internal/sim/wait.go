@@ -1,78 +1,74 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"slices"
 )
 
 // Spin is the yield-point schedule of a parked wait loop (ParkSpin), its
-// yield points numbered 0, 1, 2, … from the one it parked at, where it has
-// just advanced Interval cycles, and Bound, the first of them at which the
-// preemption hook acts (math.MaxInt64: none), which ParkSpin sets from the
-// SpinHook. A probe charges Hits L1D hits and retires Loads instructions.
-// The schedule has one of three shapes:
+// yield points numbered 0, 1, 2, … from the one it parked at: the poll,
+// where it has just advanced Interval cycles. Each iteration runs a probe
+// of Probe cycles and then advances Interval cycles to its poll, and it
+// has Points yield points:
 //
-//   - a flag spin (SpinWhile) has one yield point per Interval and no
-//     probe: Probe, Hits and Loads are zero;
-//   - a memory probe (kernel.Task.SpinWait) has three yield points per
-//     iteration of Probe+Interval cycles: the loop top, at the clock of
-//     the yield point before it; the probe's close, Probe cycles later,
-//     after its Loads loads, each an L1D hit (Hits = Loads); and the
-//     poll, after the next Interval;
-//   - a CAS probe (kernel.Task.SpinCAS) has two: the probe's close,
-//     Probe cycles after the poll before it, after the CAS's one L1D
-//     write hit (Hits = 1, Loads = 0: a CAS retires no instruction); and
-//     the poll, after the next Interval.
+//   - Points 1: the poll alone, the probe running between polls. A flag
+//     spin (SpinWhile) has no probe (Probe 0); a socket probe
+//     (kernel.Task.PollSock) is syscalls that contain no yield point.
+//   - Points 2: the probe's close, Probe cycles after the poll before it,
+//     and the poll: a CAS probe (kernel.Task.SpinCAS).
+//   - Points 3: the loop top, at the clock of the poll before it, the
+//     probe's close and the poll: a memory probe (kernel.Task.SpinWait).
+//
+// A probe charges Hits L1D hits and retires Loads loads and Instr other
+// instructions, all counted at its close (with one point per iteration, at
+// the next poll). Bound is the first yield point at which the loop stops
+// being pure: the caller's own (math.MaxInt64: none), which ParkSpin
+// lowers to the first at which the preemption hook acts.
 type Spin struct {
-	C0, Interval, Probe Cycles
-	Hits, Loads, Bound  int64
+	C0, Interval, Probe       Cycles
+	Points                    int64
+	Hits, Loads, Instr, Bound int64
 }
 
-// points returns the yield points per iteration.
-func (s Spin) points() int64 {
-	switch {
-	case s.Hits == 0:
-		return 1
-	case s.Loads == 0:
-		return 2
-	}
-	return 3
-}
-
-// Clock returns the clock of yield point j. The last yield point of each
-// iteration but the poll is the probe's close.
+// Clock returns the clock of yield point j.
 func (s Spin) Clock(j int64) Cycles {
-	p := s.points()
+	p := s.Points
 	c := s.C0 + Cycles(j/p)*(s.Probe+s.Interval)
-	if j%p == p-1 {
+	if p > 1 && j%p == p-1 {
 		c += s.Probe
 	}
 	return c
 }
 
-// probes returns the probes the loop closes from yield point 0 to yield
+// Probes returns the probes the loop closes from yield point 0 to yield
 // point j.
-func (s Spin) probes(j int64) int64 { return (j + 1) / s.points() }
+func (s Spin) Probes(j int64) int64 {
+	if s.Points == 1 {
+		return j
+	}
+	return (j + 1) / s.Points
+}
 
-// Instr returns the instructions the loop retires from yield point 0 to
-// yield point j: Loads per probe closed.
-func (s Spin) Instr(j int64) int64 { return s.Loads * s.probes(j) }
+// Retired returns the instructions the loop retires from yield point 0 to
+// yield point j: Loads+Instr per probe closed.
+func (s Spin) Retired(j int64) int64 { return (s.Loads + s.Instr) * s.Probes(j) }
 
 // L1DHits returns the L1D hits the loop charges from yield point 0 to
 // yield point j: Hits per probe closed.
-func (s Spin) L1DHits(j int64) int64 { return s.Hits * s.probes(j) }
+func (s Spin) L1DHits(j int64) int64 { return s.Hits * s.Probes(j) }
 
 // FirstAt returns the first yield point at or after clock c.
 func (s Spin) FirstAt(c Cycles) int64 {
 	if c <= s.C0 {
 		return 0
 	}
-	p, period := s.points(), s.Probe+s.Interval
+	p, period := s.Points, s.Probe+s.Interval
 	m, r := int64((c-s.C0)/period), (c-s.C0)%period
 	switch {
 	case r == 0:
 		return p * m
-	case r <= s.Probe:
+	case p > 1 && r <= s.Probe:
 		return p*m + p - 1
 	}
 	return p * (m + 1)
@@ -83,13 +79,18 @@ func (s Spin) FirstAt(c Cycles) int64 {
 // none (a flag spin, a CAS probe) with instr > 0 there is none, and it
 // returns math.MaxInt64.
 func (s Spin) FirstWith(instr int64) int64 {
+	per := s.Loads + s.Instr
 	switch {
 	case instr <= 0:
 		return 0
-	case s.Loads == 0:
+	case per == 0:
 		return math.MaxInt64
 	}
-	return 3*((instr+s.Loads-1)/s.Loads) - 1
+	probes := (instr + per - 1) / per
+	if s.Points == 1 {
+		return probes
+	}
+	return s.Points*probes - 1
 }
 
 // SpinHook is the preemption hook's side of a parked wait loop, installed
@@ -98,12 +99,20 @@ func (s Spin) FirstWith(instr int64) int64 {
 // thread first (math.MaxInt64: none); at the yield points before it, the
 // hook only changes state that Replay can bring up to date later. Replay
 // applies the hook's calls at yield points 0..n-1 of the parked loop s,
-// n <= s.Bound, and the effects of the accesses the loop's probes made
-// before yield point n (s.L1DHits(n), s.Instr(n)). Without a hook, a loop
-// under an enabled preemption hook never parks.
+// n <= s.Bound, before the loop's SpinProbe counts the probes. Without a
+// hook, a loop under an enabled preemption hook never parks.
 type SpinHook interface {
 	PureUntil(s Spin) int64
 	Replay(s Spin, n int64)
+}
+
+// SpinProbe accounts a parked loop's skipped probes: ReplayProbes applies
+// the effects of the accesses and instructions of the probes the loop s
+// closed from yield point 0 to yield point n (s.Probes(n) of them;
+// s.L1DHits(n), s.Retired(n)), which spinning would have counted whatever
+// the preemption hook.
+type SpinProbe interface {
+	ReplayProbes(s Spin, n int64)
 }
 
 // SetSpinHook installs the thread's SpinHook, which describes the hook
@@ -114,37 +123,42 @@ func (t *Thread) SetSpinHook(h SpinHook) { t.spinHook = h }
 // running it, when the loop's skipped iterations are provably pure
 // (DESIGN.md §9, "Parked spins"): the thread is outside atomic sections, no
 // engine tracer is installed, 0 < s.Interval and s.Probe+s.Interval <
-// Quantum (so no advance of the loop reaches a quantum yield), and the
-// preemption hook is absent, disabled, or pure by the SpinHook at yield
-// point 0 at least. The caller vouches for the rest: every skipped
+// Quantum (so no advance of the loop reaches a quantum yield), s.Bound > 0,
+// and the preemption hook is absent, disabled, or pure by the SpinHook at
+// yield point 0 at least. The caller vouches for the rest: every skipped
 // iteration would observe what the last one did, until w.Disturb (w may be
-// nil), Engine.Wake or another Disturb. The wake finds the first yield
-// point ordered after the disturbing segment, has the SpinHook replay the
-// ones before it, and ParkSpin returns its index once the thread resumes
-// there. A park whose hook acts at a yield point (s.Bound, from PureUntil)
-// also ends there by itself, as the loop's own yield point at its clock:
-// the thread resumes at the first yield point at or after s.Clock(s.Bound),
-// where the hook runs for real. It returns false without parking
-// otherwise, and the caller runs yield point 0. reason names what the loop
-// waits for in deadlock diagnostics.
-func (t *Thread) ParkSpin(reason string, w *Waiters, s Spin) (int64, bool) {
+// nil), Engine.Wake, another Disturb or yield point s.Bound. probe (nil
+// for a flag spin, which has none) accounts the skipped probes. The wake
+// finds the first yield point ordered after the disturbing segment, has
+// the SpinHook replay the ones before it and probe their probes, and
+// ParkSpin returns its index once the thread resumes there. A park also
+// ends by itself at yield point s.Bound, lowered to the first at which the
+// hook acts (PureUntil), as the loop's own yield point at its clock: the
+// thread resumes at the first yield point at or after s.Clock(s.Bound),
+// where the caller or the hook acts for real. It returns false without
+// parking otherwise, and the caller runs yield point 0. reason names what
+// the loop waits for in deadlock diagnostics.
+func (t *Thread) ParkSpin(reason string, w *Waiters, s Spin, probe SpinProbe) (int64, bool) {
 	e := t.eng
+	if s.Points < 1 || s.Points > 3 {
+		panic(fmt.Sprintf("sim: thread %q parked a loop of %d yield points per iteration", t.Name, s.Points))
+	}
 	if t.atomicDepth > 0 || e.Tracer != nil || s.Interval <= 0 || s.Probe+s.Interval >= e.Quantum {
 		return 0, false
 	}
-	s.Bound = math.MaxInt64
 	if t.Preemptible() {
 		if t.spinHook == nil {
 			return 0, false
 		}
-		if s.Bound = t.spinHook.PureUntil(s); s.Bound <= 0 {
-			return 0, false
-		}
+		s.Bound = min(s.Bound, t.spinHook.PureUntil(s))
+	}
+	if s.Bound <= 0 {
+		return 0, false
 	}
 	if w != nil {
 		w.add(t)
 	}
-	t.spin = s
+	t.spin, t.spinProbe = s, probe
 	if t.spinWake == nil {
 		t.spinWake = t.spinReplay
 	}
@@ -157,15 +171,17 @@ func (t *Thread) ParkSpin(reason string, w *Waiters, s Spin) (int64, bool) {
 }
 
 // spinReplay is a parked loop's wake (Park): the first yield point at or
-// after from, after the SpinHook accounts the ones before it. Only the
-// thread itself installs, enables or disables its hook, so Preemptible
-// reads as it did at the park.
+// after from, after the SpinHook accounts the ones before it and the
+// SpinProbe their probes. Only the thread itself installs, enables or
+// disables its hook, so Preemptible reads as it did at the park.
 func (t *Thread) spinReplay(from Cycles) (int64, Cycles) {
 	j := t.spin.FirstAt(from)
 	if t.Preemptible() {
 		t.spinHook.Replay(t.spin, j)
 	}
-	if t.spin.Hits == 0 {
+	if t.spinProbe != nil {
+		t.spinProbe.ReplayProbes(t.spin, j)
+	} else {
 		t.eng.Stats.LockReplayed += j
 	}
 	t.spinAt = j
@@ -214,7 +230,7 @@ func (t *Thread) SpinWhile(reason string, w *Waiters, interval Cycles, busy func
 	for busy() {
 		t.Advance(interval)
 		t.eng.Stats.LockYields++
-		if _, parked := t.ParkSpin(reason, w, Spin{C0: t.now, Interval: interval}); !parked {
+		if _, parked := t.ParkSpin(reason, w, Spin{C0: t.now, Interval: interval, Points: 1, Bound: math.MaxInt64}, nil); !parked {
 			t.YieldPoint()
 		}
 	}

@@ -115,15 +115,16 @@ func BenchmarkSpinWhile(b *testing.B) {
 
 // TestSpinFirstAt checks a parked loop's schedule against linear scans of
 // its yield points: FirstAt(c) is the first j with Clock(j) >= c, and
-// FirstWith(i) the first j with Instr(j) >= i (math.MaxInt64 if none);
-// L1DHits grows by Hits exactly at the yield points that close a probe,
-// Probe cycles after the one before. All three shapes run over several
-// C0, intervals, probe latencies and load counts, at every clock from
-// below C0 to the last yield point scanned, so ties at a poll (r == 0)
-// and at a probe's close (r == Probe) are covered, and so are the two
-// yield points a memory-probe loop has at one clock.
+// FirstWith(i) the first j with Retired(j) >= i (math.MaxInt64 if none);
+// L1DHits grows by Hits exactly at the yield points that close a probe:
+// Probe cycles after the one before, or every poll in a loop with one
+// yield point per iteration. All four shapes run over several C0,
+// intervals, probe latencies and load and syscall counts, at every clock
+// from below C0 to the last yield point scanned, so ties at a poll
+// (r == 0) and at a probe's close (r == Probe) are covered, and so are
+// the two yield points a memory-probe loop has at one clock.
 func TestSpinFirstAt(t *testing.T) {
-	s := Spin{C0: 1000, Interval: 150}
+	s := Spin{C0: 1000, Interval: 150, Points: 1}
 	for _, c := range []struct {
 		at   Cycles
 		want int64
@@ -136,16 +137,21 @@ func TestSpinFirstAt(t *testing.T) {
 	// maxWatchLines is cache.MaxWatchLines, the most words a parked
 	// kernel.Task.SpinWait polls (cache imports sim, so it is restated);
 	// a CAS probe's charge is an L1 hit plus the 12-cycle atomic penalty
-	// (hw.AtomicPenalty, restated for the same reason).
-	const maxWatchLines, atomicPenalty = 4, 12
+	// (hw.AtomicPenalty, restated for the same reason); a socket probe's
+	// syscall (kernel.Task.PollSock) costs 120 cycles and two L1 hits and
+	// retires 90 instructions (the kernel's socket syscall costs).
+	const maxWatchLines, atomicPenalty, sockCost, sockInstr = 4, 12, 120, 90
 	var spins []Spin
 	for _, c0 := range []Cycles{0, 1000, 12345} {
 		for _, interval := range []Cycles{1, 60, 150, 997} {
-			spins = append(spins, Spin{C0: c0, Interval: interval})
+			spins = append(spins, Spin{C0: c0, Interval: interval, Points: 1})
 			for _, lat := range []Cycles{1, 4} {
-				spins = append(spins, Spin{C0: c0, Interval: interval, Probe: lat + atomicPenalty, Hits: 1})
+				spins = append(spins, Spin{C0: c0, Interval: interval, Probe: lat + atomicPenalty, Points: 2, Hits: 1})
 				for _, loads := range []int64{1, 2, maxWatchLines} {
-					spins = append(spins, Spin{C0: c0, Interval: interval, Probe: Cycles(loads) * lat, Hits: loads, Loads: loads})
+					spins = append(spins, Spin{C0: c0, Interval: interval, Probe: Cycles(loads) * lat, Points: 3, Hits: loads, Loads: loads})
+				}
+				for _, k := range []int64{1, 5} {
+					spins = append(spins, Spin{C0: c0, Interval: interval, Probe: Cycles(k) * (sockCost + 2*lat), Points: 1, Hits: 2 * k, Instr: sockInstr * k})
 				}
 			}
 		}
@@ -160,12 +166,12 @@ func TestSpinFirstAt(t *testing.T) {
 		return math.MaxInt64
 	}
 	for _, s := range spins {
-		if s.Clock(0) != s.C0 || s.Instr(0) != 0 || s.L1DHits(0) != 0 {
-			t.Fatalf("%+v: yield point 0 at clock %d with %d instructions and %d hits", s, s.Clock(0), s.Instr(0), s.L1DHits(0))
+		if s.Clock(0) != s.C0 || s.Retired(0) != 0 || s.L1DHits(0) != 0 {
+			t.Fatalf("%+v: yield point 0 at clock %d with %d instructions and %d hits", s, s.Clock(0), s.Retired(0), s.L1DHits(0))
 		}
 		if s.Probe != s.Interval {
 			for j := int64(1); j < n; j++ {
-				closes := s.Hits > 0 && s.Clock(j)-s.Clock(j-1) == s.Probe
+				closes := s.Hits > 0 && (s.Points == 1 || s.Clock(j)-s.Clock(j-1) == s.Probe)
 				if d := s.L1DHits(j) - s.L1DHits(j-1); closes && d != s.Hits || !closes && d != 0 {
 					t.Fatalf("%+v: yield point %d at clock %d adds %d hits after clock %d", s, j, s.Clock(j), d, s.Clock(j-1))
 				}
@@ -176,9 +182,9 @@ func TestSpinFirstAt(t *testing.T) {
 				t.Fatalf("%+v: FirstAt(%d) = %d, the scan finds %d", s, c, got, want)
 			}
 		}
-		for i := int64(-1); i <= s.Instr(n-1)+1; i++ {
-			want := first(func(j int64) bool { return s.Instr(j) >= i })
-			if want == math.MaxInt64 && s.Loads > 0 {
+		for i := int64(-1); i <= s.Retired(n-1)+1; i++ {
+			want := first(func(j int64) bool { return s.Retired(j) >= i })
+			if want == math.MaxInt64 && s.Loads+s.Instr > 0 {
 				continue // beyond the scan
 			}
 			if got := s.FirstWith(i); got != want {
