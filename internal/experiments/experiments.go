@@ -99,7 +99,6 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
-// tableWriter builds aligned text tables.
 // find returns the first of rows that match accepts: the one row lookup
 // every result's cell accessors share.
 func find[R any](rows []R, match func(R) bool) (R, bool) {
@@ -112,6 +111,7 @@ func find[R any](rows []R, match func(R) bool) (R, bool) {
 	return zero, false
 }
 
+// tableWriter builds aligned text tables.
 type tableWriter struct {
 	header []string
 	rows   [][]string
@@ -153,7 +153,7 @@ func (tw *tableWriter) String() string {
 	return sb.String()
 }
 
-// f1, f2, fx format numbers compactly.
+// f1, f2, fi and fp format numbers compactly.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func fi(v int64) string   { return fmt.Sprintf("%d", v) }

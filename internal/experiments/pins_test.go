@@ -20,6 +20,7 @@ var pins = []pin{
 	{"redisprod-exact", exactPin, false, exactOnce},
 	{"cluster-cells", "testdata/pins/cluster_cells.txt", true, clusterCells},
 	{"extras-full", "../../extras_full.txt", false, extrasFull},
+	{"experiments-full", "../../experiments_full.txt", false, experimentsFull},
 }
 
 type pin struct {
@@ -234,15 +235,32 @@ func clusterCells() (string, error) {
 func extrasFull() (string, error) {
 	var b strings.Builder
 	for _, o := range RunPool(Extra(), Full, 0) {
-		n, err := Report(&b, []Outcome{o})
-		if err != nil {
+		if err := printRun(&b, []Outcome{o}); err != nil {
 			return "", err
-		}
-		if n > 0 {
-			fmt.Fprintf(&b, "total shape deviations: %d\n", n)
-		} else {
-			b.WriteString("all shape checks reproduced\n")
 		}
 	}
 	return b.String(), nil
+}
+
+// experimentsFull renders every pinned spec at full scale as
+// `stramash-bench -scale full` prints them, at the host's width.
+func experimentsFull() (string, error) {
+	var b strings.Builder
+	err := printRun(&b, RunPool(All(), Full, 0))
+	return b.String(), err
+}
+
+// printRun writes outcomes as one stramash-bench run prints them to
+// stdout: Report, then the shape-check total.
+func printRun(b *strings.Builder, outcomes []Outcome) error {
+	n, err := Report(b, outcomes)
+	switch {
+	case err != nil:
+		return err
+	case n > 0:
+		fmt.Fprintf(b, "total shape deviations: %d\n", n)
+	default:
+		b.WriteString("all shape checks reproduced\n")
+	}
+	return nil
 }

@@ -9,37 +9,26 @@ import (
 	"repro/internal/cap"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // lockInterval is the test lock's poll interval, the messenger's.
 const lockInterval = 150
 
-// flagLock is a simulated spin lock on a Go flag. Unparked, its acquire
-// is the spinning loop every flag spin ran before sim.Thread.SpinWhile,
-// kept verbatim as the reference SpinWhile must be indistinguishable
-// from; parked, it is SpinWhile, and its release disturbs the waiters.
+// flagLock is a simulated spin lock on a Go flag: its acquire is
+// SpinWhile, and its release disturbs the waiters.
 type flagLock struct {
-	parks bool
-	held  bool
-	wait  sim.Waiters
+	held bool
+	wait sim.Waiters
 }
 
 func (l *flagLock) lock(th *sim.Thread) {
-	if l.parks {
-		th.SpinWhile("lock:test", &l.wait, lockInterval, func() bool { return l.held })
-	} else {
-		for l.held {
-			th.Advance(lockInterval)
-			th.YieldPoint()
-		}
-	}
+	th.SpinWhile("lock:test", &l.wait, lockInterval, func() bool { return l.held })
 	l.held = true
 }
 
 func (l *flagLock) unlock() {
-	if l.parks {
-		l.wait.Disturb()
-	}
+	l.wait.Disturb()
 	l.held = false
 }
 
@@ -59,11 +48,15 @@ type lockRig struct {
 	errs              []*error
 }
 
-func newLockRig(t *testing.T, quantum int64, parks bool) *lockRig {
+// newLockRig builds the rig; spin installs an engine tracer, under which
+// no lock spin parks.
+func newLockRig(t *testing.T, quantum int64, spin bool) *lockRig {
 	t.Helper()
 	ctx := schedContext(t, 4, 1)
+	if spin {
+		ctx.Plat.Engine.Tracer = trace.NewBuffer()
+	}
 	return &lockRig{ctx: ctx, s: NewScheduler(ctx, SchedTimeSlice, quantum), v: NewVanilla(ctx),
-		lock:     flagLock{parks: parks},
 		acquired: map[string][]sim.Cycles{}, entered: map[string][]sim.Cycles{}, ends: map[string]sim.Cycles{}}
 }
 
@@ -155,7 +148,7 @@ func (r *lockRig) dump() string {
 	return b.String()
 }
 
-// lockTies are clocks from undisturbed reference runs: poll, a yield point
+// lockTies are clocks from undisturbed spinning runs: poll, a yield point
 // of the first waiter's loop at or after 300 000; expiry, the yield point
 // at which its slice expires once an intruder queues on its CPU at
 // 151 000, where it yields the CPU.
@@ -257,14 +250,14 @@ var lockScenarios = []lockScenario{
 	}},
 }
 
-// runLock runs scenario sc with the lock parking or spinning.
-func runLock(t *testing.T, sc lockScenario, parks bool, tie lockTies) *lockRig {
+// runLock runs scenario sc with the lock parking or, with spin, spinning.
+func runLock(t *testing.T, sc lockScenario, spin bool, tie lockTies) *lockRig {
 	t.Helper()
 	q := sc.quantum
 	if q == 0 {
 		q = 2000
 	}
-	r := newLockRig(t, q, parks)
+	r := newLockRig(t, q, spin)
 	sc.spawn(r, tie)
 	if err := r.ctx.Plat.Engine.Run(); err != nil {
 		t.Fatalf("%s: %v", sc.name, err)
@@ -278,32 +271,33 @@ func runLock(t *testing.T, sc lockScenario, parks bool, tie lockTies) *lockRig {
 }
 
 // TestSpinWhileMatchesSpinning runs each scenario on fresh machines with
-// the lock spinning and parking, and requires the same clocks, task and
-// CPU counters, slice fields and engine segment accounting from both —
-// and that the waiters parked, except a tenant's, and parked with a task
-// queued on their CPU where the scenario queues one.
+// the lock spinning (under a tracer) and parking, and requires the same
+// clocks, task and CPU counters, slice fields and engine segment
+// accounting from both — and that the waiters parked, except a tenant's,
+// and parked with a task queued on their CPU where the scenario queues
+// one.
 func TestSpinWhileMatchesSpinning(t *testing.T) {
 	// The waiter's loop yield points are at its entry clock plus multiples
 	// of the interval; the same in every scenario up to the release.
-	ref := runLock(t, lockScenarios[0], false, lockTies{})
-	entry := ref.entered["w1"][0]
+	idle := runLock(t, lockScenarios[0], true, lockTies{})
+	entry := idle.entered["w1"][0]
 	tie := lockTies{poll: entry + (300_000-entry+lockInterval-1)/lockInterval*lockInterval}
 	i := slices.IndexFunc(lockScenarios, func(sc lockScenario) bool { return sc.name == "queued task, cycle backstop" })
-	queued := runLock(t, lockScenarios[i], false, tie)
+	queued := runLock(t, lockScenarios[i], true, tie)
 	if tie.expiry = queued.ends["intruder dispatched"]; tie.expiry-2000 <= 151_000 {
 		t.Fatalf("the first expiry with a task queued is at %d: no room for an event before it", tie.expiry)
 	}
 	for _, sc := range lockScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			want := runLock(t, sc, false, tie)
-			got := runLock(t, sc, true, tie)
-			if g, w := got.dump(), want.dump(); g != w {
-				t.Fatalf("SpinWhile diverges from the spinning loop\n--- SpinWhile\n%s--- spinning\n%s", g, w)
+			spin := runLock(t, sc, true, tie)
+			if es := spin.ctx.Plat.Engine.Stats; es.LockYields == 0 || es.Replayed != 0 {
+				t.Fatalf("the traced run ran %d lock-spin yield points and replayed %d yield points: it is no spinning oracle", es.LockYields, es.Replayed)
+			}
+			got := runLock(t, sc, false, tie)
+			if g, w := got.dump(), spin.dump(); g != w {
+				t.Fatalf("SpinWhile diverges from the spinning loop\n--- parked\n%s--- spinning\n%s", g, w)
 			}
 			es := got.ctx.Plat.Engine.Stats
-			if es.LockYields == 0 {
-				t.Fatal("no waiter spun: the scenario tests nothing")
-			}
 			if parked := es.LockReplayed > 0; parked == sc.noPark {
 				t.Fatalf("%d lock-spin yield points replayed, %d run", es.LockReplayed, es.LockYields)
 			}

@@ -85,12 +85,11 @@ var sockPollScenarios = []sockPollScenario{
 	}},
 }
 
-// newSockRig builds scenario sc's machine with the poller's idle polls
-// parking (PollSock) or spinning (the loop's verbatim Advance and
-// YieldPoint), ready to run.
-func newSockRig(tb testing.TB, sc sockPollScenario, park bool) *sockRig {
+// newSockRig builds scenario sc's machine, its poller's idle polls
+// parking or, with spin, spinning under a tracer, ready to run.
+func newSockRig(tb testing.TB, sc sockPollScenario, spin bool) *sockRig {
 	tb.Helper()
-	r := &sockRig{spinRig: newSpinRig(tb, 2000, 0)}
+	r := &sockRig{spinRig: newSpinRig(tb, 2000, 0, spin)}
 	r.s = NewScheduler(r.ctx, sc.policy, 2000)
 	nicBase := r.ctx.Plat.Layout().OwnedRegions(mem.NodeX86)[0].Start + 32<<20
 	spawnScheduled(r.ctx, r.s, r.v, "poller", 0, 0, func(t *Task) error {
@@ -110,9 +109,7 @@ func newSockRig(tb testing.TB, sc sockPollScenario, park bool) *sockRig {
 		}
 		idle := sockSyscallCost + 2*r.ctx.Plat.Cfg.Cache.Nodes[mem.NodeX86].Lat.L1
 		for t.Th.Now() < sc.until {
-			if park {
-				t.BeginSockProbe()
-			}
+			t.BeginSockProbe()
 			start := t.Th.Now()
 			if _, err := t.TrySocketAccept(lfd); err != nil {
 				return err
@@ -129,12 +126,7 @@ func newSockRig(tb testing.TB, sc sockPollScenario, park bool) *sockRig {
 				}
 				continue
 			}
-			if park {
-				t.PollSock(r.interval, sc.until)
-			} else {
-				t.Th.Advance(r.interval)
-				t.Th.YieldPoint()
-			}
+			t.PollSock(r.interval, sc.until)
 		}
 		r.ends["poller"] = t.Th.Now()
 		return nil
@@ -156,21 +148,21 @@ func (r *sockRig) run(tb testing.TB) {
 	}
 }
 
-// runSockPoll runs scenario sc with the poller's idle polls parking or
-// spinning.
-func runSockPoll(t *testing.T, sc sockPollScenario, park bool) *sockRig {
+// runSockPoll runs scenario sc with the poller's idle polls parking or,
+// with spin, spinning.
+func runSockPoll(t *testing.T, sc sockPollScenario, spin bool) *sockRig {
 	t.Helper()
-	r := newSockRig(t, sc, park)
+	r := newSockRig(t, sc, spin)
 	r.run(t)
 	return r
 }
 
 // TestPollSockMatchesSpinning runs each disturbing event on fresh machines
-// with the socket poller's idle polls spinning and through PollSock, under
-// both scheduling policies, and requires the same clocks, task, cache and
-// CPU counters and engine segment accounting from both — and that
-// PollSock parked, with parks ending by themselves where the scenario has
-// a bound.
+// with the socket poller's PollSock spinning (under a tracer) and parking,
+// under both scheduling policies, and requires the same clocks, task,
+// cache and CPU counters and engine segment accounting from both — and
+// that PollSock parked, with parks ending by themselves where the scenario
+// has a bound.
 func TestPollSockMatchesSpinning(t *testing.T) {
 	for _, sc := range sockPollScenarios {
 		for _, policy := range []SchedPolicy{SchedShared, SchedTimeSlice} {
@@ -180,12 +172,14 @@ func TestPollSockMatchesSpinning(t *testing.T) {
 			sc := sc
 			sc.policy = policy
 			t.Run(fmt.Sprintf("%s/%v", sc.name, policy), func(t *testing.T) {
-				ref := runSockPoll(t, sc, false)
-				got := runSockPoll(t, sc, true)
-				if g, w := got.dump(), ref.dump(); g != w {
-					t.Fatalf("PollSock diverges from the spinning loop\n--- PollSock\n%s--- spinning\n%s", g, w)
+				spin := runSockPoll(t, sc, true)
+				ran, _ := spin.poller.SockPolls()
+				spin.spun(t, ran)
+				got := runSockPoll(t, sc, false)
+				if g, w := got.dump(), spin.dump(); g != w {
+					t.Fatalf("PollSock diverges from the spinning loop\n--- parked\n%s--- spinning\n%s", g, w)
 				}
-				if ref.served == 0 {
+				if spin.served == 0 {
 					t.Fatal("the poller dropped no frame")
 				}
 				es := got.ctx.Plat.Engine.Stats
@@ -227,7 +221,7 @@ func TestSockParkZeroAllocs(t *testing.T) {
 			replayed = n - replayed
 		})
 	}}
-	r := runSockPoll(t, sc, true)
+	r := runSockPoll(t, sc, false)
 	if replayed == 0 || r.served != 120 {
 		t.Fatalf("%d polls replayed, %d frames dropped: the poller did not park between them", replayed, r.served)
 	}
@@ -252,7 +246,7 @@ func BenchmarkSockProbePark(b *testing.B) {
 			}
 		})
 	}}
-	r := newSockRig(b, sc, true)
+	r := newSockRig(b, sc, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	r.run(b)

@@ -68,23 +68,10 @@ func (t *Task) SpinWait(addrs []pgtable.VirtAddr, vals []uint64, interval sim.Cy
 		if busy {
 			return nil
 		}
-		t.Th.Advance(interval)
-		pos = atLoopTop
 		sp.ran++
-		j, parked := int64(0), false
-		if sp.watch.Armed() {
-			j, parked = t.Th.ParkSpin("spin", nil, sim.Spin{C0: t.Th.Now(), Interval: interval,
-				Probe: sim.Cycles(sp.n) * lat, Points: 3, Hits: int64(sp.n), Loads: int64(sp.n),
-				Bound: math.MaxInt64}, sp)
-		}
-		// Whatever woke the loop, or kept it from parking, ends the last
-		// probe's prediction of the next.
-		sp.watch.Disarm()
-		if !parked {
-			t.Th.YieldPoint()
-			continue
-		}
-		switch j % 3 {
+		pos = atLoopTop
+		switch sp.poll("spin", nil, sim.Spin{Interval: interval, Probe: sim.Cycles(sp.n) * lat, Points: 3,
+			Hits: int64(sp.n), Loads: int64(sp.n)}, math.MaxInt64) % 3 {
 		case 1:
 			pos = atProbe
 		case 2:
@@ -127,7 +114,7 @@ func (t *Task) SpinCAS(w *sim.Waiters, pa mem.PhysAddr, old, new uint64, interva
 			// Arm inside the probe's segment, as SpinWait does; a CAS
 			// that swaps disarms it.
 			if t.Port.ChargeAtomic(pa) == lat {
-				t.armCAS(pa)
+				t.arm([]mem.PhysAddr{pa}, nil, true)
 			}
 			t.Th.YieldPoint()
 		}
@@ -136,18 +123,9 @@ func (t *Task) SpinCAS(w *sim.Waiters, pa mem.PhysAddr, old, new uint64, interva
 			return ran, replayed, true
 		}
 		ran++
-		t.Th.Advance(interval)
-		j, parked := int64(0), false
-		if sp.watch.Armed() {
-			j, parked = t.Th.ParkSpin("lock:cas", w, sim.Spin{C0: t.Th.Now(), Interval: interval,
-				Probe: lat + hw.AtomicPenalty, Points: 2, Hits: 1, Bound: math.MaxInt64}, sp)
-		}
-		sp.watch.Disarm()
-		if !parked {
-			t.Th.YieldPoint()
-		}
 		// Yield point j closes CAS j/2+1 (odd j) or polls after CAS j/2
 		// failed (even j).
+		j := sp.poll("lock:cas", w, sim.Spin{Interval: interval, Probe: lat + hw.AtomicPenalty, Points: 2, Hits: 1}, math.MaxInt64)
 		replayed += j / 2
 		charged = j%2 == 1
 		if ran+replayed > limit {
@@ -201,24 +179,38 @@ func (t *Task) PollSock(interval, until sim.Cycles) {
 	// read of the ring.
 	if sp.sockBegun && k > 0 && sp.sockCalls == k && t.Th.Now()-sp.sockStart == probe &&
 		sp.sockHeadroom-t.Th.YieldHeadroom() == probe {
-		t.armSock()
+		head, tail := t.Ctx.Net.NIC.RX.Control()
+		t.arm([]mem.PhysAddr{head, tail}, nil, false)
 	}
 	sp.sockBegun = false
-	t.Th.Advance(interval)
 	sp.sockRan++
+	sp.poll("sock-poll", nil, sim.Spin{Interval: interval, Probe: probe, Points: 1, Hits: 2 * k, Instr: kinstrSockSyscall * k}, until)
+}
+
+// poll is the poll that ends a wait loop's idle iteration: it advances
+// s.Interval cycles and parks the loop s from there (s.C0), with its
+// Bound the first yield point at or after until (math.MaxInt64: none), if
+// the last probe armed the watch; it disarms the watch, and runs the
+// poll's yield point if the loop did not park. It returns the yield point
+// the loop resumes at, 0 if it did not park.
+func (sp *spinLoop) poll(reason string, w *sim.Waiters, s sim.Spin, until sim.Cycles) (j int64) {
+	th := sp.t.Th
+	th.Advance(s.Interval)
 	parked := false
 	if sp.watch.Armed() {
-		s := sim.Spin{C0: t.Th.Now(), Interval: interval, Probe: probe, Points: 1,
-			Hits: 2 * k, Instr: kinstrSockSyscall * k, Bound: math.MaxInt64}
+		s.C0, s.Bound = th.Now(), math.MaxInt64
 		if until < math.MaxInt64 {
 			s.Bound = s.FirstAt(until)
 		}
-		_, parked = t.Th.ParkSpin("sock-poll", nil, s, sp)
+		j, parked = th.ParkSpin(reason, w, s, sp)
 	}
+	// Whatever woke the loop, or kept it from parking, ends the last
+	// probe's prediction of the next.
 	sp.watch.Disarm()
 	if !parked {
-		t.Th.YieldPoint()
+		th.YieldPoint()
 	}
+	return j
 }
 
 // spinLoop is a task's wait-loop state, its scheduler's SpinHook and its
@@ -289,59 +281,37 @@ func (t *Task) mayPark() bool {
 }
 
 // armSpin arms the loop's watch after a probe of addrs that hit throughout
-// and found nothing to do, if the task is one that may park at all.
+// and found nothing to do.
 func (t *Task) armSpin(addrs []pgtable.VirtAddr) {
-	plat := t.Ctx.Plat
-	if !t.mayPark() || len(addrs) == 0 || len(addrs) > cache.MaxWatchLines {
+	if len(addrs) == 0 || len(addrs) > cache.MaxWatchLines {
 		return
 	}
-	sp := t.spin
 	var pas [cache.MaxWatchLines]mem.PhysAddr
+	var pages [cache.MaxWatchLines]pgtable.VirtAddr
 	for i, a := range addrs {
-		pva := a &^ (mem.PageSize - 1)
-		fr, _, ok := t.tlb[t.Node].lookup(pva)
+		pages[i] = a &^ (mem.PageSize - 1)
+		fr, _, ok := t.tlb[t.Node].lookup(pages[i])
 		if !ok {
 			return
 		}
-		pas[i] = fr + mem.PhysAddr(a-pva)
-		sp.pages[i] = pva
+		pas[i] = fr + mem.PhysAddr(a-pages[i])
 	}
-	if plat.Caches.Arm(&sp.watch, t.Node, t.Core, pas[:len(addrs)], false, sp.fire) {
-		sp.n = len(addrs)
+	t.arm(pas[:len(addrs)], pages[:len(addrs)], false)
+}
+
+// arm arms the loop's watch on the words at pas — a write watch if the
+// probes are writes — if the task may park at all. pages are the pages
+// the probe reached the words through the TLB on, for shootdowns: none
+// for a lock word or the NIC's ring.
+func (t *Task) arm(pas []mem.PhysAddr, pages []pgtable.VirtAddr, write bool) {
+	if sp := t.spin; t.mayPark() && t.Ctx.Plat.Caches.Arm(&sp.watch, t.Node, t.Core, pas, write, sp.fire) {
+		sp.n = copy(sp.pages[:], pages)
 	}
 }
 
-// armCAS arms the loop's watch on the lock word at pa after a CAS whose
-// write hit the L1D, if the task may park at all. No page is polled
-// through the TLB.
-func (t *Task) armCAS(pa mem.PhysAddr) {
-	if !t.mayPark() {
-		return
-	}
-	sp := t.spin
-	pas := [1]mem.PhysAddr{pa}
-	if t.Ctx.Plat.Caches.Arm(&sp.watch, t.Node, t.Core, pas[:], true, sp.fire) {
-		sp.n = 0
-	}
-}
-
-// armSock arms the loop's watch on the NIC RX ring's head and tail words
-// after an idle socket probe, if the task may park at all. No page is
-// polled through the TLB.
-func (t *Task) armSock() {
-	if !t.mayPark() {
-		return
-	}
-	sp := t.spin
-	head, tail := t.Ctx.Net.NIC.RX.Control()
-	pas := [2]mem.PhysAddr{head, tail}
-	if t.Ctx.Plat.Caches.Arm(&sp.watch, t.Node, t.Core, pas[:], false, sp.fire) {
-		sp.n = 0
-	}
-}
-
-// disturb ends the task's SpinWait or SpinCAS park, if it is parked there,
-// and disarms the watch: the last probe no longer predicts the next.
+// disturb ends the task's park in SpinWait, SpinCAS or PollSock, if it is
+// parked there, and disarms the watch: the last probe no longer predicts
+// the next.
 func (sp *spinLoop) disturb() {
 	if sp != nil && sp.watch.Armed() {
 		sp.t.Th.Disturb()

@@ -15,33 +15,8 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pgtable"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
-
-// spinRef is the worker wait loop as the redis workers ran it before
-// SpinWait — a probe bracketed by yield points, then the idle branch's
-// poll interval and yield point — kept verbatim as the reference SpinWait
-// must be indistinguishable from.
-func spinRef(t *Task, addrs []pgtable.VirtAddr, vals []uint64, interval sim.Cycles, idle func([]uint64) bool) error {
-	for {
-		t.Th.YieldPoint()
-		for i, a := range addrs {
-			v, err := t.Load(a, 8)
-			if err != nil {
-				t.Th.YieldPoint()
-				return err
-			}
-			vals[i] = v
-		}
-		t.Th.YieldPoint()
-		if !idle(vals) {
-			return nil
-		}
-		t.Th.Advance(interval)
-		t.Th.YieldPoint()
-	}
-}
-
-type waitFunc func(t *Task, addrs []pgtable.VirtAddr, vals []uint64, interval sim.Cycles, idle func([]uint64) bool) error
 
 // spinIdle is a worker's request-ring test: empty ring, no stop.
 func spinIdle(v []uint64) bool { return v[0] == v[1] && v[2] == 0 }
@@ -59,10 +34,9 @@ type spinRig struct {
 	base     pgtable.VirtAddr
 	words    [3]mem.PhysAddr // head, tail, stop
 	ends     map[string]sim.Cycles
-	// clocks are the clocks of the poller's loop yield points, recorded
-	// by the reference loop.
-	clocks []sim.Cycles
-	// returns are the clocks the poller's waits returned at.
+	// entered is the clock the poller first waited at, returns the clocks
+	// its waits returned at.
+	entered sim.Cycles
 	returns []sim.Cycles
 	served  int
 	errs    []*error
@@ -77,7 +51,9 @@ func (r *spinRig) errp() *error {
 const spinL3Stride = 64 << 10 / 4 // one way of the test L3: lines this far apart share a set
 
 // newSpinRig builds the rig; l1 > 0 replaces every core's L1 hit latency.
-func newSpinRig(t testing.TB, quantum int64, l1 sim.Cycles) *spinRig {
+// spin installs a tracer, under which no wait loop parks: the run is the
+// same loops spinning, the oracle a parked run must equal.
+func newSpinRig(t testing.TB, quantum int64, l1 sim.Cycles, spin bool) *spinRig {
 	t.Helper()
 	cfg := hw.DefaultConfig(mem.Separated)
 	cfg.Cache.Nodes[0].Cores = 2
@@ -86,6 +62,9 @@ func newSpinRig(t testing.TB, quantum int64, l1 sim.Cycles) *spinRig {
 		if l1 > 0 {
 			cfg.Cache.Nodes[n].Lat.L1 = l1
 		}
+	}
+	if spin {
+		cfg.Tracer = trace.NewBuffer()
 	}
 	plat := hw.NewPlatform(cfg)
 	x86k, err := Boot(plat, mem.NodeX86, pgtable.X86Format{}, BootConfig{ReserveLow: 64 << 20})
@@ -102,8 +81,8 @@ func newSpinRig(t testing.TB, quantum int64, l1 sim.Cycles) *spinRig {
 }
 
 // spawnPoller starts the poller: it faults the three words in, then waits
-// with wait and serves (advances tail to head) until the stop flag is set.
-func (r *spinRig) spawnPoller(wait waitFunc) {
+// in SpinWait and serves (advances tail to head) until the stop flag is set.
+func (r *spinRig) spawnPoller() {
 	var err error
 	spawnScheduled(r.ctx, r.s, r.v, "poller", 0, 0, func(t *Task) error {
 		r.poller = t
@@ -120,8 +99,9 @@ func (r *spinRig) spawnPoller(wait waitFunc) {
 			}
 		}
 		vals := make([]uint64, 3)
+		r.entered = t.Th.Now()
 		for {
-			if err := wait(t, addrs, vals, r.interval, spinIdle); err != nil {
+			if err := t.SpinWait(addrs, vals, r.interval, spinIdle); err != nil {
 				return err
 			}
 			r.returns = append(r.returns, t.Th.Now())
@@ -136,30 +116,6 @@ func (r *spinRig) spawnPoller(wait waitFunc) {
 			r.served++
 		}
 	}, r.errp())
-}
-
-// recordingRef is spinRef, recording the clock of every loop yield point.
-func (r *spinRig) recordingRef(t *Task, addrs []pgtable.VirtAddr, vals []uint64, interval sim.Cycles, idle func([]uint64) bool) error {
-	for {
-		t.Th.YieldPoint()
-		r.clocks = append(r.clocks, t.Th.Now())
-		for i, a := range addrs {
-			v, err := t.Load(a, 8)
-			if err != nil {
-				t.Th.YieldPoint()
-				return err
-			}
-			vals[i] = v
-		}
-		t.Th.YieldPoint()
-		r.clocks = append(r.clocks, t.Th.Now())
-		if !idle(vals) {
-			return nil
-		}
-		t.Th.Advance(interval)
-		t.Th.YieldPoint()
-		r.clocks = append(r.clocks, t.Th.Now())
-	}
 }
 
 // raw runs f at clock at on a bare thread with a port on (node, core),
@@ -341,25 +297,22 @@ func spinScenarioNamed(name string) spinScenario {
 	return spinScenarios[i]
 }
 
-// runSpin runs scenario sc with the poller waiting through wait and
-// returns the rig after the run.
-func runSpin(t *testing.T, sc spinScenario, wait waitFunc, tie spinTies) *spinRig {
+// runSpin runs scenario sc with the poller parking or, with spin, spinning
+// under a tracer, and returns the rig after the run.
+func runSpin(t *testing.T, sc spinScenario, spin bool, tie spinTies) *spinRig {
 	t.Helper()
 	q := sc.quantum
 	if q == 0 {
 		q = 2000
 	}
-	r := newSpinRig(t, q, sc.l1)
+	r := newSpinRig(t, q, sc.l1, spin)
 	if sc.interval > 0 {
 		r.interval = sc.interval
 	}
 	if sc.before != nil {
 		sc.before(r, tie)
 	}
-	if wait == nil {
-		wait = r.recordingRef
-	}
-	r.spawnPoller(wait)
+	r.spawnPoller()
 	sc.spawn(r, tie)
 	if err := r.ctx.Plat.Engine.Run(); err != nil {
 		t.Fatalf("%s: %v", sc.name, err)
@@ -372,43 +325,59 @@ func runSpin(t *testing.T, sc spinScenario, wait waitFunc, tie spinTies) *spinRi
 	return r
 }
 
-// TestSpinWaitMatchesSpinning runs each disturbing event on fresh machines
-// with the poller in the reference loop and in SpinWait, and requires the
-// same clocks, task, cache and CPU counters and engine segment accounting
-// from both — and that SpinWait actually parked, with a task queued on its
-// CPU too if the scenario has one.
-func TestSpinWaitMatchesSpinning(t *testing.T) {
-	// Tie clocks: the loop's yield points once it has long been idle, from
-	// an undisturbed reference run (the poller's clocks before any event
-	// are the same in every scenario), and the first expiry with a task
-	// queued, where the reference poller hands that task its CPU.
-	idle := runSpin(t, spinScenarioNamed("stop flag"), nil, spinTies{})
-	var tie spinTies
-	for i := 0; i+2 < len(idle.clocks); i += 3 {
-		if idle.clocks[i] >= 400_000 {
-			tie = spinTies{probe: idle.clocks[i+1], poll: idle.clocks[i+2]}
-			break
-		}
+// spun fails t unless the rig's run is a spinning oracle: the poller's
+// loop ran polls or yield points (ran > 0), and no thread replayed any.
+// The tracer keeps every wait loop from parking; were that to change, this
+// guard fails rather than the comparison turning parked against parked.
+func (r *spinRig) spun(t testing.TB, ran int64) {
+	t.Helper()
+	if es := r.ctx.Plat.Engine.Stats; ran == 0 || es.Replayed != 0 {
+		t.Fatalf("the traced run ran %d polls and replayed %d yield points: it is no spinning oracle", ran, es.Replayed)
 	}
-	queued := runSpin(t, spinScenarioNamed("queued task, cycle backstop"), nil, spinTies{})
+}
+
+// TestSpinWaitMatchesSpinning runs each disturbing event on fresh machines
+// with the poller's SpinWait spinning (under a tracer) and parking, and
+// requires the same clocks, task, cache and CPU counters and engine
+// segment accounting from both — and that SpinWait actually parked, with a
+// task queued on its CPU too if the scenario has one.
+func TestSpinWaitMatchesSpinning(t *testing.T) {
+	// Tie clocks, from spinning runs: the idle loop repeats every three L1D
+	// hits plus the interval from the clock the poller entered SpinWait at,
+	// the same in every scenario before any event; the first expiry with a
+	// task queued is where the poller hands that task its CPU.
+	idle := runSpin(t, spinScenarioNamed("stop flag"), true, spinTies{})
+	probe := 3 * idle.ctx.Plat.Cfg.Cache.Nodes[mem.NodeX86].Lat.L1
+	period := probe + idle.interval
+	// The stop flag, written at 900 000 after the poller's yield points at
+	// that clock, ends the first probe after it: three yield points per
+	// iteration before, two in it.
+	if ran, _ := idle.poller.SpinYields(); ran != 3*int64((900_000-idle.entered)/period+1)+2 {
+		t.Fatalf("the spinning poller ran %d yield points: its idle loop is not %d cycles from %d", ran, period, idle.entered)
+	}
+	k := (400_000 - idle.entered + period - 1) / period
+	tie := spinTies{probe: idle.entered + k*period + probe, poll: idle.entered + (k+1)*period}
+	queued := runSpin(t, spinScenarioNamed("queued task, cycle backstop"), true, spinTies{})
 	tie.expiry = queued.ends["intruder dispatched"]
 	if tie.expiry-2000 <= 400_000 {
 		t.Fatalf("the first expiry with a task queued is at %d: no room for an event before it", tie.expiry)
 	}
 	for _, sc := range spinScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			ref := runSpin(t, sc, spinRef, tie)
-			got := runSpin(t, sc, (*Task).SpinWait, tie)
-			if g, w := got.dump(), ref.dump(); g != w {
-				t.Fatalf("SpinWait diverges from the spinning loop\n--- SpinWait\n%s--- spinning\n%s", g, w)
+			spin := runSpin(t, sc, true, tie)
+			ran, _ := spin.poller.SpinYields()
+			spin.spun(t, ran)
+			got := runSpin(t, sc, false, tie)
+			if g, w := got.dump(), spin.dump(); g != w {
+				t.Fatalf("SpinWait diverges from the spinning loop\n--- parked\n%s--- spinning\n%s", g, w)
 			}
 			if got.ctx.Plat.Engine.Stats.Replayed == 0 {
 				t.Fatal("SpinWait never parked: the scenario tests nothing")
 			}
-			if _, queued := ref.ends["intruder dispatched"]; queued && got.ctx.Plat.Engine.Stats.TimedParks == 0 {
+			if _, queued := spin.ends["intruder dispatched"]; queued && got.ctx.Plat.Engine.Stats.TimedParks == 0 {
 				t.Fatal("SpinWait never parked while a task was queued on its CPU")
 			}
-			if _, wrote := ref.ends["writer"]; wrote && ref.served == 0 {
+			if _, wrote := spin.ends["writer"]; wrote && spin.served == 0 {
 				t.Fatal("the write served no request")
 			}
 		})
@@ -429,8 +398,8 @@ func TestSpinParkZeroAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, queued := range []bool{false, true} {
 		t.Run(fmt.Sprintf("queued=%v", queued), func(t *testing.T) {
-			r := newSpinRig(t, 2000, 0)
-			r.spawnPoller((*Task).SpinWait)
+			r := newSpinRig(t, 2000, 0, false)
+			r.spawnPoller()
 			if queued {
 				r.queue("intruder", 100_000, 1_000_000)
 			}
@@ -468,7 +437,7 @@ func TestSpinParkZeroAllocs(t *testing.T) {
 		})
 	}
 	t.Run("cas", func(t *testing.T) {
-		r := newSpinRig(t, 2000, 0)
+		r := newSpinRig(t, 2000, 0, false)
 		var lock mem.PhysAddr
 		var waiters sim.Waiters
 		var ran, replayed int64

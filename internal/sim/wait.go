@@ -188,10 +188,10 @@ func (t *Thread) spinReplay(from Cycles) (int64, Cycles) {
 	return j, t.spin.Clock(j)
 }
 
-// Waiters lists the threads parked in SpinWhile on one lock, for the
-// lock's release to disturb. A thread is listed once however often it
-// parks, so the list never holds more threads than wait on the lock, and
-// once grown it allocates nothing. A listed thread that has since stopped
+// Waiters lists the threads parked on one lock, in SpinWhile or in a CAS
+// spin (kernel.Task.SpinCAS), for the lock's release to disturb. A thread
+// is listed once however often it parks, so the list never holds more
+// threads than wait on the lock, and once grown it allocates nothing. A listed thread that has since stopped
 // waiting costs only a spurious Disturb, which is exact: the thread
 // resumes where spinning would have left it.
 type Waiters struct {

@@ -2,7 +2,6 @@ package stramash
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -15,63 +14,30 @@ import (
 	"repro/internal/trace"
 )
 
-// lockPTLRef is lockPTL as it spun before kernel.Task.SpinCAS, kept
-// verbatim as the reference the parked acquire must be indistinguishable
-// from (but for the lock word's field), plus the rig's recording: the clock of each failed CAS's own
-// yield point and of its poll, and the failed CASes.
-func (r *ptlRig) lockPTLRef(o *OS, t *kernel.Task) {
-	addr := o.ptl[t.Proc.PID].word
-	start := t.Th.Now()
-	for i := 0; ; i++ {
-		if _, ok := t.Port.CompareAndSwap64(addr, 0, uint64(t.Node)+1); ok {
-			o.Stats.PTLAcquisitions++
-			if tr := o.Ctx.Plat.Tracer; tr != nil {
-				tr.Emit(trace.Event{Cycle: int64(start), Kind: trace.KindPTLAcquire,
-					Node: int8(t.Node), Core: int16(t.Core), Tid: int32(t.Th.ID),
-					PA: uint64(addr), Cost: int64(t.Th.Now() - start)})
-			}
-			return
-		}
-		r.failed++
-		r.clocks[t.Name] = append(r.clocks[t.Name], t.Th.Now())
-		t.Th.Advance(60)
-		t.Th.YieldPoint()
-		r.clocks[t.Name] = append(r.clocks[t.Name], t.Th.Now())
-		if i > 1_000_000 {
-			panic("stramash: PTL livelock")
-		}
-	}
-}
-
 // ptlRig is one fresh machine, four x86 cores and two Arm cores under a
 // time-slicing scheduler, with one fused-kernel process whose tasks
 // contend for its PTL: a holder that takes it at clock 0, waiters,
 // and whatever disturbs them.
 type ptlRig struct {
-	ctx  *kernel.Context
-	o    *OS
-	s    *kernel.Scheduler
-	proc *kernel.Process
-	// lock is lockPTL or the reference.
-	lock     func(o *OS, t *kernel.Task)
+	ctx      *kernel.Context
+	o        *OS
+	s        *kernel.Scheduler
+	proc     *kernel.Process
 	tasks    []*kernel.Task
 	acquired map[string][]sim.Cycles
 	ends     map[string]sim.Cycles
-	// clocks and failed are the reference's recording.
-	clocks map[string][]sim.Cycles
-	failed int64
-	events *trace.Buffer
 }
 
-func newPTLRig(tb testing.TB, quantum int64, parks, traced bool) *ptlRig {
+// newPTLRig builds the rig; spin installs a tracer, under which no PTL
+// acquire parks.
+func newPTLRig(tb testing.TB, quantum int64, spin bool) *ptlRig {
 	tb.Helper()
 	cfg := hw.DefaultConfig(mem.Shared)
 	cfg.Cache.Nodes[mem.NodeX86].Cores = 4
 	cfg.Cache.Nodes[mem.NodeArm].Cores = 2
-	r := &ptlRig{acquired: map[string][]sim.Cycles{}, ends: map[string]sim.Cycles{}, clocks: map[string][]sim.Cycles{}}
-	if traced {
-		r.events = trace.NewBuffer()
-		cfg.Tracer = r.events
+	r := &ptlRig{acquired: map[string][]sim.Cycles{}, ends: map[string]sim.Cycles{}}
+	if spin {
+		cfg.Tracer = trace.NewBuffer()
 	}
 	plat := hw.NewPlatform(cfg)
 	x86k, err := kernel.Boot(plat, mem.NodeX86, pgtable.X86Format{}, kernel.BootConfig{ReserveLow: 64 << 20})
@@ -96,10 +62,6 @@ func newPTLRig(tb testing.TB, quantum int64, parks, traced bool) *ptlRig {
 		tb.Fatal(err)
 	}
 	r.s = kernel.NewScheduler(r.ctx, kernel.SchedTimeSlice, quantum)
-	r.lock = r.lockPTLRef
-	if parks {
-		r.lock = (*OS).lockPTL
-	}
 	return r
 }
 
@@ -117,7 +79,7 @@ func (r *ptlRig) task(name string, node mem.NodeID, core int, th *sim.Thread) *k
 func (r *ptlRig) holder(node mem.NodeID, release sim.Cycles) {
 	r.ctx.Plat.Engine.Spawn("holder", 0, func(th *sim.Thread) {
 		t := r.task("holder", node, 0, th)
-		r.lock(r.o, t)
+		r.o.lockPTL(t)
 		th.AdvanceTo(release)
 		th.YieldPoint()
 		r.o.unlockPTL(t)
@@ -133,7 +95,7 @@ func (r *ptlRig) waiter(name string, node mem.NodeID, core int, start sim.Cycles
 		r.tasks = append(r.tasks, t)
 		r.s.Attach(t)
 		t.Compute(3000)
-		r.lock(r.o, t)
+		r.o.lockPTL(t)
 		r.acquired[name] = append(r.acquired[name], th.Now())
 		t.Compute(2000)
 		th.YieldPoint() // the release is a later segment: the others poll on
@@ -178,27 +140,23 @@ func (r *ptlRig) dump() string {
 		}
 	}
 	fmt.Fprintf(&b, "PTL acquisitions %d\n", r.o.Stats.PTLAcquisitions)
-	if r.events != nil {
-		fmt.Fprintf(&b, "events %v\n", r.events.Events)
-	}
 	e := r.ctx.Plat.Engine
 	fmt.Fprintf(&b, "segments %d cycles %d max %d\n", e.Stats.SerialSegments, e.Stats.SerialCycles, e.MaxTime())
 	return b.String()
 }
 
 // ptlTies are clocks of the first waiter's loop from an undisturbed
-// reference run: a failed CAS's own yield point at or after 250 000, and
+// spinning run: a failed CAS's own yield point at or after 250 000, and
 // the poll after it.
 type ptlTies struct{ probe, poll sim.Cycles }
 
-// ptlScenario is one way a parked PTL acquire ends. noPark marks waiters
-// that must not park; queued ones that must park with a task queued on
-// their CPU (sim.EngineStats.TimedParks).
+// ptlScenario is one way a parked PTL acquire ends. queued marks waiters
+// that must park with a task queued on their CPU
+// (sim.EngineStats.TimedParks).
 type ptlScenario struct {
-	name           string
-	traced         bool
-	noPark, queued bool
-	spawn          func(r *ptlRig, tie ptlTies)
+	name   string
+	queued bool
+	spawn  func(r *ptlRig, tie ptlTies)
 }
 
 var ptlScenarios = []ptlScenario{
@@ -263,16 +221,12 @@ var ptlScenarios = []ptlScenario{
 			r.ends["reader"] = th.Now()
 		})
 	}},
-	{name: "tracer installed", traced: true, noPark: true, spawn: func(r *ptlRig, _ ptlTies) {
-		r.holder(mem.NodeArm, 300_000)
-		r.waiter("w1", mem.NodeX86, 1, 1000)
-	}},
 }
 
-// runPTL runs scenario sc with the PTL parking or spinning.
-func runPTL(t *testing.T, sc ptlScenario, parks bool, tie ptlTies) *ptlRig {
+// runPTL runs scenario sc with the PTL parking or, with spin, spinning.
+func runPTL(t *testing.T, sc ptlScenario, spin bool, tie ptlTies) *ptlRig {
 	t.Helper()
-	r := newPTLRig(t, 2000, parks, sc.traced)
+	r := newPTLRig(t, 2000, spin)
 	sc.spawn(r, tie)
 	if err := r.ctx.Plat.Engine.Run(); err != nil {
 		t.Fatalf("%s: %v", sc.name, err)
@@ -281,38 +235,49 @@ func runPTL(t *testing.T, sc ptlScenario, parks bool, tie ptlTies) *ptlRig {
 }
 
 // TestLockPTLMatchesSpinning runs each scenario on fresh machines with
-// the PTL acquire spinning (the verbatim old loop) and parking, and
-// requires the same clocks, task, cache and CPU counters, PTL acquisitions
-// and engine segment accounting from both; that the parked acquire ran or
-// replayed exactly the failed CASes the spinning one ran; and that it
-// parked, except under a tracer, with a task queued on its CPU too where
-// the scenario queues one.
+// the PTL acquire spinning (under a tracer) and parking, and requires the
+// same clocks, task, cache and CPU counters, PTL acquisitions and engine
+// segment accounting from both; that the parked acquire ran or replayed
+// exactly the failed CASes the spinning one ran; and that it parked, with
+// a task queued on its CPU too where the scenario queues one.
 func TestLockPTLMatchesSpinning(t *testing.T) {
-	idle := runPTL(t, ptlScenarios[0], false, ptlTies{})
-	var tie ptlTies
-	clocks := idle.clocks["w1"]
-	if i := slices.IndexFunc(clocks, func(c sim.Cycles) bool { return c >= 250_000 }); i >= 0 && i+1 < len(clocks) {
-		i -= i % 2 // even entries are the CASes' own yield points
-		tie = ptlTies{probe: clocks[i], poll: clocks[i+1]}
+	// Tie clocks: a bare thread reads the spinning waiter's clock at
+	// 250 000, then again at the clock it read: the waiter's first two
+	// loop yield points from 250 000 on, as the waiter (the lower ID) runs
+	// first at a tied clock. A CAS's own yield point is the one its poll
+	// follows by the 60-cycle interval.
+	var y [2]sim.Cycles
+	idle := newPTLRig(t, 2000, true)
+	ptlScenarios[0].spawn(idle, ptlTies{})
+	idle.ctx.Plat.Engine.Spawn("observer", 250_000, func(th *sim.Thread) {
+		for i := range y {
+			y[i] = idle.tasks[0].Th.Now()
+			th.AdvanceTo(y[i])
+			th.YieldPoint()
+		}
+	})
+	if err := idle.ctx.Plat.Engine.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if tie.probe == 0 {
-		t.Fatalf("no failed CAS at or after 250 000 in the reference run: %v", clocks)
+	tie := ptlTies{probe: y[0], poll: y[0] + 60}
+	if y[1]-y[0] != 60 {
+		tie = ptlTies{probe: y[1], poll: y[1] + 60}
 	}
 	for _, sc := range ptlScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			ref := runPTL(t, sc, false, tie)
-			got := runPTL(t, sc, true, tie)
-			if g, w := got.dump(), ref.dump(); g != w {
+			spin := runPTL(t, sc, true, tie)
+			if st, es := spin.o.Stats, spin.ctx.Plat.Engine.Stats; st.PTLFailedRun == 0 || es.Replayed != 0 {
+				t.Fatalf("the traced run ran %d failed CASes and replayed %d yield points: it is no spinning oracle", st.PTLFailedRun, es.Replayed)
+			}
+			got := runPTL(t, sc, false, tie)
+			if g, w := got.dump(), spin.dump(); g != w {
 				t.Fatalf("lockPTL diverges from the spinning loop\n--- parked\n%s--- spinning\n%s", g, w)
 			}
 			st, es := got.o.Stats, got.ctx.Plat.Engine.Stats
-			if ref.failed == 0 {
-				t.Fatal("no CAS failed: the scenario tests nothing")
+			if n := st.PTLFailedRun + st.PTLFailedReplayed; n != spin.o.Stats.PTLFailedRun {
+				t.Errorf("%d failed CASes run and %d replayed, the spinning loop failed %d", st.PTLFailedRun, st.PTLFailedReplayed, spin.o.Stats.PTLFailedRun)
 			}
-			if n := st.PTLFailedRun + st.PTLFailedReplayed; n != ref.failed {
-				t.Errorf("%d failed CASes run and %d replayed, the spinning loop failed %d", st.PTLFailedRun, st.PTLFailedReplayed, ref.failed)
-			}
-			if parked := es.Replayed > 0 && st.PTLFailedReplayed > 0; parked == sc.noPark {
+			if es.Replayed == 0 || st.PTLFailedReplayed == 0 {
 				t.Fatalf("%d yield points and %d failed CASes replayed", es.Replayed, st.PTLFailedReplayed)
 			}
 			if sc.queued && es.TimedParks == 0 {
@@ -326,7 +291,7 @@ func TestLockPTLMatchesSpinning(t *testing.T) {
 // parks: an Arm holder takes the lock for 20 000 cycles at a time, and a
 // scheduled x86 waiter, parked meanwhile, takes it between the holds.
 func BenchmarkPTLSpinPark(b *testing.B) {
-	r := newPTLRig(b, 2000, true, false)
+	r := newPTLRig(b, 2000, false)
 	done := false
 	r.ctx.Plat.Engine.Spawn("holder", 0, func(th *sim.Thread) {
 		t := r.task("holder", mem.NodeArm, 0, th)

@@ -22,8 +22,6 @@ import (
 var waitLoopAllow = map[string]string{
 	"bench/layers.go:sweepSim":                          "the engine microbenchmark's hand-off loops: they time yield points and wait for nothing",
 	"internal/kernel/futex.go:Lock":                     "its CAS's own yield point runs with preemption disabled, so a replay would need a second rule (replaySlices skipping those points), and it failed no CAS on any ledger workload",
-	"internal/kernel/spin.go:SpinCAS":                   "the CAS-probe loop itself: it parks through sim.Thread.ParkSpin",
-	"internal/kernel/spin.go:SpinWait":                  "the memory-probe loop itself: it parks through sim.Thread.ParkSpin",
 	"internal/microbench/wakelatency.go:RunWakeLatency": "the probe is a FutexWake syscall, until the waiter is queued, which no cache line shows; it runs on no ledger workload",
 	"internal/net/fabric.go:acquire":                    "switch arbitration: each attempt advances to the clock the switch frees at",
 	"internal/net/fabric.go:Transmit":                   "retransmit backoff: the wait doubles each attempt and has no disturber",
