@@ -15,22 +15,29 @@ type lineAddr uint64
 
 func lineOf(a mem.PhysAddr) lineAddr { return lineAddr(a >> mem.LineShift) }
 
-// way is one cache way packed into a word, line<<2 | dirty<<1 | valid. An
-// invalid way is zero. A 16-way set is 128 bytes, two host cache lines.
+// way is one cache way packed into a word, line<<3 | owned<<2 | dirty<<1 |
+// valid. An invalid way is zero. A 16-way set is 128 bytes, two host cache
+// lines.
 type way uint64
 
 const (
 	wayValid way = 1 << iota
 	wayDirty
+	// wayOwned, in an L1D way only: the line is Modified at this node and
+	// held by no other, so a write hit needs no directory transaction
+	// (DESIGN §10, "Owned ways").
+	wayOwned
+	wayShift = iota // the line's shift in the word: one bit per flag above
 )
 
 func (w way) valid() bool    { return w&wayValid != 0 }
 func (w way) dirty() bool    { return w&wayDirty != 0 }
-func (w way) line() lineAddr { return lineAddr(w >> 2) }
+func (w way) owned() bool    { return w&wayOwned != 0 }
+func (w way) line() lineAddr { return lineAddr(w >> wayShift) }
 
 // holds reports whether w is a valid way holding a: the set scan's test,
 // which a memo slot must pass before it is used.
-func (w way) holds(a lineAddr) bool { return w&^wayDirty == way(a)<<2|wayValid }
+func (w way) holds(a lineAddr) bool { return w&^(wayDirty|wayOwned) == way(a)<<wayShift|wayValid }
 
 // level is one set-associative cache level with true LRU replacement. The
 // ways of all sets live in one contiguous array (set s occupies
@@ -141,7 +148,7 @@ func (l *level) insert(a lineAddr) (filled int, evicted lineAddr, wasValid, wasD
 		l.stamp(b + v)
 	}
 	w := set[v]
-	set[v] = way(a)<<2 | wayValid
+	set[v] = way(a)<<wayShift | wayValid
 	// A slot last written for another line may name way v, which now
 	// passes for a; when a already has a lower-index copy (the no-L3
 	// double fill) that is not the way the scan returns.
@@ -356,9 +363,11 @@ func (h *Hierarchy) ResetStats() {
 // 1) against the coherence directory: at most one node holds a line
 // Modified/Exclusive, an M/E holder is the line's only holder (Shared
 // never coexists with M/E elsewhere), and a Modified line always has an
-// owner. It returns the first violation found, or nil. Tests and
-// experiments may call it at any quiescent point; it reads only directory
-// state and charges no simulated cycles.
+// owner. It also holds every owned L1D way to its directory entry: the
+// line is Modified, owned by the way's node, and held by no other node
+// (DESIGN §10, "Owned ways"). It returns the first violation found, or
+// nil. Tests and experiments may call it at any quiescent point; it reads
+// only cache and directory state and charges no simulated cycles.
 func (h *Hierarchy) CheckMESI() error {
 	var err error
 	h.forEachEntry(func(ln lineAddr, e *dirEntry) {
@@ -366,7 +375,37 @@ func (h *Hierarchy) CheckMESI() error {
 			err = e.checkMESI(ln)
 		}
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	for n, nc := range h.nodes {
+		for _, l1 := range nc.l1d {
+			for _, w := range l1.ways {
+				if err := h.checkOwned(n, w); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkOwned returns the violation of the owned-way invariant by way w of
+// one of node's L1Ds, or nil.
+func (h *Hierarchy) checkOwned(node int, w way) error {
+	if !w.valid() || !w.owned() {
+		return nil
+	}
+	ln := w.line()
+	e := h.shardOf(ln).get(ln)
+	if e == nil {
+		e = &uncached
+	}
+	if !e.modified() || int(e.owner) != node || e.holders[1-node] {
+		return fmt.Errorf("cache: line %#x is owned in an L1D of node %d but its directory entry is owner=%d modified=%v holders=%v",
+			ln, node, e.owner, e.modified(), e.holders)
+	}
+	return nil
 }
 
 // checkMESI returns line ln's violation of the MESI invariant, or nil.
@@ -487,31 +526,36 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		l1.watch.trigger()
 	}
 
-	if !isWrite {
-		// Read L1-hit fast path: a line cached here cannot have a remote
-		// M/E owner (a remote write would have snoop-invalidated it; a
-		// remote read of an owned line demotes the owner), so the
-		// directory transaction below would neither charge cycles nor
-		// change state. Skipping the directory probe entirely is therefore
-		// invisible to the timing model; the inclusion invariant
-		// guarantees the entry exists and records this node as a holder.
-		w := l1.hit(ln)
-		if w < 0 {
-			w = l1.scan(ln)
+	// L1-hit fast paths. A read hit: a line cached here cannot have a
+	// remote M/E owner (a remote write would have snoop-invalidated it; a
+	// remote read of an owned line demotes the owner), so the directory
+	// transaction below would neither charge cycles nor change state.
+	// Skipping the directory probe entirely is therefore invisible to the
+	// timing model; the inclusion invariant guarantees the entry exists
+	// and records this node as a holder. A write hit on an owned way: the
+	// line is Modified here and held nowhere else, so the transaction
+	// would only rewrite the entry as it is — unless an armed Watch could
+	// be fired by it (DESIGN §10, "Owned ways"). A write asks only the way
+	// memo here, so a write miss pays no set scan; the way it finds serves
+	// the write-hit branch below.
+	w := l1.hit(ln)
+	if w < 0 && !isWrite {
+		w = l1.scan(ln)
+	}
+	if w >= 0 && (!isWrite || l1.ways[w].owned() && len(h.watches) == 0) {
+		// An owned way is dirty already: the bit is only ever set with
+		// wayDirty, and only a way's invalidation clears wayDirty.
+		l1.stamp(w)
+		if kind == Ifetch {
+			st.L1IHits++
+			cs.L1IHits++
+		} else {
+			st.L1DHits++
+			cs.L1DHits++
 		}
-		if w >= 0 {
-			l1.stamp(w)
-			if kind == Ifetch {
-				st.L1IHits++
-				cs.L1IHits++
-			} else {
-				st.L1DHits++
-				cs.L1DHits++
-			}
-			st.CacheHitLatency += lat.L1
-			st.TotalLatency += lat.L1
-			return lat.L1
-		}
+		st.CacheHitLatency += lat.L1
+		st.TotalLatency += lat.L1
+		return lat.L1
 	}
 
 	var cost sim.Cycles
@@ -555,6 +599,9 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 			cost += h.cfg.CrossNode.Data
 			st.SnoopDataForwards++
 			st.CoherenceLatency += h.cfg.CrossNode.Data
+			if e.modified() {
+				h.disown(other, ln)
+			}
 			e.owner = -1
 			e.setModified(false)
 			if tr := h.Tracer; tr != nil {
@@ -572,20 +619,22 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		}
 	}
 
-	// Level searches. Reads already probed (and missed) L1 above. A search
-	// changes nothing on a miss, so skipping one that must miss is exact.
+	// Level searches. Reads already probed (and missed) L1 above; a write's
+	// memo answer still holds, as the directory transaction touches no
+	// level of this core, and the write scans only if the memo missed. A
+	// search changes nothing on a miss, so skipping one that must miss is
+	// exact.
 	l3 := nc.l3
 	if h.cfg.SharedL3 {
 		l3 = h.sharedL3
 	}
 	if isWrite && held {
-		w := l1.hit(ln)
 		if w < 0 {
 			w = l1.scan(ln)
 		}
 		if w >= 0 {
 			l1.stamp(w)
-			l1.ways[w] |= wayDirty
+			l1.ways[w] |= wayDirty | wayOwned
 			st.L1DHits++
 			cs.L1DHits++
 			cost += lat.L1
@@ -607,15 +656,19 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 			w2 = l2.scan(ln)
 		}
 	}
+	// A write's fills are dirty, and its L1D way owned: the directory
+	// transaction above left the line Modified here alone.
+	var fill, fillL1 way
+	if isWrite {
+		fill, fillL1 = wayDirty, wayDirty|wayOwned
+	}
 	if w2 >= 0 {
 		l2.stamp(w2)
-		if isWrite {
-			l2.ways[w2] |= wayDirty
-		}
+		l2.ways[w2] |= fill
 		st.L2Hits++
 		cost += lat.L2
 		st.CacheHitLatency += lat.L2
-		h.fillLevel(l1, ln, isWrite)
+		h.fillLevel(l1, ln, fillL1)
 		st.TotalLatency += cost
 		return cost
 	}
@@ -632,14 +685,12 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		}
 		if w3 >= 0 {
 			l3.stamp(w3)
-			if isWrite {
-				l3.ways[w3] |= wayDirty
-			}
+			l3.ways[w3] |= fill
 			st.L3Hits++
 			cost += lat.L3
 			st.CacheHitLatency += lat.L3
-			h.fillLevel(l2, ln, isWrite)
-			h.fillLevel(l1, ln, isWrite)
+			h.fillLevel(l2, ln, fill)
+			h.fillLevel(l1, ln, fillL1)
 			st.TotalLatency += cost
 			return cost
 		}
@@ -675,8 +726,8 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 
 	// Fill the whole hierarchy (inclusive).
 	h.fillL3(node, core, l3, ln, isWrite)
-	h.fillLevel(l2, ln, isWrite)
-	h.fillLevel(l1, ln, isWrite)
+	h.fillLevel(l2, ln, fill)
+	h.fillLevel(l1, ln, fillL1)
 	st.TotalLatency += cost
 	return cost
 }
@@ -744,15 +795,28 @@ func (h *Hierarchy) IfetchHits(node mem.NodeID, core int, base mem.PhysAddr, lin
 	return int(hits)
 }
 
-// fillLevel inserts a line into an inner level, discarding clean evictions
-// (the line stays in the outer levels by inclusion).
-func (h *Hierarchy) fillLevel(l *level, ln lineAddr, dirty bool) {
+// fillLevel inserts a line into an inner level with the way bits flags,
+// discarding clean evictions (the line stays in the outer levels by
+// inclusion).
+func (h *Hierarchy) fillLevel(l *level, ln lineAddr, flags way) {
 	if l == nil {
 		return
 	}
 	w, _, _, _ := l.insert(ln)
-	if dirty {
-		l.ways[w] |= wayDirty
+	l.ways[w] |= flags
+}
+
+// disown clears the owned bit of line ln in node's L1Ds: a Snoop Data
+// demotion leaves the line Shared there.
+func (h *Hierarchy) disown(node int, ln lineAddr) {
+	for _, l1 := range h.nodes[node].l1d {
+		w := l1.hit(ln)
+		if w < 0 {
+			w = l1.scan(ln)
+		}
+		if w >= 0 {
+			l1.ways[w] &^= wayOwned
+		}
 	}
 }
 

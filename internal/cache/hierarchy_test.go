@@ -127,6 +127,8 @@ func TestMESIInvariantUnderRandomOps(t *testing.T) {
 				t.Fatalf("line %#x owned by node %d but also held by node %d", a, own, 1-own)
 			}
 		}
+		// And all of invariant 1, owned L1D ways included.
+		checkMESI(t, h, i)
 	}
 }
 

@@ -58,8 +58,11 @@ func scanFor(l *level, ln lineAddr) int {
 
 // accessLine is the parent commit's, verbatim but for the directory calls
 // (h.entryFor → o.dir.ensure), the helpers that touch the directory, the
-// way searches (its one-entry hint and lookup → scanFor) and the way
-// handles (a *way and its fields → an index into the level's ways).
+// way searches (its one-entry hint and lookup → scanFor), the way handles
+// (a *way and its fields → an index into the level's ways) and the owned
+// bit of an L1D way, which it sets where a write leaves the line Modified
+// here and clears on a Snoop Data demotion — but never reads: every write
+// takes the directory path.
 func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycles {
 	h := o.Hierarchy
 	nc := h.nodes[node]
@@ -122,6 +125,11 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 			cost += h.cfg.CrossNode.Data
 			st.SnoopDataForwards++
 			st.CoherenceLatency += h.cfg.CrossNode.Data
+			for _, l := range h.nodes[other].l1d { // the line is Shared there now
+				if w := scanFor(l, ln); w >= 0 {
+					l.ways[w] &^= wayOwned
+				}
+			}
 			e.owner = -1
 			e.setModified(false)
 			if tr := h.Tracer; tr != nil {
@@ -143,7 +151,7 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 		w := scanFor(l1, ln)
 		if w >= 0 {
 			l1.stamp(w)
-			l1.ways[w] |= wayDirty
+			l1.ways[w] |= wayDirty | wayOwned
 			st.L1DHits++
 			cs.L1DHits++
 			cost += lat.L1
@@ -160,6 +168,12 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 	if l2 != nil {
 		w2 = scanFor(l2, ln)
 	}
+	// A write leaves the line Modified at this node alone: its fills are
+	// dirty, and its L1D way owned.
+	var fill, fillL1 way
+	if isWrite {
+		fill, fillL1 = wayDirty, wayDirty|wayOwned
+	}
 	if w := w2; w >= 0 {
 		l2.stamp(w)
 		if isWrite {
@@ -168,7 +182,7 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 		st.L2Hits++
 		cost += lat.L2
 		st.CacheHitLatency += lat.L2
-		h.fillLevel(l1, ln, isWrite)
+		h.fillLevel(l1, ln, fillL1)
 		st.TotalLatency += cost
 		return cost
 	}
@@ -189,8 +203,8 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 			st.L3Hits++
 			cost += lat.L3
 			st.CacheHitLatency += lat.L3
-			h.fillLevel(l2, ln, isWrite)
-			h.fillLevel(l1, ln, isWrite)
+			h.fillLevel(l2, ln, fill)
+			h.fillLevel(l1, ln, fillL1)
 			st.TotalLatency += cost
 			return cost
 		}
@@ -224,8 +238,8 @@ func (o *missOracle) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycl
 	}
 
 	o.fillL3(node, core, l3, ln, isWrite)
-	h.fillLevel(l2, ln, isWrite)
-	h.fillLevel(l1, ln, isWrite)
+	h.fillLevel(l2, ln, fill)
+	h.fillLevel(l1, ln, fillL1)
 	st.TotalLatency += cost
 	return cost
 }

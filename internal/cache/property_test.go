@@ -113,7 +113,8 @@ func candidateLines(layout *mem.Layout) []mem.PhysAddr {
 // schedules through the hierarchy in all three hardware models and checks
 // the MESI safety invariant (DESIGN.md §5, invariant 1) and the directory's
 // inclusion invariant on every line the schedule can touch after every
-// access, and on the whole machine at the end: on the default geometry from
+// access, and on the whole machine at the end (there CheckMESI's owned-way
+// clause too): on the default geometry from
 // core 0, and on fetchRunConfig's tiny two-core geometries — with an L3,
 // and without one — from both cores, where the pool thrashes every level.
 func TestMESIInvariantRandomSchedules(t *testing.T) {

@@ -46,7 +46,7 @@ func computeOracle(pt *Port, n int64, pc *oracleWindow) {
 			batch = instPerLine
 		}
 		addr := pc.next()
-		pt.charge(cache.Ifetch, addr, mem.LineSize)
+		pt.Charge(cache.Ifetch, addr, mem.LineSize)
 		extra := sim.Cycles(float64(batch)*cpi + 0.5)
 		if extra > 0 {
 			extra-- // the ifetch itself retires one instruction's worth

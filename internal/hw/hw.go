@@ -167,9 +167,12 @@ func (p *Platform) NewPort(node mem.NodeID, core int, t *sim.Thread) *Port {
 	return &Port{Plat: p, Node: node, Core: core, T: t}
 }
 
-// charge pushes one access through the cache model, advances the clock
-// and returns the access's latency.
-func (pt *Port) charge(kind cache.Kind, addr mem.PhysAddr, size int) sim.Cycles {
+// Charge pushes one access through the cache model, advances the clock
+// and returns the access's latency. It moves no bytes: every other access
+// method is Charge followed by its data movement, and a caller that moves
+// the bytes itself (kernel.Task's TLB hit on a frame it holds) does so
+// right after Charge, with no yield point between them.
+func (pt *Port) Charge(kind cache.Kind, addr mem.PhysAddr, size int) sim.Cycles {
 	if pt.Plat.Tracer != nil {
 		pt.Plat.Caches.TraceContext(int64(pt.T.Now()), int32(pt.T.ID))
 	}
@@ -181,13 +184,13 @@ func (pt *Port) charge(kind cache.Kind, addr mem.PhysAddr, size int) sim.Cycles 
 // ReadInto fills dst with the len(dst) bytes at addr without allocating:
 // one cache access of len(dst) bytes.
 func (pt *Port) ReadInto(addr mem.PhysAddr, dst []byte) {
-	pt.charge(cache.Read, addr, len(dst))
+	pt.Charge(cache.Read, addr, len(dst))
 	pt.Plat.Phys.ReadInto(addr, dst)
 }
 
 // Write stores data at addr.
 func (pt *Port) Write(addr mem.PhysAddr, data []byte) {
-	pt.charge(cache.Write, addr, len(data))
+	pt.Charge(cache.Write, addr, len(data))
 	pt.Plat.Phys.Write(addr, data)
 }
 
@@ -195,26 +198,26 @@ func (pt *Port) Write(addr mem.PhysAddr, data []byte) {
 // The cache model is charged for the full n bytes, exactly like ReadInto;
 // only the data-movement side differs (a register value instead of a slice).
 func (pt *Port) ReadUint(addr mem.PhysAddr, n int) uint64 {
-	pt.charge(cache.Read, addr, n)
+	pt.Charge(cache.Read, addr, n)
 	return pt.Plat.Phys.ReadUint(addr, n)
 }
 
 // WriteUint stores n bytes of v at addr, little-endian, without allocating
 // (bytes past the eighth are written as zero). Charged exactly like Write.
 func (pt *Port) WriteUint(addr mem.PhysAddr, n int, v uint64) {
-	pt.charge(cache.Write, addr, n)
+	pt.Charge(cache.Write, addr, n)
 	pt.Plat.Phys.WriteUint(addr, n, v)
 }
 
 // Read64 loads a 64-bit little-endian word.
 func (pt *Port) Read64(addr mem.PhysAddr) uint64 {
-	pt.charge(cache.Read, addr, 8)
+	pt.Charge(cache.Read, addr, 8)
 	return pt.Plat.Phys.Read64(addr)
 }
 
 // Write64 stores a 64-bit little-endian word.
 func (pt *Port) Write64(addr mem.PhysAddr, v uint64) {
-	pt.charge(cache.Write, addr, 8)
+	pt.Charge(cache.Write, addr, 8)
 	pt.Plat.Phys.Write64(addr, v)
 }
 
@@ -228,7 +231,7 @@ const AtomicPenalty = 12
 // latency. CompareAndSwap64 and AtomicAdd64 are ChargeAtomic, a yield
 // point, and the data operation.
 func (pt *Port) ChargeAtomic(addr mem.PhysAddr) sim.Cycles {
-	lat := pt.charge(cache.Write, addr, 8)
+	lat := pt.Charge(cache.Write, addr, 8)
 	pt.T.Advance(AtomicPenalty)
 	return lat
 }
@@ -260,8 +263,8 @@ func (pt *Port) AtomicAdd64(addr mem.PhysAddr, delta uint64) uint64 {
 // expensive, §9.2.3).
 func (pt *Port) CopyPage(dst, src mem.PhysAddr) {
 	for off := 0; off < mem.PageSize; off += mem.LineSize {
-		pt.charge(cache.Read, src+mem.PhysAddr(off), mem.LineSize)
-		pt.charge(cache.Write, dst+mem.PhysAddr(off), mem.LineSize)
+		pt.Charge(cache.Read, src+mem.PhysAddr(off), mem.LineSize)
+		pt.Charge(cache.Write, dst+mem.PhysAddr(off), mem.LineSize)
 	}
 	pt.Plat.Phys.CopyPage(dst, src)
 }
@@ -272,7 +275,7 @@ func (pt *Port) CopyPage(dst, src mem.PhysAddr) {
 // a remote read of src again would double-count the transfer.
 func (pt *Port) InstallPage(dst, src mem.PhysAddr) {
 	for off := 0; off < mem.PageSize; off += mem.LineSize {
-		pt.charge(cache.Write, dst+mem.PhysAddr(off), mem.LineSize)
+		pt.Charge(cache.Write, dst+mem.PhysAddr(off), mem.LineSize)
 	}
 	pt.Plat.Phys.CopyPage(dst, src)
 }
@@ -280,7 +283,7 @@ func (pt *Port) InstallPage(dst, src mem.PhysAddr) {
 // ZeroPage clears a page, charging line-granular writes.
 func (pt *Port) ZeroPage(a mem.PhysAddr) {
 	for off := 0; off < mem.PageSize; off += mem.LineSize {
-		pt.charge(cache.Write, a+mem.PhysAddr(off), mem.LineSize)
+		pt.Charge(cache.Write, a+mem.PhysAddr(off), mem.LineSize)
 	}
 	pt.Plat.Phys.ZeroPage(a)
 }
@@ -320,7 +323,7 @@ func (pt *Port) Compute(n int64, pc *CodeWindow) {
 				continue
 			}
 		}
-		pt.charge(cache.Ifetch, pc.next(), mem.LineSize)
+		pt.Charge(cache.Ifetch, pc.next(), mem.LineSize)
 		pt.T.Advance(batchCycles(min(n-i, instPerLine), cpi))
 		i += instPerLine
 	}

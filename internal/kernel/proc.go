@@ -182,7 +182,7 @@ func (p *Process) FlushTLB(node mem.NodeID, va pgtable.VirtAddr) {
 			if t.spin != nil && t.spin.watchesPage(pva) {
 				t.spin.disturb()
 			}
-			t.tlb[node].invalidate(pva)
+			t.tlb.invalidate(pva)
 		}
 	}
 }
@@ -192,9 +192,7 @@ func (p *Process) FlushTLB(node mem.NodeID, va pgtable.VirtAddr) {
 func (p *Process) FlushAllTLBs() {
 	for _, t := range p.Tasks {
 		t.spin.disturb()
-		for n := range t.tlb {
-			t.tlb[n].invalidateAll()
-		}
+		t.tlb.invalidateAll()
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/interconnect"
 	"repro/internal/mem"
 	"repro/internal/net"
+	"repro/internal/pgtable"
 	"repro/internal/sim"
 )
 
@@ -24,6 +25,9 @@ type sockRig struct {
 	// workAt is the clock of the poller's last yield point before its
 	// work, 0 until it first works.
 	workAt sim.Cycles
+	// armed: the poller's watch was still armed when its socket loop
+	// ended, where the next probe starts.
+	armed bool
 }
 
 // sockPollScenario is one disturbing event for a socket poller on x86
@@ -41,6 +45,9 @@ type sockPollScenario struct {
 	quantumYield bool
 	spawn        func(r *sockRig)
 	timed        bool // some park ends by itself
+	// next: once the socket loop ends, the poller polls another word set,
+	// r.words[0] of a page of its own, in SpinWait until it is non-zero.
+	next bool
 }
 
 // staleFrame is an ACK for a connection the poller's stack does not have.
@@ -79,6 +86,13 @@ var sockPollScenarios = []sockPollScenario{
 			}
 		})
 	}},
+	// The last park ends at the caller's bound, with no event to fire its
+	// watch; the next probe reads a word on another line, which the
+	// poller's loop parks on again until a write sets it.
+	{name: "caller bound, then another word set", irqCore: 1, until: 700_000, timed: true, next: true, spawn: func(r *sockRig) {
+		r.write("writer", 1, 400_000)
+		r.write64("flag", mem.NodeX86, 1, 1_200_000, 0, 1)
+	}},
 	{name: "queued task", policy: SchedTimeSlice, irqCore: 1, until: 2_000_000, timed: true, spawn: func(r *sockRig) {
 		r.queue("intruder", 400_000, 20_000)
 		r.write("writer", 1, 1_500_000)
@@ -102,6 +116,18 @@ func newSockRig(tb testing.TB, sc sockPollScenario, spin bool) *sockRig {
 		lfd, err := t.SocketListen(80)
 		if err != nil {
 			return err
+		}
+		var flag pgtable.VirtAddr
+		if sc.next {
+			if flag, err = t.Proc.Mmap(mem.PageSize, VMARead|VMAWrite, "flag"); err != nil {
+				return err
+			}
+			if err := t.Store(flag, 8, 0); err != nil {
+				return err
+			}
+			if r.words[0], err = t.translate(flag, false); err != nil {
+				return err
+			}
 		}
 		// The first poll brings the ring's control words into the L1D.
 		if _, err := t.TrySocketAccept(lfd); err != nil {
@@ -127,6 +153,14 @@ func newSockRig(tb testing.TB, sc sockPollScenario, spin bool) *sockRig {
 				continue
 			}
 			t.PollSock(r.interval, sc.until)
+		}
+		r.armed = t.spin.watch.Armed()
+		if sc.next {
+			vals := make([]uint64, 1)
+			if err := t.SpinWait([]pgtable.VirtAddr{flag}, vals, r.interval, func(v []uint64) bool { return v[0] == 0 }); err != nil {
+				return err
+			}
+			r.returns = append(r.returns, t.Th.Now())
 		}
 		r.ends["poller"] = t.Th.Now()
 		return nil
@@ -162,7 +196,12 @@ func runSockPoll(t *testing.T, sc sockPollScenario, spin bool) *sockRig {
 // under both scheduling policies, and requires the same clocks, task,
 // cache and CPU counters and engine segment accounting from both — and
 // that PollSock parked, with parks ending by themselves where the scenario
-// has a bound.
+// has a bound, that the loop left no watch armed for the next probe, and
+// that a SpinWait after it parked too. A leaked watch changes no counter
+// here — the next probe's first access through the core's L1D fires it,
+// and it only disarms — but it keeps every owned-line write hit on the
+// directory path meanwhile (DESIGN §10, "Owned ways"), and a probe that
+// made no such access would park on the old words.
 func TestPollSockMatchesSpinning(t *testing.T) {
 	for _, sc := range sockPollScenarios {
 		for _, policy := range []SchedPolicy{SchedShared, SchedTimeSlice} {
@@ -183,11 +222,20 @@ func TestPollSockMatchesSpinning(t *testing.T) {
 					t.Fatal("the poller dropped no frame")
 				}
 				es := got.ctx.Plat.Engine.Stats
-				if _, replayed := got.poller.SockPolls(); replayed == 0 || es.Replayed != replayed {
-					t.Fatalf("%d polls replayed, the engine replayed %d: PollSock never parked", replayed, es.Replayed)
+				_, replayed := got.poller.SockPolls()
+				_, spinReplayed := got.poller.SpinYields()
+				if replayed == 0 || es.Replayed != replayed+spinReplayed {
+					t.Fatalf("%d polls and %d SpinWait yield points replayed, the engine replayed %d: PollSock never parked",
+						replayed, spinReplayed, es.Replayed)
 				}
 				if sc.timed && es.TimedParks == 0 {
 					t.Fatal("no park ended by itself")
+				}
+				if got.armed {
+					t.Fatal("the socket loop ended with its watch armed")
+				}
+				if sc.next && spinReplayed == 0 {
+					t.Fatal("the SpinWait after the socket loop never parked")
 				}
 			})
 		}

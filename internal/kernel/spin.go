@@ -290,7 +290,7 @@ func (t *Task) armSpin(addrs []pgtable.VirtAddr) {
 	var pages [cache.MaxWatchLines]pgtable.VirtAddr
 	for i, a := range addrs {
 		pages[i] = a &^ (mem.PageSize - 1)
-		fr, _, ok := t.tlb[t.Node].lookup(pages[i])
+		fr, _, _, ok := t.tlb.lookup(pages[i])
 		if !ok {
 			return
 		}

@@ -1,9 +1,11 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
+	"repro/internal/cache"
 	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/pgtable"
@@ -71,10 +73,11 @@ type Task struct {
 	sliceStart sim.Cycles
 	sliceInstr int64
 
-	// tlb caches translations per node; flushed on migration and shot down
-	// on PTE downgrades. Direct-mapped array TLBs (tlb.go): lookups are a
-	// mask and a tag compare, flushes invalidate in place.
-	tlb [2]taskTLB
+	// tlb caches translations on the task's node, with their frames' host
+	// bytes; flushed on migration (Rebind) and shot down on PTE downgrades
+	// of that node. A direct-mapped array TLB (tlb.go): lookups are a mask
+	// and a tag compare, flushes invalidate in place.
+	tlb taskTLB
 
 	// CodeWin models the instruction footprint of the running phase.
 	CodeWin *hw.CodeWindow
@@ -205,27 +208,46 @@ func (t *Task) NodeTime(node mem.NodeID) sim.Cycles {
 }
 
 // tryTranslate resolves va without taking faults: TLB first, then a
-// charged hardware walk. It must be called inside an atomic section so no
-// other thread can downgrade the mapping between this check and the data
-// access that follows (the hardware equivalent: stores retire before a TLB
-// shootdown completes).
-func (t *Task) tryTranslate(va pgtable.VirtAddr, write bool) (mem.PhysAddr, bool) {
+// charged hardware walk. It also returns the frame's host bytes, nil if the
+// translation does not hold them (tlbEntry). It must be called inside an
+// atomic section so no other thread can downgrade the mapping between this
+// check and the data access that follows (the hardware equivalent: stores
+// retire before a TLB shootdown completes).
+func (t *Task) tryTranslate(va pgtable.VirtAddr, write bool) (mem.PhysAddr, *[mem.PageSize]byte, bool) {
 	pva := va &^ (mem.PageSize - 1)
-	if fr, writable, ok := t.tlb[t.Node].lookup(pva); ok && (!write || writable) {
-		return fr + mem.PhysAddr(va-pva), true
+	if fr, host, writable, ok := t.tlb.lookup(pva); ok && (!write || writable) {
+		return fr + mem.PhysAddr(va-pva), host, true
 	}
 	t.Stats.TLBMisses++
 	tbl := t.Proc.Tables[t.Node]
 	if tbl == nil {
-		return 0, false
+		return 0, nil, false
 	}
 	pfn, perms, ok := tbl.Walk(t.Port, pva)
 	if !ok || !perms.Present || (write && !perms.Write) {
-		return 0, false
+		return 0, nil, false
 	}
 	fr := mem.PhysAddr(pfn << mem.PageShift)
-	t.tlb[t.Node].insert(pva, fr, perms.Write)
-	return fr + mem.PhysAddr(va-pva), true
+	host := t.Ctx.Plat.Phys.Frame(fr)
+	t.tlb.insert(pva, fr, host, perms.Write)
+	return fr + mem.PhysAddr(va-pva), host, true
+}
+
+// fillHost gives the translation of va the host bytes of its frame pa once
+// the frame has been written (tlbEntry): called after an access that found
+// the translation without them.
+func (t *Task) fillHost(va pgtable.VirtAddr, pa mem.PhysAddr) {
+	if host := t.Ctx.Plat.Phys.Frame(pa); host != nil {
+		t.tlb.setHost(va&^(mem.PageSize-1), host)
+	}
+}
+
+// hostWord returns the offset of the 8-byte word at pa in its frame's host
+// bytes if an access of size bytes there can move its data through host: a
+// word that does not cross the page.
+func hostWord(pa mem.PhysAddr, size int) (int, bool) {
+	off := int(pa & (mem.PageSize - 1))
+	return off, size == 8 && off <= mem.PageSize-8
 }
 
 // access translates va and runs fn(pa) atomically with respect to the
@@ -233,7 +255,7 @@ func (t *Task) tryTranslate(va pgtable.VirtAddr, write bool) (mem.PhysAddr, bool
 // needed.
 func (t *Task) access(va pgtable.VirtAddr, write bool, fn func(pa mem.PhysAddr)) error {
 	t.Th.BeginAtomic()
-	if pa, ok := t.tryTranslate(va, write); ok {
+	if pa, _, ok := t.tryTranslate(va, write); ok {
 		fn(pa)
 		t.Th.EndAtomic()
 		return nil
@@ -268,7 +290,7 @@ func (t *Task) accessAfterMiss(va pgtable.VirtAddr, write bool, fn func(pa mem.P
 			break
 		}
 		t.Th.BeginAtomic()
-		if pa, ok := t.tryTranslate(va, write); ok {
+		if pa, _, ok := t.tryTranslate(va, write); ok {
 			fn(pa)
 			t.Th.EndAtomic()
 			return nil
@@ -289,15 +311,25 @@ func (t *Task) translate(va pgtable.VirtAddr, write bool) (mem.PhysAddr, error) 
 
 // Load reads size bytes at va (size <= 8 returns the value). The TLB-hit
 // case is specialized: translation and data read run directly in the
-// atomic section, with no closure indirection; the fault path falls back
-// to the shared continuation.
+// atomic section, with no closure indirection, and a word whose frame the
+// translation holds is read straight from its host bytes once the cache is
+// charged; the fault path falls back to the shared continuation.
 func (t *Task) Load(va pgtable.VirtAddr, size int) (uint64, error) {
 	t.Stats.Loads++
 	t.Stats.NodeInstructions[t.Node]++
 	start := t.Th.Now()
 	t.Th.BeginAtomic()
-	if pa, ok := t.tryTranslate(va, false); ok {
-		out := t.Port.ReadUint(pa, size)
+	if pa, host, ok := t.tryTranslate(va, false); ok {
+		var out uint64
+		if off, word := hostWord(pa, size); word && host != nil {
+			t.Port.Charge(cache.Read, pa, 8)
+			out = binary.LittleEndian.Uint64(host[off:])
+		} else {
+			out = t.Port.ReadUint(pa, size)
+			if host == nil {
+				t.fillHost(va, pa)
+			}
+		}
 		t.Th.EndAtomic()
 		t.Stats.MemAccessCycles += t.Th.Now() - start
 		return out, nil
@@ -311,14 +343,24 @@ func (t *Task) Load(va pgtable.VirtAddr, size int) (uint64, error) {
 	return out, err
 }
 
-// Store writes size bytes of v at va (fast path as in Load).
+// Store writes size bytes of v at va (fast path as in Load: the first
+// store to a never-written frame materializes it, and the translation takes
+// its host bytes).
 func (t *Task) Store(va pgtable.VirtAddr, size int, v uint64) error {
 	t.Stats.Stores++
 	t.Stats.NodeInstructions[t.Node]++
 	start := t.Th.Now()
 	t.Th.BeginAtomic()
-	if pa, ok := t.tryTranslate(va, true); ok {
-		t.Port.WriteUint(pa, size, v)
+	if pa, host, ok := t.tryTranslate(va, true); ok {
+		if off, word := hostWord(pa, size); word && host != nil {
+			t.Port.Charge(cache.Write, pa, 8)
+			binary.LittleEndian.PutUint64(host[off:], v)
+		} else {
+			t.Port.WriteUint(pa, size, v)
+			if host == nil {
+				t.fillHost(va, pa)
+			}
+		}
 		t.Th.EndAtomic()
 		t.Stats.MemAccessCycles += t.Th.Now() - start
 		return nil
@@ -433,8 +475,9 @@ func (t *Task) Rebind(node mem.NodeID) {
 		t.Sched.migrated(t)
 	}
 	t.Port = t.Ctx.Plat.NewPort(node, t.Core, t.Th)
-	// The new CPU's TLB is cold for this task.
-	t.tlb[node].invalidateAll()
+	// The new CPU's TLB is cold for this task: its one TLB drops the old
+	// node's translations before its first lookup on node.
+	t.tlb.invalidateAll()
 }
 
 // Exit terminates the task through the OS personality.

@@ -5,30 +5,39 @@ import (
 	"repro/internal/pgtable"
 )
 
-// tlbSlots is the number of direct-mapped slots in a task's per-node TLB
-// front array. Must be a power of two.
+// tlbSlots is the number of direct-mapped slots in a task's TLB front
+// array. Must be a power of two.
 const (
 	tlbBits  = 11
 	tlbSlots = 1 << tlbBits
 )
 
-// tlbEntry caches a virtual-to-physical translation on one node. An entry
-// is live iff its epoch is non-zero and matches the owning taskTLB's
+// tlbEntry caches a virtual-to-physical translation on the task's node. An
+// entry is live iff its epoch is non-zero and matches the owning taskTLB's
 // current epoch; a full flush therefore invalidates every slot by bumping
 // one counter instead of touching 2^tlbBits slots.
+//
+// Like a softmmu TLB entry, it also holds the frame's host bytes
+// (mem.Physical.Frame), so a word access that hits moves its data with one
+// host load or store instead of a frame lookup. host is nil while the frame
+// has never been written, and is filled in once it has (setHost). It is
+// host state only: which accesses hit and what they charge are the same
+// with or without it.
 type tlbEntry struct {
 	vpn      pgtable.VirtAddr // page-aligned virtual address (tag)
 	frame    mem.PhysAddr
+	host     *[mem.PageSize]byte
 	epoch    uint32
 	writable bool
 }
 
-// taskTLB is one node's translation cache for a task. The *modelled* TLB is
-// unbounded — a translation stays cached until it is explicitly shot down —
-// because TLB misses charge a simulated page-table walk, so the reach of
-// the translation cache is part of the timing contract and must not change
-// with host data-structure choices (DESIGN.md §6, "The per-access
-// path").
+// taskTLB is a task's translation cache for the node it runs on. A task has
+// one: Rebind flushes it, so no translation of the node the task left is
+// ever looked up again (DESIGN.md §14). The *modelled* TLB is unbounded — a
+// translation stays cached until it is explicitly shot down — because TLB
+// misses charge a simulated page-table walk, so the reach of the
+// translation cache is part of the timing contract and must not change
+// with host data-structure choices (DESIGN.md §6, "The per-access path").
 //
 // It used to be a Go map, one hash per load/store plus a fresh map
 // allocation on every flush. It is now a fixed-size direct-mapped array
@@ -61,24 +70,35 @@ func tlbIndex(pva pgtable.VirtAddr) int {
 	return int((uint64(pva>>mem.PageShift) * 0x9E3779B97F4A7C15) >> (64 - tlbBits))
 }
 
-// lookup returns the cached translation for the page-aligned address pva.
-func (tb *taskTLB) lookup(pva pgtable.VirtAddr) (frame mem.PhysAddr, writable, ok bool) {
+// lookup returns the cached translation for the page-aligned address pva,
+// with the frame's host bytes if the entry holds them.
+func (tb *taskTLB) lookup(pva pgtable.VirtAddr) (frame mem.PhysAddr, host *[mem.PageSize]byte, writable, ok bool) {
 	s := &tb.slots[tlbIndex(pva)]
 	if s.vpn == pva && s.epoch == tb.epoch && s.epoch != 0 {
-		return s.frame, s.writable, true
+		return s.frame, s.host, s.writable, true
 	}
 	if len(tb.over) != 0 {
 		if e, hit := tb.over[pva]; hit {
-			return e.frame, e.writable, true
+			return e.frame, e.host, e.writable, true
 		}
 	}
-	return 0, false, false
+	return 0, nil, false, false
+}
+
+// setHost records host as the frame bytes of pva's live translation.
+func (tb *taskTLB) setHost(pva pgtable.VirtAddr, host *[mem.PageSize]byte) {
+	if s := &tb.slots[tlbIndex(pva)]; s.vpn == pva && s.epoch == tb.epoch && s.epoch != 0 {
+		s.host = host
+	} else if e, hit := tb.over[pva]; hit {
+		e.host = host
+		tb.over[pva] = e
+	}
 }
 
 // insert installs a translation for pva. The slot's previous occupant, if
 // any, is displaced into the overflow map rather than dropped — the
 // modelled TLB never evicts on capacity.
-func (tb *taskTLB) insert(pva pgtable.VirtAddr, frame mem.PhysAddr, writable bool) {
+func (tb *taskTLB) insert(pva pgtable.VirtAddr, frame mem.PhysAddr, host *[mem.PageSize]byte, writable bool) {
 	if tb.epoch == 0 {
 		tb.epoch = 1
 	}
@@ -89,7 +109,7 @@ func (tb *taskTLB) insert(pva pgtable.VirtAddr, frame mem.PhysAddr, writable boo
 		}
 		tb.over[s.vpn] = *s
 	}
-	*s = tlbEntry{vpn: pva, frame: frame, writable: writable, epoch: tb.epoch}
+	*s = tlbEntry{vpn: pva, frame: frame, host: host, writable: writable, epoch: tb.epoch}
 	if tb.over != nil {
 		// The slot is now authoritative for pva; drop any stale overflow
 		// copy (e.g. a read-only translation being upgraded after a fault).

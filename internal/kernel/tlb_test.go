@@ -36,20 +36,20 @@ func TestTLBInsertLookupInvalidate(t *testing.T) {
 	var tb taskTLB
 	a, b := pageVA(7), pageVA(collidingPage(t, 7)) // same direct-mapped slot
 
-	if _, _, ok := tb.lookup(a); ok {
+	if _, _, _, ok := tb.lookup(a); ok {
 		t.Fatal("empty TLB reported a hit")
 	}
-	tb.insert(a, 0x1000, true)
-	if fr, w, ok := tb.lookup(a); !ok || fr != 0x1000 || !w {
+	tb.insert(a, 0x1000, nil, true)
+	if fr, _, w, ok := tb.lookup(a); !ok || fr != 0x1000 || !w {
 		t.Fatalf("lookup(a) = %#x,%v,%v", fr, w, ok)
 	}
 
 	// Conflicting insert displaces a into the overflow, not out of the TLB.
-	tb.insert(b, 0x2000, false)
-	if fr, _, ok := tb.lookup(b); !ok || fr != 0x2000 {
+	tb.insert(b, 0x2000, nil, false)
+	if fr, _, _, ok := tb.lookup(b); !ok || fr != 0x2000 {
 		t.Fatalf("lookup(b) = %#x,%v", fr, ok)
 	}
-	if fr, w, ok := tb.lookup(a); !ok || fr != 0x1000 || !w {
+	if fr, _, w, ok := tb.lookup(a); !ok || fr != 0x1000 || !w {
 		t.Fatalf("displaced entry lost: lookup(a) = %#x,%v,%v", fr, w, ok)
 	}
 	if tb.size() != 2 {
@@ -57,8 +57,8 @@ func TestTLBInsertLookupInvalidate(t *testing.T) {
 	}
 
 	// Writability upgrade replaces the overflow copy, never duplicates it.
-	tb.insert(a, 0x1000, false)
-	if _, w, ok := tb.lookup(a); !ok || w {
+	tb.insert(a, 0x1000, nil, false)
+	if _, _, w, ok := tb.lookup(a); !ok || w {
 		t.Fatalf("after downgrade-reinsert: writable=%v ok=%v", w, ok)
 	}
 	if tb.size() != 2 {
@@ -66,10 +66,10 @@ func TestTLBInsertLookupInvalidate(t *testing.T) {
 	}
 
 	tb.invalidate(a)
-	if _, _, ok := tb.lookup(a); ok {
+	if _, _, _, ok := tb.lookup(a); ok {
 		t.Fatal("invalidate(a) left a visible")
 	}
-	if _, _, ok := tb.lookup(b); !ok {
+	if _, _, _, ok := tb.lookup(b); !ok {
 		t.Fatal("invalidate(a) dropped b")
 	}
 	tb.invalidateAll()
@@ -79,14 +79,17 @@ func TestTLBInsertLookupInvalidate(t *testing.T) {
 }
 
 // TestTLBMatchesMapModel drives the array TLB and an unbounded map model
-// through identical randomized sequences of inserts, invalidations, full
-// flushes and lookups, over a page pool engineered to alias heavily mod
-// tlbSlots, and demands identical visibility at every step.
+// through identical randomized sequences of inserts, host-byte fills,
+// invalidations, full flushes and lookups, over a page pool engineered to
+// alias heavily mod tlbSlots, and demands identical visibility at every
+// step.
 func TestTLBMatchesMapModel(t *testing.T) {
 	type modelEntry struct {
 		frame    mem.PhysAddr
+		host     *[mem.PageSize]byte
 		writable bool
 	}
+	hosts := []*[mem.PageSize]byte{nil, new([mem.PageSize]byte), new([mem.PageSize]byte)}
 	const seeds = 6
 	for seed := uint64(1); seed <= seeds; seed++ {
 		seed := seed
@@ -122,18 +125,26 @@ func TestTLBMatchesMapModel(t *testing.T) {
 					}
 				case 2, 3, 4:
 					fr := mem.PhysAddr(rng.Intn(1<<20)) << mem.PageShift
+					host := hosts[rng.Intn(len(hosts))]
 					w := rng.Intn(2) == 0
-					tb.insert(pva, fr, w)
-					model[pva] = modelEntry{frame: fr, writable: w}
+					tb.insert(pva, fr, host, w)
+					model[pva] = modelEntry{frame: fr, host: host, writable: w}
+				case 5:
+					host := hosts[1+rng.Intn(len(hosts)-1)]
+					tb.setHost(pva, host)
+					if me, ok := model[pva]; ok {
+						me.host = host
+						model[pva] = me
+					}
 				default:
-					fr, w, ok := tb.lookup(pva)
+					fr, host, w, ok := tb.lookup(pva)
 					me, mok := model[pva]
 					if ok != mok {
 						t.Fatalf("step %d: lookup(%#x) presence: tlb=%v model=%v", step, pva, ok, mok)
 					}
-					if ok && (fr != me.frame || w != me.writable) {
-						t.Fatalf("step %d: lookup(%#x): tlb=(%#x,%v) model=(%#x,%v)",
-							step, pva, fr, w, me.frame, me.writable)
+					if ok && (fr != me.frame || host != me.host || w != me.writable) {
+						t.Fatalf("step %d: lookup(%#x): tlb=(%#x,%p,%v) model=(%#x,%p,%v)",
+							step, pva, fr, host, w, me.frame, me.host, me.writable)
 					}
 				}
 				if tb.size() != len(model) {
@@ -152,8 +163,7 @@ func TestFlushAllTLBsInvalidatesInPlace(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tk := &Task{}
 		for pg := 0; pg < 2*tlbSlots; pg++ { // front slots and overflow both
-			tk.tlb[0].insert(pageVA(pg), mem.PhysAddr(pg)<<mem.PageShift, true)
-			tk.tlb[1].insert(pageVA(pg), mem.PhysAddr(pg)<<mem.PageShift, false)
+			tk.tlb.insert(pageVA(pg), mem.PhysAddr(pg)<<mem.PageShift, nil, true)
 		}
 		p.Tasks = append(p.Tasks, tk)
 	}
@@ -162,10 +172,10 @@ func TestFlushAllTLBsInvalidatesInPlace(t *testing.T) {
 		t.Errorf("FlushAllTLBs allocates %.2f objects/flush, want 0", allocs)
 	}
 	for _, tk := range p.Tasks {
-		if tk.tlb[0].size() != 0 || tk.tlb[1].size() != 0 {
+		if tk.tlb.size() != 0 {
 			t.Fatal("flush left live translations")
 		}
-		if _, _, ok := tk.tlb[0].lookup(pageVA(1)); ok {
+		if _, _, _, ok := tk.tlb.lookup(pageVA(1)); ok {
 			t.Fatal("flushed translation still visible")
 		}
 	}
@@ -176,13 +186,13 @@ func TestFlushAllTLBsInvalidatesInPlace(t *testing.T) {
 func BenchmarkTLBLookup(b *testing.B) {
 	var tb taskTLB
 	for pg := 0; pg < 64; pg++ {
-		tb.insert(pageVA(pg), mem.PhysAddr(pg)<<mem.PageShift, true)
+		tb.insert(pageVA(pg), mem.PhysAddr(pg)<<mem.PageShift, nil, true)
 	}
 	var sink mem.PhysAddr
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fr, _, _ := tb.lookup(pageVA(i & 63))
+		fr, _, _, _ := tb.lookup(pageVA(i & 63))
 		sink += fr
 	}
 	_ = sink
@@ -192,13 +202,13 @@ func BenchmarkTLBLookup(b *testing.B) {
 // page lives in the overflow map behind an aliasing front-slot occupant.
 func BenchmarkTLBLookupOverflow(b *testing.B) {
 	var tb taskTLB
-	tb.insert(pageVA(3), 0x1000, true)
-	tb.insert(pageVA(collidingPage(b, 3)), 0x2000, true) // displaces page 3 to overflow
+	tb.insert(pageVA(3), 0x1000, nil, true)
+	tb.insert(pageVA(collidingPage(b, 3)), 0x2000, nil, true) // displaces page 3 to overflow
 	var sink mem.PhysAddr
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fr, _, _ := tb.lookup(pageVA(3))
+		fr, _, _, _ := tb.lookup(pageVA(3))
 		sink += fr
 	}
 	_ = sink

@@ -130,6 +130,18 @@ func (p *Physical) peekSlow(idx uint64) *[PageSize]byte {
 	return f
 }
 
+// Frame returns the backing bytes of a's frame, or nil if the frame has
+// never been written; it materializes nothing. A materialized frame is
+// never freed or moved (ZeroPage and CopyPage write it in place), so the
+// pointer sees every later access of the frame for the Physical's
+// lifetime.
+func (p *Physical) Frame(a PhysAddr) *[PageSize]byte {
+	if f := p.peek(a); f != &zeroFrame {
+		return f
+	}
+	return nil
+}
+
 // CheckMapped returns an error if [a, a+n) is not fully covered by the
 // layout's regions.
 func (p *Physical) CheckMapped(a PhysAddr, n int) error {

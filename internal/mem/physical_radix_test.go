@@ -218,10 +218,17 @@ func TestPhysicalZeroFrames(t *testing.T) {
 	if p.Read64(c) != 0 {
 		t.Fatal("CopyPage from an absent frame left a non-zero destination")
 	}
+	if p.Frame(a) != nil || p.Frame(far) != nil || p.TouchedFrames() != 0 {
+		t.Fatal("Frame of a never-written frame is not nil, or materialized it")
+	}
 
 	p.Write64(a+8, 0xFEED)
 	if got := p.TouchedFrames(); got != 1 || p.Read64(a+8) != 0xFEED {
 		t.Fatalf("write after ZeroPage: TouchedFrames = %d, value %#x", got, p.Read64(a+8))
+	}
+	fa := p.Frame(a + 100)
+	if fa == nil || fa[8] != 0xED {
+		t.Fatal("Frame of a written frame does not hold its data")
 	}
 	if p.Read64(b+8) != 0 {
 		t.Fatal("a write landed in the shared zero page: a never-written frame reads it")
@@ -234,6 +241,9 @@ func TestPhysicalZeroFrames(t *testing.T) {
 	p.ZeroPage(a)
 	if p.Read64(a+8) != 0 || !p.SamePage(a, b) {
 		t.Fatal("ZeroPage left a written frame's data")
+	}
+	if p.Frame(a) != fa || fa[8] != 0 {
+		t.Fatal("ZeroPage did not clear a written frame in place: its Frame bytes moved or kept their data")
 	}
 	if got := p.TouchedFrames(); got != 2 {
 		t.Fatalf("TouchedFrames = %d after writing two frames, want 2", got)
