@@ -63,6 +63,72 @@ func newOwnedSide(cfg Config, layout *mem.Layout, ref bool) *ownedSide {
 	return &ownedSide{h: NewHierarchy(cfg, layout), disowns: ref}
 }
 
+// reset returns the side to its state when built: Watches disarmed and
+// unfired, every level empty with newLevel's recency words and no memo,
+// and the directory, hints and counters clear.
+func (s *ownedSide) reset() {
+	for n := range s.watch {
+		for c := range s.watch[n] {
+			s.watch[n][c].Disarm()
+		}
+	}
+	s.fired = [2][2]int{}
+	s.h.Flush()
+	s.h.ResetStats()
+	for _, l := range s.h.levels() {
+		if l != nil {
+			for i := range l.order {
+				l.order[i] = 0xFEDCBA9876543210 & l.ranks
+			}
+			clear(l.memo[:])
+		}
+	}
+}
+
+// ownedPair is one geometry's reference and shortcut sides, its address
+// pool, and the sets the pool's lines map to in every level, each once.
+type ownedPair struct {
+	ref, got             *ownedSide
+	refLevels, gotLevels []*level
+	pool                 []mem.PhysAddr
+	sets                 []ownedSet
+}
+
+// ownedSet is set s of level li of Hierarchy.levels; l1dNode is the node
+// whose L1D the level is, or -1.
+type ownedSet struct{ li, s, l1dNode int }
+
+func newOwnedPair(g ownedGeometry) *ownedPair {
+	layout := mem.DefaultLayout(g.model)
+	p := &ownedPair{ref: newOwnedSide(g.config(), &layout, true), got: newOwnedSide(g.config(), &layout, false),
+		pool: ownedPool(&layout)}
+	p.refLevels, p.gotLevels = p.ref.h.levels(), p.got.h.levels()
+	for li, l := range p.gotLevels {
+		if l == nil {
+			continue
+		}
+		node := -1
+		for n, nc := range p.got.h.nodes {
+			if slices.Contains(nc.l1d, l) {
+				node = n
+			}
+		}
+		for _, a := range p.pool {
+			o := ownedSet{li, int(uint64(lineOf(a)) & l.mask), node}
+			if !slices.Contains(p.sets, o) {
+				p.sets = append(p.sets, o)
+			}
+		}
+	}
+	return p
+}
+
+// ownedPairs are built once per process, each on its geometry's first
+// script, and reset before every script: building them for every script,
+// the default geometry's full-size levels above all, halves the fuzzer's
+// execs per second.
+var ownedPairs = make([]*ownedPair, len(ownedGeometries))
+
 func (s *ownedSide) access(node mem.NodeID, core int, kind Kind, addr mem.PhysAddr) sim.Cycles {
 	if s.disowns {
 		for _, nc := range s.h.nodes {
@@ -108,12 +174,14 @@ func (s *ownedSide) apply(o ownedOp) sim.Cycles {
 	return 0
 }
 
-// ownedDiff returns how got's simulated state differs from ref's, or "",
-// in the sets and directory cells of the pool's lines — all a script can
-// change. It reads the counters directly: Stats and CoreStats would fire
-// the Watches. It also holds got's owned ways of those lines to their
-// directory entries (CheckMESI's owned-way clause).
-func ownedDiff(ref, got *ownedSide, pool []mem.PhysAddr) string {
+// ownedDiff returns how the shortcut side's simulated state differs from
+// the reference's, or "", in the sets and directory cells of the pool's
+// lines — all a script can change. It reads the counters directly: Stats
+// and CoreStats would fire the Watches. It also holds the shortcut side's
+// owned ways in those sets to their directory entries (CheckMESI's
+// owned-way clause).
+func ownedDiff(p *ownedPair) string {
+	ref, got := p.ref, p.got
 	for n := range ref.h.nodes {
 		if want, have := ref.h.nodes[n].stats, got.h.nodes[n].stats; have != want {
 			return fmt.Sprintf("node %d stats\n got %+v\nwant %+v", n, have, want)
@@ -128,23 +196,28 @@ func ownedDiff(ref, got *ownedSide, pool []mem.PhysAddr) string {
 			}
 		}
 	}
-	gotLevels := got.h.levels()
-	for _, a := range pool {
-		ln := lineOf(a)
-		for li, want := range ref.h.levels() {
-			if want == nil {
-				continue
+	for _, o := range p.sets {
+		want, have := p.refLevels[o.li], p.gotLevels[o.li]
+		for wi := o.s << want.shift; wi < (o.s+1)<<want.shift; wi++ {
+			if have.ways[wi]&^wayOwned != want.ways[wi]&^wayOwned {
+				return fmt.Sprintf("level %d way %d: %#x, want %#x (owned bit aside)", o.li, wi, have.ways[wi], want.ways[wi])
 			}
-			have, s := gotLevels[li], int(uint64(ln)&want.mask)
-			for wi := s << want.shift; wi < (s+1)<<want.shift; wi++ {
-				if have.ways[wi]&^wayOwned != want.ways[wi]&^wayOwned {
-					return fmt.Sprintf("level %d way %d: %#x, want %#x (owned bit aside)", li, wi, have.ways[wi], want.ways[wi])
+			if o.l1dNode >= 0 {
+				if err := got.h.checkOwned(o.l1dNode, have.ways[wi]); err != nil {
+					return err.Error()
 				}
 			}
-			if h, w := have.recency(s), want.recency(s); !slices.Equal(h, w) {
-				return fmt.Sprintf("level %d set %d: recency %v, want %v", li, s, h, w)
-			}
 		}
+		// The same valid ways and the same recency word rank them alike.
+		if have.order[o.s] == want.order[o.s] {
+			continue
+		}
+		if h, w := have.recency(o.s), want.recency(o.s); !slices.Equal(h, w) {
+			return fmt.Sprintf("level %d set %d: recency %v, want %v", o.li, o.s, h, w)
+		}
+	}
+	for _, a := range p.pool {
+		ln := lineOf(a)
 		e, want := got.h.shardOf(ln).get(ln), ref.h.shardOf(ln).get(ln)
 		if e == nil {
 			e = &uncached
@@ -154,15 +227,6 @@ func ownedDiff(ref, got *ownedSide, pool []mem.PhysAddr) string {
 		}
 		if *e != *want {
 			return fmt.Sprintf("directory line %#x: %+v, want %+v", ln, *e, *want)
-		}
-		for n, nc := range got.h.nodes {
-			for _, l1 := range nc.l1d {
-				for _, w := range l1.setOf(ln) {
-					if err := got.h.checkOwned(n, w); err != nil {
-						return err.Error()
-					}
-				}
-			}
 		}
 	}
 	return ""
@@ -177,10 +241,15 @@ func runOwnedScript(t *testing.T, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	g := ownedGeometries[int(data[0])%len(ownedGeometries)]
-	layout := mem.DefaultLayout(g.model)
-	pool := ownedPool(&layout)
-	ref, got := newOwnedSide(g.config(), &layout, true), newOwnedSide(g.config(), &layout, false)
+	gi := int(data[0]) % len(ownedGeometries)
+	g := ownedGeometries[gi]
+	if ownedPairs[gi] == nil {
+		ownedPairs[gi] = newOwnedPair(g)
+	}
+	p := ownedPairs[gi]
+	ref, got, pool := p.ref, p.got, p.pool
+	ref.reset()
+	got.reset()
 	for i := 1; i+1 < len(data); i += 2 {
 		b, l := data[i], int(data[i+1])
 		o := ownedOp{op: int(b&7) % 7, node: mem.NodeID(b >> 3 & 1), core: int(b >> 4 & 1),
@@ -188,7 +257,7 @@ func runOwnedScript(t *testing.T, data []byte) {
 		if want, have := ref.apply(o), got.apply(o); have != want {
 			t.Fatalf("%s op %d %+v: %d, reference %d", g.name, i/2, o, have, want)
 		}
-		if diff := ownedDiff(ref, got, pool); diff != "" {
+		if diff := ownedDiff(p); diff != "" {
 			t.Fatalf("%s op %d %+v: %s", g.name, i/2, o, diff)
 		}
 	}

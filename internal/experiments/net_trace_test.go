@@ -1,7 +1,8 @@
 package experiments
 
 // Golden tests extending the tracing contract to the network subsystem:
-// tracing a cluster run must not perturb simulated time, the traced stream
+// tracing a cluster run must not perturb simulated time nor keep its wait
+// loops from parking, the traced stream
 // must carry the NIC/socket event kinds, and the stream must be
 // byte-identical whether the run executes alone or inside the parallel
 // experiment pool.
@@ -21,7 +22,7 @@ import (
 // tracedClusterRun executes a small 3-machine cluster benchmark,
 // optionally traced. All machines share one clock universe, so they share
 // one trace buffer too.
-func tracedClusterRun(traced bool) (sim.Cycles, *trace.Buffer, error) {
+func tracedClusterRun(traced bool) (redisapp.TrafficResult, sim.EngineStats, *trace.Buffer, error) {
 	var buf *trace.Buffer
 	if traced {
 		buf = trace.NewBuffer()
@@ -35,32 +36,32 @@ func tracedClusterRun(traced bool) (sim.Cycles, *trace.Buffer, error) {
 	}
 	cl, err := machine.NewCluster(cfgs, net.DefaultFabricConfig())
 	if err != nil {
-		return 0, nil, err
+		return redisapp.TrafficResult{}, sim.EngineStats{}, nil, err
 	}
 	r, err := redisapp.ClusterBench(cl, redisapp.TrafficParams{
 		Requests: 60, Clients: 8, PayloadBytes: 128, Keys: 16,
 		ZipfS: 1.0, InterArrival: 1200, SetEvery: 10, Seed: 7,
 	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return r.Traffic.Elapsed, buf, nil
+	return r.Traffic, cl.EngineStats(), buf, err
 }
 
 // TestTraceGoldenNetEvents is the network analogue of the VFS golden test:
-// observer-effect freedom, required event kinds, and byte-identity between
-// the sequential reference and pool runs.
+// observer-effect freedom, parks under a tracer, required event kinds, and
+// byte-identity between the sequential reference and pool runs.
 func TestTraceGoldenNetEvents(t *testing.T) {
-	plainCycles, _, err := tracedClusterRun(false)
+	plain, _, _, err := tracedClusterRun(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCycles, ref, err := tracedClusterRun(true)
+	traffic, es, ref, err := tracedClusterRun(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plainCycles != refCycles {
-		t.Errorf("untraced %d cycles, traced %d — tracing perturbed the cluster run", plainCycles, refCycles)
+	if traffic != plain {
+		t.Errorf("untraced %+v, traced %+v — tracing perturbed the cluster run", plain, traffic)
+	}
+	if es.Replayed == 0 {
+		t.Error("the traced run replayed no yield point: tracing kept its wait loops from parking")
 	}
 	refText := ref.Text()
 	for _, name := range []string{"nic-doorbell", "sock-send", "sock-recv", "ring-enqueue", "ring-dequeue", "doorbell"} {
@@ -69,5 +70,8 @@ func TestTraceGoldenNetEvents(t *testing.T) {
 		}
 	}
 
-	poolTraces(t, 2, refCycles, refText, func() (sim.Cycles, *trace.Buffer, error) { return tracedClusterRun(true) })
+	poolTraces(t, 2, traffic.Elapsed, refText, func() (sim.Cycles, *trace.Buffer, error) {
+		r, _, buf, err := tracedClusterRun(true)
+		return r.Elapsed, buf, err
+	})
 }

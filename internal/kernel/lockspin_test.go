@@ -9,7 +9,6 @@ import (
 	"repro/internal/cap"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // lockInterval is the test lock's poll interval, the messenger's.
@@ -48,13 +47,13 @@ type lockRig struct {
 	errs              []*error
 }
 
-// newLockRig builds the rig; spin installs an engine tracer, under which
-// no lock spin parks.
+// newLockRig builds the rig; spin forbids parks (sim.Engine.ForbidParks),
+// so every lock spin spins.
 func newLockRig(t *testing.T, quantum int64, spin bool) *lockRig {
 	t.Helper()
 	ctx := schedContext(t, 4, 1)
 	if spin {
-		ctx.Plat.Engine.Tracer = trace.NewBuffer()
+		ctx.Plat.Engine.ForbidParks()
 	}
 	return &lockRig{ctx: ctx, s: NewScheduler(ctx, SchedTimeSlice, quantum), v: NewVanilla(ctx),
 		acquired: map[string][]sim.Cycles{}, entered: map[string][]sim.Cycles{}, ends: map[string]sim.Cycles{}}
@@ -271,7 +270,7 @@ func runLock(t *testing.T, sc lockScenario, spin bool, tie lockTies) *lockRig {
 }
 
 // TestSpinWhileMatchesSpinning runs each scenario on fresh machines with
-// the lock spinning (under a tracer) and parking, and requires the same
+// the lock spinning (parks forbidden) and parking, and requires the same
 // clocks, task and CPU counters, slice fields and engine segment
 // accounting from both — and that the waiters parked, except a tenant's,
 // and parked with a task queued on their CPU where the scenario queues
@@ -291,7 +290,7 @@ func TestSpinWhileMatchesSpinning(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			spin := runLock(t, sc, true, tie)
 			if es := spin.ctx.Plat.Engine.Stats; es.LockYields == 0 || es.Replayed != 0 {
-				t.Fatalf("the traced run ran %d lock-spin yield points and replayed %d yield points: it is no spinning oracle", es.LockYields, es.Replayed)
+				t.Fatalf("the spinning run ran %d lock-spin yield points and replayed %d yield points: it is no spinning oracle", es.LockYields, es.Replayed)
 			}
 			got := runLock(t, sc, false, tie)
 			if g, w := got.dump(), spin.dump(); g != w {

@@ -100,7 +100,7 @@ var sockPollScenarios = []sockPollScenario{
 }
 
 // newSockRig builds scenario sc's machine, its poller's idle polls
-// parking or, with spin, spinning under a tracer, ready to run.
+// parking or, with spin, spinning with parks forbidden, ready to run.
 func newSockRig(tb testing.TB, sc sockPollScenario, spin bool) *sockRig {
 	tb.Helper()
 	r := &sockRig{spinRig: newSpinRig(tb, 2000, 0, spin)}
@@ -192,7 +192,7 @@ func runSockPoll(t *testing.T, sc sockPollScenario, spin bool) *sockRig {
 }
 
 // TestPollSockMatchesSpinning runs each disturbing event on fresh machines
-// with the socket poller's PollSock spinning (under a tracer) and parking,
+// with the socket poller's PollSock spinning (parks forbidden) and parking,
 // under both scheduling policies, and requires the same clocks, task,
 // cache and CPU counters and engine segment accounting from both — and
 // that PollSock parked, with parks ending by themselves where the scenario
@@ -248,7 +248,9 @@ func TestPollSockMatchesSpinning(t *testing.T) {
 // move. The count starts once the frames have written every ring slot, so
 // that no page of the ring is new.
 func TestSockParkZeroAllocs(t *testing.T) {
+	// As in TestSpinParkZeroAllocs: no collection, one P.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	var replayed int64
 	sc := sockPollScenario{name: "frames", irqCore: 1, until: 4_000_000, spawn: func(r *sockRig) {

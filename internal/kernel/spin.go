@@ -23,7 +23,7 @@ import (
 // provably can (DESIGN.md §6, "Parking"): the last probe found
 // nothing to do and all its loads were TLB and L1D hits; the task is a
 // root task attached to a scheduler (mayPark) whose preemption hook, if
-// it runs, is pure for a while; no tracer and no cache Tap is installed.
+// it runs, is pure for a while; no cache Tap is installed.
 // Until something disturbs it, every skipped iteration would repeat the
 // last one exactly, so when the task wakes the skipped iterations are
 // replayed in closed form — its counters and its cache counters
@@ -275,9 +275,9 @@ func (t *Task) SockPolls() (ran, replayed int64) {
 }
 
 // mayPark reports whether the task is one whose wait loops may park at
-// all: a root task attached to a scheduler, with no tracer installed.
+// all: a root task attached to a scheduler.
 func (t *Task) mayPark() bool {
-	return t.Sched != nil && t.Proc.Ten == nil && t.Ctx.Plat.Tracer == nil
+	return t.Sched != nil && t.Proc.Ten == nil
 }
 
 // armSpin arms the loop's watch after a probe of addrs that hit throughout

@@ -51,8 +51,8 @@ func (r *spinRig) errp() *error {
 const spinL3Stride = 64 << 10 / 4 // one way of the test L3: lines this far apart share a set
 
 // newSpinRig builds the rig; l1 > 0 replaces every core's L1 hit latency.
-// spin installs a tracer, under which no wait loop parks: the run is the
-// same loops spinning, the oracle a parked run must equal.
+// spin forbids parks (sim.Engine.ForbidParks): the run is the same loops
+// spinning, the oracle a parked run must equal.
 func newSpinRig(t testing.TB, quantum int64, l1 sim.Cycles, spin bool) *spinRig {
 	t.Helper()
 	cfg := hw.DefaultConfig(mem.Separated)
@@ -63,10 +63,10 @@ func newSpinRig(t testing.TB, quantum int64, l1 sim.Cycles, spin bool) *spinRig 
 			cfg.Cache.Nodes[n].Lat.L1 = l1
 		}
 	}
-	if spin {
-		cfg.Tracer = trace.NewBuffer()
-	}
 	plat := hw.NewPlatform(cfg)
+	if spin {
+		plat.Engine.ForbidParks()
+	}
 	x86k, err := Boot(plat, mem.NodeX86, pgtable.X86Format{}, BootConfig{ReserveLow: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func spinScenarioNamed(name string) spinScenario {
 }
 
 // runSpin runs scenario sc with the poller parking or, with spin, spinning
-// under a tracer, and returns the rig after the run.
+// with parks forbidden, and returns the rig after the run.
 func runSpin(t *testing.T, sc spinScenario, spin bool, tie spinTies) *spinRig {
 	t.Helper()
 	q := sc.quantum
@@ -327,17 +327,17 @@ func runSpin(t *testing.T, sc spinScenario, spin bool, tie spinTies) *spinRig {
 
 // spun fails t unless the rig's run is a spinning oracle: the poller's
 // loop ran polls or yield points (ran > 0), and no thread replayed any.
-// The tracer keeps every wait loop from parking; were that to change, this
+// ForbidParks keeps every wait loop from parking; were that to change, this
 // guard fails rather than the comparison turning parked against parked.
 func (r *spinRig) spun(t testing.TB, ran int64) {
 	t.Helper()
 	if es := r.ctx.Plat.Engine.Stats; ran == 0 || es.Replayed != 0 {
-		t.Fatalf("the traced run ran %d polls and replayed %d yield points: it is no spinning oracle", ran, es.Replayed)
+		t.Fatalf("the spinning run ran %d polls and replayed %d yield points: it is no spinning oracle", ran, es.Replayed)
 	}
 }
 
 // TestSpinWaitMatchesSpinning runs each disturbing event on fresh machines
-// with the poller's SpinWait spinning (under a tracer) and parking, and
+// with the poller's SpinWait spinning (parks forbidden) and parking, and
 // requires the same clocks, task, cache and CPU counters and engine
 // segment accounting from both — and that SpinWait actually parked, with a
 // task queued on its CPU too if the scenario has one.
@@ -352,7 +352,9 @@ func TestSpinWaitMatchesSpinning(t *testing.T) {
 	// The stop flag, written at 900 000 after the poller's yield points at
 	// that clock, ends the first probe after it: three yield points per
 	// iteration before, two in it.
-	if ran, _ := idle.poller.SpinYields(); ran != 3*int64((900_000-idle.entered)/period+1)+2 {
+	ran, _ := idle.poller.SpinYields()
+	idle.spun(t, ran)
+	if ran != 3*int64((900_000-idle.entered)/period+1)+2 {
 		t.Fatalf("the spinning poller ran %d yield points: its idle loop is not %d cycles from %d", ran, period, idle.entered)
 	}
 	k := (400_000 - idle.entered + period - 1) / period
@@ -384,34 +386,55 @@ func TestSpinWaitMatchesSpinning(t *testing.T) {
 	}
 }
 
+// countTracer counts the events it receives and allocates nothing.
+type countTracer struct{ n int64 }
+
+func (c *countTracer) Emit(trace.Event) { c.n++ }
+
 // TestSpinParkZeroAllocs requires parking and waking to allocate nothing:
 // across 50 wake-ups of a parked poller (each one a replay, a serve and a
 // new park) the process's allocation count does not move. With a task
 // queued on the poller's CPU throughout, its parks end by themselves at
-// each slice expiry (timed parks) between the wake-ups. The same holds for
-// a CAS spin (SpinCAS) that the other node's writes of the held lock word
-// wake 50 times.
+// each slice expiry (timed parks) between the wake-ups; under a tracer the
+// poller parks as it does untraced. The same holds for a CAS spin
+// (SpinCAS) that the other node's writes of the held lock word wake 50
+// times.
 func TestSpinParkZeroAllocs(t *testing.T) {
 	// No collection during the run: the runtime's work after one (starting
 	// mark workers, background cleanups) allocates on its own goroutines,
-	// which ReadMemStats counts too.
+	// which ReadMemStats counts too. One P, as in testing.AllocsPerRun:
+	// ReadMemStats stops the world, and restarting it with an idle P may
+	// start an OS thread for it, whose runtime structures count as mallocs.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, queued := range []bool{false, true} {
-		t.Run(fmt.Sprintf("queued=%v", queued), func(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		name           string
+		queued, traced bool
+	}{
+		{"queued=false", false, false},
+		{"queued=true", true, false},
+		{"traced", false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			r := newSpinRig(t, 2000, 0, false)
+			var tr countTracer
+			if c.traced {
+				// As hw.NewPlatform installs a configured tracer.
+				r.ctx.Plat.Tracer, r.ctx.Plat.Engine.Tracer, r.ctx.Plat.Caches.Tracer = &tr, &tr, &tr
+			}
 			r.spawnPoller()
-			if queued {
+			if c.queued {
 				r.queue("intruder", 100_000, 1_000_000)
 			}
 			var before, after runtime.MemStats
-			var replayed, timed int64
+			var replayed, timed, events int64
 			es := &r.ctx.Plat.Engine.Stats
 			r.ctx.Plat.Engine.Spawn("writer", 400_000, func(th *sim.Thread) {
 				pt := r.ctx.Plat.NewPort(mem.NodeX86, 1, th)
 				for i := 1; i <= 60; i++ {
 					if i == 10 {
 						runtime.ReadMemStats(&before)
-						replayed, timed = es.Replayed, es.TimedParks
+						replayed, timed, events = es.Replayed, es.TimedParks, tr.n
 					}
 					th.YieldPoint()
 					pt.Write64(r.words[0], uint64(i))
@@ -419,7 +442,7 @@ func TestSpinParkZeroAllocs(t *testing.T) {
 					th.Advance(20_000)
 				}
 				runtime.ReadMemStats(&after)
-				replayed, timed = es.Replayed-replayed, es.TimedParks-timed
+				replayed, timed, events = es.Replayed-replayed, es.TimedParks-timed, tr.n-events
 				pt.Write64(r.words[2], 1)
 			})
 			if err := r.ctx.Plat.Engine.Run(); err != nil {
@@ -428,8 +451,11 @@ func TestSpinParkZeroAllocs(t *testing.T) {
 			if replayed == 0 || r.served != 60 {
 				t.Fatalf("%d yield points replayed, %d requests served: the poller did not park between wake-ups", replayed, r.served)
 			}
-			if queued && (timed < 50 || r.ends["intruder"] < 1_600_000) {
+			if c.queued && (timed < 50 || r.ends["intruder"] < 1_600_000) {
 				t.Fatalf("%d timed parks, the queued task done at %d: the poller did not park behind it throughout", timed, r.ends["intruder"])
+			}
+			if c.traced && events == 0 {
+				t.Fatal("the tracer received no event over the wake-ups")
 			}
 			if n := after.Mallocs - before.Mallocs; n != 0 {
 				t.Errorf("%d allocations over 50 park/wake cycles", n)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pgtable"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // testSystem boots a context + baseline OS over the Shared memory model.
@@ -337,15 +336,14 @@ func TestProcessesOfBothOriginsGetDistinctState(t *testing.T) {
 // dsmRace runs four tasks of one process, two per node, storing to one
 // page in turns, so that their faults contend for the page's DSM lock and
 // the messenger's channel lock. It renders every number a parked lock
-// spin could move. With a tracer installed the lock spins never park
-// (sim.Thread.SpinWhile), and tracing moves no simulated number, so the
-// traced run is the spinning reference.
-func dsmRace(t *testing.T, traced bool) (string, sim.EngineStats) {
+// spin could move. With spin the engine forbids parks
+// (sim.Engine.ForbidParks), so the lock spins spin: the reference.
+func dsmRace(t *testing.T, spin bool) (string, sim.EngineStats) {
 	t.Helper()
 	ctx, os := testSystem(t, interconnect.SHM)
 	eng := ctx.Plat.Engine
-	if traced {
-		eng.Tracer = trace.NewBuffer()
+	if spin {
+		eng.ForbidParks()
 	}
 	var proc *kernel.Process
 	var base pgtable.VirtAddr
@@ -411,10 +409,10 @@ func TestDSMLockParksExactly(t *testing.T) {
 	t.Logf("spinning: %d lock-spin yield points; parked: %d run, %d replayed",
 		spun.LockYields, parked.LockYields, parked.LockReplayed)
 	if spun.LockYields == 0 || spun.LockReplayed != 0 {
-		t.Fatalf("traced run: %d lock-spin yield points run, %d replayed; want some run, none replayed",
+		t.Fatalf("spinning run: %d lock-spin yield points run, %d replayed; want some run, none replayed",
 			spun.LockYields, spun.LockReplayed)
 	}
 	if parked.LockReplayed == 0 {
-		t.Fatalf("untraced run replayed no lock-spin yield point (%d run)", parked.LockYields)
+		t.Fatalf("parked run replayed no lock-spin yield point (%d run)", parked.LockYields)
 	}
 }

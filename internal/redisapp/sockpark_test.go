@@ -12,7 +12,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/net"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // sockScenario is one cell of a load generator (machine 0) against a
@@ -57,15 +56,13 @@ type sockCell struct {
 }
 
 // runSockCell runs scenario sc with the pollers parking or, with spin,
-// spinning under a tracer, and renders every number the two must share.
+// spinning with parks forbidden (sim.Engine.ForbidParks), and renders every
+// number the two must share.
 func runSockCell(t *testing.T, sc sockScenario, spin bool) sockCell {
 	t.Helper()
 	cfgs := make([]machine.Config, 2)
 	for i := range cfgs {
 		cfgs[i] = machine.Config{Model: mem.Shared, OS: machine.StramashOS, Cores: 2, Sched: sc.sched, SchedQuantum: 2000}
-		if spin {
-			cfgs[i].Tracer = trace.NewBuffer()
-		}
 		if sc.tenant {
 			cfgs[i].Tenants = []machine.TenantSpec{{Name: "t0", Budget: cap.Budget{Frames: 1 << 20, CacheFrames: 1 << 20},
 				Grants: []string{"sock", "net", "vma", "futex", "spawn", "file"}}}
@@ -77,6 +74,9 @@ func runSockCell(t *testing.T, sc sockScenario, spin bool) sockCell {
 	}
 	if sc.quantum > 0 {
 		cl.Eng.Quantum = sc.quantum
+	}
+	if spin {
+		cl.Eng.ForbidParks()
 	}
 	tp := TrafficParams{Requests: 60, Clients: 8, PayloadBytes: 64, Keys: 16, ZipfS: 1,
 		InterArrival: sc.gap, SetEvery: 4, Seed: 3, Port: 6379, ServerCompute: 2000}
@@ -150,7 +150,7 @@ func runSockCell(t *testing.T, sc sockScenario, spin bool) sockCell {
 }
 
 // TestSockPollMatchesSpinning runs each scenario with the generator's and
-// the single-task server's kernel.Task.PollSock spinning (under a tracer)
+// the single-task server's kernel.Task.PollSock spinning (parks forbidden)
 // and parking, and requires the same clocks, latencies, digests,
 // task, cache and CPU counters and engine segment accounting from both —
 // and that both pollers parked where they may, with parks ending by
@@ -162,7 +162,7 @@ func TestSockPollMatchesSpinning(t *testing.T) {
 			genRan, _ := spin.gen.SockPolls()
 			srvRan, _ := spin.frontend.SockPolls()
 			if genRan == 0 || srvRan == 0 || spin.eng.Replayed != 0 {
-				t.Fatalf("the traced run's pollers ran %d and %d idle polls and replayed %d yield points: it is no spinning oracle", genRan, srvRan, spin.eng.Replayed)
+				t.Fatalf("the spinning run's pollers ran %d and %d idle polls and replayed %d yield points: it is no spinning oracle", genRan, srvRan, spin.eng.Replayed)
 			}
 			got := runSockCell(t, sc, false)
 			if got.dump != spin.dump {

@@ -33,9 +33,8 @@ import (
 //
 // Lock and unlock ops take and release a spin lock of the thread's group:
 // the engine waits in Thread.SpinWhile, the interpreter spins, and the
-// unlock disturbs every waiter the engine has parked. SpinWhile never
-// parks under a tracer, so the seeds with lock ops run untraced and are
-// compared on everything but the event stream.
+// unlock disturbs every waiter the engine has parked. As with spin ops, the
+// iterations a parked SpinWhile skips are left out of the event stream.
 
 type opKind int
 
@@ -771,9 +770,8 @@ const (
 	lockSeeds  = 240
 )
 
-// TestScheduleModel compares Engine.Run with the interpreter:
-// events (traced; the lock seeds run untraced), error, final clocks and
-// segment accounting.
+// TestScheduleModel compares Engine.Run, traced, with the interpreter:
+// events, error, final clocks and segment accounting.
 func TestScheduleModel(t *testing.T) {
 	var cov, plain, lockCov modelCoverage
 	var lcov lockCoverage
@@ -792,16 +790,14 @@ func TestScheduleModel(t *testing.T) {
 
 		w := newScriptWorld(scripts, groups)
 		buf := trace.NewBuffer()
-		if !locks {
-			w.eng.Tracer = buf
-		}
+		w.eng.Tracer = buf
 		w.spawnRoots()
 		gotErr := w.eng.Run()
 
 		if errText(gotErr) != errText(wantErr) {
 			t.Fatalf("seed %d: Run error %q, model %q", seed, errText(gotErr), errText(wantErr))
 		}
-		if got, want := eventText(buf.Events), eventText(m.events); !locks && got != want {
+		if got, want := eventText(buf.Events), eventText(m.events); got != want {
 			t.Fatalf("seed %d: event stream diverges from the model\n--- engine\n%s--- model\n%s", seed, got, want)
 		}
 		clocks := w.clocks()

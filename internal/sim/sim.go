@@ -457,12 +457,18 @@ type Engine struct {
 	// cur is the thread holding the execution token during Run (the last
 	// one granted), nil while the engine is idle.
 	cur *Thread
+	// noParks makes ParkSpin decline (ForbidParks).
+	noParks bool
 }
 
 // NewEngine returns an engine with the default scheduling quantum.
 func NewEngine() *Engine {
 	return &Engine{Quantum: 20000, lastRun: -1}
 }
+
+// ForbidParks makes every later ParkSpin decline, so each wait loop spins:
+// the reference a parked run must equal; no simulated number moves.
+func (e *Engine) ForbidParks() { e.noParks = true }
 
 // Spawn creates a new simulated thread executing body. The thread's local
 // clock starts at start cycles (usually the spawner's current time). Spawn

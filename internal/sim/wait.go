@@ -121,14 +121,15 @@ func (t *Thread) SetSpinHook(h SpinHook) { t.spinHook = h }
 
 // ParkSpin parks the thread at yield point 0 of the wait loop s instead of
 // running it, when the loop's skipped iterations are provably pure
-// (DESIGN.md §9, "Parked spins"): the thread is outside atomic sections, no
-// engine tracer is installed, 0 < s.Interval and s.Probe+s.Interval <
-// Quantum (so no advance of the loop reaches a quantum yield), s.Bound > 0,
-// and the preemption hook is absent, disabled, or pure by the SpinHook at
-// yield point 0 at least. The caller vouches for the rest: every skipped
-// iteration would observe what the last one did, until w.Disturb (w may be
-// nil), Engine.Wake, another Disturb or yield point s.Bound. probe (nil
-// for a flag spin, which has none) accounts the skipped probes. The wake
+// (DESIGN.md §9, "Parked spins"): the thread is outside atomic sections,
+// the engine allows parks (ForbidParks; a tracer does not stop them),
+// 0 < s.Interval and s.Probe+s.Interval < Quantum (so no advance of the
+// loop reaches a quantum yield), s.Bound > 0, and the preemption hook is
+// absent, disabled, or pure by the SpinHook at yield point 0 at least.
+// The caller vouches for the rest: every skipped iteration would observe
+// what the last one did, until w.Disturb (w may be nil), Engine.Wake,
+// another Disturb or yield point s.Bound. probe (nil for a flag spin,
+// which has none) accounts the skipped probes. The wake
 // finds the first yield point ordered after the disturbing segment, has
 // the SpinHook replay the ones before it and probe their probes, and
 // ParkSpin returns its index once the thread resumes there. A park also
@@ -143,7 +144,7 @@ func (t *Thread) ParkSpin(reason string, w *Waiters, s Spin, probe SpinProbe) (i
 	if s.Points < 1 || s.Points > 3 {
 		panic(fmt.Sprintf("sim: thread %q parked a loop of %d yield points per iteration", t.Name, s.Points))
 	}
-	if t.atomicDepth > 0 || e.Tracer != nil || s.Interval <= 0 || s.Probe+s.Interval >= e.Quantum {
+	if t.atomicDepth > 0 || e.noParks || s.Interval <= 0 || s.Probe+s.Interval >= e.Quantum {
 		return 0, false
 	}
 	if t.Preemptible() {

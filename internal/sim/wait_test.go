@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // spinLockRace is a lock handed back and forth: the holder takes the flag
@@ -47,6 +49,11 @@ func spinLockRace(rounds int, round func(i int), hook SpinHook) *Engine {
 	return e
 }
 
+// countTracer counts the events it receives and allocates nothing.
+type countTracer struct{ n int64 }
+
+func (c *countTracer) Emit(trace.Event) { c.n++ }
+
 // boundHook is a SpinHook whose hook acts at yield point b of every park.
 type boundHook int64
 
@@ -58,38 +65,51 @@ func (boundHook) Replay(Spin, int64)     {}
 // wake exist, the process's allocation count does not move. Under a hook
 // that acts at the fourth poll of each park, every round's first park
 // ends there by itself (a timed park), and the next one at the release.
+// Under a tracer the waiter parks as it does untraced.
 func TestSpinWhileZeroAllocs(t *testing.T) {
 	// No collection during the run: the runtime's work after one (starting
 	// mark workers, background cleanups) allocates on its own goroutines,
-	// which ReadMemStats counts too.
+	// which ReadMemStats counts too. One P, as in testing.AllocsPerRun:
+	// ReadMemStats stops the world, and restarting it with an idle P may
+	// start an OS thread for it, whose runtime structures count as mallocs.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range []struct {
 		name           string
 		hook           SpinHook
+		traced         bool
 		replays, timed int64 // at least, per round
 	}{
-		{"no hook", nil, 8, 0},
-		{"timed park", boundHook(4), 4, 1},
+		{"no hook", nil, false, 8, 0},
+		{"timed park", boundHook(4), false, 4, 1},
+		{"traced", nil, true, 8, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			var e *Engine
-			var replayed, timed int64
+			var tr countTracer
+			var replayed, timed, events int64
 			e = spinLockRace(61, func(i int) {
 				switch i {
 				case 10:
 					runtime.ReadMemStats(&before)
-					replayed, timed = e.Stats.LockReplayed, e.Stats.TimedParks
+					replayed, timed, events = e.Stats.LockReplayed, e.Stats.TimedParks, tr.n
 				case 60:
 					runtime.ReadMemStats(&after)
-					replayed, timed = e.Stats.LockReplayed-replayed, e.Stats.TimedParks-timed
+					replayed, timed, events = e.Stats.LockReplayed-replayed, e.Stats.TimedParks-timed, tr.n-events
 				}
 			}, c.hook)
+			if c.traced {
+				e.Tracer = &tr
+			}
 			if err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
 			if replayed < 50*c.replays || timed < 50*c.timed {
 				t.Fatalf("%d yield points replayed and %d timed parks over 50 rounds: the waiter did not park on each", replayed, timed)
+			}
+			if c.traced && events == 0 {
+				t.Fatal("the tracer received no event over the 50 rounds")
 			}
 			if n := after.Mallocs - before.Mallocs; n != 0 {
 				t.Errorf("%d allocations over 50 park/disturb cycles", n)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pgtable"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ptlRig is one fresh machine, four x86 cores and two Arm cores under a
@@ -28,18 +27,18 @@ type ptlRig struct {
 	ends     map[string]sim.Cycles
 }
 
-// newPTLRig builds the rig; spin installs a tracer, under which no PTL
-// acquire parks.
+// newPTLRig builds the rig; spin forbids parks (sim.Engine.ForbidParks),
+// so every PTL acquire spins.
 func newPTLRig(tb testing.TB, quantum int64, spin bool) *ptlRig {
 	tb.Helper()
 	cfg := hw.DefaultConfig(mem.Shared)
 	cfg.Cache.Nodes[mem.NodeX86].Cores = 4
 	cfg.Cache.Nodes[mem.NodeArm].Cores = 2
 	r := &ptlRig{acquired: map[string][]sim.Cycles{}, ends: map[string]sim.Cycles{}}
-	if spin {
-		cfg.Tracer = trace.NewBuffer()
-	}
 	plat := hw.NewPlatform(cfg)
+	if spin {
+		plat.Engine.ForbidParks()
+	}
 	x86k, err := kernel.Boot(plat, mem.NodeX86, pgtable.X86Format{}, kernel.BootConfig{ReserveLow: 64 << 20})
 	if err != nil {
 		tb.Fatal(err)
@@ -235,7 +234,7 @@ func runPTL(t *testing.T, sc ptlScenario, spin bool, tie ptlTies) *ptlRig {
 }
 
 // TestLockPTLMatchesSpinning runs each scenario on fresh machines with
-// the PTL acquire spinning (under a tracer) and parking, and requires the
+// the PTL acquire spinning (parks forbidden) and parking, and requires the
 // same clocks, task, cache and CPU counters, PTL acquisitions and engine
 // segment accounting from both; that the parked acquire ran or replayed
 // exactly the failed CASes the spinning one ran; and that it parked, with
@@ -267,7 +266,7 @@ func TestLockPTLMatchesSpinning(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			spin := runPTL(t, sc, true, tie)
 			if st, es := spin.o.Stats, spin.ctx.Plat.Engine.Stats; st.PTLFailedRun == 0 || es.Replayed != 0 {
-				t.Fatalf("the traced run ran %d failed CASes and replayed %d yield points: it is no spinning oracle", st.PTLFailedRun, es.Replayed)
+				t.Fatalf("the spinning run ran %d failed CASes and replayed %d yield points: it is no spinning oracle", st.PTLFailedRun, es.Replayed)
 			}
 			got := runPTL(t, sc, false, tie)
 			if g, w := got.dump(), spin.dump(); g != w {

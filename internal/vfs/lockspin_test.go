@@ -10,26 +10,24 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vfs"
 )
 
 // appendRace runs four appenders, two per node, each writing records to
 // one O_APPEND file, so that they contend for the inode's append lock and
 // the page-cache locks. It renders every number a parked lock spin could
-// move. With a tracer installed the lock spins never park
-// (sim.Thread.SpinWhile), and tracing moves no simulated number, so the
-// traced run is the spinning reference.
-func appendRace(t *testing.T, regime vfs.Regime, traced bool) (string, sim.EngineStats) {
+// move. With spin the engine forbids parks (sim.Engine.ForbidParks), so
+// the lock spins spin: the reference.
+func appendRace(t *testing.T, regime vfs.Regime, spin bool) (string, sim.EngineStats) {
 	t.Helper()
 	cfg := machine.Config{Model: mem.Shared, OS: machine.StramashOS, FileCache: regime,
 		Cores: 2, Sched: kernel.SchedTimeSlice, SchedQuantum: 10_000}
-	if traced {
-		cfg.Tracer = trace.NewBuffer()
-	}
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if spin {
+		m.Plat.Engine.ForbidParks()
 	}
 	const path = "/aof"
 	if _, err := m.RunSingle("setup", mem.NodeX86, func(tk *kernel.Task) error {
@@ -93,13 +91,13 @@ func TestAppendLockParksExactly(t *testing.T) {
 				t.Fatalf("parked lock spins diverge from spinning\n--- parked\n%s--- spinning\n%s", got, want)
 			}
 			if spun.LockYields == 0 || spun.LockReplayed != 0 {
-				t.Fatalf("traced run: %d lock-spin yield points run, %d replayed; want some run, none replayed",
+				t.Fatalf("spinning run: %d lock-spin yield points run, %d replayed; want some run, none replayed",
 					spun.LockYields, spun.LockReplayed)
 			}
 			t.Logf("spinning: %d lock-spin yield points; parked: %d run, %d replayed",
 				spun.LockYields, parked.LockYields, parked.LockReplayed)
 			if parked.LockReplayed == 0 {
-				t.Fatalf("untraced run replayed no lock-spin yield point (%d run)", parked.LockYields)
+				t.Fatalf("parked run replayed no lock-spin yield point (%d run)", parked.LockYields)
 			}
 		})
 	}
