@@ -7,9 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// MaxWatchLines is the most lines one Watch polls.
-const MaxWatchLines = 4
-
 // Watch is a parked spin loop's claim on the cache state its probes depend
 // on (DESIGN.md §6, "Parking"). While it is armed, its core's L1D holds
 // every watched line, so each skipped probe would be L1D hits that only add
@@ -30,13 +27,12 @@ const MaxWatchLines = 4
 //   - Flush, and reading or resetting the counters (Stats, CoreStats,
 //     ResetStats), which must include the skipped probes.
 //
-// The zero value is disarmed. A Watch is reused park after park without
-// allocating.
+// The zero value is disarmed. A Watch is reused park after park: its line
+// set grows to the most lines it has held and then allocates nothing.
 type Watch struct {
 	h     *Hierarchy
 	l1    *level
-	lines [MaxWatchLines]lineAddr
-	n     int
+	lines []lineAddr
 	fire  func()
 	armed bool
 	// write: the probes are writes (a CAS) by node, each an L1D write hit.
@@ -45,10 +41,10 @@ type Watch struct {
 }
 
 // Arm arms w for a spin loop on (node, core) probing the lines holding
-// addrs, calling fire on the first disturbing event. It arms nothing and
-// returns false unless every line is resident in the core's L1D, no other
-// Watch holds that L1D, no Tap is installed and len(addrs) <= MaxWatchLines;
-// with write (the probes are writes), also unless the node holds every line
+// addrs, any number of them, calling fire on the first disturbing event.
+// It arms nothing and returns false unless every line is resident in the
+// core's L1D, no other Watch holds that L1D and no Tap is installed; with
+// write (the probes are writes), also unless the node holds every line
 // in M state, alone, so that each probe would be a write hit. A write watch
 // ignores writes from its own node, which leave its copy and the line's
 // directory entry as they are: a change of a watched word's value is then
@@ -56,7 +52,7 @@ type Watch struct {
 // its waiters). Arm charges nothing and changes no simulated cache state.
 func (h *Hierarchy) Arm(w *Watch, node mem.NodeID, core int, addrs []mem.PhysAddr, write bool, fire func()) bool {
 	l1 := h.nodes[node].l1d[core]
-	if w.armed || h.Tap != nil || l1.watch != nil || len(addrs) > MaxWatchLines {
+	if w.armed || h.Tap != nil || l1.watch != nil {
 		return false
 	}
 	for _, a := range addrs {
@@ -70,10 +66,12 @@ func (h *Hierarchy) Arm(w *Watch, node mem.NodeID, core int, addrs []mem.PhysAdd
 			}
 		}
 	}
-	w.h, w.l1, w.n, w.fire, w.write, w.node, w.armed = h, l1, len(addrs), fire, write, int(node), true
-	for i, a := range addrs {
-		w.lines[i] = lineOf(a)
-		h.entry(w.lines[i]).flags |= dirWatched
+	w.h, w.l1, w.fire, w.write, w.node, w.armed = h, l1, fire, write, int(node), true
+	w.lines = w.lines[:0]
+	for _, a := range addrs {
+		ln := lineOf(a)
+		w.lines = append(w.lines, ln)
+		h.entry(ln).flags |= dirWatched
 	}
 	l1.watch = w
 	h.watches = append(h.watches, w)
@@ -89,7 +87,7 @@ func (w *Watch) Disarm() {
 	w.armed = false
 	w.l1.watch = nil
 	h.watches = slices.DeleteFunc(h.watches, func(o *Watch) bool { return o == w })
-	for _, ln := range w.lines[:w.n] {
+	for _, ln := range w.lines {
 		if !h.watched(ln) {
 			h.entry(ln).flags &^= dirWatched
 		}
@@ -102,7 +100,7 @@ func (w *Watch) Armed() bool { return w.armed }
 // watched reports whether an armed Watch polls ln.
 func (h *Hierarchy) watched(ln lineAddr) bool {
 	for _, w := range h.watches {
-		if slices.Contains(w.lines[:w.n], ln) {
+		if slices.Contains(w.lines, ln) {
 			return true
 		}
 	}
@@ -124,7 +122,7 @@ func (w *Watch) trigger() {
 func (h *Hierarchy) fireLine(ln lineAddr, node int, write bool) {
 	for i := 0; i < len(h.watches); {
 		w := h.watches[i]
-		if (node < 0 || w.write && w.node != node || !w.write && write) && slices.Contains(w.lines[:w.n], ln) {
+		if (node < 0 || w.write && w.node != node || !w.write && write) && slices.Contains(w.lines, ln) {
 			w.trigger() // removes h.watches[i]
 			continue
 		}
@@ -137,6 +135,15 @@ func (h *Hierarchy) fireAll() {
 	for len(h.watches) > 0 {
 		h.watches[0].trigger()
 	}
+}
+
+// L1DAccesses returns the data accesses through (node, core)'s L1D so far.
+// Unlike CoreStats it fires no Watch, so it leaves out the hits of probes
+// that a loop parked on that L1D has skipped: a running thread compares
+// two readings to learn whether anything but its own accesses went through
+// its L1D in between (kernel.Task.PollSock).
+func (h *Hierarchy) L1DAccesses(node mem.NodeID, core int) int64 {
+	return h.nodes[node].coreStats[core].L1DAccesses
 }
 
 // ReplayL1DHits adds n data reads by (node, core) that hit its L1D to the

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -189,7 +190,10 @@ func TestRedisprodEngineStatsPinned(t *testing.T) {
 // wait-loop yield points instead of running them. Worker 0 shares x86
 // core 0 with the frontend: while the frontend is queued there, its park
 // ends by itself at each slice expiry (sim.Spin.Bound), where it yields
-// the CPU.
+// the CPU. Every yield point the engine replayed is one the tasks' wait
+// loops account for: the workers', the frontend's and the load
+// generator's probes and the PTL's CASes (kernel.Task.ReplayedYields),
+// and the lock spins.
 func TestRedisprodWorkersPark(t *testing.T) {
 	r, err := runProdCell(redisprodParams(Quick), redisapp.KSSharded, vfs.RegimeFused, 2)
 	if err != nil {
@@ -205,14 +209,41 @@ func TestRedisprodWorkersPark(t *testing.T) {
 			t.Errorf("%s replayed %.1f %% of its wait-loop yield points, want at least 90 %%", task.Name, 100*share)
 		}
 	}
-	var ptl int64
-	for _, task := range r.server.Proc.Tasks {
-		ptl += task.CASYields()
+	tasks := append(slices.Clone(r.server.Proc.Tasks), r.loadgen)
+	var all int64
+	for _, task := range tasks {
+		all += task.ReplayedYields()
 	}
-	_, gen := r.loadgen.SockPolls()
-	if es := r.cl.EngineStats(); es.Replayed != replayed+es.LockReplayed+ptl+gen {
-		t.Errorf("engine replayed %d yield points, the workers %d, the lock spins %d, the PTL spins %d and the load generator %d",
-			es.Replayed, replayed, es.LockReplayed, ptl, gen)
+	front, gen := r.server.ReplayedYields(), r.loadgen.ReplayedYields()
+	if es := r.cl.EngineStats(); es.Replayed != all+es.LockReplayed {
+		t.Errorf("engine replayed %d yield points; the lock spins %d, the tasks' wait loops %d: the workers' probes %d, the frontend %d, the load generator %d and the PTL spins the other %d",
+			es.Replayed, es.LockReplayed, all, replayed, front, gen, all-replayed-front-gen)
+	}
+}
+
+// TestRedisprodFrontendParks is the frontend's parking guard: on the
+// quick sharded/fused/2c cell and on the same cell with every request a
+// SET, where requests also stall on full request rings, the frontend
+// replays at least 90 % of its idle polls instead of running them
+// (kernel.Task.PollSock with the workers' ring probes). An idle stretch's
+// first poll always runs: the iteration before it found work.
+func TestRedisprodFrontendParks(t *testing.T) {
+	for _, setEvery := range []int{0, 1} {
+		p := redisprodParams(Quick)
+		if setEvery > 0 {
+			p.SetEvery = setEvery
+		}
+		r, err := runProdCell(p, redisapp.KSSharded, vfs.RegimeFused, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran, replayed := r.server.SockPolls()
+		share := float64(replayed) / float64(ran+replayed)
+		t.Logf("SetEvery %d: frontend: %d idle polls run, %d replayed (%.1f %%), %d yield points replayed",
+			p.SetEvery, ran, replayed, 100*share, r.server.ReplayedYields())
+		if share < 0.9 {
+			t.Errorf("SetEvery %d: the frontend replayed %.1f %% of its idle polls, want at least 90 %%", p.SetEvery, 100*share)
+		}
 	}
 }
 

@@ -16,12 +16,17 @@ import (
 
 // sockRig is a spinRig whose poller polls a listening socket on a NIC of
 // its own instead of ring words: each iteration is one TrySocketAccept,
-// which never accepts. A frame written into the RX ring (staleFrame, which
-// the receive poll dequeues and drops) makes an iteration that is not
-// idle, after which the poller works for a while.
+// which never accepts, and then, as the production frontend does, one
+// ring probe per ring (rings). A frame written into the RX ring
+// (staleFrame, which the receive poll dequeues and drops) or a ring whose
+// head passed its tail makes an iteration that is not idle, after which
+// the poller works for a while.
 type sockRig struct {
 	*spinRig
 	rx *interconnect.Ring
+	// rings are the physical addresses of the probed rings' head words,
+	// each ring's tail one line after its head.
+	rings []mem.PhysAddr
 	// workAt is the clock of the poller's last yield point before its
 	// work, 0 until it first works.
 	workAt sim.Cycles
@@ -48,6 +53,10 @@ type sockPollScenario struct {
 	// next: once the socket loop ends, the poller polls another word set,
 	// r.words[0] of a page of its own, in SpinWait until it is non-zero.
 	next bool
+	// rings is the number of rings each iteration probes after its
+	// syscall; before, when set, spawns threads ahead of the poller.
+	rings  int
+	before func(r *sockRig)
 }
 
 // staleFrame is an ACK for a connection the poller's stack does not have.
@@ -57,6 +66,39 @@ var staleFrame = net.EncodeFrame(&net.Frame{Kind: net.FrameACK, Src: net.Addr{Po
 // (x86, core).
 func (r *sockRig) write(name string, core int, at sim.Cycles) {
 	r.raw(name, mem.NodeX86, core, at, func(pt *hw.Port) { r.rx.Send(pt, staleFrame) })
+}
+
+// ringStride spaces the probed rings: an odd number of lines, so that
+// their control lines spread over the L1D's sets.
+const ringStride = 37 * mem.LineSize
+
+// ringWrite makes ring i's head pass its tail at clock at, from (x86,
+// core).
+func (r *sockRig) ringWrite(name string, core int, at sim.Cycles, i int) {
+	r.raw(name, mem.NodeX86, core, at, func(pt *hw.Port) { pt.Write64(r.rings[i], pt.Read64(r.rings[i])+1) })
+}
+
+// ringWriteTied makes ring 2's head pass its tail, from x86 core 1, on the
+// clock the poller's idle loop closes its probe of ring 1 and opens its
+// probe of ring 2, in the first iteration past 700 000. Until the first
+// event the loop repeats every T cycles from the clock it entered at: the
+// syscall, two L1 hits per ring probe, the poll interval.
+func (r *sockRig) ringWriteTied(name string) {
+	r.ctx.Plat.Engine.Spawn(name, 600_000, func(th *sim.Thread) {
+		if r.entered == 0 || r.entered >= 600_000 {
+			panic(fmt.Sprintf("the poller entered its loop at %d", r.entered))
+		}
+		lat := r.ctx.Plat.Cfg.Cache.Nodes[mem.NodeX86].Lat.L1
+		sys := sockSyscallCost + 2*lat
+		period := sys + 2*sim.Cycles(len(r.rings))*lat + r.interval
+		n := (700_000 - r.entered + period - 1) / period
+		th.AdvanceTo(r.entered + n*period + sys + 4*lat)
+		th.YieldPoint()
+		pt := r.ctx.Plat.NewPort(mem.NodeX86, 1, th)
+		pt.Write64(r.rings[2], pt.Read64(r.rings[2])+1)
+		th.YieldPoint()
+		r.ends[name] = th.Now()
+	})
 }
 
 var sockPollScenarios = []sockPollScenario{
@@ -97,6 +139,29 @@ var sockPollScenarios = []sockPollScenario{
 		r.queue("intruder", 400_000, 20_000)
 		r.write("writer", 1, 1_500_000)
 	}},
+	// Ring probes after the syscall: the park may end inside an
+	// iteration, which the poller then finishes.
+	{name: "ring probes, rx write", irqCore: 1, until: 2_000_000, rings: 6, spawn: func(r *sockRig) {
+		r.write("writer", 1, 400_000)
+		r.write("writer2", 1, 900_000)
+	}},
+	{name: "ring probes, ring writes", irqCore: 1, until: 2_000_000, rings: 6, spawn: func(r *sockRig) {
+		r.ringWrite("writer", 1, 400_000, 0)
+		r.ringWrite("writer2", 1, 900_000, 5)
+		r.ringWrite("writer3", 0, 1_300_000, 3)
+	}},
+	{name: "ring probes, queued task", policy: SchedTimeSlice, irqCore: 1, until: 2_000_000, rings: 6, timed: true, spawn: func(r *sockRig) {
+		r.queue("intruder", 400_000, 20_000)
+		r.ringWrite("writer", 1, 1_500_000, 2)
+	}},
+	// The write's segment ties with two yield points of a parked
+	// iteration, a probe's close and the next one's open, whose loads the
+	// write changes: a lower-ID writer runs before both, so that probe
+	// sees it; a higher-ID one after that probe has read the ring.
+	{name: "ring probes, ring write tied with two probes, lower ID", irqCore: 1, until: 2_000_000, rings: 6,
+		before: func(r *sockRig) { r.ringWriteTied("writer") }, spawn: func(*sockRig) {}},
+	{name: "ring probes, ring write tied with two probes, higher ID", irqCore: 1, until: 2_000_000, rings: 6,
+		spawn: func(r *sockRig) { r.ringWriteTied("writer") }},
 }
 
 // newSockRig builds scenario sc's machine, its poller's idle polls
@@ -105,6 +170,9 @@ func newSockRig(tb testing.TB, sc sockPollScenario, spin bool) *sockRig {
 	tb.Helper()
 	r := &sockRig{spinRig: newSpinRig(tb, 2000, 0, spin)}
 	r.s = NewScheduler(r.ctx, sc.policy, 2000)
+	if sc.before != nil {
+		sc.before(r)
+	}
 	nicBase := r.ctx.Plat.Layout().OwnedRegions(mem.NodeX86)[0].Start + 32<<20
 	spawnScheduled(r.ctx, r.s, r.v, "poller", 0, 0, func(t *Task) error {
 		r.poller = t
@@ -116,6 +184,25 @@ func newSockRig(tb testing.TB, sc sockPollScenario, spin bool) *sockRig {
 		lfd, err := t.SocketListen(80)
 		if err != nil {
 			return err
+		}
+		var ring pgtable.VirtAddr
+		if sc.rings > 0 {
+			if ring, err = t.Proc.Mmap(uint64(sc.rings)*ringStride+mem.LineSize, VMARead|VMAWrite, "rings"); err != nil {
+				return err
+			}
+			for i := range sc.rings {
+				head := ring + pgtable.VirtAddr(i)*ringStride
+				for _, a := range []pgtable.VirtAddr{head, head + mem.LineSize} {
+					if err := t.Store(a, 8, 0); err != nil {
+						return err
+					}
+				}
+				pa, err := t.translate(head, false)
+				if err != nil {
+					return err
+				}
+				r.rings = append(r.rings, pa)
+			}
 		}
 		var flag pgtable.VirtAddr
 		if sc.next {
@@ -134,13 +221,48 @@ func newSockRig(tb testing.TB, sc sockPollScenario, spin bool) *sockRig {
 			return err
 		}
 		idle := sockSyscallCost + 2*r.ctx.Plat.Cfg.Cache.Nodes[mem.NodeX86].Lat.L1
+		// words and vals are the iteration's ring probes; passed is the
+		// yield points of the iteration the last park passed (PollSock).
+		var words []pgtable.VirtAddr
+		var vals []uint64
+		passed := 0
+		r.entered = t.Th.Now()
 		for t.Th.Now() < sc.until {
 			t.BeginSockProbe()
-			start := t.Th.Now()
-			if _, err := t.TrySocketAccept(lfd); err != nil {
-				return err
+			work := false
+			if passed == 0 {
+				start := t.Th.Now()
+				if _, err := t.TrySocketAccept(lfd); err != nil {
+					return err
+				}
+				work = t.Th.Now()-start != idle // the receive poll dropped a frame
 			}
-			if t.Th.Now()-start != idle { // the receive poll dropped a frame
+			words, vals = words[:0], vals[:0]
+			for i := 1; i <= sc.rings && !work; i++ {
+				if 2*i <= passed {
+					continue // the park passed this probe
+				}
+				if 2*i-1 != passed {
+					t.Th.YieldPoint()
+				}
+				head := ring + pgtable.VirtAddr(i-1)*ringStride
+				h, err := t.Load(head, 8)
+				if err != nil {
+					return err
+				}
+				tl, err := t.Load(head+mem.LineSize, 8)
+				if err != nil {
+					return err
+				}
+				words, vals = append(words, head, head+mem.LineSize), append(vals, h, tl)
+				if work = h != tl; work {
+					if err := t.Store(head+mem.LineSize, 8, h); err != nil {
+						return err
+					}
+				}
+				t.Th.YieldPoint()
+			}
+			if work {
 				r.served++
 				r.returns = append(r.returns, t.Th.Now())
 				t.Th.YieldPoint()
@@ -150,9 +272,10 @@ func newSockRig(tb testing.TB, sc sockPollScenario, spin bool) *sockRig {
 				} else {
 					t.Compute(200)
 				}
+				passed = 0
 				continue
 			}
-			t.PollSock(r.interval, sc.until)
+			passed = t.PollSock(r.interval, sc.until, words, vals)
 		}
 		r.armed = t.spin.watch.Armed()
 		if sc.next {
@@ -219,14 +342,14 @@ func TestPollSockMatchesSpinning(t *testing.T) {
 					t.Fatalf("PollSock diverges from the spinning loop\n--- parked\n%s--- spinning\n%s", g, w)
 				}
 				if spin.served == 0 {
-					t.Fatal("the poller dropped no frame")
+					t.Fatal("the poller served nothing")
 				}
 				es := got.ctx.Plat.Engine.Stats
 				_, replayed := got.poller.SockPolls()
 				_, spinReplayed := got.poller.SpinYields()
-				if replayed == 0 || es.Replayed != replayed+spinReplayed {
-					t.Fatalf("%d polls and %d SpinWait yield points replayed, the engine replayed %d: PollSock never parked",
-						replayed, spinReplayed, es.Replayed)
+				if replayed == 0 || es.Replayed != got.poller.ReplayedYields() {
+					t.Fatalf("%d polls and %d SpinWait yield points replayed, the engine replayed %d, the poller's loops %d: PollSock never parked",
+						replayed, spinReplayed, es.Replayed, got.poller.ReplayedYields())
 				}
 				if sc.timed && es.TimedParks == 0 {
 					t.Fatal("no park ended by itself")
@@ -246,15 +369,23 @@ func TestPollSockMatchesSpinning(t *testing.T) {
 // nothing: across 50 frames that wake a parked poller (each one a replay,
 // a dropped frame and a new park) the process's allocation count does not
 // move. The count starts once the frames have written every ring slot, so
-// that no page of the ring is new.
+// that no page of the ring is new. The rings=16 row is shaped like the
+// production frontend: 16 ring probes after the syscall, a 33-point
+// iteration and a 34-line watch, grown once before the count starts.
 func TestSockParkZeroAllocs(t *testing.T) {
+	for _, rings := range []int{0, 16} {
+		t.Run(fmt.Sprintf("rings=%d", rings), func(t *testing.T) { sockParkZeroAllocs(t, rings) })
+	}
+}
+
+func sockParkZeroAllocs(t *testing.T, rings int) {
 	// As in TestSpinParkZeroAllocs: no collection, one P.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	var replayed int64
-	sc := sockPollScenario{name: "frames", irqCore: 1, until: 4_000_000, spawn: func(r *sockRig) {
-		r.ctx.Plat.Engine.Spawn("writer", 300_000, func(th *sim.Thread) {
+	sc := sockPollScenario{name: "frames", irqCore: 1, until: 4_000_000, rings: rings, spawn: func(r *sockRig) {
+		r.ctx.Plat.Engine.Spawn("writer", 600_000, func(th *sim.Thread) {
 			pt := r.ctx.Plat.NewPort(mem.NodeX86, 1, th)
 			for i := 1; i <= 120; i++ {
 				if i == 70 {

@@ -60,7 +60,7 @@ func (t *Task) SpinWait(addrs []pgtable.VirtAddr, vals []uint64, interval sim.Cy
 			// Arm inside the probe's segment: from its last load on,
 			// whatever would change the next probe disarms the watch.
 			if busy = !idle(vals); !busy && t.Stats.TLBMisses == misses && t.Th.Now()-start == sim.Cycles(len(addrs))*lat {
-				t.armSpin(addrs)
+				t.armSpin(nil, addrs, nil, false)
 			}
 			sp.ran++
 			t.Th.YieldPoint()
@@ -70,8 +70,16 @@ func (t *Task) SpinWait(addrs []pgtable.VirtAddr, vals []uint64, interval sim.Cy
 		}
 		sp.ran++
 		pos = atLoopTop
-		switch sp.poll("spin", nil, sim.Spin{Interval: interval, Probe: sim.Cycles(sp.n) * lat, Points: 3,
-			Hits: int64(sp.n), Loads: int64(sp.n)}, math.MaxInt64) % 3 {
+		// The loop top at the poll's clock, the probe's close, the poll.
+		n := int64(len(addrs))
+		pts := sp.table(3)
+		pts[0] = sim.SpinPoint{}
+		pts[1] = sim.SpinPoint{At: sim.Cycles(n) * lat, Hits: n, Loads: n}
+		pts[2] = pts[1]
+		pts[2].At += interval
+		j := sp.poll("spin", nil, interval, pts, math.MaxInt64)
+		sp.replayed += j
+		switch j % 3 {
 		case 1:
 			pos = atProbe
 		case 2:
@@ -114,7 +122,7 @@ func (t *Task) SpinCAS(w *sim.Waiters, pa mem.PhysAddr, old, new uint64, interva
 			// Arm inside the probe's segment, as SpinWait does; a CAS
 			// that swaps disarms it.
 			if t.Port.ChargeAtomic(pa) == lat {
-				t.arm([]mem.PhysAddr{pa}, nil, true)
+				t.armSpin([]mem.PhysAddr{pa}, nil, nil, true)
 			}
 			t.Th.YieldPoint()
 		}
@@ -125,7 +133,12 @@ func (t *Task) SpinCAS(w *sim.Waiters, pa mem.PhysAddr, old, new uint64, interva
 		ran++
 		// Yield point j closes CAS j/2+1 (odd j) or polls after CAS j/2
 		// failed (even j).
-		j := sp.poll("lock:cas", w, sim.Spin{Interval: interval, Probe: lat + hw.AtomicPenalty, Points: 2, Hits: 1}, math.MaxInt64)
+		pts := sp.table(2)
+		pts[0] = sim.SpinPoint{At: lat + hw.AtomicPenalty, Hits: 1}
+		pts[1] = pts[0]
+		pts[1].At += interval
+		j := sp.poll("lock:cas", w, interval, pts, math.MaxInt64)
+		sp.casReplayed += j
 		replayed += j / 2
 		charged = j%2 == 1
 		if ran+replayed > limit {
@@ -139,7 +152,17 @@ func (t *Task) SpinCAS(w *sim.Waiters, pa mem.PhysAddr, old, new uint64, interva
 func (t *Task) BeginSockProbe() {
 	sp := t.spinLoop()
 	sp.sockCalls, sp.sockIdle, sp.sockBegun = 0, 0, true
-	sp.sockStart, sp.sockHeadroom = t.Th.Now(), t.Th.YieldHeadroom()
+	sp.sockAt = probeMark{clock: t.Th.Now(), headroom: t.Th.YieldHeadroom(), memCycles: t.Stats.MemAccessCycles,
+		yields: t.Th.Yields(), loads: t.Stats.Loads, tlbMisses: t.Stats.TLBMisses, instr: t.instrTotal(),
+		l1d: t.Ctx.Plat.Caches.L1DAccesses(t.Node, t.Core)}
+}
+
+// probeMark is a task's clock, yield headroom and counters, and its
+// core's L1D accesses, at BeginSockProbe, against which PollSock checks
+// the probe.
+type probeMark struct {
+	clock, headroom, memCycles           sim.Cycles
+	yields, loads, tlbMisses, instr, l1d int64
 }
 
 // PollSock is the poll of a socket poll loop's iteration that found
@@ -149,56 +172,109 @@ func (t *Task) BeginSockProbe() {
 //	t.Th.YieldPoint()
 //
 // after a probe, from BeginSockProbe on, of non-blocking socket syscalls
-// (TryRecvSock, TrySocketAccept) that each took its idle path: nothing
+// (TryRecvSock, TrySocketAccept) that each took its idle path — nothing
 // dequeued from the NIC's RX ring, nothing accepted, nothing buffered and
-// no end of stream. until is the first clock at which the loop's next
-// iteration would act without a socket event: a timer, such as the load
-// generator's next arrival (math.MaxInt64: none). The caller vouches that
-// the next iteration would repeat this one until a socket event or until.
+// no end of stream — followed by ring probes that each found nothing to
+// do. A ring probe is a yield point, a load of each of two words, and
+// another yield point; words holds every probe's two words, in probe
+// order, and vals the values it loaded. until is the first clock at which
+// the loop's next iteration would act without a socket or ring event: a
+// timer, such as the load generator's next arrival (math.MaxInt64: none).
+// The caller vouches that the next iteration would repeat this one until
+// such an event or until.
 //
-// The loop parks (sim.Thread.ParkSpin) instead of spinning when the probe
-// was k syscalls, every one idle, and nothing else — it cost exactly k
-// syscall entries plus 2k L1D hits, one on each of the RX ring's head and
-// tail words per syscall, and reached no quantum yield — and the task may
-// park (mayPark). A read watch on those two lines catches what would
-// change the next probe: the fabric's enqueue writes the head line,
-// another local task's dequeue writes the tail line, and any other
-// thread's access through the core's L1D fires it too (DESIGN.md §6,
-// "Parking"). Until then every skipped probe would be the same k idle
-// syscalls, so when the task wakes their instructions and L1D hits are
-// replayed in closed form, with the slice arithmetic under time-slicing,
-// and the loop resumes at its first poll ordered after the disturbing
-// segment, or at the first at or after until. Every simulated number is
-// the same as spinning.
-func (t *Task) PollSock(interval, until sim.Cycles) {
+// The loop parks (sim.Thread.ParkSpin) instead of spinning when the task
+// may park (mayPark) and the counters show exactly that probe: k
+// syscalls, every one idle, then 2m loads for m = len(words)/2, every one
+// a TLB and L1D hit, and 2m yield points; k syscall entries plus 2k L1D
+// hits (one on each of the RX ring's head and tail words per syscall) and
+// the 2m hits' cycles; k syscalls' instructions and the 2m loads; and no
+// quantum yield. The last holds per segment: the syscalls' segment fits
+// the headroom BeginSockProbe saw, and every later segment starts at a
+// yield point. A read watch on the RX ring's two control lines and on
+// the words' lines catches what would change the next probe: the fabric's
+// enqueue writes the RX head line, another local task's dequeue writes the
+// RX tail line, a ring's producer or consumer writes its words, and any
+// other thread's access through the core's L1D fires it too (DESIGN.md
+// §6, "Parking"). Until then every skipped iteration would be the same
+// idle probe, so when the task wakes, the syscalls' instructions and L1D
+// hits and the loads' are replayed in closed form, with the slice
+// arithmetic under time-slicing, and the loop resumes at its first yield
+// point ordered after the disturbing segment, or at the first at or after
+// until. Every simulated number is the same as spinning.
+//
+// The watch is armed here, after the probe's last yield point, so other
+// threads ran between the probe's reads and the arm. The arm therefore
+// also requires that the RX ring is still empty, that every word still
+// holds the value the probe loaded, and that the core's L1D saw no access
+// but the probe's own 2k+2m; the lines must still be resident, as for
+// every watch.
+//
+// The loop's first yield point after the park may lie inside an
+// iteration. PollSock returns how many of that iteration's yield points
+// the park passed, 2i-1 for ring probe i's open and 2i for its close (0:
+// the loop resumes at a poll). The caller runs the rest of that
+// iteration: the syscalls and the probes the park passed all found
+// nothing to do, so it skips them, and a probe whose open the park passed
+// starts at its loads. Such an iteration makes no syscall, so its own poll
+// does not park.
+func (t *Task) PollSock(interval, until sim.Cycles, words []pgtable.VirtAddr, vals []uint64) (passed int) {
 	sp := t.spinLoop()
-	k := sp.sockIdle
-	probe := sim.Cycles(k) * (sockSyscallCost + 2*t.Ctx.Plat.Cfg.Cache.Nodes[t.Node].Lat.L1)
-	// Arm inside the probe's segment, as SpinWait does: at a quantum
-	// yield inside the probe a frame could have slipped in behind its
-	// read of the ring.
-	if sp.sockBegun && k > 0 && sp.sockCalls == k && t.Th.Now()-sp.sockStart == probe &&
-		sp.sockHeadroom-t.Th.YieldHeadroom() == probe {
+	lat := t.Ctx.Plat.Cfg.Cache.Nodes[t.Node].Lat.L1
+	k, m := sp.sockIdle, int64(len(words)/2)
+	sys, probes := sim.Cycles(k)*(sockSyscallCost+2*lat), sim.Cycles(2*m)*lat
+	if at := &sp.sockAt; sp.sockBegun && k > 0 && sp.sockCalls == k && len(words)%2 == 0 && len(vals) == len(words) &&
+		sys < at.headroom && t.Th.Now()-at.clock == sys+probes && t.Th.Yields()-at.yields == 2*m &&
+		t.Stats.Loads-at.loads == 2*m && t.Stats.MemAccessCycles-at.memCycles == probes && t.Stats.TLBMisses == at.tlbMisses &&
+		t.instrTotal()-at.instr == k*kinstrSockSyscall+2*m &&
+		t.Ctx.Plat.Caches.L1DAccesses(t.Node, t.Core)-at.l1d == 2*k+2*m {
 		head, tail := t.Ctx.Net.NIC.RX.Control()
-		t.arm([]mem.PhysAddr{head, tail}, nil, false)
+		if phys := t.Ctx.Plat.Phys; phys.Read64(head) == phys.Read64(tail) {
+			t.armSpin([]mem.PhysAddr{head, tail}, words, vals, false)
+		}
 	}
 	sp.sockBegun = false
 	sp.sockRan++
-	sp.poll("sock-poll", nil, sim.Spin{Interval: interval, Probe: probe, Points: 1, Hits: 2 * k, Instr: kinstrSockSyscall * k}, until)
+	var pts []sim.SpinPoint
+	if sp.watch.Armed() {
+		// After the syscalls, each ring probe's open and close, then the
+		// poll.
+		pts = sp.table(int(2*m + 1))
+		p := sim.SpinPoint{At: sys, Hits: 2 * k, Instr: kinstrSockSyscall * k}
+		for i := range m {
+			pts[2*i] = p
+			p.At += 2 * lat
+			p.Hits += 2
+			p.Loads += 2
+			pts[2*i+1] = p
+		}
+		p.At += interval
+		pts[2*m] = p
+	}
+	j := sp.poll("sock-poll", nil, interval, pts, until)
+	if j == 0 {
+		return 0
+	}
+	// Yield points 0, n, 2n, … of the park are polls.
+	n := int64(len(pts))
+	sp.sockReplayed += (j-1)/n + 1
+	sp.sockPoints += j
+	return int(j % n)
 }
 
 // poll is the poll that ends a wait loop's idle iteration: it advances
-// s.Interval cycles and parks the loop s from there (s.C0), with its
-// Bound the first yield point at or after until (math.MaxInt64: none), if
-// the last probe armed the watch; it disarms the watch, and runs the
-// poll's yield point if the loop did not park. It returns the yield point
-// the loop resumes at, 0 if it did not park.
-func (sp *spinLoop) poll(reason string, w *sim.Waiters, s sim.Spin, until sim.Cycles) (j int64) {
+// interval cycles and parks the loop whose iteration is the table pts from
+// there (sim.Spin's C0), with its Bound the first yield point at or after
+// until (math.MaxInt64: none), if the last probe armed the watch; it
+// disarms the watch, and runs the poll's yield point if the loop did not
+// park. It returns the yield point the loop resumes at, 0 if it did not
+// park.
+func (sp *spinLoop) poll(reason string, w *sim.Waiters, interval sim.Cycles, pts []sim.SpinPoint, until sim.Cycles) (j int64) {
 	th := sp.t.Th
-	th.Advance(s.Interval)
+	th.Advance(interval)
 	parked := false
 	if sp.watch.Armed() {
-		s.C0, s.Bound = th.Now(), math.MaxInt64
+		s := sim.Spin{C0: th.Now(), Points: pts, Bound: math.MaxInt64}
 		if until < math.MaxInt64 {
 			s.Bound = s.FirstAt(until)
 		}
@@ -213,26 +289,38 @@ func (sp *spinLoop) poll(reason string, w *sim.Waiters, s sim.Spin, until sim.Cy
 	return j
 }
 
+// table returns the loop's iteration table, n points long, for the next
+// poll to fill; it is grown once and reused, so parking allocates
+// nothing.
+func (sp *spinLoop) table(n int) []sim.SpinPoint {
+	sp.pts = slices.Grow(sp.pts[:0], n)[:n]
+	return sp.pts
+}
+
 // spinLoop is a task's wait-loop state, its scheduler's SpinHook and its
 // parked probes' SpinProbe, allocated by the task's first wait loop,
 // socket syscall or Scheduler.Attach and reused by every later park.
 type spinLoop struct {
 	t     *Task
 	watch cache.Watch
-	// pages are the polled words' pages, for TLB shootdowns.
-	pages [cache.MaxWatchLines]pgtable.VirtAddr
-	n     int
+	// pas are the watched words' physical addresses and pages the pages
+	// of those the probe reached through the TLB, for shootdowns; pts is
+	// the parked loop's iteration table (sim.Spin). All three are grown
+	// once and reused.
+	pas   []mem.PhysAddr
+	pages []pgtable.VirtAddr
+	pts   []sim.SpinPoint
 	// ran and replayed count the SpinWait yield points run and replayed,
 	// casReplayed the SpinCAS yield points replayed, sockRan and
-	// sockReplayed the PollSock polls run and replayed.
-	ran, replayed, casReplayed, sockRan, sockReplayed int64
+	// sockReplayed the PollSock polls run and replayed, and sockPoints
+	// the PollSock yield points replayed.
+	ran, replayed, casReplayed, sockRan, sockReplayed, sockPoints int64
 	// sockCalls and sockIdle count the socket syscalls since the last
-	// BeginSockProbe and those of them that took their idle path;
-	// sockStart and sockHeadroom are its clock and the thread's yield
-	// headroom there, and sockBegun is set until the next poll.
-	sockCalls, sockIdle     int64
-	sockStart, sockHeadroom sim.Cycles
-	sockBegun               bool
+	// BeginSockProbe and those of them that took their idle path; sockAt
+	// is the task's state there, and sockBegun is set until the next poll.
+	sockCalls, sockIdle int64
+	sockAt              probeMark
+	sockBegun           bool
 	// fire is bound once, so arming allocates nothing.
 	fire func()
 }
@@ -255,13 +343,15 @@ func (t *Task) SpinYields() (ran, replayed int64) {
 	return t.spin.ran, t.spin.replayed
 }
 
-// CASYields returns how many yield points the task's SpinCAS loops
-// replayed parked. Host-side observability, like SpinYields.
-func (t *Task) CASYields() (replayed int64) {
+// ReplayedYields returns how many yield points the task's SpinWait,
+// SpinCAS and PollSock loops replayed parked: its share of
+// sim.EngineStats.Replayed, beside the flag spins' LockReplayed.
+// Host-side observability, like SpinYields.
+func (t *Task) ReplayedYields() int64 {
 	if t.spin == nil {
 		return 0
 	}
-	return t.spin.casReplayed
+	return t.spin.replayed + t.spin.casReplayed + t.spin.sockPoints
 }
 
 // SockPolls returns how many idle socket-loop polls (PollSock) the task
@@ -280,32 +370,36 @@ func (t *Task) mayPark() bool {
 	return t.Sched != nil && t.Proc.Ten == nil
 }
 
-// armSpin arms the loop's watch after a probe of addrs that hit throughout
-// and found nothing to do.
-func (t *Task) armSpin(addrs []pgtable.VirtAddr) {
-	if len(addrs) == 0 || len(addrs) > cache.MaxWatchLines {
+// armSpin arms the loop's watch after a probe that hit throughout and
+// found nothing to do — a write watch if the probes are writes — if the
+// task may park at all: on the words at the physical addresses pas (a
+// lock word, the NIC's ring) and on those at addrs, which the probe
+// reached through the TLB on pages it keeps for shootdowns. vals, unless
+// nil, are the values the probe loaded from addrs, which the words must
+// still hold.
+func (t *Task) armSpin(pas []mem.PhysAddr, addrs []pgtable.VirtAddr, vals []uint64, write bool) {
+	sp := t.spin
+	if !t.mayPark() || len(pas)+len(addrs) == 0 {
 		return
 	}
-	var pas [cache.MaxWatchLines]mem.PhysAddr
-	var pages [cache.MaxWatchLines]pgtable.VirtAddr
+	sp.pas, sp.pages = append(sp.pas[:0], pas...), sp.pages[:0]
 	for i, a := range addrs {
-		pages[i] = a &^ (mem.PageSize - 1)
-		fr, _, _, ok := t.tlb.lookup(pages[i])
+		pg := a &^ (mem.PageSize - 1)
+		fr, _, _, ok := t.tlb.lookup(pg)
 		if !ok {
+			sp.pages = sp.pages[:0]
 			return
 		}
-		pas[i] = fr + mem.PhysAddr(a-pages[i])
+		pa := fr + mem.PhysAddr(a-pg)
+		if vals != nil && t.Ctx.Plat.Phys.Read64(pa) != vals[i] {
+			sp.pages = sp.pages[:0]
+			return
+		}
+		sp.pages = append(sp.pages, pg)
+		sp.pas = append(sp.pas, pa)
 	}
-	t.arm(pas[:len(addrs)], pages[:len(addrs)], false)
-}
-
-// arm arms the loop's watch on the words at pas — a write watch if the
-// probes are writes — if the task may park at all. pages are the pages
-// the probe reached the words through the TLB on, for shootdowns: none
-// for a lock word or the NIC's ring.
-func (t *Task) arm(pas []mem.PhysAddr, pages []pgtable.VirtAddr, write bool) {
-	if sp := t.spin; t.mayPark() && t.Ctx.Plat.Caches.Arm(&sp.watch, t.Node, t.Core, pas, write, sp.fire) {
-		sp.n = copy(sp.pages[:], pages)
+	if !t.Ctx.Plat.Caches.Arm(&sp.watch, t.Node, t.Core, sp.pas, write, sp.fire) {
+		sp.pages = sp.pages[:0]
 	}
 }
 
@@ -321,7 +415,7 @@ func (sp *spinLoop) disturb() {
 
 // watchesPage reports whether the loop polls a word on page pva.
 func (sp *spinLoop) watchesPage(pva pgtable.VirtAddr) bool {
-	return slices.Contains(sp.pages[:sp.n], pva)
+	return slices.Contains(sp.pages, pva)
 }
 
 // PureUntil is the first yield point of a parked loop s at which the
@@ -353,27 +447,18 @@ func (sp *spinLoop) Replay(s sim.Spin, n int64) {
 	t.Sched.replaySlices(t, s, t.instrTotal(), n)
 }
 
-// ReplayProbes counts the probes the task's parked loop s closed up to
-// yield point n (sim.SpinProbe): their L1D hits on the core's counters;
-// a memory probe's loads, each an L1D hit, and a socket probe's syscall
-// instructions on the task's. The loop's Points tell the three kernel
-// loops apart: SpinWait has 3, SpinCAS 2 and PollSock 1.
+// ReplayProbes counts what the task's parked loop s did up to yield
+// point n (sim.SpinProbe): its L1D hits on the core's counters; a memory
+// or ring probe's loads, each an L1D hit, and a socket probe's syscall
+// instructions on the task's.
 func (sp *spinLoop) ReplayProbes(s sim.Spin, n int64) {
 	t := sp.t
 	if hits := s.L1DHits(n); hits > 0 {
 		t.Ctx.Plat.Caches.ReplayL1DHits(t.Node, t.Core, hits)
 	}
-	if loads := s.Loads * s.Probes(n); loads > 0 {
+	if loads := s.Loads(n); loads > 0 {
 		t.Stats.Loads += loads
 		t.Stats.MemAccessCycles += sim.Cycles(loads) * t.Ctx.Plat.Cfg.Cache.Nodes[t.Node].Lat.L1
 	}
 	t.Stats.NodeInstructions[t.Node] += s.Retired(n)
-	switch s.Points {
-	case 3:
-		sp.replayed += n
-	case 2:
-		sp.casReplayed += n
-	case 1:
-		sp.sockReplayed += n
-	}
 }

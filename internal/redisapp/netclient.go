@@ -327,7 +327,7 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 			rbufs[s] = rbufs[s][:copy(rbufs[s], rbufs[s][off:])]
 		}
 		if !progress {
-			t.PollSock(500, actAt()) // the generator's poll interval
+			t.PollSock(500, actAt(), nil, nil) // the generator's poll interval
 		}
 	}
 	res.Elapsed = t.TimedCycles()

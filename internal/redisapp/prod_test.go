@@ -391,7 +391,7 @@ func TestProdWorkerStatsOnStop(t *testing.T) {
 			return err
 		}
 		slot := appendRequest(make([]byte, 8), CmdSet, []byte("key:000001"), []byte("value"))
-		if ok, err := prodRingPush(task, rings.req(0), slot); err != nil || !ok {
+		if ok, err := prodRingPush(task, rings.req(0), slot, new(ringProbes)); err != nil || !ok {
 			return fmt.Errorf("push: ok=%v err=%v", ok, err)
 		}
 		// A full response ring (head-tail = prodSlots) and the stop flag.

@@ -361,7 +361,8 @@ func buildKeyspace(t *kernel.Task, kind KeyspaceKind, workers int) (Keyspace, er
 // request itself as it decodes it, and the flush sends the responses.
 // Responses are built in buffers from a free list, and one flush buffer
 // serves every connection: SendSock returns only once the fabric has
-// copied every byte out of it.
+// copied every byte out of it. An iteration that does nothing ends in
+// one poll, kernel.Task.PollSock, which parks the loop.
 func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lfd int, st *ProdStats) error {
 	t.BeginTimed()
 	defer func() { st.ServeCycles = t.TimedCycles() }()
@@ -377,23 +378,31 @@ func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lf
 	}
 	var vbuf, out []byte // the single-task server's value buffer; the flush buffer
 	var nextSeq uint64
+	var probes ringProbes
 
 	for st.Served < p.Expected {
 		t.BeginSockProbe()
+		probes.begin()
 		progress := false
-		fd, err := t.TrySocketAccept(lfd)
-		if err != nil {
-			return err
-		}
-		if fd >= 0 {
-			conns = append(conns, &prodConn{fd: fd})
-			progress = true
+		// A park that passed yield points of this iteration passed its
+		// syscalls, which found nothing to do.
+		syscalls := probes.passed == 0
+		if syscalls {
+			fd, err := t.TrySocketAccept(lfd)
+			if err != nil {
+				return err
+			}
+			if fd >= 0 {
+				conns = append(conns, &prodConn{fd: fd})
+				progress = true
+			}
 		}
 		// Receive pump: decode every complete request per connection and
 		// stage it (ring space permitting comes later).
-		for ci := 0; ci < len(conns); ci++ {
+		for ci := 0; syscalls && ci < len(conns); ci++ {
 			c := conns[ci]
 			n := len(c.rbuf)
+			var err error
 			c.rbuf, err = t.TryRecvSock(c.fd, c.rbuf, 4096)
 			if err == io.EOF {
 				if len(c.pend)+len(c.rbuf) > 0 {
@@ -452,7 +461,7 @@ func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lf
 			for off < len(c.staged) {
 				_, klen, vlen, _ := requestHeader(c.staged[off+4+8:]) // checked when staged
 				end := off + 4 + prodReqHdr + klen + vlen
-				ok, err := prodRingPush(t, rings.req(int(binary.LittleEndian.Uint32(c.staged[off:]))), c.staged[off+4:end])
+				ok, err := prodRingPush(t, rings.req(int(binary.LittleEndian.Uint32(c.staged[off:]))), c.staged[off+4:end], &probes)
 				if err != nil {
 					return err
 				}
@@ -467,7 +476,7 @@ func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lf
 		// Response pump: drain every worker's response ring.
 		for w := 0; w < rings.workers; w++ {
 			for {
-				seq, r, ok, err := prodRingPop(t, rings.resp(w), take())
+				seq, r, ok, err := prodRingPop(t, rings.resp(w), take(), &probes)
 				if err != nil {
 					return err
 				}
@@ -505,15 +514,9 @@ func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lf
 				progress = true
 			}
 		}
+		probes.passed = 0
 		if !progress {
-			// The poll interval. With workers the probe also pops their
-			// response rings, which PollSock cannot watch, so it spins.
-			if rings.workers == 0 {
-				t.PollSock(400, math.MaxInt64)
-			} else {
-				t.Th.Advance(400)
-				t.Th.YieldPoint()
-			}
+			probes.passed = t.PollSock(400, math.MaxInt64, probes.words, probes.vals) // the poll interval
 		}
 	}
 	for _, c := range conns {
@@ -524,14 +527,54 @@ func prodFrontend(t *kernel.Task, p ProdParams, ks Keyspace, rings prodRings, lf
 	return nil
 }
 
+// ringProbes are the frontend's ring probes in one iteration, for
+// kernel.Task.PollSock: the head and tail words each loaded and their
+// values, and how many of the iteration's yield points a park passed
+// (PollSock's result).
+type ringProbes struct {
+	words  []pgtable.VirtAddr
+	vals   []uint64
+	n      int // the probes the iteration has begun
+	passed int
+}
+
+// begin starts an iteration's probes.
+func (rp *ringProbes) begin() {
+	rp.words, rp.vals, rp.n = rp.words[:0], rp.vals[:0], 0
+}
+
+// open begins the iteration's next probe with its opening yield point. It
+// reports false for a probe the park passed, which found nothing to do;
+// a probe whose opening yield point alone the park passed starts at its
+// loads.
+func (rp *ringProbes) open(t *kernel.Task) bool {
+	rp.n++
+	switch {
+	case 2*rp.n <= rp.passed:
+		return false
+	case 2*rp.n-1 != rp.passed:
+		t.Th.YieldPoint()
+	}
+	return true
+}
+
+// loaded records the probe of ring that loaded head and tail.
+func (rp *ringProbes) loaded(ring pgtable.VirtAddr, head, tail uint64) {
+	rp.words = append(rp.words, ring, ring+64)
+	rp.vals = append(rp.vals, head, tail)
+}
+
 // prodRingPush enqueues one slot (seq|request) if the ring has space. Ring
 // control words synchronize tasks through plain simulated memory, so every
 // operation is bracketed by yield points: the engine orders cross-thread
 // visibility at segment granularity, so a ring store buried mid-segment
 // between parking syscalls would become visible at whatever simulated time
-// the segment happened to end, not at the store's own.
-func prodRingPush(t *kernel.Task, ring pgtable.VirtAddr, slot []byte) (ok bool, err error) {
-	t.Th.YieldPoint()
+// the segment happened to end, not at the store's own. The push is one of
+// rp's probes: one the park passed found the ring full.
+func prodRingPush(t *kernel.Task, ring pgtable.VirtAddr, slot []byte, rp *ringProbes) (ok bool, err error) {
+	if !rp.open(t) {
+		return false, nil
+	}
 	defer t.Th.YieldPoint()
 	head, err := t.Load(ring, 8)
 	if err != nil {
@@ -541,6 +584,7 @@ func prodRingPush(t *kernel.Task, ring pgtable.VirtAddr, slot []byte) (ok bool, 
 	if err != nil {
 		return false, err
 	}
+	rp.loaded(ring, head, tail)
 	if head-tail >= prodSlots {
 		return false, nil
 	}
@@ -553,11 +597,14 @@ func prodRingPush(t *kernel.Task, ring pgtable.VirtAddr, slot []byte) (ok bool, 
 	return true, nil
 }
 
-// prodRingPop dequeues one response if available (yield discipline as in
-// prodRingPush) and returns its seq and its response frame, built in
-// dst[:0]; with nothing to dequeue it returns dst.
-func prodRingPop(t *kernel.Task, ring pgtable.VirtAddr, dst []byte) (seq uint64, resp []byte, ok bool, err error) {
-	t.Th.YieldPoint()
+// prodRingPop dequeues one response if available (yield discipline and
+// rp as in prodRingPush: one the park passed found the ring empty) and
+// returns its seq and its response frame, built in dst[:0]; with nothing
+// to dequeue it returns dst.
+func prodRingPop(t *kernel.Task, ring pgtable.VirtAddr, dst []byte, rp *ringProbes) (seq uint64, resp []byte, ok bool, err error) {
+	if !rp.open(t) {
+		return 0, dst, false, nil
+	}
 	defer t.Th.YieldPoint()
 	head, err := t.Load(ring, 8)
 	if err != nil {
@@ -567,6 +614,7 @@ func prodRingPop(t *kernel.Task, ring pgtable.VirtAddr, dst []byte) (seq uint64,
 	if err != nil {
 		return 0, dst, false, err
 	}
+	rp.loaded(ring, head, tail)
 	if head == tail {
 		return 0, dst, false, nil
 	}

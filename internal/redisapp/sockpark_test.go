@@ -15,9 +15,11 @@ import (
 )
 
 // sockScenario is one cell of a load generator (machine 0) against a
-// single-task server (machine 1), whose idle polls park through
-// kernel.Task.PollSock. Both pollers run on core (core 0 takes the NICs'
-// doorbell IRQs) of two-core nodes.
+// server (machine 1), whose idle polls park through kernel.Task.PollSock:
+// the single-task server, or with cores the production frontend, whose
+// polls also probe its workers' rings. Both pollers run on core (core 0
+// takes the NICs' doorbell IRQs) of nodes with two cores, or one more
+// than the workers use.
 type sockScenario struct {
 	name string
 	gap  sim.Cycles // the traffic's inter-arrival gap
@@ -29,6 +31,19 @@ type sockScenario struct {
 	quantum           sim.Cycles // replaces the engine quantum
 	neighbour, tenant bool
 	timed, parks      bool // some park ends by itself; the pollers park at all
+	// cores gives the server two workers per core, on x86 and Arm cores
+	// 0..cores-1, whose rings the frontend probes; setEvery is then the
+	// traffic's (0: all GETs), clients its pipeline depth (0: 8), compute
+	// the server's work per request (0: 2000 instructions) and genStart
+	// the generator's start (0: 2000).
+	cores, setEvery, clients int
+	compute                  int64
+	genStart                 sim.Cycles
+	// tie writes the server's RX head, with the value it holds, at a
+	// clock two of the parked frontend's ring-probe yield points share
+	// (sockTie), from a thread ordered before the frontend's at equal
+	// clocks with below, after it otherwise.
+	tie, below bool
 }
 
 var sockScenarios = []sockScenario{
@@ -46,6 +61,36 @@ var sockScenarios = []sockScenario{
 	// probes, and finer interleaving of the pollers with the fabric.
 	{name: "small engine quantum", gap: 3000, core: 1, quantum: 1000, parks: true},
 	{name: "tenant", gap: 6000, core: 1, tenant: true},
+	// The frontend with workers: each idle iteration is the syscalls,
+	// then one pop per worker's response ring, then the poll.
+	{name: "workers, 1 core, GETs", gap: 6000, core: 1, cores: 1, parks: true},
+	{name: "workers, 1 core, SETs", gap: 6000, core: 1, cores: 1, setEvery: 1, parks: true},
+	{name: "workers, 2 cores, GETs", gap: 6000, core: 2, cores: 2, parks: true},
+	{name: "workers, 2 cores, SETs", gap: 6000, core: 2, cores: 2, setEvery: 1, parks: true},
+	// Slow workers and a deep pipeline fill the request rings: a stalled
+	// connection's failed push joins the probe, and the worker's dequeue
+	// ends the park. The generator starts once the server serves, so
+	// requests keep arriving while the rings are full; with SETs a
+	// worker's group commit separates its dequeue from its responses, so
+	// the dequeue alone ends some parks.
+	{name: "workers, full request rings", gap: 2000, core: 1, cores: 1, clients: 64, compute: 200_000, setEvery: 1, genStart: 8_000_000, parks: true},
+	// Worker 0 shares x86 core 0 with the frontend: queued behind it, its
+	// parks end by themselves at the slice expiry, which may lie inside
+	// an iteration.
+	{name: "workers, frontend queued behind a worker", gap: 6000, core: 0, cores: 1, sched: kernel.SchedTimeSlice, timed: true, parks: true},
+	// Long idle stretches between arrivals; the write lands on the clock
+	// of a probe's close and the next probe's open.
+	{name: "workers, write tied with two probes, lower ID", gap: 200_000, core: 2, cores: 2, tie: true, below: true, parks: true},
+	{name: "workers, write tied with two probes, higher ID", gap: 200_000, core: 2, cores: 2, tie: true, parks: true},
+}
+
+// sockExtra is a thread a cell runs beside the server and the load
+// generator: a task on the generator's machine, core 0, whose body gets
+// a function returning the server's task (nil until it starts). first
+// orders its thread before the server's at equal clocks.
+type sockExtra struct {
+	first bool
+	body  func(t *kernel.Task, srv func() *kernel.Task) error
 }
 
 // sockCell is one finished run of a scenario.
@@ -57,12 +102,12 @@ type sockCell struct {
 
 // runSockCell runs scenario sc with the pollers parking or, with spin,
 // spinning with parks forbidden (sim.Engine.ForbidParks), and renders every
-// number the two must share.
-func runSockCell(t *testing.T, sc sockScenario, spin bool) sockCell {
+// number the two must share. extra, if not nil, runs beside them.
+func runSockCell(t *testing.T, sc sockScenario, spin bool, extra *sockExtra) sockCell {
 	t.Helper()
 	cfgs := make([]machine.Config, 2)
 	for i := range cfgs {
-		cfgs[i] = machine.Config{Model: mem.Shared, OS: machine.StramashOS, Cores: 2, Sched: sc.sched, SchedQuantum: 2000}
+		cfgs[i] = machine.Config{Model: mem.Shared, OS: machine.StramashOS, Cores: max(2, sc.cores+1), Sched: sc.sched, SchedQuantum: 2000}
 		if sc.tenant {
 			cfgs[i].Tenants = []machine.TenantSpec{{Name: "t0", Budget: cap.Budget{Frames: 1 << 20, CacheFrames: 1 << 20},
 				Grants: []string{"sock", "net", "vma", "futex", "spawn", "file"}}}
@@ -80,7 +125,16 @@ func runSockCell(t *testing.T, sc sockScenario, spin bool) sockCell {
 	}
 	tp := TrafficParams{Requests: 60, Clients: 8, PayloadBytes: 64, Keys: 16, ZipfS: 1,
 		InterArrival: sc.gap, SetEvery: 4, Seed: 3, Port: 6379, ServerCompute: 2000}
-	pp := ProdParams{Kind: KSSharded, Port: tp.Port, PayloadBytes: tp.PayloadBytes, Keys: tp.Keys,
+	if sc.cores > 0 {
+		tp.SetEvery = sc.setEvery
+		if sc.clients > 0 {
+			tp.Clients = sc.clients
+		}
+		if sc.compute > 0 {
+			tp.ServerCompute = sc.compute
+		}
+	}
+	pp := ProdParams{Kind: KSSharded, Cores: sc.cores, Port: tp.Port, PayloadBytes: tp.PayloadBytes, Keys: tp.Keys,
 		ExtraCompute: tp.ServerCompute, Expected: tp.Requests}
 	var (
 		tr   TrafficResult
@@ -98,12 +152,21 @@ func runSockCell(t *testing.T, sc sockScenario, spin bool) sockCell {
 				st, err = ServeProd(t, pp)
 				return err
 			}}},
-		{Mach: 0, TaskSpec: machine.TaskSpec{Name: "loadgen", Origin: mem.NodeX86, Core: sc.core, KeepAlive: true, Start: 2000, Tenant: tenant,
+		{Mach: 0, TaskSpec: machine.TaskSpec{Name: "loadgen", Origin: mem.NodeX86, Core: sc.core, KeepAlive: true, Start: max(2000, sc.genStart), Tenant: tenant,
 			Body: func(t *kernel.Task) (err error) {
 				cell.gen = t
 				tr, err = GenerateTraffic(t, []net.Addr{{Mach: 1, Port: tp.Port}}, tp)
 				return err
 			}}},
+	}
+	if extra != nil {
+		x := machine.ClusterTask{Mach: 0, TaskSpec: machine.TaskSpec{Name: "extra", Origin: mem.NodeX86, Core: 0,
+			Body: func(t *kernel.Task) error { return extra.body(t, func() *kernel.Task { return cell.frontend }) }}}
+		if extra.first {
+			specs = append([]machine.ClusterTask{x}, specs...)
+		} else {
+			specs = append(specs, x)
+		}
 	}
 	if sc.neighbour {
 		// Each computes on a poller's CPU while it serves (the server
@@ -131,7 +194,9 @@ func runSockCell(t *testing.T, sc sockScenario, spin bool) sockCell {
 	var b strings.Builder
 	fmt.Fprintf(&b, "traffic %+v\nserver %+v\n", tr, st)
 	for _, r := range res {
-		fmt.Fprintf(&b, "task %s end=%d on %v/%d %+v\n", r.Name, r.End, r.Task.Node, r.Task.Core, r.Task.Stats)
+		if r.Name != "extra" {
+			fmt.Fprintf(&b, "task %s end=%d on %v/%d %+v\n", r.Name, r.End, r.Task.Node, r.Task.Core, r.Task.Stats)
+		}
 	}
 	for mi, m := range cl.Machines {
 		for n := mem.NodeID(0); n < 2; n++ {
@@ -158,13 +223,28 @@ func runSockCell(t *testing.T, sc sockScenario, spin bool) sockCell {
 func TestSockPollMatchesSpinning(t *testing.T) {
 	for _, sc := range sockScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			spin := runSockCell(t, sc, true)
+			var extra *sockExtra
+			if sc.tie {
+				at := sockTie(t, sc)
+				extra = &sockExtra{first: sc.below, body: func(t *kernel.Task, server func() *kernel.Task) error {
+					t.Th.AdvanceTo(at)
+					t.Th.YieldPoint()
+					srv := server()
+					// The write's segment starts at the tie.
+					pt := srv.Ctx.Plat.NewPort(mem.NodeX86, (srv.Core+1)%2, t.Th) // another core
+					head, _ := srv.Ctx.Net.NIC.RX.Control()
+					pt.Write64(head, pt.Read64(head))
+					t.Th.YieldPoint()
+					return nil
+				}}
+			}
+			spin := runSockCell(t, sc, true, extra)
 			genRan, _ := spin.gen.SockPolls()
 			srvRan, _ := spin.frontend.SockPolls()
 			if genRan == 0 || srvRan == 0 || spin.eng.Replayed != 0 {
 				t.Fatalf("the spinning run's pollers ran %d and %d idle polls and replayed %d yield points: it is no spinning oracle", genRan, srvRan, spin.eng.Replayed)
 			}
-			got := runSockCell(t, sc, false)
+			got := runSockCell(t, sc, false, extra)
 			if got.dump != spin.dump {
 				t.Fatalf("PollSock diverges from the spinning loops\n--- parked\n%s--- spinning\n%s", got.dump, spin.dump)
 			}
@@ -182,6 +262,52 @@ func TestSockPollMatchesSpinning(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sockTie returns a clock at which two yield points of scenario sc's
+// parked frontend coincide, a ring probe's close and the next one's open,
+// several iterations into an idle stretch. A spinning run with a spy
+// beside it finds them: at every cycle, after the frontend's yield points
+// at that cycle, the spy reads the frontend's clock, which is then its
+// next yield point's. Spinning, the frontend has a yield point at every
+// clock it would have one parked.
+func sockTie(t *testing.T, sc sockScenario) sim.Cycles {
+	var clocks []sim.Cycles
+	var lat sim.Cycles
+	runSockCell(t, sc, true, &sockExtra{body: func(t *kernel.Task, server func() *kernel.Task) error {
+		srv := server()
+		lat = srv.Ctx.Plat.Cfg.Cache.Nodes[srv.Node].Lat.L1
+		for srv.State != kernel.TaskExited && t.Th.Now() < 30_000_000 {
+			t.Th.Advance(1)
+			t.Th.YieldPoint()
+			if n := len(clocks); n == 0 || clocks[n-1] != srv.Th.Now() {
+				clocks = append(clocks, srv.Th.Now())
+			}
+		}
+		return nil
+	}})
+	// A tie follows one probe (2 L1 hits after the yield point before)
+	// and precedes another. In an idle stretch the ties repeat with the
+	// iteration: the gaps between them have a period p.
+	var ties []sim.Cycles
+	for i := 1; i+1 < len(clocks); i++ {
+		if clocks[i]-clocks[i-1] == 2*lat && clocks[i+1]-clocks[i] == 2*lat {
+			ties = append(ties, clocks[i])
+		}
+	}
+	for j := range ties {
+		for p := 1; p <= 8 && j+5*p < len(ties); p++ {
+			periodic := true
+			for x := j; x < j+4*p; x++ {
+				periodic = periodic && ties[x+1]-ties[x] == ties[x+p+1]-ties[x+p]
+			}
+			if periodic {
+				return ties[j+3*p]
+			}
+		}
+	}
+	t.Fatalf("no idle stretch of ring probes among the frontend's %d ties", len(ties))
+	return 0
 }
 
 // TestStalledServerDeadlocks is a server that accepts the generator's

@@ -20,11 +20,15 @@ import (
 // all), the interpreter below is what it must be indistinguishable from.
 //
 // A spin op is a wait loop — advance, yield, until a group member sets the
-// thread's flag — which the engine runs through Thread.Park: it parks at
-// the loop's yield point, and a disturb op (or a wake) brings it back at
-// its first yield point ordered after the disturbing segment. Some spin
-// ops script the yield point of their first park where their hook stops
-// being pure: that park also ends by itself at the yield point's clock.
+// thread's flag — which the engine runs through Thread.ParkSpin: it parks
+// at the loop's poll, and a disturb op (or a wake) brings it back at its
+// first yield point ordered after the disturbing segment. Half the spin
+// ops split each iteration into three advances, each ending at a yield
+// point, some of them empty: a multi-point table, where neighbours may
+// share a clock and a park may end inside an iteration. Some spin ops
+// script the yield point of their first park where their hook stops being
+// pure: that park also ends by itself at the first yield point with that
+// yield point's clock.
 // The interpreter never parks: it spins, granting every iteration by the
 // minimum rule, and only leaves the iterations the engine skips out of the
 // event stream and out of the self-continue count; the scripted yield
@@ -47,7 +51,7 @@ const (
 	opEndAtomic
 	opSpawn // arg = script index of the child
 	opPanic
-	opSpin    // n = the loop's advance per iteration, arg > 0 = its first park's bound (Spin.Bound)
+	opSpin    // n = the loop's advance per iteration, gaps its split at the iteration's yield points, arg > 0 = its first park's bound (Spin.Bound)
 	opDisturb // arg = index into the thread's group: set its flag
 	opLock    // n = the spin's poll interval, arg > 0 = its first park's bound; the group's lock
 	opUnlock
@@ -57,6 +61,7 @@ type op struct {
 	kind opKind
 	n    Cycles
 	arg  int
+	gaps []Cycles
 }
 
 // script is one thread's whole life. Threads of one group only ever wake
@@ -128,6 +133,14 @@ func genScripts(seed uint64, groups int) []script {
 				o := op{kind: opSpin, n: Cycles(8 * (1 + r.Intn(7)))}
 				if r.Intn(2) == 0 {
 					o.arg = 1 + r.Intn(6)
+				}
+				o.gaps = []Cycles{o.n}
+				if r.Intn(2) == 0 {
+					// Cuts at multiples of 4 in [0, n): empty advances
+					// and clock ties are common.
+					a := Cycles(4 * r.Intn(int(o.n/4)))
+					b := a + Cycles(4*r.Intn(int((o.n-a)/4)))
+					o.gaps = []Cycles{a, b - a, o.n - b}
 				}
 				s.ops = append(s.ops, o)
 				continue
@@ -246,26 +259,29 @@ func (w *scriptWorld) run(t *Thread, s *script) {
 		case opPanic:
 			panic("boom")
 		case opSpin:
-			bound := o.arg
-			for !w.flag[t.ID] {
-				t.Advance(o.n)
-				if w.flag[t.ID] {
+			// The flag is read at the poll and at the loop top after it.
+			w.bound[t.ID] = int64(o.arg)
+			pts := make([]SpinPoint, len(o.gaps))
+			for i, g := range o.gaps {
+				pts[i].At = g
+				if i > 0 {
+					pts[i].At += pts[i-1].At
+				}
+			}
+			for pos := 0; pos != 0 || !w.flag[t.ID]; {
+				t.Advance(o.gaps[pos])
+				if pos++; pos < len(pts) {
 					t.YieldPoint()
 					continue
 				}
-				c0, step := t.Now(), o.n
-				due := never
-				if bound > 0 {
-					due, bound = c0+Cycles(bound)*step, 0
-				}
-				t.Park("spin", due, func(from Cycles) (int64, Cycles) {
-					if from <= c0 {
-						return 0, c0
+				pos = 0
+				if !w.flag[t.ID] {
+					if j, parked := t.ParkSpin("spin", nil, Spin{C0: t.Now(), Points: pts, Bound: math.MaxInt64}, w); parked {
+						pos = int(j % int64(len(pts)))
+						continue
 					}
-					k := (from - c0 + step - 1) / step
-					w.calls[t.ID] += int(k)
-					return int64(k), c0 + k*step
-				})
+				}
+				t.YieldPoint()
 			}
 			w.flag[t.ID] = false
 		case opDisturb:
@@ -284,9 +300,12 @@ func (w *scriptWorld) run(t *Thread, s *script) {
 	}
 }
 
+// ReplayProbes is the spin ops' SpinProbe: their probes count nothing.
+func (w *scriptWorld) ReplayProbes(Spin, int64) {}
+
 // countingSpin is the counting hook's SpinHook: the hook is pure, except
-// at the scripted bound of a lock op's first park, and replaying n yield
-// points counts n calls.
+// at the scripted bound of a spin or lock op's first park, and replaying
+// n yield points counts n calls.
 type countingSpin struct {
 	w  *scriptWorld
 	id ThreadID
@@ -330,7 +349,8 @@ type modelThread struct {
 	// its preempt hook runs first when it is next picked.
 	afterYield bool
 
-	// spin is the advance of the spin op the thread is in (0: none);
+	// spin is the advances of the spin op the thread is in (nil: none),
+	// one per yield point of an iteration, and spinPos the one next;
 	// spinMid marks a quantum yield inside the loop's advance. flag is the
 	// spin flag. parked is set while the engine would have the thread
 	// parked, disturbed once something has disturbed it there: its
@@ -338,7 +358,8 @@ type modelThread struct {
 	// spin or lock op's first park's bound (0: none, or that park is past);
 	// timed marks a park with a bound, left the virtual iterations before
 	// it: the iteration after them is runnable for real at its clock.
-	spin              Cycles
+	spin              []Cycles
+	spinPos           int
 	bound, left       int
 	lastVirtual       Cycles // the clock the last virtual segment began at
 	spinMid           bool
@@ -379,6 +400,10 @@ type modelCoverage struct {
 	tieBelow, tieAbove, parkedAtDeadlock int
 	timedWakes, timedSelfPicks           int
 	timedDisturbs                        int
+	// innerResumes counts parks of multi-point spins that ended inside an
+	// iteration, tiedBounds the bounds on a yield point that shares its
+	// clock with the one before.
+	innerResumes, tiedBounds int
 }
 
 type model struct {
@@ -433,11 +458,26 @@ func (m *model) disturb(u *modelThread) {
 	}
 }
 
-// spinPark is the decision a spin op makes at its loop's yield point: park
-// unless its flag is already set, until its bound if it has one.
+// spinPark is the decision a spin op makes at its loop's poll: park unless
+// its flag is already set, until its bound if it has one. A park that ends
+// at its bound resumes at the first yield point with the bound's clock.
 func (m *model) spinPark(t *modelThread) {
 	t.parked = !t.flag
 	m.timedPark(t, t.parked && t.bound > 0)
+	for t.left > 0 && t.spin[(t.left-1)%len(t.spin)] == 0 {
+		t.left--
+		m.cov.tiedBounds++
+	}
+}
+
+// spinPoint is the yield point after one of a spin op's advances: an
+// inner one, or the poll, where the loop may park.
+func (m *model) spinPoint(t *modelThread) {
+	if t.spinPos++; t.spinPos == len(t.spin) {
+		t.spinPos = 0
+		m.spinPark(t)
+	}
+	m.yield(t)
 }
 
 // timedPark records whether t's park has a bound, and consumes the bound.
@@ -525,18 +565,24 @@ func (m *model) segment(t *modelThread) {
 	if t.parked {
 		if t.disturbed {
 			t.parked, t.disturbed, t.timed = false, false, false
+			if t.spinPos != 0 {
+				m.cov.innerResumes++
+			}
 		} else {
-			// An iteration the engine replays: the flag is still clear,
+			// A yield point the engine replays: the flag is still clear,
 			// or the lock still held.
-			t.now += t.spin + t.lock
+			if t.spin != nil {
+				t.now += t.spin[t.spinPos]
+				t.spinPos = (t.spinPos + 1) % len(t.spin)
+			}
+			t.now += t.lock
 			m.yield(t)
 			return
 		}
 	}
 	if t.spinMid {
 		t.spinMid = false
-		m.spinPark(t)
-		m.yield(t)
+		m.spinPoint(t)
 		return
 	}
 	if t.lockMid {
@@ -545,20 +591,20 @@ func (m *model) segment(t *modelThread) {
 		m.yield(t)
 		return
 	}
-	for t.spin > 0 || t.lock > 0 || t.pc < len(t.s.ops) {
-		if t.spin > 0 {
-			if t.flag {
-				t.flag, t.spin = false, 0
+	for t.spin != nil || t.lock > 0 || t.pc < len(t.s.ops) {
+		if t.spin != nil {
+			if t.spinPos == 0 && t.flag {
+				t.flag, t.spin = false, nil
 				continue
 			}
-			t.now += t.spin
-			t.sinceYield += t.spin
+			g := t.spin[t.spinPos]
+			t.now += g
+			t.sinceYield += g
 			if t.sinceYield >= modelQuantum && m.yield(t) {
 				t.spinMid = true
 				return
 			}
-			m.spinPark(t)
-			m.yield(t)
+			m.spinPoint(t)
 			return
 		}
 		if t.lock > 0 {
@@ -629,7 +675,7 @@ func (m *model) segment(t *modelThread) {
 			t.err = fmt.Errorf("sim: thread %q panicked: %v", t.s.name, "boom")
 			t.pc = len(t.s.ops)
 		case opSpin:
-			t.spin, t.bound = o.n, o.arg
+			t.spin, t.spinPos, t.bound = o.gaps, 0, o.arg
 		case opDisturb:
 			g := m.groups[t.s.group]
 			u := g[o.arg%len(g)]
@@ -846,8 +892,9 @@ func TestScheduleModel(t *testing.T) {
 		"disturb tied by a lower ID": cov.tieBelow, "disturb tied by a higher ID": cov.tieAbove,
 		"wake of a parked thread": cov.wakeParked,
 		"park ended at its bound": cov.timedWakes, "park ended at its bound without a switch": cov.timedSelfPicks,
-		"disturb before the bound": cov.timedDisturbs,
-		"parked at deadlock":       cov.parkedAtDeadlock,
+		"disturb before the bound":       cov.timedDisturbs,
+		"parked at deadlock":             cov.parkedAtDeadlock,
+		"park ended inside an iteration": cov.innerResumes, "bound tied with the yield point before": cov.tiedBounds,
 	} {
 		if n == 0 {
 			t.Errorf("no scenario reached %q: the generator lost coverage", name)

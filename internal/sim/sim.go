@@ -158,6 +158,12 @@ type Thread struct {
 	spinAt    int64
 	spinWake  func(from Cycles) (int64, Cycles)
 	spinHook  SpinHook
+	// flagPoll is SpinWhile's one-point table, held here so that parking
+	// allocates nothing.
+	flagPoll [1]SpinPoint
+
+	// yields counts the yield points the thread has run (Yields).
+	yields int64
 }
 
 // resume grants the thread the execution token: Run switches into the
@@ -187,6 +193,12 @@ func (t *Thread) Advance(d Cycles) {
 		t.YieldPoint()
 	}
 }
+
+// Yields returns how many yield points the thread has run, quantum
+// yields included; a parked loop's replayed ones are not run. A caller
+// that counts them across a stretch of its own code learns its segment
+// structure (kernel.Task.PollSock). Host-side, like EngineStats.
+func (t *Thread) Yields() int64 { return t.yields }
 
 // YieldHeadroom returns the cycle budget the thread has before its next
 // quantum yield: any sequence of Advance calls whose durations sum to
@@ -243,6 +255,7 @@ func (t *Thread) YieldPoint() {
 	if t.atomicDepth > 0 {
 		return
 	}
+	t.yields++
 	t.sinceYield = 0
 	t.state = stateRunnable
 	e := t.eng

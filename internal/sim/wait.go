@@ -6,72 +6,110 @@ import (
 	"slices"
 )
 
-// Spin is the yield-point schedule of a parked wait loop (ParkSpin), its
-// yield points numbered 0, 1, 2, … from the one it parked at: the poll,
-// where it has just advanced Interval cycles. Each iteration runs a probe
-// of Probe cycles and then advances Interval cycles to its poll, and it
-// has Points yield points:
-//
-//   - Points 1: the poll alone, the probe running between polls. A flag
-//     spin (SpinWhile) has no probe (Probe 0); a socket probe
-//     (kernel.Task.PollSock) is syscalls that contain no yield point.
-//   - Points 2: the probe's close, Probe cycles after the poll before it,
-//     and the poll: a CAS probe (kernel.Task.SpinCAS).
-//   - Points 3: the loop top, at the clock of the poll before it, the
-//     probe's close and the poll: a memory probe (kernel.Task.SpinWait).
-//
-// A probe charges Hits L1D hits and retires Loads loads and Instr other
-// instructions, all counted at its close (with one point per iteration, at
-// the next poll). Bound is the first yield point at which the loop stops
-// being pure: the caller's own (math.MaxInt64: none), which ParkSpin
-// lowers to the first at which the preemption hook acts.
-type Spin struct {
-	C0, Interval, Probe       Cycles
-	Points                    int64
-	Hits, Loads, Instr, Bound int64
+// SpinPoint is one yield point of a parked wait loop's iteration (Spin):
+// its clock offset from the poll that ended the iteration before, and the
+// L1D hits the iteration has charged and the loads and other instructions
+// it has retired by then.
+type SpinPoint struct {
+	At                 Cycles
+	Hits, Loads, Instr int64
 }
+
+// Spin is the yield-point schedule of a parked wait loop (ParkSpin), its
+// yield points numbered 0, 1, 2, … from the one it parked at: the poll at
+// clock C0. Every later iteration runs the yield points of the table
+// Points in order, the last of them its poll, so the poll's offset is the
+// iteration's period. Along the table neither offsets nor counts
+// decrease, and neighbours may share a clock. The wait loops build these
+// tables, with a probe of p cycles and an advance of i cycles to the poll:
+//
+//   - a flag spin (SpinWhile): the poll alone, at i, with no probe;
+//   - a socket probe (kernel.Task.PollSock) of syscalls that contain no
+//     yield point: the poll alone, at p+i;
+//   - a CAS probe (kernel.Task.SpinCAS): the CAS's close at p, then the
+//     poll;
+//   - a memory probe (kernel.Task.SpinWait): the loop top at offset 0,
+//     the probe's close at p, then the poll;
+//   - a socket probe followed by m ring probes (the production frontend):
+//     after the syscalls, each ring probe's open and close, one probe's
+//     close sharing its clock with the next one's open, then the poll:
+//     2m+1 points.
+//
+// Bound is the first yield point at which the loop stops being pure: the
+// caller's own (math.MaxInt64: none), which ParkSpin lowers to the first
+// at which the preemption hook acts.
+type Spin struct {
+	C0     Cycles
+	Points []SpinPoint
+	Bound  int64
+}
+
+// point returns the iteration yield point j >= 1 belongs to, counted from
+// 0, and its entry in the table.
+func (s Spin) point(j int64) (int64, SpinPoint) {
+	n := int64(len(s.Points))
+	return (j - 1) / n, s.Points[(j-1)%n]
+}
+
+// poll returns the table's last entry: the iteration's period and counts.
+func (s Spin) poll() SpinPoint { return s.Points[len(s.Points)-1] }
 
 // Clock returns the clock of yield point j.
 func (s Spin) Clock(j int64) Cycles {
-	p := s.Points
-	c := s.C0 + Cycles(j/p)*(s.Probe+s.Interval)
-	if p > 1 && j%p == p-1 {
-		c += s.Probe
+	if j == 0 {
+		return s.C0
 	}
-	return c
+	q, p := s.point(j)
+	return s.C0 + Cycles(q)*s.poll().At + p.At
 }
-
-// Probes returns the probes the loop closes from yield point 0 to yield
-// point j.
-func (s Spin) Probes(j int64) int64 {
-	if s.Points == 1 {
-		return j
-	}
-	return (j + 1) / s.Points
-}
-
-// Retired returns the instructions the loop retires from yield point 0 to
-// yield point j: Loads+Instr per probe closed.
-func (s Spin) Retired(j int64) int64 { return (s.Loads + s.Instr) * s.Probes(j) }
 
 // L1DHits returns the L1D hits the loop charges from yield point 0 to
-// yield point j: Hits per probe closed.
-func (s Spin) L1DHits(j int64) int64 { return s.Hits * s.Probes(j) }
+// yield point j.
+func (s Spin) L1DHits(j int64) int64 {
+	if j == 0 {
+		return 0
+	}
+	q, p := s.point(j)
+	return q*s.poll().Hits + p.Hits
+}
+
+// Loads returns the loads the loop retires from yield point 0 to yield
+// point j.
+func (s Spin) Loads(j int64) int64 {
+	if j == 0 {
+		return 0
+	}
+	q, p := s.point(j)
+	return q*s.poll().Loads + p.Loads
+}
+
+// Retired returns the instructions, loads included, the loop retires from
+// yield point 0 to yield point j.
+func (s Spin) Retired(j int64) int64 {
+	if j == 0 {
+		return 0
+	}
+	q, p := s.point(j)
+	last := s.poll()
+	return q*(last.Loads+last.Instr) + p.Loads + p.Instr
+}
 
 // FirstAt returns the first yield point at or after clock c.
 func (s Spin) FirstAt(c Cycles) int64 {
 	if c <= s.C0 {
 		return 0
 	}
-	p, period := s.Points, s.Probe+s.Interval
-	m, r := int64((c-s.C0)/period), (c-s.C0)%period
-	switch {
-	case r == 0:
-		return p * m
-	case p > 1 && r <= s.Probe:
-		return p*m + p - 1
+	// Iteration q's points lie in [C0+q·T, C0+(q+1)·T], its poll last;
+	// c > C0 falls in (C0+q·T, C0+(q+1)·T] for one q, whose poll is at or
+	// after c while no point of an earlier iteration is.
+	period := s.poll().At
+	q := (c - s.C0 - 1) / period
+	x := c - s.C0 - q*period
+	r := 0
+	for s.Points[r].At < x {
+		r++
 	}
-	return p * (m + 1)
+	return int64(q)*int64(len(s.Points)) + int64(r) + 1
 }
 
 // FirstWith returns the first yield point at which the loop has retired at
@@ -79,18 +117,21 @@ func (s Spin) FirstAt(c Cycles) int64 {
 // none (a flag spin, a CAS probe) with instr > 0 there is none, and it
 // returns math.MaxInt64.
 func (s Spin) FirstWith(instr int64) int64 {
-	per := s.Loads + s.Instr
+	last := s.poll()
+	per := last.Loads + last.Instr
 	switch {
 	case instr <= 0:
 		return 0
 	case per == 0:
 		return math.MaxInt64
 	}
-	probes := (instr + per - 1) / per
-	if s.Points == 1 {
-		return probes
+	q := (instr - 1) / per
+	x := instr - q*per
+	r := 0
+	for p := s.Points[r]; p.Loads+p.Instr < x; p = s.Points[r] {
+		r++
 	}
-	return s.Points*probes - 1
+	return q*int64(len(s.Points)) + int64(r) + 1
 }
 
 // SpinHook is the preemption hook's side of a parked wait loop, installed
@@ -107,10 +148,9 @@ type SpinHook interface {
 }
 
 // SpinProbe accounts a parked loop's skipped probes: ReplayProbes applies
-// the effects of the accesses and instructions of the probes the loop s
-// closed from yield point 0 to yield point n (s.Probes(n) of them;
-// s.L1DHits(n), s.Retired(n)), which spinning would have counted whatever
-// the preemption hook.
+// the effects of the accesses and instructions of the loop s from yield
+// point 0 to yield point n (s.L1DHits(n), s.Loads(n), s.Retired(n)), which
+// spinning would have counted whatever the preemption hook.
 type SpinProbe interface {
 	ReplayProbes(s Spin, n int64)
 }
@@ -122,10 +162,11 @@ func (t *Thread) SetSpinHook(h SpinHook) { t.spinHook = h }
 // ParkSpin parks the thread at yield point 0 of the wait loop s instead of
 // running it, when the loop's skipped iterations are provably pure
 // (DESIGN.md §9, "Parked spins"): the thread is outside atomic sections,
-// the engine allows parks (ForbidParks; a tracer does not stop them),
-// 0 < s.Interval and s.Probe+s.Interval < Quantum (so no advance of the
-// loop reaches a quantum yield), s.Bound > 0, and the preemption hook is
-// absent, disabled, or pure by the SpinHook at yield point 0 at least.
+// the engine allows parks (ForbidParks; a tracer does not stop them), the
+// iteration's period is positive and below Quantum (so no segment of the
+// loop, each starting at a yield point, reaches a quantum yield),
+// s.Bound > 0, and the preemption hook is absent, disabled, or pure by
+// the SpinHook at yield point 0 at least. The table may have any shape.
 // The caller vouches for the rest: every skipped iteration would observe
 // what the last one did, until w.Disturb (w may be nil), Engine.Wake,
 // another Disturb or yield point s.Bound. probe (nil for a flag spin,
@@ -141,10 +182,10 @@ func (t *Thread) SetSpinHook(h SpinHook) { t.spinHook = h }
 // the loop waits for in deadlock diagnostics.
 func (t *Thread) ParkSpin(reason string, w *Waiters, s Spin, probe SpinProbe) (int64, bool) {
 	e := t.eng
-	if s.Points < 1 || s.Points > 3 {
-		panic(fmt.Sprintf("sim: thread %q parked a loop of %d yield points per iteration", t.Name, s.Points))
+	if len(s.Points) == 0 {
+		panic(fmt.Sprintf("sim: thread %q parked a loop with no yield point per iteration", t.Name))
 	}
-	if t.atomicDepth > 0 || e.noParks || s.Interval <= 0 || s.Probe+s.Interval >= e.Quantum {
+	if period := s.poll().At; t.atomicDepth > 0 || e.noParks || period <= 0 || period >= e.Quantum {
 		return 0, false
 	}
 	if t.Preemptible() {
@@ -231,7 +272,8 @@ func (t *Thread) SpinWhile(reason string, w *Waiters, interval Cycles, busy func
 	for busy() {
 		t.Advance(interval)
 		t.eng.Stats.LockYields++
-		if _, parked := t.ParkSpin(reason, w, Spin{C0: t.now, Interval: interval, Points: 1, Bound: math.MaxInt64}, nil); !parked {
+		t.flagPoll[0] = SpinPoint{At: interval}
+		if _, parked := t.ParkSpin(reason, w, Spin{C0: t.now, Points: t.flagPoll[:], Bound: math.MaxInt64}, nil); !parked {
 			t.YieldPoint()
 		}
 	}

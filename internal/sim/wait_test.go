@@ -133,18 +133,88 @@ func BenchmarkSpinWhile(b *testing.B) {
 	}
 }
 
-// TestSpinFirstAt checks a parked loop's schedule against linear scans of
-// its yield points: FirstAt(c) is the first j with Clock(j) >= c, and
-// FirstWith(i) the first j with Retired(j) >= i (math.MaxInt64 if none);
-// L1DHits grows by Hits exactly at the yield points that close a probe:
-// Probe cycles after the one before, or every poll in a loop with one
-// yield point per iteration. All four shapes run over several C0,
-// intervals, probe latencies and load and syscall counts, at every clock
-// from below C0 to the last yield point scanned, so ties at a poll
-// (r == 0) and at a probe's close (r == Probe) are covered, and so are
-// the two yield points a memory-probe loop has at one clock.
+// legacySpin is a parked loop's schedule as it was before tables, with
+// Points yield points per iteration: the poll alone (1), a CAS's close
+// and the poll (2), or the loop top, the probe's close and the poll (3).
+// Its closed forms are an oracle for the tables the kernel builds.
+type legacySpin struct {
+	C0, Interval, Probe        Cycles
+	Points, Hits, Loads, Instr int64
+}
+
+func (s legacySpin) clock(j int64) Cycles {
+	c := s.C0 + Cycles(j/s.Points)*(s.Probe+s.Interval)
+	if s.Points > 1 && j%s.Points == s.Points-1 {
+		c += s.Probe
+	}
+	return c
+}
+
+func (s legacySpin) probes(j int64) int64 {
+	if s.Points == 1 {
+		return j
+	}
+	return (j + 1) / s.Points
+}
+
+// table is the Spin the kernel builds for the legacy shape.
+func (s legacySpin) table() Spin {
+	close := SpinPoint{At: s.Probe, Hits: s.Hits, Loads: s.Loads, Instr: s.Instr}
+	poll := close
+	poll.At += s.Interval
+	var pts []SpinPoint
+	switch s.Points {
+	case 1:
+		pts = []SpinPoint{poll}
+	case 2:
+		pts = []SpinPoint{close, poll}
+	case 3:
+		pts = []SpinPoint{{}, close, poll}
+	}
+	return Spin{C0: s.C0, Points: pts, Bound: math.MaxInt64}
+}
+
+// walkPoint is one yield point of a brute-force walk of a Spin's table.
+type walkPoint struct {
+	clock                Cycles
+	hits, loads, retired int64
+}
+
+// walk steps through the first n yield points of s one table entry at a
+// time, adding each entry's increments over the one before it (the
+// previous iteration's poll for the first): no division, no product.
+func walk(s Spin, n int64) []walkPoint {
+	out := []walkPoint{{clock: s.C0}}
+	prev := SpinPoint{}
+	for j := int64(1); j < n; j++ {
+		r := (j - 1) % int64(len(s.Points))
+		if r == 0 {
+			prev = SpinPoint{}
+		}
+		p, w := s.Points[r], out[j-1]
+		w.clock += p.At - prev.At
+		w.hits += p.Hits - prev.Hits
+		w.loads += p.Loads - prev.Loads
+		w.retired += p.Loads + p.Instr - prev.Loads - prev.Instr
+		out = append(out, w)
+		prev = p
+	}
+	return out
+}
+
+// TestSpinFirstAt checks a parked loop's schedule against a brute-force
+// walk of its table: Clock, L1DHits, Loads and Retired at every yield
+// point, FirstAt(c) the first j with Clock(j) >= c at every clock from
+// below C0 to the last point walked, and FirstWith(i) the first j with
+// Retired(j) >= i (math.MaxInt64 if none). The tables are the legacy
+// shapes over several C0, intervals, probe latencies and load and syscall
+// counts, also checked against the legacy closed forms; the production
+// frontend's socket-plus-ring-probe shape; and random tables, where
+// equal-clock neighbours, zero-count stretches and points at offset 0 are
+// common, so ties at a poll, at a probe's close and between two
+// neighbours are all covered.
 func TestSpinFirstAt(t *testing.T) {
-	s := Spin{C0: 1000, Interval: 150, Points: 1}
+	s := legacySpin{C0: 1000, Interval: 150, Points: 1}.table()
 	for _, c := range []struct {
 		at   Cycles
 		want int64
@@ -154,29 +224,77 @@ func TestSpinFirstAt(t *testing.T) {
 		}
 	}
 
-	// maxWatchLines is cache.MaxWatchLines, the most words a parked
-	// kernel.Task.SpinWait polls (cache imports sim, so it is restated);
-	// a CAS probe's charge is an L1 hit plus the 12-cycle atomic penalty
-	// (hw.AtomicPenalty, restated for the same reason); a socket probe's
+	// A CAS probe's charge is an L1 hit plus the 12-cycle atomic penalty
+	// (hw.AtomicPenalty, restated: hw imports sim); a socket probe's
 	// syscall (kernel.Task.PollSock) costs 120 cycles and two L1 hits and
 	// retires 90 instructions (the kernel's socket syscall costs).
-	const maxWatchLines, atomicPenalty, sockCost, sockInstr = 4, 12, 120, 90
+	const atomicPenalty, sockCost, sockInstr = 12, 120, 90
+	const n = 120 // yield points walked
+	var legacy []legacySpin
 	var spins []Spin
 	for _, c0 := range []Cycles{0, 1000, 12345} {
 		for _, interval := range []Cycles{1, 60, 150, 997} {
-			spins = append(spins, Spin{C0: c0, Interval: interval, Points: 1})
+			legacy = append(legacy, legacySpin{C0: c0, Interval: interval, Points: 1})
 			for _, lat := range []Cycles{1, 4} {
-				spins = append(spins, Spin{C0: c0, Interval: interval, Probe: lat + atomicPenalty, Points: 2, Hits: 1})
-				for _, loads := range []int64{1, 2, maxWatchLines} {
-					spins = append(spins, Spin{C0: c0, Interval: interval, Probe: Cycles(loads) * lat, Points: 3, Hits: loads, Loads: loads})
+				legacy = append(legacy, legacySpin{C0: c0, Interval: interval, Probe: lat + atomicPenalty, Points: 2, Hits: 1})
+				for _, loads := range []int64{1, 2, 4, 9} {
+					legacy = append(legacy, legacySpin{C0: c0, Interval: interval, Probe: Cycles(loads) * lat, Points: 3, Hits: loads, Loads: loads})
 				}
 				for _, k := range []int64{1, 5} {
-					spins = append(spins, Spin{C0: c0, Interval: interval, Probe: Cycles(k) * (sockCost + 2*lat), Points: 1, Hits: 2 * k, Instr: sockInstr * k})
+					legacy = append(legacy, legacySpin{C0: c0, Interval: interval, Probe: Cycles(k) * (sockCost + 2*lat), Points: 1, Hits: 2 * k, Instr: sockInstr * k})
+					// k syscalls, then m ring probes of two L1-hit loads.
+					for _, m := range []int64{1, 3, 16} {
+						sys := SpinPoint{At: Cycles(k) * (sockCost + 2*lat), Hits: 2 * k, Instr: sockInstr * k}
+						pts := []SpinPoint{sys}
+						for i := int64(1); i <= m; i++ {
+							p := sys
+							p.At += Cycles(2*i) * lat
+							p.Hits += 2 * i
+							p.Loads += 2 * i
+							pts = append(pts, p)
+							if i < m {
+								pts = append(pts, p)
+							}
+						}
+						poll := pts[len(pts)-1]
+						poll.At += interval
+						spins = append(spins, Spin{C0: c0, Points: append(pts, poll)})
+					}
 				}
 			}
 		}
 	}
-	const n = 40 // yield points scanned
+	for _, l := range legacy {
+		s := l.table()
+		spins = append(spins, s)
+		for j := int64(0); j < n; j++ {
+			if s.Clock(j) != l.clock(j) || s.L1DHits(j) != l.Hits*l.probes(j) || s.Loads(j) != l.Loads*l.probes(j) ||
+				s.Retired(j) != (l.Loads+l.Instr)*l.probes(j) {
+				t.Fatalf("%+v: yield point %d at clock %d with %d hits, %d loads and %d instructions; the legacy shape's at %d with %d probes",
+					l, j, s.Clock(j), s.L1DHits(j), s.Loads(j), s.Retired(j), l.clock(j), l.probes(j))
+			}
+		}
+	}
+	r := NewRNG(7)
+	for i := 0; i < 400; i++ {
+		pts := make([]SpinPoint, 1+r.Intn(9))
+		var p SpinPoint
+		for k := range pts {
+			// Half the steps keep the clock, and most keep some count.
+			if r.Intn(2) == 0 || k == len(pts)-1 {
+				p.At += Cycles(1 + r.Intn(40))
+			}
+			p.Hits += int64(r.Intn(3))
+			p.Loads += int64(r.Intn(2))
+			p.Instr += int64(r.Intn(3)) * int64(r.Intn(2))
+			pts[k] = p
+		}
+		if r.Intn(4) == 0 {
+			pts[0] = SpinPoint{} // a loop top at the poll's clock
+		}
+		spins = append(spins, Spin{C0: Cycles(r.Intn(500)), Points: pts})
+	}
+
 	first := func(ok func(j int64) bool) int64 {
 		for j := int64(0); j < n; j++ {
 			if ok(j) {
@@ -186,29 +304,25 @@ func TestSpinFirstAt(t *testing.T) {
 		return math.MaxInt64
 	}
 	for _, s := range spins {
-		if s.Clock(0) != s.C0 || s.Retired(0) != 0 || s.L1DHits(0) != 0 {
-			t.Fatalf("%+v: yield point 0 at clock %d with %d instructions and %d hits", s, s.Clock(0), s.Retired(0), s.L1DHits(0))
-		}
-		if s.Probe != s.Interval {
-			for j := int64(1); j < n; j++ {
-				closes := s.Hits > 0 && (s.Points == 1 || s.Clock(j)-s.Clock(j-1) == s.Probe)
-				if d := s.L1DHits(j) - s.L1DHits(j-1); closes && d != s.Hits || !closes && d != 0 {
-					t.Fatalf("%+v: yield point %d at clock %d adds %d hits after clock %d", s, j, s.Clock(j), d, s.Clock(j-1))
-				}
+		w := walk(s, n)
+		for j, p := range w {
+			j := int64(j)
+			if got := (walkPoint{s.Clock(j), s.L1DHits(j), s.Loads(j), s.Retired(j)}); got != p {
+				t.Fatalf("%+v: yield point %d is %+v, the walk finds %+v", s, j, got, p)
 			}
 		}
-		for c := s.C0 - 2; c <= s.Clock(n-1); c++ {
-			if got, want := s.FirstAt(c), first(func(j int64) bool { return s.Clock(j) >= c }); got != want {
-				t.Fatalf("%+v: FirstAt(%d) = %d, the scan finds %d", s, c, got, want)
+		for c := s.C0 - 2; c <= w[n-1].clock; c++ {
+			if got, want := s.FirstAt(c), first(func(j int64) bool { return w[j].clock >= c }); got != want {
+				t.Fatalf("%+v: FirstAt(%d) = %d, the walk finds %d", s, c, got, want)
 			}
 		}
-		for i := int64(-1); i <= s.Retired(n-1)+1; i++ {
-			want := first(func(j int64) bool { return s.Retired(j) >= i })
-			if want == math.MaxInt64 && s.Loads+s.Instr > 0 {
-				continue // beyond the scan
+		for i := int64(-1); i <= w[n-1].retired+1; i++ {
+			want := first(func(j int64) bool { return w[j].retired >= i })
+			if want == math.MaxInt64 && s.Retired(n) > 0 {
+				continue // beyond the walk
 			}
 			if got := s.FirstWith(i); got != want {
-				t.Fatalf("%+v: FirstWith(%d) = %d, the scan finds %d", s, i, got, want)
+				t.Fatalf("%+v: FirstWith(%d) = %d, the walk finds %d", s, i, got, want)
 			}
 		}
 	}

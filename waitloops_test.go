@@ -25,7 +25,6 @@ var waitLoopAllow = map[string]string{
 	"internal/microbench/wakelatency.go:RunWakeLatency": "the probe is a FutexWake syscall, until the waiter is queued, which no cache line shows; it runs on no ledger workload",
 	"internal/net/fabric.go:acquire":                    "switch arbitration: each attempt advances to the clock the switch frees at",
 	"internal/net/fabric.go:Transmit":                   "retransmit backoff: the wait doubles each attempt and has no disturber",
-	"internal/redisapp/prodserver.go:prodFrontend":      "with workers, the probe also pops their response rings: 16 words and 17 yield points per iteration, more than a cache.Watch holds (without workers it parks through kernel.Task.PollSock)",
 	"internal/redisapp/server.go:Run":                   "Fig. 14 harness: the server's poll and the NIC's flow-control wait probe the ring in simulated memory; it runs on no ledger workload",
 }
 
